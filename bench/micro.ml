@@ -8,7 +8,7 @@ open Ppt_engine
 open Ppt_netsim
 
 let heap_push_pop () =
-  let h = Heap.create ~dummy:0 in
+  let h = Heap.create () in
   let rng = Rng.create 7 in
   Staged.stage (fun () ->
       for i = 0 to 255 do
@@ -36,6 +36,28 @@ let sim_calendar_skew () =
         (fun at -> ignore (Sim.schedule_at sim at (fun () -> ())))
         ts;
       Sim.run sim)
+
+(* Fabric-density scheduling: 1,024 self-rescheduling timers, each
+   re-armed 1..1000 ns ahead, keep about 1,024 timers pending within
+   one microsecond at any moment, as in the fig12 40/100G fabric
+   (an event every ~2.4 ns). Every wheel bucket then holds many timers
+   at once, so each pop pays for the current-bucket heap's depth. One
+   iteration advances the clock by 1 us, about 2,000 events. The
+   sparse micros above never put more than a few timers in a
+   bucket. *)
+let sim_dense () =
+  let sim = Sim.create () in
+  let rng = Rng.create 17 in
+  let delays = Array.init 4096 (fun _ -> 1 + Rng.int rng 1_000) in
+  let k = ref 0 in
+  let rec tick () =
+    k := (!k + 1) land 4095;
+    ignore (Sim.schedule sim ~after:delays.(!k) tick)
+  in
+  for _ = 1 to 1024 do
+    ignore (Sim.schedule sim ~after:(Rng.int rng 1_000) tick)
+  done;
+  Staged.stage (fun () -> Sim.run ~until:(Sim.now sim + 1_000) sim)
 
 let prio_queue_cycle () =
   let q =
@@ -117,6 +139,7 @@ let tests =
   Test.make_grouped ~name:"micro" ~fmt:"%s %s"
     [ Test.make ~name:"heap: 256 push+pop" (heap_push_pop ());
       Test.make ~name:"sim: 256 skewed timers" (sim_calendar_skew ());
+      Test.make ~name:"sim: 1024 dense timers, 1us" (sim_dense ());
       Test.make ~name:"prio-queue: 256 enq+deq" (prio_queue_cycle ());
       Test.make ~name:"cdf: 64 samples" (cdf_sampling ());
       Test.make ~name:"rng: 256 floats" (rng_floats ());

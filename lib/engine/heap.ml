@@ -1,47 +1,54 @@
-(* Binary min-heap keyed by [(key, tie)] pairs.
+(* Binary min-heap of ints keyed by [(key, tie)] pairs.
 
    The secondary [tie] key is an insertion sequence number supplied by
    the caller, which makes the pop order of equal-time events
-   deterministic (FIFO within a timestamp).
+   deterministic (FIFO within a timestamp). The payload is an int (the
+   scheduler stores slab slot numbers), so the three parallel arrays
+   hold no pointers: every store is a plain word write, with no write
+   barrier and nothing for the GC to scan.
 
    The sift loops are hole-based: instead of repeatedly swapping the
    moving element with its neighbour (three loads + three stores per
    level, per array), the element is held aside, parents/children are
    shifted into the hole, and the element lands exactly once. Array
    accesses inside the sifts use [Array.unsafe_*] — every index is
-   derived from [size], which the heap maintains itself — which
-   together with the hole scheme makes push/pop allocation-free and
-   roughly 3x cheaper than the swap-based version it replaced. *)
+   derived from [size], which the heap maintains itself. *)
 
-type 'a t = {
+type t = {
   mutable keys : int array;
   mutable ties : int array;
-  mutable data : 'a array;
+  mutable vals : int array;
   mutable size : int;
-  dummy : 'a;
 }
 
-let create ~dummy =
-  { keys = Array.make 64 0; ties = Array.make 64 0;
-    data = Array.make 64 dummy; size = 0; dummy }
+(* Storage is allocated on the first push: a scheduler creates two
+   heaps per run and a short run may never touch its overflow heap. *)
+let create () = { keys = [||]; ties = [||]; vals = [||]; size = 0 }
 
 let length t = t.size
 let is_empty t = t.size = 0
 
+(* Grow 4x (2x past a million entries) like the scheduler's slab: each
+   step allocates in the major heap, whose GC work is paced by the
+   words allocated there. The copy is a loop of plain int stores;
+   [Array.blit] into a major-heap array would go through the write
+   barrier per element. *)
 let grow t =
   let n = Array.length t.keys in
-  let keys = Array.make (2 * n) 0
-  and ties = Array.make (2 * n) 0
-  and data = Array.make (2 * n) t.dummy in
-  Array.blit t.keys 0 keys 0 n;
-  Array.blit t.ties 0 ties 0 n;
-  Array.blit t.data 0 data 0 n;
-  t.keys <- keys; t.ties <- ties; t.data <- data
+  let size = if n = 0 then 64 else if n < 1 lsl 20 then 4 * n else 2 * n in
+  let extend a =
+    let b = Array.make size 0 in
+    for i = 0 to n - 1 do Array.unsafe_set b i (Array.unsafe_get a i) done;
+    b
+  in
+  t.keys <- extend t.keys;
+  t.ties <- extend t.ties;
+  t.vals <- extend t.vals
 
 (* Move the hole at [i] towards the root until [(key, tie)] fits,
    shifting losing parents down, then drop the element in. *)
 let sift_up t i ~key ~tie v =
-  let keys = t.keys and ties = t.ties and data = t.data in
+  let keys = t.keys and ties = t.ties and vals = t.vals in
   let i = ref i in
   let continue = ref true in
   while !continue && !i > 0 do
@@ -51,18 +58,18 @@ let sift_up t i ~key ~tie v =
     || (key = pk && tie < Array.unsafe_get ties parent) then begin
       Array.unsafe_set keys !i pk;
       Array.unsafe_set ties !i (Array.unsafe_get ties parent);
-      Array.unsafe_set data !i (Array.unsafe_get data parent);
+      Array.unsafe_set vals !i (Array.unsafe_get vals parent);
       i := parent
     end else continue := false
   done;
   Array.unsafe_set keys !i key;
   Array.unsafe_set ties !i tie;
-  Array.unsafe_set data !i v
+  Array.unsafe_set vals !i v
 
-(* Sink the hole at the root until both children lose to [(key, tie)],
+(* Sink the hole at [i] until both children lose to [(key, tie)],
    shifting winning children up, then drop the element in. *)
 let sift_down t i ~key ~tie v =
-  let keys = t.keys and ties = t.ties and data = t.data in
+  let keys = t.keys and ties = t.ties and vals = t.vals in
   let size = t.size in
   let i = ref i in
   let continue = ref true in
@@ -85,14 +92,14 @@ let sift_down t i ~key ~tie v =
       if ck < key || (ck = key && Array.unsafe_get ties c < tie) then begin
         Array.unsafe_set keys !i ck;
         Array.unsafe_set ties !i (Array.unsafe_get ties c);
-        Array.unsafe_set data !i (Array.unsafe_get data c);
+        Array.unsafe_set vals !i (Array.unsafe_get vals c);
         i := c
       end else continue := false
     end
   done;
   Array.unsafe_set keys !i key;
   Array.unsafe_set ties !i tie;
-  Array.unsafe_set data !i v
+  Array.unsafe_set vals !i v
 
 let push t ~key ~tie v =
   if t.size = Array.length t.keys then grow t;
@@ -104,31 +111,23 @@ let push t ~key ~tie v =
    (or [length]) themselves. *)
 let top_key t = t.keys.(0)
 
-let pop_exn t =
-  if t.size = 0 then invalid_arg "Heap.pop_exn: empty heap";
-  let v = t.data.(0) in
+(* Remove the root (the heap is nonempty) and return its value. *)
+let remove_top t =
+  let v = Array.unsafe_get t.vals 0 in
   let last = t.size - 1 in
   t.size <- last;
-  if last > 0 then begin
-    let k = t.keys.(last) and s = t.ties.(last) in
-    let d = t.data.(last) in
-    t.data.(last) <- t.dummy;
-    sift_down t 0 ~key:k ~tie:s d
-  end else t.data.(0) <- t.dummy;
+  if last > 0 then
+    sift_down t 0 ~key:(Array.unsafe_get t.keys last)
+      ~tie:(Array.unsafe_get t.ties last) (Array.unsafe_get t.vals last);
   v
 
-let min_key t = if t.size = 0 then None else Some t.keys.(0)
+let pop_exn t =
+  if t.size = 0 then invalid_arg "Heap.pop_exn: empty heap";
+  remove_top t
 
-let pop t =
-  if t.size = 0 then None
-  else begin
-    let key = t.keys.(0) in
-    Some (key, pop_exn t)
-  end
-
-let clear t =
-  Array.fill t.data 0 t.size t.dummy;
-  t.size <- 0
+let pop_upto t limit =
+  if t.size = 0 || Array.unsafe_get t.keys 0 > limit then -1
+  else remove_top t
 
 (* Keep only the elements satisfying [f], then rebuild the heap
    property bottom-up. Relative (key, tie) order of survivors is
@@ -136,16 +135,14 @@ let clear t =
 let filter_in_place t ~f =
   let j = ref 0 in
   for i = 0 to t.size - 1 do
-    if f t.data.(i) then begin
+    if f t.vals.(i) then begin
       t.keys.(!j) <- t.keys.(i);
       t.ties.(!j) <- t.ties.(i);
-      t.data.(!j) <- t.data.(i);
+      t.vals.(!j) <- t.vals.(i);
       incr j
     end
   done;
-  for i = !j to t.size - 1 do t.data.(i) <- t.dummy done;
   t.size <- !j;
   for i = (t.size / 2) - 1 downto 0 do
-    let k = t.keys.(i) and s = t.ties.(i) and d = t.data.(i) in
-    sift_down t i ~key:k ~tie:s d
+    sift_down t i ~key:t.keys.(i) ~tie:t.ties.(i) t.vals.(i)
   done

@@ -1,30 +1,34 @@
-(** Binary min-heap with a deterministic FIFO tie-break on equal keys. *)
+(** Binary min-heap of int values with a deterministic FIFO tie-break
+    on equal keys. Pointer-free: keys, ties and values live in three
+    [int array]s. *)
 
-type 'a t
+type t
 
-val create : dummy:'a -> 'a t
-(** [dummy] fills vacated slots so popped values can be collected. *)
+val create : unit -> t
+(** An empty heap; storage is allocated on the first {!push}. *)
 
-val length : 'a t -> int
-val is_empty : 'a t -> bool
+val length : t -> int
+val is_empty : t -> bool
 
-val push : 'a t -> key:int -> tie:int -> 'a -> unit
+val push : t -> key:int -> tie:int -> int -> unit
 (** Insert a value; among equal [key]s, lower [tie] pops first. *)
 
-val min_key : 'a t -> int option
-val pop : 'a t -> (int * 'a) option
-val clear : 'a t -> unit
+val top_key : t -> int
+(** Key of the minimum element. Unspecified on an empty heap (it may
+    raise) — check {!is_empty} first. *)
 
-val top_key : 'a t -> int
-(** Key of the minimum element. Unspecified (but does not raise) on an
-    empty heap — check {!is_empty} first. Allocation-free, for hot
-    loops that would otherwise pay an option per peek. *)
+val pop_exn : t -> int
+(** Remove and return the minimum element's value; read its key with
+    {!top_key} beforehand. @raise Invalid_argument on an empty heap. *)
 
-val pop_exn : 'a t -> 'a
-(** Remove and return the minimum element without allocating; read its
-    key with {!top_key} beforehand. @raise Invalid_argument on an
-    empty heap. *)
+val pop_upto : t -> int -> int
+(** [pop_upto t limit] removes and returns the minimum element's value
+    if its key is at most [limit], and returns [-1] (leaving the heap
+    unchanged) if the heap is empty or its minimum key is past
+    [limit]. One call per pop for hot loops; meant for non-negative
+    values, which [-1] cannot be mistaken for. *)
 
-val filter_in_place : 'a t -> f:('a -> bool) -> unit
-(** Drop every element not satisfying [f] and re-heapify, in O(n).
-    Pop order of the survivors is unchanged. *)
+val filter_in_place : t -> f:(int -> bool) -> unit
+(** Drop every element whose value does not satisfy [f] and
+    re-heapify, in O(n). [f] is called once per element. Pop order of
+    the survivors is unchanged. *)

@@ -1,7 +1,7 @@
 (* Discrete-event simulation core: a clock plus a calendar-queue
    scheduler.
 
-   Events are plain [unit -> unit] callbacks. Equal-time events fire in
+   Events are callbacks with an argument. Equal-time events fire in
    scheduling order (every timer carries an insertion sequence number
    used as a tie-break), which keeps runs deterministic: the pop order
    is the total order on [(time, tie)] regardless of which internal
@@ -18,12 +18,20 @@
      callback fall into.
    - a timing wheel of [n_buckets] unsorted buckets, each covering
      [bucket_width] ns, holds events in [cur_hi, wheel_end); insertion
-     is O(1) and allocation-free (beyond the timer itself). The window
-     slides one bucket at a time as the clock advances, or hops
-     directly to the next event when the wheel runs empty.
+     is O(1). The window slides one bucket (or one empty group of 64
+     buckets) at a time as the clock advances, or hops directly to the
+     next event when the wheel runs empty.
    - an overflow binary heap holds everything at or past [wheel_end]
      (RTOs, experiment-horizon probes); events migrate into the wheel
      as the window reaches them.
+
+   Storage is a slab: a pending timer is a slot number, and its fire
+   time, tie and callback live in parallel arrays indexed by slot.
+   Free slots are chained through [next] into a free list; a wheel
+   bucket is a chain of slots through the same [next] array, so the
+   wheel itself is one [int array] of chain heads; both heaps store
+   slot numbers ([Heap] is int-only). The only pointer a schedule
+   stores is the slot's callback, once.
 
    Timers can be cancelled; a cancelled timer stays queued but its
    callback is skipped when popped. Cancelled-and-still-queued timers
@@ -31,73 +39,91 @@
    whole structure is compacted in place so churny retransmit timers
    cannot bloat the queue and get re-sifted forever. *)
 
-let st_pending = 0
-let st_fired = 1
-let st_cancelled = 2
+(* A callback paired with its argument. [schedule1] stores the
+   argument beside the callback instead of forcing callers to close
+   over it: packet arrivals are scheduled once per transmitted packet,
+   and a preallocated callback plus an inline argument is a single
+   small allocation per event. *)
+type job = Job : ('a -> unit) * 'a -> job
 
-(* A timer carries its callback argument inline ([fire arg] at pop)
-   instead of forcing callers to close over it: packet arrivals are
-   scheduled once per transmitted packet, and the inline argument
-   turns a closure + timer pair into a single timer allocation. The
-   argument is stored untyped; [schedule1] is the only constructor
-   that pairs a non-unit callback with its argument, so the
-   [Obj.magic] cannot be observed at a wrong type. *)
-type timer = {
-  mutable state : int;
-  key : Units.time;      (* absolute fire time *)
-  tie : int;             (* insertion sequence number *)
-  fire : Obj.t -> unit;
-  arg : Obj.t;
-  cancels : int ref;     (* owning sim's cancelled-and-queued counter *)
-}
+(* Slot sentinels, told apart by physical equality: a slot on the free
+   list holds [free_job], a cancelled timer still queued holds
+   [cancelled_job]. Neither keeps a packet or closure alive. *)
+let free_job = Job (ignore, 0)
+let cancelled_job = Job (ignore, 1)
 
-(* Bucket geometry: 256 buckets of 1.024us cover ~262us, comfortably
-   past the per-hop timer horizon of a 10-400G fabric while keeping
-   buckets small enough that the [cur] heap stays tiny. *)
-let log_bucket = 10
+(* Bucket geometry: 4096 buckets of 64 ns cover ~262 us, past the
+   per-hop timer horizon of a 10-400G fabric. The width is sized to
+   the densest traffic measured: the 40/100G web-search fabric
+   (fig12) fires an event every ~2.4 ns, so a 64 ns bucket dumps ~27
+   events into [cur]; the 10G memcached incast fires one every
+   ~175 ns, so most of its buckets are empty and are skipped without
+   a heap operation. *)
+let log_bucket = 6
 let bucket_width = 1 lsl log_bucket
-let n_buckets = 256
+let n_buckets = 4096
 let bucket_mask = n_buckets - 1
 let wheel_span = n_buckets * bucket_width
+
+(* Wheel occupancy is also counted per group of 64 buckets (4 us), so
+   sparse traffic sweeps an empty group in one step instead of 64: a
+   few timers spread over milliseconds would otherwise slide through
+   every empty 64 ns bucket between them. *)
+let log_group = 6
+let group_mask = (1 lsl log_group) - 1
+let group_span = bucket_width lsl log_group
 
 (* Compact only past this many dead timers, so small runs never pay. *)
 let compact_min = 1024
 
-let dummy_timer =
-  { state = st_fired; key = 0; tie = 0; fire = ignore; arg = Obj.repr ();
-    cancels = ref 0 }
-
 type t = {
   mutable now : Units.time;
-  cur : timer Heap.t;
-  overflow : timer Heap.t;
-  bkt : timer array array;
-  bkt_len : int array;
+  (* the slab, indexed by slot *)
+  mutable key : int array;        (* absolute fire time *)
+  mutable ties : int array;       (* insertion sequence number *)
+  mutable next : int array;       (* bucket chain or free list; -1 ends *)
+  mutable job : job array;
+  mutable free : int;             (* free-list head, -1 when empty *)
+  mutable heads : int array;      (* bucket chain heads; [||] until used *)
+  mutable occ : int array;        (* timers per bucket group, likewise *)
+  cur : Heap.t;
+  overflow : Heap.t;
   mutable wheel_count : int;
   mutable cur_hi : int;     (* every event with key < cur_hi is in [cur] *)
   mutable wheel_end : int;  (* wheel covers [cur_hi, wheel_end) *)
-  cancels : int ref;
+  mutable cancels : int;    (* cancelled timers still queued *)
   mutable compaction_runs : int;
-  mutable tie : int;
+  mutable last_tie : int;
   mutable running : bool;
   mutable processed : int;
 }
 
+(* A handle names a slot and the tie of the timer it was made for.
+   Ties are never reused, so once the timer fires or is cancelled and
+   its slot is recycled, the tie no longer matches and the handle goes
+   inert. *)
+type timer = { owner : t; slot : int; tie : int }
+
+(* Slab and wheel arrays grow on demand, so [create] allocates only the
+   record and two empty heaps. The wheel window starts empty
+   ([wheel_end = cur_hi = 0]): every timer scheduled before the clock
+   first runs goes to the overflow heap, and the first [refill] hops
+   the window to the earliest one and allocates the bucket heads. A
+   run's set-up so never pays for them. *)
 let create () =
   { now = 0;
-    cur = Heap.create ~dummy:dummy_timer;
-    overflow = Heap.create ~dummy:dummy_timer;
-    (* bucket storage is allocated on first use: most buckets of a
-       short run are never touched, and every [create] would otherwise
-       pay for 256 slot arrays up front *)
-    bkt = Array.make n_buckets [||];
-    bkt_len = Array.make n_buckets 0;
+    key = [||]; ties = [||]; next = [||]; job = [||];
+    free = -1;
+    heads = [||];
+    occ = [||];
+    cur = Heap.create ();
+    overflow = Heap.create ();
     wheel_count = 0;
     cur_hi = 0;
-    wheel_end = wheel_span;
-    cancels = ref 0;
+    wheel_end = 0;
+    cancels = 0;
     compaction_runs = 0;
-    tie = 0; running = false; processed = 0 }
+    last_tie = 0; running = false; processed = 0 }
 
 let now t = t.now
 let events_processed t = t.processed
@@ -105,70 +131,105 @@ let events_processed t = t.processed
 let scheduled t =
   Heap.length t.cur + t.wheel_count + Heap.length t.overflow
 
-let pending t = scheduled t - !(t.cancels)
-let cancelled_pending t = !(t.cancels)
+let pending t = scheduled t - t.cancels
+let cancelled_pending t = t.cancels
 let compactions t = t.compaction_runs
 
-let bucket_push t tm =
-  let b = (tm.key lsr log_bucket) land bucket_mask in
-  let arr = t.bkt.(b) in
-  let len = t.bkt_len.(b) in
-  let arr =
-    if len < Array.length arr then arr
-    else begin
-      let bigger = Array.make (max 8 (2 * len)) dummy_timer in
-      Array.blit arr 0 bigger 0 len;
-      t.bkt.(b) <- bigger;
-      bigger
-    end
+(* The slab grows 4x (2x past a million slots), as [Heap] does. Each
+   step allocates its arrays directly in the major heap, whose GC work
+   is paced by the words allocated there, so fewer, larger steps make
+   set-up cheaper: incast schedules its 200k flow starts before the
+   clock runs. Int arrays are copied with plain stores, since
+   [Array.blit] into a major-heap array runs the write barrier per
+   element; the callback array is copied in place rather than through
+   the temporary array [Array.append] would need. *)
+let grown_size n =
+  if n = 0 then 64 else if n < 1 lsl 20 then 4 * n else 2 * n
+
+(* Grow the slab and chain the new slots onto the free list. *)
+let grow_slab t =
+  let n = Array.length t.key in
+  let size = grown_size n in
+  let ints (a : int array) =
+    let b = Array.make size 0 in
+    for i = 0 to n - 1 do Array.unsafe_set b i (Array.unsafe_get a i) done;
+    b
   in
-  arr.(len) <- tm;
-  t.bkt_len.(b) <- len + 1;
+  t.key <- ints t.key;
+  t.ties <- ints t.ties;
+  t.next <- ints t.next;
+  let job = Array.make size free_job in
+  for i = 0 to n - 1 do Array.unsafe_set job i (Array.unsafe_get t.job i) done;
+  t.job <- job;
+  for i = n to size - 2 do t.next.(i) <- i + 1 done;
+  t.next.(size - 1) <- t.free;
+  t.free <- n
+
+let alloc_slot t =
+  if t.free < 0 then grow_slab t;
+  let s = t.free in
+  t.free <- Array.unsafe_get t.next s;
+  s
+
+let free_slot t s =
+  Array.unsafe_set t.job s free_job;
+  Array.unsafe_set t.next s t.free;
+  t.free <- s
+
+let bucket_push t s =
+  let b = (Array.unsafe_get t.key s lsr log_bucket) land bucket_mask in
+  Array.unsafe_set t.next s (Array.unsafe_get t.heads b);
+  Array.unsafe_set t.heads b s;
+  let g = b lsr log_group in
+  Array.unsafe_set t.occ g (Array.unsafe_get t.occ g + 1);
   t.wheel_count <- t.wheel_count + 1
 
-let insert t tm =
-  if tm.key < t.cur_hi then Heap.push t.cur ~key:tm.key ~tie:tm.tie tm
-  else if tm.key < t.wheel_end then bucket_push t tm
-  else Heap.push t.overflow ~key:tm.key ~tie:tm.tie tm
+let insert t s ~key ~tie =
+  if key < t.cur_hi then Heap.push t.cur ~key ~tie s
+  else if key < t.wheel_end then bucket_push t s
+  else Heap.push t.overflow ~key ~tie s
 
-let live tm = tm.state = st_pending
-
-(* Drop every cancelled timer still queued. Survivors keep their
-   (key, tie) ordering, so pop order is unaffected. *)
+(* Drop every cancelled timer still queued and free its slot.
+   Survivors keep their (key, tie) ordering, so pop order is
+   unaffected. *)
 let compact t =
-  Heap.filter_in_place t.cur ~f:live;
-  Heap.filter_in_place t.overflow ~f:live;
-  for b = 0 to n_buckets - 1 do
-    let arr = t.bkt.(b) and len = t.bkt_len.(b) in
-    let j = ref 0 in
-    for i = 0 to len - 1 do
-      if live arr.(i) then begin arr.(!j) <- arr.(i); incr j end
-    done;
-    for i = !j to len - 1 do arr.(i) <- dummy_timer done;
-    t.wheel_count <- t.wheel_count - (len - !j);
-    t.bkt_len.(b) <- !j
-  done;
-  t.cancels := 0;
+  let keep s = t.job.(s) != cancelled_job || (free_slot t s; false) in
+  Heap.filter_in_place t.cur ~f:keep;
+  Heap.filter_in_place t.overflow ~f:keep;
+  Array.iteri
+    (fun b head ->
+       let s = ref head and kept = ref (-1) in
+       while !s >= 0 do
+         let nx = t.next.(!s) in
+         if keep !s then begin
+           t.next.(!s) <- !kept;
+           kept := !s
+         end else begin
+           t.wheel_count <- t.wheel_count - 1;
+           t.occ.(b lsr log_group) <- t.occ.(b lsr log_group) - 1
+         end;
+         s := nx
+       done;
+       t.heads.(b) <- !kept)
+    t.heads;
+  t.cancels <- 0;
   t.compaction_runs <- t.compaction_runs + 1
 
-let schedule1_at : 'a. t -> Units.time -> ('a -> unit) -> 'a -> timer =
-  fun t at fire arg ->
+let schedule1_at t at fire arg =
   if at < t.now then
     invalid_arg
       (Printf.sprintf "Sim.schedule_at: %d is in the past (now=%d)" at t.now);
-  if !(t.cancels) >= compact_min && 2 * !(t.cancels) > scheduled t then
+  if t.cancels >= compact_min && 2 * t.cancels > scheduled t then
     compact t;
-  t.tie <- t.tie + 1;
-  let tm =
-    { state = st_pending; key = at; tie = t.tie;
-      fire = (Obj.magic fire : Obj.t -> unit); arg = Obj.repr arg;
-      cancels = t.cancels }
-  in
-  insert t tm;
-  tm
+  let tie = t.last_tie + 1 in
+  t.last_tie <- tie;
+  let s = alloc_slot t in
+  Array.unsafe_set t.key s at;
+  Array.unsafe_set t.ties s tie;
+  Array.unsafe_set t.job s (Job (fire, arg));
+  insert t s ~key:at ~tie;
+  { owner = t; slot = s; tie }
 
-(* A [unit -> unit] callback goes through the same untyped slot with
-   the unit value as its stored argument. *)
 let schedule_at t at (fire : unit -> unit) = schedule1_at t at fire ()
 
 let schedule t ~after fire =
@@ -179,84 +240,123 @@ let schedule1 t ~after fire arg =
   assert (after >= 0);
   schedule1_at t (t.now + after) fire arg
 
-let cancel tm =
-  if tm.state = st_pending then begin
-    tm.state <- st_cancelled;
-    incr tm.cancels
+let cancel { owner = t; slot; tie } =
+  let j = t.job.(slot) in
+  if t.ties.(slot) = tie && j != free_job && j != cancelled_job then begin
+    t.job.(slot) <- cancelled_job;
+    t.cancels <- t.cancels + 1
   end
 
 let stop t = t.running <- false
 
 (* Pull overflow events that now fall inside the (just extended)
    wheel window. *)
-let rec migrate_overflow t =
-  if (not (Heap.is_empty t.overflow))
-  && Heap.top_key t.overflow < t.wheel_end then begin
-    bucket_push t (Heap.pop_exn t.overflow);
-    migrate_overflow t
+let migrate_overflow t =
+  let s = ref (Heap.pop_upto t.overflow (t.wheel_end - 1)) in
+  while !s >= 0 do
+    bucket_push t !s;
+    s := Heap.pop_upto t.overflow (t.wheel_end - 1)
+  done
+
+(* Dump the chain of bucket [b] into [cur]. *)
+let drain_bucket t b =
+  let s = ref (Array.unsafe_get t.heads b) in
+  if !s >= 0 then begin
+    Array.unsafe_set t.heads b (-1);
+    let key = t.key and ties = t.ties and next = t.next in
+    let n = ref 0 in
+    while !s >= 0 do
+      let x = !s in
+      Heap.push t.cur ~key:(Array.unsafe_get key x)
+        ~tie:(Array.unsafe_get ties x) x;
+      incr n;
+      s := Array.unsafe_get next x
+    done;
+    t.wheel_count <- t.wheel_count - !n;
+    let g = b lsr log_group in
+    Array.unsafe_set t.occ g (Array.unsafe_get t.occ g - !n)
   end
 
 (* Make [cur] hold the globally minimal event (if any exist): slide the
    wheel window bucket by bucket, dumping the first nonempty bucket
    into [cur]; if the wheel is empty, hop straight to the earliest
-   overflow event's window. *)
-let rec refill t =
-  if Heap.is_empty t.cur then begin
+   overflow event's window. Empty buckets, and empty groups from a
+   group boundary, are stepped over in a tight loop for as long as no
+   overflow event enters the window. *)
+let refill t =
+  while Heap.is_empty t.cur
+        && (t.wheel_count > 0 || not (Heap.is_empty t.overflow)) do
     if t.wheel_count > 0 then begin
-      let b = (t.cur_hi lsr log_bucket) land bucket_mask in
-      let len = t.bkt_len.(b) in
-      if len > 0 then begin
-        let arr = t.bkt.(b) in
-        for i = 0 to len - 1 do
-          let tm = arr.(i) in
-          Heap.push t.cur ~key:tm.key ~tie:tm.tie tm;
-          arr.(i) <- dummy_timer
-        done;
-        t.bkt_len.(b) <- 0;
-        t.wheel_count <- t.wheel_count - len
-      end;
+      let due =
+        if Heap.is_empty t.overflow then max_int
+        else Heap.top_key t.overflow
+      in
+      let heads = t.heads and occ = t.occ in
+      let b = ref ((t.cur_hi lsr log_bucket) land bucket_mask) in
+      while Array.unsafe_get heads !b < 0
+            && t.wheel_end <= due - bucket_width do
+        if !b land group_mask = 0
+        && Array.unsafe_get occ (!b lsr log_group) = 0
+        && t.wheel_end <= due - group_span then begin
+          t.cur_hi <- t.cur_hi + group_span;
+          t.wheel_end <- t.wheel_end + group_span;
+          b := (!b + group_mask + 1) land bucket_mask
+        end else begin
+          t.cur_hi <- t.cur_hi + bucket_width;
+          t.wheel_end <- t.wheel_end + bucket_width;
+          b := (!b + 1) land bucket_mask
+        end
+      done;
+      drain_bucket t !b;
       (* bucket [b] now represents [wheel_end, wheel_end + width) *)
       t.cur_hi <- t.cur_hi + bucket_width;
       t.wheel_end <- t.wheel_end + bucket_width;
-      if not (Heap.is_empty t.overflow) then migrate_overflow t;
-      refill t
+      if due < t.wheel_end then migrate_overflow t
     end
     else begin
-      match Heap.min_key t.overflow with
-      | None -> ()
-      | Some k ->
-        t.cur_hi <- (k lsr log_bucket) lsl log_bucket;
-        t.wheel_end <- t.cur_hi + wheel_span;
-        migrate_overflow t;
-        refill t
+      (* the wheel is empty until the first hop, which allocates it *)
+      if Array.length t.heads = 0 then begin
+        t.heads <- Array.make n_buckets (-1);
+        t.occ <- Array.make (n_buckets lsr log_group) 0
+      end;
+      t.cur_hi <- (Heap.top_key t.overflow lsr log_bucket) lsl log_bucket;
+      t.wheel_end <- t.cur_hi + wheel_span;
+      migrate_overflow t
     end
-  end
+  done
 
 let run ?until ?(max_events = max_int) t =
-  t.running <- true;
   let horizon = match until with None -> max_int | Some u -> u in
+  if horizon < t.now then
+    invalid_arg
+      (Printf.sprintf "Sim.run: until=%d is in the past (now=%d)" horizon
+         t.now);
+  t.running <- true;
   let rec loop () =
     if t.running && t.processed < max_events then begin
-      if Heap.is_empty t.cur then refill t;
-      if not (Heap.is_empty t.cur) then begin
-        let at = Heap.top_key t.cur in
-        if at > horizon then
-          (* Leave the clock at the horizon; the event stays queued for
-             a later [run] call. *)
-          t.now <- horizon
+      let s = Heap.pop_upto t.cur horizon in
+      if s >= 0 then begin
+        let j = Array.unsafe_get t.job s in
+        let at = Array.unsafe_get t.key s in
+        free_slot t s;
+        if j == cancelled_job then
+          (* a dead timer leaves the queue *)
+          t.cancels <- t.cancels - 1
         else begin
-          let tm = Heap.pop_exn t.cur in
-          if tm.state = st_pending then begin
-            t.now <- at;
-            tm.state <- st_fired;
-            t.processed <- t.processed + 1;
-            tm.fire tm.arg
-          end else
-            (* a dead timer leaves the queue *)
-            decr t.cancels;
-          loop ()
-        end
+          t.now <- at;
+          t.processed <- t.processed + 1;
+          match j with Job (fire, arg) -> fire arg
+        end;
+        loop ()
       end
+      else if Heap.is_empty t.cur then begin
+        refill t;
+        if not (Heap.is_empty t.cur) then loop ()
+      end
+      else
+        (* Leave the clock at the horizon; the event stays queued for
+           a later [run] call. *)
+        t.now <- horizon
     end
   in
   loop ();

@@ -34,7 +34,9 @@ val schedule1 : t -> after:Units.time -> ('a -> unit) -> 'a -> timer
     hot paths where [f] is preallocated. *)
 
 val cancel : timer -> unit
-(** Cancelling an already-fired or cancelled timer is a no-op. *)
+(** Cancelling a timer that already fired or was already cancelled is
+    a no-op, also once its storage has been reused by a later timer,
+    and also from inside the timer's own callback. *)
 
 val stop : t -> unit
 (** Stop the run loop after the current event. *)
@@ -43,4 +45,6 @@ val run : ?until:Units.time -> ?max_events:int -> t -> unit
 (** Process events until the queue empties, [stop] is called, the clock
     would pass [until], or [max_events] have fired. An event past
     [until] is left queued (and the clock left at [until]), so a later
-    [run] call resumes exactly where this one stopped. *)
+    [run] call resumes exactly where this one stopped.
+    @raise Invalid_argument if [until] is before {!now}: the clock
+    never moves backwards. *)

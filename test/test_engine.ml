@@ -4,48 +4,51 @@ open Ppt_engine
 
 let check = Alcotest.check
 
+(* Pop everything left, as (key, value) pairs in pop order. *)
+let heap_drain h =
+  let rec go acc =
+    if Heap.is_empty h then List.rev acc
+    else
+      let k = Heap.top_key h in
+      go ((k, Heap.pop_exn h) :: acc)
+  in
+  go []
+
 let test_heap_order () =
-  let h = Heap.create ~dummy:(-1) in
+  let h = Heap.create () in
   List.iteri (fun i k -> Heap.push h ~key:k ~tie:i i)
     [ 5; 3; 8; 1; 9; 3; 0 ];
-  let order = ref [] in
-  let rec drain () =
-    match Heap.pop h with
-    | Some (k, _) -> order := k :: !order; drain ()
-    | None -> ()
-  in
-  drain ();
   check (Alcotest.list Alcotest.int) "sorted" [ 0; 1; 3; 3; 5; 8; 9 ]
-    (List.rev !order)
+    (List.map fst (heap_drain h))
 
 let test_heap_fifo_ties () =
-  let h = Heap.create ~dummy:(-1) in
+  let h = Heap.create () in
   Heap.push h ~key:7 ~tie:0 100;
   Heap.push h ~key:7 ~tie:1 200;
   Heap.push h ~key:7 ~tie:2 300;
-  let vals = List.init 3 (fun _ ->
-      match Heap.pop h with Some (_, v) -> v | None -> -1)
-  in
-  check (Alcotest.list Alcotest.int) "fifo" [ 100; 200; 300 ] vals
+  check (Alcotest.list Alcotest.int) "fifo" [ 100; 200; 300 ]
+    (List.map snd (heap_drain h))
 
-(* The allocation-free hot-loop entry points: [top_key] peeks without
-   an option, [pop_exn] pops without one (and must refuse an empty
-   heap). *)
+(* The hot-loop entry points: [top_key] peeks, [pop_exn] pops (and must
+   refuse an empty heap), [pop_upto] pops only up to a key limit. *)
 let test_heap_top_pop_exn () =
-  let h = Heap.create ~dummy:0 in
+  let h = Heap.create () in
   (try
      ignore (Heap.pop_exn h);
      Alcotest.fail "pop_exn on empty heap did not raise"
    with Invalid_argument _ -> ());
+  check Alcotest.int "pop_upto on empty heap" (-1) (Heap.pop_upto h max_int);
   Heap.push h ~key:5 ~tie:0 50;
   Heap.push h ~key:3 ~tie:1 31;
   Heap.push h ~key:9 ~tie:2 90;
   Heap.push h ~key:3 ~tie:3 32;
   Heap.push h ~key:1 ~tie:4 10;
   check Alcotest.int "top_key is the minimum" 1 (Heap.top_key h);
-  let order = List.init 5 (fun _ -> Heap.pop_exn h) in
+  check Alcotest.int "pop_upto below the minimum" (-1) (Heap.pop_upto h 0);
+  check Alcotest.int "pop_upto at the minimum" 10 (Heap.pop_upto h 1);
+  let order = List.init 4 (fun _ -> Heap.pop_exn h) in
   check (Alcotest.list Alcotest.int)
-    "pop_exn ascending with FIFO ties" [ 10; 31; 32; 50; 90 ] order;
+    "pop_exn ascending with FIFO ties" [ 31; 32; 50; 90 ] order;
   check Alcotest.bool "drained" true (Heap.is_empty h)
 
 let prop_heap_sorts =
@@ -53,15 +56,9 @@ let prop_heap_sorts =
     ~count:200
     QCheck.(list small_int)
     (fun keys ->
-       let h = Heap.create ~dummy:0 in
+       let h = Heap.create () in
        List.iteri (fun i k -> Heap.push h ~key:k ~tie:i k) keys;
-       let rec drain acc =
-         match Heap.pop h with
-         | Some (k, _) -> drain (k :: acc)
-         | None -> List.rev acc
-       in
-       let popped = drain [] in
-       popped = List.sort compare keys)
+       List.map fst (heap_drain h) = List.sort compare keys)
 
 let test_sim_ordering () =
   let sim = Sim.create () in
@@ -131,6 +128,122 @@ let test_sim_cancel_accounting () =
   check Alcotest.int "drained" 0 (Sim.pending sim);
   check Alcotest.int "dead slots reclaimed" 0 (Sim.cancelled_pending sim)
 
+(* Regression: [run ~until] with a horizon before the clock used to
+   rewind the clock to that horizon, after which a timer between the
+   two times was accepted and fired in the past. *)
+let test_sim_until_past_raises () =
+  let sim = Sim.create () in
+  let fired = ref [] in
+  ignore (Sim.schedule_at sim 500 (fun () -> fired := Sim.now sim :: !fired));
+  Sim.run ~until:300 sim;
+  check Alcotest.int "clock parked at horizon" 300 (Sim.now sim);
+  (try
+     Sim.run ~until:100 sim;
+     Alcotest.fail "run ~until before now did not raise"
+   with Invalid_argument _ -> ());
+  check Alcotest.int "clock not rewound" 300 (Sim.now sim);
+  (try
+     ignore (Sim.schedule_at sim 150 ignore);
+     Alcotest.fail "a timer before the clock was accepted"
+   with Invalid_argument _ -> ());
+  Sim.run ~until:300 sim;
+  Sim.run sim;
+  check (Alcotest.list Alcotest.int) "later timer fires on time" [ 500 ]
+    !fired
+
+(* A handle outlives its timer: once the timer fired, its storage is
+   handed to the next timer scheduled. Cancelling the stale handle must
+   leave that new occupant alone. *)
+let test_sim_cancel_recycled () =
+  let sim = Sim.create () in
+  let first = Sim.schedule_at sim 10 ignore in
+  Sim.run sim;
+  let fired = ref false in
+  let (_ : Sim.timer) = Sim.schedule_at sim 20 (fun () -> fired := true) in
+  Sim.cancel first;
+  check Alcotest.int "new occupant still live" 1 (Sim.pending sim);
+  check Alcotest.int "nothing counted cancelled" 0
+    (Sim.cancelled_pending sim);
+  Sim.run sim;
+  check Alcotest.bool "new occupant fired" true !fired;
+  (* A cancelled timer's storage is recycled too, once it leaves the
+     queue. *)
+  let dead = Sim.schedule_at sim 30 (fun () -> Alcotest.fail "fired") in
+  Sim.cancel dead;
+  Sim.run sim;
+  let hits = ref 0 in
+  let (_ : Sim.timer) = Sim.schedule_at sim 40 (fun () -> incr hits) in
+  Sim.cancel dead;
+  Sim.run sim;
+  check Alcotest.int "second occupant fired" 1 !hits;
+  check Alcotest.int "drained" 0 (Sim.pending sim)
+
+(* A callback cancelling its own (already firing) timer is a no-op,
+   including when the callback first schedules another timer that may
+   take over its storage. *)
+let test_sim_cancel_self () =
+  let sim = Sim.create () in
+  let log = ref [] in
+  let self = ref None in
+  let h =
+    Sim.schedule_at sim 10 (fun () ->
+        log := "self" :: !log;
+        let (_ : Sim.timer) =
+          Sim.schedule_at sim 15 (fun () -> log := "next" :: !log)
+        in
+        Option.iter Sim.cancel !self)
+  in
+  self := Some h;
+  Sim.run sim;
+  check (Alcotest.list Alcotest.string) "both fired" [ "self"; "next" ]
+    (List.rev !log);
+  check Alcotest.int "no dead timer counted" 0 (Sim.cancelled_pending sim);
+  check Alcotest.int "drained" 0 (Sim.pending sim)
+
+(* Far more timers than a bucket's usual population, all inside one
+   64 ns window, in shuffled time order with many exact ties: they must
+   pop by time, then by scheduling order. *)
+let test_sim_dense_bucket () =
+  let sim = Sim.create () in
+  let rng = Rng.create 5 in
+  let n = 10_000 in
+  let keys = Array.init n (fun _ -> 1_024 + Rng.int rng 64) in
+  let log = ref [] in
+  Array.iteri
+    (fun i k ->
+       ignore (Sim.schedule_at sim k (fun () -> log := (k, i) :: !log)))
+    keys;
+  Sim.run sim;
+  let expected =
+    List.sort compare (List.mapi (fun i k -> (k, i)) (Array.to_list keys))
+  in
+  check Alcotest.int "all fired" n (List.length !log);
+  check Alcotest.bool "(time, tie) order" true (List.rev !log = expected)
+
+(* Timers past the wheel's span sit in the overflow tier and move into
+   the wheel as the window reaches them. Pausing with [run ~until] and
+   scheduling more timers, near and far, before resuming must not
+   disturb the order. *)
+let test_sim_overflow_across_pause () =
+  let sim = Sim.create () in
+  let log = ref [] in
+  let at k = ignore (Sim.schedule_at sim k (fun () -> log := k :: !log)) in
+  List.iter at [ 5_000_000; 1_000_000; 300_000; 262_144; 262_143; 50 ];
+  Sim.run ~until:400_000 sim;
+  check (Alcotest.list Alcotest.int) "before the pause"
+    [ 50; 262_143; 262_144; 300_000 ] (List.rev !log);
+  check Alcotest.int "clock at the pause" 400_000 (Sim.now sim);
+  List.iter at [ 4_999_999; 1_000_000; 400_000; 900_000; 2_000_000 ];
+  Sim.run ~until:1_000_000 sim;
+  check Alcotest.int "clock at the second pause" 1_000_000 (Sim.now sim);
+  at 1_000_001;
+  Sim.run sim;
+  check (Alcotest.list Alcotest.int) "every timer in time order"
+    [ 50; 262_143; 262_144; 300_000; 400_000; 900_000; 1_000_000;
+      1_000_000; 1_000_001; 2_000_000; 4_999_999; 5_000_000 ]
+    (List.rev !log);
+  check Alcotest.int "drained" 0 (Sim.pending sim)
+
 (* Model-based scheduler test: drive the same randomized scenario —
    near/far/tied timers, nested scheduling from callbacks, random
    cancellations and a mass-cancel burst large enough to trigger
@@ -159,6 +272,7 @@ module Ref_sched = struct
 
   let run t =
     let rec loop () =
+      t.evs <- List.filter (fun ev -> ev.alive) t.evs;
       let best =
         List.fold_left
           (fun acc ev ->
@@ -188,8 +302,13 @@ end
 let drive ~schedule ~now seed =
   let rng = Rng.create seed in
   let log = ref [] in
-  let cancels = ref [||] in
-  let push c = cancels := Array.append !cancels [| c |] in
+  let cancels = ref [||] and n_cancels = ref 0 in
+  let push c =
+    if !n_cancels = Array.length !cancels then
+      cancels := Array.append !cancels (Array.make (max 16 !n_cancels) c);
+    !cancels.(!n_cancels) <- c;
+    incr n_cancels
+  in
   let n_id = ref 0 in
   let rec spawn depth () =
     let id = !n_id in
@@ -207,8 +326,8 @@ let drive ~schedule ~now seed =
           in
           push (schedule (now () + dt) (spawn (depth + 1) ()))
         done;
-        if Rng.int rng 3 = 0 && Array.length !cancels > 0 then
-          !cancels.(Rng.int rng (Array.length !cancels)) ()
+        if Rng.int rng 3 = 0 && !n_cancels > 0 then
+          !cancels.(Rng.int rng !n_cancels) ()
       end
   in
   for _ = 1 to 200 do
@@ -225,6 +344,28 @@ let drive ~schedule ~now seed =
         in
         List.iter (fun c -> c ()) cs)
   in
+  (* Retransmit-timer churn: a dense ticker re-arms one far timer per
+     tick (cancelling the previous one) and fires a few near timers
+     within a bucket or two. Fired and cancelled timers give their
+     storage back while new ones take it, and the cancellations pile
+     up past the compaction threshold in the middle of it. *)
+  let rto = ref (fun () -> ()) in
+  let rec tick n () =
+    log := (-2, now ()) :: !log;
+    !rto ();
+    rto := schedule (now () + 300_000 + Rng.int rng 1_000) (fun () ->
+        log := (-3, now ()) :: !log);
+    for _ = 0 to Rng.int rng 2 do
+      push (schedule (now () + Rng.int rng 100) (spawn 3 ()))
+    done;
+    if n > 0 then begin
+      let (_ : unit -> unit) =
+        schedule (now () + 1 + Rng.int rng 8) (tick (n - 1))
+      in
+      ()
+    end
+  in
+  let (_ : unit -> unit) = schedule 1_500_000 (tick 3_000) in
   log
 
 let prop_sim_matches_reference =
@@ -249,7 +390,7 @@ let prop_sim_matches_reference =
        Ref_sched.run r;
        List.length !sim_log > 200
        && !sim_log = !ref_log
-       && Sim.compactions sim > 0
+       && Sim.compactions sim >= 3
        && Sim.pending sim = 0)
 
 let test_sim_past_raises () =
@@ -351,6 +492,16 @@ let suite =
       test_sim_until_resume;
     Alcotest.test_case "sim: cancelled-timer accounting" `Quick
       test_sim_cancel_accounting;
+    Alcotest.test_case "sim: run until before now raises" `Quick
+      test_sim_until_past_raises;
+    Alcotest.test_case "sim: cancel after storage is recycled" `Quick
+      test_sim_cancel_recycled;
+    Alcotest.test_case "sim: callback cancels its own timer" `Quick
+      test_sim_cancel_self;
+    Alcotest.test_case "sim: dense bucket pops in order" `Quick
+      test_sim_dense_bucket;
+    Alcotest.test_case "sim: overflow migrates across a pause" `Quick
+      test_sim_overflow_across_pause;
     QCheck_alcotest.to_alcotest prop_sim_matches_reference;
     Alcotest.test_case "sim: past scheduling raises" `Quick
       test_sim_past_raises;
