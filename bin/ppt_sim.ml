@@ -215,12 +215,20 @@ let run_cmd =
         | Some (Ok spec) -> Config.with_faults spec cfg
         | _ -> cfg
       in
-      let trace =
+      (* A bad --trace-in file (unreadable, malformed, repeated or
+         out-of-range ids, endpoints that are not hosts) is a usage
+         error, not a crash. *)
+      match
         Option.map
           (fun path -> Ppt_workload.Trace.of_csv (read_file path))
           trace_in
-      in
-      let r = Runner.run ?trace cfg s in
+      with
+      | exception (Invalid_argument msg | Sys_error msg) ->
+        `Error (false, msg)
+      | trace ->
+      match Runner.run ?trace cfg s with
+      | exception Runner.Invalid_trace msg -> `Error (false, msg)
+      | r ->
       pp_result r;
       if faults <> None then
         Format.printf "fault drops   %d@." r.Runner.fault_drops;

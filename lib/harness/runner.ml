@@ -30,6 +30,10 @@ type result = {
 
 let horizon = Units.sec 120
 
+(* A flow trace the fabric cannot run (an endpoint that is not one of
+   its hosts); raised before the clock starts. *)
+exception Invalid_trace of string
+
 (* Cumulative simulator events across every [run] in this process;
    benchmark harnesses read the delta around a run to report
    events/second. *)
@@ -123,6 +127,19 @@ let run ?lp_buffer_cap ?trace ?(observe = fun _ _ -> ())
         ~edge_rate:topo.Topology.edge_rate ~load:cfg.Config.load
         ~n_flows:cfg.Config.n_flows ()
   in
+  let net = topo.Topology.net in
+  let is_host h =
+    h >= 0 && h < Net.n_nodes net && (Net.node net h).Net.is_host
+  in
+  List.iter
+    (fun (s : Trace.spec) ->
+       if not (is_host s.src && is_host s.dst) then
+         raise
+           (Invalid_trace
+              (Printf.sprintf "Runner: flow %d: %d -> %d is not host to \
+                               host on %s"
+                 s.id s.src s.dst topo.Topology.name)))
+    trace;
   let transport = scheme.Schemes.s_factory ctx in
   let requested = List.length trace in
   let last_finish = ref 0 in

@@ -3,9 +3,9 @@
    and a serialization + propagation model.
 
    A packet injected at its source host is queued on the host NIC port,
-   forwarded switch by switch (each switch consults its routing
-   function), and finally delivered to the endpoint handler registered
-   for (destination host, flow id). *)
+   forwarded switch by switch (each switch reads its forwarding table),
+   and finally delivered to the endpoint handler registered for
+   (destination host, flow id). *)
 
 open Ppt_engine
 
@@ -72,34 +72,23 @@ type node = {
   nid : int;
   is_host : bool;
   ports : port array;
-  (* Maps a packet to the egress port index; only used on switches.
-     Fallback for custom topologies — the builders in [Topology]
-     install a flat [fwd] table instead. *)
-  mutable route : Packet.t -> int;
-  mutable fwd : fwd option;
+  fwd : fwd;  (* empty on hosts, which never forward *)
 }
 
+(* The delivery table is indexed by flow: every transport registers
+   one handler at the flow's source and one at its destination, so
+   slots [2 * flow] and [2 * flow + 1] hold the host ([-1] when free)
+   and its handler. Flow ids are dense within a run, so the table
+   stays small and a delivery is two int compares and an array read. *)
 type t = {
   sim : Sim.t;
   nodes : node array;
-  hflat : (Packet.t -> unit) array array;
-  (* [hflat.(host).(flow)] is the delivery handler — the hot lookup is
-     two array reads. Hosts' tables grow on registration; flows outside
-     [flat_flow_cap] fall back to the hashtable. *)
-  handlers : (int, Packet.t -> unit) Hashtbl.t;
-  (* keyed by [handler_key]: host and flow packed into one int so a
-     delivery lookup allocates no tuple *)
+  mutable dhost : int array;
+  mutable dfn : (Packet.t -> unit) array;
   collect_int : bool;
   mutable delivered : int;
   mutable undeliverable : int;
 }
-
-let no_route (_ : Packet.t) = invalid_arg "Net: route not installed"
-
-(* Hosts are node ids (< 2^20 by the [create] check); flows take the
-   high bits, so the packing is injective. *)
-let max_nodes = 1 lsl 20
-let handler_key ~host ~flow = (flow lsl 20) lor host
 
 let make_port ~owner ~pix ~rate ~delay qcfg =
   { owner; pix; rate; delay; peer = -1; q = Prio_queue.create qcfg;
@@ -109,47 +98,56 @@ let make_port ~owner ~pix ~rate ~delay qcfg =
     up = true; cur_rate = rate; extra_delay = 0; fault_filter = None;
     fault_drops = 0 }
 
-let make_node ~nid ~is_host ports =
-  { nid; is_host; ports; route = no_route; fwd = None }
+let no_fwd = { base = [||]; cand = [||]; sel = Sel_flow }
+let make_host ~nid port =
+  { nid; is_host = true; ports = [| port |]; fwd = no_fwd }
+
+let make_switch ~nid fwd ports = { nid; is_host = false; ports; fwd }
 
 let sim t = t.sim
 let node t nid = t.nodes.(nid)
 let port t nid pix = t.nodes.(nid).ports.(pix)
 let n_nodes t = Array.length t.nodes
 
-(* Physical-equality sentinel for an empty flat slot, so delivery can
-   distinguish "no handler" without an option. *)
-let no_handler : Packet.t -> unit = fun _ -> ()
-let flat_flow_cap = 1 lsl 16
-
-let flat_slot t ~host ~flow =
-  host >= 0 && host < Array.length t.nodes
-  && flow >= 0 && flow < flat_flow_cap
+(* The delivery-table slot of [flow] at [host], or -1; [host = -1]
+   finds a free slot. *)
+let find t ~host ~flow =
+  let i = 2 * flow in
+  if i < 0 || i >= Array.length t.dhost then -1
+  else if Array.unsafe_get t.dhost i = host then i
+  else if Array.unsafe_get t.dhost (i + 1) = host then i + 1
+  else -1
 
 let register t ~host ~flow handler =
-  if flat_slot t ~host ~flow then begin
-    let arr = t.hflat.(host) in
-    let arr =
-      if flow < Array.length arr then arr
-      else begin
-        let n = ref (max 16 (Array.length arr)) in
-        while !n <= flow do n := 2 * !n done;
-        let bigger = Array.make !n no_handler in
-        Array.blit arr 0 bigger 0 (Array.length arr);
-        t.hflat.(host) <- bigger;
-        bigger
-      end
-    in
-    arr.(flow) <- handler
-  end else
-    Hashtbl.replace t.handlers (handler_key ~host ~flow) handler
+  if flow < 0 || flow >= Sys.max_array_length / 2 then
+    invalid_arg "Net.register: flow id out of range";
+  if host < 0 || host >= Array.length t.nodes || not t.nodes.(host).is_host
+  then invalid_arg "Net.register: not a host of this network";
+  let n = Array.length t.dhost in
+  if 2 * flow >= n then begin
+    let m = ref (max 64 n) in
+    while !m <= 2 * flow do m := 2 * !m done;
+    let dhost = Array.make !m (-1) and dfn = Array.make !m ignore in
+    Array.blit t.dhost 0 dhost 0 n;
+    Array.blit t.dfn 0 dfn 0 n;
+    t.dhost <- dhost;
+    t.dfn <- dfn
+  end;
+  let i =
+    let i = find t ~host ~flow and free = find t ~host:(-1) ~flow in
+    if i >= 0 then i
+    else if free >= 0 then free
+    else invalid_arg "Net.register: flow already has handlers at two hosts"
+  in
+  t.dhost.(i) <- host;
+  t.dfn.(i) <- handler
 
 let unregister t ~host ~flow =
-  if flat_slot t ~host ~flow then begin
-    let arr = t.hflat.(host) in
-    if flow < Array.length arr then arr.(flow) <- no_handler
-  end else
-    Hashtbl.remove t.handlers (handler_key ~host ~flow)
+  let i = find t ~host ~flow in
+  if i >= 0 then begin
+    t.dhost.(i) <- -1;
+    t.dfn.(i) <- ignore
+  end
 
 let stamp_int t (port : port) (p : Packet.t) =
   if t.collect_int && p.kind = Data then
@@ -219,20 +217,10 @@ let trace_dequeue t (port : port) (p : Packet.t) =
    packet for the duration of the call and must not retain it. *)
 
 let deliver t (p : Packet.t) =
-  let arr = t.hflat.(p.dst) in
-  let handler =
-    if p.flow >= 0 && p.flow < Array.length arr then
-      Array.unsafe_get arr p.flow
-    else
-      match
-        Hashtbl.find_opt t.handlers (handler_key ~host:p.dst ~flow:p.flow)
-      with
-      | Some h -> h
-      | None -> no_handler
-  in
-  if handler != no_handler then begin
+  let i = find t ~host:p.dst ~flow:p.flow in
+  if i >= 0 then begin
     t.delivered <- t.delivered + 1;
-    handler p
+    (Array.unsafe_get t.dfn i) p
   end else t.undeliverable <- t.undeliverable + 1;
   Packet.release p
 
@@ -345,19 +333,13 @@ and receive t nid (p : Packet.t) =
       Packet.release p
     end
   end else begin
-    let pix =
-      match node.fwd with
-      | Some f ->
-        let b = f.base.(p.dst) in
-        if b >= 0 then b else f.cand.(select t.sim f p)
-      | None -> node.route p
-    in
-    send_on_port t node.ports.(pix) p
+    let f = node.fwd in
+    let b = f.base.(p.dst) in
+    send_on_port t
+      node.ports.(if b >= 0 then b else f.cand.(select t.sim f p)) p
   end
 
 let create sim ?(collect_int = false) nodes =
-  if Array.length nodes > max_nodes then
-    invalid_arg "Net.create: too many nodes";
   Array.iteri (fun i n ->
       if n.nid <> i then invalid_arg "Net.create: node ids must be dense";
       Array.iter (fun p ->
@@ -366,8 +348,7 @@ let create sim ?(collect_int = false) nodes =
         n.ports)
     nodes;
   let t =
-    { sim; nodes; hflat = Array.make (Array.length nodes) [||];
-      handlers = Hashtbl.create 16; collect_int;
+    { sim; nodes; dhost = [||]; dfn = [||]; collect_int;
       delivered = 0; undeliverable = 0 }
   in
   Array.iter (fun n ->

@@ -2,8 +2,8 @@
 
     A port is unidirectional: it owns an egress {!Prio_queue.t}, a line
     rate and a propagation delay, and points at a peer node. Topology
-    builders create nodes/ports, wire peers, install switch routing
-    functions and then call {!create}. *)
+    builders create ports, wire peers, build hosts and switches (each
+    switch with its forwarding table) and then call {!create}. *)
 
 open Ppt_engine
 
@@ -70,16 +70,13 @@ type fwd = {
 }
 (** Flat forwarding table of a switch: routing is an array read plus,
     on the ECMP path, a hash — no list traversal, no closure call, no
-    allocation. Installed by the [Topology] builders. *)
+    allocation. Built by the [Topology] builders. *)
 
 type node = {
   nid : int;
   is_host : bool;
   ports : port array;
-  mutable route : Packet.t -> int;
-  (** Fallback routing closure for custom topologies; consulted only
-      when [fwd] is [None]. *)
-  mutable fwd : fwd option;
+  fwd : fwd;  (** empty on hosts, which never forward *)
 }
 
 type t
@@ -88,7 +85,10 @@ val make_port :
   owner:int -> pix:int -> rate:Units.rate -> delay:Units.time ->
   Prio_queue.config -> port
 
-val make_node : nid:int -> is_host:bool -> port array -> node
+val make_host : nid:int -> port -> node
+(** A host with its one NIC port (port 0). *)
+
+val make_switch : nid:int -> fwd -> port array -> node
 
 val create : Sim.t -> ?collect_int:bool -> node array -> t
 (** Node ids must equal their array index and every port must be wired.
@@ -102,9 +102,14 @@ val n_nodes : t -> int
 
 val register : t -> host:int -> flow:int -> (Packet.t -> unit) -> unit
 (** Install the endpoint handler receiving flow [flow]'s packets that
-    arrive at [host]. *)
+    arrive at [host], replacing any earlier one at that host. A flow
+    has handlers at two hosts at most (its source and destination), and
+    the table is indexed by flow id, so ids should be dense.
+    @raise Invalid_argument on a negative flow id, a [host] that is not
+    a host of this network, or a third host for one flow. *)
 
 val unregister : t -> host:int -> flow:int -> unit
+(** Remove the handler of [flow] at [host]; a no-op if there is none. *)
 
 val send : t -> Packet.t -> unit
 (** Inject a packet at its source host's NIC. *)

@@ -58,7 +58,7 @@ let star ?collect_int ~sim ~n_hosts ~rate ~delay ~qcfg () =
     Array.init n_hosts (fun h ->
         let p = Net.make_port ~owner:h ~pix:0 ~rate ~delay host_qcfg in
         p.Net.peer <- switch_id;
-        Net.make_node ~nid:h ~is_host:true [| p |])
+        Net.make_host ~nid:h p)
   in
   let switch_ports =
     Array.init n_hosts (fun i ->
@@ -66,10 +66,12 @@ let star ?collect_int ~sim ~n_hosts ~rate ~delay ~qcfg () =
         p.Net.peer <- i;
         p)
   in
-  let switch = Net.make_node ~nid:switch_id ~is_host:false switch_ports in
-  switch.Net.fwd <-
-    Some { Net.base = Array.init n_hosts Fun.id; cand = [||];
-           sel = Net.Sel_flow };
+  let switch =
+    Net.make_switch ~nid:switch_id
+      { Net.base = Array.init n_hosts Fun.id; cand = [||];
+        sel = Net.Sel_flow }
+      switch_ports
+  in
   let net = Net.create sim ?collect_int (Array.append hosts [| switch |]) in
   { net;
     hosts = Array.init n_hosts Fun.id;
@@ -92,7 +94,7 @@ let leaf_spine ?collect_int ?(routing = Per_flow) ~sim ~hosts_per_leaf
             host_qcfg
         in
         p.Net.peer <- leaf_id (leaf_of_host h);
-        Net.make_node ~nid:h ~is_host:true [| p |])
+        Net.make_host ~nid:h p)
   in
   let leaves =
     Array.init n_leaf (fun l ->
@@ -116,20 +118,16 @@ let leaf_spine ?collect_int ?(routing = Per_flow) ~sim ~hosts_per_leaf
               p.Net.peer <- spine_id s;
               p)
         in
-        let node =
-          Net.make_node ~nid ~is_host:false (Array.append down up)
-        in
         (* Local hosts get their downlink; everyone else ECMPs over the
            uplinks. Each leaf gets its own selector (flowlet memory is
            per-node). *)
-        node.Net.fwd <-
-          Some { Net.base =
-                   Array.init n_hosts (fun d ->
-                       if leaf_of_host d = l then d mod hosts_per_leaf
-                       else -1);
-                 cand = Array.init n_spine (fun s -> hosts_per_leaf + s);
-                 sel = selector_of_routing routing };
-        node)
+        Net.make_switch ~nid
+          { Net.base =
+              Array.init n_hosts (fun d ->
+                  if leaf_of_host d = l then d mod hosts_per_leaf else -1);
+            cand = Array.init n_spine (fun s -> hosts_per_leaf + s);
+            sel = selector_of_routing routing }
+          (Array.append down up))
   in
   let spines =
     Array.init n_spine (fun s ->
@@ -143,11 +141,10 @@ let leaf_spine ?collect_int ?(routing = Per_flow) ~sim ~hosts_per_leaf
               p.Net.peer <- leaf_id l;
               p)
         in
-        let node = Net.make_node ~nid ~is_host:false down in
-        node.Net.fwd <-
-          Some { Net.base = Array.init n_hosts leaf_of_host; cand = [||];
-                 sel = Net.Sel_flow };
-        node)
+        Net.make_switch ~nid
+          { Net.base = Array.init n_hosts leaf_of_host; cand = [||];
+            sel = Net.Sel_flow }
+          down)
   in
   let nodes = Array.concat [ hosts; leaves; spines ] in
   let net = Net.create sim ?collect_int nodes in

@@ -110,9 +110,27 @@ let of_csv text =
         (Printf.sprintf "Trace.of_csv: expected 5 fields at line %d"
            lineno)
   in
-  let lines = String.split_on_char '\n' text in
-  let specs =
-    List.filteri (fun i l -> not (i = 0 || String.trim l = "")) lines
-    |> List.mapi (fun i l -> parse_line (i + 2) l)
+  let rows =
+    String.split_on_char '\n' text
+    |> List.mapi (fun i l -> (i + 1, l))
+    |> List.filter (fun (lineno, l) -> lineno > 1 && String.trim l <> "")
+    |> List.map (fun (lineno, l) -> (lineno, parse_line lineno l))
   in
-  List.sort (fun a b -> compare a.start b.start) specs
+  (* Ids are [0, n), each once, as [to_csv] writes them: the fabric's
+     delivery table is indexed by flow id. *)
+  let n = List.length rows in
+  let seen = Array.make n false in
+  List.iter
+    (fun (lineno, s) ->
+       if s.id < 0 || s.id >= n then
+         invalid_arg
+           (Printf.sprintf
+              "Trace.of_csv: flow id %d at line %d outside [0, %d)" s.id
+              lineno n);
+       if seen.(s.id) then
+         invalid_arg
+           (Printf.sprintf "Trace.of_csv: duplicate flow id %d at line %d"
+              s.id lineno);
+       seen.(s.id) <- true)
+    rows;
+  List.sort (fun a b -> compare a.start b.start) (List.map snd rows)

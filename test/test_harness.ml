@@ -195,6 +195,31 @@ let test_static_tables_print () =
     [ "ppt"; "web-search"; "data-mining"; "RTO_min"; "transport control";
       "RAFT consensus" ]
 
+(* A replayed trace whose endpoint is a switch or lies outside the
+   fabric is refused before the clock starts, with a message naming the
+   flow, instead of failing deep inside forwarding. *)
+let test_runner_rejects_non_hosts () =
+  let cfg = Config.testbed ~n_flows:2 () in
+  let n = Config.n_hosts cfg in
+  let error dst =
+    let trace =
+      [ { Ppt_workload.Trace.id = 0; src = 0; dst = 1; size = 1000;
+          start = 0 };
+        { Ppt_workload.Trace.id = 1; src = 2; dst; size = 1000;
+          start = 0 } ]
+    in
+    match Runner.run ~trace cfg Schemes.dctcp with
+    | r -> Printf.sprintf "ran: %d/%d" r.Runner.completed r.Runner.requested
+    | exception Runner.Invalid_trace msg -> msg
+  in
+  let expect dst =
+    Printf.sprintf "Runner: flow 1: 2 -> %d is not host to host on star-%d@10G"
+      dst n
+  in
+  check Alcotest.string "dst is the switch" (expect n) (error n);
+  check Alcotest.string "dst outside the fabric" (expect 999) (error 999);
+  check Alcotest.string "host to host runs" "ran: 2/2" (error 3)
+
 let suite =
   [ Alcotest.test_case "config: topology shapes" `Quick test_config_shapes;
     Alcotest.test_case "runner: all schemes complete" `Slow
@@ -206,6 +231,8 @@ let suite =
       test_runner_seed_changes_result;
     Alcotest.test_case "runner: incast pattern" `Quick test_runner_incast;
     Alcotest.test_case "runner: rc3 lp cap" `Quick test_runner_lp_cap;
+    Alcotest.test_case "runner: replayed endpoints must be hosts" `Quick
+      test_runner_rejects_non_hosts;
     Alcotest.test_case "runner: efficiency bounds" `Quick
       test_runner_efficiency_bounds;
     Alcotest.test_case "ablation: scheduling direction" `Slow

@@ -509,6 +509,49 @@ let test_undeliverable_counted () =
   check Alcotest.int "unregistered flow counted" 1
     (Net.undeliverable topo.Topology.net)
 
+(* The delivery table: two (host, handler) slots per flow, reached by
+   flow id at any size, with bad registrations refused up front. *)
+let test_delivery_table () =
+  let sim = Sim.create () in
+  let topo =
+    Topology.star ~sim ~n_hosts:3 ~rate:(Units.gbps 10)
+      ~delay:(Units.us 1)
+      ~qcfg:(Prio_queue.default_config ~buffer_bytes:(Units.kb 100)) ()
+  in
+  let net = topo.Topology.net in
+  let got = Array.make 3 0 in
+  let flow = 200_000 in
+  Net.register net ~host:1 ~flow (fun _ -> got.(1) <- got.(1) + 1);
+  Net.register net ~host:0 ~flow (fun _ -> got.(0) <- got.(0) + 1);
+  (* re-registering at a host replaces its handler *)
+  Net.register net ~host:1 ~flow (fun _ -> got.(2) <- got.(2) + 1);
+  let send ~src ~dst =
+    Net.send net
+      (mk_pkt () |> fun p -> { p with Packet.flow; src; dst })
+  in
+  send ~src:0 ~dst:1;
+  send ~src:1 ~dst:0;
+  send ~src:0 ~dst:2;
+  Sim.run sim;
+  check (Alcotest.array Alcotest.int) "each end gets its packet"
+    [| 1; 0; 1 |] got;
+  check Alcotest.int "no handler at host 2" 1 (Net.undeliverable net);
+  let refused f = try f (); false with Invalid_argument _ -> true in
+  check Alcotest.bool "third host refused" true
+    (refused (fun () -> Net.register net ~host:2 ~flow ignore));
+  check Alcotest.bool "negative flow refused" true
+    (refused (fun () -> Net.register net ~host:0 ~flow:(-1) ignore));
+  check Alcotest.bool "switch refused" true
+    (refused (fun () -> Net.register net ~host:3 ~flow:1 ignore));
+  check Alcotest.bool "outside the network refused" true
+    (refused (fun () -> Net.register net ~host:4 ~flow:1 ignore));
+  Net.unregister net ~host:0 ~flow;
+  Net.register net ~host:2 ~flow ignore;
+  send ~src:1 ~dst:0;
+  Sim.run sim;
+  check Alcotest.int "unregistered end no longer delivers" 2
+    (Net.undeliverable net)
+
 let leaf_spine () =
   let sim = Sim.create () in
   let topo =
@@ -648,6 +691,7 @@ let suite =
       test_serialization_timing;
     Alcotest.test_case "net: undeliverable counted" `Quick
       test_undeliverable_counted;
+    Alcotest.test_case "net: delivery table" `Quick test_delivery_table;
     Alcotest.test_case "topo: leaf-spine shape" `Quick test_leaf_spine_shape;
     Alcotest.test_case "topo: cross-rack" `Quick test_leaf_spine_cross_rack;
     Alcotest.test_case "topo: same-rack" `Quick test_leaf_spine_same_rack;

@@ -172,6 +172,175 @@ let test_binary_negative_ints () =
   check Alcotest.bool "negative and extreme ints roundtrip" true
     (decode_stream (encode_stream evs) = evs)
 
+(* --- wire-format pin ----------------------------------------------- *)
+
+(* Checked-in bytes for every event kind, both [active] values, and
+   negative and extreme ints. The roundtrip properties above still pass
+   if both codecs change a field's order or a tag in the same way; this
+   table does not. A failure here means every existing trace file and
+   every golden output reads differently. *)
+let pinned =
+  [ (0,
+     Event.Enqueue
+       { node = 3; port = 1; prio = 2; flow = 7; seq = -1; kind = 'A';
+         size = 64; occ = 1500 },
+     {|{"t":0,"ev":"enqueue","node":3,"port":1,"prio":2,"flow":7,"seq":-1,"kind":"A","size":64,"occ":1500}|},
+     "00000602040e01418001b817");
+    (1,
+     Event.Dequeue
+       { node = 4; port = 0; prio = 7; flow = 8; seq = 1460; kind = 'D';
+         size = 1500; occ = 0 },
+     {|{"t":1,"ev":"dequeue","node":4,"port":0,"prio":7,"flow":8,"seq":1460,"kind":"D","size":1500,"occ":0}|},
+     "010208000e10e81644b81700");
+    (2,
+     Event.Ecn_mark
+       { node = 5; port = 2; prio = 0; flow = 9; seq = 2920; occ = 61_000;
+         threshold = 60_000 },
+     {|{"t":2,"ev":"ecn_mark","node":5,"port":2,"prio":0,"flow":9,"seq":2920,"occ":61000,"threshold":60000}|},
+     "02040a040012d02d90b907c0a907");
+    (3,
+     Event.Drop
+       { node = 6; port = 3; prio = 5; flow = 10; seq = 0; kind = 'G';
+         size = 84; occ = 200_000 },
+     {|{"t":3,"ev":"drop","node":6,"port":3,"prio":5,"flow":10,"seq":0,"kind":"G","size":84,"occ":200000}|},
+     "03060c060a140047a80180b518");
+    (4,
+     Event.Trim
+       { node = 7; port = 4; prio = 6; flow = 11; seq = 4380; cut = 1436;
+         occ = 30_064 },
+     {|{"t":4,"ev":"trim","node":7,"port":4,"prio":6,"flow":11,"seq":4380,"cut":1436,"occ":30064}|},
+     "04080e080c16b844b816e0d503");
+    (5, Event.Cwnd_update { flow = 12; cwnd = 14_600 },
+     {|{"t":5,"ev":"cwnd_update","flow":12,"cwnd":14600}|},
+     "050a1890e401");
+    (6, Event.Loop_switch { flow = 13; active = true; window = 43_800 },
+     {|{"t":6,"ev":"loop_switch","flow":13,"active":true,"window":43800}|},
+     "060c1a01b0ac05");
+    (7, Event.Loop_switch { flow = 13; active = false; window = 0 },
+     {|{"t":7,"ev":"loop_switch","flow":13,"active":false,"window":0}|},
+     "060e1a0000");
+    (8, Event.Rto_fire { flow = 14; backoff = 64 },
+     {|{"t":8,"ev":"rto_fire","flow":14,"backoff":64}|},
+     "07101c8001");
+    (9, Event.Retransmit { flow = 15; seq = -1; loop = 'L' },
+     {|{"t":9,"ev":"retransmit","flow":15,"seq":-1,"loop":"L"}|},
+     "08121e014c");
+    (10, Event.Flow_start { flow = 16; size = 1_000_000 },
+     {|{"t":10,"ev":"flow_start","flow":16,"size":1000000}|},
+     "09142080897a");
+    (11, Event.Flow_done { flow = max_int; size = min_int; fct = -1 },
+     {|{"t":11,"ev":"flow_done","flow":4611686018427387903,"size":-4611686018427387904,"fct":-1}|},
+     "0a16feffffffffffffff7fffffffffffffffff7f01");
+    (12, Event.Probe_queue { node = 17; port = 5; occ = 3000; lp_occ = 1500 },
+     {|{"t":12,"ev":"probe_queue","node":17,"port":5,"occ":3000,"lp_occ":1500}|},
+     "0b18220af02eb817");
+    (13,
+     Event.Probe_link
+       { node = 18; port = 6; tx_bytes = 123_456_789; util_ppm = 1_000_000 },
+     {|{"t":13,"ev":"probe_link","node":18,"port":6,"tx_bytes":123456789,"util_ppm":1000000}|},
+     "0c1a240caab4de7580897a");
+    (14, Event.Probe_dt { node = 19; port = 7; hp = 80_000; lp = 10_000 },
+     {|{"t":14,"ev":"probe_dt","node":19,"port":7,"hp":80000,"lp":10000}|},
+     "0d1c260e80e209a09c01");
+    (15, Event.Link_down { node = 20; port = 8 },
+     {|{"t":15,"ev":"link_down","node":20,"port":8}|},
+     "0e1e2810");
+    (16, Event.Link_up { node = 21; port = 9 },
+     {|{"t":16,"ev":"link_up","node":21,"port":9}|},
+     "0f202a12");
+    (17,
+     Event.Link_degrade
+       { node = 22; port = 10; rate_ppm = 250_000; extra_delay = 5_000 },
+     {|{"t":17,"ev":"link_degrade","node":22,"port":10,"rate_ppm":250000,"extra_delay":5000}|},
+     "10222c14a0c21e904e");
+    (max_int,
+     Event.Fault_drop
+       { node = 23; port = 11; flow = 24; seq = 7300; kind = 'N';
+         size = 64; reason = 'C' },
+     {|{"t":4611686018427387903,"ev":"fault_drop","node":23,"port":11,"flow":24,"seq":7300,"kind":"N","size":64,"reason":"C"}|},
+     "11feffffffffffffff7f2e163088724e800143");
+    (min_int, Event.Cwnd_update { flow = -1; cwnd = max_int },
+     {|{"t":-4611686018427387904,"ev":"cwnd_update","flow":-1,"cwnd":4611686018427387903}|},
+     "05ffffffffffffffff7f01feffffffffffffff7f") ]
+
+let hex s =
+  String.concat ""
+    (List.init (String.length s) (fun i ->
+         Printf.sprintf "%02x" (Char.code s.[i])))
+
+let test_wire_bytes_pinned () =
+  List.iter
+    (fun (ts, ev, json, bin) ->
+       check Alcotest.string "JSONL bytes" json (Event.to_json_line ~ts ev);
+       check Alcotest.string "binary bytes" bin
+         (hex (encode_stream [ (ts, ev) ]));
+       check Alcotest.bool ("JSONL parses back: " ^ json) true
+         (Event.of_json_line json = Some (ts, ev)))
+    pinned;
+  let evs = List.map (fun (ts, ev, _, _) -> (ts, ev)) pinned in
+  check Alcotest.bool "pinned stream decodes back" true
+    (decode_stream (encode_stream evs) = evs);
+  check Alcotest.int "every kind pinned" 18
+    (List.length
+       (List.sort_uniq compare (List.map (fun (_, ev) -> Event.tag ev) evs)))
+
+(* --- decoder fuzzing ------------------------------------------------ *)
+
+(* Truncate an encoding at [cut] and flip the bits of [flips]
+   (position, mask) pairs, positions taken modulo the length. *)
+let mangle s ~cut ~flips =
+  let b = Bytes.of_string (String.sub s 0 (min cut (String.length s))) in
+  let n = Bytes.length b in
+  if n > 0 then
+    List.iter
+      (fun (at, mask) ->
+         let i = at mod n in
+         Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor mask)))
+      flips;
+  Bytes.to_string b
+
+let gen_mangled =
+  QCheck.Gen.(
+    list_size (int_range 1 6)
+      (pair (int_range (-1_000_000) 1_000_000_000_000) gen_event)
+    >>= fun evs ->
+    int_range 0 400 >>= fun cut ->
+    list_size (int_range 0 4) (pair (int_bound 10_000) (int_range 1 255))
+    >>= fun flips -> return (evs, cut, flips))
+
+(* Every call must return [None] or an event (and then advance), or
+   raise [Failure] for binary — never another exception, never a
+   stuck position. *)
+let prop_decoders_total =
+  QCheck.Test.make ~name:"event: decoders survive truncation and bit flips"
+    ~count:1000
+    (QCheck.make
+       ~print:(fun (evs, cut, flips) ->
+           Printf.sprintf "%s\ncut %d, flips %s"
+             (String.concat "\n"
+                (List.map (fun (ts, ev) -> Event.to_json_line ~ts ev) evs))
+             cut
+             (String.concat ";"
+                (List.map (fun (a, m) -> Printf.sprintf "%d^%d" a m) flips)))
+       gen_mangled)
+    (fun (evs, cut, flips) ->
+       let bin = mangle (encode_stream evs) ~cut ~flips in
+       let pos = ref 0 and ok = ref true in
+       (try
+          while !ok do
+            let before = !pos in
+            match Event.of_binary bin pos with
+            | None -> ok := false
+            | Some _ -> if !pos <= before then failwith "stuck"
+          done
+        with Failure msg when msg <> "stuck" -> ());
+       List.for_all
+         (fun (ts, ev) ->
+            let line = mangle (Event.to_json_line ~ts ev) ~cut ~flips in
+            match Event.of_json_line line with
+            | None | Some _ -> true)
+         evs)
+
 (* --- sink plumbing ------------------------------------------------- *)
 
 let test_ring_overwrite () =
@@ -575,4 +744,7 @@ let suite =
     QCheck_alcotest.to_alcotest
       (conservation_prop "ppt" (Ppt_core.Ppt.make ()));
     Alcotest.test_case "harness: fig8-small deterministic JSONL" `Quick
-      test_fig8_small_jsonl ]
+      test_fig8_small_jsonl;
+    Alcotest.test_case "event: wire bytes pinned per kind" `Quick
+      test_wire_bytes_pinned;
+    QCheck_alcotest.to_alcotest prop_decoders_total ]

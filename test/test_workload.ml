@@ -221,6 +221,30 @@ let test_trace_csv_validation () =
     (Trace.of_csv (Trace.csv_header ^ "\n0,0,1,10,5\n")
      = [ { Trace.id = 0; src = 0; dst = 1; size = 10; start = 5 } ])
 
+(* Ids index the fabric's delivery table, so a file must use [0, n)
+   once each; a repeated id would silently replace another flow's
+   handlers. The message names the offending line. *)
+let test_trace_csv_ids () =
+  let error body =
+    match Trace.of_csv (Trace.csv_header ^ "\n" ^ body) with
+    | _ -> "accepted"
+    | exception Invalid_argument msg -> msg
+  in
+  check Alcotest.string "duplicate id"
+    "Trace.of_csv: duplicate flow id 0 at line 3"
+    (error "0,0,1,10,0\n0,1,0,10,5\n");
+  check Alcotest.string "id past the end"
+    "Trace.of_csv: flow id 2 at line 3 outside [0, 2)"
+    (error "0,0,1,10,0\n2,1,0,10,5\n");
+  check Alcotest.string "negative id"
+    "Trace.of_csv: flow id -1 at line 2 outside [0, 1)"
+    (error "-1,0,1,10,0\n");
+  check Alcotest.string "blank lines keep the file's numbering"
+    "Trace.of_csv: bad number at line 4" (error "0,0,1,10,0\n\n1,0,x,1,1\n");
+  check Alcotest.int "ids in any order are fine" 2
+    (List.length
+       (Trace.of_csv (Trace.csv_header ^ "\n1,0,1,10,0\n0,1,0,10,5\n")))
+
 let test_trace_determinism () =
   let gen seed =
     Trace.generate ~rng:(Rng.create seed) ~cdf:Dists.web_search
@@ -256,4 +280,5 @@ let suite =
       test_trace_csv_roundtrip;
     Alcotest.test_case "trace: csv validation" `Quick
       test_trace_csv_validation;
+    Alcotest.test_case "trace: csv flow ids" `Quick test_trace_csv_ids;
     Alcotest.test_case "trace: determinism" `Quick test_trace_determinism ]
