@@ -30,10 +30,10 @@ let adapt_view ctx (snd : Reliable.t) =
     in_ca = (fun () -> !boundaries > 1);
     rtt_hook = (fun f -> user_hook := f) }
 
-let make ?(name = "ppt-hpcc") ?(hpcc_params = Hpcc.default_params)
-    ?(ppt_params = Ppt.default_params) () ctx =
+let make () ctx =
+  let ppt_params = Ppt.default_params in
   let mss = Ppt_netsim.Packet.max_payload in
-  { Endpoint.t_name = name;
+  { Endpoint.t_name = "ppt-hpcc";
     t_start = (fun flow ->
         let identified =
           ppt_params.Ppt.identification
@@ -55,7 +55,7 @@ let make ?(name = "ppt-hpcc") ?(hpcc_params = Hpcc.default_params)
         in
         Endpoint.launch_window_flow ctx ~params:rel_params ~rcv_cfg
           ~setup:(fun snd _rcv ->
-              Hpcc.attach ~params:hpcc_params ctx snd;
+              Hpcc.attach ctx snd;
               let view = adapt_view ctx snd in
               let lcp =
                 Lcp.create ctx snd view ~identified_large:identified ()

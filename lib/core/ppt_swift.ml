@@ -27,10 +27,10 @@ let adapt_view ctx (sv : Swift.view) (snd : Reliable.t) =
     in_ca = (fun () -> !boundaries > 1);
     rtt_hook = (fun f -> user_hook := f) }
 
-let make ?(name = "ppt-swift") ?(swift_params = Swift.default_params)
-    ?(ppt_params = Ppt.default_params) () ctx =
+let make () ctx =
+  let ppt_params = Ppt.default_params in
   let mss = Ppt_netsim.Packet.max_payload in
-  { Endpoint.t_name = name;
+  { Endpoint.t_name = "ppt-swift";
     t_start = (fun flow ->
         let identified =
           ppt_params.Ppt.identification
@@ -52,7 +52,7 @@ let make ?(name = "ppt-swift") ?(swift_params = Swift.default_params)
         in
         Endpoint.launch_window_flow ctx ~params:rel_params ~rcv_cfg
           ~setup:(fun snd _rcv ->
-              let sv = Swift.attach ~params:swift_params ctx snd in
+              let sv = Swift.attach ctx snd in
               let view = adapt_view ctx sv snd in
               let lcp =
                 Lcp.create ctx snd view ~identified_large:identified ()

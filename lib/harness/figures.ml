@@ -690,7 +690,7 @@ let tab3 _o ppf =
   kv "base RTT" "~80 us";
   kv "RTO_min" (Printf.sprintf "%.0f ms" (Units.to_ms cfg.Config.rto_min));
   kv "RTTbytes for Homa" "50 KB (the context BDP)";
-  kv "overcommitment degree for Homa" "2";
+  kv "overcommitment degree for Homa" (string_of_int Homa.overcommit);
   kv "DCTCP / HCP ECN threshold"
     (match cfg.Config.hp_thresh with
      | Some k -> Printf.sprintf "%d KB" (k / 1000)

@@ -14,6 +14,16 @@ type transport = {
 
 type factory = Context.t -> transport
 
+let connect ctx (flow : Flow.t) ~at_src ~at_dst =
+  let net = ctx.Context.net in
+  Net.register net ~host:flow.Flow.src ~flow:flow.Flow.id at_src;
+  Net.register net ~host:flow.Flow.dst ~flow:flow.Flow.id at_dst
+
+let disconnect ctx (flow : Flow.t) =
+  let net = ctx.Context.net in
+  Net.unregister net ~host:flow.Flow.src ~flow:flow.Flow.id;
+  Net.unregister net ~host:flow.Flow.dst ~flow:flow.Flow.id
+
 (* Standard wiring for window-based (sender-driven) transports.
 
    [setup] attaches congestion control (and, for PPT, the LCP loop) to
@@ -23,20 +33,19 @@ let launch_window_flow ctx ~params ~rcv_cfg ~setup flow =
   let snd = Reliable.create ctx flow params in
   let rcv = Receiver.create ctx flow rcv_cfg in
   let teardown_extra = setup snd rcv in
-  let net = ctx.Context.net in
-  Net.register net ~host:flow.Flow.src ~flow:flow.Flow.id (fun p ->
-      match p.Packet.kind with
-      | Packet.Ack -> Reliable.on_ack snd p
-      | Packet.Data | Packet.Grant | Packet.Pull | Packet.Nack
-      | Packet.Ctrl -> ());
-  Net.register net ~host:flow.Flow.dst ~flow:flow.Flow.id (fun p ->
-      match p.Packet.kind with
-      | Packet.Data -> Receiver.on_data rcv p
-      | Packet.Ack | Packet.Grant | Packet.Pull | Packet.Nack
-      | Packet.Ctrl -> ());
+  connect ctx flow
+    ~at_src:(fun p ->
+        match p.Packet.kind with
+        | Packet.Ack -> Reliable.on_ack snd p
+        | Packet.Data | Packet.Grant | Packet.Pull | Packet.Nack
+        | Packet.Ctrl -> ())
+    ~at_dst:(fun p ->
+        match p.Packet.kind with
+        | Packet.Data -> Receiver.on_data rcv p
+        | Packet.Ack | Packet.Grant | Packet.Pull | Packet.Nack
+        | Packet.Ctrl -> ());
   rcv.Receiver.on_done <- (fun () ->
       Reliable.shutdown snd;
       teardown_extra ();
-      Net.unregister net ~host:flow.Flow.src ~flow:flow.Flow.id;
-      Net.unregister net ~host:flow.Flow.dst ~flow:flow.Flow.id);
+      disconnect ctx flow);
   Reliable.start snd

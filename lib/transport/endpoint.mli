@@ -1,5 +1,6 @@
 (** Glue between flows and the fabric: the interface every transport
-    implements, plus the standard wiring for window-based senders. *)
+    implements, the wiring of a flow's handlers, and the standard
+    launch for window-based senders. *)
 
 type transport = {
   t_name : string;
@@ -7,6 +8,15 @@ type transport = {
 }
 
 type factory = Context.t -> transport
+
+val connect :
+  Context.t -> Flow.t -> at_src:(Ppt_netsim.Packet.t -> unit) ->
+  at_dst:(Ppt_netsim.Packet.t -> unit) -> unit
+(** Register the flow's packet handlers at its source and destination
+    hosts. *)
+
+val disconnect : Context.t -> Flow.t -> unit
+(** Unregister both of the flow's handlers. *)
 
 val launch_window_flow :
   Context.t ->

@@ -11,35 +11,23 @@
    repair holes (credit-driven retransmission), with an RTO backstop
    for lost control packets. *)
 
-open Ppt_engine
 open Ppt_netsim
+module Rd = Receiver_driven
 
-type sender = {
-  ctx : Context.t;
-  flow : Flow.t;
-  mutable snd_nxt : int;
-  mutable cum : int;
-  mutable rto_timer : Sim.timer option;
-  mutable shut : bool;
-}
+(* ---- sender -------------------------------------------------------- *)
 
 let send_data s seq ~retransmission =
-  let pay = Flow.seg_payload s.flow seq in
-  let meta =
-    Wire.Data_meta { tx = Sim.now s.ctx.Context.sim; first_rtt = false }
-  in
-  let pkt =
-    Packet.make ~seq ~payload:pay ~prio:1 ~meta ~flow:s.flow.Flow.id
-      ~src:s.flow.Flow.src ~dst:s.flow.Flow.dst Packet.Data
-  in
-  Context.count_op s.ctx s.flow.Flow.src;
-  s.flow.Flow.hcp_payload <- s.flow.Flow.hcp_payload + pay;
-  if retransmission then s.flow.Flow.retrans <- s.flow.Flow.retrans + 1;
-  Net.send s.ctx.Context.net pkt
+  Rd.send_data s ~prio:1 ~retransmission seq
+
+(* The credit request announcing the flow to its receiver. *)
+let request (s : Rd.sender) =
+  Net.send s.ctx.Context.net
+    (Packet.make ~prio:0 ~flow:s.flow.Flow.id ~src:s.flow.Flow.src
+       ~dst:s.flow.Flow.dst Packet.Ctrl)
 
 (* One credit = permission for one packet: new data first, then the
    receiver's first hole once fresh data is exhausted. *)
-let sender_on_credit s ~credit_cum =
+let sender_on_credit (s : Rd.sender) ~credit_cum =
   if not s.shut then begin
     s.cum <- max s.cum credit_cum;
     if s.snd_nxt < s.flow.Flow.nseg then begin
@@ -49,164 +37,83 @@ let sender_on_credit s ~credit_cum =
       send_data s s.cum ~retransmission:true
   end
 
-let rec arm_sender_rto s =
-  if not s.shut then
-    s.rto_timer <-
-      Some (Sim.schedule s.ctx.Context.sim ~after:s.ctx.Context.rto_min
-              (fun () ->
-                 s.rto_timer <- None;
-                 if not s.shut then begin
-                   if s.snd_nxt = 0 then begin
-                     (* the credit request must have been lost *)
-                     let request =
-                       Packet.make ~prio:0 ~flow:s.flow.Flow.id
-                         ~src:s.flow.Flow.src ~dst:s.flow.Flow.dst
-                         Packet.Ctrl
-                     in
-                     Net.send s.ctx.Context.net request
-                   end else if s.cum < s.snd_nxt then
-                     send_data s s.cum ~retransmission:true;
-                   arm_sender_rto s
-                 end))
-
-let sender_shutdown s =
-  s.shut <- true;
-  match s.rto_timer with
-  | Some tm -> Sim.cancel tm; s.rto_timer <- None
-  | None -> ()
-
 (* ---- receiver-side credit pacer (per host) ---- *)
 
-type msg = {
-  m_flow : Flow.t;
-  m_bitmap : Bytes.t;
-  mutable m_received : int;
-  mutable m_cum : int;
-  mutable m_credits_sent : int;
-  mutable m_done : bool;
-  mutable on_msg_done : unit -> unit;
-}
-
 type host_state = {
-  hs_ctx : Context.t;
-  mutable active : msg list;      (* round-robin credit targets *)
-  mutable pacing : bool;
-  mutable pace_fire : unit -> unit;   (* preallocated pacer callback *)
+  ctx : Context.t;
+  active : Rd.msg list ref;   (* round-robin credit targets *)
+  pacer : Rd.pacer;
 }
-
-let send_credit hs (m : msg) =
-  let meta = Wire.Pull_meta { p_cum = m.m_cum } in
-  let pkt =
-    Packet.make ~prio:0 ~meta ~flow:m.m_flow.Flow.id
-      ~src:m.m_flow.Flow.dst ~dst:m.m_flow.Flow.src Packet.Pull
-  in
-  m.m_credits_sent <- m.m_credits_sent + 1;
-  Net.send hs.hs_ctx.Context.net pkt
 
 (* Bounded outstanding credits: a message may have at most a window of
-   unanswered credits. Data arrivals (including RTO retransmissions,
-   which are not credit-gated) unlock further credits, so a burst of
-   credit or data loss can never wedge the flow permanently. *)
+   unanswered credits ([granted] counts the credits sent). Data
+   arrivals (including RTO retransmissions, which are not
+   credit-gated) unlock further credits. They do not when the RTO
+   resends a segment the receiver already holds: a flow that lost a
+   whole window of credits then never finishes (a known defect, listed
+   on ROADMAP). *)
 let credit_window = 64
 
-let wants_credit (m : msg) =
-  (not m.m_done) && m.m_credits_sent < m.m_received + credit_window
+let wants_credit (m : Rd.msg) =
+  (not m.m_done) && m.granted < m.received + credit_window
 
-let pace hs () =
-  match List.filter wants_credit hs.active with
-  | [] -> hs.pacing <- false
-  | eligible ->
-    (* rotate: credit the head, move it to the back *)
-    let m = List.hd eligible in
-    send_credit hs m;
-    hs.active <-
-      List.filter (fun x -> x != m) hs.active @ [ m ];
-    let slot =
-      Units.tx_time ~rate:hs.hs_ctx.Context.edge_rate ~bytes:Packet.mtu
-    in
-    ignore (Sim.schedule hs.hs_ctx.Context.sim ~after:slot hs.pace_fire)
+(* Credit the first eligible message and rotate it to the back. *)
+let credit ctx active =
+  match List.filter wants_credit !active with
+  | [] -> false
+  | m :: _ ->
+    m.granted <- m.granted + 1;
+    Rd.reply ctx m.m_flow ~meta:(Wire.Pull_meta { p_cum = m.m_cum })
+      Packet.Pull;
+    active := List.filter (fun x -> x != m) !active @ [ m ];
+    true
 
-let kick hs =
-  if not hs.pacing then begin
-    hs.pacing <- true;
-    ignore (Sim.schedule hs.hs_ctx.Context.sim ~after:0 hs.pace_fire)
-  end
-
-let receiver_on_data hs (m : msg) (p : Packet.t) =
-  Context.count_op hs.hs_ctx m.m_flow.Flow.dst;
+let receiver_on_data hs (m : Rd.msg) (p : Packet.t) =
+  Context.count_op hs.ctx m.m_flow.Flow.dst;
   if (not m.m_done) && not p.trimmed then begin
-    let seq = p.seq in
-    if seq >= 0 && seq < m.m_flow.Flow.nseg
-    && Bytes.get m.m_bitmap seq = '\000' then begin
-      Bytes.set m.m_bitmap seq '\001';
-      m.m_received <- m.m_received + 1;
-      while m.m_cum < m.m_flow.Flow.nseg
-            && Bytes.get m.m_bitmap m.m_cum = '\001' do
-        m.m_cum <- m.m_cum + 1
-      done
-    end;
-    if m.m_received = m.m_flow.Flow.nseg then begin
-      m.m_done <- true;
-      hs.active <- List.filter (fun x -> x != m) hs.active;
-      Context.flow_finished hs.hs_ctx m.m_flow;
-      m.on_msg_done ()
+    Rd.accept m p;
+    if Rd.complete m then begin
+      hs.active := List.filter (fun x -> x != m) !(hs.active);
+      Rd.finish hs.ctx m
     end else
       (* the arrival may have re-opened the credit window *)
-      kick hs
+      Rd.kick hs.pacer
+  end
+
+(* A credit request makes the flow credit-eligible. *)
+let receiver_on_request hs (m : Rd.msg) =
+  if not (List.memq m !(hs.active)) && not m.m_done then begin
+    hs.active := !(hs.active) @ [ m ];
+    Rd.kick hs.pacer
   end
 
 let make () ctx =
-  let hosts : (int, host_state) Hashtbl.t = Hashtbl.create 64 in
-  let host_state host =
-    match Hashtbl.find_opt hosts host with
-    | Some hs -> hs
-    | None ->
-      let hs =
-        { hs_ctx = ctx; active = []; pacing = false; pace_fire = ignore }
-      in
-      hs.pace_fire <- (fun () -> pace hs ());
-      Hashtbl.add hosts host hs;
-      hs
+  let host_state =
+    Rd.per_host ctx (fun () ->
+        let active = ref [] in
+        { ctx; active; pacer = Rd.pacer ctx (fun () -> credit ctx active) })
   in
   { Endpoint.t_name = "expresspass";
     t_start = (fun flow ->
-        let s =
-          { ctx; flow; snd_nxt = 0; cum = 0; rto_timer = None;
-            shut = false }
-        in
+        let s = Rd.sender ctx flow in
         let hs = host_state flow.Flow.dst in
-        let m =
-          { m_flow = flow; m_bitmap = Bytes.make flow.Flow.nseg '\000';
-            m_received = 0; m_cum = 0; m_credits_sent = 0;
-            m_done = false; on_msg_done = ignore }
-        in
-        let net = ctx.Context.net in
-        m.on_msg_done <- (fun () ->
-            sender_shutdown s;
-            Net.unregister net ~host:flow.Flow.src ~flow:flow.Flow.id;
-            Net.unregister net ~host:flow.Flow.dst ~flow:flow.Flow.id);
-        Net.register net ~host:flow.Flow.src ~flow:flow.Flow.id (fun p ->
-            match p.Packet.kind with
-            | Packet.Pull ->
-              (match p.Packet.meta with
-               | Wire.Pull_meta { p_cum } ->
-                 sender_on_credit s ~credit_cum:p_cum
-               | _ -> ())
-            | _ -> ());
-        Net.register net ~host:flow.Flow.dst ~flow:flow.Flow.id (fun p ->
-            match p.Packet.kind with
-            | Packet.Data -> receiver_on_data hs m p
-            | Packet.Ctrl ->
-              (* credit request: the flow becomes credit-eligible *)
-              if not (List.memq m hs.active) && not m.m_done then begin
-                hs.active <- hs.active @ [ m ];
-                kick hs
-              end
-            | _ -> ());
+        let m = Rd.message flow in
+        Rd.connect s m
+          ~at_src:(fun p ->
+              match p.Packet.kind, p.Packet.meta with
+              | Packet.Pull, Wire.Pull_meta { p_cum } ->
+                sender_on_credit s ~credit_cum:p_cum
+              | _ -> ())
+          ~at_dst:(fun p ->
+              match p.Packet.kind with
+              | Packet.Data -> receiver_on_data hs m p
+              | Packet.Ctrl -> receiver_on_request hs m
+              | _ -> ());
         (* announce the flow; data waits for credits (1st RTT unused) *)
-        let request =
-          Packet.make ~prio:0 ~flow:flow.Flow.id ~src:flow.Flow.src
-            ~dst:flow.Flow.dst Packet.Ctrl
-        in
-        Net.send net request;
-        arm_sender_rto s) }
+        request s;
+        Rd.backstop s (fun () ->
+            if s.snd_nxt = 0 then
+              (* the credit request must have been lost *)
+              request s
+            else if s.cum < s.snd_nxt then
+              send_data s s.cum ~retransmission:true)) }

@@ -14,23 +14,18 @@
 open Ppt_engine
 open Ppt_netsim
 
-type params = {
-  burst_threshold : int;   (* pace-out size limit (141KB) *)
-  replay_segs : int;       (* how much tail to replay *)
-  iw_segs : int;           (* initial window for large flows *)
-}
+let burst_threshold = 141_000   (* pace-out size limit (141KB) *)
+let replay_segs = 8             (* how much tail to replay *)
+let iw_segs = 10                (* initial window for large flows *)
 
-let default_params =
-  { burst_threshold = 141_000; replay_segs = 8; iw_segs = 10 }
-
-let make ?(params = default_params) () ctx =
+let make () ctx =
   let mss = Packet.max_payload in
   { Endpoint.t_name = "halfback";
     t_start = (fun flow ->
-        let small = flow.Flow.size <= params.burst_threshold in
+        let small = flow.Flow.size <= burst_threshold in
         let initial_cwnd =
-          if small then max flow.Flow.size (params.iw_segs * mss)
-          else params.iw_segs * mss
+          if small then max flow.Flow.size (iw_segs * mss)
+          else iw_segs * mss
         in
         let rel_params =
           Reliable.default_params ~initial_cwnd ~ecn_capable:false ()
@@ -45,7 +40,7 @@ let make ?(params = default_params) () ctx =
                    tail segment arrives without waiting for an RTO *)
                 let replay () =
                   let nseg = flow.Flow.nseg in
-                  let lo = max 0 (nseg - params.replay_segs) in
+                  let lo = max 0 (nseg - replay_segs) in
                   for seq = nseg - 1 downto lo do
                     if Reliable.seg_state snd seq
                        <> Reliable.st_sacked then

@@ -1,12 +1,8 @@
 (** Halfback [23]: pace out small flows entirely in the first RTT and
     proactively replay the tail; larger flows fall back to TCP-10. *)
 
-type params = {
-  burst_threshold : int;  (** pace-out size limit (141KB) *)
-  replay_segs : int;
-  iw_segs : int;
-}
+val replay_segs : int
+(** How many tail segments a small flow replays (8). *)
 
-val default_params : params
-
-val make : ?params:params -> unit -> Endpoint.factory
+val make : unit -> Endpoint.factory
+(** Flows up to 141KB pace out; larger ones start at IW10. *)

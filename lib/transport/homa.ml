@@ -1,11 +1,11 @@
 (* Homa [32], and its Aeolus [17] variant.
 
    Receiver-driven proactive transport:
-   - the sender blindly transmits up to RTTbytes of *unscheduled* data
-     the moment a message starts;
+   - the sender blindly transmits up to RTTbytes (the context BDP) of
+     *unscheduled* data the moment a message starts;
    - the receiver grants the remainder in RTTbytes-sized windows,
-     running SRPT over its active inbound messages with a configurable
-     degree of overcommitment (grants go to the K shortest-remaining
+     running SRPT over its active inbound messages with a fixed degree
+     of overcommitment (grants go to the K shortest-remaining
      messages);
    - in-network priorities: unscheduled data uses the top levels (split
      by message size), scheduled data is assigned per-grant by SRPT
@@ -14,81 +14,48 @@
      the paper uses for Homa (§6.2), plus hole repair driven by
      stagnant grant progress.
 
-   [aeolus = true] switches the first-RTT behaviour to Aeolus': the
-   unscheduled packets are flagged for selective dropping and demoted
-   to the lowest priority, so they die early under congestion instead
-   of queueing in front of scheduled data. *)
+   Aeolus changes the first-RTT behaviour: the unscheduled packets are
+   flagged for selective dropping and demoted to the lowest priority,
+   so they die early under congestion instead of queueing in front of
+   scheduled data. *)
 
 open Ppt_engine
 open Ppt_netsim
+module Rd = Receiver_driven
 
-type params = {
-  rtt_bytes : int option;   (* None: use the context BDP *)
-  overcommit : int;
-  aeolus : bool;
-}
+let overcommit = 2
 
-let default_params = { rtt_bytes = None; overcommit = 2; aeolus = false }
+let rtt_segs ctx = max 1 (ctx.Context.bdp / Packet.max_payload)
 
 (* ---- sender -------------------------------------------------------- *)
 
 type sender = {
-  ctx : Context.t;
-  flow : Flow.t;
+  s : Rd.sender;
   unsched_segs : int;
   unsched_prio : int;
   aeolus : bool;
-  mutable snd_nxt : int;
   mutable granted : int;          (* segments we may transmit *)
   mutable sched_prio : int;
-  mutable cum : int;              (* receiver's in-order progress *)
   mutable last_cum_change : Units.time;
   mutable fast_attempts : int;    (* Aeolus fast-recovery backoff *)
-  mutable rto_timer : Sim.timer option;
-  mutable shut : bool;
 }
 
-let send_data s ~first_rtt seq =
-  let pay = Flow.seg_payload s.flow seq in
-  let prio = if first_rtt then s.unsched_prio else s.sched_prio in
-  let meta =
-    Wire.Data_meta { tx = Sim.now s.ctx.Context.sim; first_rtt }
-  in
-  let pkt =
-    Packet.make ~seq ~payload:pay ~prio ~sel_drop:(first_rtt && s.aeolus)
-      ~meta ~flow:s.flow.Flow.id ~src:s.flow.Flow.src ~dst:s.flow.Flow.dst
-      Packet.Data
-  in
-  Context.count_op s.ctx s.flow.Flow.src;
-  s.flow.Flow.hcp_payload <- s.flow.Flow.hcp_payload + pay;
-  Net.send s.ctx.Context.net pkt
+(* Presume lost, and resend as scheduled packets, everything from the
+   receiver's progress point up to [upto]. *)
+let go_back h upto =
+  for seq = h.s.cum to upto - 1 do
+    Rd.send_data h.s ~prio:h.sched_prio ~retransmission:true seq
+  done
 
-let rec arm_sender_rto s =
-  if not s.shut then
-    s.rto_timer <-
-      Some (Sim.schedule s.ctx.Context.sim ~after:s.ctx.Context.rto_min
-              (fun () -> sender_rto s))
-
-and sender_rto s =
-  s.rto_timer <- None;
-  if not s.shut then begin
-    (* timeout: everything between the receiver's progress point and
-       what we already sent is presumed lost *)
-    let upto = min s.snd_nxt s.flow.Flow.nseg in
-    if s.cum < upto then begin
-      for seq = s.cum to upto - 1 do
-        s.flow.Flow.retrans <- s.flow.Flow.retrans + 1;
-        send_data s ~first_rtt:false seq
-      done
-    end;
-    arm_sender_rto s
-  end
-
-let sender_pump s =
-  let limit = min s.granted s.flow.Flow.nseg in
+let sender_pump h =
+  let s = h.s in
+  let limit = min h.granted s.flow.Flow.nseg in
   while s.snd_nxt < limit do
-    let first_rtt = s.snd_nxt < s.unsched_segs in
-    send_data s ~first_rtt s.snd_nxt;
+    let first_rtt = s.snd_nxt < h.unsched_segs in
+    Rd.send_data s
+      ~prio:(if first_rtt then h.unsched_prio else h.sched_prio)
+      ~first_rtt ~sel_drop:(first_rtt && h.aeolus) ~retransmission:false
+      s.snd_nxt;
     s.snd_nxt <- s.snd_nxt + 1
   done
 
@@ -98,174 +65,106 @@ let sender_pump s =
    selectively at the switch, and the sender promptly retransmits the
    hole as scheduled (non-droppable) packets once grant progress shows
    it, instead of waiting a full RTO. *)
-let sender_on_grant s (p : Packet.t) =
-  match p.meta with
-  | Wire.Grant_meta { g_cum; g_upto; g_prio } ->
-    Context.count_op s.ctx s.flow.Flow.src;
-    let now = Sim.now s.ctx.Context.sim in
-    if g_cum > s.cum then begin
-      s.cum <- g_cum;
-      s.last_cum_change <- now;
-      s.fast_attempts <- 0
-    end else if s.aeolus && s.cum < s.snd_nxt
-             && now - s.last_cum_change
-                > s.ctx.Context.base_rtt * (1 lsl min 6 s.fast_attempts)
-    then begin
-      (* exponential backoff: duplicates of a persistent hole must not
-         amplify the congestion that caused it *)
-      s.last_cum_change <- now;
-      s.fast_attempts <- s.fast_attempts + 1;
-      let upto = min s.snd_nxt (s.cum + 8) in
-      for seq = s.cum to upto - 1 do
-        s.flow.Flow.retrans <- s.flow.Flow.retrans + 1;
-        send_data s ~first_rtt:false seq
-      done
-    end;
-    s.granted <- max s.granted g_upto;
-    s.sched_prio <- g_prio;
-    sender_pump s
-  | _ -> ()
-
-let sender_shutdown s =
-  s.shut <- true;
-  match s.rto_timer with
-  | Some tm -> Sim.cancel tm; s.rto_timer <- None
-  | None -> ()
+let sender_on_grant h ~g_cum ~g_upto ~g_prio =
+  let s = h.s in
+  Context.count_op s.ctx s.flow.Flow.src;
+  let now = Sim.now s.ctx.Context.sim in
+  if g_cum > s.cum then begin
+    s.cum <- g_cum;
+    h.last_cum_change <- now;
+    h.fast_attempts <- 0
+  end else if h.aeolus && s.cum < s.snd_nxt
+           && now - h.last_cum_change
+              > s.ctx.Context.base_rtt * (1 lsl min 6 h.fast_attempts)
+  then begin
+    (* exponential backoff: duplicates of a persistent hole must not
+       amplify the congestion that caused it *)
+    h.last_cum_change <- now;
+    h.fast_attempts <- h.fast_attempts + 1;
+    go_back h (min s.snd_nxt (s.cum + 8))
+  end;
+  h.granted <- max h.granted g_upto;
+  h.sched_prio <- g_prio;
+  sender_pump h
 
 (* ---- receiver ------------------------------------------------------ *)
 
-type msg = {
-  m_flow : Flow.t;
-  bitmap : Bytes.t;
-  mutable received : int;
-  mutable m_cum : int;
-  mutable m_granted : int;
-  mutable on_msg_done : unit -> unit;
-}
-
-type host_state = {
-  hs_ctx : Context.t;
-  rtt_segs : int;
-  overcommit : int;
-  mutable inbound : msg list;
-}
-
-let send_grant hs (m : msg) ~rank =
-  let prio = min (Prio_queue.n_prios - 1) (2 + rank) in
-  let meta =
-    Wire.Grant_meta
-      { g_cum = m.m_cum; g_upto = m.m_granted; g_prio = prio }
-  in
-  let pkt =
-    Packet.make ~prio:0 ~meta ~flow:m.m_flow.Flow.id
-      ~src:m.m_flow.Flow.dst ~dst:m.m_flow.Flow.src Packet.Grant
-  in
-  Net.send hs.hs_ctx.Context.net pkt
-
 (* SRPT with overcommitment: grant the K messages with the fewest
-   remaining segments a ceiling of received + RTTsegs. *)
-let reschedule hs =
-  let remaining m = m.m_flow.Flow.nseg - m.received in
+   remaining segments a ceiling of received + RTTsegs. [inbound] holds
+   the host's messages, newest first. *)
+let reschedule ctx inbound =
+  let rtt_segs = rtt_segs ctx in
+  let remaining (m : Rd.msg) = m.m_flow.Flow.nseg - m.received in
   let active =
-    List.filter (fun m -> remaining m > 0) hs.inbound
+    List.filter (fun m -> remaining m > 0) inbound
     |> List.sort (fun a b -> compare (remaining a) (remaining b))
   in
   List.iteri
-    (fun rank m ->
-       if rank < hs.overcommit then begin
-         let ceiling =
-           min m.m_flow.Flow.nseg (m.received + hs.rtt_segs)
-         in
-         let grew = ceiling > m.m_granted in
-         m.m_granted <- max m.m_granted ceiling;
+    (fun rank (m : Rd.msg) ->
+       if rank < overcommit then begin
+         let ceiling = min m.m_flow.Flow.nseg (m.received + rtt_segs) in
+         let grew = ceiling > m.granted in
+         m.granted <- max m.granted ceiling;
          (* send a grant when the window grows, and refresh it when
             progress is stuck so the sender learns m_cum *)
-         if grew || m.m_cum < m.m_granted then send_grant hs m ~rank
+         if grew || m.m_cum < m.granted then begin
+           let g_prio = min (Prio_queue.n_prios - 1) (2 + rank) in
+           Rd.reply ctx m.m_flow
+             ~meta:(Wire.Grant_meta
+                      { g_cum = m.m_cum; g_upto = m.granted; g_prio })
+             Packet.Grant
+         end
        end)
     active
 
-let receiver_on_data hs (m : msg) (p : Packet.t) =
-  Context.count_op hs.hs_ctx m.m_flow.Flow.dst;
+let receiver_on_data ctx inbound (m : Rd.msg) (p : Packet.t) =
+  Context.count_op ctx m.m_flow.Flow.dst;
   if not p.trimmed then begin
-    let seq = p.seq in
-    if seq >= 0 && seq < m.m_flow.Flow.nseg
-    && Bytes.get m.bitmap seq = '\000' then begin
-      Bytes.set m.bitmap seq '\001';
-      m.received <- m.received + 1;
-      while m.m_cum < m.m_flow.Flow.nseg
-            && Bytes.get m.bitmap m.m_cum = '\001' do
-        m.m_cum <- m.m_cum + 1
-      done
+    Rd.accept m p;
+    if Rd.complete m then begin
+      inbound := List.filter (fun x -> x != m) !inbound;
+      Rd.finish ctx m
     end;
-    if m.received = m.m_flow.Flow.nseg then begin
-      hs.inbound <- List.filter (fun x -> x != m) hs.inbound;
-      Context.flow_finished hs.hs_ctx m.m_flow;
-      m.on_msg_done ();
-      reschedule hs
-    end else
-      reschedule hs
+    reschedule ctx !inbound
   end
 
 (* ---- wiring -------------------------------------------------------- *)
 
-let make ?(params = default_params) () ctx =
-  let mss = Packet.max_payload in
-  let rtt_bytes =
-    match params.rtt_bytes with Some b -> b | None -> ctx.Context.bdp
-  in
-  let rtt_segs = max 1 (rtt_bytes / mss) in
-  let hosts : (int, host_state) Hashtbl.t = Hashtbl.create 64 in
-  let host_state host =
-    match Hashtbl.find_opt hosts host with
-    | Some hs -> hs
-    | None ->
-      let hs =
-        { hs_ctx = ctx; rtt_segs; overcommit = params.overcommit;
-          inbound = [] }
-      in
-      Hashtbl.add hosts host hs;
-      hs
-  in
-  let name = if params.aeolus then "aeolus" else "homa" in
-  { Endpoint.t_name = name;
+let make_variant ~aeolus ctx =
+  let rtt_segs = rtt_segs ctx in
+  let host_inbound = Rd.per_host ctx (fun () -> ref []) in
+  { Endpoint.t_name = (if aeolus then "aeolus" else "homa");
     t_start = (fun flow ->
-        let size = flow.Flow.size in
         let unsched_segs = min flow.Flow.nseg rtt_segs in
         let unsched_prio =
-          if params.aeolus then Prio_queue.n_prios - 1
-          else if size <= rtt_bytes then 0
+          if aeolus then Prio_queue.n_prios - 1
+          else if flow.Flow.size <= ctx.Context.bdp then 0
           else 1
         in
-        let s =
-          { ctx; flow; unsched_segs; unsched_prio;
-            aeolus = params.aeolus;
-            snd_nxt = 0; granted = unsched_segs; sched_prio = 2;
-            cum = 0; last_cum_change = Sim.now ctx.Context.sim;
-            fast_attempts = 0; rto_timer = None; shut = false }
+        let h =
+          { s = Rd.sender ctx flow; unsched_segs; unsched_prio; aeolus;
+            granted = unsched_segs; sched_prio = 2;
+            last_cum_change = Sim.now ctx.Context.sim; fast_attempts = 0 }
         in
-        let hs = host_state flow.Flow.dst in
-        let m =
-          { m_flow = flow; bitmap = Bytes.make flow.Flow.nseg '\000';
-            received = 0; m_cum = 0; m_granted = unsched_segs;
-            on_msg_done = ignore }
-        in
-        hs.inbound <- m :: hs.inbound;
-        let net = ctx.Context.net in
-        m.on_msg_done <- (fun () ->
-            sender_shutdown s;
-            Net.unregister net ~host:flow.Flow.src ~flow:flow.Flow.id;
-            Net.unregister net ~host:flow.Flow.dst ~flow:flow.Flow.id);
-        Net.register net ~host:flow.Flow.src ~flow:flow.Flow.id (fun p ->
-            match p.Packet.kind with
-            | Packet.Grant -> sender_on_grant s p
-            | _ -> ());
-        Net.register net ~host:flow.Flow.dst ~flow:flow.Flow.id (fun p ->
-            match p.Packet.kind with
-            | Packet.Data -> receiver_on_data hs m p
-            | _ -> ());
+        let inbound = host_inbound flow.Flow.dst in
+        let m = Rd.message ~granted:unsched_segs flow in
+        inbound := m :: !inbound;
+        Rd.connect h.s m
+          ~at_src:(fun p ->
+              match p.Packet.kind, p.Packet.meta with
+              | Packet.Grant, Wire.Grant_meta { g_cum; g_upto; g_prio } ->
+                sender_on_grant h ~g_cum ~g_upto ~g_prio
+              | _ -> ())
+          ~at_dst:(fun p ->
+              match p.Packet.kind with
+              | Packet.Data -> receiver_on_data ctx inbound m p
+              | _ -> ());
         (* blind first-RTT transmission at line rate *)
-        sender_pump s;
-        arm_sender_rto s) }
+        sender_pump h;
+        (* timeout: everything between the receiver's progress point
+           and what we already sent is presumed lost *)
+        Rd.backstop h.s (fun () ->
+            go_back h (min h.s.snd_nxt flow.Flow.nseg))) }
 
-let make_aeolus ?(params = { default_params with aeolus = true }) () =
-  make ~params:{ params with aeolus = true } ()
+let make () = make_variant ~aeolus:false
+let make_aeolus () = make_variant ~aeolus:true

@@ -1,14 +1,11 @@
 (** Homa [32] (receiver-driven grants, SRPT, overcommitment) and its
     Aeolus [17] variant (lowest-priority selectively-dropped
-    unscheduled packets with fast recovery). *)
+    unscheduled packets with fast recovery). RTTbytes is the context
+    BDP. *)
 
-type params = {
-  rtt_bytes : int option;  (** None: one BDP *)
-  overcommit : int;
-  aeolus : bool;
-}
+val overcommit : int
+(** Grants go to this many shortest-remaining messages per receiver
+    (2). *)
 
-val default_params : params
-
-val make : ?params:params -> unit -> Endpoint.factory
-val make_aeolus : ?params:params -> unit -> Endpoint.factory
+val make : unit -> Endpoint.factory
+val make_aeolus : unit -> Endpoint.factory

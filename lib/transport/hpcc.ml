@@ -18,15 +18,9 @@
 open Ppt_engine
 open Ppt_netsim
 
-type params = {
-  iw_segs : int;
-  eta : float;
-  wai_segs : float;      (* additive increase in segments *)
-  max_stages : int;      (* per-ack updates between W_ref refreshes *)
-}
-
-let default_params =
-  { iw_segs = 10; eta = 0.95; wai_segs = 0.5; max_stages = 5 }
+let iw_segs = 10
+let eta = 0.95            (* target utilization *)
+let wai_segs = 0.5        (* additive increase in segments *)
 
 type hop_memory = {
   mutable prev_tx_bytes : int;
@@ -34,9 +28,9 @@ type hop_memory = {
   mutable valid : bool;
 }
 
-let attach ?(params = default_params) ctx (s : Reliable.t) =
+let attach ctx (s : Reliable.t) =
   let mssf = float_of_int (Reliable.mss s) in
-  let wai = params.wai_segs *. mssf in
+  let wai = wai_segs *. mssf in
   let t_ns = float_of_int ctx.Context.base_rtt in
   let hops : (int, hop_memory) Hashtbl.t = Hashtbl.create 8 in
   let w_ref = ref (Reliable.cwnd s) in
@@ -93,7 +87,7 @@ let attach ?(params = default_params) ctx (s : Reliable.t) =
         | None -> ()   (* warm-up: telemetry not yet rate-capable *)
         | Some u ->
           let u = Float.max u 0.05 in
-          let w = (!w_ref /. (u /. params.eta)) +. wai in
+          let w = (!w_ref /. (u /. eta)) +. wai in
           (* bound the per-update ramp, as HPCC's maxStage does *)
           let w = Float.min w (2. *. !w_ref) in
           Reliable.set_cwnd s w;
@@ -110,17 +104,17 @@ let attach ?(params = default_params) ctx (s : Reliable.t) =
       Reliable.set_cwnd s mssf;
       w_ref := Reliable.cwnd s)
 
-let make ?(params = default_params) () ctx =
+let make () ctx =
   let mss = Packet.max_payload in
   { Endpoint.t_name = "hpcc";
     t_start = (fun flow ->
         let rel_params =
-          Reliable.default_params ~initial_cwnd:(params.iw_segs * mss)
+          Reliable.default_params ~initial_cwnd:(iw_segs * mss)
             ~ecn_capable:false ()
         in
         Endpoint.launch_window_flow ctx ~params:rel_params
           ~rcv_cfg:Receiver.default_config
           ~setup:(fun snd _rcv ->
-              attach ~params ctx snd;
+              attach ctx snd;
               fun () -> ())
           flow) }

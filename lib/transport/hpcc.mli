@@ -1,14 +1,9 @@
 (** HPCC [25]: high-precision congestion control from inband
     telemetry. Requires the fabric to run with INT collection. *)
 
-type params = {
-  iw_segs : int;
-  eta : float;          (** target utilization (0.95) *)
-  wai_segs : float;     (** additive increase per update *)
-  max_stages : int;
-}
+val attach : Context.t -> Reliable.t -> unit
+(** Drive the sender's window from telemetry: target utilization 0.95,
+    additive increase of half a segment per update. *)
 
-val default_params : params
-
-val attach : ?params:params -> Context.t -> Reliable.t -> unit
-val make : ?params:params -> unit -> Endpoint.factory
+val make : unit -> Endpoint.factory
+(** HPCC over an IW10 sender. *)

@@ -12,221 +12,99 @@
    A pull carries the receiver's cumulative progress so the sender can
    fall back to timeout retransmission if control packets die. *)
 
-open Ppt_engine
 open Ppt_netsim
-
-type params = {
-  iw_bytes : int option;   (* None: one BDP *)
-  data_prio : int;
-}
-
-let default_params = { iw_bytes = None; data_prio = 1 }
+module Rd = Receiver_driven
 
 (* ---- sender -------------------------------------------------------- *)
 
-type sender = {
-  ctx : Context.t;
-  flow : Flow.t;
-  data_prio : int;
-  mutable snd_nxt : int;
-  retx : int Queue.t;
-  mutable cum : int;
-  mutable rto_timer : Sim.timer option;
-  mutable shut : bool;
-}
-
+(* Data rides at P1, below the P0 control packets. *)
 let send_data s seq ~retransmission =
-  let pay = Flow.seg_payload s.flow seq in
-  let meta =
-    Wire.Data_meta { tx = Sim.now s.ctx.Context.sim; first_rtt = false }
-  in
-  let pkt =
-    Packet.make ~seq ~payload:pay ~prio:s.data_prio ~meta
-      ~flow:s.flow.Flow.id ~src:s.flow.Flow.src ~dst:s.flow.Flow.dst
-      Packet.Data
-  in
-  Context.count_op s.ctx s.flow.Flow.src;
-  s.flow.Flow.hcp_payload <- s.flow.Flow.hcp_payload + pay;
-  if retransmission then
-    s.flow.Flow.retrans <- s.flow.Flow.retrans + 1;
-  Net.send s.ctx.Context.net pkt
+  Rd.send_data s ~prio:1 ~retransmission seq
 
-(* One pull = one packet's worth of credit. *)
-let sender_on_pull s =
-  if not s.shut then begin
-    match Queue.take_opt s.retx with
+(* One pull = one packet's worth of credit: a NACKed segment first,
+   then new data. *)
+let sender_on_pull (s : Rd.sender) retx ~p_cum =
+  s.cum <- max s.cum p_cum;
+  if not s.shut then
+    match Queue.take_opt retx with
     | Some seq -> send_data s seq ~retransmission:true
     | None ->
       if s.snd_nxt < s.flow.Flow.nseg then begin
         send_data s s.snd_nxt ~retransmission:false;
         s.snd_nxt <- s.snd_nxt + 1
       end
-  end
-
-let rec arm_sender_rto s =
-  if not s.shut then
-    s.rto_timer <-
-      Some (Sim.schedule s.ctx.Context.sim ~after:s.ctx.Context.rto_min
-              (fun () -> sender_rto s))
-
-and sender_rto s =
-  s.rto_timer <- None;
-  if not s.shut then begin
-    (* resend the first segment the receiver is missing *)
-    if s.cum < s.flow.Flow.nseg && s.cum < s.snd_nxt then
-      send_data s s.cum ~retransmission:true;
-    arm_sender_rto s
-  end
-
-let sender_shutdown s =
-  s.shut <- true;
-  match s.rto_timer with
-  | Some tm -> Sim.cancel tm; s.rto_timer <- None
-  | None -> ()
 
 (* ---- receiver: per-host pull pacer --------------------------------- *)
 
-type msg = {
-  m_flow : Flow.t;
-  m_bitmap : Bytes.t;
-  mutable m_received : int;
-  mutable m_cum : int;
-  mutable m_done : bool;
-  mutable on_msg_done : unit -> unit;
-}
-
 type host_state = {
-  hs_ctx : Context.t;
-  pulls : msg Queue.t;        (* round-robin pull tokens *)
-  mutable pacing : bool;
-  mutable pace_fire : unit -> unit;   (* preallocated pacer callback *)
+  ctx : Context.t;
+  pulls : Rd.msg Queue.t;   (* round-robin pull tokens *)
+  pacer : Rd.pacer;
 }
 
-let send_pull hs (m : msg) =
-  let meta = Wire.Pull_meta { p_cum = m.m_cum } in
-  let pkt =
-    Packet.make ~prio:0 ~meta ~flow:m.m_flow.Flow.id
-      ~src:m.m_flow.Flow.dst ~dst:m.m_flow.Flow.src Packet.Pull
-  in
-  Net.send hs.hs_ctx.Context.net pkt
-
-(* Emit one pull per MTU serialization slot of the receiver's edge
-   link; this clocks aggregate inbound traffic at line rate. *)
-let rec pace hs () =
-  match Queue.take_opt hs.pulls with
-  | None -> hs.pacing <- false
+(* Send the next pull token's pull, skipping finished messages. *)
+let rec pull ctx pulls =
+  match Queue.take_opt pulls with
+  | None -> false
+  | Some (m : Rd.msg) when m.m_done -> pull ctx pulls
   | Some m ->
-    if m.m_done then pace hs ()
-    else begin
-      send_pull hs m;
-      let slot =
-        Units.tx_time ~rate:hs.hs_ctx.Context.edge_rate ~bytes:Packet.mtu
-      in
-      ignore (Sim.schedule hs.hs_ctx.Context.sim ~after:slot hs.pace_fire)
-    end
+    Rd.reply ctx m.m_flow ~meta:(Wire.Pull_meta { p_cum = m.m_cum })
+      Packet.Pull;
+    true
 
-let enqueue_pull hs (m : msg) =
+let enqueue_pull hs (m : Rd.msg) =
   if not m.m_done then begin
     Queue.push m hs.pulls;
-    if not hs.pacing then begin
-      hs.pacing <- true;
-      ignore (Sim.schedule hs.hs_ctx.Context.sim ~after:0 hs.pace_fire)
-    end
+    Rd.kick hs.pacer
   end
 
-let send_nack hs (m : msg) seq =
-  let meta = Wire.Nack_meta { nack_seq = seq } in
-  let pkt =
-    Packet.make ~prio:0 ~meta ~flow:m.m_flow.Flow.id
-      ~src:m.m_flow.Flow.dst ~dst:m.m_flow.Flow.src Packet.Nack
-  in
-  Net.send hs.hs_ctx.Context.net pkt
-
-let receiver_on_data hs (m : msg) (p : Packet.t) =
-  Context.count_op hs.hs_ctx m.m_flow.Flow.dst;
+let receiver_on_data hs (m : Rd.msg) (p : Packet.t) =
+  Context.count_op hs.ctx m.m_flow.Flow.dst;
   if m.m_done then ()
   else if p.trimmed then begin
     (* header survived: fast loss notification + keep the clock going *)
-    send_nack hs m p.seq;
+    Rd.reply hs.ctx m.m_flow
+      ~meta:(Wire.Nack_meta { nack_seq = p.seq }) Packet.Nack;
     enqueue_pull hs m
   end else begin
-    let seq = p.seq in
-    if seq >= 0 && seq < m.m_flow.Flow.nseg
-    && Bytes.get m.m_bitmap seq = '\000' then begin
-      Bytes.set m.m_bitmap seq '\001';
-      m.m_received <- m.m_received + 1;
-      while m.m_cum < m.m_flow.Flow.nseg
-            && Bytes.get m.m_bitmap m.m_cum = '\001' do
-        m.m_cum <- m.m_cum + 1
-      done
-    end;
-    if m.m_received = m.m_flow.Flow.nseg then begin
-      m.m_done <- true;
-      Context.flow_finished hs.hs_ctx m.m_flow;
-      m.on_msg_done ()
-    end else
-      enqueue_pull hs m
+    Rd.accept m p;
+    if Rd.complete m then Rd.finish hs.ctx m else enqueue_pull hs m
   end
 
 (* ---- wiring -------------------------------------------------------- *)
 
-let make ?(params = default_params) () ctx =
-  let mss = Packet.max_payload in
-  let iw_bytes =
-    match params.iw_bytes with Some b -> b | None -> ctx.Context.bdp
-  in
-  let iw_segs = max 1 (iw_bytes / mss) in
-  let hosts : (int, host_state) Hashtbl.t = Hashtbl.create 64 in
-  let host_state host =
-    match Hashtbl.find_opt hosts host with
-    | Some hs -> hs
-    | None ->
-      let hs =
-        { hs_ctx = ctx; pulls = Queue.create (); pacing = false;
-          pace_fire = ignore }
-      in
-      hs.pace_fire <- (fun () -> pace hs ());
-      Hashtbl.add hosts host hs;
-      hs
+let make () ctx =
+  let iw_segs = max 1 (ctx.Context.bdp / Packet.max_payload) in
+  let host_state =
+    Rd.per_host ctx (fun () ->
+        let pulls = Queue.create () in
+        { ctx; pulls; pacer = Rd.pacer ctx (fun () -> pull ctx pulls) })
   in
   { Endpoint.t_name = "ndp";
     t_start = (fun flow ->
-        let s =
-          { ctx; flow; data_prio = params.data_prio; snd_nxt = 0;
-            retx = Queue.create (); cum = 0; rto_timer = None;
-            shut = false }
-        in
+        let s = Rd.sender ctx flow in
+        let retx = Queue.create () in
         let hs = host_state flow.Flow.dst in
-        let m =
-          { m_flow = flow; m_bitmap = Bytes.make flow.Flow.nseg '\000';
-            m_received = 0; m_cum = 0; m_done = false;
-            on_msg_done = ignore }
-        in
-        let net = ctx.Context.net in
-        m.on_msg_done <- (fun () ->
-            sender_shutdown s;
-            Net.unregister net ~host:flow.Flow.src ~flow:flow.Flow.id;
-            Net.unregister net ~host:flow.Flow.dst ~flow:flow.Flow.id);
-        Net.register net ~host:flow.Flow.src ~flow:flow.Flow.id (fun p ->
-            match p.Packet.kind with
-            | Packet.Pull ->
-              (match p.Packet.meta with
-               | Wire.Pull_meta { p_cum } -> s.cum <- max s.cum p_cum
-               | _ -> ());
-              sender_on_pull s
-            | Packet.Nack ->
-              (match p.Packet.meta with
-               | Wire.Nack_meta { nack_seq } -> Queue.push nack_seq s.retx
-               | _ -> ())
-            | _ -> ());
-        Net.register net ~host:flow.Flow.dst ~flow:flow.Flow.id (fun p ->
-            match p.Packet.kind with
-            | Packet.Data -> receiver_on_data hs m p
-            | _ -> ());
+        let m = Rd.message flow in
+        Rd.connect s m
+          ~at_src:(fun p ->
+              match p.Packet.kind, p.Packet.meta with
+              | Packet.Pull, Wire.Pull_meta { p_cum } ->
+                sender_on_pull s retx ~p_cum
+              | Packet.Nack, Wire.Nack_meta { nack_seq } ->
+                Queue.push nack_seq retx
+              | _ -> ())
+          ~at_dst:(fun p ->
+              match p.Packet.kind with
+              | Packet.Data -> receiver_on_data hs m p
+              | _ -> ());
         (* first window at line rate *)
         let burst = min iw_segs flow.Flow.nseg in
         for seq = 0 to burst - 1 do
           send_data s seq ~retransmission:false
         done;
         s.snd_nxt <- burst;
-        arm_sender_rto s) }
+        (* resend the first segment the receiver is missing *)
+        Rd.backstop s (fun () ->
+            if s.cum < flow.Flow.nseg && s.cum < s.snd_nxt then
+              send_data s s.cum ~retransmission:true)) }

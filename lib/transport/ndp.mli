@@ -1,12 +1,5 @@
-(** NDP [15]: first-window blast, switch payload trimming, NACK-based
-    loss notification and receiver pull pacing. Run on a fabric whose
-    queue discipline has [trim] enabled. *)
+(** NDP [15]: first-window blast (one BDP), switch payload trimming,
+    NACK-based loss notification and receiver pull pacing. Run on a
+    fabric whose queue discipline has [trim] enabled. *)
 
-type params = {
-  iw_bytes : int option;  (** None: one BDP *)
-  data_prio : int;
-}
-
-val default_params : params
-
-val make : ?params:params -> unit -> Endpoint.factory
+val make : unit -> Endpoint.factory

@@ -7,35 +7,29 @@
 
 open Ppt_netsim
 
-type params = {
-  iw_segs : int;
-  (* ascending bytes-sent boundaries between the 8 priorities *)
-  demotion : int array;
-}
+let iw_segs = 10
 
-(* Default thresholds in the spirit of the PIAS paper's web-search
-   tuning: geometric steps through the small-flow range. *)
-let default_params =
-  { iw_segs = 10;
-    demotion =
-      [| 10_000; 30_000; 100_000; 300_000; 1_000_000; 3_000_000;
-         10_000_000 |] }
+(* Ascending bytes-sent boundaries between the 8 priorities, in the
+   spirit of the PIAS paper's web-search tuning: geometric steps
+   through the small-flow range. *)
+let demotion =
+  [| 10_000; 30_000; 100_000; 300_000; 1_000_000; 3_000_000; 10_000_000 |]
 
-let prio_of params ~bytes_sent =
+let prio_of ~bytes_sent =
   let rec count i =
-    if i >= Array.length params.demotion then i
-    else if bytes_sent >= params.demotion.(i) then count (i + 1)
+    if i >= Array.length demotion then i
+    else if bytes_sent >= demotion.(i) then count (i + 1)
     else i
   in
   min (Prio_queue.n_prios - 1) (count 0)
 
-let make ?(params = default_params) () ctx =
+let make () ctx =
   let mss = Packet.max_payload in
   { Endpoint.t_name = "pias";
     t_start = (fun flow ->
-        let tagger ~bytes_sent ~loop:_ = prio_of params ~bytes_sent in
+        let tagger ~bytes_sent ~loop:_ = prio_of ~bytes_sent in
         let rel_params =
-          Reliable.default_params ~initial_cwnd:(params.iw_segs * mss)
+          Reliable.default_params ~initial_cwnd:(iw_segs * mss)
             ~ecn_capable:true ~tagger ()
         in
         Endpoint.launch_window_flow ctx ~params:rel_params

@@ -17,30 +17,23 @@
 open Ppt_engine
 open Ppt_netsim
 
-type params = {
-  iw_segs : int;
-  sendbuf_bytes : int;
-  level_counts : int array;  (* packets per low priority level, from tail *)
-}
+let iw_segs = 10
+let sendbuf_bytes = Units.mb 2000       (* the recommended 2GB *)
 
-let default_params =
-  { iw_segs = 10;
-    sendbuf_bytes = Units.mb 2000;       (* the recommended 2GB *)
-    level_counts = [| 40; 1600; 64000 |] }
+(* packets per low priority level, from the tail *)
+let level_counts = [| 40; 1600; 64000 |]
 
 (* Priority of the [n]-th low-priority packet counted from the tail. *)
-let lp_prio params n =
+let lp_prio n =
   let rec level i acc =
-    if i >= Array.length params.level_counts then
-      Array.length params.level_counts
-    else if n < acc + params.level_counts.(i) then i
-    else level (i + 1) (acc + params.level_counts.(i))
+    if i >= Array.length level_counts then Array.length level_counts
+    else if n < acc + level_counts.(i) then i
+    else level (i + 1) (acc + level_counts.(i))
   in
   Prio_queue.lp_band_start + level 0 0
 
 type lcp_state = {
   snd : Reliable.t;
-  params : params;
   ctx : Context.t;
   mutable tail_ptr : int;
   mutable sent_count : int;
@@ -64,7 +57,7 @@ let lcp_pump st () =
     | None -> ()   (* crossed with the primary loop: RC3's stop rule *)
     | Some seq ->
       st.tail_ptr <- seq;
-      let prio = lp_prio st.params st.sent_count in
+      let prio = lp_prio st.sent_count in
       st.sent_count <- st.sent_count + 1;
       Reliable.send_lcp_segment ~prio st.snd seq;
       let pay = Flow.seg_payload (Reliable.flow st.snd) seq in
@@ -75,21 +68,20 @@ let lcp_pump st () =
       st.timer <-
         Some (Sim.schedule st.ctx.Context.sim ~after:slot st.pump_fire)
 
-let make ?(params = default_params) () ctx =
+let make () ctx =
   let mss = Packet.max_payload in
   { Endpoint.t_name = "rc3";
     t_start = (fun flow ->
         let rel_params =
-          Reliable.default_params ~initial_cwnd:(params.iw_segs * mss)
-            ~ecn_capable:true ~lcp_ecn_capable:false
-            ~sendbuf_bytes:params.sendbuf_bytes ()
+          Reliable.default_params ~initial_cwnd:(iw_segs * mss)
+            ~ecn_capable:true ~lcp_ecn_capable:false ~sendbuf_bytes ()
         in
         Endpoint.launch_window_flow ctx ~params:rel_params
           ~rcv_cfg:Receiver.default_config
           ~setup:(fun snd _rcv ->
               ignore (Dctcp.attach snd);
               let st =
-                { snd; params; ctx; tail_ptr = flow.Flow.nseg;
+                { snd; ctx; tail_ptr = flow.Flow.nseg;
                   sent_count = 0; timer = None; pump_fire = ignore;
                   stopped = false }
               in

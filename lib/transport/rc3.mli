@@ -2,15 +2,10 @@
     transmission of the whole remaining flow from the tail, in
     exponentially growing priority tiers. *)
 
-type params = {
-  iw_segs : int;
-  sendbuf_bytes : int;       (** the recommended 2GB by default *)
-  level_counts : int array;  (** packets per low-priority level *)
-}
+val lp_prio : int -> int
+(** Priority of the [n]-th low-priority packet counted from the tail:
+    the last 40 at P4, the next 1600 at P5, the next 64000 at P6, the
+    rest at P7. *)
 
-val default_params : params
-
-val lp_prio : params -> int -> int
-(** Priority of the [n]-th low-priority packet counted from the tail. *)
-
-val make : ?params:params -> unit -> Endpoint.factory
+val make : unit -> Endpoint.factory
+(** IW10 DCTCP primary loop with the recommended 2GB send buffer. *)

@@ -10,17 +10,11 @@
 open Ppt_engine
 open Ppt_netsim
 
-type params = {
-  iw_segs : int;
-  target_factor : float;  (* target delay = factor * base RTT *)
-  ai_segs : float;        (* additive increase per RTT, in segments *)
-  beta : float;           (* multiplicative decrease gain *)
-  max_mdf : float;        (* largest decrease in one RTT *)
-}
-
-let default_params =
-  { iw_segs = 10; target_factor = 1.5; ai_segs = 1.0; beta = 0.8;
-    max_mdf = 0.5 }
+let iw_segs = 10
+let target_factor = 1.5   (* target delay = factor * base RTT *)
+let ai_segs = 1.0         (* additive increase per RTT, in segments *)
+let beta = 0.8            (* multiplicative decrease gain *)
+let max_mdf = 0.5         (* largest decrease in one RTT *)
 
 (* View exposed to the PPT-over-Swift variant. *)
 type view = {
@@ -29,10 +23,9 @@ type view = {
   rtt_hook : (unit -> unit) -> unit;
 }
 
-let attach ?(params = default_params) ctx (s : Reliable.t) =
+let attach ctx (s : Reliable.t) =
   let target =
-    int_of_float (params.target_factor *. float_of_int
-                    ctx.Context.base_rtt)
+    int_of_float (target_factor *. float_of_int ctx.Context.base_rtt)
   in
   let mssf = float_of_int (Reliable.mss s) in
   let last_decrease = ref 0 in
@@ -48,15 +41,14 @@ let attach ?(params = default_params) ctx (s : Reliable.t) =
           (* additive increase, spread over the acks of one window *)
           let newly = float_of_int ai.Reliable.ai_newly_acked in
           Reliable.set_cwnd s
-            (cwnd +. (params.ai_segs *. mssf *. newly /. cwnd))
+            (cwnd +. (ai_segs *. mssf *. newly /. cwnd))
         end else if now - !last_decrease > ctx.Context.base_rtt then begin
           last_decrease := now;
           let excess =
             float_of_int (delay - target) /. float_of_int delay
           in
           let factor =
-            Float.max (1. -. (params.beta *. excess))
-              (1. -. params.max_mdf)
+            Float.max (1. -. (beta *. excess)) (1. -. max_mdf)
           in
           Reliable.set_cwnd s (cwnd *. factor)
         end
@@ -69,17 +61,17 @@ let attach ?(params = default_params) ctx (s : Reliable.t) =
     target;
     rtt_hook = (fun f -> on_rtt := f) }
 
-let make ?(params = default_params) () ctx =
+let make () ctx =
   let mss = Packet.max_payload in
   { Endpoint.t_name = "swift";
     t_start = (fun flow ->
         let rel_params =
-          Reliable.default_params ~initial_cwnd:(params.iw_segs * mss)
+          Reliable.default_params ~initial_cwnd:(iw_segs * mss)
             ~ecn_capable:false ()
         in
         Endpoint.launch_window_flow ctx ~params:rel_params
           ~rcv_cfg:Receiver.default_config
           ~setup:(fun snd _rcv ->
-              ignore (attach ~params ctx snd);
+              ignore (attach ctx snd);
               fun () -> ())
           flow) }

@@ -3,21 +3,16 @@
 
 open Ppt_engine
 
-type params = {
-  iw_segs : int;
-  target_factor : float;   (** target delay as a multiple of base RTT *)
-  ai_segs : float;
-  beta : float;
-  max_mdf : float;
-}
-
-val default_params : params
-
 type view = {
   delay_below_target : unit -> bool;
   target : Units.time;
   rtt_hook : (unit -> unit) -> unit;
 }
 
-val attach : ?params:params -> Context.t -> Reliable.t -> view
-val make : ?params:params -> unit -> Endpoint.factory
+val attach : Context.t -> Reliable.t -> view
+(** Drive the sender's window from fabric delay: target 1.5 base RTTs,
+    additive increase of one segment per RTT below it, multiplicative
+    decrease (gain 0.8, at most halving once per RTT) above it. *)
+
+val make : unit -> Endpoint.factory
+(** Swift over an IW10 sender. *)

@@ -540,12 +540,16 @@ let chaos_prop (name, factory, trim) =
        fault_conservation ~net:ctx.Context.net ~src_of events;
        true)
 
+(* ExpressPass is left out: a flow in flight when a link goes down can
+   lose a whole credit window and never finish (a known defect, listed
+   on ROADMAP). *)
 let chaos_transports =
   [ ("tcp", Tcp.make (), false);
     ("dctcp", Dctcp.make (), false);
     ("ppt", Ppt_core.Ppt.make (), false);
     ("ndp", Ndp.make (), true);
-    ("homa", Homa.make (), false) ]
+    ("homa", Homa.make (), false);
+    ("aeolus", Homa.make_aeolus (), false) ]
 
 (* --- the canonical flap through the harness ------------------------- *)
 

@@ -177,6 +177,12 @@ let suite =
       (prop_reliable_under_loss "ppt" (Ppt_core.Ppt.make ()));
     QCheck_alcotest.to_alcotest
       (prop_reliable_under_loss "tcp" (Tcp.make ()));
+    QCheck_alcotest.to_alcotest
+      (prop_reliable_under_loss "ndp" (Ndp.make ()));
+    QCheck_alcotest.to_alcotest
+      (prop_reliable_under_loss "aeolus" (Homa.make_aeolus ()));
+    QCheck_alcotest.to_alcotest
+      (prop_reliable_under_loss "expresspass" (Expresspass.make ()));
     QCheck_alcotest.to_alcotest prop_delivered_equals_size;
     Alcotest.test_case "ewd: 2-to-1 ack clocking" `Quick
       test_ewd_ack_ratio;

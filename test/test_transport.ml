@@ -252,7 +252,7 @@ let test_halfback_replay_small_flow () =
     (r.Ppt_stats.Fct.lcp_payload > 0);
   check Alcotest.bool "replay bounded by replay_segs" true
     (r.Ppt_stats.Fct.lcp_payload
-     <= Halfback.default_params.Halfback.replay_segs
+     <= Halfback.replay_segs
         * Ppt_netsim.Packet.max_payload)
 
 let test_halfback_large_flow_plain () =
