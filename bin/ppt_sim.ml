@@ -227,7 +227,8 @@ let run_cmd =
         `Error (false, msg)
       | trace ->
       match Runner.run ?trace cfg s with
-      | exception Runner.Invalid_trace msg -> `Error (false, msg)
+      | exception (Runner.Invalid_trace msg | Runner.Invalid_faults msg) ->
+        `Error (false, msg)
       | r ->
       pp_result r;
       if faults <> None then

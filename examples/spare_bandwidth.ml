@@ -33,10 +33,7 @@ let () =
   let flow = Flow.create ~id:0 ~src:0 ~dst:2 ~size:4_000_000 ~start:0 in
   let params = Reliable.default_params ~ecn_capable:true () in
   let snd = Reliable.create ctx flow params in
-  let rcv =
-    Receiver.create ctx flow
-      { Receiver.ack_prio = 0; lcp_batch = 2; lcp_ack_prio = `Echo }
-  in
+  let rcv = Receiver.create ~lcp_batch:2 ctx flow in
   let view = Dctcp.attach snd in
   let lcp = Lcp.create ctx snd view ~identified_large:false () in
   Lcp.start lcp;

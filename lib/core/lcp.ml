@@ -1,6 +1,7 @@
 (* The low-priority control loop (LCP), §3 of the paper.
 
-   LCP rides on an HCP (DCTCP) sender and opportunistically transmits
+   LCP rides on an HCP sender (DCTCP, or Swift/HPCC presented through
+   the same {!Dctcp.view}) and opportunistically transmits
    segments from the tail of the send queue at low in-network priority,
    to fill the spare bandwidth the primary loop leaves behind.
 
@@ -28,26 +29,17 @@ let log_src = Logs.Src.create "ppt.lcp" ~doc:"PPT low-priority control loop"
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
-type params = {
-  ewd : bool;
-  (* false = Fig. 16 ablation: blast the initial window at line rate
-     and keep the ACK-clocked rate constant instead of halving *)
-  delay_large_to_2nd_rtt : bool;
-  idle_rtts : int;            (* loop termination threshold (2) *)
-}
-
-let default_params =
-  { ewd = true; delay_large_to_2nd_rtt = true; idle_rtts = 2 }
+let idle_rtts = 2   (* loop termination threshold *)
 
 type t = {
   ctx : Context.t;
   snd : Reliable.t;
   view : Dctcp.view;
-  p : params;
+  ewd : bool;
+  (* false = Fig. 16 ablation: blast the initial window at line rate
+     and keep the ACK-clocked rate constant instead of halving *)
   identified_large : bool;
   mutable opened : bool;
-  mutable tail_ptr : int;          (* next tail pick strictly below *)
-  mutable last_avail : int;
   mutable alpha_min : float;
   mutable last_activity : Units.time;
   mutable pace_timer : Sim.timer option;
@@ -101,21 +93,10 @@ let close_loop t =
     t.alpha_min <- t.view.Dctcp.alpha ()
   end
 
-(* Pick and transmit one opportunistic segment from the tail of the
-   send buffer. Returns the payload sent (0 when the tail is
-   exhausted or the loops have crossed). *)
-let send_one t =
-  match Reliable.lcp_pick_tail t.snd ~below:t.tail_ptr with
-  | None -> 0
-  | Some seq ->
-    t.tail_ptr <- seq;
-    Reliable.send_lcp_segment t.snd seq;
-    Flow.seg_payload (Reliable.flow t.snd) seq
-
 let watchdog_tick t =
   t.watchdog <- None;
   if t.opened && not t.shut then begin
-    let idle_limit = t.p.idle_rtts * rtt t in
+    let idle_limit = idle_rtts * rtt t in
     if now t - t.last_activity > idle_limit then close_loop t
     else
       t.watchdog <-
@@ -144,12 +125,12 @@ let pace_interval ~rtt ~sent ~window =
 let rec pace_tick t =
   t.pace_timer <- None;
   if t.opened && not t.shut && t.pace_remaining > 0 then begin
-    let sent = send_one t in
+    let sent = Reliable.send_tail t.snd in
     if sent > 0 then begin
       t.last_activity <- now t;
       t.pace_remaining <- t.pace_remaining - sent;
       if t.pace_remaining > 0 then begin
-        if t.p.ewd then begin
+        if t.ewd then begin
           let interval =
             pace_interval ~rtt:(rtt t) ~sent ~window:t.pace_window
           in
@@ -163,12 +144,10 @@ let rec pace_tick t =
     (* tail exhausted: stay open, the watchdog will close the loop *)
   end
 
-let create ctx snd view ?(params = default_params) ~identified_large () =
+let create ctx snd view ?(ewd = true) ~identified_large () =
   let t =
-    { ctx; snd; view; p = params; identified_large;
+    { ctx; snd; view; ewd; identified_large;
       opened = false;
-      tail_ptr = (Reliable.flow snd).Flow.nseg;
-      last_avail = -1;
       alpha_min = infinity;
       last_activity = 0;
       pace_timer = None; watchdog = None;
@@ -231,33 +210,20 @@ let on_lcp_ack t (ai : Reliable.ack_info) =
       (* EWD: receiver sends one ACK per two opportunistic packets, so
          one fresh packet per ACK halves the rate every RTT. Without
          EWD the rate is kept constant by sending two. *)
-      let n = if t.p.ewd then 1 else 2 in
-      for _ = 1 to n do ignore (send_one t) done
+      let n = if t.ewd then 1 else 2 in
+      for _ = 1 to n do ignore (Reliable.send_tail t.snd) done
     end
     (* An ECE-marked low-priority ACK is ignored (§3.2): it still
        counts as loop activity but triggers no new packet. *)
   end
 
-(* Send-buffer refill: newly buffered data sits above the current tail
-   pointer, so the tail scan restarts from the new horizon. *)
-let on_more_data t =
-  let hi = Reliable.avail_hi t.snd in
-  if hi > t.last_avail then begin
-    t.last_avail <- hi;
-    if t.tail_ptr <= hi then t.tail_ptr <- hi + 1
-  end
-
 let start t =
   let sim = t.ctx.Context.sim in
-  t.last_avail <- Reliable.avail_hi t.snd;
-  (* install hooks on the sender and the DCTCP view *)
+  (* install hooks on the sender and the HCP view *)
   t.snd.Reliable.hook_on_lcp_ack <- (fun _ ai -> on_lcp_ack t ai);
-  t.snd.Reliable.hook_more_data <- (fun _ -> on_more_data t);
   t.view.Dctcp.rtt_hook (fun () -> on_rtt_boundary t);
   (* case 1: open at flow start, or at the 2nd RTT for identified-large
      flows so that small flows own the first RTT (§3.1) *)
-  let delay =
-    if t.identified_large && t.p.delay_large_to_2nd_rtt then rtt t else 0
-  in
+  let delay = if t.identified_large then rtt t else 0 in
   ignore (Sim.schedule sim ~after:delay (fun () ->
       if not t.shut then open_loop t ~initial_window:(case1_window t)))

@@ -1,36 +1,29 @@
 (** The low-priority control loop (LCP): PPT's dual-loop rate control
     (§3 of the paper).
 
-    Attach to a {!Ppt_transport.Reliable.t} sender running DCTCP
-    ({!Ppt_transport.Dctcp.attach}); the LCP then opportunistically
-    transmits tail segments at low priority to fill the spare
-    bandwidth, with intermittent loop initialization (§3.1) and
-    exponential window decreasing (§3.2). *)
+    Attach to a {!Ppt_transport.Reliable.t} sender whose primary loop
+    is presented as a {!Ppt_transport.Dctcp.view} (DCTCP itself, or
+    Swift/HPCC through PPT's window view); the LCP then
+    opportunistically transmits tail segments
+    ({!Ppt_transport.Reliable.send_tail}) at low priority to fill the
+    spare bandwidth, with intermittent loop initialization (§3.1) and
+    exponential window decreasing (§3.2). A loop terminates after 2
+    RTTs without low-priority ACKs, and the case-1 loop of an
+    identified-large flow opens one RTT late so small flows own the
+    first RTT. *)
 
 open Ppt_transport
-
-type params = {
-  ewd : bool;
-  (** [false] = Fig. 16 ablation: line-rate opportunistic bursts with
-      no per-RTT rate halving. *)
-  delay_large_to_2nd_rtt : bool;
-  (** Open the case-1 loop of identified-large flows one RTT late so
-      small flows own the first RTT (§3.1). *)
-  idle_rtts : int;
-  (** Terminate a loop after this many RTTs without low-priority ACKs
-      (2 in the paper). *)
-}
-
-val default_params : params
 
 type t
 
 val create :
-  Context.t -> Reliable.t -> Dctcp.view -> ?params:params ->
+  Context.t -> Reliable.t -> Dctcp.view -> ?ewd:bool ->
   identified_large:bool -> unit -> t
+(** [ewd:false] is the Fig. 16 ablation: line-rate opportunistic
+    bursts with no per-RTT rate halving. *)
 
 val start : t -> unit
-(** Install the sender/DCTCP hooks and schedule the case-1 loop. *)
+(** Install the sender/HCP-view hooks and schedule the case-1 loop. *)
 
 val shutdown : t -> unit
 (** Cancel all timers; the loop never reopens. *)

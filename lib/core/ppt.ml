@@ -1,108 +1,112 @@
 (* PPT: the complete pragmatic transport (§2.3, Fig. 4).
 
-   HCP is stock DCTCP ({!Ppt_transport.Dctcp} on the shared reliable
-   sender); LCP is {!Lcp}; scheduling is buffer-aware identification
-   ({!Flow_ident}) plus mirror-symmetric tagging ({!Tagging}).
+   The HCP is a primary window loop on the shared reliable sender: stock
+   DCTCP in the main design, a Swift-like delay-based loop in §6.2
+   (Fig. 14), or HPCC as sketched in appendix B. The LCP is {!Lcp};
+   scheduling is buffer-aware identification ({!Flow_ident}) plus
+   mirror-symmetric tagging ({!Tagging}).
 
-   [make] builds the full transport; the [variant] knobs turn off one
+   [make] builds the full transport; the [params] knobs turn off one
    design component at a time for the §6.3 ablations:
    - [lcp_ecn = false]   — Fig. 15: opportunistic packets without ECN;
    - [ewd = false]       — Fig. 16: line-rate LCP, no rate halving;
    - [scheduling = false]— Fig. 17: single priority per band;
-   - [identification = false] — Fig. 18: all flows start unidentified;
-   - [lcp = false]       — degenerates to DCTCP + scheduling (PIAS-like). *)
+   - [identification = false] — Fig. 18: all flows start unidentified. *)
 
-open Ppt_netsim
 open Ppt_transport
 
+type hcp = Dctcp | Swift | Hpcc
+
 type params = {
-  iw_segs : int;
   sendbuf : Sendbuf.model;
-  ident : Flow_ident.t;
-  demotion : int array;
-  lcp : bool;
   lcp_ecn : bool;
   ewd : bool;
   scheduling : bool;
   identification : bool;
-  delay_large_to_2nd_rtt : bool;
 }
 
 let default_params =
-  { iw_segs = 10;
-    sendbuf = Sendbuf.default;
-    ident = Flow_ident.make ();
-    demotion = Tagging.default_demotion;
-    lcp = true; lcp_ecn = true; ewd = true;
-    scheduling = true; identification = true;
-    delay_large_to_2nd_rtt = true }
+  { sendbuf = Sendbuf.default;
+    lcp_ecn = true; ewd = true; scheduling = true; identification = true }
 
-let make ?(name = "ppt") ?(params = default_params) () ctx =
-  let mss = Packet.max_payload in
-  { Endpoint.t_name = name;
+(* Swift and HPCC have no alpha. Their spare-capacity predicate plays
+   the role of a vanishing alpha (0 while it holds, 1 otherwise), and
+   W_max tracks the window at every observation-window boundary. *)
+let window_view snd ~spare =
+  let wmax = ref 0. in
+  let windows = ref 0 in
+  let on_rtt = ref (fun () -> ()) in
+  snd.Reliable.hook_on_window <- (fun s ~f:_ ->
+      incr windows;
+      wmax := Float.max !wmax (Reliable.cwnd s);
+      !on_rtt ());
+  { Dctcp.alpha = (fun () -> if spare () then 0.0 else 1.0);
+    wmax = (fun () -> !wmax);
+    in_ca = (fun () -> !windows > 1);
+    rtt_hook = (fun f -> on_rtt := f) }
+
+(* Install the primary loop and present it to the LCP. A loop opens
+   under Swift while the fabric delay is below target, and under HPCC
+   while the flow's in-flight bytes sit below the BDP. *)
+let attach_hcp hcp ctx snd =
+  match hcp with
+  | Dctcp -> Dctcp.attach snd
+  | Swift -> window_view snd ~spare:(Swift.attach ctx snd)
+  | Hpcc ->
+    Hpcc.attach ctx snd;
+    window_view snd
+      ~spare:(fun () -> Reliable.inflight snd < ctx.Context.bdp)
+
+let make ?(hcp = Dctcp) ?(params = default_params) () =
+  let ident = Flow_ident.make ~model:params.sendbuf () in
+  (* DCTCP reacts to ECN; Swift and HPCC do not mark primary data *)
+  let ecn_capable = (match hcp with Dctcp -> true | Swift | Hpcc -> false) in
+  fun ctx ->
+  { Endpoint.t_name =
+      (match hcp with
+       | Dctcp -> "ppt" | Swift -> "ppt-swift" | Hpcc -> "ppt-hpcc");
     t_start = (fun flow ->
         let identified =
           params.identification
-          && Flow_ident.identify params.ident ctx.Context.rng
+          && Flow_ident.identify ident ctx.Context.rng
                ~flow_size:flow.Flow.size
         in
         let tagger =
           if params.scheduling then begin
-            let tag =
-              Tagging.make ~demotion:params.demotion
-                ~identified_large:identified ()
-            in
+            let tag = Tagging.make ~identified_large:identified () in
             fun ~bytes_sent ~loop -> Tagging.prio tag ~loop ~bytes_sent
           end else
             fun ~bytes_sent ~loop -> Tagging.unscheduled ~loop ~bytes_sent
         in
         let rel_params =
-          Reliable.default_params ~initial_cwnd:(params.iw_segs * mss)
-            ~ecn_capable:true ~lcp_ecn_capable:params.lcp_ecn
+          Reliable.default_params ~ecn_capable
+            ~lcp_ecn_capable:params.lcp_ecn
             ~sendbuf_bytes:params.sendbuf.Sendbuf.capacity ~tagger ()
         in
-        let rcv_cfg =
-          { Receiver.ack_prio = 0; lcp_batch = 2; lcp_ack_prio = `Echo }
-        in
-        Endpoint.launch_window_flow ctx ~params:rel_params ~rcv_cfg
-          ~setup:(fun snd _rcv ->
-              let view = Dctcp.attach snd in
-              if params.lcp then begin
-                let lcp_params =
-                  { Lcp.default_params with
-                    ewd = params.ewd;
-                    delay_large_to_2nd_rtt =
-                      params.delay_large_to_2nd_rtt }
-                in
-                let lcp =
-                  Lcp.create ctx snd view ~params:lcp_params
-                    ~identified_large:identified ()
-                in
-                Lcp.start lcp;
-                fun () -> Lcp.shutdown lcp
-              end else
-                fun () -> ())
+        Endpoint.launch_window_flow ctx ~params:rel_params ~lcp_batch:2
+          ~setup:(fun snd ->
+              let view = attach_hcp hcp ctx snd in
+              let lcp =
+                Lcp.create ctx snd view ~ewd:params.ewd
+                  ~identified_large:identified ()
+              in
+              Lcp.start lcp;
+              fun () -> Lcp.shutdown lcp)
           flow) }
 
 (* Ablation constructors used by the Fig. 15-18 experiments. *)
 
 let without_lcp_ecn () =
-  make ~name:"ppt-no-lcp-ecn"
-    ~params:{ default_params with lcp_ecn = false } ()
+  make ~params:{ default_params with lcp_ecn = false } ()
 
-let without_ewd () =
-  make ~name:"ppt-no-ewd" ~params:{ default_params with ewd = false } ()
+let without_ewd () = make ~params:{ default_params with ewd = false } ()
 
 let without_scheduling () =
-  make ~name:"ppt-no-sched"
-    ~params:{ default_params with scheduling = false } ()
+  make ~params:{ default_params with scheduling = false } ()
 
 let without_identification () =
-  make ~name:"ppt-no-ident"
-    ~params:{ default_params with identification = false } ()
+  make ~params:{ default_params with identification = false } ()
 
 let with_sendbuf capacity =
-  let sendbuf = Sendbuf.make ~capacity () in
-  let ident = Flow_ident.make ~model:sendbuf () in
-  make ~name:(Printf.sprintf "ppt-sb-%dK" (capacity / 1000))
-    ~params:{ default_params with sendbuf; ident } ()
+  make ~params:{ default_params with
+                 sendbuf = Sendbuf.make ~capacity () } ()

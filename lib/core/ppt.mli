@@ -1,26 +1,30 @@
 (** PPT: the complete pragmatic transport (dual-loop rate control +
-    buffer-aware flow scheduling), and its ablation variants. *)
+    buffer-aware flow scheduling) over a choice of primary loop, and
+    its ablation variants. *)
 
 open Ppt_transport
 
+type hcp =
+  | Dctcp  (** the main design: alpha-driven loops *)
+  | Swift  (** §6.2, Fig. 14: loops open while delay is below target *)
+  | Hpcc   (** appendix B: loops open while in-flight < BDP; needs INT *)
+
 type params = {
-  iw_segs : int;                  (** DCTCP initial window in segments *)
   sendbuf : Sendbuf.model;
-  ident : Flow_ident.t;
-  demotion : int array;           (** tagging age-down thresholds *)
-  lcp : bool;                     (** run the low-priority loop *)
+  (** send-buffer capacity, and the first-write model identification
+      reads *)
   lcp_ecn : bool;                 (** ECN on opportunistic packets *)
   ewd : bool;                     (** exponential window decreasing *)
   scheduling : bool;              (** mirror-symmetric tagging *)
   identification : bool;          (** buffer-aware identification *)
-  delay_large_to_2nd_rtt : bool;
 }
 
 val default_params : params
+(** Every component on, with {!Sendbuf.default}'s 2GB buffer. *)
 
 val make :
-  ?name:string -> ?params:params -> unit -> Context.t ->
-  Endpoint.transport
+  ?hcp:hcp -> ?params:params -> unit -> Context.t -> Endpoint.transport
+(** IW10 PPT over the given primary loop (default [Dctcp]). *)
 
 val without_lcp_ecn : unit -> Context.t -> Endpoint.transport
 (** Fig. 15 ablation. *)

@@ -92,6 +92,8 @@ let to_string spec = String.concat "; " (List.map clause_to_string spec)
 
 (* --- validation ---------------------------------------------------- *)
 
+(* The ranges are written so that NaN, which fails every comparison,
+   falls outside them. *)
 let validate_clause c =
   if c.from_t < 0 then Error "fault window starts before t=0"
   else if c.until_t <= c.from_t then
@@ -101,11 +103,11 @@ let validate_clause c =
   else
     match c.kind with
     | Down -> Ok c
-    | Loss p when p < 0. || p > 1. ->
+    | Loss p when not (p >= 0. && p <= 1.) ->
       Error (Printf.sprintf "loss probability %g outside [0,1]" p)
-    | Ber b when b < 0. || b > 1e-2 ->
+    | Ber b when not (b >= 0. && b <= 1e-2) ->
       Error (Printf.sprintf "ber %g outside [0,1e-2]" b)
-    | Rate f when f <= 0. || f > 1. ->
+    | Rate f when not (f > 0. && f <= 1.) ->
       Error (Printf.sprintf "rate factor %g outside (0,1]" f)
     | Extra_delay d when d < 0 -> Error "negative delay"
     | _ -> Ok c
@@ -141,10 +143,15 @@ let parse_time s =
       | "s" -> Some 1e9
       | _ -> None
     in
-    match (mult, float_of_string_opt (String.sub s 0 u)) with
-    | Some m, Some v when v >= 0. ->
-      Ok (int_of_float (Float.round (v *. m)))
-    | _ -> Error (Printf.sprintf "bad time %S" s)
+    (* [int_of_float] is unspecified past [max_int]: such a time would
+       wrap around to an arbitrary (even negative) nanosecond count *)
+    let ns =
+      match (mult, float_of_string_opt (String.sub s 0 u)) with
+      | Some m, Some v -> Float.round (v *. m)
+      | _ -> Float.nan
+    in
+    if ns >= 0. && ns < Float.of_int max_int then Ok (int_of_float ns)
+    else Error (Printf.sprintf "bad time %S" s)
 
 let parse_float name s =
   match float_of_string_opt (String.trim s) with

@@ -172,14 +172,8 @@ let util_cols =
 
 let hypo_schemes ?(fractions = [ 1.0 ]) cfg =
   (* pass 1: plain DCTCP records each flow's maximum window *)
-  let table : (int, float) Hashtbl.t = Hashtbl.create 1024 in
-  let recorder =
-    Schemes.plain "dctcp-rec"
-      (Dctcp.make
-         ~on_flow_wmax:(fun id mw -> Hashtbl.replace table id mw)
-         ())
-  in
-  ignore (Runner.run cfg recorder);
+  let table, recorder = Hypothetical.record_pass () in
+  ignore (Runner.run cfg (Schemes.plain "dctcp-rec" recorder));
   List.map
     (fun fill_fraction ->
        Schemes.plain

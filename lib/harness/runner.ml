@@ -34,6 +34,10 @@ let horizon = Units.sec 120
    its hosts); raised before the clock starts. *)
 exception Invalid_trace of string
 
+(* A fault spec whose selectors name hosts, nodes or ports the fabric
+   does not have; raised before the clock starts. *)
+exception Invalid_faults of string
+
 (* Cumulative simulator events across every [run] in this process;
    benchmark harnesses read the delta around a run to report
    events/second. *)
@@ -57,7 +61,6 @@ let qcfg_of (cfg : Config.t) (scheme : Schemes.t) ~lp_buffer_cap =
     mark_thresholds =
       Prio_queue.mark_bands ~hp:cfg.Config.hp_thresh
         ~lp:cfg.Config.lp_thresh;
-    mark_basis = Prio_queue.Port_occupancy;
     trim = scheme.Schemes.s_trim;
     sel_drop_threshold =
       (if scheme.Schemes.s_sel_drop then
@@ -112,10 +115,12 @@ let run ?lp_buffer_cap ?trace ?(observe = fun _ _ -> ())
   (match cfg.Config.faults with
    | None | Some [] -> ()
    | Some spec ->
-     Ppt_faults.Injector.install ~net:topo.Topology.net
-       ~hosts:topo.Topology.hosts
-       ~to_host_port:topo.Topology.to_host_port
-       ~seed:cfg.Config.seed spec);
+     try
+       Ppt_faults.Injector.install ~net:topo.Topology.net
+         ~hosts:topo.Topology.hosts
+         ~to_host_port:topo.Topology.to_host_port
+         ~seed:cfg.Config.seed spec
+     with Invalid_argument msg -> raise (Invalid_faults msg));
   let rng = Rng.create cfg.Config.seed in
   let ctx = Context.of_topology ~rto_min:cfg.Config.rto_min ~rng topo in
   let trace =

@@ -27,7 +27,7 @@ let dctcp = plain "dctcp" (Dctcp.make ())
 let rc3 = plain "rc3" (Rc3.make ())
 let pias = plain "pias" (Pias.make ())
 let swift = plain "swift" (Swift.make ())
-let ppt_swift = plain "ppt-swift" (Ppt_swift.make ())
+let ppt_swift = plain "ppt-swift" (Ppt.make ~hcp:Ppt.Swift ())
 let homa = plain "homa" (Homa.make ())
 
 let aeolus =
@@ -45,7 +45,8 @@ let halfback = plain "halfback" (Halfback.make ())
 let expresspass = plain "expresspass" (Expresspass.make ())
 
 let ppt_hpcc =
-  { (plain "ppt-hpcc" (Ppt_hpcc.make ())) with s_collect_int = true }
+  { (plain "ppt-hpcc" (Ppt.make ~hcp:Ppt.Hpcc ())) with
+    s_collect_int = true }
 
 let ppt_no_lcp_ecn = plain "ppt-no-lcp-ecn" (Ppt.without_lcp_ecn ())
 let ppt_no_ewd = plain "ppt-no-ewd" (Ppt.without_ewd ())

@@ -10,12 +10,9 @@
    - [lp_buffer_cap]: cap on the bytes the low-priority band (P4-P7)
      may occupy (used for the RC3 limited-buffer variant, Fig. 24). *)
 
-type mark_basis = Port_occupancy | Queue_occupancy
-
 type config = {
   buffer_bytes : int;
   mark_thresholds : int option array;  (* per priority; None = no marking *)
-  mark_basis : mark_basis;
   trim : bool;
   sel_drop_threshold : int option;
   lp_buffer_cap : int option;
@@ -41,7 +38,6 @@ let mark_bands ~hp ~lp =
 let default_config ~buffer_bytes = {
   buffer_bytes;
   mark_thresholds = no_marking;
-  mark_basis = Port_occupancy;
   trim = false;
   sel_drop_threshold = None;
   lp_buffer_cap = None;
@@ -172,16 +168,12 @@ let push t (p : Packet.t) =
   t.bytes <- t.bytes + p.wire;
   if prio >= lp_band_start then t.lp_bytes <- t.lp_bytes + p.wire;
   t.enq_pkts <- t.enq_pkts + 1;
-  (* Instantaneous marking against the occupancy that the packet sees. *)
+  (* Instantaneous marking against the port occupancy that the packet
+     sees. *)
   if p.ecn_capable then begin
     match t.cfg.mark_thresholds.(prio) with
     | Some k ->
-      let occ =
-        match t.cfg.mark_basis with
-        | Port_occupancy -> t.bytes
-        | Queue_occupancy -> t.qbytes.(prio)
-      in
-      if occ > k then begin
+      if t.bytes > k then begin
         if not p.ecn_ce then t.mark_pkts <- t.mark_pkts + 1;
         p.ecn_ce <- true
       end

@@ -5,14 +5,11 @@
     NDP-trim / Aeolus-selective-drop / low-priority-cap behaviours used
     by the paper's baselines. *)
 
-type mark_basis =
-  | Port_occupancy   (** mark against total port occupancy (default) *)
-  | Queue_occupancy  (** mark against the packet's own queue *)
-
 type config = {
   buffer_bytes : int;
   mark_thresholds : int option array;
-  mark_basis : mark_basis;
+  (** Per priority: mark an ECN-capable packet when the port occupancy
+      it sees exceeds the threshold; [None] = no marking. *)
   trim : bool;
   sel_drop_threshold : int option;
   lp_buffer_cap : int option;

@@ -20,9 +20,9 @@ type view = {
      alpha update *)
 }
 
-let default_g = 1. /. 16.
+let g = 1. /. 16.   (* the EWMA gain *)
 
-let attach ?(g = default_g) (s : Reliable.t) =
+let attach (s : Reliable.t) =
   let alpha = ref 1.0 in
   let ssthresh = ref infinity in
   let wmax = ref 0. in
@@ -65,17 +65,12 @@ let attach ?(g = default_g) (s : Reliable.t) =
     rtt_hook = (fun f -> on_rtt := f) }
 
 (* Plain DCTCP as a complete transport. *)
-let make ?(iw_segs = 10) ?(on_flow_wmax = fun _ _ -> ()) () ctx =
-  let mss = Ppt_netsim.Packet.max_payload in
-  let params =
-    Reliable.default_params ~initial_cwnd:(iw_segs * mss)
-      ~ecn_capable:true ()
-  in
+let make ?(on_flow_wmax = fun _ _ -> ()) () ctx =
+  let params = Reliable.default_params () in
   { Endpoint.t_name = "dctcp";
     t_start = (fun flow ->
         Endpoint.launch_window_flow ctx ~params
-          ~rcv_cfg:Receiver.default_config
-          ~setup:(fun snd _rcv ->
+          ~setup:(fun snd ->
               let view = attach snd in
               fun () ->
                 on_flow_wmax flow.Flow.id (Float.max (view.wmax ())

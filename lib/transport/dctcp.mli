@@ -12,15 +12,13 @@ type view = {
   (** register a callback fired once per observation window *)
 }
 
-val default_g : float
-(** The EWMA gain (1/16). *)
-
-val attach : ?g:float -> Reliable.t -> view
-(** Install DCTCP on a sender and expose its run-time state — the
-    dctcp_get_info analogue PPT's LCP consumes (§5.1). *)
+val attach : Reliable.t -> view
+(** Install DCTCP (EWMA gain 1/16) on a sender and expose its run-time
+    state — the dctcp_get_info analogue PPT's LCP consumes (§5.1). The
+    one HCP-signal type: PPT over Swift or HPCC presents its primary
+    loop through the same view. *)
 
 val make :
-  ?iw_segs:int -> ?on_flow_wmax:(int -> float -> unit) -> unit ->
-  Endpoint.factory
-(** Plain DCTCP as a complete transport. [on_flow_wmax] receives each
-    flow's W_max at teardown (used by the hypothetical DCTCP). *)
+  ?on_flow_wmax:(int -> float -> unit) -> unit -> Endpoint.factory
+(** Plain IW10 DCTCP as a complete transport. [on_flow_wmax] receives
+    each flow's W_max at teardown (used by the hypothetical DCTCP). *)

@@ -29,10 +29,10 @@ let disconnect ctx (flow : Flow.t) =
    [setup] attaches congestion control (and, for PPT, the LCP loop) to
    the freshly created sender; it returns an extra teardown thunk for
    any timers it created. *)
-let launch_window_flow ctx ~params ~rcv_cfg ~setup flow =
+let launch_window_flow ctx ~params ?lcp_batch ~setup flow =
   let snd = Reliable.create ctx flow params in
-  let rcv = Receiver.create ctx flow rcv_cfg in
-  let teardown_extra = setup snd rcv in
+  let rcv = Receiver.create ?lcp_batch ctx flow in
+  let teardown_extra = setup snd in
   connect ctx flow
     ~at_src:(fun p ->
         match p.Packet.kind with

@@ -21,10 +21,11 @@ val disconnect : Context.t -> Flow.t -> unit
 val launch_window_flow :
   Context.t ->
   params:Reliable.params ->
-  rcv_cfg:Receiver.config ->
-  setup:(Reliable.t -> Receiver.t -> unit -> unit) ->
+  ?lcp_batch:int ->
+  setup:(Reliable.t -> unit -> unit) ->
   Flow.t -> unit
-(** Create sender and receiver state, register both packet handlers,
-    run [setup] (which attaches congestion control and returns an extra
-    teardown thunk), start transmitting, and tear everything down when
-    the receiver holds the whole message. *)
+(** Create sender and receiver state ([lcp_batch] as in
+    {!Receiver.create}), register both packet handlers, run [setup]
+    (which attaches congestion control and returns an extra teardown
+    thunk), start transmitting, and tear everything down when the
+    receiver holds the whole message. *)

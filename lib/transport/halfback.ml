@@ -31,8 +31,7 @@ let make () ctx =
           Reliable.default_params ~initial_cwnd ~ecn_capable:false ()
         in
         Endpoint.launch_window_flow ctx ~params:rel_params
-          ~rcv_cfg:Receiver.default_config
-          ~setup:(fun snd _rcv ->
+          ~setup:(fun snd ->
               Tcp.attach snd;
               if small then begin
                 (* replay: duplicate the tail right after the burst;

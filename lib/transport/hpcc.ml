@@ -113,8 +113,7 @@ let make () ctx =
             ~ecn_capable:false ()
         in
         Endpoint.launch_window_flow ctx ~params:rel_params
-          ~rcv_cfg:Receiver.default_config
-          ~setup:(fun snd _rcv ->
+          ~setup:(fun snd ->
               attach ctx snd;
               fun () -> ())
           flow) }

@@ -38,23 +38,18 @@ let make ?(fill_fraction = 1.0) ~mw_table () ctx =
         in
         let target = fill_fraction *. mw in
         Endpoint.launch_window_flow ctx ~params:rel_params
-          ~rcv_cfg:Receiver.default_config
-          ~setup:(fun snd _rcv ->
+          ~setup:(fun snd ->
               let view = Dctcp.attach snd in
-              let tail_ptr = ref flow.Flow.nseg in
               let epoch = ref 0 in
               let shut = ref false in
               (* the gap is paced out over the round trip ("just enough
-                 packets in each RTT"), not blasted as a burst *)
+                 packets in each RTT"), not blasted as a burst; a chain
+                 superseded by a newer epoch still fires, as a no-op *)
               let rec drip ~my_epoch ~window ~remaining () =
                 if (not !shut) && my_epoch = !epoch && remaining >= mss
                 then begin
-                  match Reliable.lcp_pick_tail snd ~below:!tail_ptr with
-                  | None -> ()
-                  | Some seq ->
-                    tail_ptr := seq;
-                    Reliable.send_lcp_segment ~prio:0 snd seq;
-                    let pay = Flow.seg_payload flow seq in
+                  let pay = Reliable.send_tail ~prio:0 snd in
+                  if pay > 0 then begin
                     let interval =
                       float_of_int ctx.Context.base_rtt
                       *. float_of_int pay /. float_of_int window
@@ -64,6 +59,7 @@ let make ?(fill_fraction = 1.0) ~mw_table () ctx =
                          ~after:(max 1 (int_of_float interval))
                          (drip ~my_epoch ~window
                             ~remaining:(remaining - pay)))
+                  end
                 end
               in
               let fill () =

@@ -33,8 +33,7 @@ let make () ctx =
             ~ecn_capable:true ~tagger ()
         in
         Endpoint.launch_window_flow ctx ~params:rel_params
-          ~rcv_cfg:Receiver.default_config
-          ~setup:(fun snd _rcv ->
+          ~setup:(fun snd ->
               ignore (Dctcp.attach snd);
               fun () -> ())
           flow) }

@@ -35,7 +35,6 @@ let lp_prio n =
 type lcp_state = {
   snd : Reliable.t;
   ctx : Context.t;
-  mutable tail_ptr : int;
   mutable sent_count : int;
   mutable timer : Sim.timer option;
   mutable pump_fire : unit -> unit;   (* preallocated pacer callback *)
@@ -52,21 +51,19 @@ let stop_lcp st =
    serialization slot until the loops cross or the buffer is empty. *)
 let lcp_pump st () =
   st.timer <- None;
-  if not st.stopped then
-    match Reliable.lcp_pick_tail st.snd ~below:st.tail_ptr with
-    | None -> ()   (* crossed with the primary loop: RC3's stop rule *)
-    | Some seq ->
-      st.tail_ptr <- seq;
-      let prio = lp_prio st.sent_count in
+  if not st.stopped then begin
+    let pay = Reliable.send_tail ~prio:(lp_prio st.sent_count) st.snd in
+    (* 0: crossed with the primary loop, RC3's stop rule *)
+    if pay > 0 then begin
       st.sent_count <- st.sent_count + 1;
-      Reliable.send_lcp_segment ~prio st.snd seq;
-      let pay = Flow.seg_payload (Reliable.flow st.snd) seq in
       let slot =
         Units.tx_time ~rate:st.ctx.Context.edge_rate
           ~bytes:(pay + Packet.header_bytes)
       in
       st.timer <-
         Some (Sim.schedule st.ctx.Context.sim ~after:slot st.pump_fire)
+    end
+  end
 
 let make () ctx =
   let mss = Packet.max_payload in
@@ -77,12 +74,10 @@ let make () ctx =
             ~ecn_capable:true ~lcp_ecn_capable:false ~sendbuf_bytes ()
         in
         Endpoint.launch_window_flow ctx ~params:rel_params
-          ~rcv_cfg:Receiver.default_config
-          ~setup:(fun snd _rcv ->
+          ~setup:(fun snd ->
               ignore (Dctcp.attach snd);
               let st =
-                { snd; ctx; tail_ptr = flow.Flow.nseg;
-                  sent_count = 0; timer = None; pump_fire = ignore;
+                { snd; ctx; sent_count = 0; timer = None; pump_fire = ignore;
                   stopped = false }
               in
               st.pump_fire <- (fun () -> lcp_pump st ());

@@ -6,25 +6,18 @@
    CE bit, the sender timestamp and any inband telemetry), and fires a
    completion callback when the whole flow has been received.
 
-   Low-priority-loop (LCP) data is acknowledged separately: one
-   low-priority ACK per [lcp_batch] opportunistic packets. With
+   Primary-loop acks travel at P0. Low-priority-loop (LCP) data is
+   acknowledged separately, at the priority of the last LCP packet:
+   one low-priority ACK per [lcp_batch] opportunistic packets. With
    [lcp_batch = 2] this implements PPT's exponential window decrease —
    the sender's opportunistic rate naturally halves every RTT (§3.2). *)
 
 open Ppt_netsim
 
-type config = {
-  ack_prio : int;                       (* priority of primary-loop acks *)
-  lcp_batch : int;                      (* LCP data packets per LCP ack *)
-  lcp_ack_prio : [ `Echo | `Fixed of int ];
-}
-
-let default_config = { ack_prio = 0; lcp_batch = 1; lcp_ack_prio = `Echo }
-
 type t = {
   ctx : Context.t;
   flow : Flow.t;
-  cfg : config;
+  lcp_batch : int;                      (* LCP data packets per LCP ack *)
   bitmap : Bytes.t;
   mutable received : int;
   mutable cum : int;                    (* in-order segments from 0 *)
@@ -36,8 +29,8 @@ type t = {
   mutable on_done : unit -> unit;
 }
 
-let create ctx flow cfg =
-  { ctx; flow; cfg;
+let create ?(lcp_batch = 1) ctx flow =
+  { ctx; flow; lcp_batch;
     bitmap = Bytes.make flow.Flow.nseg '\000';
     received = 0; cum = 0;
     lcp_pending = 0; lcp_sacks = []; lcp_ece = false; lcp_last_prio = 7;
@@ -82,13 +75,8 @@ let fire_done t =
 
 let flush_lcp t =
   if t.lcp_pending > 0 then begin
-    let prio =
-      match t.cfg.lcp_ack_prio with
-      | `Echo -> t.lcp_last_prio
-      | `Fixed p -> p
-    in
     send_ack t ~sacks:t.lcp_sacks ~ece:t.lcp_ece ~data_tx:0
-      ~loop:Packet.L ~prio ();
+      ~loop:Packet.L ~prio:t.lcp_last_prio ();
     t.lcp_pending <- 0;
     t.lcp_sacks <- [];
     t.lcp_ece <- false
@@ -116,14 +104,14 @@ let on_data t (p : Packet.t) =
         match p.meta with Wire.Data_meta { tx; _ } -> tx | _ -> 0
       in
       send_ack t ~tel_from:p ~sacks:[ p.seq ] ~ece:p.ecn_ce ~data_tx
-        ~loop:Packet.H ~prio:t.cfg.ack_prio ();
+        ~loop:Packet.H ~prio:0 ();
       fire_done t
     | Packet.L ->
       t.lcp_pending <- t.lcp_pending + 1;
       t.lcp_sacks <- p.seq :: t.lcp_sacks;
       t.lcp_ece <- t.lcp_ece || p.ecn_ce;
       t.lcp_last_prio <- p.prio;
-      if t.lcp_pending >= t.cfg.lcp_batch then flush_lcp t;
+      if t.lcp_pending >= t.lcp_batch then flush_lcp t;
       (* Completion must not wait for a batch partner that will never
          arrive: if this LCP packet finished the flow, ack and finish
          immediately. *)

@@ -1,25 +1,17 @@
 (** Generic receiver endpoint for window-based transports.
 
     Tracks received segments, acknowledges every primary-loop data
-    packet (cumulative + SACK + CE echo + timestamp + telemetry echo),
-    batches low-priority-loop ACKs (PPT's 2:1 EWD clocking), and fires
-    a completion callback once the whole flow has arrived. *)
+    packet at P0 (cumulative + SACK + CE echo + timestamp + telemetry
+    echo), batches low-priority-loop ACKs at the echoed priority (PPT's
+    2:1 EWD clocking), and fires a completion callback once the whole
+    flow has arrived. *)
 
 open Ppt_netsim
-
-type config = {
-  ack_prio : int;
-  lcp_batch : int;          (** LCP data packets per low-priority ACK *)
-  lcp_ack_prio : [ `Echo | `Fixed of int ];
-}
-
-val default_config : config
-(** Per-packet acks at P0; per-packet (batch 1) low-priority acks. *)
 
 type t = {
   ctx : Context.t;
   flow : Flow.t;
-  cfg : config;
+  lcp_batch : int;          (** LCP data packets per low-priority ACK *)
   bitmap : Bytes.t;
   mutable received : int;
   mutable cum : int;
@@ -31,7 +23,9 @@ type t = {
   mutable on_done : unit -> unit;
 }
 
-val create : Context.t -> Flow.t -> config -> t
+val create : ?lcp_batch:int -> Context.t -> Flow.t -> t
+(** [lcp_batch] defaults to 1: one low-priority ACK per LCP packet. *)
+
 val complete : t -> bool
 val received : t -> int
 val cum : t -> int

@@ -9,10 +9,10 @@
    PIAS and PPT's HCP all reuse this machinery.
 
    PPT specifics supported here (§5):
-   - a second, low-priority loop may transmit tail segments through
-     [send_lcp_segment]; such segments do not consume primary-loop
-     window and are tracked so the primary loop never double-counts
-     them in flight;
+   - a second, low-priority loop transmits tail segments through
+     [send_tail], which walks one tail cursor down towards [snd_nxt];
+     such segments do not consume primary-loop window and are tracked
+     so the primary loop never double-counts them in flight;
    - a low-priority ACK updates the SACK scoreboard and advances
      [snd_nxt] past data the LCP already delivered in order (the
      "crossed paths" tweak of §5.2), then is handed to [hook_on_lcp_ack]
@@ -53,17 +53,15 @@ type params = {
   initial_cwnd : int;                   (* bytes *)
   ecn_capable : bool;
   lcp_ecn_capable : bool;               (* ECN on low-priority-loop data *)
-  cwnd_cap : float;                     (* bytes *)
   sendbuf_bytes : int;                  (* send-buffer capacity *)
   tagger : bytes_sent:int -> loop:Packet.loop -> int;
 }
 
 let default_params ?(initial_cwnd = 10 * Packet.max_payload)
-    ?(ecn_capable = true) ?(lcp_ecn_capable = true) ?(cwnd_cap = infinity)
+    ?(ecn_capable = true) ?(lcp_ecn_capable = true)
     ?(sendbuf_bytes = max_int) ?(tagger = fun ~bytes_sent:_ ~loop:_ -> 0)
     () =
-  { initial_cwnd; ecn_capable; lcp_ecn_capable; cwnd_cap; sendbuf_bytes;
-    tagger }
+  { initial_cwnd; ecn_capable; lcp_ecn_capable; sendbuf_bytes; tagger }
 
 type t = {
   ctx : Context.t;
@@ -91,6 +89,10 @@ type t = {
   mutable win_acked : int;
   mutable win_marked : int;
   mutable bytes_sent : int;            (* payload bytes, both loops *)
+  (* low-priority tail cursor: the next pick is strictly below [tail];
+     [tail_hi] is the send-buffer horizon it was last restarted from *)
+  mutable tail : int;
+  mutable tail_hi : int;
   mutable shut : bool;
   scratch_ai : ack_info;               (* reused by [on_ack] *)
   (* congestion-control and PPT hooks *)
@@ -99,7 +101,6 @@ type t = {
   mutable hook_on_loss : t -> unit;
   mutable hook_on_timeout : t -> unit;
   mutable hook_on_lcp_ack : t -> ack_info -> unit;
-  mutable hook_more_data : t -> unit;
 }
 
 let cwnd t = t.cwnd
@@ -107,7 +108,7 @@ let cwnd t = t.cwnd
 (* Every congestion-control policy funnels window changes through
    here, so this one site gives traces the full cwnd trajectory. *)
 let set_cwnd t w =
-  t.cwnd <- Float.min t.p.cwnd_cap (Float.max (float_of_int t.mss) w);
+  t.cwnd <- Float.max (float_of_int t.mss) w;
   if !Ppt_obs.Trace.enabled then
     Ppt_obs.Trace.emit (Sim.now t.ctx.Context.sim)
       (Ppt_obs.Event.Cwnd_update
@@ -300,7 +301,7 @@ let create ctx flow p =
       retx = Queue.create (); rto_backoff = 1; rto_timer = None;
       rto_fire = ignore;
       win_end = 0; win_acked = 0; win_marked = 0; bytes_sent = 0;
-      shut = false;
+      tail = flow.Flow.nseg; tail_hi = -1; shut = false;
       scratch_ai =
         { ai_cum = 0; ai_sacks = []; ai_ece = false; ai_data_tx = 0;
           ai_tel = Packet.dummy; ai_newly_acked = 0;
@@ -309,9 +310,9 @@ let create ctx flow p =
       hook_on_window = (fun _ ~f:_ -> ());
       hook_on_loss = default_on_loss;
       hook_on_timeout = default_on_timeout;
-      hook_on_lcp_ack = (fun _ _ -> ());
-      hook_more_data = (fun _ -> ()) }
+      hook_on_lcp_ack = (fun _ _ -> ()) }
   in
+  t.tail_hi <- avail_hi t;
   t.rto_fire <- (fun () -> on_rto t);
   t
 
@@ -323,21 +324,23 @@ let start t =
 
 (* --- low-priority (opportunistic) transmission --------------------- *)
 
-(* Highest not-yet-transmitted segment at or below the send-buffer
-   horizon, scanning down from [from_seq] (exclusive upper bound given
-   by the caller's own pointer). *)
-let lcp_pick_tail t ~below =
-  let hi = min (avail_hi t) (below - 1) in
-  let rec scan seq =
-    if seq < t.snd_nxt then None
-    else if Bytes.get t.seg seq = st_unsent then Some seq
-    else scan (seq - 1)
-  in
-  if hi < 0 then None else scan hi
-
 let send_lcp_segment ?prio t seq =
   if not (t.shut || Bytes.get t.seg seq = st_sacked) then
     send_segment t ~loop:Packet.L ?prio_override:prio seq
+
+(* Send the highest untransmitted segment below the cursor, within
+   the send buffer and at or above [snd_nxt]; the cursor moves to it.
+   Returns its payload, or 0 once the two loops have met. *)
+let send_tail ?prio t =
+  let rec scan seq =
+    if seq < t.snd_nxt then 0
+    else if Bytes.get t.seg seq = st_unsent then begin
+      t.tail <- seq;
+      send_lcp_segment ?prio t seq;
+      Flow.seg_payload t.flow seq
+    end else scan (seq - 1)
+  in
+  scan (min (avail_hi t) (t.tail - 1))
 
 (* --- acknowledgement processing ------------------------------------ *)
 
@@ -373,7 +376,13 @@ let advance_cum t cum =
     (* §5.2: the LCP loop may deliver in-order data past snd_nxt; let
        TCP continue as usual by advancing the head of the send queue. *)
     if t.cum_ack > t.snd_nxt then t.snd_nxt <- t.cum_ack;
-    t.hook_more_data t
+    (* newly buffered data sits above the tail cursor: restart the
+       cursor from the new horizon *)
+    let hi = avail_hi t in
+    if hi > t.tail_hi then begin
+      t.tail_hi <- hi;
+      if t.tail <= hi then t.tail <- hi + 1
+    end
   end;
   advanced
 

@@ -5,8 +5,9 @@
     send-buffer availability window and the congestion-window gate.
     Congestion-control *policy* is injected through the mutable hook
     fields, so DCTCP, TCP, Swift, HPCC and PPT's HCP share this
-    machinery; a second low-priority loop (PPT's LCP, RC3's low loops)
-    transmits tail segments through {!send_lcp_segment}. *)
+    machinery; a second low-priority loop (PPT's LCP, RC3's low loops,
+    the hypothetical DCTCP's fill) transmits tail segments through
+    {!send_tail}. *)
 
 open Ppt_engine
 open Ppt_netsim
@@ -40,14 +41,13 @@ type params = {
   initial_cwnd : int;
   ecn_capable : bool;
   lcp_ecn_capable : bool;
-  cwnd_cap : float;
   sendbuf_bytes : int;
   tagger : bytes_sent:int -> loop:Packet.loop -> int;
 }
 
 val default_params :
   ?initial_cwnd:int -> ?ecn_capable:bool -> ?lcp_ecn_capable:bool ->
-  ?cwnd_cap:float -> ?sendbuf_bytes:int ->
+  ?sendbuf_bytes:int ->
   ?tagger:(bytes_sent:int -> loop:Packet.loop -> int) -> unit -> params
 (** IW 10 segments, ECN on, unlimited send buffer, priority 0. *)
 
@@ -75,6 +75,10 @@ type t = {
   mutable win_acked : int;
   mutable win_marked : int;
   mutable bytes_sent : int;
+  mutable tail : int;
+  (** Low-priority tail cursor: {!send_tail} picks strictly below it. *)
+  mutable tail_hi : int;
+  (** The send-buffer horizon the cursor was last restarted from. *)
   mutable shut : bool;
   scratch_ai : ack_info;
   (** Reused by [on_ack]; see {!ack_info}. *)
@@ -87,8 +91,6 @@ type t = {
   mutable hook_on_timeout : t -> unit;
   mutable hook_on_lcp_ack : t -> ack_info -> unit;
   (** a low-priority ACK arrived (after scoreboard bookkeeping) *)
-  mutable hook_more_data : t -> unit;
-  (** the send-buffer horizon advanced *)
 }
 
 val create : Context.t -> Flow.t -> params -> t
@@ -96,7 +98,7 @@ val start : t -> unit
 
 val cwnd : t -> float
 val set_cwnd : t -> float -> unit
-(** Clamped to [mss, cwnd_cap]. *)
+(** Clamped to at least one [mss]. *)
 
 val mss : t -> int
 val snd_nxt : t -> int
@@ -116,12 +118,16 @@ val avail_hi : t -> int
 val on_ack : t -> Packet.t -> unit
 val try_send : t -> unit
 
-val lcp_pick_tail : t -> below:int -> int option
-(** Highest untransmitted segment strictly below [below], scanning down
-    to [snd_nxt] (None once the loops cross). *)
-
 val send_lcp_segment : ?prio:int -> t -> int -> unit
-(** Transmit one segment on the low-priority loop. *)
+(** Transmit one given segment on the low-priority loop (Halfback's
+    replay); a no-op once it is acknowledged or the sender is shut. *)
+
+val send_tail : ?prio:int -> t -> int
+(** Transmit, on the low-priority loop, the highest untransmitted
+    segment below the previous pick, within the send buffer and at or
+    above [snd_nxt]. Returns its payload, or 0 once the two loops have
+    met. When the send-buffer horizon grows the cursor restarts from
+    it. [prio] overrides the tagger's priority. *)
 
 val shutdown : t -> unit
 (** Stop all transmission and cancel timers. *)

@@ -16,13 +16,6 @@ let ai_segs = 1.0         (* additive increase per RTT, in segments *)
 let beta = 0.8            (* multiplicative decrease gain *)
 let max_mdf = 0.5         (* largest decrease in one RTT *)
 
-(* View exposed to the PPT-over-Swift variant. *)
-type view = {
-  delay_below_target : unit -> bool;
-  target : Units.time;
-  rtt_hook : (unit -> unit) -> unit;
-}
-
 let attach ctx (s : Reliable.t) =
   let target =
     int_of_float (target_factor *. float_of_int ctx.Context.base_rtt)
@@ -30,7 +23,6 @@ let attach ctx (s : Reliable.t) =
   let mssf = float_of_int (Reliable.mss s) in
   let last_decrease = ref 0 in
   let last_delay = ref 0 in
-  let on_rtt = ref (fun () -> ()) in
   s.Reliable.hook_on_ack <- (fun s ai ->
       if ai.Reliable.ai_newly_acked > 0 && ai.Reliable.ai_data_tx > 0 then begin
         let now = Sim.now ctx.Context.sim in
@@ -56,10 +48,7 @@ let attach ctx (s : Reliable.t) =
   s.Reliable.hook_on_loss <- (fun s ->
       Reliable.set_cwnd s (Reliable.cwnd s /. 2.));
   s.Reliable.hook_on_timeout <- (fun s -> Reliable.set_cwnd s mssf);
-  s.Reliable.hook_on_window <- (fun _ ~f:_ -> !on_rtt ());
-  { delay_below_target = (fun () -> !last_delay < target);
-    target;
-    rtt_hook = (fun f -> on_rtt := f) }
+  fun () -> !last_delay < target
 
 let make () ctx =
   let mss = Packet.max_payload in
@@ -70,8 +59,7 @@ let make () ctx =
             ~ecn_capable:false ()
         in
         Endpoint.launch_window_flow ctx ~params:rel_params
-          ~rcv_cfg:Receiver.default_config
-          ~setup:(fun snd _rcv ->
-              ignore (attach ctx snd);
+          ~setup:(fun snd ->
+              ignore (attach ctx snd : unit -> bool);
               fun () -> ())
           flow) }

@@ -35,8 +35,7 @@ let make ?(iw_segs = 3) ?(name = "tcp") () ctx =
   { Endpoint.t_name = name;
     t_start = (fun flow ->
         Endpoint.launch_window_flow ctx ~params
-          ~rcv_cfg:Receiver.default_config
-          ~setup:(fun snd _rcv -> attach snd; fun () -> ())
+          ~setup:(fun snd -> attach snd; fun () -> ())
           flow) }
 
 (* TCP with an initial window of 10 segments [12]. *)

@@ -172,10 +172,8 @@ let test_lcp_opens_and_closes () =
     { Endpoint.t_name = "ppt-probe";
       t_start = (fun flow ->
           let params = Reliable.default_params () in
-          Endpoint.launch_window_flow ctx ~params
-            ~rcv_cfg:{ Receiver.ack_prio = 0; lcp_batch = 2;
-                       lcp_ack_prio = `Echo }
-            ~setup:(fun snd _rcv ->
+          Endpoint.launch_window_flow ctx ~params ~lcp_batch:2
+            ~setup:(fun snd ->
                 let view = Dctcp.attach snd in
                 let lcp = Lcp.create ctx snd view
                     ~identified_large:false () in
@@ -217,10 +215,7 @@ let test_wire_priorities () =
   let snd =
     Reliable.create ctx flow (Reliable.default_params ~tagger ())
   in
-  let rcv =
-    Receiver.create ctx flow
-      { Receiver.ack_prio = 0; lcp_batch = 2; lcp_ack_prio = `Echo }
-  in
+  let rcv = Receiver.create ~lcp_batch:2 ctx flow in
   let view = Dctcp.attach snd in
   let lcp = Lcp.create ctx snd view ~identified_large:true () in
   Lcp.start lcp;

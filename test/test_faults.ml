@@ -159,6 +159,80 @@ let prop_spec_roundtrip =
        QCheck.Gen.(list_size (int_range 1 4) gen_clause))
     (fun spec -> F.of_string (F.to_string spec) = Ok spec)
 
+(* Each of these parsed before: NaN fails every range comparison, so
+   it slipped through validation, and a time past [max_int]
+   nanoseconds wrapped round to an arbitrary window. *)
+let test_parse_rejects_nan_and_overflow () =
+  List.iter
+    (fun s ->
+       match F.of_string s with
+       | Error _ -> ()
+       | Ok spec ->
+         Alcotest.fail
+           (Printf.sprintf "%S parsed as %S" s (F.to_string spec)))
+    [ "loss=nan@1ms-2ms:link:1";
+      "rate=nan@1ms-2ms:link:1";
+      "ber=nan@1ms-2ms:link:1";
+      "down@9999999999999999999ms-1s:link:1";
+      "down@0ms-9223372036854775807ns:all";
+      "delay+=1e300s@0ms-1ms:all" ]
+
+(* Truncated, bit-flipped and random specs, and clauses spliced from
+   grammar tokens and odd numbers: parsing returns [Ok] or [Error] and
+   never raises, and whatever it accepts prints back to a string that
+   parses to the same spec. *)
+let prop_spec_garbage =
+  let gen =
+    let open QCheck.Gen in
+    let valid =
+      map F.to_string (list_size (int_range 1 3) gen_clause)
+    in
+    let alphabet =
+      "downpauselossberratedelay+=@-:;. 0123456789eEnsumhostlinkcoreall"
+    in
+    let number =
+      oneofl
+        [ "0"; "1"; "0.5"; "1e-5"; "-1"; "nan"; "inf"; "-0"; "0x1p-3";
+          "9999999999999999999"; "4611686018427387904"; "" ]
+    in
+    let time =
+      number >>= fun n -> oneofl [ "ns"; "us"; "ms"; "s"; "" ] >>= fun u ->
+      return (n ^ u)
+    in
+    let spliced =
+      oneofl [ "down"; "pause"; "loss="; "ber="; "rate="; "delay+=" ]
+      >>= fun kind -> oneof [ number; time ] >>= fun arg ->
+      oneof [ oneofl [ "0ms"; "1us"; "2ms" ]; time ] >>= fun from_t ->
+      oneof [ oneofl [ "3ms"; "1s" ]; time ] >>= fun until_t ->
+      oneofl [ "host:"; "tohost:"; "link:"; "node:1:"; "core"; "all" ]
+      >>= fun sel -> number >>= fun n ->
+      return
+        (Printf.sprintf "%s%s@%s-%s:%s%s" kind
+           (if kind = "down" || kind = "pause" then "" else arg)
+           from_t until_t sel n)
+    in
+    frequency
+      [ (4, spliced);
+        (1, valid >>= fun s ->
+         int_range 0 (String.length s) >>= fun n ->
+         return (String.sub s 0 n));
+        (1, valid >>= fun s ->
+         int_range 0 (String.length s - 1) >>= fun i ->
+         int_range 0 7 >>= fun bit ->
+         let b = Bytes.of_string s in
+         Bytes.set b i
+           (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl bit)));
+         return (Bytes.to_string b));
+        (1, string_size ~gen:(oneofl (List.of_seq (String.to_seq alphabet)))
+          (int_range 0 40)) ]
+  in
+  QCheck.Test.make ~name:"fault spec: garbage never raises" ~count:2000
+    (QCheck.make ~print:(Printf.sprintf "%S") gen)
+    (fun s ->
+       match F.of_string s with
+       | Ok spec -> F.of_string (F.to_string spec) = Ok spec
+       | Error _ -> true)
+
 let test_scenarios_parse () =
   List.iter
     (fun core ->
@@ -338,6 +412,27 @@ let test_install_rejects () =
     (fun () ->
        install topo ~seed:1 (ok (F.of_string "down@1ms-2ms:core")))
 
+(* The runner refuses a selector that names a host, node or port the
+   fabric lacks before the clock starts, with its own exception (which
+   ppt_sim reports as a usage error) instead of letting
+   [Invalid_argument] escape. *)
+let test_runner_rejects_missing_ports () =
+  let open Ppt_harness in
+  List.iter
+    (fun (s, expect) ->
+       let cfg =
+         Config.dumbbell ~n_flows:5 ()
+         |> Config.with_faults (ok (F.of_string s))
+       in
+       match Runner.run cfg Schemes.ppt with
+       | _ -> Alcotest.fail (s ^ ": ran")
+       | exception Runner.Invalid_faults msg ->
+         check Alcotest.string s expect msg)
+    [ ("down@1ms-2ms:link:99", "fault selector link:99: no such host");
+      ("down@1ms-2ms:tohost:3", "fault selector tohost:3: no such host");
+      ("down@1ms-2ms:node:9:0", "fault selector node:9:0: no such node");
+      ("down@1ms-2ms:node:0:5", "fault selector node:0:5: no such port") ]
+
 (* --- Reliable RTO semantics under a blackout ------------------------ *)
 
 (* Black-hole the sender's NIC for 300ms. The emitted Rto_fire backoffs
@@ -349,10 +444,7 @@ let test_rto_backoff_blackout () =
   install topo ~seed:1 (ok (F.of_string "down@30us-300ms:host:0"));
   let flow = Flow.create ~id:7 ~src:0 ~dst:1 ~size:200_000 ~start:0 in
   let snd = Reliable.create ctx flow (Reliable.default_params ()) in
-  let rcv =
-    Receiver.create ctx flow
-      { Receiver.ack_prio = 0; lcp_batch = 2; lcp_ack_prio = `Echo }
-  in
+  let rcv = Receiver.create ~lcp_batch:2 ctx flow in
   let done_ = ref false in
   Net.register ctx.Context.net ~host:1 ~flow:7 (fun p ->
       Receiver.on_data rcv p);
@@ -395,10 +487,7 @@ let test_rto_timer_cancelled_clean () =
   let sim, _topo, ctx = star () in
   let flow = Flow.create ~id:3 ~src:0 ~dst:1 ~size:60_000 ~start:0 in
   let snd = Reliable.create ctx flow (Reliable.default_params ()) in
-  let rcv =
-    Receiver.create ctx flow
-      { Receiver.ack_prio = 0; lcp_batch = 2; lcp_ack_prio = `Echo }
-  in
+  let rcv = Receiver.create ~lcp_batch:2 ctx flow in
   Net.register ctx.Context.net ~host:1 ~flow:3 (fun p ->
       Receiver.on_data rcv p);
   Net.register ctx.Context.net ~host:0 ~flow:3 (fun p ->
@@ -700,4 +789,9 @@ let suite =
       Alcotest.test_case "harness: seed-matrix determinism" `Quick
         test_seed_matrix;
       Alcotest.test_case "harness: faults off is pristine" `Quick
-        test_faults_off_is_pristine ]
+        test_faults_off_is_pristine;
+      Alcotest.test_case "spec: rejects NaN and overflowing times" `Quick
+        test_parse_rejects_nan_and_overflow;
+      QCheck_alcotest.to_alcotest prop_spec_garbage;
+      Alcotest.test_case "runner: missing ports are refused" `Quick
+        test_runner_rejects_missing_ports ]

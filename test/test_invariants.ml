@@ -85,10 +85,7 @@ let test_ewd_ack_ratio () =
     Context.of_topology ~rto_min:(Units.ms 1) ~rng:(Rng.create 1) topo
   in
   let flow = Flow.create ~id:0 ~src:0 ~dst:2 ~size:150_000 ~start:0 in
-  let rcv =
-    Receiver.create ctx flow
-      { Receiver.ack_prio = 0; lcp_batch = 2; lcp_ack_prio = `Echo }
-  in
+  let rcv = Receiver.create ~lcp_batch:2 ctx flow in
   let lcp_acks = ref 0 in
   Net.register ctx.Context.net ~host:0 ~flow:0 (fun p ->
       if p.Packet.kind = Packet.Ack && p.Packet.loop = Packet.L then
@@ -124,10 +121,7 @@ let test_lcp_ece_echo () =
     Context.of_topology ~rto_min:(Units.ms 1) ~rng:(Rng.create 1) topo
   in
   let flow = Flow.create ~id:0 ~src:0 ~dst:2 ~size:10_000 ~start:0 in
-  let rcv =
-    Receiver.create ctx flow
-      { Receiver.ack_prio = 0; lcp_batch = 2; lcp_ack_prio = `Echo }
-  in
+  let rcv = Receiver.create ~lcp_batch:2 ctx flow in
   let saw_ece = ref false in
   Net.register ctx.Context.net ~host:0 ~flow:0 (fun p ->
       match p.Packet.meta with

@@ -120,7 +120,6 @@ let qcfg ?(buffer = 10_000) ?(thresholds = Prio_queue.no_marking)
     ?(trim = false) ?sel_drop ?lp_cap () =
   { Prio_queue.buffer_bytes = buffer;
     mark_thresholds = thresholds;
-    mark_basis = Prio_queue.Port_occupancy;
     trim;
     sel_drop_threshold = sel_drop;
     lp_buffer_cap = lp_cap;
@@ -297,12 +296,7 @@ module Ref_pq = struct
     if p.Packet.ecn_capable then begin
       match t.cfg.mark_thresholds.(prio) with
       | Some k ->
-        let occ =
-          match t.cfg.mark_basis with
-          | Port_occupancy -> t.bytes
-          | Queue_occupancy -> t.qbytes.(prio)
-        in
-        if occ > k then begin
+        if t.bytes > k then begin
           if not p.Packet.ecn_ce then t.mark_pkts <- t.mark_pkts + 1;
           p.Packet.ecn_ce <- true
         end
@@ -414,10 +408,6 @@ let equiv_configs =
     qcfg ~buffer:8_000
       ~thresholds:(Prio_queue.mark_bands ~hp:(Some 3_000) ~lp:(Some 1_000))
       ();
-    { (qcfg ~buffer:8_000
-         ~thresholds:
-           (Prio_queue.mark_bands ~hp:(Some 2_000) ~lp:(Some 1_000)) ())
-      with Prio_queue.mark_basis = Prio_queue.Queue_occupancy };
     qcfg ~buffer:6_000 ~trim:true ();
     qcfg ~buffer:8_000 ~sel_drop:2_000 ();
     qcfg ~buffer:8_000 ~lp_cap:2_500 ();

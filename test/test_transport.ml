@@ -96,8 +96,7 @@ let test_dctcp_view () =
       t_start = (fun flow ->
           let params = Reliable.default_params () in
           Endpoint.launch_window_flow ctx ~params
-            ~rcv_cfg:Receiver.default_config
-            ~setup:(fun snd _rcv ->
+            ~setup:(fun snd ->
                 let view = Dctcp.attach snd in
                 fun () -> seen_alpha := view.Dctcp.alpha ())
             flow) }
