@@ -41,7 +41,7 @@ let sim_calendar_skew () =
    re-armed 1..1000 ns ahead, keep about 1,024 timers pending within
    one microsecond at any moment, as in the fig12 40/100G fabric
    (an event every ~2.4 ns). Every wheel bucket then holds many timers
-   at once, so each pop pays for the current-bucket heap's depth. One
+   at once, which the current bucket's lists take at each drain. One
    iteration advances the clock by 1 us, about 2,000 events. The
    sparse micros above never put more than a few timers in a
    bucket. *)

@@ -117,7 +117,7 @@ let pace_interval ~rtt ~sent ~window =
   let exact =
     float_of_int rtt *. float_of_int sent /. float_of_int window
   in
-  max 1 (int_of_float (Float.round exact))
+  Int.max 1 (int_of_float (Float.round exact))
 
 (* Pace the remaining bytes of the initial window at I/RTT (EWD);
    without EWD the whole window goes out back-to-back, at NIC line
@@ -184,7 +184,7 @@ let open_loop t ~initial_window =
 
 (* Case 1: spare bandwidth in the first RTTs (slow start). *)
 let case1_window t =
-  max 0 (t.ctx.Context.bdp - int_of_float (Reliable.cwnd t.snd))
+  Int.max 0 (t.ctx.Context.bdp - int_of_float (Reliable.cwnd t.snd))
 
 (* Case 2 (Eq. 2): I = (1/2 - alpha_min) * W_max. *)
 let case2_window t ~alpha =

@@ -40,5 +40,5 @@ let make ?(capacity = default.capacity)
 let first_syscall_size t rng ~flow_size =
   assert (flow_size > 0);
   let whole = Rng.float rng < t.single_write_prob in
-  let write = if whole then flow_size else min flow_size t.chunk_bytes in
-  min write t.capacity
+  let write = if whole then flow_size else Int.min flow_size t.chunk_bytes in
+  Int.min write t.capacity

@@ -35,7 +35,7 @@ let level t ~bytes_sent =
       else if bytes_sent >= t.demotion.(i) then count (i + 1)
       else i
     in
-    min 3 (count 0)
+    Int.min 3 (count 0)
   end
 
 let prio t ~loop ~bytes_sent =

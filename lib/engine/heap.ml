@@ -107,9 +107,10 @@ let push t ~key ~tie v =
   t.size <- t.size + 1;
   sift_up t i ~key ~tie v
 
-(* Non-allocating top access for hot loops: callers check emptiness
-   (or [length]) themselves. *)
-let top_key t = t.keys.(0)
+(* Non-allocating top access for hot loops. [max_int] on an empty heap
+   spares callers an [is_empty] call: neither is inlined into another
+   module. *)
+let top_key t = if t.size = 0 then max_int else Array.unsafe_get t.keys 0
 
 (* Remove the root (the heap is nonempty) and return its value. *)
 let remove_top t =

@@ -14,8 +14,7 @@ val push : t -> key:int -> tie:int -> int -> unit
 (** Insert a value; among equal [key]s, lower [tie] pops first. *)
 
 val top_key : t -> int
-(** Key of the minimum element. Unspecified on an empty heap (it may
-    raise) — check {!is_empty} first. *)
+(** Key of the minimum element, or [max_int] on an empty heap. *)
 
 val pop_exn : t -> int
 (** Remove and return the minimum element's value; read its key with

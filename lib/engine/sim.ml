@@ -12,26 +12,32 @@
    propagation, paced sends, ACK turnarounds) plus a sparse population
    of far-future retransmission timeouts:
 
-   - [cur] is a small binary heap holding the events of the bucket
-     currently being drained (all keys < [cur_hi]); it is what [run]
-     actually pops, and what same/near-time reschedules during a
-     callback fall into.
+   - the current bucket covers [cur_base, cur_base + bucket_width):
+     one FIFO list per nanosecond, indexed by [key - cur_base] and
+     kept in tie order, so a pop takes the head of the first nonempty
+     list and needs no comparison at all. It is what [run] pops, and
+     what same/near-time reschedules during a callback fall into.
    - a timing wheel of [n_buckets] unsorted buckets, each covering
-     [bucket_width] ns, holds events in [cur_hi, wheel_end); insertion
-     is O(1). The window slides one bucket (or one empty group of 64
-     buckets) at a time as the clock advances, or hops directly to the
-     next event when the wheel runs empty.
+     [bucket_width] ns, holds events in [cur_base + bucket_width,
+     wheel_end); insertion is O(1). The window slides one bucket (or
+     one empty group of 64 buckets) at a time as the clock advances,
+     or hops directly to the next event when the wheel runs empty.
    - an overflow binary heap holds everything at or past [wheel_end]
      (RTOs, experiment-horizon probes); events migrate into the wheel
      as the window reaches them.
+   - a fallback binary heap holds keys below [cur_base]. They only
+     arise when [run ~until] parks the clock before the current
+     bucket's start and a timer is then scheduled in between; they
+     pop before everything else.
 
    Storage is a slab: a pending timer is a slot number, and its fire
    time, tie and callback live in parallel arrays indexed by slot.
    Free slots are chained through [next] into a free list; a wheel
-   bucket is a chain of slots through the same [next] array, so the
-   wheel itself is one [int array] of chain heads; both heaps store
-   slot numbers ([Heap] is int-only). The only pointer a schedule
-   stores is the slot's callback, once.
+   bucket and a current-bucket list are chains of slots through the
+   same [next] array, so the wheel and the current bucket are plain
+   [int array]s of chain ends; both heaps store slot numbers ([Heap]
+   is int-only). The only pointer a schedule stores is the slot's
+   callback, once.
 
    Timers can be cancelled; a cancelled timer stays queued but its
    callback is skipped when popped. Cancelled-and-still-queued timers
@@ -55,10 +61,10 @@ let cancelled_job = Job (ignore, 1)
 (* Bucket geometry: 4096 buckets of 64 ns cover ~262 us, past the
    per-hop timer horizon of a 10-400G fabric. The width is sized to
    the densest traffic measured: the 40/100G web-search fabric
-   (fig12) fires an event every ~2.4 ns, so a 64 ns bucket dumps ~27
-   events into [cur]; the 10G memcached incast fires one every
-   ~175 ns, so most of its buckets are empty and are skipped without
-   a heap operation. *)
+   (fig12) fires an event every ~2.4 ns, so a 64 ns bucket spreads
+   ~27 events over its per-nanosecond lists; the 10G memcached incast
+   fires one every ~175 ns, so most of its buckets are empty and are
+   skipped, and a nonempty one mostly holds a single event. *)
 let log_bucket = 6
 let bucket_width = 1 lsl log_bucket
 let n_buckets = 4096
@@ -81,16 +87,23 @@ type t = {
   (* the slab, indexed by slot *)
   mutable key : int array;        (* absolute fire time *)
   mutable ties : int array;       (* insertion sequence number *)
-  mutable next : int array;       (* bucket chain or free list; -1 ends *)
+  mutable next : int array;       (* chain or free list; -1 ends *)
   mutable job : job array;
   mutable free : int;             (* free-list head, -1 when empty *)
   mutable heads : int array;      (* bucket chain heads; [||] until used *)
   mutable occ : int array;        (* timers per bucket group, likewise *)
-  cur : Heap.t;
+  (* the current bucket: list heads and tails per nanosecond offset,
+     [||] until the wheel is first used *)
+  mutable lhead : int array;      (* -1 when the list is empty *)
+  mutable ltail : int array;      (* meaningful only for a nonempty list *)
+  mutable cur_count : int;        (* timers in the lists *)
+  mutable scan : int;             (* every offset below is empty *)
+  mutable cur_base : int;
+  low : Heap.t;                   (* keys below [cur_base] *)
+  mutable low_count : int;
   overflow : Heap.t;
   mutable wheel_count : int;
-  mutable cur_hi : int;     (* every event with key < cur_hi is in [cur] *)
-  mutable wheel_end : int;  (* wheel covers [cur_hi, wheel_end) *)
+  mutable wheel_end : int;  (* wheel covers [cur_base + width, wheel_end) *)
   mutable cancels : int;    (* cancelled timers still queued *)
   mutable compaction_runs : int;
   mutable last_tie : int;
@@ -104,22 +117,27 @@ type t = {
    inert. *)
 type timer = { owner : t; slot : int; tie : int }
 
-(* Slab and wheel arrays grow on demand, so [create] allocates only the
-   record and two empty heaps. The wheel window starts empty
-   ([wheel_end = cur_hi = 0]): every timer scheduled before the clock
-   first runs goes to the overflow heap, and the first [refill] hops
-   the window to the earliest one and allocates the bucket heads. A
-   run's set-up so never pays for them. *)
+(* Slab, wheel and current-bucket arrays grow on demand, so [create]
+   allocates only the record and three empty heaps. The window starts
+   empty ([wheel_end = cur_base + width = 0]): every timer scheduled
+   before the clock first runs goes to the overflow heap, and the
+   first [refill] hops the window to the earliest one and allocates
+   the bucket heads. A run's set-up so never pays for them. *)
 let create () =
   { now = 0;
     key = [||]; ties = [||]; next = [||]; job = [||];
     free = -1;
     heads = [||];
     occ = [||];
-    cur = Heap.create ();
+    lhead = [||];
+    ltail = [||];
+    cur_count = 0;
+    scan = bucket_width;
+    cur_base = - bucket_width;
+    low = Heap.create ();
+    low_count = 0;
     overflow = Heap.create ();
     wheel_count = 0;
-    cur_hi = 0;
     wheel_end = 0;
     cancels = 0;
     compaction_runs = 0;
@@ -129,7 +147,7 @@ let now t = t.now
 let events_processed t = t.processed
 
 let scheduled t =
-  Heap.length t.cur + t.wheel_count + Heap.length t.overflow
+  t.low_count + t.cur_count + t.wheel_count + Heap.length t.overflow
 
 let pending t = scheduled t - t.cancels
 let cancelled_pending t = t.cancels
@@ -171,6 +189,10 @@ let alloc_slot t =
   t.free <- Array.unsafe_get t.next s;
   s
 
+(* A freed slot gets [free_job], so it keeps no closure alive. Marking
+   it in [ties] instead would save the write barrier, but the stale
+   callbacks it leaves behind, until the slot is reused, cost the
+   memcached incast 7% of its peak heap for no measurable speed. *)
 let free_slot t s =
   Array.unsafe_set t.job s free_job;
   Array.unsafe_set t.next s t.free;
@@ -184,34 +206,95 @@ let bucket_push t s =
   Array.unsafe_set t.occ g (Array.unsafe_get t.occ g + 1);
   t.wheel_count <- t.wheel_count + 1
 
+(* Put slot [s] into the list of offset [off] of the current bucket,
+   keeping the list in tie order. A new schedule has the largest tie
+   yet and goes at the tail; a drained bucket chain comes newest first
+   (pushes go to a chain's head, and timers migrated from the overflow
+   heap are older than any pushed after them), so its timers go at the
+   head. Any other order walks the list. *)
+let cur_insert t off s =
+  let ties = t.ties and next = t.next and lhead = t.lhead in
+  let tie = Array.unsafe_get ties s in
+  let h = Array.unsafe_get lhead off in
+  if h < 0 then begin
+    Array.unsafe_set lhead off s;
+    Array.unsafe_set t.ltail off s;
+    Array.unsafe_set next s (-1)
+  end else begin
+    let tl = Array.unsafe_get t.ltail off in
+    if tie > Array.unsafe_get ties tl then begin
+      Array.unsafe_set next tl s;
+      Array.unsafe_set next s (-1);
+      Array.unsafe_set t.ltail off s
+    end else if tie < Array.unsafe_get ties h then begin
+      Array.unsafe_set next s h;
+      Array.unsafe_set lhead off s
+    end else begin
+      (* ties.(h) < tie < ties.(tl): stop before the first larger *)
+      let p = ref h in
+      while Array.unsafe_get ties (Array.unsafe_get next !p) < tie do
+        p := Array.unsafe_get next !p
+      done;
+      Array.unsafe_set next s (Array.unsafe_get next !p);
+      Array.unsafe_set next !p s
+    end
+  end;
+  t.cur_count <- t.cur_count + 1;
+  if off < t.scan then t.scan <- off
+
+(* [off lsr log_bucket = 0] is [0 <= off < bucket_width] in one test:
+   a negative offset shifts to a huge one. *)
 let insert t s ~key ~tie =
-  if key < t.cur_hi then Heap.push t.cur ~key ~tie s
+  let off = key - t.cur_base in
+  if off lsr log_bucket = 0 then cur_insert t off s
+  else if key < t.cur_base then begin
+    Heap.push t.low ~key ~tie s;
+    t.low_count <- t.low_count + 1
+  end
   else if key < t.wheel_end then bucket_push t s
   else Heap.push t.overflow ~key ~tie s
+
+(* Unlink the cancelled timers of the chain from [head], freeing their
+   slots, and keep the order of the rest. Returns the new head, leaves
+   the new tail in [last] and adds the number dropped to [dropped]; no
+   tuple, since a compaction filters 4160 chains. *)
+let filter_chain t head ~last ~dropped =
+  let first = ref (-1) and s = ref head in
+  last := -1;
+  while !s >= 0 do
+    let x = !s in
+    s := t.next.(x);
+    if t.job.(x) == cancelled_job then begin
+      free_slot t x;
+      incr dropped
+    end else begin
+      if !last < 0 then first := x else t.next.(!last) <- x;
+      last := x
+    end
+  done;
+  if !last >= 0 then t.next.(!last) <- -1;
+  !first
 
 (* Drop every cancelled timer still queued and free its slot.
    Survivors keep their (key, tie) ordering, so pop order is
    unaffected. *)
 let compact t =
   let keep s = t.job.(s) != cancelled_job || (free_slot t s; false) in
-  Heap.filter_in_place t.cur ~f:keep;
+  Heap.filter_in_place t.low ~f:keep;
+  t.low_count <- Heap.length t.low;
   Heap.filter_in_place t.overflow ~f:keep;
-  Array.iteri
-    (fun b head ->
-       let s = ref head and kept = ref (-1) in
-       while !s >= 0 do
-         let nx = t.next.(!s) in
-         if keep !s then begin
-           t.next.(!s) <- !kept;
-           kept := !s
-         end else begin
-           t.wheel_count <- t.wheel_count - 1;
-           t.occ.(b lsr log_group) <- t.occ.(b lsr log_group) - 1
-         end;
-         s := nx
-       done;
-       t.heads.(b) <- !kept)
-    t.heads;
+  let last = ref (-1) and dropped = ref 0 in
+  for off = 0 to Array.length t.lhead - 1 do
+    t.lhead.(off) <- filter_chain t t.lhead.(off) ~last ~dropped;
+    t.ltail.(off) <- !last
+  done;
+  t.cur_count <- t.cur_count - !dropped;
+  for b = 0 to Array.length t.heads - 1 do
+    dropped := 0;
+    t.heads.(b) <- filter_chain t t.heads.(b) ~last ~dropped;
+    t.wheel_count <- t.wheel_count - !dropped;
+    t.occ.(b lsr log_group) <- t.occ.(b lsr log_group) - !dropped
+  done;
   t.cancels <- 0;
   t.compaction_runs <- t.compaction_runs + 1
 
@@ -258,72 +341,115 @@ let migrate_overflow t =
     s := Heap.pop_upto t.overflow (t.wheel_end - 1)
   done
 
-(* Dump the chain of bucket [b] into [cur]. *)
+(* Spread the chain of bucket [b] over the current bucket's lists
+   (which are empty). A lone timer, the common case of sparse
+   traffic, is set down directly. *)
 let drain_bucket t b =
-  let s = ref (Array.unsafe_get t.heads b) in
-  if !s >= 0 then begin
+  let head = Array.unsafe_get t.heads b in
+  if head >= 0 then begin
     Array.unsafe_set t.heads b (-1);
-    let key = t.key and ties = t.ties and next = t.next in
-    let n = ref 0 in
-    while !s >= 0 do
-      let x = !s in
-      Heap.push t.cur ~key:(Array.unsafe_get key x)
-        ~tie:(Array.unsafe_get ties x) x;
-      incr n;
-      s := Array.unsafe_get next x
-    done;
-    t.wheel_count <- t.wheel_count - !n;
+    let key = t.key and next = t.next and base = t.cur_base in
+    let n =
+      if Array.unsafe_get next head < 0 then begin
+        let off = Array.unsafe_get key head - base in
+        Array.unsafe_set t.lhead off head;
+        Array.unsafe_set t.ltail off head;
+        t.cur_count <- 1;
+        t.scan <- off;
+        1
+      end else begin
+        let s = ref head and n = ref 0 in
+        while !s >= 0 do
+          let x = !s in
+          s := Array.unsafe_get next x;
+          cur_insert t (Array.unsafe_get key x - base) x;
+          incr n
+        done;
+        !n
+      end
+    in
+    t.wheel_count <- t.wheel_count - n;
     let g = b lsr log_group in
-    Array.unsafe_set t.occ g (Array.unsafe_get t.occ g - !n)
+    Array.unsafe_set t.occ g (Array.unsafe_get t.occ g - n)
   end
 
-(* Make [cur] hold the globally minimal event (if any exist): slide the
-   wheel window bucket by bucket, dumping the first nonempty bucket
-   into [cur]; if the wheel is empty, hop straight to the earliest
-   overflow event's window. Empty buckets, and empty groups from a
-   group boundary, are stepped over in a tight loop for as long as no
+(* Make the current bucket hold the globally minimal event (if any
+   exist; the fallback heap is empty): slide the wheel window bucket
+   by bucket, draining the first nonempty bucket into the current
+   lists; if the wheel is empty, hop straight to the earliest overflow
+   event's window. Empty buckets, and empty groups from a group
+   boundary, are stepped over in a tight loop for as long as no
    overflow event enters the window. *)
 let refill t =
-  while Heap.is_empty t.cur
-        && (t.wheel_count > 0 || not (Heap.is_empty t.overflow)) do
+  let continue = ref true in
+  while !continue do
+    let due = Heap.top_key t.overflow in
     if t.wheel_count > 0 then begin
-      let due =
-        if Heap.is_empty t.overflow then max_int
-        else Heap.top_key t.overflow
-      in
       let heads = t.heads and occ = t.occ in
-      let b = ref ((t.cur_hi lsr log_bucket) land bucket_mask) in
+      let b =
+        ref (((t.cur_base + bucket_width) lsr log_bucket) land bucket_mask)
+      in
       while Array.unsafe_get heads !b < 0
             && t.wheel_end <= due - bucket_width do
         if !b land group_mask = 0
         && Array.unsafe_get occ (!b lsr log_group) = 0
         && t.wheel_end <= due - group_span then begin
-          t.cur_hi <- t.cur_hi + group_span;
+          t.cur_base <- t.cur_base + group_span;
           t.wheel_end <- t.wheel_end + group_span;
           b := (!b + group_mask + 1) land bucket_mask
         end else begin
-          t.cur_hi <- t.cur_hi + bucket_width;
+          t.cur_base <- t.cur_base + bucket_width;
           t.wheel_end <- t.wheel_end + bucket_width;
           b := (!b + 1) land bucket_mask
         end
       done;
-      drain_bucket t !b;
-      (* bucket [b] now represents [wheel_end, wheel_end + width) *)
-      t.cur_hi <- t.cur_hi + bucket_width;
+      (* bucket [b] becomes the current bucket, and its ring position
+         now represents [wheel_end, wheel_end + width) *)
+      t.cur_base <- t.cur_base + bucket_width;
       t.wheel_end <- t.wheel_end + bucket_width;
-      if due < t.wheel_end then migrate_overflow t
+      t.scan <- bucket_width;
+      drain_bucket t !b;
+      if due < t.wheel_end then migrate_overflow t;
+      continue := t.cur_count = 0
     end
-    else begin
+    else if Heap.length t.overflow > 0 then begin
       (* the wheel is empty until the first hop, which allocates it *)
       if Array.length t.heads = 0 then begin
         t.heads <- Array.make n_buckets (-1);
-        t.occ <- Array.make (n_buckets lsr log_group) 0
+        t.occ <- Array.make (n_buckets lsr log_group) 0;
+        t.lhead <- Array.make bucket_width (-1);
+        t.ltail <- Array.make bucket_width (-1)
       end;
-      t.cur_hi <- (Heap.top_key t.overflow lsr log_bucket) lsl log_bucket;
-      t.wheel_end <- t.cur_hi + wheel_span;
+      t.cur_base <- ((due lsr log_bucket) lsl log_bucket) - bucket_width;
+      t.wheel_end <- t.cur_base + bucket_width + wheel_span;
       migrate_overflow t
     end
+    else continue := false
   done
+
+(* Remove and return the earliest timer if it is due by [horizon],
+   else -1: the fallback heap first, then the head of the current
+   bucket's first nonempty list. *)
+let pop_upto t horizon =
+  if t.low_count > 0 then begin
+    let s = Heap.pop_upto t.low horizon in
+    if s >= 0 then t.low_count <- t.low_count - 1;
+    s
+  end
+  else if t.cur_count > 0 then begin
+    let lhead = t.lhead in
+    let off = ref t.scan in
+    while Array.unsafe_get lhead !off < 0 do incr off done;
+    t.scan <- !off;
+    if t.cur_base + !off > horizon then -1
+    else begin
+      let s = Array.unsafe_get lhead !off in
+      Array.unsafe_set lhead !off (Array.unsafe_get t.next s);
+      t.cur_count <- t.cur_count - 1;
+      s
+    end
+  end
+  else -1
 
 let run ?until ?(max_events = max_int) t =
   let horizon = match until with None -> max_int | Some u -> u in
@@ -334,7 +460,7 @@ let run ?until ?(max_events = max_int) t =
   t.running <- true;
   let rec loop () =
     if t.running && t.processed < max_events then begin
-      let s = Heap.pop_upto t.cur horizon in
+      let s = pop_upto t horizon in
       if s >= 0 then begin
         let j = Array.unsafe_get t.job s in
         let at = Array.unsafe_get t.key s in
@@ -349,9 +475,9 @@ let run ?until ?(max_events = max_int) t =
         end;
         loop ()
       end
-      else if Heap.is_empty t.cur then begin
+      else if t.cur_count = 0 && t.low_count = 0 then begin
         refill t;
-        if not (Heap.is_empty t.cur) then loop ()
+        if t.cur_count > 0 then loop ()
       end
       else
         (* Leave the clock at the horizon; the event stays queued for

@@ -151,12 +151,16 @@ let run ?lp_buffer_cap ?trace ?(observe = fun _ _ -> ())
   ctx.Context.on_complete <- (fun _ ->
       last_finish := Sim.now sim;
       if ctx.Context.completed = requested then Sim.stop sim);
+  (* One callback for every flow start, with the spec stored in the
+     timer: the clock is still at 0, and no closure per flow. *)
+  let start_flow spec =
+    let flow = Flow.of_spec spec in
+    Context.flow_started ctx flow;
+    transport.Endpoint.t_start flow
+  in
   List.iter
     (fun spec ->
-       ignore (Sim.schedule_at sim spec.Trace.start (fun () ->
-           let flow = Flow.of_spec spec in
-           Context.flow_started ctx flow;
-           transport.Endpoint.t_start flow)))
+       ignore (Sim.schedule1 sim ~after:spec.Trace.start start_flow spec))
     trace;
   observe ctx topo;
   (* Structured event tracing (lib/obs): when the config asks for it,

@@ -125,7 +125,7 @@ let register t ~host ~flow handler =
   then invalid_arg "Net.register: not a host of this network";
   let n = Array.length t.dhost in
   if 2 * flow >= n then begin
-    let m = ref (max 64 n) in
+    let m = ref (Int.max 64 n) in
     while !m <= 2 * flow do m := 2 * !m done;
     let dhost = Array.make !m (-1) and dfn = Array.make !m ignore in
     Array.blit t.dhost 0 dhost 0 n;
@@ -169,7 +169,7 @@ let kind_tag : Packet.kind -> char = function
   | Packet.Data -> 'D' | Ack -> 'A' | Grant -> 'G' | Pull -> 'P'
   | Nack -> 'N' | Ctrl -> 'C'
 
-let clamp_prio p = max 0 (min (Prio_queue.n_prios - 1) p)
+let clamp_prio p = Int.max 0 (Int.min (Prio_queue.n_prios - 1) p)
 
 (* The cold half of a traced enqueue: emit the verdict event, plus an
    [Ecn_mark] when the queue freshly set CE on this packet. *)
@@ -253,14 +253,14 @@ let select sim (f : fwd) (p : Packet.t) =
          st.fl_last <- now;
          st.fl_cand
        end else begin
-         let epoch = now / max 1 gap in
+         let epoch = now / Int.max 1 gap in
          let c = ecmp_hash (p.flow + (epoch * 65599)) n in
          st.fl_cand <- c;
          st.fl_last <- now;
          c
        end
      | exception Not_found ->
-       let epoch = now / max 1 gap in
+       let epoch = now / Int.max 1 gap in
        let c = ecmp_hash (p.flow + (epoch * 65599)) n in
        Hashtbl.add tbl p.flow { fl_cand = c; fl_last = now };
        c)

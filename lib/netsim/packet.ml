@@ -96,9 +96,9 @@ let set_pooling b = pooling := b
 let pooling_enabled () = !pooling
 let set_debug b = debug := b
 
-(* Placeholder for vacated queue slots; never routed, never pooled.
-   Built literally rather than via [make] so it does not consume a
-   uid. *)
+(* Placeholder for unused queue and pool slots; never routed, never
+   pooled. Built literally rather than via [make] so it does not
+   consume a uid. *)
 let dummy =
   { uid = -1; flow = -1; src = -1; dst = -1; seq = -1; payload = 0;
     wire = 0; prio = 0; kind = Ctrl; loop = H; ecn_capable = false;
@@ -158,6 +158,8 @@ let make ?(seq = -1) ?(payload = 0) ?(prio = 0) ?(loop = H)
     let arr = !pool in
     let n = n - 1 in
     pool_len := n;
+    (* Clear the slot: the free list outlives a run, and a caller may
+       drain it with [make] expecting the packets to be collected. *)
     let p = arr.(n) in
     arr.(n) <- dummy;
     if !debug && not p.in_pool then

@@ -89,8 +89,9 @@ val pool_size : unit -> int
 (** Packets currently on the free list. *)
 
 val dummy : t
-(** Inert placeholder for vacated queue slots; never routed, never
-    pooled. Does not consume a uid. *)
+(** Inert placeholder: the fill of unused queue and pool slots, and
+    what {!Prio_queue.dequeue_or_dummy} returns on an empty queue;
+    never routed, never pooled. Does not consume a uid. *)
 
 (** {2 Inband telemetry (HPCC)}
 

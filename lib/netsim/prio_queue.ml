@@ -53,8 +53,9 @@ let dt_bands ~hp ~lp =
    capacity, grown by unwrapping into a doubled array), and [live] is a
    bitmask of the nonempty priorities so [dequeue] finds the
    head-of-line queue with one table lookup instead of a linear scan.
-   Popped slots are overwritten with [Packet.dummy] so the queue never
-   retains dead packets. *)
+   A popped slot keeps its stale pointer until the ring wraps over it:
+   clearing it would be a write barrier per packet, and the packet
+   stays alive in the pool anyway. *)
 type t = {
   cfg : config;
   dt_alphas : float array;          (* [||] when DT sharing is off *)
@@ -109,7 +110,7 @@ let ring_push t prio p =
   let cap = Array.length t.rings.(prio) in
   if t.lens.(prio) = cap then begin
     (* unwrap the full ring into a doubled array *)
-    let bigger = Array.make (max 16 (2 * cap)) Packet.dummy in
+    let bigger = Array.make (Int.max 16 (2 * cap)) Packet.dummy in
     let old = t.rings.(prio) and head = t.heads.(prio) in
     for i = 0 to cap - 1 do
       bigger.(i) <- old.((head + i) land (cap - 1))
@@ -127,7 +128,6 @@ let ring_pop t prio =
   let arr = t.rings.(prio) in
   let head = t.heads.(prio) in
   let p = arr.(head) in
-  arr.(head) <- Packet.dummy;
   t.heads.(prio) <- (head + 1) land (Array.length arr - 1);
   let len = t.lens.(prio) - 1 in
   t.lens.(prio) <- len;
@@ -143,7 +143,7 @@ let is_empty t = t.bytes = 0
 let buffer_bytes t = t.cfg.buffer_bytes
 
 let mark_threshold t prio =
-  t.cfg.mark_thresholds.(max 0 (min (n_prios - 1) prio))
+  t.cfg.mark_thresholds.(Int.max 0 (Int.min (n_prios - 1) prio))
 
 let dt_thresholds t =
   if Array.length t.dt_alphas = 0 then None
@@ -162,7 +162,7 @@ let marks t = t.mark_pkts
 let enqueues t = t.enq_pkts
 
 let push t (p : Packet.t) =
-  let prio = max 0 (min (n_prios - 1) p.prio) in
+  let prio = Int.max 0 (Int.min (n_prios - 1) p.prio) in
   ring_push t prio p;
   t.qbytes.(prio) <- t.qbytes.(prio) + p.wire;
   t.bytes <- t.bytes + p.wire;
@@ -200,7 +200,7 @@ let admits t (p : Packet.t) =
       (* selectively-droppable (Aeolus) packets are admitted by their
          own threshold, not by the dynamic shares *)
       || p.sel_drop
-      || (let prio = max 0 (min (n_prios - 1) p.prio) in
+      || (let prio = Int.max 0 (Int.min (n_prios - 1) p.prio) in
           float_of_int (t.qbytes.(prio) + p.wire)
           <= t.dt_alphas.(prio)
              *. float_of_int (t.cfg.buffer_bytes - t.bytes)))

@@ -45,21 +45,63 @@ let avg_of = function
     List.fold_left (fun acc r -> acc +. fct_ms r) 0. rs
     /. float_of_int (List.length rs)
 
+(* Reorder [a] so that [a.(k)] holds its k-th order statistic (in
+   [Float.compare] order, the order [Array.sort compare] gives), with
+   no larger element before it and no smaller one after it:
+   quickselect with a median-of-three pivot and a three-way partition,
+   so runs of equal values do not degrade it. *)
+let select (a : float array) k =
+  let swap i j =
+    let x = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- x
+  in
+  let lo = ref 0 and hi = ref (Array.length a - 1) in
+  while !lo < !hi do
+    let x = a.(!lo) and y = a.((!lo + !hi) / 2) and z = a.(!hi) in
+    let pivot =
+      if Float.compare x y < 0 then
+        (if Float.compare y z < 0 then y
+         else if Float.compare x z < 0 then z else x)
+      else if Float.compare x z < 0 then x
+      else if Float.compare y z < 0 then z else y
+    in
+    (* [lo, lt) < pivot, [lt, i) = pivot, (gt, hi] > pivot *)
+    let lt = ref !lo and i = ref !lo and gt = ref !hi in
+    while !i <= !gt do
+      let c = Float.compare a.(!i) pivot in
+      if c < 0 then begin swap !lt !i; incr lt; incr i end
+      else if c > 0 then begin swap !i !gt; decr gt end
+      else incr i
+    done;
+    if k < !lt then hi := !lt - 1
+    else if k > !gt then lo := !gt + 1
+    else begin lo := k; hi := k end
+  done
+
 (* Interpolating percentile over a float sample: rank p/100*(n-1),
    linear between the surrounding order statistics. Every percentile
-   this module reports goes through here. *)
+   this module reports goes through here. The i-th order statistic
+   comes from [select], the (i+1)-th is the least of the part above
+   it, so no sort is needed and the result is that of a sort. *)
 let percentile_of_values p = function
   | [] -> nan
   | xs ->
     let arr = Array.of_list xs in
-    Array.sort compare arr;
     let n = Array.length arr in
     let rank = p /. 100. *. float_of_int (n - 1) in
     let i = int_of_float rank in
-    if i >= n - 1 then arr.(n - 1)
-    else begin
+    if i >= n - 1 then begin
+      select arr (n - 1);
+      arr.(n - 1)
+    end else begin
+      select arr i;
+      let next = ref arr.(i + 1) in
+      for j = i + 2 to n - 1 do
+        if Float.compare arr.(j) !next < 0 then next := arr.(j)
+      done;
       let frac = rank -. float_of_int i in
-      arr.(i) +. ((arr.(i + 1) -. arr.(i)) *. frac)
+      arr.(i) +. ((!next -. arr.(i)) *. frac)
     end
 
 let percentile_of p rs = percentile_of_values p (List.map fct_ms rs)

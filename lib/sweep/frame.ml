@@ -1,13 +1,23 @@
 (* Length-prefixed marshalled frames over file descriptors and
    channels: the wire format shared by the worker pipes and the shard
-   journal. A frame is a 4-byte big-endian payload length followed by
-   the [Marshal]-encoded value. Readers either return a complete value
-   or report that the stream ended (cleanly or mid-frame), so a
-   truncated journal or a pipe cut by a dying worker never takes the
-   parent down. *)
+   journal. A frame is a 4-byte big-endian payload length, the
+   payload's 16-byte [Digest], then the [Marshal]-encoded value.
+   Readers either return a complete value whose digest matches or
+   report that the stream ended (cleanly, mid-frame or at a damaged
+   frame), so a truncated or bit-flipped journal or a pipe cut by a
+   dying worker never takes the parent down, and never unmarshals a
+   damaged payload. *)
 
 let max_payload = 1 lsl 28
 (* sanity bound: a frame above 256MB means a corrupt length prefix *)
+
+let digest_len = 16
+let header_len = 4 + digest_len
+
+(* The value of a payload, or [None] if it does not match its digest. *)
+let decode ~digest payload =
+  if not (Digest.equal digest (Digest.string payload)) then None
+  else try Some (Marshal.from_string payload 0) with Failure _ -> None
 
 let rec write_all fd buf ofs len =
   if len > 0 then begin
@@ -18,11 +28,12 @@ let rec write_all fd buf ofs len =
 (* Encode [v] as one frame into a fresh buffer (header + payload),
    ready for a single [write_all]. *)
 let encode v =
-  let payload = Marshal.to_bytes v [] in
-  let n = Bytes.length payload in
-  let frame = Bytes.create (4 + n) in
+  let payload = Marshal.to_string v [] in
+  let n = String.length payload in
+  let frame = Bytes.create (header_len + n) in
   Bytes.set_int32_be frame 0 (Int32.of_int n);
-  Bytes.blit payload 0 frame 4 n;
+  Bytes.blit_string (Digest.string payload) 0 frame 4 digest_len;
+  Bytes.blit_string payload 0 frame header_len n;
   frame
 
 let write_fd fd v =
@@ -30,7 +41,8 @@ let write_fd fd v =
   write_all fd frame 0 (Bytes.length frame)
 
 (* Blocking frame read from a file descriptor (worker side of the
-   request pipe). Raises [End_of_file] on a closed or mid-frame EOF. *)
+   request pipe). Raises [End_of_file] on a closed or mid-frame EOF,
+   or a damaged frame. *)
 let read_fd fd =
   let really_read buf ofs len =
     let ofs = ref ofs and len = ref len in
@@ -41,13 +53,18 @@ let read_fd fd =
       len := !len - n
     done
   in
-  let hdr = Bytes.create 4 in
-  really_read hdr 0 4;
+  let hdr = Bytes.create header_len in
+  really_read hdr 0 header_len;
   let n = Int32.to_int (Bytes.get_int32_be hdr 0) in
   if n < 0 || n > max_payload then raise End_of_file;
   let payload = Bytes.create n in
   really_read payload 0 n;
-  Marshal.from_bytes payload 0
+  match
+    decode ~digest:(Bytes.sub_string hdr 4 digest_len)
+      (Bytes.unsafe_to_string payload)
+  with
+  | Some v -> v
+  | None -> raise End_of_file
 
 (* --- incremental decoding (parent side of the response pipes) ------ *)
 
@@ -72,15 +89,22 @@ let feed d chunk chunk_len =
   d.len <- d.len + chunk_len
 
 let next d =
-  if d.len < 4 then None
+  if d.len < header_len then None
   else begin
     let n = Int32.to_int (Bytes.get_int32_be d.buf 0) in
     if n < 0 || n > max_payload then failwith "Frame.next: corrupt length";
-    if d.len < 4 + n then None
+    if d.len < header_len + n then None
     else begin
-      let v = Marshal.from_bytes (Bytes.sub d.buf 4 n) 0 in
-      let rest = d.len - 4 - n in
-      Bytes.blit d.buf (4 + n) d.buf 0 rest;
+      let v =
+        match
+          decode ~digest:(Bytes.sub_string d.buf 4 digest_len)
+            (Bytes.sub_string d.buf header_len n)
+        with
+        | Some v -> v
+        | None -> failwith "Frame.next: corrupt frame"
+      in
+      let rest = d.len - header_len - n in
+      Bytes.blit d.buf (header_len + n) d.buf 0 rest;
       d.len <- rest;
       Some v
     end
@@ -95,7 +119,7 @@ let write_channel oc v =
 (* [None] on clean EOF or a truncated/corrupt tail — the caller keeps
    whatever parsed before the damage. *)
 let read_channel ic =
-  match really_input_string ic 4 with
+  match really_input_string ic header_len with
   | exception End_of_file -> None
   | hdr ->
     let n = Int32.to_int (String.get_int32_be hdr 0) in
@@ -103,6 +127,4 @@ let read_channel ic =
     else
       (match really_input_string ic n with
        | exception End_of_file -> None
-       | payload ->
-         (try Some (Marshal.from_string payload 0)
-          with Failure _ -> None))
+       | payload -> decode ~digest:(String.sub hdr 4 digest_len) payload)

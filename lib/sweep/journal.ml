@@ -3,8 +3,9 @@
 let magic = "ppt-sweep-journal"
 (* Bump whenever the marshalled payload type changes, so a stale
    journal from an older build is rejected instead of unmarshalled
-   into the wrong type. v2: shard payloads carry a Gc snapshot. *)
-let version = 2
+   into the wrong type. v2: shard payloads carry a Gc snapshot. v3:
+   every frame carries its payload's digest. *)
+let version = 3
 
 type t = { oc : out_channel }
 

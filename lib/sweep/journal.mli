@@ -4,9 +4,10 @@
     The file starts with a header naming every unit key of the sweep
     (in canonical order); each subsequent entry records one completed
     unit as [(key, payload, wall_seconds)]. Entries are length-prefixed
-    marshalled frames, so a journal cut mid-write by a killed sweep
-    loses at most its unflushed tail — every complete entry before the
-    damage is recovered. *)
+    marshalled frames, each with its payload's digest, so a journal
+    cut mid-write by a killed sweep loses at most its unflushed tail,
+    and a damaged frame ends the journal there — every complete entry
+    before the damage is recovered, and no damaged one is read. *)
 
 type t
 

@@ -29,7 +29,7 @@ let request (s : Rd.sender) =
    receiver's first hole once fresh data is exhausted. *)
 let sender_on_credit (s : Rd.sender) ~credit_cum =
   if not s.shut then begin
-    s.cum <- max s.cum credit_cum;
+    s.cum <- Int.max s.cum credit_cum;
     if s.snd_nxt < s.flow.Flow.nseg then begin
       send_data s s.snd_nxt ~retransmission:false;
       s.snd_nxt <- s.snd_nxt + 1

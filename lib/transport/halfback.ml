@@ -24,7 +24,7 @@ let make () ctx =
     t_start = (fun flow ->
         let small = flow.Flow.size <= burst_threshold in
         let initial_cwnd =
-          if small then max flow.Flow.size (iw_segs * mss)
+          if small then Int.max flow.Flow.size (iw_segs * mss)
           else iw_segs * mss
         in
         let rel_params =
@@ -39,7 +39,7 @@ let make () ctx =
                    tail segment arrives without waiting for an RTO *)
                 let replay () =
                   let nseg = flow.Flow.nseg in
-                  let lo = max 0 (nseg - replay_segs) in
+                  let lo = Int.max 0 (nseg - replay_segs) in
                   for seq = nseg - 1 downto lo do
                     if Reliable.seg_state snd seq
                        <> Reliable.st_sacked then

@@ -25,7 +25,7 @@ module Rd = Receiver_driven
 
 let overcommit = 2
 
-let rtt_segs ctx = max 1 (ctx.Context.bdp / Packet.max_payload)
+let rtt_segs ctx = Int.max 1 (ctx.Context.bdp / Packet.max_payload)
 
 (* ---- sender -------------------------------------------------------- *)
 
@@ -49,7 +49,7 @@ let go_back h upto =
 
 let sender_pump h =
   let s = h.s in
-  let limit = min h.granted s.flow.Flow.nseg in
+  let limit = Int.min h.granted s.flow.Flow.nseg in
   while s.snd_nxt < limit do
     let first_rtt = s.snd_nxt < h.unsched_segs in
     Rd.send_data s
@@ -75,15 +75,15 @@ let sender_on_grant h ~g_cum ~g_upto ~g_prio =
     h.fast_attempts <- 0
   end else if h.aeolus && s.cum < s.snd_nxt
            && now - h.last_cum_change
-              > s.ctx.Context.base_rtt * (1 lsl min 6 h.fast_attempts)
+              > s.ctx.Context.base_rtt * (1 lsl Int.min 6 h.fast_attempts)
   then begin
     (* exponential backoff: duplicates of a persistent hole must not
        amplify the congestion that caused it *)
     h.last_cum_change <- now;
     h.fast_attempts <- h.fast_attempts + 1;
-    go_back h (min s.snd_nxt (s.cum + 8))
+    go_back h (Int.min s.snd_nxt (s.cum + 8))
   end;
-  h.granted <- max h.granted g_upto;
+  h.granted <- Int.max h.granted g_upto;
   h.sched_prio <- g_prio;
   sender_pump h
 
@@ -102,13 +102,13 @@ let reschedule ctx inbound =
   List.iteri
     (fun rank (m : Rd.msg) ->
        if rank < overcommit then begin
-         let ceiling = min m.m_flow.Flow.nseg (m.received + rtt_segs) in
+         let ceiling = Int.min m.m_flow.Flow.nseg (m.received + rtt_segs) in
          let grew = ceiling > m.granted in
-         m.granted <- max m.granted ceiling;
+         m.granted <- Int.max m.granted ceiling;
          (* send a grant when the window grows, and refresh it when
             progress is stuck so the sender learns m_cum *)
          if grew || m.m_cum < m.granted then begin
-           let g_prio = min (Prio_queue.n_prios - 1) (2 + rank) in
+           let g_prio = Int.min (Prio_queue.n_prios - 1) (2 + rank) in
            Rd.reply ctx m.m_flow
              ~meta:(Wire.Grant_meta
                       { g_cum = m.m_cum; g_upto = m.granted; g_prio })
@@ -135,7 +135,7 @@ let make_variant ~aeolus ctx =
   let host_inbound = Rd.per_host ctx (fun () -> ref []) in
   { Endpoint.t_name = (if aeolus then "aeolus" else "homa");
     t_start = (fun flow ->
-        let unsched_segs = min flow.Flow.nseg rtt_segs in
+        let unsched_segs = Int.min flow.Flow.nseg rtt_segs in
         let unsched_prio =
           if aeolus then Prio_queue.n_prios - 1
           else if flow.Flow.size <= ctx.Context.bdp then 0
@@ -164,7 +164,7 @@ let make_variant ~aeolus ctx =
         (* timeout: everything between the receiver's progress point
            and what we already sent is presumed lost *)
         Rd.backstop h.s (fun () ->
-            go_back h (min h.s.snd_nxt flow.Flow.nseg))) }
+            go_back h (Int.min h.s.snd_nxt flow.Flow.nseg))) }
 
 let make () = make_variant ~aeolus:false
 let make_aeolus () = make_variant ~aeolus:true

@@ -56,7 +56,7 @@ let make ?(fill_fraction = 1.0) ~mw_table () ctx =
                     in
                     ignore
                       (Sim.schedule ctx.Context.sim
-                         ~after:(max 1 (int_of_float interval))
+                         ~after:(Int.max 1 (int_of_float interval))
                          (drip ~my_epoch ~window
                             ~remaining:(remaining - pay)))
                   end

@@ -24,7 +24,7 @@ let send_data s seq ~retransmission =
 (* One pull = one packet's worth of credit: a NACKed segment first,
    then new data. *)
 let sender_on_pull (s : Rd.sender) retx ~p_cum =
-  s.cum <- max s.cum p_cum;
+  s.cum <- Int.max s.cum p_cum;
   if not s.shut then
     match Queue.take_opt retx with
     | Some seq -> send_data s seq ~retransmission:true
@@ -74,7 +74,7 @@ let receiver_on_data hs (m : Rd.msg) (p : Packet.t) =
 (* ---- wiring -------------------------------------------------------- *)
 
 let make () ctx =
-  let iw_segs = max 1 (ctx.Context.bdp / Packet.max_payload) in
+  let iw_segs = Int.max 1 (ctx.Context.bdp / Packet.max_payload) in
   let host_state =
     Rd.per_host ctx (fun () ->
         let pulls = Queue.create () in
@@ -99,7 +99,7 @@ let make () ctx =
               | Packet.Data -> receiver_on_data hs m p
               | _ -> ());
         (* first window at line rate *)
-        let burst = min iw_segs flow.Flow.nseg in
+        let burst = Int.min iw_segs flow.Flow.nseg in
         for seq = 0 to burst - 1 do
           send_data s seq ~retransmission:false
         done;

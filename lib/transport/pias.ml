@@ -21,7 +21,7 @@ let prio_of ~bytes_sent =
     else if bytes_sent >= demotion.(i) then count (i + 1)
     else i
   in
-  min (Prio_queue.n_prios - 1) (count 0)
+  Int.min (Prio_queue.n_prios - 1) (count 0)
 
 let make () ctx =
   let mss = Packet.max_payload in

@@ -54,7 +54,9 @@ let mark t seq =
 
 (* [tel_from] echoes the data packet's inband telemetry: it is copied
    into the ack packet's own snapshot buffer (the data packet is
-   released by the fabric as soon as [on_data] returns). *)
+   released by the fabric as soon as [on_data] returns). A fresh
+   packet's snapshot is empty, so a data packet without telemetry
+   needs no copy. *)
 let send_ack t ?tel_from ~sacks ~ece ~data_tx ~loop ~prio () =
   let meta = Wire.Ack_meta { cum = t.cum; sacks; ece; data_tx } in
   let pkt =
@@ -62,8 +64,9 @@ let send_ack t ?tel_from ~sacks ~ece ~data_tx ~loop ~prio () =
       ~src:t.flow.Flow.dst ~dst:t.flow.Flow.src Packet.Ack
   in
   (match tel_from with
-   | Some data -> Packet.tel_copy ~src:data ~dst:pkt
-   | None -> ());
+   | Some data when data.Packet.tel_n > 0 ->
+     Packet.tel_copy ~src:data ~dst:pkt
+   | Some _ | None -> ());
   Net.send t.ctx.Context.net pkt
 
 let fire_done t =

@@ -135,8 +135,8 @@ let seg_state t seq = Bytes.get t.seg seq
 let avail_hi t =
   if t.p.sendbuf_bytes = max_int then t.flow.Flow.nseg - 1
   else begin
-    let bufseg = max 1 (t.p.sendbuf_bytes / t.mss) in
-    min (t.flow.Flow.nseg - 1) (t.cum_ack + bufseg - 1)
+    let bufseg = Int.max 1 (t.p.sendbuf_bytes / t.mss) in
+    Int.min (t.flow.Flow.nseg - 1) (t.cum_ack + bufseg - 1)
   end
 
 let cancel_rto t =
@@ -212,7 +212,7 @@ and on_rto t =
     t.dup_acks <- 0;
     t.in_recovery <- false;
     t.hook_on_timeout t;
-    t.rto_backoff <- min 64 (t.rto_backoff * 2);
+    t.rto_backoff <- Int.min 64 (t.rto_backoff * 2);
     try_send t;
     arm_rto t
   end
@@ -228,7 +228,7 @@ and send_segment t ~loop ?prio_override seq =
         t.inflight <- t.inflight + pay
       end;
       if st = st_l_inflight then
-        t.l_inflight_segs <- max 0 (t.l_inflight_segs - 1);
+        t.l_inflight_segs <- Int.max 0 (t.l_inflight_segs - 1);
       Bytes.set t.seg seq st_h_inflight
     | Packet.L ->
       if st = st_unsent then begin
@@ -283,7 +283,7 @@ and try_send t =
       if float_of_int t.inflight < t.cwnd then begin
         begin match candidate with
           | `Retx s -> ignore (Queue.pop t.retx); assert (s = seq)
-          | `New s -> t.snd_nxt <- max t.snd_nxt (s + 1)
+          | `New s -> t.snd_nxt <- Int.max t.snd_nxt (s + 1)
         end;
         send_segment t ~loop:Packet.H ?prio_override:None seq;
         if t.win_end = 0 then t.win_end <- t.snd_nxt;
@@ -319,7 +319,7 @@ let create ctx flow p =
 let start t =
   if not t.shut then begin
     try_send t;
-    t.win_end <- max t.win_end t.snd_nxt
+    t.win_end <- Int.max t.win_end t.snd_nxt
   end
 
 (* --- low-priority (opportunistic) transmission --------------------- *)
@@ -340,7 +340,7 @@ let send_tail ?prio t =
       Flow.seg_payload t.flow seq
     end else scan (seq - 1)
   in
-  scan (min (avail_hi t) (t.tail - 1))
+  scan (Int.min (avail_hi t) (t.tail - 1))
 
 (* --- acknowledgement processing ------------------------------------ *)
 
@@ -354,14 +354,14 @@ let mark_sacked t seq =
       Bytes.set t.seg seq st_sacked;
       t.sacked_cnt <- t.sacked_cnt + 1;
       if st = st_h_inflight then begin
-        t.inflight <- max 0 (t.inflight - pay);
+        t.inflight <- Int.max 0 (t.inflight - pay);
         pay
       end else begin
         (* delivered by the low-priority loop (or while presumed lost):
            it never gates the primary window, so it does not feed
            primary-loop congestion accounting *)
         if st = st_l_inflight then
-          t.l_inflight_segs <- max 0 (t.l_inflight_segs - 1);
+          t.l_inflight_segs <- Int.max 0 (t.l_inflight_segs - 1);
         0
       end
     end
@@ -398,7 +398,7 @@ let enter_recovery t =
   && Bytes.get t.seg t.cum_ack = st_h_inflight then begin
     let pay = Flow.seg_payload t.flow t.cum_ack in
     Bytes.set t.seg t.cum_ack st_lost;
-    t.inflight <- max 0 (t.inflight - pay);
+    t.inflight <- Int.max 0 (t.inflight - pay);
     Queue.push t.cum_ack t.retx
   end
 
@@ -435,7 +435,7 @@ let on_ack t (p : Packet.t) =
                (* partial ack: the next hole is also lost *)
                let pay = Flow.seg_payload t.flow t.cum_ack in
                Bytes.set t.seg t.cum_ack st_lost;
-               t.inflight <- max 0 (t.inflight - pay);
+               t.inflight <- Int.max 0 (t.inflight - pay);
                Queue.push t.cum_ack t.retx
              end
            end
@@ -454,7 +454,7 @@ let on_ack t (p : Packet.t) =
              float_of_int t.win_marked /. float_of_int t.win_acked
            in
            t.hook_on_window t ~f;
-           t.win_end <- max t.snd_nxt (t.cum_ack + 1);
+           t.win_end <- Int.max t.snd_nxt (t.cum_ack + 1);
            t.win_acked <- 0;
            t.win_marked <- 0
          end;

@@ -6,8 +6,11 @@
    segment — the convention used by the ns-3 scripts of DCTCP/PIAS/Homa
    that the paper's workloads come from. *)
 
+(* The points are kept as two unboxed arrays: sizes and their
+   cumulative probabilities. *)
 type t = {
-  points : (float * float) array;   (* (bytes, cum_prob) *)
+  xs : float array;   (* bytes *)
+  ps : float array;   (* cum_prob *)
   mean : float;
 }
 
@@ -39,22 +42,22 @@ let compute_mean points =
 let create pts =
   let points = Array.of_list pts in
   validate points;
-  { points; mean = compute_mean points }
+  { xs = Array.map fst points; ps = Array.map snd points;
+    mean = compute_mean points }
 
 let mean t = t.mean
 
 let fraction_below t x =
-  let n = Array.length t.points in
+  let xs = t.xs and ps = t.ps in
+  let n = Array.length xs in
   let xf = float_of_int x in
-  if xf <= fst t.points.(0) then 0.
-  else if xf >= fst t.points.(n - 1) then 1.
+  if xf <= xs.(0) then 0.
+  else if xf >= xs.(n - 1) then 1.
   else begin
-    let rec find i =
-      if fst t.points.(i) >= xf then i else find (i + 1)
-    in
+    let rec find i = if xs.(i) >= xf then i else find (i + 1) in
     let i = find 1 in
-    let x0, p0 = t.points.(i - 1) and x1, p1 = t.points.(i) in
-    p0 +. ((p1 -. p0) *. (xf -. x0) /. (x1 -. x0))
+    let x0 = xs.(i - 1) and p0 = ps.(i - 1) in
+    p0 +. ((ps.(i) -. p0) *. (xf -. x0) /. (xs.(i) -. x0))
   end
 
 (* Inverse-CDF sampling; returns at least 1 byte. Rounds to nearest —
@@ -62,15 +65,16 @@ let fraction_below t x =
    empirical mean below [mean t]. *)
 let sample t rng =
   let u = Ppt_engine.Rng.float rng in
-  let rec find i = if snd t.points.(i) >= u then i else find (i + 1) in
+  let xs = t.xs and ps = t.ps in
+  let rec find i = if ps.(i) >= u then i else find (i + 1) in
   let i = find 1 in
-  let x0, p0 = t.points.(i - 1) and x1, p1 = t.points.(i) in
-  let x = x0 +. ((x1 -. x0) *. (u -. p0) /. (p1 -. p0)) in
-  max 1 (int_of_float (Float.round x))
+  let x0 = xs.(i - 1) and p0 = ps.(i - 1) in
+  let x = x0 +. ((xs.(i) -. x0) *. (u -. p0) /. (ps.(i) -. p0)) in
+  Int.max 1 (int_of_float (Float.round x))
 
-let max_size t = int_of_float (fst t.points.(Array.length t.points - 1))
+let max_size t = int_of_float t.xs.(Array.length t.xs - 1)
 
 let pp ppf t =
   Fmt.pf ppf "@[<v>cdf mean=%.0fB:@,%a@]" t.mean
     (Fmt.array ~sep:Fmt.sp (fun ppf (x, p) -> Fmt.pf ppf "(%.0f, %.3f)" x p))
-    t.points
+    (Array.map2 (fun x p -> (x, p)) t.xs t.ps)

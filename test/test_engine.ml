@@ -244,13 +244,128 @@ let test_sim_overflow_across_pause () =
     (List.rev !log);
   check Alcotest.int "drained" 0 (Sim.pending sim)
 
+(* One nanosecond can hold a timer that waited in the overflow tier
+   (scheduled first, so the oldest tie) next to timers scheduled
+   directly at the same time once the window reached it, before and
+   after its bucket became the current one, and from a callback at
+   that very nanosecond. They must fire strictly by scheduling order. *)
+let test_sim_same_ns_migrated_and_direct () =
+  let sim = Sim.create () in
+  let log = ref [] in
+  let at k name =
+    ignore (Sim.schedule_at sim k (fun () -> log := name :: !log))
+  in
+  let t = 1_000_000 in
+  at t "migrated";
+  ignore (Sim.schedule_at sim 10 ignore);
+  Sim.run ~until:900_000 sim;
+  at t "direct-1";
+  at t "direct-2";
+  ignore
+    (Sim.schedule_at sim (t - 5) (fun () ->
+         log := "pre" :: !log;
+         at t "from-bucket"));
+  ignore
+    (Sim.schedule_at sim t (fun () ->
+         log := "direct-3" :: !log;
+         at t "from-same-ns"));
+  at (t + 1) "next-ns";
+  Sim.run sim;
+  check (Alcotest.list Alcotest.string) "FIFO by tie within one ns"
+    [ "pre"; "migrated"; "direct-1"; "direct-2"; "direct-3";
+      "from-bucket"; "from-same-ns"; "next-ns" ]
+    (List.rev !log);
+  check Alcotest.int "drained" 0 (Sim.pending sim)
+
+(* [run ~until] can stop after the window reached an event's bucket
+   but before its first event. A timer then scheduled between the
+   horizon and that bucket's start lies below every queued time and
+   must pop first; ties among such timers stay FIFO. *)
+let test_sim_until_before_current_bucket () =
+  let sim = Sim.create () in
+  let log = ref [] in
+  let at k = ignore (Sim.schedule_at sim k (fun () -> log := k :: !log)) in
+  at 200;
+  at 250;
+  Sim.run ~until:100 sim;
+  check Alcotest.int "clock parked at horizon" 100 (Sim.now sim);
+  check (Alcotest.list Alcotest.int) "nothing fired yet" [] !log;
+  List.iter at [ 150; 120; 150; 100; 192; 199 ];
+  Sim.run ~until:130 sim;
+  check (Alcotest.list Alcotest.int) "below-bucket timers first"
+    [ 100; 120 ] (List.rev !log);
+  at 131;
+  Sim.run sim;
+  check (Alcotest.list Alcotest.int) "then the rest in time order"
+    [ 100; 120; 131; 150; 150; 192; 199; 200; 250 ] (List.rev !log);
+  check Alcotest.int "drained" 0 (Sim.pending sim)
+
+(* Timers cancelled while their bucket is the one being drained, in
+   numbers large enough that the next schedule compacts the queue:
+   the survivors and the new timer still fire in (time, tie) order. *)
+let test_sim_cancel_in_current_bucket_then_compact () =
+  let sim = Sim.create () in
+  let log = ref [] in
+  let base = 1_024 in
+  let n = 3_000 in
+  let timers = Array.make n None in
+  ignore
+    (Sim.schedule_at sim base (fun () ->
+         Array.iteri
+           (fun i tm ->
+              if i mod 3 <> 0 then Option.iter Sim.cancel tm)
+           timers;
+         check Alcotest.int "dead timers counted" 2_000
+           (Sim.cancelled_pending sim);
+         ignore
+           (Sim.schedule_at sim (base + 1) (fun () ->
+                log := (base + 1, n) :: !log))));
+  for i = 0 to n - 1 do
+    let k = base + (i * 7 mod 64) in
+    timers.(i) <-
+      Some (Sim.schedule_at sim k (fun () -> log := (k, i) :: !log))
+  done;
+  Sim.run sim;
+  let expected =
+    List.sort compare
+      ((base + 1, n)
+       :: List.filter_map
+         (fun i -> if i mod 3 = 0 then Some (base + (i * 7 mod 64), i)
+           else None)
+         (List.init n Fun.id))
+  in
+  check Alcotest.int "one compaction" 1 (Sim.compactions sim);
+  check Alcotest.int "no dead timers left" 0 (Sim.cancelled_pending sim);
+  check Alcotest.bool "(time, tie) order" true (List.rev !log = expected);
+  check Alcotest.int "drained" 0 (Sim.pending sim)
+
+(* Lone events at the first and last nanosecond of their buckets,
+   scheduled up front and from callbacks, with empty buckets, empty
+   groups of buckets and whole wheel spans between them. *)
+let test_sim_bucket_edges () =
+  let sim = Sim.create () in
+  let log = ref [] in
+  let rec at k =
+    ignore
+      (Sim.schedule_at sim k (fun () ->
+           log := k :: !log;
+           (* from the first nanosecond of a bucket, its last one *)
+           if k land 63 = 0 && k < 10_000_000 then at (k + 63)))
+  in
+  List.iter at [ 0; 127; 64 * 100; 64 * 4097 + 63; 64 * 40_000 ];
+  Sim.run sim;
+  check (Alcotest.list Alcotest.int) "every edge event on time"
+    [ 0; 63; 127; 6_400; 6_463; 262_271; 2_560_000; 2_560_063 ]
+    (List.rev !log);
+  check Alcotest.int "clock at the last event" 2_560_063 (Sim.now sim)
+
 (* Model-based scheduler test: drive the same randomized scenario —
    near/far/tied timers, nested scheduling from callbacks, random
    cancellations and a mass-cancel burst large enough to trigger
    compaction — through [Sim] and through a naive sorted-list reference
    scheduler, and require the exact same fire log. This pins down the
    total (time, insertion-order) event order across the calendar
-   queue's current-bucket heap, wheel buckets and overflow tier. *)
+   queue's current bucket, wheel buckets and overflow tier. *)
 module Ref_sched = struct
   type ev = {
     key : int;
@@ -358,6 +473,15 @@ let drive ~schedule ~now seed =
     for _ = 0 to Rng.int rng 2 do
       push (schedule (now () + Rng.int rng 100) (spawn 3 ()))
     done;
+    (* Now and then a burst of many timers at one nanosecond, some of
+       them cancelled straight away. *)
+    if Rng.int rng 50 = 0 then begin
+      let at = now () + Rng.int rng 70 in
+      for _ = 1 to 20 + Rng.int rng 60 do
+        let c = schedule at (spawn 3 ()) in
+        if Rng.int rng 4 = 0 then c () else push c
+      done
+    end;
     if n > 0 then begin
       let (_ : unit -> unit) =
         schedule (now () + 1 + Rng.int rng 8) (tick (n - 1))
@@ -502,6 +626,14 @@ let suite =
       test_sim_dense_bucket;
     Alcotest.test_case "sim: overflow migrates across a pause" `Quick
       test_sim_overflow_across_pause;
+    Alcotest.test_case "sim: one ns mixes migrated and direct timers"
+      `Quick test_sim_same_ns_migrated_and_direct;
+    Alcotest.test_case "sim: until stops before the current bucket"
+      `Quick test_sim_until_before_current_bucket;
+    Alcotest.test_case "sim: cancel in the current bucket, then compact"
+      `Quick test_sim_cancel_in_current_bucket_then_compact;
+    Alcotest.test_case "sim: lone events at bucket edges" `Quick
+      test_sim_bucket_edges;
     QCheck_alcotest.to_alcotest prop_sim_matches_reference;
     Alcotest.test_case "sim: past scheduling raises" `Quick
       test_sim_past_raises;

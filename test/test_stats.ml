@@ -126,6 +126,42 @@ let test_percentile_of_values () =
   check Alcotest.bool "empty is nan" true
     (Float.is_nan (Fct.percentile_of_values 99. []))
 
+(* The selection-based percentile against the sort-based definition:
+   bit-for-bit the same value, on samples with many duplicates, of one
+   and two values, and at the edge percentiles. *)
+let sorted_percentile p xs =
+  let arr = Array.of_list xs in
+  Array.sort compare arr;
+  let n = Array.length arr in
+  let rank = p /. 100. *. float_of_int (n - 1) in
+  let i = int_of_float rank in
+  if i >= n - 1 then arr.(n - 1)
+  else
+    arr.(i) +. ((arr.(i + 1) -. arr.(i)) *. (rank -. float_of_int i))
+
+let prop_percentile_matches_sort =
+  let sample =
+    QCheck.Gen.(
+      oneof
+        [ list_size (int_range 1 2) (float_range 0. 1e3);
+          (* few distinct values: long runs of duplicates *)
+          list_size (int_range 1 300)
+            (map float_of_int (int_range 0 5));
+          list_size (int_range 1 300) (float_range (-1e6) 1e6) ])
+  in
+  let p =
+    QCheck.Gen.(oneof [ oneofl [ 0.; 50.; 99.; 100. ]; float_range 0. 100. ])
+  in
+  QCheck.Test.make ~name:"percentile by selection matches the sort"
+    ~count:500
+    (QCheck.make
+       ~print:QCheck.Print.(pair float (list float))
+       QCheck.Gen.(pair p sample))
+    (fun (p, xs) ->
+       Int64.equal
+         (Int64.bits_of_float (Fct.percentile_of_values p xs))
+         (Int64.bits_of_float (sorted_percentile p xs)))
+
 let test_jain_fairness () =
   let t = Fct.create () in
   (* equal throughputs: index 1.0 *)
@@ -181,6 +217,7 @@ let suite =
       test_slowdown_p99_interpolates;
     Alcotest.test_case "percentile: raw values" `Quick
       test_percentile_of_values;
+    QCheck_alcotest.to_alcotest prop_percentile_matches_sort;
     Alcotest.test_case "fairness: jain index" `Quick test_jain_fairness;
     Alcotest.test_case "series: sampling" `Quick test_series_sampling;
     Alcotest.test_case "series: utilization probe" `Quick

@@ -221,6 +221,59 @@ let test_resume_tolerates_corrupt_tail () =
   check Alcotest.int "complete entries recovered" 2 r2.Sweep.r_resumed;
   Sys.remove path
 
+(* A journal damaged after the fact, cut at any byte or with any one
+   bit flipped: resuming keeps exactly the entries written before the
+   first damaged frame (none when the header is hit), and never
+   raises. *)
+let prop_resume_keeps_intact_prefix =
+  QCheck.Test.make ~name:"journal: resume keeps exactly the intact prefix"
+    ~count:300
+    QCheck.(triple (int_range 0 4) bool (int_range 0 max_int))
+    (fun (n_entries, cut, pos) ->
+       let path = tmp_path ".journal" in
+       let keys = [ "u0"; "u1"; "u2"; "u3" ] in
+       let size () = (Unix.stat path).Unix.st_size in
+       let j, _ = Journal.open_ ~path ~keys ~resume:false in
+       let header_end = size () in
+       let written =
+         List.filteri (fun i _ -> i < n_entries) keys
+         |> List.mapi (fun i key ->
+             let v = (i, String.make (i * 37) 'x') in
+             Journal.append j ~key v ~wall:(float_of_int i);
+             ((key, v, float_of_int i), size ()))
+       in
+       Journal.close j;
+       let data = In_channel.with_open_bin path In_channel.input_all in
+       let len = String.length data in
+       (* the first byte that is no longer as written *)
+       let damaged, first_bad =
+         if cut then
+           let l = pos mod (len + 1) in
+           (String.sub data 0 l, l)
+         else begin
+           let bit = pos mod (8 * len) in
+           let b = Bytes.of_string data in
+           Bytes.set b (bit / 8)
+             (Char.chr (Char.code data.[bit / 8] lxor (1 lsl (bit mod 8))));
+           (Bytes.to_string b, bit / 8)
+         end
+       in
+       Out_channel.with_open_bin path (fun oc ->
+           Out_channel.output_string oc damaged);
+       let j, (got : (string * (int * string) * float) list) =
+         Journal.open_ ~path ~keys ~resume:true
+       in
+       Journal.close j;
+       Sys.remove path;
+       let expected =
+         if first_bad < header_end then []
+         else
+           List.filter_map
+             (fun (e, ends) -> if ends <= first_bad then Some e else None)
+             written
+       in
+       got = expected)
+
 let test_resume_rejects_mismatched_keys () =
   let path = tmp_path ".journal" in
   ignore (Sweep.run ~journal:path (specs_of [ ("a", fun () -> 1) ]));
@@ -325,6 +378,7 @@ let suite =
       test_resume_skips_completed;
     Alcotest.test_case "journal: corrupt tail tolerated" `Quick
       test_resume_tolerates_corrupt_tail;
+    QCheck_alcotest.to_alcotest prop_resume_keeps_intact_prefix;
     Alcotest.test_case "journal: mismatched keys rejected" `Quick
       test_resume_rejects_mismatched_keys;
     Alcotest.test_case "journal: resume after mid-run kill" `Quick
