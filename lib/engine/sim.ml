@@ -36,8 +36,18 @@
    bucket and a current-bucket list are chains of slots through the
    same [next] array, so the wheel and the current bucket are plain
    [int array]s of chain ends; both heaps store slot numbers ([Heap]
-   is int-only). The only pointer a schedule stores is the slot's
-   callback, once.
+   is int-only). The only pointer a closure timer stores is the slot's
+   callback, once; a lane event stores none.
+
+   Besides closure timers there is an int-argument lane for events
+   that fire often and are never cancelled: a handler [int -> unit] is
+   registered once, and posting it with an int stores the argument and
+   the handler id packed into one int per slot. A lane slot keeps
+   [free_job] as its callback, so posting, firing and freeing it
+   store no pointer and allocate nothing. A run can also reserve a
+   block of ties up front and post with them later, which lets it keep
+   only the next of many pre-ordered events queued while they still
+   pop exactly where scheduling them all up front would have put them.
 
    Timers can be cancelled; a cancelled timer stays queued but its
    callback is skipped when popped. Cancelled-and-still-queued timers
@@ -53,8 +63,9 @@
 type job = Job : ('a -> unit) * 'a -> job
 
 (* Slot sentinels, told apart by physical equality: a slot on the free
-   list holds [free_job], a cancelled timer still queued holds
-   [cancelled_job]. Neither keeps a packet or closure alive. *)
+   list or holding a lane event has [free_job], a cancelled timer still
+   queued has [cancelled_job]. Neither keeps a packet or closure
+   alive. *)
 let free_job = Job (ignore, 0)
 let cancelled_job = Job (ignore, 1)
 
@@ -82,6 +93,17 @@ let group_span = bucket_width lsl log_group
 (* Compact only past this many dead timers, so small runs never pay. *)
 let compact_min = 1024
 
+(* A lane slot's [arg] is [(x lsl handler_bits) lor handler]. *)
+type handler = int
+
+let handler_bits = 8
+let handler_mask = (1 lsl handler_bits) - 1
+
+(* Handler 0 is the placeholder a handler field holds until the real
+   handler is registered; posting it is a bug. *)
+let no_handler = 0
+let unregistered (_ : int) = invalid_arg "Sim.post: no_handler was posted"
+
 type t = {
   mutable now : Units.time;
   (* the slab, indexed by slot *)
@@ -89,6 +111,7 @@ type t = {
   mutable ties : int array;       (* insertion sequence number *)
   mutable next : int array;       (* chain or free list; -1 ends *)
   mutable job : job array;
+  mutable arg : int array;        (* lane slots: packed argument *)
   mutable free : int;             (* free-list head, -1 when empty *)
   mutable heads : int array;      (* bucket chain heads; [||] until used *)
   mutable occ : int array;        (* timers per bucket group, likewise *)
@@ -107,6 +130,8 @@ type t = {
   mutable cancels : int;    (* cancelled timers still queued *)
   mutable compaction_runs : int;
   mutable last_tie : int;
+  mutable reserved : (int * int) list;  (* reserved tie ranges, inclusive *)
+  mutable handlers : (int -> unit) array;  (* by handler id *)
   mutable running : bool;
   mutable processed : int;
 }
@@ -125,7 +150,7 @@ type timer = { owner : t; slot : int; tie : int }
    the bucket heads. A run's set-up so never pays for them. *)
 let create () =
   { now = 0;
-    key = [||]; ties = [||]; next = [||]; job = [||];
+    key = [||]; ties = [||]; next = [||]; job = [||]; arg = [||];
     free = -1;
     heads = [||];
     occ = [||];
@@ -141,7 +166,9 @@ let create () =
     wheel_end = 0;
     cancels = 0;
     compaction_runs = 0;
-    last_tie = 0; running = false; processed = 0 }
+    last_tie = 0; reserved = [];
+    handlers = [| unregistered |];
+    running = false; processed = 0 }
 
 let now t = t.now
 let events_processed t = t.processed
@@ -176,6 +203,7 @@ let grow_slab t =
   t.key <- ints t.key;
   t.ties <- ints t.ties;
   t.next <- ints t.next;
+  t.arg <- ints t.arg;
   let job = Array.make size free_job in
   for i = 0 to n - 1 do Array.unsafe_set job i (Array.unsafe_get t.job i) done;
   t.job <- job;
@@ -323,6 +351,52 @@ let schedule1 t ~after fire arg =
   assert (after >= 0);
   schedule1_at t (t.now + after) fire arg
 
+(* A run registers a handful of handlers, so the table grows by one. *)
+let register t f =
+  let h = Array.length t.handlers in
+  if h > handler_mask then
+    invalid_arg "Sim.register: too many handlers for one simulator";
+  t.handlers <- Array.append t.handlers [| f |];
+  h
+
+(* A lane slot: every store is an int, and [job] keeps the [free_job]
+   the free list left there. *)
+let post_slot t ~at ~tie h x =
+  if t.cancels >= compact_min && 2 * t.cancels > scheduled t then
+    compact t;
+  let s = alloc_slot t in
+  Array.unsafe_set t.key s at;
+  Array.unsafe_set t.ties s tie;
+  Array.unsafe_set t.arg s ((x lsl handler_bits) lor h);
+  insert t s ~key:at ~tie
+
+let post t ~after h x =
+  assert (after >= 0);
+  let tie = t.last_tie + 1 in
+  t.last_tie <- tie;
+  post_slot t ~at:(t.now + after) ~tie h x
+
+let reserve t n =
+  if n < 0 then invalid_arg "Sim.reserve: negative count";
+  let first = t.last_tie + 1 in
+  if n > 0 then begin
+    t.last_tie <- t.last_tie + n;
+    t.reserved <- (first, t.last_tie) :: t.reserved
+  end;
+  first
+
+let rec is_reserved tie = function
+  | [] -> false
+  | (lo, hi) :: rest -> (lo <= tie && tie <= hi) || is_reserved tie rest
+
+let post_tie t ~at ~tie h x =
+  if at < t.now then
+    invalid_arg
+      (Printf.sprintf "Sim.post_tie: %d is in the past (now=%d)" at t.now);
+  if not (is_reserved tie t.reserved) then
+    invalid_arg (Printf.sprintf "Sim.post_tie: tie %d was not reserved" tie);
+  post_slot t ~at ~tie h x
+
 let cancel { owner = t; slot; tie } =
   let j = t.job.(slot) in
   if t.ties.(slot) = tie && j != free_job && j != cancelled_job then begin
@@ -464,11 +538,23 @@ let run ?until ?(max_events = max_int) t =
       if s >= 0 then begin
         let j = Array.unsafe_get t.job s in
         let at = Array.unsafe_get t.key s in
-        free_slot t s;
-        if j == cancelled_job then
+        if j == free_job then begin
+          (* a lane event: free the slot without touching [job] *)
+          let a = Array.unsafe_get t.arg s in
+          Array.unsafe_set t.next s t.free;
+          t.free <- s;
+          t.now <- at;
+          t.processed <- t.processed + 1;
+          (Array.unsafe_get t.handlers (a land handler_mask))
+            (a asr handler_bits)
+        end
+        else if j == cancelled_job then begin
           (* a dead timer leaves the queue *)
+          free_slot t s;
           t.cancels <- t.cancels - 1
+        end
         else begin
+          free_slot t s;
           t.now <- at;
           t.processed <- t.processed + 1;
           match j with Job (fire, arg) -> fire arg

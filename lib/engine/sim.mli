@@ -33,6 +33,36 @@ val schedule1 : t -> after:Units.time -> ('a -> unit) -> 'a -> timer
     timer, avoiding the closure allocation. Intended for per-packet
     hot paths where [f] is preallocated. *)
 
+type handler
+(** An [int -> unit] handler registered with one simulator. *)
+
+val no_handler : handler
+(** A placeholder for a handler field that is filled in once the
+    handler is registered (a handler that posts itself needs its own
+    id). Posting it raises [Invalid_argument] when the event fires. *)
+
+val register : t -> (int -> unit) -> handler
+(** Store a handler for {!post}. A simulator holds up to 255.
+    @raise Invalid_argument past that. *)
+
+val post : t -> after:Units.time -> handler -> int -> unit
+(** [post t ~after h x] schedules [h x] like {!schedule1}, taking the
+    next tie, but returns no handle, so the event cannot be cancelled.
+    It allocates nothing and stores no pointer: the datapath's per-hop
+    events go through it. [x] must fit in [Sys.int_size - 8] bits. *)
+
+val reserve : t -> int -> int
+(** [reserve t n] takes the next [n] ties, as [n] schedules would, and
+    returns the first; the others follow it consecutively. *)
+
+val post_tie : t -> at:Units.time -> tie:int -> handler -> int -> unit
+(** [post_tie t ~at ~tie h x] schedules [h x] at absolute time [at]
+    with a tie taken earlier by {!reserve}: it pops exactly where a
+    timer scheduled at [at] when the tie was reserved would have. Use
+    each reserved tie once.
+    @raise Invalid_argument if [at] is in the past or [tie] was never
+    reserved. *)
+
 val cancel : timer -> unit
 (** Cancelling a timer that already fired or was already cancelled is
     a no-op, also once its storage has been reused by a later timer,

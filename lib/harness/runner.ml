@@ -31,7 +31,8 @@ type result = {
 let horizon = Units.sec 120
 
 (* A flow trace the fabric cannot run (an endpoint that is not one of
-   its hosts); raised before the clock starts. *)
+   its hosts, or flows out of start-time order); raised before the
+   clock starts. *)
 exception Invalid_trace of string
 
 (* A fault spec whose selectors name hosts, nodes or ports the fabric
@@ -136,32 +137,57 @@ let run ?lp_buffer_cap ?trace ?(observe = fun _ _ -> ())
   let is_host h =
     h >= 0 && h < Net.n_nodes net && (Net.node net h).Net.is_host
   in
-  List.iter
-    (fun (s : Trace.spec) ->
-       if not (is_host s.src && is_host s.dst) then
-         raise
-           (Invalid_trace
-              (Printf.sprintf "Runner: flow %d: %d -> %d is not host to \
-                               host on %s"
-                 s.id s.src s.dst topo.Topology.name)))
-    trace;
+  ignore
+    (List.fold_left
+       (fun prev_start (s : Trace.spec) ->
+          if not (is_host s.src && is_host s.dst) then
+            raise
+              (Invalid_trace
+                 (Printf.sprintf "Runner: flow %d: %d -> %d is not host to \
+                                  host on %s"
+                    s.id s.src s.dst topo.Topology.name));
+          if s.start < prev_start then
+            raise
+              (Invalid_trace
+                 (Printf.sprintf "Runner: flow %d starts at %d ns, before \
+                                  the flow listed ahead of it (%d ns); the \
+                                  trace must be sorted by start"
+                    s.id s.start prev_start));
+          s.start)
+       min_int trace);
   let transport = scheme.Schemes.s_factory ctx in
   let requested = List.length trace in
   let last_finish = ref 0 in
   ctx.Context.on_complete <- (fun _ ->
       last_finish := Sim.now sim;
       if ctx.Context.completed = requested then Sim.stop sim);
-  (* One callback for every flow start, with the spec stored in the
-     timer: the clock is still at 0, and no closure per flow. *)
-  let start_flow spec =
-    let flow = Flow.of_spec spec in
-    Context.flow_started ctx flow;
-    transport.Endpoint.t_start flow
+  (* Flow starts go through a cursor: the run reserves one tie per flow
+     now, where scheduling every start would have taken them, and keeps
+     only the next start queued. Each start first arms the following
+     one with its reserved tie, then starts its own flow. The trace is
+     sorted by start, so the next start is armed at or before its own
+     (time, tie) and every event pops where it would with all starts
+     queued up front. *)
+  let first_tie = Sim.reserve sim requested in
+  let rest = ref trace in
+  let start_h = ref Sim.no_handler in
+  let arm i =
+    match !rest with
+    | (spec : Trace.spec) :: _ ->
+      Sim.post_tie sim ~at:spec.start ~tie:(first_tie + i) !start_h i
+    | [] -> ()
   in
-  List.iter
-    (fun spec ->
-       ignore (Sim.schedule1 sim ~after:spec.Trace.start start_flow spec))
-    trace;
+  start_h :=
+    Sim.register sim (fun i ->
+        match !rest with
+        | spec :: tl ->
+          rest := tl;
+          arm (i + 1);
+          let flow = Flow.of_spec spec in
+          Context.flow_started ctx flow;
+          transport.Endpoint.t_start flow
+        | [] -> assert false);
+  arm 0;
   observe ctx topo;
   (* Structured event tracing (lib/obs): when the config asks for it,
      write the run's events as JSONL and/or schedule the port probes.

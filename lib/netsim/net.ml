@@ -19,14 +19,12 @@ type port = {
   mutable busy : bool;
   mutable tx_bytes : int;           (* cumulative wire bytes sent *)
   mutable tx_payload : int;         (* cumulative data payload sent *)
-  mutable tx_done : unit -> unit;
-  (* preallocated end-of-serialization continuation, installed by
-     [create] so the transmit loop does not close over the port on
-     every packet *)
+  mutable gix : int;
+  (* index in the net's [ports], installed by [create]: the argument
+     of the port's end-of-serialization event *)
   mutable recv_fire : Packet.t -> unit;
-  (* preallocated far-end arrival continuation (also installed by
-     [create]); paired with [Sim.schedule1] so per-packet arrival
-     scheduling allocates only the timer *)
+  (* far-end arrival continuation, installed by [create]; the net's
+     arrival handler calls it *)
   mutable memo_bytes : int;         (* serialization-time memo: *)
   mutable memo_rate : Units.rate;   (* tx_time at (memo_bytes, memo_rate) *)
   mutable memo_tx : Units.time;     (* is memo_tx — ports see few sizes *)
@@ -83,6 +81,16 @@ type node = {
 type t = {
   sim : Sim.t;
   nodes : node array;
+  ports : port array;               (* every port, by [gix] *)
+  (* Packets on the wire: slot [s] holds a packet and the [gix] of the
+     port that sent it until its arrival event, whose argument is [s],
+     fires. A free slot's [fl_port] links the free list instead. Slots
+     are never cleared: the table dies with the net. *)
+  mutable fl_pkt : Packet.t array;
+  mutable fl_port : int array;
+  mutable fl_free : int;
+  mutable tx_h : Sim.handler;       (* end of serialization, arg [gix] *)
+  mutable arr_h : Sim.handler;      (* far-end arrival, arg a slot *)
   mutable dhost : int array;
   mutable dfn : (Packet.t -> unit) array;
   collect_int : bool;
@@ -92,7 +100,7 @@ type t = {
 
 let make_port ~owner ~pix ~rate ~delay qcfg =
   { owner; pix; rate; delay; peer = -1; q = Prio_queue.create qcfg;
-    busy = false; tx_bytes = 0; tx_payload = 0; tx_done = ignore;
+    busy = false; tx_bytes = 0; tx_payload = 0; gix = -1;
     recv_fire = ignore;
     memo_bytes = -1; memo_rate = -1; memo_tx = 0;
     up = true; cur_rate = rate; extra_delay = 0; fault_filter = None;
@@ -226,7 +234,8 @@ let deliver t (p : Packet.t) =
 
 (* A faulted packet still holds the wire for its serialization time
    (the bits were sent, just not received intact), so only the receive
-   is suppressed; [tx_done] keeps the transmit loop alive either way. *)
+   is suppressed; the end-of-serialization event keeps the transmit
+   loop alive either way. *)
 let fault_kill t (port : port) (p : Packet.t) reason =
   port.fault_drops <- port.fault_drops + 1;
   if !Trace.enabled then
@@ -265,6 +274,26 @@ let select sim (f : fwd) (p : Packet.t) =
        Hashtbl.add tbl p.flow { fl_cand = c; fl_last = now };
        c)
 
+(* Put [p], sent by [port], on the wire: take an in-flight slot,
+   growing the table when none is free. *)
+let fly t (port : port) (p : Packet.t) =
+  if t.fl_free < 0 then begin
+    let n = Array.length t.fl_port in
+    let m = 2 * n in
+    let pkt = Array.make m Packet.dummy and link = Array.make m (-1) in
+    Array.blit t.fl_pkt 0 pkt 0 n;
+    Array.blit t.fl_port 0 link 0 n;
+    for s = n to m - 2 do link.(s) <- s + 1 done;
+    t.fl_pkt <- pkt;
+    t.fl_port <- link;
+    t.fl_free <- n
+  end;
+  let s = t.fl_free in
+  t.fl_free <- Array.unsafe_get t.fl_port s;
+  Array.unsafe_set t.fl_pkt s p;
+  Array.unsafe_set t.fl_port s port.gix;
+  s
+
 (* Transmit loop of a port: while the queue is non-empty, pop the next
    packet, hold the wire for its serialization time, then hand it to the
    far node after the propagation delay. A downed port parks with its
@@ -299,8 +328,8 @@ let rec start_tx t (port : port) =
        | Some reason -> fault_kill t port p reason
        | None ->
          let arrive_after = tx + port.delay + port.extra_delay in
-         ignore (Sim.schedule1 t.sim ~after:arrive_after port.recv_fire p));
-      ignore (Sim.schedule t.sim ~after:tx port.tx_done)
+         Sim.post t.sim ~after:arrive_after t.arr_h (fly t port p));
+      Sim.post t.sim ~after:tx t.tx_h port.gix
     end
   end
 
@@ -347,16 +376,32 @@ let create sim ?(collect_int = false) nodes =
             invalid_arg "Net.create: unconnected port")
         n.ports)
     nodes;
+  (* no [Array.map] over the nodes: on a set-up path, making an array
+     of more than 256 words with a young initial value forces a minor
+     collection first *)
+  let ports =
+    Array.concat
+      (Array.fold_right (fun (n : node) acc -> n.ports :: acc) nodes [])
+  in
   let t =
-    { sim; nodes; dhost = [||]; dfn = [||]; collect_int;
+    { sim; nodes; ports;
+      fl_pkt = Array.make 64 Packet.dummy;
+      fl_port = Array.init 64 (fun s -> if s < 63 then s + 1 else -1);
+      fl_free = 0; tx_h = Sim.no_handler; arr_h = Sim.no_handler;
+      dhost = [||]; dfn = [||]; collect_int;
       delivered = 0; undeliverable = 0 }
   in
-  Array.iter (fun n ->
-      Array.iter (fun p ->
-          p.tx_done <- (fun () -> start_tx t p);
-          p.recv_fire <- (fun pkt -> receive t p.peer pkt))
-        n.ports)
-    nodes;
+  t.tx_h <- Sim.register sim (fun g -> start_tx t (Array.unsafe_get ports g));
+  t.arr_h <- Sim.register sim (fun s ->
+      let p = Array.unsafe_get t.fl_pkt s in
+      let port = Array.unsafe_get ports (Array.unsafe_get t.fl_port s) in
+      Array.unsafe_set t.fl_port s t.fl_free;
+      t.fl_free <- s;
+      port.recv_fire p);
+  Array.iteri (fun g p ->
+      p.gix <- g;
+      p.recv_fire <- (fun pkt -> receive t p.peer pkt))
+    ports;
   t
 
 (* Inject a packet at its source host NIC (port 0 by convention). *)
@@ -372,31 +417,17 @@ let delivered t = t.delivered
 let undeliverable t = t.undeliverable
 
 (* Aggregate drop/mark counters over every port in the network. *)
-let total_drops t =
-  Array.fold_left (fun acc n ->
-      Array.fold_left (fun acc p -> acc + Prio_queue.drops p.q) acc n.ports)
-    0 t.nodes
+let sum_ports t f = Array.fold_left (fun acc p -> acc + f p) 0 t.ports
+
+let total_drops t = sum_ports t (fun p -> Prio_queue.drops p.q)
 
 let total_drops_band t ~lp =
   let f = if lp then Prio_queue.drops_lp else Prio_queue.drops_hp in
-  Array.fold_left (fun acc n ->
-      Array.fold_left (fun acc p -> acc + f p.q) acc n.ports)
-    0 t.nodes
+  sum_ports t (fun p -> f p.q)
 
-let total_marks t =
-  Array.fold_left (fun acc n ->
-      Array.fold_left (fun acc p -> acc + Prio_queue.marks p.q) acc n.ports)
-    0 t.nodes
-
-let total_tx_bytes t =
-  Array.fold_left (fun acc n ->
-      Array.fold_left (fun acc p -> acc + p.tx_bytes) acc n.ports)
-    0 t.nodes
-
-let total_fault_drops t =
-  Array.fold_left (fun acc n ->
-      Array.fold_left (fun acc p -> acc + p.fault_drops) acc n.ports)
-    0 t.nodes
+let total_marks t = sum_ports t (fun p -> Prio_queue.marks p.q)
+let total_tx_bytes t = sum_ports t (fun p -> p.tx_bytes)
+let total_fault_drops t = sum_ports t (fun p -> p.fault_drops)
 
 (* Periodic probes: sample every port's queue occupancy, the link
    utilization over the last interval, and the current
@@ -406,7 +437,8 @@ let total_fault_drops t =
 let start_probes t ~interval ~until =
   if interval <= 0 then invalid_arg "Net.start_probes: interval <= 0";
   let last_tx =
-    Array.map (fun n -> Array.map (fun p -> p.tx_bytes) n.ports) t.nodes
+    Array.map (fun (n : node) -> Array.map (fun p -> p.tx_bytes) n.ports)
+      t.nodes
   in
   let last_ts = ref (Sim.now t.sim) in
   let rec tick () =
@@ -414,7 +446,7 @@ let start_probes t ~interval ~until =
     let dt = now - !last_ts in
     if !Trace.enabled then
       Array.iter
-        (fun n ->
+        (fun (n : node) ->
            Array.iter
              (fun p ->
                 Trace.emit now
@@ -443,7 +475,7 @@ let start_probes t ~interval ~until =
              n.ports)
         t.nodes;
     Array.iter
-      (fun n ->
+      (fun (n : node) ->
          Array.iter (fun p -> last_tx.(n.nid).(p.pix) <- p.tx_bytes)
            n.ports)
       t.nodes;

@@ -17,14 +17,13 @@ type port = {
   mutable busy : bool;
   mutable tx_bytes : int;
   mutable tx_payload : int;
-  mutable tx_done : unit -> unit;
-  (** Preallocated end-of-serialization continuation; installed by
-      {!create}, not meant to be called by users. *)
+  mutable gix : int;
+  (** The port's index among all ports of its net; installed by
+      {!create}. Its end-of-serialization event carries it. *)
   mutable recv_fire : Packet.t -> unit;
-  (** Preallocated far-end arrival continuation; installed by
-      {!create} and scheduled via {!Ppt_engine.Sim.schedule1} so a
-      packet arrival allocates no closure. Not meant to be called by
-      users. *)
+  (** Far-end arrival continuation; installed by {!create}. The net's
+      arrival event ({!Ppt_engine.Sim.post}, no allocation) calls it
+      with the packet. Not meant to be called by users. *)
   mutable memo_bytes : int;
   mutable memo_rate : Units.rate;
   mutable memo_tx : Units.time;

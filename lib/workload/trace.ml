@@ -110,8 +110,14 @@ let of_csv text =
         (Printf.sprintf "Trace.of_csv: expected 5 fields at line %d"
            lineno)
   in
+  let lines = String.split_on_char '\n' text in
+  (* a headerless file would otherwise lose its first flow here and
+     then fail on a misleading flow id *)
+  if String.trim (List.hd lines) <> csv_header then
+    invalid_arg
+      (Printf.sprintf "Trace.of_csv: line 1 is not the header %S" csv_header);
   let rows =
-    String.split_on_char '\n' text
+    lines
     |> List.mapi (fun i l -> (i + 1, l))
     |> List.filter (fun (lineno, l) -> lineno > 1 && String.trim l <> "")
     |> List.map (fun (lineno, l) -> (lineno, parse_line lineno l))
@@ -133,4 +139,4 @@ let of_csv text =
               s.id lineno);
        seen.(s.id) <- true)
     rows;
-  List.sort (fun a b -> compare a.start b.start) (List.map snd rows)
+  List.stable_sort (fun a b -> Int.compare a.start b.start) (List.map snd rows)

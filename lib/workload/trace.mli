@@ -33,7 +33,9 @@ val to_csv : spec list -> string
 (** "id,src,dst,size_bytes,start_ns" with a header line. *)
 
 val of_csv : string -> spec list
-(** Parse and sort by start time. Flow ids of an n-flow file must be
-    [0, n), each used once, as {!to_csv} writes them. Raises
-    [Invalid_argument] naming the line on malformed rows, non-positive
-    sizes, self-flows, or ids that are out of range or repeated. *)
+(** Parse and sort by start time, keeping file order among equal
+    starts. Line 1 must be {!csv_header}. Flow ids of an n-flow file
+    must be [0, n), each used once, as {!to_csv} writes them. Raises
+    [Invalid_argument] naming the line on a missing header, malformed
+    rows, non-positive sizes, self-flows, or ids that are out of range
+    or repeated. *)

@@ -359,6 +359,112 @@ let test_sim_bucket_edges () =
     (List.rev !log);
   check Alcotest.int "clock at the last event" 2_560_063 (Sim.now sim)
 
+(* Lane events: [post] fires handlers with their int argument in the
+   same (time, tie) order as closure timers, interleaved with them. *)
+let test_sim_post_interleaves () =
+  let sim = Sim.create () in
+  let log = ref [] in
+  let h = Sim.register sim (fun x -> log := x :: !log) in
+  let at k x = ignore (Sim.schedule_at sim k (fun () -> log := x :: !log)) in
+  Sim.post sim ~after:20 h 1;
+  at 20 2;
+  Sim.post sim ~after:10 h 0;
+  Sim.post sim ~after:20 h (-3);
+  at 5 (-1);
+  Sim.post sim ~after:1_000_000 h 4;
+  Sim.run sim;
+  check (Alcotest.list Alcotest.int) "(time, tie) order, args intact"
+    [ -1; 0; 1; 2; -3; 4 ] (List.rev !log);
+  check Alcotest.int "every lane event counted" 6 (Sim.events_processed sim);
+  check Alcotest.int "drained" 0 (Sim.pending sim)
+
+(* A reserved tie is older than every timer scheduled after the
+   reservation, so an event posted with it at time [k] pops before
+   them in whichever tier [k] falls: the current bucket, a wheel
+   bucket, the overflow heap, or the fallback heap that holds keys
+   below the current bucket after [run ~until] parked short of it. *)
+let test_sim_reserved_ties_every_tier () =
+  let sim = Sim.create () in
+  let log = ref [] in
+  let h = Sim.register sim (fun x -> log := x :: !log) in
+  let first = Sim.reserve sim 8 in
+  let at k x = ignore (Sim.schedule_at sim k (fun () -> log := x :: !log)) in
+  at 200 200;
+  at 250 250;
+  Sim.run ~until:100 sim;
+  (* fallback heap: 150 lies below the current bucket (192..255) *)
+  at 150 151;
+  Sim.post_tie sim ~at:150 ~tie:(first + 1) h 150;
+  (* current bucket, behind a timer scheduled before the pause *)
+  Sim.post_tie sim ~at:200 ~tie:first h 199;
+  ignore
+    (Sim.schedule_at sim 300 (fun () ->
+         log := 300 :: !log;
+         at 300 302;
+         at 1_300 1_301;
+         at 2_000_300 2_000_301;
+         Sim.post_tie sim ~at:300 ~tie:(first + 2) h 301;
+         Sim.post_tie sim ~at:1_300 ~tie:(first + 3) h 1_300;
+         Sim.post_tie sim ~at:2_000_300 ~tie:(first + 4) h 2_000_300));
+  Sim.run sim;
+  check (Alcotest.list Alcotest.int) "reserved ties pop first"
+    [ 150; 151; 199; 200; 250; 300; 301; 302; 1_300; 1_301; 2_000_300;
+      2_000_301 ]
+    (List.rev !log);
+  check Alcotest.int "drained" 0 (Sim.pending sim)
+
+let test_sim_post_tie_rejects () =
+  let sim = Sim.create () in
+  let h = Sim.register sim ignore in
+  ignore (Sim.schedule_at sim 10 ignore);
+  let first = Sim.reserve sim 2 in
+  ignore (Sim.schedule_at sim 20 ignore);
+  let raises name f =
+    match f () with
+    | () -> Alcotest.fail (name ^ ": accepted")
+    | exception Invalid_argument _ -> ()
+  in
+  raises "a scheduled timer's tie" (fun () ->
+      Sim.post_tie sim ~at:30 ~tie:(first - 1) h 0);
+  raises "the tie after the block" (fun () ->
+      Sim.post_tie sim ~at:30 ~tie:(first + 2) h 0);
+  raises "a tie never taken" (fun () ->
+      Sim.post_tie sim ~at:30 ~tie:1_000 h 0);
+  Sim.run sim;
+  raises "a time in the past" (fun () ->
+      Sim.post_tie sim ~at:19 ~tie:first h 0);
+  Sim.post_tie sim ~at:20 ~tie:(first + 1) h 0;
+  Sim.run sim;
+  check Alcotest.int "reserved tie at now accepted" 3
+    (Sim.events_processed sim)
+
+(* Posting, firing and freeing a lane event allocate nothing: a
+   handler re-posting itself 10k times leaves the minor heap where it
+   was, give or take the words the measurement and [run] itself take. *)
+let test_sim_post_allocates_nothing () =
+  let sim = Sim.create () in
+  let self = ref Sim.no_handler in
+  let left = ref 0 in
+  self :=
+    Sim.register sim (fun x ->
+        if !left > 0 then begin
+          decr left;
+          Sim.post sim ~after:(x land 127) !self (x + 1)
+        end);
+  let cycles n =
+    left := n;
+    Sim.post sim ~after:1 !self 0;
+    Sim.run sim
+  in
+  cycles 1_000;
+  let before = Gc.minor_words () in
+  cycles 10_000;
+  let words = Gc.minor_words () -. before in
+  check Alcotest.bool
+    (Printf.sprintf "%.0f minor words over 10k post/fire cycles" words)
+    true (words < 100.);
+  check Alcotest.int "all fired" 11_002 (Sim.events_processed sim)
+
 (* Model-based scheduler test: drive the same randomized scenario —
    near/far/tied timers, nested scheduling from callbacks, random
    cancellations and a mass-cancel burst large enough to trigger
@@ -378,14 +484,25 @@ module Ref_sched = struct
 
   let create () = { evs = []; now = 0; tie = 0 }
 
-  let schedule t key fire =
+  let schedule_tie t key tie fire =
     if key < t.now then invalid_arg "Ref_sched: past";
-    let ev = { key; tie = t.tie; alive = true; fire } in
-    t.tie <- t.tie + 1;
+    let ev = { key; tie; alive = true; fire } in
     t.evs <- ev :: t.evs;
     fun () -> ev.alive <- false
 
-  let run t =
+  let schedule t key fire =
+    let c = schedule_tie t key t.tie fire in
+    t.tie <- t.tie + 1;
+    c
+
+  let reserve t n =
+    let first = t.tie in
+    t.tie <- t.tie + n;
+    fun i key fire ->
+      let (_ : unit -> unit) = schedule_tie t key (first + i) fire in
+      ()
+
+  let run ?(until = max_int) t =
     let rec loop () =
       t.evs <- List.filter (fun ev -> ev.alive) t.evs;
       let best =
@@ -402,6 +519,7 @@ module Ref_sched = struct
       in
       match best with
       | None -> ()
+      | Some ev when ev.key > until -> t.now <- until
       | Some ev ->
         ev.alive <- false;
         t.now <- ev.key;
@@ -411,10 +529,22 @@ module Ref_sched = struct
     loop ()
 end
 
-(* Generate the scenario through an abstract (schedule, now) pair; as
-   long as both schedulers fire events in the same order, every random
-   draw happens at the same point and the logs coincide. *)
-let drive ~schedule ~now seed =
+(* What a scenario can do with a scheduler: [schedule] returns a
+   cancel function; [post] is a lane event, which cannot be cancelled;
+   [reserve n] takes n ties and returns a poster [(i, key, fire)] for
+   the i-th of them. *)
+type ops = {
+  schedule : int -> (unit -> unit) -> unit -> unit;
+  post : int -> (unit -> unit) -> unit;
+  reserve : int -> int -> int -> (unit -> unit) -> unit;
+  now : unit -> int;
+}
+
+(* Generate the scenario through an abstract [ops]; as long as both
+   schedulers fire events in the same order, every random draw happens
+   at the same point and the logs coincide. Returns the fire log and a
+   function that adds a few events right after a [run ~until] pause. *)
+let drive { schedule; post; reserve; now } seed =
   let rng = Rng.create seed in
   let log = ref [] in
   let cancels = ref [||] and n_cancels = ref 0 in
@@ -425,6 +555,18 @@ let drive ~schedule ~now seed =
     incr n_cancels
   in
   let n_id = ref 0 in
+  (* Ties reserved before anything is scheduled, so each is older than
+     every queued event when it is posted; the flow-start cursor uses
+     them the same way. A second block is reserved mid-run. *)
+  let early = reserve 400 and n_early = ref 0 in
+  let late = ref (fun _ _ _ -> ()) and n_late = ref 400 in
+  let near_or_far () =
+    match Rng.int rng 4 with
+    | 0 -> 0                                  (* tie with now *)
+    | 1 -> Rng.int rng 50                     (* same bucket *)
+    | 2 -> Rng.int rng 5_000                  (* within wheel *)
+    | _ -> 300_000 + Rng.int rng 1_000_000    (* overflow *)
+  in
   let rec spawn depth () =
     let id = !n_id in
     incr n_id;
@@ -441,6 +583,15 @@ let drive ~schedule ~now seed =
           in
           push (schedule (now () + dt) (spawn (depth + 1) ()))
         done;
+        (match Rng.int rng 4 with
+         | 0 -> post (now () + near_or_far ()) (spawn (depth + 1) ())
+         | 1 when !n_early < 400 ->
+           early !n_early (now () + near_or_far ()) (spawn (depth + 1) ());
+           incr n_early
+         | 2 when !n_late < 400 ->
+           !late !n_late (now () + near_or_far ()) (spawn (depth + 1) ());
+           incr n_late
+         | _ -> ());
         if Rng.int rng 3 = 0 && !n_cancels > 0 then
           !cancels.(Rng.int rng !n_cancels) ()
       end
@@ -490,27 +641,82 @@ let drive ~schedule ~now seed =
     end
   in
   let (_ : unit -> unit) = schedule 1_500_000 (tick 3_000) in
-  log
+  let (_ : unit -> unit) =
+    schedule 1_200_000 (fun () ->
+        late := reserve 400;
+        n_late := 0)
+  in
+  (* Right after a pause, the clock may sit below the current bucket:
+     events landing in between go to the fallback heap. *)
+  let after_pause () =
+    for _ = 1 to 10 do
+      let at = now () + Rng.int rng 200 in
+      match Rng.int rng 3 with
+      | 0 -> push (schedule at (spawn 2 ()))
+      | 1 -> post at (spawn 2 ())
+      | _ ->
+        if !n_early < 400 then begin
+          early !n_early at (spawn 2 ());
+          incr n_early
+        end
+    done
+  in
+  (log, after_pause)
 
 let prop_sim_matches_reference =
   QCheck.Test.make ~name:"sim pops match sorted-list reference"
     ~count:10 QCheck.small_int
     (fun seed ->
+       let pauses = [ 37_000 + seed; 900_000 + (7 * seed); 1_600_003 ] in
        let sim = Sim.create () in
-       let sim_log =
+       let fires = Hashtbl.create 64 and n_fires = ref 0 in
+       let lane =
+         Sim.register sim (fun i ->
+             let f = Hashtbl.find fires i in
+             Hashtbl.remove fires i;
+             f ())
+       in
+       let stash f =
+         let i = !n_fires in
+         incr n_fires;
+         Hashtbl.replace fires i f;
+         i
+       in
+       let sim_log, sim_after_pause =
          drive
-           ~schedule:(fun k f ->
-               let tm = Sim.schedule_at sim k f in
-               fun () -> Sim.cancel tm)
-           ~now:(fun () -> Sim.now sim)
+           { schedule =
+               (fun k f ->
+                  let tm = Sim.schedule_at sim k f in
+                  fun () -> Sim.cancel tm);
+             post =
+               (fun k f -> Sim.post sim ~after:(k - Sim.now sim) lane (stash f));
+             reserve =
+               (fun n ->
+                  let first = Sim.reserve sim n in
+                  fun i k f ->
+                    Sim.post_tie sim ~at:k ~tie:(first + i) lane (stash f));
+             now = (fun () -> Sim.now sim) }
            seed
        in
+       List.iter
+         (fun until -> Sim.run ~until sim; sim_after_pause ())
+         pauses;
        Sim.run sim;
        let r = Ref_sched.create () in
-       let ref_log =
-         drive ~schedule:(Ref_sched.schedule r)
-           ~now:(fun () -> r.Ref_sched.now) seed
+       let ref_log, ref_after_pause =
+         drive
+           { schedule = Ref_sched.schedule r;
+             post =
+               (fun k f ->
+                  let (_ : unit -> unit) = Ref_sched.schedule r k f in
+                  ());
+             reserve = Ref_sched.reserve r;
+             now = (fun () -> r.Ref_sched.now) }
+           seed
        in
+       List.iter
+         (fun until -> Ref_sched.run ~until r; ref_after_pause ())
+         pauses;
        Ref_sched.run r;
        List.length !sim_log > 200
        && !sim_log = !ref_log
@@ -634,6 +840,14 @@ let suite =
       `Quick test_sim_cancel_in_current_bucket_then_compact;
     Alcotest.test_case "sim: lone events at bucket edges" `Quick
       test_sim_bucket_edges;
+    Alcotest.test_case "sim: lane events interleave with timers" `Quick
+      test_sim_post_interleaves;
+    Alcotest.test_case "sim: reserved ties pop first in every tier" `Quick
+      test_sim_reserved_ties_every_tier;
+    Alcotest.test_case "sim: post_tie refuses bad ties and past times"
+      `Quick test_sim_post_tie_rejects;
+    Alcotest.test_case "sim: lane events allocate nothing" `Quick
+      test_sim_post_allocates_nothing;
     QCheck_alcotest.to_alcotest prop_sim_matches_reference;
     Alcotest.test_case "sim: past scheduling raises" `Quick
       test_sim_past_raises;

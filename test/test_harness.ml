@@ -220,6 +220,30 @@ let test_runner_rejects_non_hosts () =
   check Alcotest.string "dst outside the fabric" (expect 999) (error 999);
   check Alcotest.string "host to host runs" "ran: 2/2" (error 3)
 
+(* Flow starts go through a cursor that keeps only the next start
+   queued, so a replayed trace must be sorted by start. One that is not
+   is refused before the clock starts, naming the first flow out of
+   order; equal starts are fine and keep their listed order. *)
+let test_runner_rejects_unsorted () =
+  let cfg = Config.testbed ~n_flows:3 () in
+  let run starts =
+    let trace =
+      List.mapi
+        (fun id start ->
+           { Ppt_workload.Trace.id; src = id; dst = id + 1; size = 1000;
+             start })
+        starts
+    in
+    match Runner.run ~trace cfg Schemes.dctcp with
+    | r -> Printf.sprintf "ran: %d/%d" r.Runner.completed r.Runner.requested
+    | exception Runner.Invalid_trace msg -> msg
+  in
+  check Alcotest.string "a later flow listed first"
+    "Runner: flow 2 starts at 100 ns, before the flow listed ahead of it \
+     (5000 ns); the trace must be sorted by start"
+    (run [ 0; 5_000; 100 ]);
+  check Alcotest.string "equal starts run" "ran: 3/3" (run [ 0; 100; 100 ])
+
 let suite =
   [ Alcotest.test_case "config: topology shapes" `Quick test_config_shapes;
     Alcotest.test_case "runner: all schemes complete" `Slow
@@ -233,6 +257,8 @@ let suite =
     Alcotest.test_case "runner: rc3 lp cap" `Quick test_runner_lp_cap;
     Alcotest.test_case "runner: replayed endpoints must be hosts" `Quick
       test_runner_rejects_non_hosts;
+    Alcotest.test_case "runner: replayed trace must be sorted by start"
+      `Quick test_runner_rejects_unsorted;
     Alcotest.test_case "runner: efficiency bounds" `Quick
       test_runner_efficiency_bounds;
     Alcotest.test_case "ablation: scheduling direction" `Slow

@@ -245,6 +245,70 @@ let test_trace_csv_ids () =
     (List.length
        (Trace.of_csv (Trace.csv_header ^ "\n1,0,1,10,0\n0,1,0,10,5\n")))
 
+(* Line 1 must be the header: a headerless file is refused by name
+   rather than losing its first flow and then failing on a flow id. *)
+let test_trace_csv_header () =
+  let error text =
+    match Trace.of_csv text with
+    | l -> Printf.sprintf "accepted %d" (List.length l)
+    | exception Invalid_argument msg -> msg
+  in
+  let refused =
+    "Trace.of_csv: line 1 is not the header \"id,src,dst,size_bytes,start_ns\""
+  in
+  check Alcotest.string "headerless" refused (error "0,0,1,10,0\n1,1,0,10,5\n");
+  check Alcotest.string "empty text" refused (error "");
+  check Alcotest.string "header only" "accepted 0"
+    (error (Trace.csv_header ^ "\n"));
+  check Alcotest.string "CRLF header" "accepted 1"
+    (error (Trace.csv_header ^ "\r\n0,0,1,10,0\r\n"))
+
+(* Damaged trace files — truncated, bit-flipped, rows shuffled (the
+   header too) — either parse into a start-sorted trace or raise
+   [Invalid_argument]; nothing else escapes. *)
+let prop_trace_csv_garbage =
+  QCheck.Test.make ~name:"trace csv: damaged files fail cleanly" ~count:500
+    QCheck.(pair small_int (int_range 0 2))
+    (fun (seed, damage) ->
+       let rng = Rng.create seed in
+       let specs =
+         Trace.generate ~rng:(Rng.split rng) ~cdf:Dists.web_search
+           ~pattern:(Trace.All_to_all (Array.init 4 Fun.id))
+           ~edge_rate:(Units.gbps 10) ~load:0.5 ~n_flows:(Rng.int rng 20) ()
+       in
+       let text = Trace.to_csv specs in
+       let text =
+         match damage with
+         | 0 -> String.sub text 0 (Rng.int rng (String.length text + 1))
+         | 1 ->
+           let b = Bytes.of_string text in
+           for _ = 0 to Rng.int rng 8 do
+             let i = Rng.int rng (Bytes.length b) in
+             Bytes.set b i
+               (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl Rng.int rng 8)))
+           done;
+           Bytes.to_string b
+         | _ ->
+           let lines = Array.of_list (String.split_on_char '\n' text) in
+           let n = Array.length lines in
+           for i = n - 1 downto 1 do
+             let j = Rng.int rng (i + 1) in
+             let x = lines.(i) in
+             lines.(i) <- lines.(j);
+             lines.(j) <- x
+           done;
+           String.concat "\n" (Array.to_list lines)
+       in
+       match Trace.of_csv text with
+       | parsed ->
+         let rec sorted = function
+           | (a : Trace.spec) :: (b :: _ as tl) ->
+             a.start <= b.start && sorted tl
+           | _ -> true
+         in
+         sorted parsed
+       | exception Invalid_argument _ -> true)
+
 let test_trace_determinism () =
   let gen seed =
     Trace.generate ~rng:(Rng.create seed) ~cdf:Dists.web_search
@@ -281,4 +345,6 @@ let suite =
     Alcotest.test_case "trace: csv validation" `Quick
       test_trace_csv_validation;
     Alcotest.test_case "trace: csv flow ids" `Quick test_trace_csv_ids;
+    Alcotest.test_case "trace: csv header" `Quick test_trace_csv_header;
+    QCheck_alcotest.to_alcotest prop_trace_csv_garbage;
     Alcotest.test_case "trace: determinism" `Quick test_trace_determinism ]
