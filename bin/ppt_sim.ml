@@ -4,7 +4,7 @@
      ppt_sim run --topo oversub --scheme ppt --workload web-search \
                  --load 0.5 --flows 500
      ppt_sim compare --topo testbed --load 0.7
-     ppt_sim figure fig12 [--flows-scale 0.5] [--full]              *)
+     ppt_sim sweep fig12 [--flows-scale 0.5] [--full] [--jobs 2]     *)
 
 open Cmdliner
 open Ppt_harness
@@ -24,15 +24,24 @@ let scheme_names =
     ("ppt-no-sched", Schemes.ppt_no_sched);
     ("ppt-no-ident", Schemes.ppt_no_ident) ]
 
-let topo_of_name name ~flows ~load ~seed ~scale =
-  match name with
-  | "testbed" -> Config.testbed ~n_flows:flows ~load ~seed ()
-  | "oversub" -> Config.oversub ~scale ~n_flows:flows ~load ~seed ()
-  | "fast" -> Config.fast ~scale ~n_flows:flows ~load ~seed ()
-  | "non-oversub" ->
-    Config.non_oversub ~scale ~n_flows:flows ~load ~seed ()
-  | "dumbbell" -> Config.dumbbell ~n_flows:flows ~load ~seed ()
-  | other -> failwith ("unknown topology: " ^ other)
+(* The topologies --topo accepts; [scale] only shapes the leaf-spine
+   fabrics. *)
+let topologies =
+  [ ("testbed", fun ~scale:_ ~flows ~load ~seed ->
+        Config.testbed ~n_flows:flows ~load ~seed ());
+    ("oversub", fun ~scale ~flows ~load ~seed ->
+        Config.oversub ~scale ~n_flows:flows ~load ~seed ());
+    ("fast", fun ~scale ~flows ~load ~seed ->
+        Config.fast ~scale ~n_flows:flows ~load ~seed ());
+    ("non-oversub", fun ~scale ~flows ~load ~seed ->
+        Config.non_oversub ~scale ~n_flows:flows ~load ~seed ());
+    ("dumbbell", fun ~scale:_ ~flows ~load ~seed ->
+        Config.dumbbell ~n_flows:flows ~load ~seed ()) ]
+
+let workloads =
+  List.map
+    (fun (d : Ppt_workload.Dists.named) -> (d.dist_name, d.cdf))
+    Ppt_workload.Dists.all
 
 let pp_result r =
   let s = r.Runner.summary in
@@ -60,24 +69,53 @@ let pp_result r =
 
 (* ---- common options ---- *)
 
-let topo_arg =
-  let doc =
-    "Topology: testbed, oversub, fast, non-oversub or dumbbell."
+(* A converter that admits only what [of_string] parses and [ok]
+   accepts: anything else is a usage error naming [what] was
+   expected, not a crash further in. *)
+let checked of_string pp ~what ok =
+  let parse s =
+    match of_string s with
+    | Some v when ok v -> Ok v
+    | _ ->
+      Error (`Msg (Printf.sprintf "invalid value '%s', expected %s" s what))
   in
-  Arg.(value & opt string "oversub" & info [ "topo" ] ~docv:"NAME" ~doc)
+  Arg.conv (parse, pp)
+
+let positive_int =
+  checked int_of_string_opt Format.pp_print_int ~what:"a positive integer"
+    (fun n -> n > 0)
+
+let positive_float =
+  checked float_of_string_opt Format.pp_print_float
+    ~what:"a positive finite number" (fun x -> x > 0. && Float.is_finite x)
+
+(* One of [table]'s names. The value is the name itself, since
+   cmdliner compares values to print the default, and closures do not
+   compare. *)
+let name_of table =
+  Arg.enum (List.map (fun (name, _) -> (name, name)) table)
+
+let topo_arg =
+  let doc = "Topology: " ^ Arg.doc_alts_enum topologies ^ "." in
+  Arg.(value & opt (name_of topologies) "oversub"
+       & info [ "topo" ] ~docv:"NAME" ~doc)
 
 let workload_arg =
-  let doc = "Workload: web-search, data-mining or memcached." in
-  Arg.(value & opt string "web-search"
+  let doc = "Workload: " ^ Arg.doc_alts_enum workloads ^ "." in
+  Arg.(value & opt (name_of workloads) "web-search"
        & info [ "workload" ] ~docv:"NAME" ~doc)
 
 let load_arg =
   let doc = "Target network load in (0, 1]." in
-  Arg.(value & opt float 0.5 & info [ "load" ] ~docv:"L" ~doc)
+  let load =
+    checked float_of_string_opt Format.pp_print_float
+      ~what:"a load in (0, 1]" (fun l -> l > 0. && l <= 1.)
+  in
+  Arg.(value & opt load 0.5 & info [ "load" ] ~docv:"L" ~doc)
 
 let flows_arg =
   let doc = "Number of flows to simulate." in
-  Arg.(value & opt int 500 & info [ "flows" ] ~docv:"N" ~doc)
+  Arg.(value & opt positive_int 500 & info [ "flows" ] ~docv:"N" ~doc)
 
 let seed_arg =
   let doc = "Random seed." in
@@ -96,19 +134,29 @@ let setup_logs verbose =
   Logs.set_level (Some (if verbose then Logs.Debug else Logs.Warning))
 
 let incast_arg =
-  let doc = "Run an N-to-1 incast pattern instead of all-to-all." in
-  Arg.(value & opt (some int) None & info [ "incast" ] ~docv:"N" ~doc)
+  let doc =
+    "Run an N-to-1 incast pattern instead of all-to-all; N must be \
+     below the topology's host count."
+  in
+  Arg.(value & opt (some positive_int) None
+       & info [ "incast" ] ~docv:"N" ~doc)
 
+(* The configuration the common options describe, or a usage error
+   for an incast with no host left to receive it. *)
 let config_of ~topo ~workload ~load ~flows ~seed ~full ~incast =
   let scale = if full then 9 else 4 in
-  let cfg = topo_of_name topo ~flows ~load ~seed ~scale in
   let cfg =
-    Config.with_workload ~name:workload
-      (Ppt_workload.Dists.by_name workload) cfg
+    Config.with_workload ~name:workload (List.assoc workload workloads)
+      ((List.assoc topo topologies) ~scale ~flows ~load ~seed)
   in
   match incast with
-  | None -> cfg
-  | Some n -> { cfg with Config.pattern = Config.Incast { n_senders = n } }
+  | None -> Ok cfg
+  | Some n when n < Config.n_hosts cfg ->
+    Ok { cfg with Config.pattern = Config.Incast { n_senders = n } }
+  | Some n ->
+    Error
+      (Printf.sprintf "--incast %d needs fewer senders than the %d hosts \
+                       of %s" n (Config.n_hosts cfg) cfg.Config.name)
 
 (* ---- run ---- *)
 
@@ -172,7 +220,8 @@ let run_cmd =
       "Queue/link/DT probe sampling interval in microseconds (with \
        $(b,--trace))."
     in
-    Arg.(value & opt int 100 & info [ "probe-interval" ] ~docv:"US" ~doc)
+    Arg.(value & opt positive_int 100
+         & info [ "probe-interval" ] ~docv:"US" ~doc)
   in
   let faults_arg =
     let doc =
@@ -194,10 +243,13 @@ let run_cmd =
   let run topo scheme workload load flows seed full incast dump
       trace_in trace_out trace_events trace_fmt probe_us faults verbose =
     setup_logs verbose;
-    match List.assoc_opt scheme scheme_names with
-    | None -> `Error (false, "unknown scheme: " ^ scheme)
-    | Some s ->
-      let cfg = config_of ~topo ~workload ~load ~flows ~seed ~full ~incast in
+    match
+      ( List.assoc_opt scheme scheme_names,
+        config_of ~topo ~workload ~load ~flows ~seed ~full ~incast )
+    with
+    | None, _ -> `Error (false, "unknown scheme: " ^ scheme)
+    | _, Error msg -> `Error (false, msg)
+    | Some s, Ok cfg ->
       let cfg =
         match trace_events with
         | None -> cfg
@@ -263,7 +315,9 @@ let run_cmd =
 
 let compare_cmd =
   let run topo workload load flows seed full incast =
-    let cfg = config_of ~topo ~workload ~load ~flows ~seed ~full ~incast in
+    match config_of ~topo ~workload ~load ~flows ~seed ~full ~incast with
+    | Error msg -> `Error (false, msg)
+    | Ok cfg ->
     let ppf = Format.std_formatter in
     Ppt_stats.Table.header ppf
       [ "overall"; "small-avg"; "small-p99"; "large-avg" ];
@@ -287,33 +341,6 @@ let compare_cmd =
        ~doc:"Run the six headline schemes over one configuration")
     term
 
-(* ---- figure ---- *)
-
-let figure_cmd =
-  let id_arg =
-    let doc = "Experiment id (fig1..fig29, tab1..tab5)." in
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"ID" ~doc)
-  in
-  let flows_scale_arg =
-    let doc = "Scale every experiment's flow count." in
-    Arg.(value & opt float 1.0 & info [ "flows-scale" ] ~docv:"F" ~doc)
-  in
-  let run id flows_scale seed full =
-    match Figures.find id with
-    | None -> `Error (false, "unknown experiment id: " ^ id)
-    | Some e ->
-      let opts = { Figures.flows_scale; seed; full } in
-      Figures.render e opts Format.std_formatter;
-      Format.pp_print_flush Format.std_formatter ();
-      `Ok ()
-  in
-  let term =
-    Term.(ret (const run $ id_arg $ flows_scale_arg $ seed_arg $ full_arg))
-  in
-  Cmd.v
-    (Cmd.info "figure" ~doc:"Regenerate one of the paper's figures/tables")
-    term
-
 (* ---- sweep ---- *)
 
 let sweep_cmd =
@@ -325,21 +352,22 @@ let sweep_cmd =
   in
   let flows_scale_arg =
     let doc = "Scale every experiment's flow count." in
-    Arg.(value & opt float 1.0 & info [ "flows-scale" ] ~docv:"F" ~doc)
+    Arg.(value & opt positive_float 1.0
+         & info [ "flows-scale" ] ~docv:"F" ~doc)
   in
   let jobs_arg =
     let doc =
       "Worker processes. 1 runs the units serially in-process; either \
        way the merged output is byte-identical."
     in
-    Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
+    Arg.(value & opt positive_int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
   in
   let timeout_arg =
     let doc =
       "Per-shard timeout in seconds; a shard exceeding it is killed \
        and retried on a fresh worker."
     in
-    Arg.(value & opt (some float) None
+    Arg.(value & opt (some positive_float) None
          & info [ "timeout" ] ~docv:"SECONDS" ~doc)
   in
   let resume_arg =
@@ -381,7 +409,7 @@ let sweep_cmd =
       flush stdout;
       Printf.eprintf
         "[sweep] %d shard(s), jobs=%d, wall=%.2fs, events=%d%s%s\n%!"
-        (List.length r.Parallel.shards)
+        r.Parallel.shards
         r.Parallel.jobs r.Parallel.wall r.Parallel.events
         (if r.Parallel.resumed > 0 then
            Printf.sprintf ", resumed=%d" r.Parallel.resumed
@@ -413,8 +441,10 @@ let list_cmd =
   let run () =
     Format.printf "schemes:@.";
     List.iter (fun (n, _) -> Format.printf "  %s@." n) scheme_names;
-    Format.printf "topologies: testbed oversub fast non-oversub dumbbell@.";
-    Format.printf "workloads: web-search data-mining memcached@.";
+    Format.printf "topologies: %s@."
+      (String.concat " " (List.map fst topologies));
+    Format.printf "workloads: %s@."
+      (String.concat " " (List.map fst workloads));
     Format.printf "experiments:@.";
     List.iter
       (fun e ->
@@ -430,5 +460,4 @@ let () =
   let doc = "PPT: a pragmatic transport for datacenters (simulator)" in
   let info = Cmd.info "ppt_sim" ~version:"1.0.0" ~doc in
   exit (Cmd.eval (Cmd.group info
-                    [ run_cmd; compare_cmd; figure_cmd; sweep_cmd;
-                      list_cmd ]))
+                    [ run_cmd; compare_cmd; sweep_cmd; list_cmd ]))

@@ -14,7 +14,3 @@ let make ?(threshold = 100_000) ?(model = Sendbuf.default) () =
 
 let identify t rng ~flow_size =
   Sendbuf.first_syscall_size t.model rng ~flow_size > t.threshold
-
-(* Expected identification accuracy on flows above the threshold:
-   used by tests to tie the model to the paper's measured 86.7%. *)
-let expected_accuracy t = t.model.Sendbuf.single_write_prob

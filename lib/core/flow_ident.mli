@@ -8,6 +8,3 @@ val make : ?threshold:int -> ?model:Sendbuf.model -> unit -> t
 (** [threshold] defaults to 100KB (Table 3). *)
 
 val identify : t -> Ppt_engine.Rng.t -> flow_size:int -> bool
-
-val expected_accuracy : t -> float
-(** The fraction of genuinely-large flows the check catches. *)

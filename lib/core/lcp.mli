@@ -34,12 +34,6 @@ val loops_opened : t -> int
 val case1_window : t -> int
 (** Case-1 initial window: BDP - current congestion window. *)
 
-val case2_window : t -> alpha:float -> int
-(** Case-2 initial window (Eq. 2): [(1/2 - alpha) * W_max]. *)
-
-val on_rtt_boundary : t -> unit
-(** Exposed for tests: the per-RTT case-2 trigger. *)
-
 val pace_interval : rtt:int -> sent:int -> window:int -> int
 (** EWD pacer gap: [rtt * sent / window] rounded to nearest (never
     below 1 tick), so a window paces out over one whole RTT instead of

@@ -7,9 +7,6 @@
 
 type t
 
-val default_demotion : int array
-(** PIAS-style byte thresholds between consecutive priority levels. *)
-
 val make : ?demotion:int array -> identified_large:bool -> unit -> t
 (** Raises [Invalid_argument] unless [demotion] holds 3 ascending
     positive thresholds. *)

@@ -34,8 +34,6 @@ let int t bound =
   let r = Int64.to_int (Int64.shift_right_logical (next_int64 t) 2) in
   r mod bound
 
-let bool t = Int64.logand (next_int64 t) 1L = 1L
-
 (* Exponential variate with the given mean; used for Poisson
    inter-arrival times. *)
 let exponential t ~mean =

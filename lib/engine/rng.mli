@@ -12,7 +12,5 @@ val float : t -> float
 val int : t -> int -> int
 (** Uniform in [0, bound); [bound] must be positive. *)
 
-val bool : t -> bool
-
 val exponential : t -> mean:float -> float
 (** Exponential variate with the given positive mean. *)

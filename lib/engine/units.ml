@@ -6,7 +6,6 @@
 type time = int
 (** Simulated time in nanoseconds. *)
 
-let ns n = n
 let us n = n * 1_000
 let ms n = n * 1_000_000
 let sec n = n * 1_000_000_000
@@ -25,7 +24,6 @@ type rate = int
 (** Link or sending rate in bits per second. *)
 
 let gbps n = n * 1_000_000_000
-let mbps n = n * 1_000_000
 
 (* Serialization time of [bytes] at [rate] bits/s, rounded up so that a
    busy link is never released early.  Valid for [bytes] < ~5*10^8,
@@ -48,5 +46,3 @@ let bdp ~rate ~rtt = bytes_in ~rate ~time:rtt
 
 let kb n = n * 1_000
 let mb n = n * 1_000_000
-let kib n = n * 1_024
-let mib n = n * 1_048_576

@@ -3,7 +3,6 @@
 type time = int
 (** Simulated time in nanoseconds. *)
 
-val ns : int -> time
 val us : int -> time
 val ms : int -> time
 val sec : int -> time
@@ -18,7 +17,6 @@ type rate = int
 (** Rate in bits per second. *)
 
 val gbps : int -> rate
-val mbps : int -> rate
 
 val tx_time : rate:rate -> bytes:int -> time
 (** Serialization delay of [bytes] at [rate], rounded up. *)
@@ -31,5 +29,3 @@ val bdp : rate:rate -> rtt:time -> int
 
 val kb : int -> int
 val mb : int -> int
-val kib : int -> int
-val mib : int -> int

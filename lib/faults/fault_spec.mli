@@ -56,10 +56,7 @@ val to_string : t -> string
 val validate : t -> (t, string) result
 (** Range-check every clause (also done by {!of_string}). *)
 
-val clause_to_string : clause -> string
 val selector_to_string : selector -> string
-val kind_to_string : kind -> string
-val time_to_string : Units.time -> string
 
 val scenarios :
   receiver:int -> spike:Units.time -> core:bool ->

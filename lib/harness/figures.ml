@@ -881,23 +881,19 @@ type experiment = {
   e_id : string;
   e_descr : string;
   e_units : opts -> unit_of_work list;
-  e_sim : bool;
-  (* false = print-only (static tables): running it processes no
-     simulator events, so it has no place in macro timing *)
 }
 
 (* An undecomposed experiment: one unit running the whole generator. *)
 let whole f = fun o -> [ unit_ "all" (fun ppf -> f o ppf) ]
 
-let exp_ ?(sim = true) e_id e_descr e_units =
-  { e_id; e_descr; e_units; e_sim = sim }
+let exp_ e_id e_descr e_units = { e_id; e_descr; e_units }
 
 let all : experiment list =
-  [ exp_ ~sim:false "tab1" "qualitative transport comparison" (whole tab1);
-    exp_ ~sim:false "tab2" "workload flow-size statistics" (whole tab2);
-    exp_ ~sim:false "tab3" "testbed parameters" (whole tab3);
-    exp_ ~sim:false "tab4" "Homa/Linux stack LoC" (whole tab4);
-    exp_ ~sim:false "tab5" "app changes for Homa/Linux" (whole tab5);
+  [ exp_ "tab1" "qualitative transport comparison" (whole tab1);
+    exp_ "tab2" "workload flow-size statistics" (whole tab2);
+    exp_ "tab3" "testbed parameters" (whole tab3);
+    exp_ "tab4" "Homa/Linux stack LoC" (whole tab4);
+    exp_ "tab5" "app changes for Homa/Linux" (whole tab5);
     exp_ "fig1" "DCTCP utilization fluctuation" (whole fig1);
     exp_ "fig2" "hypothetical DCTCP vs proactive" fig2_units;
     exp_ "fig3" "fill-to-fraction-of-MW sweep" (whole fig3);

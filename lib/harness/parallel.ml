@@ -8,32 +8,13 @@
    which makes the merged output byte-identical to a serial
    [Figures.render] of the same experiments — whatever [jobs] is. *)
 
-(* GC activity of one shard, measured inside the worker process (a
-   fresh fork per shard, so [g_top_heap_words] really is that shard's
-   peak heap, not an artifact of earlier work). *)
-type gc_info = {
-  g_minor_words : float;    (* words allocated on the minor heap *)
-  g_major_words : float;    (* words allocated on/promoted to the major *)
-  g_top_heap_words : int;   (* worker-process peak heap, in words *)
-}
-
-type shard_info = {
-  sh_key : string;       (* "<experiment>/<unit>" *)
-  sh_wall : float;
-  sh_attempts : int;
-  sh_cached : bool;      (* restored from the resume journal *)
-  sh_events : int;
-  sh_failed : bool;
-  sh_gc : gc_info option;   (* None for failed shards *)
-}
-
 type result = {
   output : string;       (* fragments merged in canonical order *)
   jobs : int;
   wall : float;          (* whole-sweep wall-clock seconds *)
   events : int;          (* simulator events across all shards *)
   resumed : int;
-  shards : shard_info list;     (* canonical order *)
+  shards : int;          (* work units, failed ones included *)
   failures : (string * string) list;  (* key, reason *)
 }
 
@@ -50,18 +31,8 @@ let unit_specs ids (opts : Figures.opts) =
               { Ppt_sweep.Sweep.key = id ^ "/" ^ u.Figures.u_name;
                 run =
                   (fun () ->
-                     let s0 = Gc.quick_stat () in
-                     let frag, ev =
-                       Runner.with_events_counted (fun () ->
-                           Figures.render_unit u)
-                     in
-                     let s1 = Gc.quick_stat () in
-                     ( frag, ev,
-                       { g_minor_words =
-                           s1.Gc.minor_words -. s0.Gc.minor_words;
-                         g_major_words =
-                           s1.Gc.major_words -. s0.Gc.major_words;
-                         g_top_heap_words = s1.Gc.top_heap_words } )) })
+                     Runner.with_events_counted (fun () ->
+                         Figures.render_unit u)) })
            (e.Figures.e_units opts))
     ids
 
@@ -98,35 +69,22 @@ let sweep ?(jobs = 1) ?timeout ?retries ?journal ?(resume = false)
   let buf = Buffer.create 4096 in
   let events = ref 0 in
   let failures = ref [] in
-  let shards =
-    List.map
-      (fun (s : _ Ppt_sweep.Sweep.shard) ->
-         let ev, gc, failed =
-           match s.Ppt_sweep.Sweep.s_outcome with
-           | Ppt_sweep.Sweep.Done ((frag : string), ev, gc) ->
-             Buffer.add_string buf frag;
-             (ev, Some gc, false)
-           | Ppt_sweep.Sweep.Failed msg ->
-             Buffer.add_string buf
-               (Printf.sprintf "(!) shard %s failed: %s\n"
-                  s.Ppt_sweep.Sweep.s_key msg);
-             failures := (s.Ppt_sweep.Sweep.s_key, msg) :: !failures;
-             (0, None, true)
-         in
-         events := !events + ev;
-         { sh_key = s.Ppt_sweep.Sweep.s_key;
-           sh_wall = s.Ppt_sweep.Sweep.s_wall;
-           sh_attempts = s.Ppt_sweep.Sweep.s_attempts;
-           sh_cached = s.Ppt_sweep.Sweep.s_cached;
-           sh_events = ev;
-           sh_failed = failed;
-           sh_gc = gc })
-      r.Ppt_sweep.Sweep.shards
-  in
+  List.iter
+    (fun (s : _ Ppt_sweep.Sweep.shard) ->
+       match s.Ppt_sweep.Sweep.s_outcome with
+       | Ppt_sweep.Sweep.Done ((frag : string), ev) ->
+         Buffer.add_string buf frag;
+         events := !events + ev
+       | Ppt_sweep.Sweep.Failed msg ->
+         Buffer.add_string buf
+           (Printf.sprintf "(!) shard %s failed: %s\n"
+              s.Ppt_sweep.Sweep.s_key msg);
+         failures := (s.Ppt_sweep.Sweep.s_key, msg) :: !failures)
+    r.Ppt_sweep.Sweep.shards;
   { output = Buffer.contents buf;
     jobs = r.Ppt_sweep.Sweep.r_jobs;
     wall = r.Ppt_sweep.Sweep.r_wall;
     events = !events;
     resumed = r.Ppt_sweep.Sweep.r_resumed;
-    shards;
+    shards = List.length r.Ppt_sweep.Sweep.shards;
     failures = List.rev !failures }

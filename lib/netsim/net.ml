@@ -421,12 +421,7 @@ let sum_ports t f = Array.fold_left (fun acc p -> acc + f p) 0 t.ports
 
 let total_drops t = sum_ports t (fun p -> Prio_queue.drops p.q)
 
-let total_drops_band t ~lp =
-  let f = if lp then Prio_queue.drops_lp else Prio_queue.drops_hp in
-  sum_ports t (fun p -> f p.q)
-
 let total_marks t = sum_ports t (fun p -> Prio_queue.marks p.q)
-let total_tx_bytes t = sum_ports t (fun p -> p.tx_bytes)
 let total_fault_drops t = sum_ports t (fun p -> p.fault_drops)
 
 (* Periodic probes: sample every port's queue occupancy, the link

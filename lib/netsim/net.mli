@@ -130,7 +130,5 @@ val kick : t -> port -> unit
 val delivered : t -> int
 val undeliverable : t -> int
 val total_drops : t -> int
-val total_drops_band : t -> lp:bool -> int
 val total_marks : t -> int
-val total_tx_bytes : t -> int
 val total_fault_drops : t -> int

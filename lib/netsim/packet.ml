@@ -93,7 +93,6 @@ let debug =
       | Some _ | None -> false)
 
 let set_pooling b = pooling := b
-let pooling_enabled () = !pooling
 let set_debug b = debug := b
 
 (* Placeholder for unused queue and pool slots; never routed, never
@@ -196,27 +195,10 @@ let tel_qlen p i = p.tel.(i * tel_stride)
 let tel_tx_bytes p i = p.tel.((i * tel_stride) + 1)
 let tel_ts p i = p.tel.((i * tel_stride) + 2)
 let tel_rate p i = p.tel.((i * tel_stride) + 3)
-let tel_clear p = p.tel_n <- 0
 
 let tel_copy ~src ~dst =
   Array.blit src.tel 0 dst.tel 0 (src.tel_n * tel_stride);
   dst.tel_n <- src.tel_n
-
-let is_data p = p.kind = Data
-
-let pp_kind ppf = function
-  | Data -> Fmt.string ppf "data"
-  | Ack -> Fmt.string ppf "ack"
-  | Grant -> Fmt.string ppf "grant"
-  | Pull -> Fmt.string ppf "pull"
-  | Nack -> Fmt.string ppf "nack"
-  | Ctrl -> Fmt.string ppf "ctrl"
-
-let pp ppf p =
-  Fmt.pf ppf "@[<h>%a flow=%d %d->%d seq=%d wire=%dB prio=%d%s%s@]"
-    pp_kind p.kind p.flow p.src p.dst p.seq p.wire p.prio
-    (if p.ecn_ce then " CE" else "")
-    (if p.trimmed then " trimmed" else "")
 
 (* Segmentation helper: number of [max_payload]-sized segments needed to
    carry [bytes], with a final short segment. *)

@@ -21,9 +21,6 @@ type loop = H | L
 type meta = ..
 type meta += No_meta
 
-val tel_cap : int
-(** Max inband-telemetry entries a packet can carry (hops). *)
-
 val tel_stride : int
 (** Ints per telemetry entry: qlen, tx_bytes, ts, rate. *)
 
@@ -79,8 +76,6 @@ val set_pooling : bool -> unit
     off). With pooling off, [make] always allocates and [release] is a
     no-op. *)
 
-val pooling_enabled : unit -> bool
-
 val set_debug : bool -> unit
 (** Enable double-release / use-after-release checking with field
     poisoning (default off; env [PPT_POOL_DEBUG=1] turns it on). *)
@@ -106,14 +101,9 @@ val tel_qlen : t -> int -> int
 val tel_tx_bytes : t -> int -> int
 val tel_ts : t -> int -> int
 val tel_rate : t -> int -> int
-val tel_clear : t -> unit
 val tel_copy : src:t -> dst:t -> unit
 (** Copy [src]'s telemetry into [dst]'s own buffer (receivers echo the
     data packet's telemetry on the ack they emit). *)
-
-val is_data : t -> bool
-val pp : Format.formatter -> t -> unit
-val pp_kind : Format.formatter -> kind -> unit
 
 val segments_of_bytes : int -> int
 val segment_payload : flow_bytes:int -> seq:int -> int

@@ -333,5 +333,3 @@ let of_binary s pos =
       done;
       Some (ts, build tag)
     with Malformed -> failwith "Event.of_binary: truncated stream"
-
-let pp ppf ev = Fmt.string ppf (to_json_line ~ts:0 ev)

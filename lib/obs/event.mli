@@ -114,5 +114,3 @@ val of_binary : string -> int ref -> (int * t) option
 (** [of_binary s pos] decodes the event at [!pos] (advancing [pos]);
     [None] once [s] is exhausted. The caller strips {!bin_magic}
     first. @raise Failure on a corrupt or truncated stream. *)
-
-val pp : Format.formatter -> t -> unit

@@ -27,7 +27,4 @@ val add : t -> int -> Event.t -> t
 
 val of_list : (int * Event.t) list -> t
 
-val mark_rate : t -> float
-(** Marks per data enqueue; [nan] when no data was enqueued. *)
-
 val pp : Format.formatter -> t -> unit

@@ -26,8 +26,6 @@ let with_sink s f =
   install s;
   Fun.protect ~finally:clear f
 
-let tee a b : sink = fun ts ev -> a ts ev; b ts ev
-
 let jsonl_sink oc : sink =
   fun ts ev ->
     output_string oc (Event.to_json_line ~ts ev);

@@ -26,8 +26,6 @@ val emit : int -> Event.t -> unit
 val with_sink : sink -> (unit -> 'a) -> 'a
 (** Install, run, and always clear (even on exceptions). *)
 
-val tee : sink -> sink -> sink
-
 val jsonl_sink : out_channel -> sink
 (** Write each event as one canonical JSON line (see
     {!Event.to_json_line}). *)

@@ -175,10 +175,3 @@ let jain_fairness t =
     let s = List.fold_left ( +. ) 0. rates in
     let s2 = List.fold_left (fun acc x -> acc +. (x *. x)) 0. rates in
     if s2 = 0. then nan else s *. s /. (n *. s2)
-
-let pp_summary ppf s =
-  Fmt.pf ppf
-    "@[<h>flows=%d overall=%.3fms small-avg=%.3fms small-p99=%.3fms \
-     large-avg=%.3fms retrans=%d@]"
-    s.flows s.overall_avg s.small_avg s.small_p99 s.large_avg
-    s.total_retrans

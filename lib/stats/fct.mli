@@ -52,10 +52,6 @@ val summarize : ?cutoff:int -> t -> summary
 val slowdown : rate:Units.rate -> base_rtt:Units.time -> record -> float
 (** Normalized FCT: completion time over the ideal unloaded time. *)
 
-val slowdowns :
-  ?lo:int -> ?hi:int -> rate:Units.rate -> base_rtt:Units.time -> t ->
-  float list
-
 val slowdown_stats :
   ?lo:int -> ?hi:int -> rate:Units.rate -> base_rtt:Units.time -> t ->
   float * float
@@ -63,5 +59,3 @@ val slowdown_stats :
 
 val jain_fairness : t -> float
 (** Jain's index over per-flow average throughput; 1.0 is fair. *)
-
-val pp_summary : Format.formatter -> summary -> unit

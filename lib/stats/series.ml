@@ -29,12 +29,6 @@ let mean t =
   else List.fold_left (fun acc s -> acc +. s.value) 0. t.samples
        /. float_of_int t.n
 
-let min_value t =
-  List.fold_left (fun acc s -> min acc s.value) infinity t.samples
-
-let max_value t =
-  List.fold_left (fun acc s -> max acc s.value) neg_infinity t.samples
-
 (* Install a sampler on the simulator: evaluates [probe] every
    [interval] from [start] until [until], recording into a fresh
    series that is returned immediately. *)

@@ -11,8 +11,6 @@ val samples : t -> sample list
 val count : t -> int
 val values : t -> float list
 val mean : t -> float
-val min_value : t -> float
-val max_value : t -> float
 
 val sample_every :
   Sim.t -> start:Units.time -> interval:Units.time -> until:Units.time ->

@@ -30,7 +30,3 @@ let text_row ?(label_width = 22) ppf label cells =
   Format.fprintf ppf "%-*s" label_width label;
   List.iter (pp_cell ppf) cells;
   Format.fprintf ppf "@\n"
-
-let rule ?(label_width = 22) ppf n_cols =
-  Format.fprintf ppf "%s@\n"
-    (String.make (label_width + (n_cols * cell_width)) '-')

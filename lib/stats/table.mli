@@ -9,5 +9,3 @@ val row :
 
 val text_row :
   ?label_width:int -> Format.formatter -> string -> string list -> unit
-
-val rule : ?label_width:int -> Format.formatter -> int -> unit

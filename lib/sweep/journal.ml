@@ -4,8 +4,9 @@ let magic = "ppt-sweep-journal"
 (* Bump whenever the marshalled payload type changes, so a stale
    journal from an older build is rejected instead of unmarshalled
    into the wrong type. v2: shard payloads carry a Gc snapshot. v3:
-   every frame carries its payload's digest. *)
-let version = 3
+   every frame carries its payload's digest. v4: shard payloads drop
+   the Gc snapshot again. *)
+let version = 4
 
 type t = { oc : out_channel }
 

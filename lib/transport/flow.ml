@@ -39,7 +39,3 @@ let seg_payload t seq =
   else Packet.max_payload
 
 let is_finished t = t.finished <> None
-
-let pp ppf t =
-  Fmt.pf ppf "flow %d: %d->%d %dB (%d segs) start=%a" t.id t.src t.dst
-    t.size t.nseg Units.pp_time t.start

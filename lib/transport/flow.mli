@@ -25,4 +25,3 @@ val create :
 val of_spec : Ppt_workload.Trace.spec -> t
 val seg_payload : t -> int -> int
 val is_finished : t -> bool
-val pp : Format.formatter -> t -> unit

@@ -118,8 +118,6 @@ let default_on_loss t = set_cwnd t (t.cwnd /. 2.)
 
 let default_on_timeout t = set_cwnd t (float_of_int t.mss)
 let mss t = t.mss
-let snd_nxt t = t.snd_nxt
-let cum_ack t = t.cum_ack
 let inflight t = t.inflight
 let l_inflight_segs t = t.l_inflight_segs
 let bytes_sent t = t.bytes_sent

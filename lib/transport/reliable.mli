@@ -31,11 +31,7 @@ type ack_info = {
 
 (** Per-segment states (as stored in the scoreboard). *)
 
-val st_unsent : char
-val st_h_inflight : char
 val st_sacked : char
-val st_lost : char
-val st_l_inflight : char
 
 type params = {
   initial_cwnd : int;
@@ -101,8 +97,6 @@ val set_cwnd : t -> float -> unit
 (** Clamped to at least one [mss]. *)
 
 val mss : t -> int
-val snd_nxt : t -> int
-val cum_ack : t -> int
 val inflight : t -> int
 val l_inflight_segs : t -> int
 (** Low-priority-loop segments transmitted and not yet acknowledged. *)
@@ -110,13 +104,9 @@ val l_inflight_segs : t -> int
 val bytes_sent : t -> int
 val flow : t -> Flow.t
 val ctx : t -> Context.t
-val all_sacked : t -> bool
 val seg_state : t -> int -> char
-val avail_hi : t -> int
-(** Highest segment currently in the send buffer. *)
 
 val on_ack : t -> Packet.t -> unit
-val try_send : t -> unit
 
 val send_lcp_segment : ?prio:int -> t -> int -> unit
 (** Transmit one given segment on the low-priority loop (Halfback's

@@ -73,8 +73,3 @@ let sample t rng =
   Int.max 1 (int_of_float (Float.round x))
 
 let max_size t = int_of_float t.xs.(Array.length t.xs - 1)
-
-let pp ppf t =
-  Fmt.pf ppf "@[<v>cdf mean=%.0fB:@,%a@]" t.mean
-    (Fmt.array ~sep:Fmt.sp (fun ppf (x, p) -> Fmt.pf ppf "(%.0f, %.3f)" x p))
-    (Array.map2 (fun x p -> (x, p)) t.xs t.ps)

@@ -16,5 +16,3 @@ val sample : t -> Ppt_engine.Rng.t -> int
 (** Inverse-CDF sample, at least 1 byte. *)
 
 val max_size : t -> int
-
-val pp : Format.formatter -> t -> unit

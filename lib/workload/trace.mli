@@ -15,11 +15,6 @@ type pattern =
   | Incast of { senders : int array; receiver : int }
   | Pairs of (int * int) array
 
-val mean_interarrival_ns :
-  mean_size:float -> load:float -> agg_rate:int -> float
-(** Mean inter-arrival of the global Poisson process for a target load
-    on an aggregate capacity. *)
-
 val generate :
   rng:Rng.t -> cdf:Cdf.t -> pattern:pattern -> edge_rate:Units.rate ->
   load:float -> n_flows:int -> unit -> spec list

@@ -1,6 +1,6 @@
 (* Tests for the experiment harness: configurations, the runner and
    the figure generators (smoke level — the heavy sweeps are exercised
-   by bench/main.exe). *)
+   by ppt_sim sweep). *)
 
 open Ppt_engine
 open Ppt_harness
@@ -133,18 +133,7 @@ let test_figures_registry () =
     [ "fig1"; "fig12"; "fig29"; "tab1"; "tab5"; "ext1"; "ext3";
       "chaos" ];
   check Alcotest.bool "unknown id rejected" true
-    (Figures.find "fig99" = None);
-  (* the static tables are flagged print-only; everything else
-     simulates *)
-  List.iter
-    (fun e ->
-       let expect_sim =
-         not (List.mem e.Figures.e_id
-                [ "tab1"; "tab2"; "tab3"; "tab4"; "tab5" ])
-       in
-       check Alcotest.bool (e.Figures.e_id ^ " sim flag") expect_sim
-         e.Figures.e_sim)
-    Figures.all
+    (Figures.find "fig99" = None)
 
 (* The decomposition contract: unit keys are unique within each
    experiment, and the multi-unit experiments really decompose. *)

@@ -274,6 +274,61 @@ let prop_resume_keeps_intact_prefix =
        in
        got = expected)
 
+(* The journal header's layout, mirrored to forge journals that
+   another build wrote: same magic and keys, another version. *)
+type journal_header = {
+  h_magic : string;
+  h_version : int;
+  h_keys : string list;
+}
+
+let test_resume_rejects_other_version () =
+  let keys = [ "a"; "b" ] in
+  let path = tmp_path ".journal" in
+  let j, _ = Journal.open_ ~path ~keys ~resume:false in
+  Journal.close j;
+  let current =
+    In_channel.with_open_bin path (fun ic ->
+        match (Frame.read_channel ic : journal_header option) with
+        | Some h -> h
+        | None -> Alcotest.fail "fresh journal has no header")
+  in
+  check Alcotest.bool "mirrored header reads back" true
+    (current.h_keys = keys);
+  (* a journal of [version] holding one entry; the payload is a v3
+     shard, (fragment, events, Gc snapshot) *)
+  let v3_entry = ("a", ("frag", 7, (1., 2., 3)), 0.5) in
+  let forge version =
+    Out_channel.with_open_bin path (fun oc ->
+        Frame.write_channel oc { current with h_version = version };
+        Frame.write_channel oc v3_entry)
+  in
+  (* control: the forged layout resumes at the current version *)
+  forge current.h_version;
+  let j, entries = Journal.open_ ~path ~keys ~resume:true in
+  Journal.close j;
+  check Alcotest.bool "same version resumes" true (entries = [ v3_entry ]);
+  let resume () : Journal.t * (string * int * float) list =
+    Journal.open_ ~path ~keys ~resume:true
+  in
+  List.iter
+    (fun version ->
+       forge version;
+       let j, entries = resume () in
+       check Alcotest.int
+         (Printf.sprintf "version %d: started fresh" version)
+         0 (List.length entries);
+       Journal.append j ~key:"b" 2 ~wall:0.25;
+       Journal.close j;
+       let j, entries = resume () in
+       Journal.close j;
+       check Alcotest.bool
+         (Printf.sprintf "version %d: later appends resume" version)
+         true
+         (entries = [ ("b", 2, 0.25) ]))
+    [ current.h_version - 1; current.h_version + 1 ];
+  Sys.remove path
+
 let test_resume_rejects_mismatched_keys () =
   let path = tmp_path ".journal" in
   ignore (Sweep.run ~journal:path (specs_of [ ("a", fun () -> 1) ]));
@@ -333,8 +388,8 @@ let test_resume_after_midrun_kill () =
 (* --- harness glue: byte equality --------------------------------------- *)
 
 let test_parallel_byte_equality () =
-  (* the tentpole contract: `figure`, `sweep --jobs 1` and
-     `sweep --jobs 4` emit byte-identical output *)
+  (* the sweep contract: the serial [Figures.render], `sweep --jobs 1`
+     and `sweep --jobs 4` emit byte-identical output *)
   let opts = { Figures.default_opts with Figures.flows_scale = 0.1 } in
   let serial = Parallel.sweep ~jobs:1 ~ids:[ "fig10" ] opts in
   let par = Parallel.sweep ~jobs:4 ~ids:[ "fig10" ] opts in
@@ -381,6 +436,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_resume_keeps_intact_prefix;
     Alcotest.test_case "journal: mismatched keys rejected" `Quick
       test_resume_rejects_mismatched_keys;
+    Alcotest.test_case "journal: other version started fresh" `Quick
+      test_resume_rejects_other_version;
     Alcotest.test_case "journal: resume after mid-run kill" `Quick
       test_resume_after_midrun_kill;
     Alcotest.test_case "parallel: byte equality" `Slow
