@@ -42,15 +42,17 @@ type t = {
   mutable opened : bool;
   mutable alpha_min : float;
   mutable last_activity : Units.time;
-  mutable pace_timer : Sim.timer option;
-  mutable watchdog : Sim.timer option;
-  (* reusable timer slots: the pacer's window state lives here and the
-     fire closures are allocated once per flow, so every reschedule of
-     the (per-segment) EWD pacer is allocation-free *)
+  mutable pace_ticket : int;       (* armed pacer, or -1 *)
+  mutable watchdog_ticket : int;   (* armed watchdog, or -1 *)
+  (* reusable timers: the pacer's window state lives here and both
+     callbacks sit in the context's timer table from [create] to
+     [shutdown], so every reschedule of the (per-segment) EWD pacer
+     is an allocation-free post of [pace_id] *)
   mutable pace_window : int;
   mutable pace_remaining : int;
-  mutable pace_fire : unit -> unit;
-  mutable watchdog_fire : unit -> unit;
+  mutable pace_id : int;
+  mutable watchdog_id : int;
+  mutable start_id : int;          (* the case-1 start, until it fires *)
   mutable loops_opened : int;      (* diagnostics *)
   mutable shut : bool;
 }
@@ -61,17 +63,23 @@ let is_open t = t.opened
 let loops_opened t = t.loops_opened
 
 let cancel_pace t =
-  (match t.pace_timer with Some tm -> Sim.cancel tm | None -> ());
-  t.pace_timer <- None
+  Sim.cancel_post t.ctx.Context.sim t.pace_ticket;
+  t.pace_ticket <- -1
 
 let cancel_watchdog t =
-  (match t.watchdog with Some tm -> Sim.cancel tm | None -> ());
-  t.watchdog <- None
+  Sim.cancel_post t.ctx.Context.sim t.watchdog_ticket;
+  t.watchdog_ticket <- -1
 
 let shutdown t =
   t.shut <- true;
   cancel_pace t;
-  cancel_watchdog t
+  cancel_watchdog t;
+  if t.pace_id >= 0 then begin
+    Context.remove_timer t.ctx t.pace_id;
+    Context.remove_timer t.ctx t.watchdog_id;
+    t.pace_id <- -1;
+    t.watchdog_id <- -1
+  end
 
 let close_loop t =
   if t.opened then begin
@@ -94,20 +102,18 @@ let close_loop t =
   end
 
 let watchdog_tick t =
-  t.watchdog <- None;
+  t.watchdog_ticket <- -1;
   if t.opened && not t.shut then begin
     let idle_limit = idle_rtts * rtt t in
     if now t - t.last_activity > idle_limit then close_loop t
     else
-      t.watchdog <-
-        Some (Sim.schedule t.ctx.Context.sim ~after:(rtt t)
-                t.watchdog_fire)
+      t.watchdog_ticket <-
+        Context.post_timer t.ctx ~after:(rtt t) t.watchdog_id
   end
 
 let arm_watchdog t =
   cancel_watchdog t;
-  t.watchdog <-
-    Some (Sim.schedule t.ctx.Context.sim ~after:(rtt t) t.watchdog_fire)
+  t.watchdog_ticket <- Context.post_timer t.ctx ~after:(rtt t) t.watchdog_id
 
 (* Inter-segment gap that spreads [window] bytes evenly over one RTT:
    rtt * sent / window, rounded to nearest. Truncating instead (the
@@ -121,9 +127,9 @@ let pace_interval ~rtt ~sent ~window =
 
 (* Pace the remaining bytes of the initial window at I/RTT (EWD);
    without EWD the whole window goes out back-to-back, at NIC line
-   rate. Window state lives in [t] (see the reusable-slot comment). *)
+   rate. Window state lives in [t] (see the reusable-timers comment). *)
 let rec pace_tick t =
-  t.pace_timer <- None;
+  t.pace_ticket <- -1;
   if t.opened && not t.shut && t.pace_remaining > 0 then begin
     let sent = Reliable.send_tail t.snd in
     if sent > 0 then begin
@@ -134,9 +140,8 @@ let rec pace_tick t =
           let interval =
             pace_interval ~rtt:(rtt t) ~sent ~window:t.pace_window
           in
-          t.pace_timer <-
-            Some (Sim.schedule t.ctx.Context.sim ~after:interval
-                    t.pace_fire)
+          t.pace_ticket <-
+            Context.post_timer t.ctx ~after:interval t.pace_id
         end else
           pace_tick t
       end
@@ -150,13 +155,12 @@ let create ctx snd view ?(ewd = true) ~identified_large () =
       opened = false;
       alpha_min = infinity;
       last_activity = 0;
-      pace_timer = None; watchdog = None;
-      pace_window = 0; pace_remaining = 0;
-      pace_fire = ignore; watchdog_fire = ignore;
-      loops_opened = 0; shut = false }
+      pace_ticket = -1; watchdog_ticket = -1;
+      pace_window = 0; pace_remaining = 0; pace_id = -1; watchdog_id = -1;
+      start_id = -1; loops_opened = 0; shut = false }
   in
-  t.pace_fire <- (fun () -> pace_tick t);
-  t.watchdog_fire <- (fun () -> watchdog_tick t);
+  t.pace_id <- Context.add_timer ctx (fun () -> pace_tick t);
+  t.watchdog_id <- Context.add_timer ctx (fun () -> watchdog_tick t);
   t
 
 let open_loop t ~initial_window =
@@ -217,13 +221,18 @@ let on_lcp_ack t (ai : Reliable.ack_info) =
        counts as loop activity but triggers no new packet. *)
   end
 
+let case1_start t =
+  Context.remove_timer t.ctx t.start_id;
+  if not t.shut then open_loop t ~initial_window:(case1_window t)
+
 let start t =
-  let sim = t.ctx.Context.sim in
   (* install hooks on the sender and the HCP view *)
   t.snd.Reliable.hook_on_lcp_ack <- (fun _ ai -> on_lcp_ack t ai);
   t.view.Dctcp.rtt_hook (fun () -> on_rtt_boundary t);
   (* case 1: open at flow start, or at the 2nd RTT for identified-large
-     flows so that small flows own the first RTT (§3.1) *)
+     flows so that small flows own the first RTT (§3.1). The start
+     fires (and counts as an event) even if the flow finished first;
+     it frees its own table entry. *)
   let delay = if t.identified_large then rtt t else 0 in
-  ignore (Sim.schedule sim ~after:delay (fun () ->
-      if not t.shut then open_loop t ~initial_window:(case1_window t)))
+  t.start_id <- Context.add_timer t.ctx (fun () -> case1_start t);
+  ignore (Context.post_timer t.ctx ~after:delay t.start_id : int)

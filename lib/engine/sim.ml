@@ -40,11 +40,16 @@
    callback, once; a lane event stores none.
 
    Besides closure timers there is an int-argument lane for events
-   that fire often and are never cancelled: a handler [int -> unit] is
-   registered once, and posting it with an int stores the argument and
-   the handler id packed into one int per slot. A lane slot keeps
-   [free_job] as its callback, so posting, firing and freeing it
-   store no pointer and allocate nothing. A run can also reserve a
+   that fire often: a handler [int -> unit] is registered once, and
+   posting it with an int stores the argument and the handler id
+   packed into one int per slot. A lane slot keeps [free_job] as its
+   callback, so posting, firing, cancelling and freeing it store no
+   pointer and allocate nothing. [post] returns an int ticket, the
+   slot and (the low bits of) its tie; cancelling through it
+   overwrites the slot's packed argument with the [dead] handler id,
+   and firing does the same, so a ticket whose event has fired, was
+   cancelled or whose slot now holds another event is inert. A run
+   can also reserve a
    block of ties up front and post with them later, which lets it keep
    only the next of many pre-ordered events queued while they still
    pop exactly where scheduling them all up front would have put them.
@@ -100,9 +105,19 @@ let handler_bits = 8
 let handler_mask = (1 lsl handler_bits) - 1
 
 (* Handler 0 is the placeholder a handler field holds until the real
-   handler is registered; posting it is a bug. *)
+   handler is registered; posting it is a bug. Handler 1 is never
+   called: it marks a lane slot whose event was cancelled (while it is
+   still queued) or has fired. *)
 let no_handler = 0
+let dead = 1
 let unregistered (_ : int) = invalid_arg "Sim.post: no_handler was posted"
+
+(* A ticket is [(tie lsl slot_bits) lor slot], the tie cut to the bits
+   left so the ticket stays non-negative: two events would have to be
+   2^36 ties apart on one slot for a stale ticket to match. *)
+let slot_bits = 26
+let slot_mask = (1 lsl slot_bits) - 1
+let tie_mask = (1 lsl (Sys.int_size - 1 - slot_bits)) - 1
 
 type t = {
   mutable now : Units.time;
@@ -167,7 +182,7 @@ let create () =
     cancels = 0;
     compaction_runs = 0;
     last_tie = 0; reserved = [];
-    handlers = [| unregistered |];
+    handlers = [| unregistered; unregistered |];
     running = false; processed = 0 }
 
 let now t = t.now
@@ -195,6 +210,8 @@ let grown_size n =
 let grow_slab t =
   let n = Array.length t.key in
   let size = grown_size n in
+  if size > 1 lsl slot_bits then
+    failwith "Sim: more pending events than a ticket can address";
   let ints (a : int array) =
     let b = Array.make size 0 in
     for i = 0 to n - 1 do Array.unsafe_set b i (Array.unsafe_get a i) done;
@@ -282,6 +299,13 @@ let insert t s ~key ~tie =
   else if key < t.wheel_end then bucket_push t s
   else Heap.push t.overflow ~key ~tie s
 
+(* A queued slot whose event was cancelled: a closure timer's
+   [cancelled_job], or a lane slot marked [dead]. *)
+let is_cancelled t s =
+  let j = Array.unsafe_get t.job s in
+  j == cancelled_job
+  || (j == free_job && Array.unsafe_get t.arg s land handler_mask = dead)
+
 (* Unlink the cancelled timers of the chain from [head], freeing their
    slots, and keep the order of the rest. Returns the new head, leaves
    the new tail in [last] and adds the number dropped to [dropped]; no
@@ -292,7 +316,7 @@ let filter_chain t head ~last ~dropped =
   while !s >= 0 do
     let x = !s in
     s := t.next.(x);
-    if t.job.(x) == cancelled_job then begin
+    if is_cancelled t x then begin
       free_slot t x;
       incr dropped
     end else begin
@@ -307,7 +331,7 @@ let filter_chain t head ~last ~dropped =
    Survivors keep their (key, tie) ordering, so pop order is
    unaffected. *)
 let compact t =
-  let keep s = t.job.(s) != cancelled_job || (free_slot t s; false) in
+  let keep s = (not (is_cancelled t s)) || (free_slot t s; false) in
   Heap.filter_in_place t.low ~f:keep;
   t.low_count <- Heap.length t.low;
   Heap.filter_in_place t.overflow ~f:keep;
@@ -351,7 +375,8 @@ let schedule1 t ~after fire arg =
   assert (after >= 0);
   schedule1_at t (t.now + after) fire arg
 
-(* A run registers a handful of handlers, so the table grows by one. *)
+(* A run registers a handful of handlers, so the table grows by one.
+   Ids 0 and 1 are [no_handler] and [dead]. *)
 let register t f =
   let h = Array.length t.handlers in
   if h > handler_mask then
@@ -368,13 +393,27 @@ let post_slot t ~at ~tie h x =
   Array.unsafe_set t.key s at;
   Array.unsafe_set t.ties s tie;
   Array.unsafe_set t.arg s ((x lsl handler_bits) lor h);
-  insert t s ~key:at ~tie
+  insert t s ~key:at ~tie;
+  s
 
 let post t ~after h x =
   assert (after >= 0);
   let tie = t.last_tie + 1 in
   t.last_tie <- tie;
-  post_slot t ~at:(t.now + after) ~tie h x
+  let s = post_slot t ~at:(t.now + after) ~tie h x in
+  ((tie land tie_mask) lsl slot_bits) lor s
+
+(* The tie identifies the event: once it fired or was cancelled the
+   slot reads [dead], and once the slot is reused its tie differs. *)
+let cancel_post t ticket =
+  let s = ticket land slot_mask in
+  if ticket >= 0 && s < Array.length t.ties
+     && Array.unsafe_get t.ties s land tie_mask = ticket lsr slot_bits
+     && Array.unsafe_get t.arg s land handler_mask <> dead
+  then begin
+    Array.unsafe_set t.arg s dead;
+    t.cancels <- t.cancels + 1
+  end
 
 let reserve t n =
   if n < 0 then invalid_arg "Sim.reserve: negative count";
@@ -395,7 +434,7 @@ let post_tie t ~at ~tie h x =
       (Printf.sprintf "Sim.post_tie: %d is in the past (now=%d)" at t.now);
   if not (is_reserved tie t.reserved) then
     invalid_arg (Printf.sprintf "Sim.post_tie: tie %d was not reserved" tie);
-  post_slot t ~at ~tie h x
+  ignore (post_slot t ~at ~tie h x : int)
 
 let cancel { owner = t; slot; tie } =
   let j = t.job.(slot) in
@@ -539,14 +578,19 @@ let run ?until ?(max_events = max_int) t =
         let j = Array.unsafe_get t.job s in
         let at = Array.unsafe_get t.key s in
         if j == free_job then begin
-          (* a lane event: free the slot without touching [job] *)
+          (* a lane event: free the slot without touching [job], and
+             mark it [dead] so its ticket goes inert *)
           let a = Array.unsafe_get t.arg s in
           Array.unsafe_set t.next s t.free;
           t.free <- s;
-          t.now <- at;
-          t.processed <- t.processed + 1;
-          (Array.unsafe_get t.handlers (a land handler_mask))
-            (a asr handler_bits)
+          let h = a land handler_mask in
+          if h = dead then t.cancels <- t.cancels - 1
+          else begin
+            Array.unsafe_set t.arg s dead;
+            t.now <- at;
+            t.processed <- t.processed + 1;
+            (Array.unsafe_get t.handlers h) (a asr handler_bits)
+          end
         end
         else if j == cancelled_job then begin
           (* a dead timer leaves the queue *)

@@ -45,11 +45,20 @@ val register : t -> (int -> unit) -> handler
 (** Store a handler for {!post}. A simulator holds up to 255.
     @raise Invalid_argument past that. *)
 
-val post : t -> after:Units.time -> handler -> int -> unit
+val post : t -> after:Units.time -> handler -> int -> int
 (** [post t ~after h x] schedules [h x] like {!schedule1}, taking the
-    next tie, but returns no handle, so the event cannot be cancelled.
-    It allocates nothing and stores no pointer: the datapath's per-hop
-    events go through it. [x] must fit in [Sys.int_size - 8] bits. *)
+    next tie, and returns a non-negative ticket for {!cancel_post}.
+    Posting, firing and cancelling allocate nothing and store no
+    pointer: the datapath's per-hop events and the transports'
+    per-flow timers go through it. [x] must fit in [Sys.int_size - 8]
+    bits. *)
+
+val cancel_post : t -> int -> unit
+(** [cancel_post t ticket] cancels the event {!post} returned [ticket]
+    for, with {!cancel}'s contract: a no-op if the event already
+    fired or was already cancelled, also once its storage holds
+    another event, and also from inside the event's own handler. A
+    negative ticket is a no-op too, so [-1] can stand for "none". *)
 
 val reserve : t -> int -> int
 (** [reserve t n] takes the next [n] ties, as [n] schedules would, and

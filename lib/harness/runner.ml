@@ -216,6 +216,8 @@ let run ?lp_buffer_cap ?trace ?(observe = fun _ _ -> ())
   in
   Fun.protect
     ~finally:(fun () ->
+        (* the run's packets, stranded ones included, go with it *)
+        Packet.reset ();
         match trace_out with
         | Some (oc, flush) ->
           Ppt_obs.Trace.clear ();

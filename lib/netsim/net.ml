@@ -82,15 +82,11 @@ type t = {
   sim : Sim.t;
   nodes : node array;
   ports : port array;               (* every port, by [gix] *)
-  (* Packets on the wire: slot [s] holds a packet and the [gix] of the
-     port that sent it until its arrival event, whose argument is [s],
-     fires. A free slot's [fl_port] links the free list instead. Slots
-     are never cleared: the table dies with the net. *)
-  mutable fl_pkt : Packet.t array;
-  mutable fl_port : int array;
-  mutable fl_free : int;
+  port_bits : int;                  (* bits of a [gix] *)
   mutable tx_h : Sim.handler;       (* end of serialization, arg [gix] *)
-  mutable arr_h : Sim.handler;      (* far-end arrival, arg a slot *)
+  mutable arr_h : Sim.handler;
+  (* far-end arrival; its argument is the packet on the wire and the
+     port that sent it, [(id lsl port_bits) lor gix] *)
   mutable dhost : int array;
   mutable dfn : (Packet.t -> unit) array;
   collect_int : bool;
@@ -274,26 +270,6 @@ let select sim (f : fwd) (p : Packet.t) =
        Hashtbl.add tbl p.flow { fl_cand = c; fl_last = now };
        c)
 
-(* Put [p], sent by [port], on the wire: take an in-flight slot,
-   growing the table when none is free. *)
-let fly t (port : port) (p : Packet.t) =
-  if t.fl_free < 0 then begin
-    let n = Array.length t.fl_port in
-    let m = 2 * n in
-    let pkt = Array.make m Packet.dummy and link = Array.make m (-1) in
-    Array.blit t.fl_pkt 0 pkt 0 n;
-    Array.blit t.fl_port 0 link 0 n;
-    for s = n to m - 2 do link.(s) <- s + 1 done;
-    t.fl_pkt <- pkt;
-    t.fl_port <- link;
-    t.fl_free <- n
-  end;
-  let s = t.fl_free in
-  t.fl_free <- Array.unsafe_get t.fl_port s;
-  Array.unsafe_set t.fl_pkt s p;
-  Array.unsafe_set t.fl_port s port.gix;
-  s
-
 (* Transmit loop of a port: while the queue is non-empty, pop the next
    packet, hold the wire for its serialization time, then hand it to the
    far node after the propagation delay. A downed port parks with its
@@ -328,8 +304,10 @@ let rec start_tx t (port : port) =
        | Some reason -> fault_kill t port p reason
        | None ->
          let arrive_after = tx + port.delay + port.extra_delay in
-         Sim.post t.sim ~after:arrive_after t.arr_h (fly t port p));
-      Sim.post t.sim ~after:tx t.tx_h port.gix
+         ignore
+           (Sim.post t.sim ~after:arrive_after t.arr_h
+              ((p.id lsl t.port_bits) lor port.gix) : int));
+      ignore (Sim.post t.sim ~after:tx t.tx_h port.gix : int)
     end
   end
 
@@ -383,29 +361,36 @@ let create sim ?(collect_int = false) nodes =
     Array.concat
       (Array.fold_right (fun (n : node) acc -> n.ports :: acc) nodes [])
   in
+  let port_bits =
+    let rec bits b =
+      if 1 lsl b >= Array.length ports then b else bits (b + 1)
+    in
+    bits 0
+  in
+  let port_mask = (1 lsl port_bits) - 1 in
   let t =
-    { sim; nodes; ports;
-      fl_pkt = Array.make 64 Packet.dummy;
-      fl_port = Array.init 64 (fun s -> if s < 63 then s + 1 else -1);
-      fl_free = 0; tx_h = Sim.no_handler; arr_h = Sim.no_handler;
+    { sim; nodes; ports; port_bits;
+      tx_h = Sim.no_handler; arr_h = Sim.no_handler;
       dhost = [||]; dfn = [||]; collect_int;
       delivered = 0; undeliverable = 0 }
   in
   t.tx_h <- Sim.register sim (fun g -> start_tx t (Array.unsafe_get ports g));
-  t.arr_h <- Sim.register sim (fun s ->
-      let p = Array.unsafe_get t.fl_pkt s in
-      let port = Array.unsafe_get ports (Array.unsafe_get t.fl_port s) in
-      Array.unsafe_set t.fl_port s t.fl_free;
-      t.fl_free <- s;
-      port.recv_fire p);
+  t.arr_h <- Sim.register sim (fun x ->
+      (Array.unsafe_get ports (x land port_mask)).recv_fire
+        (Packet.of_id (x lsr port_bits)));
   Array.iteri (fun g p ->
       p.gix <- g;
       p.recv_fire <- (fun pkt -> receive t p.peer pkt))
     ports;
   t
 
-(* Inject a packet at its source host NIC (port 0 by convention). *)
+(* Inject a packet at its source host NIC (port 0 by convention). The
+   fabric carries the packet by id, so it must be the arena's record:
+   a copy would be read back as its original. *)
 let send t (p : Packet.t) =
+  if not (Packet.is_current p) then
+    invalid_arg "Net.send: not a current packet (a copy, or made before \
+                 the last Packet.reset)";
   let host = t.nodes.(p.src) in
   if not host.is_host then invalid_arg "Net.send: src is not a host";
   send_on_port t host.ports.(0) p

@@ -22,8 +22,9 @@ type port = {
       {!create}. Its end-of-serialization event carries it. *)
   mutable recv_fire : Packet.t -> unit;
   (** Far-end arrival continuation; installed by {!create}. The net's
-      arrival event ({!Ppt_engine.Sim.post}, no allocation) calls it
-      with the packet. Not meant to be called by users. *)
+      arrival event ({!Ppt_engine.Sim.post}, no allocation), whose
+      argument packs the packet's id with the sending port's [gix],
+      calls it with the packet. Not meant to be called by users. *)
   mutable memo_bytes : int;
   mutable memo_rate : Units.rate;
   mutable memo_tx : Units.time;
@@ -111,7 +112,11 @@ val unregister : t -> host:int -> flow:int -> unit
 (** Remove the handler of [flow] at [host]; a no-op if there is none. *)
 
 val send : t -> Packet.t -> unit
-(** Inject a packet at its source host's NIC. *)
+(** Inject a packet at its source host's NIC. The fabric owns it from
+    here and carries it by id.
+    @raise Invalid_argument unless the packet is current
+    ({!Packet.is_current}): a [{ p with ... }] copy, or a packet made
+    before the last [Packet.reset]. *)
 
 val start_probes : t -> interval:Units.time -> until:Units.time -> unit
 (** Schedule a recurring sampler that emits

@@ -4,13 +4,20 @@
     variant (see [Ppt_transport.Wire]), keeping the network layer
     protocol-agnostic.
 
-    Packets are pooled: [make] recycles a record from a process-global
-    free list and [release] returns one to it, so the steady-state
-    datapath allocates nothing per packet. Ownership is linear — the
-    creator owns a packet until [Net.send], the fabric owns it from
-    then on and releases it at a sink (delivery, drop, fault kill);
-    delivery handlers only borrow the packet for the duration of the
-    call. See HACKING.md, "Allocation discipline". *)
+    Packets live in a process-wide arena and are addressed by their
+    immutable [id]: queues and in-flight events hold ids, and
+    {!of_id} reads the record back. [make] recycles a free record and
+    [release] frees it again, so the steady-state datapath allocates
+    nothing per packet. Ownership is linear — the creator owns a
+    packet until [Net.send], the fabric owns it from then on and
+    releases it at a sink (delivery, drop, fault kill); delivery
+    handlers only borrow the packet for the duration of the call. See
+    HACKING.md, "Allocation discipline".
+
+    A record must never be copied: [{ p with ... }] makes a second
+    record with the original's [id], which the queues would resolve
+    back to the original. Set fields on a packet from {!make} instead;
+    [Net.send] refuses a copy. *)
 
 type kind = Data | Ack | Grant | Pull | Nack | Ctrl
 
@@ -25,6 +32,7 @@ val tel_stride : int
 (** Ints per telemetry entry: qlen, tx_bytes, ts, rate. *)
 
 type t = {
+  id : int;                 (** index in the arena; [-1] for {!dummy} *)
   mutable uid : int;
   mutable flow : int;
   mutable src : int;
@@ -41,8 +49,12 @@ type t = {
   mutable sel_drop : bool;
   mutable meta : meta;
   mutable tel_n : int;
-  tel : int array;          (** [tel_cap] x [tel_stride], first hop first *)
-  mutable in_pool : bool;
+  mutable tel : int array;
+  (** [tel_cap] x [tel_stride], first hop first; [[||]] until the
+      packet is first stamped *)
+  mutable free_link : int;
+  (** [-2] while the packet is in use; on the free list, the next free
+      id or [-1] *)
 }
 
 val header_bytes : int
@@ -56,37 +68,50 @@ val make :
   ?seq:int -> ?payload:int -> ?prio:int -> ?loop:loop ->
   ?ecn_capable:bool -> ?sel_drop:bool -> ?meta:meta ->
   flow:int -> src:int -> dst:int -> kind -> t
-(** Acquire a packet (from the pool when one is free), with every
-    mutable field re-initialised. *)
+(** Acquire a packet (a free record when there is one), with every
+    mutable field re-initialised. After {!reset}, the first [make]
+    gets id 0. *)
+
+val of_id : int -> t
+(** The record with this id.
+    @raise Invalid_argument if the arena holds no such id. *)
+
+val is_current : t -> bool
+(** [of_id p.id == p]: false for a copy, for {!dummy} and for a packet
+    made before the last {!reset}. *)
 
 val release : t -> unit
-(** Return a packet to the free list. No-op when pooling is off or on
-    [dummy]. The caller must not touch the packet afterwards. *)
+(** Free a packet's id (and, when pooling is on, its record). No-op
+    on {!dummy}. The caller must not touch the packet afterwards. A
+    second release, or the release of a record that is not current,
+    is ignored, and raises [Invalid_argument] in debug mode. *)
 
 val assert_live : t -> unit
-(** @raise Invalid_argument if the packet is on the free list
+(** @raise Invalid_argument if the packet was released
     (use-after-release). Cheap; called from debug paths. *)
 
-val reset_uids : unit -> unit
-(** Reset the uid counter (done per run by [Context.create]) so
-    back-to-back in-process runs hand out identical uid sequences. *)
+val reset : unit -> unit
+(** Drop the arena and restart the uid counter. Done per run (by
+    [Context.create] and when [Runner.run] returns), so back-to-back
+    in-process runs hand out identical uid sequences and a run's
+    stranded packets do not outlive it. *)
 
 val set_pooling : bool -> unit
-(** Turn the free list on/off (default on; env [PPT_NO_POOL] turns it
-    off). With pooling off, [make] always allocates and [release] is a
-    no-op. *)
+(** Turn record recycling on/off (default on; env [PPT_NO_POOL] turns
+    it off). With pooling off, [make] always allocates a fresh record;
+    ids are recycled either way. *)
 
 val set_debug : bool -> unit
 (** Enable double-release / use-after-release checking with field
     poisoning (default off; env [PPT_POOL_DEBUG=1] turns it on). *)
 
 val pool_size : unit -> int
-(** Packets currently on the free list. *)
+(** Ids currently on the free list. *)
 
 val dummy : t
-(** Inert placeholder: the fill of unused queue and pool slots, and
-    what {!Prio_queue.dequeue_or_dummy} returns on an empty queue;
-    never routed, never pooled. Does not consume a uid. *)
+(** Inert placeholder: what {!Prio_queue.dequeue_or_dummy} returns on
+    an empty queue; never routed, never pooled, not in the arena. Does
+    not consume a uid. *)
 
 (** {2 Inband telemetry (HPCC)}
 
@@ -103,7 +128,8 @@ val tel_ts : t -> int -> int
 val tel_rate : t -> int -> int
 val tel_copy : src:t -> dst:t -> unit
 (** Copy [src]'s telemetry into [dst]'s own buffer (receivers echo the
-    data packet's telemetry on the ack they emit). *)
+    data packet's telemetry on the ack they emit). The buffer is
+    allocated on a packet's first {!tel_push} or non-empty copy. *)
 
 val segments_of_bytes : int -> int
 val segment_payload : flow_bytes:int -> seq:int -> int

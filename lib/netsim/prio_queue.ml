@@ -49,17 +49,16 @@ let default_config ~buffer_bytes = {
 let dt_bands ~hp ~lp =
   Array.init n_prios (fun p -> if p < lp_band_start then hp else lp)
 
-(* Each priority level is a preallocated ring buffer (power-of-two
-   capacity, grown by unwrapping into a doubled array), and [live] is a
-   bitmask of the nonempty priorities so [dequeue] finds the
-   head-of-line queue with one table lookup instead of a linear scan.
-   A popped slot keeps its stale pointer until the ring wraps over it:
-   clearing it would be a write barrier per packet, and the packet
-   stays alive in the pool anyway. *)
+(* Each priority level is a preallocated ring buffer of packet ids
+   (power-of-two capacity, grown by unwrapping into a doubled array),
+   and [live] is a bitmask of the nonempty priorities so [dequeue]
+   finds the head-of-line queue with one table lookup instead of a
+   linear scan. Rings hold ids, not records, so a push is a plain int
+   store with no write barrier. *)
 type t = {
   cfg : config;
   dt_alphas : float array;          (* [||] when DT sharing is off *)
-  mutable rings : Packet.t array array;
+  mutable rings : int array array;
   heads : int array;
   lens : int array;
   mutable live : int;               (* bitmask of nonempty priorities *)
@@ -106,11 +105,11 @@ let create cfg =
     enq_pkts = 0; drop_pkts = 0; drop_hp_pkts = 0; drop_lp_pkts = 0;
     drop_bytes = 0; trim_pkts = 0; mark_pkts = 0 }
 
-let ring_push t prio p =
+let ring_push t prio id =
   let cap = Array.length t.rings.(prio) in
   if t.lens.(prio) = cap then begin
     (* unwrap the full ring into a doubled array *)
-    let bigger = Array.make (Int.max 16 (2 * cap)) Packet.dummy in
+    let bigger = Array.make (Int.max 16 (2 * cap)) (-1) in
     let old = t.rings.(prio) and head = t.heads.(prio) in
     for i = 0 to cap - 1 do
       bigger.(i) <- old.((head + i) land (cap - 1))
@@ -120,19 +119,19 @@ let ring_push t prio p =
   end;
   let arr = t.rings.(prio) in
   arr.((t.heads.(prio) + t.lens.(prio)) land (Array.length arr - 1))
-    <- p;
+    <- id;
   t.lens.(prio) <- t.lens.(prio) + 1;
   t.live <- t.live lor (1 lsl prio)
 
 let ring_pop t prio =
   let arr = t.rings.(prio) in
   let head = t.heads.(prio) in
-  let p = arr.(head) in
+  let id = arr.(head) in
   t.heads.(prio) <- (head + 1) land (Array.length arr - 1);
   let len = t.lens.(prio) - 1 in
   t.lens.(prio) <- len;
   if len = 0 then t.live <- t.live land lnot (1 lsl prio);
-  p
+  Packet.of_id id
 
 let bytes t = t.bytes
 let lp_bytes t = t.lp_bytes
@@ -163,7 +162,7 @@ let enqueues t = t.enq_pkts
 
 let push t (p : Packet.t) =
   let prio = Int.max 0 (Int.min (n_prios - 1) p.prio) in
-  ring_push t prio p;
+  ring_push t prio p.id;
   t.qbytes.(prio) <- t.qbytes.(prio) + p.wire;
   t.bytes <- t.bytes + p.wire;
   if prio >= lp_band_start then t.lp_bytes <- t.lp_bytes + p.wire;

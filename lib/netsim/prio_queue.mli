@@ -40,6 +40,10 @@ type verdict = Enqueued | Dropped | Trimmed
 
 val create : config -> t
 val enqueue : t -> Packet.t -> verdict
+(** The queue stores the packet's id, so it must be current
+    ({!Packet.is_current}) from enqueue to dequeue: a record from
+    [Packet.make], not a copy, with no [Packet.reset] in between. *)
+
 val dequeue : t -> Packet.t option
 
 val dequeue_or_dummy : t -> Packet.t

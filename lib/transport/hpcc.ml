@@ -72,7 +72,7 @@ let attach ctx (s : Reliable.t) =
     | None -> if had_sample then Some qterm else None
   in
   s.Reliable.hook_on_ack <- (fun s ai ->
-      let tel = ai.Reliable.ai_tel in
+      let tel = Packet.of_id ai.Reliable.ai_tel in
       let n_hops = Packet.tel_count tel in
       if n_hops > 0 then begin
         (* every hop's memory is updated even while U is still unknown

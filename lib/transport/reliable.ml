@@ -32,12 +32,11 @@ module Log = (val Logs.src_log log_src : Logs.LOG)
    borrowed for the duration of the hook call. *)
 type ack_info = {
   mutable ai_cum : int;
-  mutable ai_sacks : int list;
   mutable ai_ece : bool;
   mutable ai_data_tx : Units.time;
-  mutable ai_tel : Packet.t;
-  (* the ack packet carrying echoed telemetry — borrowed, valid only
-     during the synchronous hook call *)
+  mutable ai_tel : int;
+  (* id of the ack packet carrying echoed telemetry — valid only during
+     the synchronous hook call; an int, so filling it is no barrier *)
   mutable ai_newly_acked : int;  (* payload bytes newly confirmed *)
   mutable ai_cum_advanced : bool;
 }
@@ -80,10 +79,11 @@ type t = {
   mutable recovery_end : int;
   retx : int Queue.t;
   mutable rto_backoff : int;
-  mutable rto_timer : Sim.timer option;
-  mutable rto_fire : unit -> unit;
-  (* the one RTO callback for this sender, preallocated so arming the
-     (endlessly rescheduled) timer never closes over state again *)
+  mutable rto_id : int;
+  (* the RTO callback's id in the context's timer table, registered
+     once so re-arming the (endlessly rescheduled) timer is an
+     allocation-free post; -1 once freed at shutdown *)
+  mutable rto_ticket : int;            (* the armed RTO, or -1 *)
   (* per-RTT observation window (DCTCP-style) *)
   mutable win_end : int;
   mutable win_acked : int;
@@ -138,13 +138,18 @@ let avail_hi t =
   end
 
 let cancel_rto t =
-  match t.rto_timer with
-  | Some timer -> Sim.cancel timer; t.rto_timer <- None
-  | None -> ()
+  Sim.cancel_post t.ctx.Context.sim t.rto_ticket;
+  t.rto_ticket <- -1
+
+let rto_armed t = t.rto_ticket >= 0
 
 let shutdown t =
   t.shut <- true;
-  cancel_rto t
+  cancel_rto t;
+  if t.rto_id >= 0 then begin
+    Context.remove_timer t.ctx t.rto_id;
+    t.rto_id <- -1
+  end
 
 let rto_interval t =
   t.ctx.Context.rto_min * t.rto_backoff
@@ -176,11 +181,9 @@ let emit t ~loop ~prio_override ~seq =
   pay
 
 let rec arm_rto t =
-  if (match t.rto_timer with None -> true | Some _ -> false)
-     && t.inflight > 0 && not t.shut then
-    t.rto_timer <-
-      Some (Sim.schedule t.ctx.Context.sim ~after:(rto_interval t)
-              t.rto_fire)
+  if t.rto_ticket < 0 && t.inflight > 0 && not t.shut then
+    t.rto_ticket <-
+      Context.post_timer t.ctx ~after:(rto_interval t) t.rto_id
 
 and reset_rto t =
   cancel_rto t;
@@ -188,7 +191,7 @@ and reset_rto t =
   arm_rto t
 
 and on_rto t =
-  t.rto_timer <- None;
+  t.rto_ticket <- -1;
   if not (t.shut || all_sacked t) then begin
     Log.debug (fun m ->
         m "flow %d: RTO at %a (backoff x%d, cum=%d/%d)" t.flow.Flow.id
@@ -296,13 +299,13 @@ let create ctx flow p =
       snd_nxt = 0; cum_ack = 0; sacked_cnt = 0; inflight = 0;
       l_inflight_segs = 0;
       dup_acks = 0; in_recovery = false; recovery_end = 0;
-      retx = Queue.create (); rto_backoff = 1; rto_timer = None;
-      rto_fire = ignore;
+      retx = Queue.create (); rto_backoff = 1; rto_id = -1;
+      rto_ticket = -1;
       win_end = 0; win_acked = 0; win_marked = 0; bytes_sent = 0;
       tail = flow.Flow.nseg; tail_hi = -1; shut = false;
       scratch_ai =
-        { ai_cum = 0; ai_sacks = []; ai_ece = false; ai_data_tx = 0;
-          ai_tel = Packet.dummy; ai_newly_acked = 0;
+        { ai_cum = 0; ai_ece = false; ai_data_tx = 0;
+          ai_tel = -1; ai_newly_acked = 0;
           ai_cum_advanced = false };
       hook_on_ack = (fun _ _ -> ());
       hook_on_window = (fun _ ~f:_ -> ());
@@ -311,7 +314,7 @@ let create ctx flow p =
       hook_on_lcp_ack = (fun _ _ -> ()) }
   in
   t.tail_hi <- avail_hi t;
-  t.rto_fire <- (fun () -> on_rto t);
+  t.rto_id <- Context.add_timer ctx (fun () -> on_rto t);
   t
 
 let start t =
@@ -411,10 +414,9 @@ let on_ack t (p : Packet.t) =
       let advanced = advance_cum t cum in
       let ai = t.scratch_ai in
       ai.ai_cum <- cum;
-      ai.ai_sacks <- sacks;
       ai.ai_ece <- ece;
       ai.ai_data_tx <- data_tx;
-      ai.ai_tel <- p;
+      ai.ai_tel <- p.id;
       ai.ai_newly_acked <- newly;
       ai.ai_cum_advanced <- advanced;
       (match p.loop with
@@ -457,10 +459,5 @@ let on_ack t (p : Packet.t) =
            t.win_marked <- 0
          end;
          try_send t);
-      (* the hooks have returned: drop the borrowed references so the
-         scratch record cannot keep the (pooled, about-to-be-released)
-         ack packet or its sack list reachable *)
-      ai.ai_tel <- Packet.dummy;
-      ai.ai_sacks <- [];
       if all_sacked t then cancel_rto t
     | _ -> ()

@@ -17,14 +17,14 @@ open Ppt_netsim
     the synchronous call but must not retain it. *)
 type ack_info = {
   mutable ai_cum : int;             (** in-order segments confirmed *)
-  mutable ai_sacks : int list;
   mutable ai_ece : bool;            (** congestion-experienced echo *)
   mutable ai_data_tx : Units.time;  (** echoed data-packet send time *)
-  mutable ai_tel : Packet.t;
-  (** The ack packet carrying the echoed inband telemetry (read it with
-      [Packet.tel_count] / [Packet.tel_qlen] …). Borrowed: valid only
-      during the synchronous hook call — the fabric releases the packet
-      when the delivery handler returns. *)
+  mutable ai_tel : int;
+  (** Id of the ack packet carrying the echoed inband telemetry (read
+      it through [Packet.of_id], then [Packet.tel_count] /
+      [Packet.tel_qlen] …). Valid only during the synchronous hook
+      call — the fabric releases the packet when the delivery handler
+      returns. *)
   mutable ai_newly_acked : int;     (** fresh primary-loop bytes *)
   mutable ai_cum_advanced : bool;
 }
@@ -64,9 +64,11 @@ type t = {
   mutable recovery_end : int;
   retx : int Queue.t;
   mutable rto_backoff : int;
-  mutable rto_timer : Sim.timer option;
-  mutable rto_fire : unit -> unit;
-  (** Preallocated RTO callback; installed by {!create}. *)
+  mutable rto_id : int;
+  (** The RTO callback's id in the context's timer table; installed by
+      {!create}, freed by {!shutdown}. *)
+  mutable rto_ticket : int;
+  (** The armed RTO's {!Ppt_engine.Sim.post} ticket, or [-1]. *)
   mutable win_end : int;
   mutable win_acked : int;
   mutable win_marked : int;
@@ -120,4 +122,8 @@ val send_tail : ?prio:int -> t -> int
     it. [prio] overrides the tagger's priority. *)
 
 val shutdown : t -> unit
-(** Stop all transmission and cancel timers. *)
+(** Stop all transmission, cancel timers and free the RTO's timer
+    table entry. *)
+
+val rto_armed : t -> bool
+(** Whether a retransmission timeout is pending. *)

@@ -366,12 +366,13 @@ let test_sim_post_interleaves () =
   let log = ref [] in
   let h = Sim.register sim (fun x -> log := x :: !log) in
   let at k x = ignore (Sim.schedule_at sim k (fun () -> log := x :: !log)) in
-  Sim.post sim ~after:20 h 1;
+  let post after x = ignore (Sim.post sim ~after h x : int) in
+  post 20 1;
   at 20 2;
-  Sim.post sim ~after:10 h 0;
-  Sim.post sim ~after:20 h (-3);
+  post 10 0;
+  post 20 (-3);
   at 5 (-1);
-  Sim.post sim ~after:1_000_000 h 4;
+  post 1_000_000 4;
   Sim.run sim;
   check (Alcotest.list Alcotest.int) "(time, tie) order, args intact"
     [ -1; 0; 1; 2; -3; 4 ] (List.rev !log);
@@ -449,11 +450,11 @@ let test_sim_post_allocates_nothing () =
     Sim.register sim (fun x ->
         if !left > 0 then begin
           decr left;
-          Sim.post sim ~after:(x land 127) !self (x + 1)
+          ignore (Sim.post sim ~after:(x land 127) !self (x + 1) : int)
         end);
   let cycles n =
     left := n;
-    Sim.post sim ~after:1 !self 0;
+    ignore (Sim.post sim ~after:1 !self 0 : int);
     Sim.run sim
   in
   cycles 1_000;
@@ -464,6 +465,79 @@ let test_sim_post_allocates_nothing () =
     (Printf.sprintf "%.0f minor words over 10k post/fire cycles" words)
     true (words < 100.);
   check Alcotest.int "all fired" 11_002 (Sim.events_processed sim)
+
+(* A lane ticket keeps [cancel]'s contract: cancelling before the
+   event fires drops it (and counts it as cancelled until it leaves
+   the queue); after it fired, after it was cancelled, once its slot
+   holds another event, from its own handler, or with a negative
+   ticket, cancelling does nothing. *)
+let test_sim_cancel_post_contract () =
+  let sim = Sim.create () in
+  let log = ref [] in
+  let self = ref (-1) in
+  let h =
+    Sim.register sim (fun x ->
+        log := x :: !log;
+        if x = 3 then Sim.cancel_post sim !self)
+  in
+  let a = Sim.post sim ~after:10 h 1 in
+  let b = Sim.post sim ~after:20 h 2 in
+  Sim.cancel_post sim a;
+  Sim.cancel_post sim a;
+  check Alcotest.int "cancelled once" 1 (Sim.cancelled_pending sim);
+  check Alcotest.int "one live event" 1 (Sim.pending sim);
+  Sim.run sim;
+  check (Alcotest.list Alcotest.int) "only the live event fired" [ 2 ]
+    !log;
+  check Alcotest.int "dead event left the queue" 0
+    (Sim.cancelled_pending sim);
+  Sim.cancel_post sim b;
+  check Alcotest.int "cancel after fire is a no-op" 0
+    (Sim.cancelled_pending sim);
+  (* the free list hands [b]'s slot out first, then [a]'s *)
+  ignore (Sim.post sim ~after:5 h 4 : int);
+  self := Sim.post sim ~after:7 h 3;
+  Sim.cancel_post sim b;
+  Sim.cancel_post sim a;
+  Sim.cancel_post sim (-1);
+  Sim.run sim;
+  check (Alcotest.list Alcotest.int) "stale tickets cancel nothing"
+    [ 2; 4; 3 ] (List.rev !log);
+  check Alcotest.int "self-cancel is a no-op" 0 (Sim.cancelled_pending sim);
+  check Alcotest.int "three events fired" 3 (Sim.events_processed sim)
+
+(* Arming, cancelling and re-arming a lane timer allocate nothing: an
+   RTO-style churn, where a ticker re-arms a timer ahead of itself
+   10k times and the cancelled copies leave the queue as they come
+   due, stays within the words the measurement and [run] take. *)
+let test_sim_post_cancel_allocates_nothing () =
+  let sim = Sim.create () in
+  let ticker = ref Sim.no_handler and rto = ref Sim.no_handler in
+  let left = ref 0 and ticket = ref (-1) and fired = ref 0 in
+  rto := Sim.register sim (fun _ -> incr fired);
+  ticker :=
+    Sim.register sim (fun x ->
+        Sim.cancel_post sim !ticket;
+        ticket := Sim.post sim ~after:1_000 !rto x;
+        if !left > 0 then begin
+          decr left;
+          ignore (Sim.post sim ~after:(1 + (x land 63)) !ticker (x + 1) : int)
+        end);
+  let cycles n =
+    left := n;
+    ignore (Sim.post sim ~after:1 !ticker 0 : int);
+    Sim.run sim
+  in
+  cycles 1_000;
+  let before = Gc.minor_words () in
+  cycles 10_000;
+  let words = Gc.minor_words () -. before in
+  check Alcotest.bool
+    (Printf.sprintf "%.0f minor words over 10k arm/cancel/re-arm cycles"
+       words)
+    true (words <= 100.);
+  check Alcotest.int "only the last timer of each burst fired" 2 !fired;
+  check Alcotest.int "drained" 0 (Sim.pending sim)
 
 (* Model-based scheduler test: drive the same randomized scenario —
    near/far/tied timers, nested scheduling from callbacks, random
@@ -529,13 +603,13 @@ module Ref_sched = struct
     loop ()
 end
 
-(* What a scenario can do with a scheduler: [schedule] returns a
-   cancel function; [post] is a lane event, which cannot be cancelled;
+(* What a scenario can do with a scheduler: [schedule] and [post] (a
+   lane event, cancelled through its ticket) return a cancel function;
    [reserve n] takes n ties and returns a poster [(i, key, fire)] for
    the i-th of them. *)
 type ops = {
   schedule : int -> (unit -> unit) -> unit -> unit;
-  post : int -> (unit -> unit) -> unit;
+  post : int -> (unit -> unit) -> unit -> unit;
   reserve : int -> int -> int -> (unit -> unit) -> unit;
   now : unit -> int;
 }
@@ -584,7 +658,7 @@ let drive { schedule; post; reserve; now } seed =
           push (schedule (now () + dt) (spawn (depth + 1) ()))
         done;
         (match Rng.int rng 4 with
-         | 0 -> post (now () + near_or_far ()) (spawn (depth + 1) ())
+         | 0 -> push (post (now () + near_or_far ()) (spawn (depth + 1) ()))
          | 1 when !n_early < 400 ->
            early !n_early (now () + near_or_far ()) (spawn (depth + 1) ());
            incr n_early
@@ -615,15 +689,26 @@ let drive { schedule; post; reserve; now } seed =
      within a bucket or two. Fired and cancelled timers give their
      storage back while new ones take it, and the cancellations pile
      up past the compaction threshold in the middle of it. *)
-  let rto = ref (fun () -> ()) in
+  let rto = ref (fun () -> ()) and lane_rto = ref (fun () -> ()) in
   let rec tick n () =
     log := (-2, now ()) :: !log;
     !rto ();
     rto := schedule (now () + 300_000 + Rng.int rng 1_000) (fun () ->
         log := (-3, now ()) :: !log);
+    (* the same churn on the lane, as the transports' RTOs run it *)
+    !lane_rto ();
+    lane_rto := post (now () + 300_000 + Rng.int rng 1_000) (fun () ->
+        log := (-4, now ()) :: !log);
     for _ = 0 to Rng.int rng 2 do
       push (schedule (now () + Rng.int rng 100) (spawn 3 ()))
     done;
+    (* short-lived lane events free their slots for the next posts, and
+       cancelling a stale ticket must leave the slot's new event be *)
+    for _ = 0 to Rng.int rng 2 do
+      push (post (now () + Rng.int rng 100) (spawn 3 ()))
+    done;
+    if Rng.int rng 2 = 0 && !n_cancels > 0 then
+      !cancels.(!n_cancels - 1 - Rng.int rng (min 32 !n_cancels)) ();
     (* Now and then a burst of many timers at one nanosecond, some of
        them cancelled straight away. *)
     if Rng.int rng 50 = 0 then begin
@@ -653,7 +738,7 @@ let drive { schedule; post; reserve; now } seed =
       let at = now () + Rng.int rng 200 in
       match Rng.int rng 3 with
       | 0 -> push (schedule at (spawn 2 ()))
-      | 1 -> post at (spawn 2 ())
+      | 1 -> push (post at (spawn 2 ()))
       | _ ->
         if !n_early < 400 then begin
           early !n_early at (spawn 2 ());
@@ -689,7 +774,11 @@ let prop_sim_matches_reference =
                   let tm = Sim.schedule_at sim k f in
                   fun () -> Sim.cancel tm);
              post =
-               (fun k f -> Sim.post sim ~after:(k - Sim.now sim) lane (stash f));
+               (fun k f ->
+                  let ticket =
+                    Sim.post sim ~after:(k - Sim.now sim) lane (stash f)
+                  in
+                  fun () -> Sim.cancel_post sim ticket);
              reserve =
                (fun n ->
                   let first = Sim.reserve sim n in
@@ -706,10 +795,7 @@ let prop_sim_matches_reference =
        let ref_log, ref_after_pause =
          drive
            { schedule = Ref_sched.schedule r;
-             post =
-               (fun k f ->
-                  let (_ : unit -> unit) = Ref_sched.schedule r k f in
-                  ());
+             post = Ref_sched.schedule r;
              reserve = Ref_sched.reserve r;
              now = (fun () -> r.Ref_sched.now) }
            seed
@@ -848,6 +934,10 @@ let suite =
       `Quick test_sim_post_tie_rejects;
     Alcotest.test_case "sim: lane events allocate nothing" `Quick
       test_sim_post_allocates_nothing;
+    Alcotest.test_case "sim: lane tickets cancel like timers" `Quick
+      test_sim_cancel_post_contract;
+    Alcotest.test_case "sim: lane timer churn allocates nothing" `Quick
+      test_sim_post_cancel_allocates_nothing;
     QCheck_alcotest.to_alcotest prop_sim_matches_reference;
     Alcotest.test_case "sim: past scheduling raises" `Quick
       test_sim_past_raises;

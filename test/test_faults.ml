@@ -480,7 +480,7 @@ let test_rto_backoff_blackout () =
   check Alcotest.int "backoff reset to 1 by the recovery ACK" 1
     snd.Reliable.rto_backoff;
   check Alcotest.bool "timer cancelled on completion" true
-    (snd.Reliable.rto_timer = None)
+    (not (Reliable.rto_armed snd))
 
 (* Without any fault the timer must also be gone after a clean run. *)
 let test_rto_timer_cancelled_clean () =
@@ -499,7 +499,7 @@ let test_rto_timer_cancelled_clean () =
   check Alcotest.int "no RTO ever fired (backoff untouched)" 1
     snd.Reliable.rto_backoff;
   check Alcotest.bool "timer cancelled" true
-    (snd.Reliable.rto_timer = None)
+    (not (Reliable.rto_armed snd))
 
 (* --- chaos property: liveness + conservation ------------------------ *)
 

@@ -41,6 +41,19 @@ let test_runner_determinism () =
   in
   check Alcotest.bool "same seed, same result" true (run () = run ())
 
+(* A run's packets go with it: once [Runner.run] returns the arena is
+   dropped, so no free packet is kept and the next packet made takes
+   id 0 again. *)
+let test_runner_drops_packet_arena () =
+  let module Packet = Ppt_netsim.Packet in
+  let before = Packet.make ~flow:0 ~src:0 ~dst:1 Packet.Data in
+  ignore (Runner.run (tiny_cfg ()) Schemes.ppt);
+  check Alcotest.int "no free packet kept" 0 (Packet.pool_size ());
+  check Alcotest.bool "older packets are not current" false
+    (Packet.is_current before);
+  let p = Packet.make ~flow:0 ~src:0 ~dst:1 Packet.Data in
+  check Alcotest.int "ids restart at 0" 0 p.Packet.id
+
 let test_runner_seed_changes_result () =
   let run seed =
     let cfg = { (tiny_cfg ()) with Config.seed } in
@@ -238,6 +251,8 @@ let suite =
     Alcotest.test_case "runner: all schemes complete" `Slow
       test_runner_completes_all_schemes;
     Alcotest.test_case "runner: determinism" `Quick test_runner_determinism;
+    Alcotest.test_case "runner: packet arena dropped after a run" `Quick
+      test_runner_drops_packet_arena;
     Alcotest.test_case "runner: fig8 determinism guard" `Slow
       test_fig8_determinism;
     Alcotest.test_case "runner: seed sensitivity" `Quick

@@ -7,9 +7,9 @@ open Ppt_netsim
 let check = Alcotest.check
 
 let mk_pkt ?(prio = 0) ?(payload = 1000) ?(ecn = false) ?(sel_drop = false)
-    ?(kind = Packet.Data) ?(seq = 0) () =
-  Packet.make ~seq ~payload ~prio ~ecn_capable:ecn ~sel_drop ~flow:1
-    ~src:0 ~dst:1 kind
+    ?(kind = Packet.Data) ?(seq = 0) ?(flow = 1) ?(src = 0) ?(dst = 1) () =
+  Packet.make ~seq ~payload ~prio ~ecn_capable:ecn ~sel_drop ~flow ~src ~dst
+    kind
 
 (* --- packets --------------------------------------------------------- *)
 
@@ -465,7 +465,7 @@ let test_star_delivery () =
   List.iter
     (fun seq ->
        Net.send topo.Topology.net
-         (mk_pkt ~seq () |> fun p -> { p with Packet.flow = 7; dst = 2 }))
+         (mk_pkt ~seq ~flow:7 ~dst:2 ()))
     [ 0; 1; 2 ];
   Sim.run sim;
   check (Alcotest.list Alcotest.int) "in-order delivery" [ 0; 1; 2 ]
@@ -499,6 +499,39 @@ let test_undeliverable_counted () =
   check Alcotest.int "unregistered flow counted" 1
     (Net.undeliverable topo.Topology.net)
 
+(* The fabric carries packets by arena id, so it refuses a record the
+   arena does not hold: a [{ p with ... }] copy would be read back as
+   its original, and a packet made before [Packet.reset] names an id
+   that now belongs to another packet or to none. *)
+let test_send_refuses_foreign_packets () =
+  let sim = Sim.create () in
+  let topo =
+    Topology.star ~sim ~n_hosts:2 ~rate:(Units.gbps 10)
+      ~delay:(Units.us 1)
+      ~qcfg:(Prio_queue.default_config ~buffer_bytes:(Units.kb 100)) ()
+  in
+  let net = topo.Topology.net in
+  let got = ref 0 in
+  Net.register net ~host:1 ~flow:1 (fun _ -> incr got);
+  let refused p =
+    match Net.send net p with
+    | () -> false
+    | exception Invalid_argument _ -> true
+  in
+  let p = mk_pkt () in
+  check Alcotest.bool "a copy is refused" true
+    (refused { p with Packet.seq = 5 });
+  Packet.reset ();
+  check Alcotest.bool "a packet from before the reset is refused" true
+    (refused p);
+  let q = mk_pkt () in
+  check Alcotest.int "ids restart at 0" 0 q.Packet.id;
+  check Alcotest.bool "the same id, another record: still refused" true
+    (refused p);
+  check Alcotest.bool "a current packet is sent" false (refused q);
+  Sim.run sim;
+  check Alcotest.int "only the current packet arrived" 1 !got
+
 (* The delivery table: two (host, handler) slots per flow, reached by
    flow id at any size, with bad registrations refused up front. *)
 let test_delivery_table () =
@@ -516,8 +549,7 @@ let test_delivery_table () =
   (* re-registering at a host replaces its handler *)
   Net.register net ~host:1 ~flow (fun _ -> got.(2) <- got.(2) + 1);
   let send ~src ~dst =
-    Net.send net
-      (mk_pkt () |> fun p -> { p with Packet.flow; src; dst })
+    Net.send net (mk_pkt ~flow ~src ~dst ())
   in
   send ~src:0 ~dst:1;
   send ~src:1 ~dst:0;
@@ -563,7 +595,7 @@ let test_leaf_spine_cross_rack () =
   Net.register topo.Topology.net ~host:11 ~flow:5 (fun _ -> incr got);
   (* host 0 (leaf 0) to host 11 (leaf 2): 4 hops *)
   Net.send topo.Topology.net
-    (mk_pkt () |> fun p -> { p with Packet.flow = 5; src = 0; dst = 11 });
+    (mk_pkt ~flow:5 ~src:0 ~dst:11 ());
   Sim.run sim;
   check Alcotest.int "cross-rack delivery" 1 !got
 
@@ -572,7 +604,7 @@ let test_leaf_spine_same_rack () =
   let got = ref 0 in
   Net.register topo.Topology.net ~host:1 ~flow:6 (fun _ -> incr got);
   Net.send topo.Topology.net
-    (mk_pkt () |> fun p -> { p with Packet.flow = 6; src = 0; dst = 1 });
+    (mk_pkt ~flow:6 ~src:0 ~dst:1 ());
   Sim.run sim;
   check Alcotest.int "same-rack delivery" 1 !got
 
@@ -599,7 +631,7 @@ let test_per_packet_spray_spreads () =
   Net.register topo.Topology.net ~host:11 ~flow:5 (fun _ -> incr got);
   for seq = 0 to 63 do
     Net.send topo.Topology.net
-      (mk_pkt ~seq () |> fun p -> { p with Packet.flow = 5; dst = 11 })
+      (mk_pkt ~seq ~flow:5 ~dst:11 ())
   done;
   Sim.run sim;
   check Alcotest.int "all sprayed packets delivered" 64 !got;
@@ -626,7 +658,7 @@ let test_flowlet_no_mid_burst_rehash () =
       seqs := p.Packet.seq :: !seqs);
   for seq = 0 to 31 do
     Net.send topo.Topology.net
-      (mk_pkt ~seq () |> fun p -> { p with Packet.flow = 6; dst = 11 })
+      (mk_pkt ~seq ~flow:6 ~dst:11 ())
   done;
   Sim.run sim;
   (* one spine, FIFO queues: in-order delivery proves no mid-burst
@@ -644,9 +676,7 @@ let test_all_to_all_leaf_spine_traffic () =
         let flow = (src * n) + dst in
         incr expected;
         Net.register topo.Topology.net ~host:dst ~flow (fun _ -> incr got);
-        Net.send topo.Topology.net
-          (mk_pkt ()
-           |> fun p -> { p with Packet.flow; src; dst })
+        Net.send topo.Topology.net (mk_pkt ~flow ~src ~dst ())
       end
     done
   done;
@@ -682,6 +712,8 @@ let suite =
     Alcotest.test_case "net: undeliverable counted" `Quick
       test_undeliverable_counted;
     Alcotest.test_case "net: delivery table" `Quick test_delivery_table;
+    Alcotest.test_case "net: send refuses copies and stale packets" `Quick
+      test_send_refuses_foreign_packets;
     Alcotest.test_case "topo: leaf-spine shape" `Quick test_leaf_spine_shape;
     Alcotest.test_case "topo: cross-rack" `Quick test_leaf_spine_cross_rack;
     Alcotest.test_case "topo: same-rack" `Quick test_leaf_spine_same_rack;

@@ -173,8 +173,8 @@ let test_wire_meta () =
 (* --- tcp.ml: slow start / loss recovery state machine --- *)
 
 let ack_info ?(newly = 0) () =
-  { Reliable.ai_cum = 0; ai_sacks = []; ai_ece = false; ai_data_tx = 0;
-    ai_tel = Ppt_netsim.Packet.dummy; ai_newly_acked = newly;
+  { Reliable.ai_cum = 0; ai_ece = false; ai_data_tx = 0;
+    ai_tel = -1; ai_newly_acked = newly;
     ai_cum_advanced = true }
 
 let test_tcp_congestion_control () =
