@@ -44,15 +44,13 @@ type t = {
   mutable last_activity : Units.time;
   mutable pace_ticket : int;       (* armed pacer, or -1 *)
   mutable watchdog_ticket : int;   (* armed watchdog, or -1 *)
-  (* reusable timers: the pacer's window state lives here and both
-     callbacks sit in the context's timer table from [create] to
-     [shutdown], so every reschedule of the (per-segment) EWD pacer
-     is an allocation-free post of [pace_id] *)
+  (* reusable timers: the pacer's window state lives here and the
+     fire closures are allocated once per flow, so every reschedule of
+     the (per-segment) EWD pacer is allocation-free *)
   mutable pace_window : int;
   mutable pace_remaining : int;
-  mutable pace_id : int;
-  mutable watchdog_id : int;
-  mutable start_id : int;          (* the case-1 start, until it fires *)
+  mutable pace_fire : unit -> unit;
+  mutable watchdog_fire : unit -> unit;
   mutable loops_opened : int;      (* diagnostics *)
   mutable shut : bool;
 }
@@ -63,23 +61,17 @@ let is_open t = t.opened
 let loops_opened t = t.loops_opened
 
 let cancel_pace t =
-  Sim.cancel_post t.ctx.Context.sim t.pace_ticket;
+  Sim.cancel t.ctx.Context.sim t.pace_ticket;
   t.pace_ticket <- -1
 
 let cancel_watchdog t =
-  Sim.cancel_post t.ctx.Context.sim t.watchdog_ticket;
+  Sim.cancel t.ctx.Context.sim t.watchdog_ticket;
   t.watchdog_ticket <- -1
 
 let shutdown t =
   t.shut <- true;
   cancel_pace t;
-  cancel_watchdog t;
-  if t.pace_id >= 0 then begin
-    Context.remove_timer t.ctx t.pace_id;
-    Context.remove_timer t.ctx t.watchdog_id;
-    t.pace_id <- -1;
-    t.watchdog_id <- -1
-  end
+  cancel_watchdog t
 
 let close_loop t =
   if t.opened then begin
@@ -108,12 +100,13 @@ let watchdog_tick t =
     if now t - t.last_activity > idle_limit then close_loop t
     else
       t.watchdog_ticket <-
-        Context.post_timer t.ctx ~after:(rtt t) t.watchdog_id
+        Sim.schedule t.ctx.Context.sim ~after:(rtt t) t.watchdog_fire
   end
 
 let arm_watchdog t =
   cancel_watchdog t;
-  t.watchdog_ticket <- Context.post_timer t.ctx ~after:(rtt t) t.watchdog_id
+  t.watchdog_ticket <-
+    Sim.schedule t.ctx.Context.sim ~after:(rtt t) t.watchdog_fire
 
 (* Inter-segment gap that spreads [window] bytes evenly over one RTT:
    rtt * sent / window, rounded to nearest. Truncating instead (the
@@ -141,7 +134,7 @@ let rec pace_tick t =
             pace_interval ~rtt:(rtt t) ~sent ~window:t.pace_window
           in
           t.pace_ticket <-
-            Context.post_timer t.ctx ~after:interval t.pace_id
+            Sim.schedule t.ctx.Context.sim ~after:interval t.pace_fire
         end else
           pace_tick t
       end
@@ -156,11 +149,12 @@ let create ctx snd view ?(ewd = true) ~identified_large () =
       alpha_min = infinity;
       last_activity = 0;
       pace_ticket = -1; watchdog_ticket = -1;
-      pace_window = 0; pace_remaining = 0; pace_id = -1; watchdog_id = -1;
-      start_id = -1; loops_opened = 0; shut = false }
+      pace_window = 0; pace_remaining = 0;
+      pace_fire = ignore; watchdog_fire = ignore;
+      loops_opened = 0; shut = false }
   in
-  t.pace_id <- Context.add_timer ctx (fun () -> pace_tick t);
-  t.watchdog_id <- Context.add_timer ctx (fun () -> watchdog_tick t);
+  t.pace_fire <- (fun () -> pace_tick t);
+  t.watchdog_fire <- (fun () -> watchdog_tick t);
   t
 
 let open_loop t ~initial_window =
@@ -222,7 +216,6 @@ let on_lcp_ack t (ai : Reliable.ack_info) =
   end
 
 let case1_start t =
-  Context.remove_timer t.ctx t.start_id;
   if not t.shut then open_loop t ~initial_window:(case1_window t)
 
 let start t =
@@ -231,8 +224,7 @@ let start t =
   t.view.Dctcp.rtt_hook (fun () -> on_rtt_boundary t);
   (* case 1: open at flow start, or at the 2nd RTT for identified-large
      flows so that small flows own the first RTT (§3.1). The start
-     fires (and counts as an event) even if the flow finished first;
-     it frees its own table entry. *)
+     fires (and counts as an event) even if the flow finished first. *)
   let delay = if t.identified_large then rtt t else 0 in
-  t.start_id <- Context.add_timer t.ctx (fun () -> case1_start t);
-  ignore (Context.post_timer t.ctx ~after:delay t.start_id : int)
+  ignore
+    (Sim.schedule t.ctx.Context.sim ~after:delay (fun () -> case1_start t))

@@ -1,11 +1,11 @@
 (* Discrete-event simulation core: a clock plus a calendar-queue
    scheduler.
 
-   Events are callbacks with an argument. Equal-time events fire in
-   scheduling order (every timer carries an insertion sequence number
-   used as a tie-break), which keeps runs deterministic: the pop order
-   is the total order on [(time, tie)] regardless of which internal
-   tier a timer happens to sit in.
+   Every event is a handler with an int argument. Equal-time events
+   fire in scheduling order (every event carries an insertion sequence
+   number used as a tie-break), which keeps runs deterministic: the pop
+   order is the total order on [(time, tie)] regardless of which
+   internal tier an event happens to sit in.
 
    The scheduler is tiered for the timer mix a packet-level simulation
    produces — millions of short-horizon timers (serialization ticks,
@@ -30,49 +30,34 @@
      bucket's start and a timer is then scheduled in between; they
      pop before everything else.
 
-   Storage is a slab: a pending timer is a slot number, and its fire
-   time, tie and callback live in parallel arrays indexed by slot.
-   Free slots are chained through [next] into a free list; a wheel
-   bucket and a current-bucket list are chains of slots through the
-   same [next] array, so the wheel and the current bucket are plain
-   [int array]s of chain ends; both heaps store slot numbers ([Heap]
-   is int-only). The only pointer a closure timer stores is the slot's
-   callback, once; a lane event stores none.
+   Storage is a slab: a pending event is a slot number, and its fire
+   time, tie, packed argument and (for a closure) callback live in
+   parallel arrays indexed by slot. Free slots are chained through
+   [next] into a free list; a wheel bucket and a current-bucket list
+   are chains of slots through the same [next] array, so the wheel and
+   the current bucket are plain [int array]s of chain ends; both heaps
+   store slot numbers ([Heap] is int-only).
 
-   Besides closure timers there is an int-argument lane for events
-   that fire often: a handler [int -> unit] is registered once, and
-   posting it with an int stores the argument and the handler id
-   packed into one int per slot. A lane slot keeps [free_job] as its
-   callback, so posting, firing, cancelling and freeing it store no
-   pointer and allocate nothing. [post] returns an int ticket, the
-   slot and (the low bits of) its tie; cancelling through it
-   overwrites the slot's packed argument with the [dead] handler id,
-   and firing does the same, so a ticket whose event has fired, was
+   Every event is a handler id and an int argument, packed into one
+   int per slot: a handler [int -> unit] is registered once, and
+   posting it stores no pointer and allocates nothing. A closure event
+   is the built-in handler [closure] with its own slot as the
+   argument, its callback stored in [fn] and cleared when it fires or
+   is cancelled, so a queue slot never keeps a dead callback alive.
+   Scheduling returns an int ticket, the slot and (the low bits of)
+   its tie; firing or cancelling overwrites the slot's packed argument
+   with the [dead] handler id, so a ticket whose event has fired, was
    cancelled or whose slot now holds another event is inert. A run
-   can also reserve a
-   block of ties up front and post with them later, which lets it keep
-   only the next of many pre-ordered events queued while they still
-   pop exactly where scheduling them all up front would have put them.
+   can also reserve a block of ties up front and post with them later,
+   which lets it keep only the next of many pre-ordered events queued
+   while they still pop exactly where scheduling them all up front
+   would have put them.
 
-   Timers can be cancelled; a cancelled timer stays queued but its
-   callback is skipped when popped. Cancelled-and-still-queued timers
-   are counted, and once they outnumber live ones (past a floor) the
-   whole structure is compacted in place so churny retransmit timers
-   cannot bloat the queue and get re-sifted forever. *)
-
-(* A callback paired with its argument. [schedule1] stores the
-   argument beside the callback instead of forcing callers to close
-   over it: packet arrivals are scheduled once per transmitted packet,
-   and a preallocated callback plus an inline argument is a single
-   small allocation per event. *)
-type job = Job : ('a -> unit) * 'a -> job
-
-(* Slot sentinels, told apart by physical equality: a slot on the free
-   list or holding a lane event has [free_job], a cancelled timer still
-   queued has [cancelled_job]. Neither keeps a packet or closure
-   alive. *)
-let free_job = Job (ignore, 0)
-let cancelled_job = Job (ignore, 1)
+   A cancelled event stays queued but is skipped when popped.
+   Cancelled-and-still-queued events are counted, and once they
+   outnumber live ones (past a floor) the whole structure is compacted
+   in place so churny retransmit timers cannot bloat the queue and get
+   re-sifted forever. *)
 
 (* Bucket geometry: 4096 buckets of 64 ns cover ~262 us, past the
    per-hop timer horizon of a 10-400G fabric. The width is sized to
@@ -98,7 +83,7 @@ let group_span = bucket_width lsl log_group
 (* Compact only past this many dead timers, so small runs never pay. *)
 let compact_min = 1024
 
-(* A lane slot's [arg] is [(x lsl handler_bits) lor handler]. *)
+(* A slot's [arg] is [(x lsl handler_bits) lor handler]. *)
 type handler = int
 
 let handler_bits = 8
@@ -106,10 +91,12 @@ let handler_mask = (1 lsl handler_bits) - 1
 
 (* Handler 0 is the placeholder a handler field holds until the real
    handler is registered; posting it is a bug. Handler 1 is never
-   called: it marks a lane slot whose event was cancelled (while it is
-   still queued) or has fired. *)
+   called: it marks a slot whose event was cancelled (while it is
+   still queued) or has fired. Handler 2 fires the closure in [fn] of
+   the slot it is given. *)
 let no_handler = 0
 let dead = 1
+let closure = 2
 let unregistered (_ : int) = invalid_arg "Sim.post: no_handler was posted"
 
 (* A ticket is [(tie lsl slot_bits) lor slot], the tie cut to the bits
@@ -125,8 +112,8 @@ type t = {
   mutable key : int array;        (* absolute fire time *)
   mutable ties : int array;       (* insertion sequence number *)
   mutable next : int array;       (* chain or free list; -1 ends *)
-  mutable job : job array;
-  mutable arg : int array;        (* lane slots: packed argument *)
+  mutable arg : int array;        (* packed handler and argument *)
+  mutable fn : (unit -> unit) array;  (* closure slots; [ignore] else *)
   mutable free : int;             (* free-list head, -1 when empty *)
   mutable heads : int array;      (* bucket chain heads; [||] until used *)
   mutable occ : int array;        (* timers per bucket group, likewise *)
@@ -151,12 +138,6 @@ type t = {
   mutable processed : int;
 }
 
-(* A handle names a slot and the tie of the timer it was made for.
-   Ties are never reused, so once the timer fires or is cancelled and
-   its slot is recycled, the tie no longer matches and the handle goes
-   inert. *)
-type timer = { owner : t; slot : int; tie : int }
-
 (* Slab, wheel and current-bucket arrays grow on demand, so [create]
    allocates only the record and three empty heaps. The window starts
    empty ([wheel_end = cur_base + width = 0]): every timer scheduled
@@ -164,26 +145,34 @@ type timer = { owner : t; slot : int; tie : int }
    first [refill] hops the window to the earliest one and allocates
    the bucket heads. A run's set-up so never pays for them. *)
 let create () =
-  { now = 0;
-    key = [||]; ties = [||]; next = [||]; job = [||]; arg = [||];
-    free = -1;
-    heads = [||];
-    occ = [||];
-    lhead = [||];
-    ltail = [||];
-    cur_count = 0;
-    scan = bucket_width;
-    cur_base = - bucket_width;
-    low = Heap.create ();
-    low_count = 0;
-    overflow = Heap.create ();
-    wheel_count = 0;
-    wheel_end = 0;
-    cancels = 0;
-    compaction_runs = 0;
-    last_tie = 0; reserved = [];
-    handlers = [| unregistered; unregistered |];
-    running = false; processed = 0 }
+  let t =
+    { now = 0;
+      key = [||]; ties = [||]; next = [||]; arg = [||]; fn = [||];
+      free = -1;
+      heads = [||];
+      occ = [||];
+      lhead = [||];
+      ltail = [||];
+      cur_count = 0;
+      scan = bucket_width;
+      cur_base = - bucket_width;
+      low = Heap.create ();
+      low_count = 0;
+      overflow = Heap.create ();
+      wheel_count = 0;
+      wheel_end = 0;
+      cancels = 0;
+      compaction_runs = 0;
+      last_tie = 0; reserved = [];
+      handlers = [| unregistered; unregistered; unregistered |];
+      running = false; processed = 0 }
+  in
+  (* The slot was freed before the call, so the callback may reuse it. *)
+  t.handlers.(closure) <- (fun s ->
+      let f = Array.unsafe_get t.fn s in
+      Array.unsafe_set t.fn s ignore;
+      f ());
+  t
 
 let now t = t.now
 let events_processed t = t.processed
@@ -201,7 +190,7 @@ let compactions t = t.compaction_runs
    set-up cheaper: incast schedules its 200k flow starts before the
    clock runs. Int arrays are copied with plain stores, since
    [Array.blit] into a major-heap array runs the write barrier per
-   element; the callback array is copied in place rather than through
+   element; the closure array is copied in place rather than through
    the temporary array [Array.append] would need. *)
 let grown_size n =
   if n = 0 then 64 else if n < 1 lsl 20 then 4 * n else 2 * n
@@ -221,9 +210,9 @@ let grow_slab t =
   t.ties <- ints t.ties;
   t.next <- ints t.next;
   t.arg <- ints t.arg;
-  let job = Array.make size free_job in
-  for i = 0 to n - 1 do Array.unsafe_set job i (Array.unsafe_get t.job i) done;
-  t.job <- job;
+  let fn = Array.make size ignore in
+  for i = 0 to n - 1 do Array.unsafe_set fn i (Array.unsafe_get t.fn i) done;
+  t.fn <- fn;
   for i = n to size - 2 do t.next.(i) <- i + 1 done;
   t.next.(size - 1) <- t.free;
   t.free <- n
@@ -234,12 +223,9 @@ let alloc_slot t =
   t.free <- Array.unsafe_get t.next s;
   s
 
-(* A freed slot gets [free_job], so it keeps no closure alive. Marking
-   it in [ties] instead would save the write barrier, but the stale
-   callbacks it leaves behind, until the slot is reused, cost the
-   memcached incast 7% of its peak heap for no measurable speed. *)
+(* Freeing stores no pointer: a cancel clears a closure's [fn] at
+   once, and a firing closure clears it before its callback runs. *)
 let free_slot t s =
-  Array.unsafe_set t.job s free_job;
   Array.unsafe_set t.next s t.free;
   t.free <- s
 
@@ -299,12 +285,8 @@ let insert t s ~key ~tie =
   else if key < t.wheel_end then bucket_push t s
   else Heap.push t.overflow ~key ~tie s
 
-(* A queued slot whose event was cancelled: a closure timer's
-   [cancelled_job], or a lane slot marked [dead]. *)
-let is_cancelled t s =
-  let j = Array.unsafe_get t.job s in
-  j == cancelled_job
-  || (j == free_job && Array.unsafe_get t.arg s land handler_mask = dead)
+(* A queued slot is cancelled exactly when it is marked [dead]. *)
+let is_cancelled t s = Array.unsafe_get t.arg s land handler_mask = dead
 
 (* Unlink the cancelled timers of the chain from [head], freeing their
    slots, and keep the order of the rest. Returns the new head, leaves
@@ -350,33 +332,8 @@ let compact t =
   t.cancels <- 0;
   t.compaction_runs <- t.compaction_runs + 1
 
-let schedule1_at t at fire arg =
-  if at < t.now then
-    invalid_arg
-      (Printf.sprintf "Sim.schedule_at: %d is in the past (now=%d)" at t.now);
-  if t.cancels >= compact_min && 2 * t.cancels > scheduled t then
-    compact t;
-  let tie = t.last_tie + 1 in
-  t.last_tie <- tie;
-  let s = alloc_slot t in
-  Array.unsafe_set t.key s at;
-  Array.unsafe_set t.ties s tie;
-  Array.unsafe_set t.job s (Job (fire, arg));
-  insert t s ~key:at ~tie;
-  { owner = t; slot = s; tie }
-
-let schedule_at t at (fire : unit -> unit) = schedule1_at t at fire ()
-
-let schedule t ~after fire =
-  assert (after >= 0);
-  schedule_at t (t.now + after) fire
-
-let schedule1 t ~after fire arg =
-  assert (after >= 0);
-  schedule1_at t (t.now + after) fire arg
-
 (* A run registers a handful of handlers, so the table grows by one.
-   Ids 0 and 1 are [no_handler] and [dead]. *)
+   Ids 0, 1 and 2 are [no_handler], [dead] and [closure]. *)
 let register t f =
   let h = Array.length t.handlers in
   if h > handler_mask then
@@ -384,8 +341,7 @@ let register t f =
   t.handlers <- Array.append t.handlers [| f |];
   h
 
-(* A lane slot: every store is an int, and [job] keeps the [free_job]
-   the free list left there. *)
+(* Queue [h x] at [at] with [tie] and return its slot. *)
 let post_slot t ~at ~tie h x =
   if t.cancels >= compact_min && 2 * t.cancels > scheduled t then
     compact t;
@@ -396,23 +352,50 @@ let post_slot t ~at ~tie h x =
   insert t s ~key:at ~tie;
   s
 
-let post t ~after h x =
-  assert (after >= 0);
+let next_tie t =
   let tie = t.last_tie + 1 in
   t.last_tie <- tie;
-  let s = post_slot t ~at:(t.now + after) ~tie h x in
-  ((tie land tie_mask) lsl slot_bits) lor s
+  tie
+
+let ticket ~tie s = ((tie land tie_mask) lsl slot_bits) lor s
+
+let post t ~after h x =
+  assert (after >= 0);
+  let tie = next_tie t in
+  ticket ~tie (post_slot t ~at:(t.now + after) ~tie h x)
+
+(* A closure event is [closure] posted with its own slot, which is
+   known only once the slot is taken. *)
+let schedule_at t at fire =
+  if at < t.now then
+    invalid_arg
+      (Printf.sprintf "Sim.schedule_at: %d is in the past (now=%d)" at t.now);
+  let tie = next_tie t in
+  let s = post_slot t ~at ~tie closure 0 in
+  Array.unsafe_set t.arg s ((s lsl handler_bits) lor closure);
+  Array.unsafe_set t.fn s fire;
+  ticket ~tie s
+
+let schedule t ~after fire =
+  assert (after >= 0);
+  schedule_at t (t.now + after) fire
+
+let schedule1 t ~after f x = schedule t ~after (fun () -> f x)
 
 (* The tie identifies the event: once it fired or was cancelled the
-   slot reads [dead], and once the slot is reused its tie differs. *)
-let cancel_post t ticket =
+   slot reads [dead], and once the slot is reused its tie differs. A
+   cancelled closure lets go of its callback at once. *)
+let cancel t ticket =
   let s = ticket land slot_mask in
   if ticket >= 0 && s < Array.length t.ties
      && Array.unsafe_get t.ties s land tie_mask = ticket lsr slot_bits
-     && Array.unsafe_get t.arg s land handler_mask <> dead
   then begin
-    Array.unsafe_set t.arg s dead;
-    t.cancels <- t.cancels + 1
+    let h = Array.unsafe_get t.arg s land handler_mask in
+    if h <> dead then begin
+      if h = closure then Array.unsafe_set t.fn s ignore;
+      Array.unsafe_set t.arg s dead;
+      t.cancels <- t.cancels + 1
+    end
   end
 
 let reserve t n =
@@ -435,13 +418,6 @@ let post_tie t ~at ~tie h x =
   if not (is_reserved tie t.reserved) then
     invalid_arg (Printf.sprintf "Sim.post_tie: tie %d was not reserved" tie);
   ignore (post_slot t ~at ~tie h x : int)
-
-let cancel { owner = t; slot; tie } =
-  let j = t.job.(slot) in
-  if t.ties.(slot) = tie && j != free_job && j != cancelled_job then begin
-    t.job.(slot) <- cancelled_job;
-    t.cancels <- t.cancels + 1
-  end
 
 let stop t = t.running <- false
 
@@ -564,7 +540,7 @@ let pop_upto t horizon =
   end
   else -1
 
-let run ?until ?(max_events = max_int) t =
+let run ?until t =
   let horizon = match until with None -> max_int | Some u -> u in
   if horizon < t.now then
     invalid_arg
@@ -572,36 +548,20 @@ let run ?until ?(max_events = max_int) t =
          t.now);
   t.running <- true;
   let rec loop () =
-    if t.running && t.processed < max_events then begin
+    if t.running then begin
       let s = pop_upto t horizon in
       if s >= 0 then begin
-        let j = Array.unsafe_get t.job s in
-        let at = Array.unsafe_get t.key s in
-        if j == free_job then begin
-          (* a lane event: free the slot without touching [job], and
-             mark it [dead] so its ticket goes inert *)
-          let a = Array.unsafe_get t.arg s in
-          Array.unsafe_set t.next s t.free;
-          t.free <- s;
-          let h = a land handler_mask in
-          if h = dead then t.cancels <- t.cancels - 1
-          else begin
-            Array.unsafe_set t.arg s dead;
-            t.now <- at;
-            t.processed <- t.processed + 1;
-            (Array.unsafe_get t.handlers h) (a asr handler_bits)
-          end
-        end
-        else if j == cancelled_job then begin
-          (* a dead timer leaves the queue *)
-          free_slot t s;
-          t.cancels <- t.cancels - 1
-        end
+        (* free the slot before the handler runs, and mark it [dead] so
+           the event's ticket goes inert *)
+        let a = Array.unsafe_get t.arg s in
+        free_slot t s;
+        let h = a land handler_mask in
+        if h = dead then t.cancels <- t.cancels - 1
         else begin
-          free_slot t s;
-          t.now <- at;
+          Array.unsafe_set t.arg s dead;
+          t.now <- Array.unsafe_get t.key s;
           t.processed <- t.processed + 1;
-          match j with Job (fire, arg) -> fire arg
+          (Array.unsafe_get t.handlers h) (a asr handler_bits)
         end;
         loop ()
       end

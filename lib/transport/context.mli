@@ -17,12 +17,6 @@ type t = {
   mutable started : int;
   mutable completed : int;
   mutable on_complete : int -> unit;
-  mutable timers : (unit -> unit) array;
-  (** The run's timer table: per-flow timer callbacks, by id. *)
-  mutable timer_next : int array;
-  mutable timer_free : int;
-  mutable timer_h : Sim.handler;
-  (** The lane handler that fires [timers.(id)]. *)
 }
 
 val create :
@@ -45,24 +39,3 @@ val flow_started : t -> Flow.t -> unit
 
 val flow_finished : t -> Flow.t -> unit
 (** Record a completed flow exactly once and fire [on_complete]. *)
-
-(** {2 Timer table}
-
-    Per-flow timers that are armed and cancelled over and over (the
-    reliable sender's RTO, the LCP's pacer and watchdog) keep their
-    callback in this per-run table and fire through the simulator's
-    int lane: arming posts the callback's id, and cancelling goes
-    through {!Ppt_engine.Sim.cancel_post} with the ticket. Neither
-    allocates. *)
-
-val add_timer : t -> (unit -> unit) -> int
-(** Store a callback; returns its id. *)
-
-val remove_timer : t -> int -> unit
-(** Free an id for reuse. Only once no event posted with it is still
-    queued: cancel it first. *)
-
-val post_timer : t -> after:Units.time -> int -> int
-(** Fire callback [id] after [after], taking the next tie as
-    {!Ppt_engine.Sim.schedule} would. Returns the ticket for
-    {!Ppt_engine.Sim.cancel_post}. *)

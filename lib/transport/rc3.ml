@@ -36,21 +36,20 @@ type lcp_state = {
   snd : Reliable.t;
   ctx : Context.t;
   mutable sent_count : int;
-  mutable timer : Sim.timer option;
+  mutable timer : int;                (* the armed pacer, or -1 *)
   mutable pump_fire : unit -> unit;   (* preallocated pacer callback *)
   mutable stopped : bool;
 }
 
 let stop_lcp st =
   st.stopped <- true;
-  match st.timer with
-  | Some tm -> Sim.cancel tm; st.timer <- None
-  | None -> ()
+  Sim.cancel st.ctx.Context.sim st.timer;
+  st.timer <- -1
 
 (* Blast the tail at line rate: one low-priority segment per NIC
    serialization slot until the loops cross or the buffer is empty. *)
 let lcp_pump st () =
-  st.timer <- None;
+  st.timer <- -1;
   if not st.stopped then begin
     let pay = Reliable.send_tail ~prio:(lp_prio st.sent_count) st.snd in
     (* 0: crossed with the primary loop, RC3's stop rule *)
@@ -60,8 +59,7 @@ let lcp_pump st () =
         Units.tx_time ~rate:st.ctx.Context.edge_rate
           ~bytes:(pay + Packet.header_bytes)
       in
-      st.timer <-
-        Some (Sim.schedule st.ctx.Context.sim ~after:slot st.pump_fire)
+      st.timer <- Sim.schedule st.ctx.Context.sim ~after:slot st.pump_fire
     end
   end
 
@@ -77,7 +75,7 @@ let make () ctx =
           ~setup:(fun snd ->
               ignore (Dctcp.attach snd);
               let st =
-                { snd; ctx; sent_count = 0; timer = None; pump_fire = ignore;
+                { snd; ctx; sent_count = 0; timer = -1; pump_fire = ignore;
                   stopped = false }
               in
               st.pump_fire <- (fun () -> lcp_pump st ());

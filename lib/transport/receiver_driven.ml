@@ -19,13 +19,13 @@ type sender = {
   flow : Flow.t;
   mutable snd_nxt : int;
   mutable cum : int;
-  mutable timer : Sim.timer option;
+  mutable timer : int;                (* the pending backstop, or -1 *)
   mutable shut : bool;
   mutable fire : unit -> unit;
 }
 
 let sender ctx flow =
-  { ctx; flow; snd_nxt = 0; cum = 0; timer = None; shut = false;
+  { ctx; flow; snd_nxt = 0; cum = 0; timer = -1; shut = false;
     fire = ignore }
 
 let send_data s ~prio ?(first_rtt = false) ?(sel_drop = false)
@@ -45,12 +45,11 @@ let send_data s ~prio ?(first_rtt = false) ?(sel_drop = false)
 let arm s =
   if not s.shut then
     s.timer <-
-      Some (Sim.schedule s.ctx.Context.sim ~after:s.ctx.Context.rto_min
-              s.fire)
+      Sim.schedule s.ctx.Context.sim ~after:s.ctx.Context.rto_min s.fire
 
 let backstop s resend =
   s.fire <- (fun () ->
-      s.timer <- None;
+      s.timer <- -1;
       if not s.shut then begin
         resend ();
         arm s
@@ -59,9 +58,8 @@ let backstop s resend =
 
 let shutdown s =
   s.shut <- true;
-  match s.timer with
-  | Some tm -> Sim.cancel tm; s.timer <- None
-  | None -> ()
+  Sim.cancel s.ctx.Context.sim s.timer;
+  s.timer <- -1
 
 (* ---- receiver ------------------------------------------------------ *)
 

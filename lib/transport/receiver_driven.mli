@@ -4,7 +4,6 @@
     line-rate pacer, per-host receiver state and the flow's handler
     wiring. Each protocol adds only its policy on top. *)
 
-open Ppt_engine
 open Ppt_netsim
 
 (** {1 Sender} *)
@@ -14,7 +13,7 @@ type sender = {
   flow : Flow.t;
   mutable snd_nxt : int;            (** next segment never sent *)
   mutable cum : int;                (** receiver's in-order progress, as last heard *)
-  mutable timer : Sim.timer option; (** the pending backstop *)
+  mutable timer : int;              (** the pending backstop, or [-1] *)
   mutable shut : bool;
   mutable fire : unit -> unit;      (** preallocated backstop callback *)
 }

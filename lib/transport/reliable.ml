@@ -79,10 +79,9 @@ type t = {
   mutable recovery_end : int;
   retx : int Queue.t;
   mutable rto_backoff : int;
-  mutable rto_id : int;
-  (* the RTO callback's id in the context's timer table, registered
-     once so re-arming the (endlessly rescheduled) timer is an
-     allocation-free post; -1 once freed at shutdown *)
+  mutable rto_fire : unit -> unit;
+  (* allocated once, so re-arming the (endlessly rescheduled) RTO is
+     an allocation-free schedule *)
   mutable rto_ticket : int;            (* the armed RTO, or -1 *)
   (* per-RTT observation window (DCTCP-style) *)
   mutable win_end : int;
@@ -138,18 +137,14 @@ let avail_hi t =
   end
 
 let cancel_rto t =
-  Sim.cancel_post t.ctx.Context.sim t.rto_ticket;
+  Sim.cancel t.ctx.Context.sim t.rto_ticket;
   t.rto_ticket <- -1
 
 let rto_armed t = t.rto_ticket >= 0
 
 let shutdown t =
   t.shut <- true;
-  cancel_rto t;
-  if t.rto_id >= 0 then begin
-    Context.remove_timer t.ctx t.rto_id;
-    t.rto_id <- -1
-  end
+  cancel_rto t
 
 let rto_interval t =
   t.ctx.Context.rto_min * t.rto_backoff
@@ -183,7 +178,7 @@ let emit t ~loop ~prio_override ~seq =
 let rec arm_rto t =
   if t.rto_ticket < 0 && t.inflight > 0 && not t.shut then
     t.rto_ticket <-
-      Context.post_timer t.ctx ~after:(rto_interval t) t.rto_id
+      Sim.schedule t.ctx.Context.sim ~after:(rto_interval t) t.rto_fire
 
 and reset_rto t =
   cancel_rto t;
@@ -299,7 +294,7 @@ let create ctx flow p =
       snd_nxt = 0; cum_ack = 0; sacked_cnt = 0; inflight = 0;
       l_inflight_segs = 0;
       dup_acks = 0; in_recovery = false; recovery_end = 0;
-      retx = Queue.create (); rto_backoff = 1; rto_id = -1;
+      retx = Queue.create (); rto_backoff = 1; rto_fire = ignore;
       rto_ticket = -1;
       win_end = 0; win_acked = 0; win_marked = 0; bytes_sent = 0;
       tail = flow.Flow.nseg; tail_hi = -1; shut = false;
@@ -314,7 +309,7 @@ let create ctx flow p =
       hook_on_lcp_ack = (fun _ _ -> ()) }
   in
   t.tail_hi <- avail_hi t;
-  t.rto_id <- Context.add_timer ctx (fun () -> on_rto t);
+  t.rto_fire <- (fun () -> on_rto t);
   t
 
 let start t =

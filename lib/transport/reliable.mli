@@ -64,11 +64,10 @@ type t = {
   mutable recovery_end : int;
   retx : int Queue.t;
   mutable rto_backoff : int;
-  mutable rto_id : int;
-  (** The RTO callback's id in the context's timer table; installed by
-      {!create}, freed by {!shutdown}. *)
+  mutable rto_fire : unit -> unit;
+  (** The RTO callback, allocated once by {!create}. *)
   mutable rto_ticket : int;
-  (** The armed RTO's {!Ppt_engine.Sim.post} ticket, or [-1]. *)
+  (** The armed RTO's {!Ppt_engine.Sim.schedule} ticket, or [-1]. *)
   mutable win_end : int;
   mutable win_acked : int;
   mutable win_marked : int;

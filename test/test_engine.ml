@@ -74,7 +74,7 @@ let test_sim_cancel () =
   let sim = Sim.create () in
   let fired = ref false in
   let t = Sim.schedule_at sim 10 (fun () -> fired := true) in
-  Sim.cancel t;
+  Sim.cancel sim t;
   Sim.run sim;
   check Alcotest.bool "cancelled timer must not fire" false !fired
 
@@ -121,7 +121,7 @@ let test_sim_until_resume () =
 let test_sim_cancel_accounting () =
   let sim = Sim.create () in
   let ts = List.init 10 (fun i -> Sim.schedule_at sim (10 + i) ignore) in
-  List.iteri (fun i t -> if i mod 2 = 0 then Sim.cancel t) ts;
+  List.iteri (fun i t -> if i mod 2 = 0 then Sim.cancel sim t) ts;
   check Alcotest.int "live timers" 5 (Sim.pending sim);
   check Alcotest.int "dead slots" 5 (Sim.cancelled_pending sim);
   Sim.run sim;
@@ -159,8 +159,8 @@ let test_sim_cancel_recycled () =
   let first = Sim.schedule_at sim 10 ignore in
   Sim.run sim;
   let fired = ref false in
-  let (_ : Sim.timer) = Sim.schedule_at sim 20 (fun () -> fired := true) in
-  Sim.cancel first;
+  let (_ : int) = Sim.schedule_at sim 20 (fun () -> fired := true) in
+  Sim.cancel sim first;
   check Alcotest.int "new occupant still live" 1 (Sim.pending sim);
   check Alcotest.int "nothing counted cancelled" 0
     (Sim.cancelled_pending sim);
@@ -169,11 +169,11 @@ let test_sim_cancel_recycled () =
   (* A cancelled timer's storage is recycled too, once it leaves the
      queue. *)
   let dead = Sim.schedule_at sim 30 (fun () -> Alcotest.fail "fired") in
-  Sim.cancel dead;
+  Sim.cancel sim dead;
   Sim.run sim;
   let hits = ref 0 in
-  let (_ : Sim.timer) = Sim.schedule_at sim 40 (fun () -> incr hits) in
-  Sim.cancel dead;
+  let (_ : int) = Sim.schedule_at sim 40 (fun () -> incr hits) in
+  Sim.cancel sim dead;
   Sim.run sim;
   check Alcotest.int "second occupant fired" 1 !hits;
   check Alcotest.int "drained" 0 (Sim.pending sim)
@@ -188,10 +188,10 @@ let test_sim_cancel_self () =
   let h =
     Sim.schedule_at sim 10 (fun () ->
         log := "self" :: !log;
-        let (_ : Sim.timer) =
+        let (_ : int) =
           Sim.schedule_at sim 15 (fun () -> log := "next" :: !log)
         in
-        Option.iter Sim.cancel !self)
+        Option.iter (Sim.cancel sim) !self)
   in
   self := Some h;
   Sim.run sim;
@@ -313,7 +313,7 @@ let test_sim_cancel_in_current_bucket_then_compact () =
     (Sim.schedule_at sim base (fun () ->
          Array.iteri
            (fun i tm ->
-              if i mod 3 <> 0 then Option.iter Sim.cancel tm)
+              if i mod 3 <> 0 then Option.iter (Sim.cancel sim) tm)
            timers;
          check Alcotest.int "dead timers counted" 2_000
            (Sim.cancelled_pending sim);
@@ -466,78 +466,133 @@ let test_sim_post_allocates_nothing () =
     true (words < 100.);
   check Alcotest.int "all fired" 11_002 (Sim.events_processed sim)
 
-(* A lane ticket keeps [cancel]'s contract: cancelling before the
-   event fires drops it (and counts it as cancelled until it leaves
+(* Both kinds of ticket keep one cancel contract: cancelling before
+   the event fires drops it (and counts it as cancelled until it leaves
    the queue); after it fired, after it was cancelled, once its slot
-   holds another event, from its own handler, or with a negative
-   ticket, cancelling does nothing. *)
-let test_sim_cancel_post_contract () =
-  let sim = Sim.create () in
-  let log = ref [] in
-  let self = ref (-1) in
-  let h =
-    Sim.register sim (fun x ->
-        log := x :: !log;
-        if x = 3 then Sim.cancel_post sim !self)
+   holds another event of either kind, from its own callback, or with
+   a negative ticket, cancelling does nothing. [arm sim fire] returns
+   how to arm [fire x] [after] ns ahead: on the lane, as a closure, or
+   alternating between the two, so stale tickets of one kind meet
+   events of the other in their old slots. *)
+let test_sim_cancel_contract () =
+  let lane sim fire =
+    let h = Sim.register sim fire in
+    fun ~after x -> Sim.post sim ~after h x
+  and closure sim fire ~after x = Sim.schedule sim ~after (fun () -> fire x) in
+  let mixed sim fire =
+    let lane = lane sim fire and n = ref 0 in
+    fun ~after x ->
+      incr n;
+      if !n land 1 = 1 then lane ~after x else closure sim fire ~after x
   in
-  let a = Sim.post sim ~after:10 h 1 in
-  let b = Sim.post sim ~after:20 h 2 in
-  Sim.cancel_post sim a;
-  Sim.cancel_post sim a;
-  check Alcotest.int "cancelled once" 1 (Sim.cancelled_pending sim);
-  check Alcotest.int "one live event" 1 (Sim.pending sim);
-  Sim.run sim;
-  check (Alcotest.list Alcotest.int) "only the live event fired" [ 2 ]
-    !log;
-  check Alcotest.int "dead event left the queue" 0
-    (Sim.cancelled_pending sim);
-  Sim.cancel_post sim b;
-  check Alcotest.int "cancel after fire is a no-op" 0
-    (Sim.cancelled_pending sim);
-  (* the free list hands [b]'s slot out first, then [a]'s *)
-  ignore (Sim.post sim ~after:5 h 4 : int);
-  self := Sim.post sim ~after:7 h 3;
-  Sim.cancel_post sim b;
-  Sim.cancel_post sim a;
-  Sim.cancel_post sim (-1);
-  Sim.run sim;
-  check (Alcotest.list Alcotest.int) "stale tickets cancel nothing"
-    [ 2; 4; 3 ] (List.rev !log);
-  check Alcotest.int "self-cancel is a no-op" 0 (Sim.cancelled_pending sim);
-  check Alcotest.int "three events fired" 3 (Sim.events_processed sim)
+  let contract name arm =
+    let sim = Sim.create () in
+    let log = ref [] and self = ref (-1) in
+    let arm =
+      arm sim (fun x ->
+          log := x :: !log;
+          if x = 3 then Sim.cancel sim !self)
+    in
+    let a = arm ~after:10 1 in
+    let b = arm ~after:20 2 in
+    Sim.cancel sim a;
+    Sim.cancel sim a;
+    check Alcotest.int (name ^ ": cancelled once") 1
+      (Sim.cancelled_pending sim);
+    check Alcotest.int (name ^ ": one live event") 1 (Sim.pending sim);
+    Sim.run sim;
+    check (Alcotest.list Alcotest.int) (name ^ ": only the live event fired")
+      [ 2 ] !log;
+    check Alcotest.int (name ^ ": dead event left the queue") 0
+      (Sim.cancelled_pending sim);
+    Sim.cancel sim b;
+    check Alcotest.int (name ^ ": cancel after fire is a no-op") 0
+      (Sim.cancelled_pending sim);
+    (* the free list hands [b]'s slot out first, then [a]'s *)
+    ignore (arm ~after:5 4 : int);
+    self := arm ~after:7 3;
+    Sim.cancel sim b;
+    Sim.cancel sim a;
+    Sim.cancel sim (-1);
+    Sim.run sim;
+    check (Alcotest.list Alcotest.int) (name ^ ": stale tickets cancel nothing")
+      [ 2; 4; 3 ] (List.rev !log);
+    check Alcotest.int (name ^ ": self-cancel is a no-op") 0
+      (Sim.cancelled_pending sim);
+    check Alcotest.int (name ^ ": three events fired") 3
+      (Sim.events_processed sim)
+  in
+  contract "lane" lane;
+  contract "closure" closure;
+  contract "mixed" mixed
 
-(* Arming, cancelling and re-arming a lane timer allocate nothing: an
-   RTO-style churn, where a ticker re-arms a timer ahead of itself
-   10k times and the cancelled copies leave the queue as they come
-   due, stays within the words the measurement and [run] take. *)
+(* Arming, cancelling and re-arming a timer allocate nothing, whether
+   the timer is a lane event or a preallocated closure: an RTO-style
+   churn, where a ticker re-arms a timer ahead of itself 10k times and
+   the cancelled copies leave the queue as they come due, stays within
+   the words the measurement and [run] take. [arm sim fire] returns the
+   function that arms [fire] 1000 ns ahead. *)
 let test_sim_post_cancel_allocates_nothing () =
-  let sim = Sim.create () in
-  let ticker = ref Sim.no_handler and rto = ref Sim.no_handler in
-  let left = ref 0 and ticket = ref (-1) and fired = ref 0 in
-  rto := Sim.register sim (fun _ -> incr fired);
-  ticker :=
-    Sim.register sim (fun x ->
-        Sim.cancel_post sim !ticket;
-        ticket := Sim.post sim ~after:1_000 !rto x;
-        if !left > 0 then begin
-          decr left;
-          ignore (Sim.post sim ~after:(1 + (x land 63)) !ticker (x + 1) : int)
-        end);
-  let cycles n =
-    left := n;
-    ignore (Sim.post sim ~after:1 !ticker 0 : int);
-    Sim.run sim
+  let churn name arm =
+    let sim = Sim.create () in
+    let ticker = ref Sim.no_handler in
+    let left = ref 0 and ticket = ref (-1) and fired = ref 0 in
+    let arm = arm sim (fun () -> incr fired) in
+    ticker :=
+      Sim.register sim (fun x ->
+          Sim.cancel sim !ticket;
+          ticket := arm x;
+          if !left > 0 then begin
+            decr left;
+            ignore (Sim.post sim ~after:(1 + (x land 63)) !ticker (x + 1) : int)
+          end);
+    let cycles n =
+      left := n;
+      ignore (Sim.post sim ~after:1 !ticker 0 : int);
+      Sim.run sim
+    in
+    cycles 1_000;
+    let before = Gc.minor_words () in
+    cycles 10_000;
+    let words = Gc.minor_words () -. before in
+    check Alcotest.bool
+      (Printf.sprintf "%s: %.0f minor words over 10k arm/cancel/re-arm cycles"
+         name words)
+      true (words <= 100.);
+    check Alcotest.int (name ^ ": only the last timer of each burst fired") 2
+      !fired;
+    check Alcotest.int (name ^ ": drained") 0 (Sim.pending sim)
   in
-  cycles 1_000;
-  let before = Gc.minor_words () in
-  cycles 10_000;
-  let words = Gc.minor_words () -. before in
-  check Alcotest.bool
-    (Printf.sprintf "%.0f minor words over 10k arm/cancel/re-arm cycles"
-       words)
-    true (words <= 100.);
-  check Alcotest.int "only the last timer of each burst fired" 2 !fired;
-  check Alcotest.int "drained" 0 (Sim.pending sim)
+  churn "lane" (fun sim fire ->
+      let h = Sim.register sim (fun _ -> fire ()) in
+      fun x -> Sim.post sim ~after:1_000 h x);
+  churn "closure" (fun sim fire _ -> Sim.schedule sim ~after:1_000 fire)
+
+(* A closure event lets go of its callback as it fires or is cancelled,
+   even while the cancelled event is still queued: what the callback
+   captured is collectable, though the simulator lives on. A still
+   pending closure stays reachable. *)
+let test_sim_closures_not_retained () =
+  let sim = Sim.create () in
+  let collected = ref [] in
+  let arm name at =
+    let captured = Bytes.make 16 'x' in
+    Gc.finalise_last (fun () -> collected := name :: !collected) captured;
+    Sim.schedule_at sim at (fun () -> Bytes.set captured 0 'y')
+  in
+  ignore (arm "fired" 10 : int);
+  Sim.cancel sim (arm "cancelled" 20);
+  ignore (arm "pending" 30 : int);
+  Sim.run ~until:15 sim;
+  check Alcotest.int "cancelled event still queued" 1
+    (Sim.cancelled_pending sim);
+  Gc.full_major ();
+  check (Alcotest.list Alcotest.string) "fired and cancelled collected"
+    [ "cancelled"; "fired" ] (List.sort compare !collected);
+  Sim.run sim;
+  Gc.full_major ();
+  check (Alcotest.list Alcotest.string) "pending collected once fired"
+    [ "cancelled"; "fired"; "pending" ] (List.sort compare !collected)
 
 (* Model-based scheduler test: drive the same randomized scenario —
    near/far/tied timers, nested scheduling from callbacks, random
@@ -772,13 +827,13 @@ let prop_sim_matches_reference =
            { schedule =
                (fun k f ->
                   let tm = Sim.schedule_at sim k f in
-                  fun () -> Sim.cancel tm);
+                  fun () -> Sim.cancel sim tm);
              post =
                (fun k f ->
                   let ticket =
                     Sim.post sim ~after:(k - Sim.now sim) lane (stash f)
                   in
-                  fun () -> Sim.cancel_post sim ticket);
+                  fun () -> Sim.cancel sim ticket);
              reserve =
                (fun n ->
                   let first = Sim.reserve sim n in
@@ -935,9 +990,11 @@ let suite =
     Alcotest.test_case "sim: lane events allocate nothing" `Quick
       test_sim_post_allocates_nothing;
     Alcotest.test_case "sim: lane tickets cancel like timers" `Quick
-      test_sim_cancel_post_contract;
+      test_sim_cancel_contract;
     Alcotest.test_case "sim: lane timer churn allocates nothing" `Quick
       test_sim_post_cancel_allocates_nothing;
+    Alcotest.test_case "sim: fired and cancelled closures are not retained"
+      `Quick test_sim_closures_not_retained;
     QCheck_alcotest.to_alcotest prop_sim_matches_reference;
     Alcotest.test_case "sim: past scheduling raises" `Quick
       test_sim_past_raises;
