@@ -26,17 +26,18 @@ let make ?(demotion = default_demotion) ~identified_large () =
     demotion;
   { identified_large; demotion }
 
+(* Thresholds crossed from the [i]th on. Top level rather than local
+   to [level]: a local recursive function would be a closure allocated
+   for every packet tagged. *)
+let rec crossed demotion bytes_sent i =
+  if i >= Array.length demotion then i
+  else if bytes_sent >= demotion.(i) then crossed demotion bytes_sent (i + 1)
+  else i
+
 (* Priority level within a band (0..3). *)
 let level t ~bytes_sent =
   if t.identified_large then 3
-  else begin
-    let rec count i =
-      if i >= Array.length t.demotion then i
-      else if bytes_sent >= t.demotion.(i) then count (i + 1)
-      else i
-    in
-    Int.min 3 (count 0)
-  end
+  else Int.min 3 (crossed t.demotion bytes_sent 0)
 
 let prio t ~loop ~bytes_sent =
   let l = level t ~bytes_sent in

@@ -2,8 +2,10 @@
 
    [src]/[dst] are host node ids; a packet is routed towards [dst] and
    delivered to the endpoint registered there for [flow]. Transports
-   attach protocol-specific information through the extensible [meta]
-   variant so the network layer stays protocol-agnostic.
+   carry their protocol headers in four int words and a flag
+   ([hw0]..[hw3], [hflag]), which only [Ppt_transport.Wire] names and
+   reads, so the network layer stays protocol-agnostic and a header
+   costs plain int stores.
 
    Packets live in a process-wide arena: every record carries its
    immutable [id], its index there, so the datapath refers to packets
@@ -51,9 +53,6 @@ type loop = H | L
 (** Which control loop a PPT/RC3-style packet belongs to: the
     high-priority primary loop or the low-priority opportunistic one. *)
 
-type meta = ..
-type meta += No_meta
-
 (* Fixed-capacity inband-telemetry snapshot (HPCC): one entry per hop,
    four ints per entry (queue bytes, cumulative tx bytes, timestamp,
    line rate) packed into a single strided array that lives with the
@@ -79,7 +78,13 @@ type t = {
   mutable ecn_ce : bool;    (* congestion-experienced mark *)
   mutable trimmed : bool;   (* NDP: payload cut, header survived *)
   mutable sel_drop : bool;  (* Aeolus: drop me early instead of queueing *)
-  mutable meta : meta;
+  (* header words, cleared by [make]; only [Ppt_transport.Wire] reads
+     and writes them *)
+  mutable hw0 : int;
+  mutable hw1 : int;
+  mutable hw2 : int;
+  mutable hw3 : int;
+  mutable hflag : bool;
   mutable tel_n : int;      (* hops stamped into [tel] *)
   mutable tel : int array;  (* tel_cap x tel_stride, or [||] until used *)
   mutable free_link : int;
@@ -96,13 +101,14 @@ let live = -2
 
 (* --- arena --------------------------------------------------------- *)
 
-let pooling = ref (Sys.getenv_opt "PPT_NO_POOL" = None)
+let pooling_on = ref (Sys.getenv_opt "PPT_NO_POOL" = None)
 let debug =
   ref (match Sys.getenv_opt "PPT_POOL_DEBUG" with
       | Some ("1" | "true" | "yes") -> true
       | Some _ | None -> false)
 
-let set_pooling b = pooling := b
+let set_pooling b = pooling_on := b
+let pooling () = !pooling_on
 let set_debug b = debug := b
 
 (* Placeholder for an empty queue's dequeue; never routed, never
@@ -112,7 +118,8 @@ let dummy =
   { id = -1; uid = -1; flow = -1; src = -1; dst = -1; seq = -1;
     payload = 0; wire = 0; prio = 0; kind = Ctrl; loop = H;
     ecn_capable = false; ecn_ce = false; trimmed = false;
-    sel_drop = false; meta = No_meta; tel_n = 0; tel = [||];
+    sel_drop = false; hw0 = 0; hw1 = 0; hw2 = 0; hw3 = 0;
+    hflag = false; tel_n = 0; tel = [||];
     free_link = live }
 
 (* [arena.(id)] is the record with that id, for [id < arena_len];
@@ -160,9 +167,10 @@ let release p =
         (* poison: a reader holding on to this packet now sees nonsense
            ids instead of silently-recycled fields *)
         p.flow <- min_int; p.src <- min_int; p.dst <- min_int;
-        p.seq <- min_int
+        p.seq <- min_int;
+        p.hw0 <- min_int; p.hw1 <- min_int; p.hw2 <- min_int;
+        p.hw3 <- min_int; p.hflag <- true
       end;
-      p.meta <- No_meta;     (* do not retain protocol payloads *)
       p.free_link <- !free_head;
       free_head := p.id;
       incr free_n
@@ -180,14 +188,14 @@ let wire_of kind payload =
   | Ack | Grant | Pull | Nack | Ctrl -> ctrl_bytes
 
 let fresh id ~uid ~flow ~src ~dst ~seq ~payload ~prio ~loop ~ecn_capable
-    ~sel_drop ~meta kind =
+    ~sel_drop kind =
   { id; uid; flow; src; dst; seq; payload; wire = wire_of kind payload;
     prio; kind; loop; ecn_capable; ecn_ce = false; trimmed = false;
-    sel_drop; meta; tel_n = 0; tel = [||]; free_link = live }
+    sel_drop; hw0 = 0; hw1 = 0; hw2 = 0; hw3 = 0; hflag = false;
+    tel_n = 0; tel = [||]; free_link = live }
 
 let make ?(seq = -1) ?(payload = 0) ?(prio = 0) ?(loop = H)
-    ?(ecn_capable = false) ?(sel_drop = false) ?(meta = No_meta)
-    ~flow ~src ~dst kind =
+    ?(ecn_capable = false) ?(sel_drop = false) ~flow ~src ~dst kind =
   incr uid_counter;
   let uid = !uid_counter in
   let id = !free_head in
@@ -197,19 +205,20 @@ let make ?(seq = -1) ?(payload = 0) ?(prio = 0) ?(loop = H)
       invalid_arg "Packet.make: free list holds a live packet";
     free_head := p.free_link;
     decr free_n;
-    if !pooling then begin
+    if !pooling_on then begin
       p.free_link <- live;
       p.uid <- uid; p.flow <- flow; p.src <- src; p.dst <- dst;
       p.seq <- seq; p.payload <- payload; p.wire <- wire_of kind payload;
       p.prio <- prio; p.kind <- kind; p.loop <- loop;
       p.ecn_capable <- ecn_capable; p.ecn_ce <- false; p.trimmed <- false;
-      p.sel_drop <- sel_drop; p.meta <- meta; p.tel_n <- 0;
+      p.sel_drop <- sel_drop; p.hw0 <- 0; p.hw1 <- 0; p.hw2 <- 0;
+      p.hw3 <- 0; p.hflag <- false; p.tel_n <- 0;
       p
     end else begin
       (* pooling off: the id is reused, the record is not *)
       let p =
         fresh id ~uid ~flow ~src ~dst ~seq ~payload ~prio ~loop
-          ~ecn_capable ~sel_drop ~meta kind
+          ~ecn_capable ~sel_drop kind
       in
       Array.unsafe_set !arena id p;
       p
@@ -218,7 +227,7 @@ let make ?(seq = -1) ?(payload = 0) ?(prio = 0) ?(loop = H)
     let id = !arena_len in
     let p =
       fresh id ~uid ~flow ~src ~dst ~seq ~payload ~prio ~loop
-        ~ecn_capable ~sel_drop ~meta kind
+        ~ecn_capable ~sel_drop kind
     in
     if id = Array.length !arena then begin
       let bigger = Array.make (Int.max 256 (2 * id)) dummy in

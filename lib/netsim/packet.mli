@@ -1,8 +1,8 @@
 (** Packets: the unit of everything the simulator moves.
 
-    Transports attach protocol payloads via the extensible [meta]
-    variant (see [Ppt_transport.Wire]), keeping the network layer
-    protocol-agnostic.
+    Transports carry their protocol headers in the header words
+    [hw0]..[hw3] and [hflag], which only [Ppt_transport.Wire] names
+    and interprets, keeping the network layer protocol-agnostic.
 
     Packets live in a process-wide arena and are addressed by their
     immutable [id]: queues and in-flight events hold ids, and
@@ -25,9 +25,6 @@ type loop = H | L
 (** Which control loop the packet belongs to: the high-priority
     primary loop or a low-priority opportunistic one. *)
 
-type meta = ..
-type meta += No_meta
-
 val tel_stride : int
 (** Ints per telemetry entry: qlen, tx_bytes, ts, rate. *)
 
@@ -47,7 +44,14 @@ type t = {
   mutable ecn_ce : bool;
   mutable trimmed : bool;
   mutable sel_drop : bool;
-  mutable meta : meta;
+  mutable hw0 : int;
+  mutable hw1 : int;
+  mutable hw2 : int;
+  mutable hw3 : int;
+  mutable hflag : bool;
+  (** The header words: what they mean depends on the packet's
+      protocol header, read and written through
+      [Ppt_transport.Wire]. {!make} clears them to [0] and [false]. *)
   mutable tel_n : int;
   mutable tel : int array;
   (** [tel_cap] x [tel_stride], first hop first; [[||]] until the
@@ -66,11 +70,12 @@ val ctrl_bytes : int
 
 val make :
   ?seq:int -> ?payload:int -> ?prio:int -> ?loop:loop ->
-  ?ecn_capable:bool -> ?sel_drop:bool -> ?meta:meta ->
+  ?ecn_capable:bool -> ?sel_drop:bool ->
   flow:int -> src:int -> dst:int -> kind -> t
 (** Acquire a packet (a free record when there is one), with every
-    mutable field re-initialised. After {!reset}, the first [make]
-    gets id 0. *)
+    mutable field re-initialised by plain int stores: the header words
+    are cleared, and the telemetry buffer is kept but emptied. After
+    {!reset}, the first [make] gets id 0. *)
 
 val of_id : int -> t
 (** The record with this id.
@@ -100,6 +105,9 @@ val set_pooling : bool -> unit
 (** Turn record recycling on/off (default on; env [PPT_NO_POOL] turns
     it off). With pooling off, [make] always allocates a fresh record;
     ids are recycled either way. *)
+
+val pooling : unit -> bool
+(** Whether record recycling is on. *)
 
 val set_debug : bool -> unit
 (** Enable double-release / use-after-release checking with field

@@ -63,8 +63,9 @@ let credit ctx active =
   | [] -> false
   | m :: _ ->
     m.granted <- m.granted + 1;
-    Rd.reply ctx m.m_flow ~meta:(Wire.Pull_meta { p_cum = m.m_cum })
-      Packet.Pull;
+    let p = Rd.control m.m_flow Packet.Pull in
+    Wire.set_pull p ~cum:m.m_cum;
+    Net.send ctx.Context.net p;
     active := List.filter (fun x -> x != m) !active @ [ m ];
     true
 
@@ -100,9 +101,9 @@ let make () ctx =
         let m = Rd.message flow in
         Rd.connect s m
           ~at_src:(fun p ->
-              match p.Packet.kind, p.Packet.meta with
-              | Packet.Pull, Wire.Pull_meta { p_cum } ->
-                sender_on_credit s ~credit_cum:p_cum
+              match p.Packet.kind with
+              | Packet.Pull ->
+                sender_on_credit s ~credit_cum:(Wire.pull_cum p)
               | _ -> ())
           ~at_dst:(fun p ->
               match p.Packet.kind with

@@ -108,11 +108,10 @@ let reschedule ctx inbound =
          (* send a grant when the window grows, and refresh it when
             progress is stuck so the sender learns m_cum *)
          if grew || m.m_cum < m.granted then begin
-           let g_prio = Int.min (Prio_queue.n_prios - 1) (2 + rank) in
-           Rd.reply ctx m.m_flow
-             ~meta:(Wire.Grant_meta
-                      { g_cum = m.m_cum; g_upto = m.granted; g_prio })
-             Packet.Grant
+           let g = Rd.control m.m_flow Packet.Grant in
+           Wire.set_grant g ~cum:m.m_cum ~upto:m.granted
+             ~prio:(Int.min (Prio_queue.n_prios - 1) (2 + rank));
+           Net.send ctx.Context.net g
          end
        end)
     active
@@ -151,9 +150,10 @@ let make_variant ~aeolus ctx =
         inbound := m :: !inbound;
         Rd.connect h.s m
           ~at_src:(fun p ->
-              match p.Packet.kind, p.Packet.meta with
-              | Packet.Grant, Wire.Grant_meta { g_cum; g_upto; g_prio } ->
-                sender_on_grant h ~g_cum ~g_upto ~g_prio
+              match p.Packet.kind with
+              | Packet.Grant ->
+                sender_on_grant h ~g_cum:(Wire.grant_cum p)
+                  ~g_upto:(Wire.grant_upto p) ~g_prio:(Wire.grant_prio p)
               | _ -> ())
           ~at_dst:(fun p ->
               match p.Packet.kind with

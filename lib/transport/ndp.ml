@@ -48,8 +48,9 @@ let rec pull ctx pulls =
   | None -> false
   | Some (m : Rd.msg) when m.m_done -> pull ctx pulls
   | Some m ->
-    Rd.reply ctx m.m_flow ~meta:(Wire.Pull_meta { p_cum = m.m_cum })
-      Packet.Pull;
+    let p = Rd.control m.m_flow Packet.Pull in
+    Wire.set_pull p ~cum:m.m_cum;
+    Net.send ctx.Context.net p;
     true
 
 let enqueue_pull hs (m : Rd.msg) =
@@ -63,8 +64,9 @@ let receiver_on_data hs (m : Rd.msg) (p : Packet.t) =
   if m.m_done then ()
   else if p.trimmed then begin
     (* header survived: fast loss notification + keep the clock going *)
-    Rd.reply hs.ctx m.m_flow
-      ~meta:(Wire.Nack_meta { nack_seq = p.seq }) Packet.Nack;
+    let nack = Rd.control m.m_flow Packet.Nack in
+    Wire.set_nack nack ~seq:p.seq;
+    Net.send hs.ctx.Context.net nack;
     enqueue_pull hs m
   end else begin
     Rd.accept m p;
@@ -88,11 +90,9 @@ let make () ctx =
         let m = Rd.message flow in
         Rd.connect s m
           ~at_src:(fun p ->
-              match p.Packet.kind, p.Packet.meta with
-              | Packet.Pull, Wire.Pull_meta { p_cum } ->
-                sender_on_pull s retx ~p_cum
-              | Packet.Nack, Wire.Nack_meta { nack_seq } ->
-                Queue.push nack_seq retx
+              match p.Packet.kind with
+              | Packet.Pull -> sender_on_pull s retx ~p_cum:(Wire.pull_cum p)
+              | Packet.Nack -> Queue.push (Wire.nack_seq p) retx
               | _ -> ())
           ~at_dst:(fun p ->
               match p.Packet.kind with

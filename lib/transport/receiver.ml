@@ -22,18 +22,25 @@ type t = {
   mutable received : int;
   mutable cum : int;                    (* in-order segments from 0 *)
   mutable lcp_pending : int;            (* LCP data since last LCP ack *)
-  mutable lcp_sacks : int list;
+  mutable lcp_sack0 : int;              (* latest LCP segment, or none *)
+  mutable lcp_sack1 : int;              (* the one before it, or none *)
   mutable lcp_ece : bool;
   mutable lcp_last_prio : int;
   mutable done_fired : bool;
   mutable on_done : unit -> unit;
 }
 
+(* An ack holds at most two SACKs, so at most two LCP packets share
+   one. *)
 let create ?(lcp_batch = 1) ctx flow =
+  if lcp_batch < 1 || lcp_batch > 2 then
+    invalid_arg
+      (Printf.sprintf "Receiver.create: lcp_batch %d outside 1..2" lcp_batch);
   { ctx; flow; lcp_batch;
     bitmap = Bytes.make flow.Flow.nseg '\000';
     received = 0; cum = 0;
-    lcp_pending = 0; lcp_sacks = []; lcp_ece = false; lcp_last_prio = 7;
+    lcp_pending = 0; lcp_sack0 = Wire.no_sack; lcp_sack1 = Wire.no_sack;
+    lcp_ece = false; lcp_last_prio = 7;
     done_fired = false; on_done = ignore }
 
 let complete t = t.received = t.flow.Flow.nseg
@@ -56,17 +63,14 @@ let mark t seq =
    into the ack packet's own snapshot buffer (the data packet is
    released by the fabric as soon as [on_data] returns). A fresh
    packet's snapshot is empty, so a data packet without telemetry
-   needs no copy. *)
-let send_ack t ?tel_from ~sacks ~ece ~data_tx ~loop ~prio () =
-  let meta = Wire.Ack_meta { cum = t.cum; sacks; ece; data_tx } in
+   needs no copy; [Packet.dummy] has none. *)
+let send_ack t ~tel_from ~sack0 ~sack1 ~ece ~data_tx ~loop ~prio =
   let pkt =
-    Packet.make ~prio ~loop ~meta ~flow:t.flow.Flow.id
+    Packet.make ~prio ~loop ~flow:t.flow.Flow.id
       ~src:t.flow.Flow.dst ~dst:t.flow.Flow.src Packet.Ack
   in
-  (match tel_from with
-   | Some data when data.Packet.tel_n > 0 ->
-     Packet.tel_copy ~src:data ~dst:pkt
-   | Some _ | None -> ());
+  Wire.set_ack pkt ~cum:t.cum ~sack0 ~sack1 ~ece ~data_tx;
+  if tel_from.Packet.tel_n > 0 then Packet.tel_copy ~src:tel_from ~dst:pkt;
   Net.send t.ctx.Context.net pkt
 
 let fire_done t =
@@ -78,10 +82,12 @@ let fire_done t =
 
 let flush_lcp t =
   if t.lcp_pending > 0 then begin
-    send_ack t ~sacks:t.lcp_sacks ~ece:t.lcp_ece ~data_tx:0
-      ~loop:Packet.L ~prio:t.lcp_last_prio ();
+    send_ack t ~tel_from:Packet.dummy ~sack0:t.lcp_sack0
+      ~sack1:t.lcp_sack1 ~ece:t.lcp_ece ~data_tx:0 ~loop:Packet.L
+      ~prio:t.lcp_last_prio;
     t.lcp_pending <- 0;
-    t.lcp_sacks <- [];
+    t.lcp_sack0 <- Wire.no_sack;
+    t.lcp_sack1 <- Wire.no_sack;
     t.lcp_ece <- false
   end
 
@@ -101,17 +107,13 @@ let on_data t (p : Packet.t) =
     end;
     match p.loop with
     | Packet.H ->
-      (* inline [Wire.data_tx_time] minus its option: this runs for
-         every delivered data packet *)
-      let data_tx =
-        match p.meta with Wire.Data_meta { tx; _ } -> tx | _ -> 0
-      in
-      send_ack t ~tel_from:p ~sacks:[ p.seq ] ~ece:p.ecn_ce ~data_tx
-        ~loop:Packet.H ~prio:0 ();
+      send_ack t ~tel_from:p ~sack0:p.seq ~sack1:Wire.no_sack
+        ~ece:p.ecn_ce ~data_tx:(Wire.data_tx p) ~loop:Packet.H ~prio:0;
       fire_done t
     | Packet.L ->
       t.lcp_pending <- t.lcp_pending + 1;
-      t.lcp_sacks <- p.seq :: t.lcp_sacks;
+      t.lcp_sack1 <- t.lcp_sack0;
+      t.lcp_sack0 <- p.seq;
       t.lcp_ece <- t.lcp_ece || p.ecn_ce;
       t.lcp_last_prio <- p.prio;
       if t.lcp_pending >= t.lcp_batch then flush_lcp t;

@@ -16,7 +16,8 @@ type t = {
   mutable received : int;
   mutable cum : int;
   mutable lcp_pending : int;
-  mutable lcp_sacks : int list;
+  mutable lcp_sack0 : int;  (** latest unacked LCP segment, or {!Wire.no_sack} *)
+  mutable lcp_sack1 : int;  (** the one before it, or {!Wire.no_sack} *)
   mutable lcp_ece : bool;
   mutable lcp_last_prio : int;
   mutable done_fired : bool;
@@ -24,7 +25,9 @@ type t = {
 }
 
 val create : ?lcp_batch:int -> Context.t -> Flow.t -> t
-(** [lcp_batch] defaults to 1: one low-priority ACK per LCP packet. *)
+(** [lcp_batch] defaults to 1: one low-priority ACK per LCP packet.
+    An ack holds at most two SACKs, so it must be 1 or 2.
+    @raise Invalid_argument otherwise. *)
 
 val complete : t -> bool
 val received : t -> int

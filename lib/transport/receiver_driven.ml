@@ -32,11 +32,11 @@ let send_data s ~prio ?(first_rtt = false) ?(sel_drop = false)
     ~retransmission seq =
   let flow = s.flow in
   let pay = Flow.seg_payload flow seq in
-  let meta = Wire.Data_meta { tx = Sim.now s.ctx.Context.sim; first_rtt } in
   let pkt =
-    Packet.make ~seq ~payload:pay ~prio ~sel_drop ~meta ~flow:flow.Flow.id
+    Packet.make ~seq ~payload:pay ~prio ~sel_drop ~flow:flow.Flow.id
       ~src:flow.Flow.src ~dst:flow.Flow.dst Packet.Data
   in
+  Wire.set_data pkt ~tx:(Sim.now s.ctx.Context.sim) ~first_rtt;
   Context.count_op s.ctx flow.Flow.src;
   flow.Flow.hcp_payload <- flow.Flow.hcp_payload + pay;
   if retransmission then flow.Flow.retrans <- flow.Flow.retrans + 1;
@@ -94,10 +94,9 @@ let finish ctx m =
   Context.flow_finished ctx m.m_flow;
   m.on_done ()
 
-let reply ctx (flow : Flow.t) ?meta kind =
-  Net.send ctx.Context.net
-    (Packet.make ~prio:0 ?meta ~flow:flow.Flow.id ~src:flow.Flow.dst
-       ~dst:flow.Flow.src kind)
+let control (flow : Flow.t) kind =
+  Packet.make ~prio:0 ~flow:flow.Flow.id ~src:flow.Flow.dst
+    ~dst:flow.Flow.src kind
 
 type pacer = {
   sim : Sim.t;

@@ -57,9 +57,10 @@ val finish : Context.t -> msg -> unit
 (** Mark the message done, record the flow's completion and tear the
     flow down ([on_done]). *)
 
-val reply : Context.t -> Flow.t -> ?meta:Packet.meta -> Packet.kind -> unit
-(** Send one P0 control packet from the flow's receiver to its
-    sender. *)
+val control : Flow.t -> Packet.kind -> Packet.t
+(** A fresh P0 control packet from the flow's receiver to its sender,
+    not yet sent: write its header with the matching {!Wire} setter,
+    then hand it to [Net.send]. *)
 
 type pacer
 

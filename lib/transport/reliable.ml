@@ -149,6 +149,11 @@ let shutdown t =
 let rto_interval t =
   t.ctx.Context.rto_min * t.rto_backoff
 
+(* [next_seg]'s answers besides a new segment; [retx_code] is its own
+   inverse. *)
+let no_seg = -1
+let retx_code seq = -2 - seq
+
 (* --- transmission ------------------------------------------------- *)
 
 let emit t ~loop ~prio_override ~seq =
@@ -158,18 +163,17 @@ let emit t ~loop ~prio_override ~seq =
     | Some p -> p
     | None -> t.p.tagger ~bytes_sent:t.bytes_sent ~loop
   in
-  let meta = Wire.Data_meta { tx = Sim.now t.ctx.Context.sim;
-                              first_rtt = false } in
   let ecn_capable =
     match loop with
     | Packet.H -> t.p.ecn_capable
     | Packet.L -> t.p.lcp_ecn_capable
   in
   let pkt =
-    Packet.make ~seq ~payload:pay ~prio ~loop ~ecn_capable ~meta
+    Packet.make ~seq ~payload:pay ~prio ~loop ~ecn_capable
       ~flow:t.flow.Flow.id ~src:t.flow.Flow.src ~dst:t.flow.Flow.dst
       Packet.Data
   in
+  Wire.set_data pkt ~tx:(Sim.now t.ctx.Context.sim) ~first_rtt:false;
   Context.count_op t.ctx t.flow.Flow.src;
   t.bytes_sent <- t.bytes_sent + pay;
   Net.send t.ctx.Context.net pkt;
@@ -250,41 +254,37 @@ and send_segment t ~loop ?prio_override seq =
   arm_rto t
 
 (* Next primary-loop segment: queued retransmissions first, then new
-   data up to the send-buffer horizon, skipping delivered segments. *)
+   data up to the send-buffer horizon, skipping delivered segments.
+   The answer is one int, so asking allocates nothing: [no_seg], a new
+   segment [s >= 0], or the retransmission [retx_code s] of [s]. *)
 and next_seg t =
-  let rec from_retx () =
-    match Queue.peek_opt t.retx with
-    | Some seq when Bytes.get t.seg seq = st_lost -> Some (`Retx seq)
-    | Some _ -> ignore (Queue.pop t.retx); from_retx ()
-    | None -> None
-  in
-  match from_retx () with
-  | Some _ as r -> r
-  | None ->
+  if not (Queue.is_empty t.retx) then begin
+    let seq = Queue.peek t.retx in
+    if Bytes.get t.seg seq = st_lost then retx_code seq
+    else begin ignore (Queue.pop t.retx); next_seg t end
+  end else begin
+    (* a loop, not a local recursive function: that would be a closure
+       allocated on every call *)
     let hi = avail_hi t in
-    let rec adv () =
-      if t.snd_nxt > hi then None
-      else if Bytes.get t.seg t.snd_nxt = st_sacked then begin
-        t.snd_nxt <- t.snd_nxt + 1; adv ()
-      end else Some (`New t.snd_nxt)
-    in
-    adv ()
+    while t.snd_nxt <= hi && Bytes.get t.seg t.snd_nxt = st_sacked do
+      t.snd_nxt <- t.snd_nxt + 1
+    done;
+    if t.snd_nxt > hi then no_seg else t.snd_nxt
+  end
 
 and try_send t =
-  if not (t.shut || all_sacked t) then
-    match next_seg t with
-    | None -> ()
-    | Some candidate ->
-      let seq = match candidate with `Retx s | `New s -> s in
-      if float_of_int t.inflight < t.cwnd then begin
-        begin match candidate with
-          | `Retx s -> ignore (Queue.pop t.retx); assert (s = seq)
-          | `New s -> t.snd_nxt <- Int.max t.snd_nxt (s + 1)
-        end;
-        send_segment t ~loop:Packet.H ?prio_override:None seq;
-        if t.win_end = 0 then t.win_end <- t.snd_nxt;
-        try_send t
-      end
+  if not (t.shut || all_sacked t) then begin
+    let code = next_seg t in
+    if code <> no_seg && float_of_int t.inflight < t.cwnd then begin
+      let retx = code < no_seg in
+      let seq = if retx then retx_code code else code in
+      if retx then ignore (Queue.pop t.retx)
+      else t.snd_nxt <- Int.max t.snd_nxt (seq + 1);
+      send_segment t ~loop:Packet.H ?prio_override:None seq;
+      if t.win_end = 0 then t.win_end <- t.snd_nxt;
+      try_send t
+    end
+  end
 
 let create ctx flow p =
   let t =
@@ -328,15 +328,16 @@ let send_lcp_segment ?prio t seq =
    the send buffer and at or above [snd_nxt]; the cursor moves to it.
    Returns its payload, or 0 once the two loops have met. *)
 let send_tail ?prio t =
-  let rec scan seq =
-    if seq < t.snd_nxt then 0
-    else if Bytes.get t.seg seq = st_unsent then begin
-      t.tail <- seq;
-      send_lcp_segment ?prio t seq;
-      Flow.seg_payload t.flow seq
-    end else scan (seq - 1)
-  in
-  scan (Int.min (avail_hi t) (t.tail - 1))
+  let seq = ref (Int.min (avail_hi t) (t.tail - 1)) in
+  while !seq >= t.snd_nxt && Bytes.get t.seg !seq <> st_unsent do
+    decr seq
+  done;
+  if !seq < t.snd_nxt then 0
+  else begin
+    t.tail <- !seq;
+    send_lcp_segment ?prio t !seq;
+    Flow.seg_payload t.flow !seq
+  end
 
 (* --- acknowledgement processing ------------------------------------ *)
 
@@ -399,60 +400,58 @@ let enter_recovery t =
   end
 
 let on_ack t (p : Packet.t) =
-  if not t.shut then
-    match p.meta with
-    | Wire.Ack_meta { cum; sacks; ece; data_tx } ->
-      Context.count_op t.ctx t.flow.Flow.src;
-      let newly =
-        List.fold_left (fun acc s -> acc + mark_sacked t s) 0 sacks
-      in
-      let advanced = advance_cum t cum in
-      let ai = t.scratch_ai in
-      ai.ai_cum <- cum;
-      ai.ai_ece <- ece;
-      ai.ai_data_tx <- data_tx;
-      ai.ai_tel <- p.id;
-      ai.ai_newly_acked <- newly;
-      ai.ai_cum_advanced <- advanced;
-      (match p.loop with
-       | Packet.L ->
-         (* EWD and loop bookkeeping live in the PPT core. *)
-         t.hook_on_lcp_ack t ai;
-         try_send t
-       | Packet.H ->
-         if advanced then begin
-           t.dup_acks <- 0;
-           reset_rto t;
-           if t.in_recovery then begin
-             if t.cum_ack >= t.recovery_end then t.in_recovery <- false
-             else if t.cum_ack < t.flow.Flow.nseg
-                  && Bytes.get t.seg t.cum_ack = st_h_inflight then begin
-               (* partial ack: the next hole is also lost *)
-               let pay = Flow.seg_payload t.flow t.cum_ack in
-               Bytes.set t.seg t.cum_ack st_lost;
-               t.inflight <- Int.max 0 (t.inflight - pay);
-               Queue.push t.cum_ack t.retx
-             end
+  if not t.shut then begin
+    let cum = Wire.ack_cum p and ece = Wire.ack_ece p in
+    Context.count_op t.ctx t.flow.Flow.src;
+    let newly = mark_sacked t (Wire.ack_sack0 p) in
+    let newly = newly + mark_sacked t (Wire.ack_sack1 p) in
+    let advanced = advance_cum t cum in
+    let ai = t.scratch_ai in
+    ai.ai_cum <- cum;
+    ai.ai_ece <- ece;
+    ai.ai_data_tx <- Wire.ack_data_tx p;
+    ai.ai_tel <- p.id;
+    ai.ai_newly_acked <- newly;
+    ai.ai_cum_advanced <- advanced;
+    (match p.loop with
+     | Packet.L ->
+       (* EWD and loop bookkeeping live in the PPT core. *)
+       t.hook_on_lcp_ack t ai;
+       try_send t
+     | Packet.H ->
+       if advanced then begin
+         t.dup_acks <- 0;
+         reset_rto t;
+         if t.in_recovery then begin
+           if t.cum_ack >= t.recovery_end then t.in_recovery <- false
+           else if t.cum_ack < t.flow.Flow.nseg
+                && Bytes.get t.seg t.cum_ack = st_h_inflight then begin
+             (* partial ack: the next hole is also lost *)
+             let pay = Flow.seg_payload t.flow t.cum_ack in
+             Bytes.set t.seg t.cum_ack st_lost;
+             t.inflight <- Int.max 0 (t.inflight - pay);
+             Queue.push t.cum_ack t.retx
            end
-         end else if newly > 0 && cum = t.cum_ack
-                  && t.cum_ack < t.flow.Flow.nseg then begin
-           (* out-of-order delivery above a hole *)
-           t.dup_acks <- t.dup_acks + 1;
-           if t.dup_acks = 3 && not t.in_recovery then enter_recovery t
-         end;
-         (* DCTCP-style per-window observation *)
-         t.win_acked <- t.win_acked + newly;
-         if ece then t.win_marked <- t.win_marked + newly;
-         t.hook_on_ack t ai;
-         if t.cum_ack >= t.win_end && t.win_acked > 0 then begin
-           let f =
-             float_of_int t.win_marked /. float_of_int t.win_acked
-           in
-           t.hook_on_window t ~f;
-           t.win_end <- Int.max t.snd_nxt (t.cum_ack + 1);
-           t.win_acked <- 0;
-           t.win_marked <- 0
-         end;
-         try_send t);
-      if all_sacked t then cancel_rto t
-    | _ -> ()
+         end
+       end else if newly > 0 && cum = t.cum_ack
+                && t.cum_ack < t.flow.Flow.nseg then begin
+         (* out-of-order delivery above a hole *)
+         t.dup_acks <- t.dup_acks + 1;
+         if t.dup_acks = 3 && not t.in_recovery then enter_recovery t
+       end;
+       (* DCTCP-style per-window observation *)
+       t.win_acked <- t.win_acked + newly;
+       if ece then t.win_marked <- t.win_marked + newly;
+       t.hook_on_ack t ai;
+       if t.cum_ack >= t.win_end && t.win_acked > 0 then begin
+         let f =
+           float_of_int t.win_marked /. float_of_int t.win_acked
+         in
+         t.hook_on_window t ~f;
+         t.win_end <- Int.max t.snd_nxt (t.cum_ack + 1);
+         t.win_acked <- 0;
+         t.win_marked <- 0
+       end;
+       try_send t);
+    if all_sacked t then cancel_rto t
+  end

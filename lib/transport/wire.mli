@@ -1,39 +1,70 @@
-(** Protocol payloads carried inside packets, shared by every
+(** Protocol headers carried inside packets, shared by every
     transport so receivers and senders agree on a single ACK format.
-    Attached through the extensible {!Ppt_netsim.Packet.meta} variant,
-    keeping the network layer protocol-agnostic. *)
+
+    A header lives in the packet's int header words ([Packet.hw0] to
+    [hw3] and [hflag]), which this module alone names: setting one is
+    a few int stores, with no allocation and no write barrier. A packet carries the header matching its kind
+    (ExpressPass credits travel as pull headers). Getters do not
+    check the kind; a header the packet does not carry reads as
+    meaningless ints. {!Ppt_netsim.Packet.make} clears every word, so
+    an unset header reads as zeros and [false].
+
+    To add a header kind, give it a setter and getters here over the
+    same words. *)
 
 open Ppt_engine
 open Ppt_netsim
 
-type Packet.meta +=
-  | Data_meta of {
-      tx : Units.time;     (** when the data packet left the sender *)
-      first_rtt : bool;    (** sent in the flow's first RTT (Aeolus) *)
-    }
-  | Ack_meta of {
-      cum : int;           (** segments received in order from 0 *)
-      sacks : int list;    (** specific segments this ack confirms *)
-      ece : bool;          (** congestion-experienced echo *)
-      data_tx : Units.time;  (** echo of the data packet's tx time *)
-    }
-      (** Echoed inband telemetry travels in the ack packet's own
-          [tel] snapshot buffer (see {!Ppt_netsim.Packet.tel_copy}),
-          not in the meta. *)
-  | Grant_meta of {
-      g_cum : int;   (** segments received in order (progress) *)
-      g_upto : int;  (** sender may transmit up to this segment *)
-      g_prio : int;  (** priority for granted (scheduled) data *)
-    }
-  | Pull_meta of { p_cum : int }
-  | Nack_meta of { nack_seq : int }
+(** {1 Data} *)
 
-val data_tx_time : Packet.t -> Units.time option
-(** The [Data_meta] send timestamp; [None] for any other meta. *)
+val set_data : Packet.t -> tx:Units.time -> first_rtt:bool -> unit
+(** [tx]: when the data packet left the sender. [first_rtt]: sent in
+    the flow's first RTT (Aeolus). *)
 
-val is_first_rtt : Packet.t -> bool
-(** [true] only for [Data_meta] packets flagged as first-RTT. *)
+val data_tx : Packet.t -> Units.time
+val first_rtt : Packet.t -> bool
 
-val ack_meta :
-  Packet.t -> (int * int list * bool * Units.time) option
-(** Destructure an [Ack_meta] as [(cum, sacks, ece, data_tx)]. *)
+(** {1 Acknowledgement} *)
+
+val no_sack : int
+(** An unused SACK slot ([-1]); never a segment index. *)
+
+val set_ack :
+  Packet.t -> cum:int -> sack0:int -> sack1:int -> ece:bool ->
+  data_tx:Units.time -> unit
+(** [cum]: segments received in order from 0. [sack0], [sack1]: up to
+    two specific segments this ack confirms, {!no_sack} for none.
+    [ece]: congestion-experienced echo. [data_tx]: echo of the data
+    packet's send time. Echoed inband telemetry travels in the ack
+    packet's own [tel] buffer (see {!Ppt_netsim.Packet.tel_copy}). *)
+
+val ack_cum : Packet.t -> int
+val ack_sack0 : Packet.t -> int
+val ack_sack1 : Packet.t -> int
+val ack_ece : Packet.t -> bool
+val ack_data_tx : Packet.t -> Units.time
+
+(** {1 Grant (Homa/Aeolus)} *)
+
+val set_grant : Packet.t -> cum:int -> upto:int -> prio:int -> unit
+(** [cum]: segments received in order (progress). [upto]: the sender
+    may transmit up to this segment. [prio]: priority for granted
+    (scheduled) data. *)
+
+val grant_cum : Packet.t -> int
+val grant_upto : Packet.t -> int
+val grant_prio : Packet.t -> int
+
+(** {1 Pull (NDP) and credit (ExpressPass)} *)
+
+val set_pull : Packet.t -> cum:int -> unit
+(** [cum]: the receiver's in-order progress. *)
+
+val pull_cum : Packet.t -> int
+
+(** {1 Nack (NDP)} *)
+
+val set_nack : Packet.t -> seq:int -> unit
+(** [seq]: the trimmed segment to resend. *)
+
+val nack_seq : Packet.t -> int

@@ -124,9 +124,7 @@ let test_lcp_ece_echo () =
   let rcv = Receiver.create ~lcp_batch:2 ctx flow in
   let saw_ece = ref false in
   Net.register ctx.Context.net ~host:0 ~flow:0 (fun p ->
-      match p.Packet.meta with
-      | Wire.Ack_meta { ece; _ } -> if ece then saw_ece := true
-      | _ -> ());
+      if p.Packet.kind = Packet.Ack && Wire.ack_ece p then saw_ece := true);
   Net.register ctx.Context.net ~host:2 ~flow:0 (fun p ->
       Receiver.on_data rcv p);
   for seq = 0 to 3 do

@@ -33,8 +33,6 @@ let test_segmentation () =
    Invariants: [make] never hands out a packet that is still live (no
    aliasing), and a recycled record comes back with every mutable field
    reset even after the previous owner dirtied it. *)
-type Packet.meta += Test_meta
-
 let prop_pool_invariants =
   QCheck.Test.make
     ~name:"packet pool: no aliasing, recycled packets are clean"
@@ -54,9 +52,9 @@ let prop_pool_invariants =
               if p.Packet.ecn_ce || p.Packet.trimmed || p.Packet.sel_drop
                  || Packet.tel_count p <> 0
                  || p.Packet.seq <> !n || p.Packet.flow <> !n
-                 || (match p.Packet.meta with
-                     | Packet.No_meta -> false
-                     | _ -> true)
+                 || p.Packet.hw0 <> 0 || p.Packet.hw1 <> 0
+                 || p.Packet.hw2 <> 0 || p.Packet.hw3 <> 0
+                 || p.Packet.hflag
               then failwith "stale fields on a recycled packet";
               if List.exists (fun q -> q == p) !live then
                 failwith "pool handed out a live packet";
@@ -65,7 +63,11 @@ let prop_pool_invariants =
               p.Packet.ecn_ce <- true;
               p.Packet.trimmed <- true;
               p.Packet.sel_drop <- true;
-              p.Packet.meta <- Test_meta;
+              p.Packet.hw0 <- 1;
+              p.Packet.hw1 <- 2;
+              p.Packet.hw2 <- 3;
+              p.Packet.hw3 <- 4;
+              p.Packet.hflag <- true;
               Packet.tel_push p ~qlen:1 ~tx_bytes:2 ~ts:3 ~rate:4;
               live := p :: !live
             end
@@ -84,6 +86,9 @@ let test_pool_debug_checks () =
     (fun () ->
        let p = Packet.make ~flow:1 ~src:0 ~dst:1 Packet.Data in
        Packet.release p;
+       check Alcotest.bool "header words poisoned" true
+         (p.Packet.hw0 = min_int && p.Packet.hw1 = min_int
+          && p.Packet.hw2 = min_int && p.Packet.hw3 = min_int);
        (try
           Packet.release p;
           Alcotest.fail "double release not detected"

@@ -422,8 +422,9 @@ let test_binary_decode_matches_jsonl () =
    the free list disabled have to produce byte-identical traces. *)
 let test_pooling_invisible () =
   let with_pooling b f =
+    let was = Packet.pooling () in
     Packet.set_pooling b;
-    Fun.protect ~finally:(fun () -> Packet.set_pooling true) f
+    Fun.protect ~finally:(fun () -> Packet.set_pooling was) f
   in
   let dctcp_on = with_pooling true (fun () -> dctcp_2host_events 1) in
   let dctcp_off = with_pooling false (fun () -> dctcp_2host_events 1) in

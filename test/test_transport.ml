@@ -131,44 +131,104 @@ let test_determinism () =
   in
   check Alcotest.bool "identical runs" true (run () = run ())
 
-(* --- wire.ml: protocol metadata accessors --- *)
+(* --- wire.ml: protocol headers --- *)
 
-let test_wire_meta () =
-  let module Packet = Ppt_netsim.Packet in
-  let data =
-    Packet.make ~seq:7 ~payload:1460
-      ~meta:(Wire.Data_meta { tx = 12_345; first_rtt = true })
-      ~flow:1 ~src:0 ~dst:1 Packet.Data
+module Packet = Ppt_netsim.Packet
+
+(* Every header kind reads back what was written, on a freshly made
+   packet of its kind. *)
+let test_wire_round_trip () =
+  let mk kind = Packet.make ~flow:1 ~src:0 ~dst:1 kind in
+  let int = Alcotest.int and bool = Alcotest.bool in
+  List.iter
+    (fun first_rtt ->
+       let d = mk Packet.Data in
+       Wire.set_data d ~tx:12_345 ~first_rtt;
+       check int "data tx" 12_345 (Wire.data_tx d);
+       check bool "data first_rtt" first_rtt (Wire.first_rtt d);
+       Packet.release d)
+    [ true; false ];
+  List.iter
+    (fun (sack0, sack1, ece) ->
+       let a = mk Packet.Ack in
+       Wire.set_ack a ~cum:4 ~sack0 ~sack1 ~ece ~data_tx:77;
+       check int "ack cum" 4 (Wire.ack_cum a);
+       check int "ack sack0" sack0 (Wire.ack_sack0 a);
+       check int "ack sack1" sack1 (Wire.ack_sack1 a);
+       check bool "ack ece" ece (Wire.ack_ece a);
+       check int "ack data_tx" 77 (Wire.ack_data_tx a);
+       check int "no telemetry" 0 (Packet.tel_count a);
+       Packet.release a)
+    [ (Wire.no_sack, Wire.no_sack, false); (5, Wire.no_sack, true);
+      (6, 5, true); (0, 1, false) ];
+  let g = mk Packet.Grant in
+  Wire.set_grant g ~cum:3 ~upto:11 ~prio:5;
+  check int "grant cum" 3 (Wire.grant_cum g);
+  check int "grant upto" 11 (Wire.grant_upto g);
+  check int "grant prio" 5 (Wire.grant_prio g);
+  let pl = mk Packet.Pull in
+  Wire.set_pull pl ~cum:9;
+  check int "pull cum" 9 (Wire.pull_cum pl);
+  let n = mk Packet.Nack in
+  Wire.set_nack n ~seq:42;
+  check int "nack seq" 42 (Wire.nack_seq n);
+  List.iter Packet.release [ g; pl; n ]
+
+(* An ack holds at most two SACKs, so the receiver refuses to batch
+   more (or fewer than one) LCP packets per ack. *)
+let test_receiver_lcp_batch_range () =
+  let _sim, _topo, ctx = Helpers.star () in
+  let flow = Flow.create ~id:0 ~src:0 ~dst:1 ~size:10_000 ~start:0 in
+  List.iter
+    (fun lcp_batch ->
+       match Receiver.create ~lcp_batch ctx flow with
+       | _ -> Alcotest.failf "lcp_batch %d accepted" lcp_batch
+       | exception Invalid_argument msg ->
+         check Alcotest.string "names the argument"
+           (Printf.sprintf "Receiver.create: lcp_batch %d outside 1..2"
+              lcp_batch)
+           msg)
+    [ 0; 3; -1 ];
+  List.iter
+    (fun lcp_batch ->
+       check Alcotest.int "accepted" lcp_batch
+         (Receiver.create ~lcp_batch ctx flow).Receiver.lcp_batch)
+    [ 1; 2 ]
+
+(* The per-packet header path allocates nothing: making a data packet
+   and an ack, writing their headers, reading every getter and
+   releasing both leaves [Gc.minor_words] where it was, with records
+   recycled (with pooling off, every [make] is a fresh record by
+   design). [make] gets no optional arguments here, so the guard also
+   holds in the dev profile, where [-opaque] boxes them at every call. *)
+let test_wire_no_alloc () =
+  let was = Packet.pooling () in
+  Packet.set_pooling true;
+  Fun.protect ~finally:(fun () -> Packet.set_pooling was) @@ fun () ->
+  let cycles n =
+    let sum = ref 0 in
+    for i = 1 to n do
+      let d = Packet.make ~flow:1 ~src:0 ~dst:1 Packet.Data in
+      Wire.set_data d ~tx:i ~first_rtt:(i land 1 = 0);
+      let a = Packet.make ~flow:1 ~src:1 ~dst:0 Packet.Ack in
+      Wire.set_ack a ~cum:i ~sack0:(i + 1) ~sack1:(i + 2)
+        ~ece:(i land 2 = 0) ~data_tx:(Wire.data_tx d);
+      sum := !sum + Wire.ack_cum a + Wire.ack_sack0 a + Wire.ack_sack1 a
+             + Wire.ack_data_tx a + Wire.grant_cum a + Wire.grant_upto a
+             + Wire.grant_prio a + Wire.pull_cum a + Wire.nack_seq a;
+      if Wire.ack_ece a then incr sum;
+      if Wire.first_rtt d then incr sum;
+      Packet.release a;
+      Packet.release d
+    done;
+    !sum
   in
-  check (Alcotest.option Alcotest.int) "data_tx_time" (Some 12_345)
-    (Wire.data_tx_time data);
-  check Alcotest.bool "first-rtt flag carried" true
-    (Wire.is_first_rtt data);
-  let later =
-    Packet.make ~seq:9
-      ~meta:(Wire.Data_meta { tx = 99; first_rtt = false })
-      ~flow:1 ~src:0 ~dst:1 Packet.Data
-  in
-  check Alcotest.bool "past the first rtt" false
-    (Wire.is_first_rtt later);
-  let ack =
-    Packet.make
-      ~meta:(Wire.Ack_meta
-               { cum = 4; sacks = [ 6; 5 ]; ece = true; data_tx = 77 })
-      ~flow:1 ~src:1 ~dst:0 Packet.Ack
-  in
-  (match Wire.ack_meta ack with
-   | Some (cum, sacks, ece, data_tx) ->
-     check Alcotest.int "cum" 4 cum;
-     check (Alcotest.list Alcotest.int) "sacks" [ 6; 5 ] sacks;
-     check Alcotest.bool "ece echo" true ece;
-     check Alcotest.int "data_tx echo" 77 data_tx;
-     check Alcotest.bool "no telemetry" true (Packet.tel_count ack = 0)
-   | None -> Alcotest.fail "ack_meta failed to destructure");
-  check Alcotest.bool "accessors reject foreign metas" true
-    (Wire.data_tx_time ack = None
-     && Wire.ack_meta data = None
-     && not (Wire.is_first_rtt ack))
+  ignore (cycles 1_000);
+  let before = Gc.minor_words () in
+  let sum = cycles 10_000 in
+  let words = Gc.minor_words () -. before in
+  check (Alcotest.float 0.) "minor words over 10k header cycles" 0. words;
+  check Alcotest.bool "getters read the headers" true (sum > 0)
 
 (* --- tcp.ml: slow start / loss recovery state machine --- *)
 
@@ -275,7 +335,11 @@ let suite =
     Alcotest.test_case "dctcp: view state" `Quick test_dctcp_view;
     Alcotest.test_case "dctcp: flow counters" `Quick test_flow_counters;
     Alcotest.test_case "dctcp: determinism" `Quick test_determinism;
-    Alcotest.test_case "wire: meta accessors" `Quick test_wire_meta;
+    Alcotest.test_case "wire: header round trips" `Quick test_wire_round_trip;
+    Alcotest.test_case "wire: header path allocates nothing" `Quick
+      test_wire_no_alloc;
+    Alcotest.test_case "receiver: lcp_batch outside 1..2 rejected" `Quick
+      test_receiver_lcp_batch_range;
     Alcotest.test_case "tcp: slow start and loss recovery" `Quick
       test_tcp_congestion_control;
     Alcotest.test_case "tcp: loss recovery end to end" `Quick
