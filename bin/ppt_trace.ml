@@ -99,23 +99,18 @@ let read_events path =
 
 let count_deltas a b =
   let tags tr =
-    Array.fold_left
-      (fun acc (_, ev) ->
-         let tag = Event.tag ev in
-         let n = try List.assoc tag acc with Not_found -> 0 in
-         (tag, n + 1) :: List.remove_assoc tag acc)
-      [] tr
+    Summary.by_tag
+      (Array.fold_left
+         (fun s (ts, ev) -> Summary.add s ts ev)
+         (Summary.create ()) tr)
   in
   let ta = tags a and tb = tags b in
-  let all =
-    List.sort_uniq compare (List.map fst ta @ List.map fst tb)
-  in
+  let get t tag = Option.value ~default:0 (List.assoc_opt tag t) in
   List.filter_map
     (fun tag ->
-       let get t = try List.assoc tag t with Not_found -> 0 in
-       let na = get ta and nb = get tb in
+       let na = get ta tag and nb = get tb tag in
        if na = nb then None else Some (tag, na, nb))
-    all
+    (List.sort_uniq compare (List.map fst ta @ List.map fst tb))
 
 let diff_cmd =
   let run pa pb =

@@ -38,7 +38,7 @@ let () =
        in
        let s = Summary.of_list (Trace.Ring.to_list ring) in
        let tag name =
-         match List.assoc_opt name s.Summary.by_tag with
+         match List.assoc_opt name (Summary.by_tag s) with
          | Some n -> n
          | None -> 0
        in

@@ -226,18 +226,9 @@ let run ?lp_buffer_cap ?trace ?(observe = fun _ _ -> ())
         | None -> ())
     (fun () -> Sim.run ~until:horizon sim);
   total_events := !total_events + Sim.events_processed sim;
-  let summary = Fct.summarize ctx.Context.fct in
-  let records = Fct.records ctx.Context.fct in
-  let sum f = List.fold_left (fun acc r -> acc + f r) 0 records in
-  let sent =
-    sum (fun r -> r.Fct.hcp_payload) + sum (fun r -> r.Fct.lcp_payload)
-  in
-  let delivered =
-    sum (fun r -> r.Fct.hcp_delivered)
-    + sum (fun r -> r.Fct.lcp_delivered)
-  in
-  let lp_sent = sum (fun r -> r.Fct.lcp_payload) in
-  let lp_delivered = sum (fun r -> r.Fct.lcp_delivered) in
+  let fct = ctx.Context.fct in
+  let summary = Fct.summarize fct in
+  let lp_delivered = Fct.lcp_delivered fct in
   let ratio num den =
     if den = 0 then nan else float_of_int num /. float_of_int den
   in
@@ -258,10 +249,12 @@ let run ?lp_buffer_cap ?trace ?(observe = fun _ _ -> ())
     last_finish = !last_finish;
     ops_per_host_sec =
       float_of_int total_ops /. duration_s /. float_of_int n_hosts;
-    efficiency = ratio delivered sent;
-    lp_efficiency = ratio lp_delivered lp_sent;
+    efficiency =
+      ratio (Fct.hcp_delivered fct + lp_delivered)
+        (summary.Fct.hcp_bytes + summary.Fct.lcp_bytes);
+    lp_efficiency = ratio lp_delivered summary.Fct.lcp_bytes;
     events = Sim.events_processed sim;
-    records;
+    records = Fct.records fct;
     trace;
     base_rtt = topo.Topology.base_rtt;
     edge_rate = topo.Topology.edge_rate }

@@ -42,9 +42,9 @@ type t =
 
    Row [i] is the kind whose binary tag is [i]: its JSONL name and its
    fields in wire order. Every codec walks a row; the only per-kind
-   code is [load] (event -> row index and field values) and [build]
-   (back). Adding a kind takes a constructor, a row and one arm in
-   each of the two. *)
+   code is [load] (event -> row index and field values), [build]
+   (back) and [ordinal] (event -> row index alone). Adding a kind takes
+   a constructor, a row and one arm in each of the three. *)
 
 type ty = Int | Char | Bool
 
@@ -142,6 +142,19 @@ let load ev =
   | Fault_drop { node; port; flow; seq; kind; size; reason } ->
     f7 node port flow seq (c kind) size (c reason); 17
 
+(* Event -> row index, as [load] returns it, without reading a field:
+   counting events by kind costs a jump, not a [load]. *)
+let ordinal = function
+  | Enqueue _ -> 0 | Dequeue _ -> 1 | Ecn_mark _ -> 2 | Drop _ -> 3
+  | Trim _ -> 4 | Cwnd_update _ -> 5 | Loop_switch _ -> 6 | Rto_fire _ -> 7
+  | Retransmit _ -> 8 | Flow_start _ -> 9 | Flow_done _ -> 10
+  | Probe_queue _ -> 11 | Probe_link _ -> 12 | Probe_dt _ -> 13
+  | Link_down _ -> 14 | Link_up _ -> 15 | Link_degrade _ -> 16
+  | Fault_drop _ -> 17
+
+let kinds = Array.length schema
+let tag_of_ordinal k = schema.(k).name
+
 (* Row index and the values in [vals] -> event; the inverse of [load]. *)
 let build tag =
   let a = get 0 and b = get 1 in
@@ -172,7 +185,7 @@ let build tag =
   | _ -> Fault_drop { node = a; port = b; flow = get 2; seq = get 3;
                       kind = get_char 4; size = get 5; reason = get_char 6 }
 
-let tag ev = schema.(load ev).name
+let tag ev = tag_of_ordinal (ordinal ev)
 
 (* --- JSONL ----------------------------------------------------------- *)
 

@@ -86,6 +86,16 @@ type t =
 val tag : t -> string
 (** Stable lowercase tag, e.g. ["enqueue"], ["ecn_mark"]. *)
 
+val ordinal : t -> int
+(** The event's kind as an index in [\[0, kinds)]: its binary tag byte.
+    Reads no field, so it is the cheap way to count events by kind. *)
+
+val kinds : int
+(** Number of event kinds. *)
+
+val tag_of_ordinal : int -> string
+(** [tag_of_ordinal (ordinal ev) = tag ev]. *)
+
 val to_json_line : ts:int -> t -> string
 (** One canonical JSON object (no trailing newline):
     [{"t":<ts>,"ev":"<tag>",...}]. Field order is fixed, so equal

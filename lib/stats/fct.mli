@@ -22,18 +22,26 @@ val create : unit -> t
 val add : t -> record -> unit
 val count : t -> int
 val records : t -> record list
+(** Every record added, newest first. *)
+
+val hcp_delivered : t -> int
+val lcp_delivered : t -> int
+(** Fresh payload bytes accepted at the receivers, summed over every
+    record, by the loop that sent them. *)
 
 val avg : ?lo:int -> ?hi:int -> t -> float
 (** Average FCT (ms) of flows with [lo] < size <= [hi]; [nan] if none. *)
 
 val percentile : ?lo:int -> ?hi:int -> t -> float -> float
-(** Interpolated percentile (ms) of the same filter. *)
+(** Interpolated percentile (ms) of the same filter.
+    @raise Invalid_argument unless [0 <= p <= 100]. *)
 
 val percentile_of_values : float -> float list -> float
 (** [percentile_of_values p xs]: interpolating percentile over a raw
     float sample — rank [p/100 * (n-1)], linear between the
     surrounding order statistics; [nan] when empty. Every percentile
-    this module reports (FCT and slowdown alike) uses this. *)
+    this module reports (FCT and slowdown alike) is computed this way.
+    @raise Invalid_argument unless [0 <= p <= 100] (so also on NaN). *)
 
 type summary = {
   flows : int;
@@ -47,7 +55,9 @@ type summary = {
 }
 
 val summarize : ?cutoff:int -> t -> summary
-(** [cutoff] defaults to 100KB, the paper's small/large boundary. *)
+(** [cutoff] defaults to 100KB, the paper's small/large boundary. One
+    pass over the records; it allocates a float array of {!count}
+    elements for the p99 sample and nothing per record. *)
 
 val slowdown : rate:Units.rate -> base_rtt:Units.time -> record -> float
 (** Normalized FCT: completion time over the ideal unloaded time. *)

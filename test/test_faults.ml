@@ -664,7 +664,7 @@ let test_flap_all_schemes () =
        check Alcotest.bool
          (r.Ppt_harness.Runner.r_scheme ^ ": link transitions traced")
          true
-         (match List.assoc_opt "link_down" s.Summary.by_tag with
+         (match List.assoc_opt "link_down" (Summary.by_tag s) with
           | Some n -> n >= 2
           | None -> false))
     Ppt_harness.Schemes.chaos_set

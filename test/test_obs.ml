@@ -155,7 +155,10 @@ let prop_binary_roundtrip =
        QCheck.Gen.(int_range 0 1_000_000_000_000 >>= fun ts ->
                    gen_event >>= fun ev -> return (ts, ev)))
     (fun (ts, ev) ->
-       decode_stream (encode_stream [ (ts, ev) ]) = [ (ts, ev) ])
+       let s = encode_stream [ (ts, ev) ] in
+       decode_stream s = [ (ts, ev) ]
+       (* the cheap ordinal is the tag byte [load] gives the codecs *)
+       && Char.code s.[0] = Event.ordinal ev)
 
 (* Control packets carry seq = -1, and zigzag must round-trip the whole
    int range, not just the naturals the generator produces. *)
@@ -718,7 +721,116 @@ let test_fig8_small_jsonl () =
        check Alcotest.bool "flows completed in trace" true
          (s.Summary.flows_done = 25);
        check Alcotest.bool "probes sampled" true
-         (List.mem_assoc "probe_queue" s.Summary.by_tag))
+         (List.mem_assoc "probe_queue" (Summary.by_tag s)))
+
+(* --- summary --------------------------------------------------------- *)
+
+(* The array-backed summary against a fold over association lists, the
+   way it used to be kept: the same counts by tag and the same per-port
+   peaks, also for the node and port numbers a decoded trace may carry
+   but no topology has (negative, past the dense table) and for an
+   occupancy of [min_int]. *)
+let ref_summary events =
+  let bump assoc key f =
+    match List.assoc_opt key assoc with
+    | None -> (key, f None) :: assoc
+    | Some v -> (key, f (Some v)) :: List.remove_assoc key assoc
+  in
+  let peak occ = function None -> occ | Some v -> max v occ in
+  let count = function None -> 1 | Some n -> n + 1 in
+  let tags, occs =
+    List.fold_left
+      (fun (tags, occs) (_, ev) ->
+         let tags = bump tags (Event.tag ev) count in
+         match (ev : Event.t) with
+         | Enqueue { node; port; occ; _ } | Dequeue { node; port; occ; _ }
+         | Drop { node; port; occ; _ } | Probe_queue { node; port; occ; _ } ->
+           (tags, bump occs (node, port) (peak occ))
+         | _ -> (tags, occs))
+      ([], []) events
+  in
+  (List.sort compare tags, List.sort compare occs)
+
+let gen_port_event =
+  let open QCheck.Gen in
+  let num =
+    oneof
+      [ int_range 0 5; int_range (-3) (-1); int_range 65_530 65_540;
+        oneofl [ max_int; min_int ] ]
+  in
+  let occ = oneof [ int_range 0 100_000; oneofl [ min_int; max_int; 0 ] ] in
+  num >>= fun node -> num >>= fun port -> occ >>= fun occ ->
+  oneofl
+    [ Event.Enqueue
+        { node; port; prio = 0; flow = 1; seq = 2; kind = 'D'; size = 3; occ };
+      Event.Dequeue
+        { node; port; prio = 0; flow = 1; seq = 2; kind = 'A'; size = 3; occ };
+      Event.Drop
+        { node; port; prio = 0; flow = 1; seq = 2; kind = 'D'; size = 3; occ };
+      Event.Probe_queue { node; port; occ; lp_occ = 0 } ]
+
+let prop_summary_matches_lists =
+  QCheck.Test.make ~name:"summary: arrays match association lists"
+    ~count:300
+    (QCheck.make
+       ~print:(fun evs ->
+           String.concat "\n"
+             (List.map (fun (ts, ev) -> Event.to_json_line ~ts ev) evs))
+       QCheck.Gen.(
+         list_size (int_range 0 60)
+           (pair (int_range 0 1_000_000)
+              (oneof [ gen_event; gen_port_event ]))))
+    (fun events ->
+       let s = Summary.of_list events in
+       let tags, occs = ref_summary events in
+       s.Summary.events = List.length events
+       && Summary.by_tag s = tags
+       && Summary.max_occ s = occs)
+
+(* Counting an event allocates nothing once the peak table holds every
+   port the events name: 100k adds over every branch of [add] leave
+   [Gc.minor_words] where they were. *)
+let test_summary_add_no_alloc () =
+  let at node port occ =
+    Event.Enqueue
+      { node; port; prio = 0; flow = 1; seq = 2; kind = 'D'; size = 3; occ }
+  in
+  let events =
+    [| at 0 0 10; at 3 7 20;
+       Event.Dequeue
+         { node = 3; port = 7; prio = 0; flow = 1; seq = 2; kind = 'D';
+           size = 3; occ = 5 };
+       Event.Drop
+         { node = 1; port = 2; prio = 0; flow = 1; seq = 2; kind = 'A';
+           size = 3; occ = 30 };
+       Event.Probe_queue { node = 9; port = 0; occ = 40; lp_occ = 1 };
+       Event.Ecn_mark
+         { node = 0; port = 0; prio = 0; flow = 1; seq = 2; occ = 9;
+           threshold = 8 };
+       Event.Trim
+         { node = 0; port = 0; prio = 0; flow = 1; seq = 2; cut = 1; occ = 9 };
+       Event.Retransmit { flow = 1; seq = 2; loop = 'L' };
+       Event.Fault_drop
+         { node = 0; port = 1; flow = 1; seq = 2; kind = 'D'; size = 3;
+           reason = 'L' };
+       Event.Link_down { node = 0; port = 1 };
+       Event.Flow_start { flow = 1; size = 3 };
+       Event.Flow_done { flow = 1; size = 3; fct = 4 };
+       Event.Cwnd_update { flow = 1; cwnd = 5 } |]
+  in
+  let s = Summary.create () in
+  let n = Array.length events in
+  let run k =
+    for i = 0 to k - 1 do
+      ignore (Summary.add s i events.(i mod n))
+    done
+  in
+  run n;
+  let before = Gc.minor_words () in
+  run 100_000;
+  let words = Gc.minor_words () -. before in
+  check (Alcotest.float 0.) "minor words over 100k adds" 0. words;
+  check Alcotest.int "every add counted" (n + 100_000) s.Summary.events
 
 let suite =
   [ QCheck_alcotest.to_alcotest prop_json_roundtrip;
@@ -748,4 +860,7 @@ let suite =
       test_fig8_small_jsonl;
     Alcotest.test_case "event: wire bytes pinned per kind" `Quick
       test_wire_bytes_pinned;
-    QCheck_alcotest.to_alcotest prop_decoders_total ]
+    QCheck_alcotest.to_alcotest prop_decoders_total;
+    QCheck_alcotest.to_alcotest prop_summary_matches_lists;
+    Alcotest.test_case "summary: add allocates nothing" `Quick
+      test_summary_add_no_alloc ]

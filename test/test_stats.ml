@@ -126,6 +126,29 @@ let test_percentile_of_values () =
   check Alcotest.bool "empty is nan" true
     (Float.is_nan (Fct.percentile_of_values 99. []))
 
+(* A percentile rank outside [0, 100] is a caller's error: -50 used to
+   index out of the sample inside the selection, -5 to extrapolate
+   below its minimum and 150 to return its maximum. *)
+let test_percentile_rejects_bad_p () =
+  let xs = List.init 11 float_of_int in
+  let t = Fct.create () in
+  List.iteri
+    (fun i x -> Fct.add t (rc ~flow:i ~finish:(int_of_float x) ()))
+    xs;
+  let bad = Invalid_argument "Fct.percentile: p must be in [0, 100]" in
+  List.iter
+    (fun p ->
+       let name f = Printf.sprintf "%s at p = %g" f p in
+       Alcotest.check_raises (name "percentile_of_values") bad (fun () ->
+           ignore (Fct.percentile_of_values p xs));
+       Alcotest.check_raises (name "percentile") bad (fun () ->
+           ignore (Fct.percentile t p)))
+    [ -50.; -5.; -0.001; 100.001; 150.; nan; infinity; neg_infinity ];
+  check (Alcotest.float 0.) "p = 0 is the minimum" 0.
+    (Fct.percentile_of_values 0. xs);
+  check (Alcotest.float 0.) "p = 100 is the maximum" 10.
+    (Fct.percentile_of_values 100. xs)
+
 (* The selection-based percentile against the sort-based definition:
    bit-for-bit the same value, on samples with many duplicates, of one
    and two values, and at the edge percentiles. *)
@@ -161,6 +184,154 @@ let prop_percentile_matches_sort =
        Int64.equal
          (Int64.bits_of_float (Fct.percentile_of_values p xs))
          (Int64.bits_of_float (sorted_percentile p xs)))
+
+(* The one-pass statistics against list-based copies of the original
+   code, bit for bit: the same terms summed in the same order (newest
+   record first), NaN for an empty bin, the 100KB cutoff inclusive. *)
+module Ref = struct
+  let filter ?(lo = 0) ?(hi = max_int) rs =
+    List.filter (fun (r : Fct.record) -> r.size > lo && r.size <= hi) rs
+
+  let ms (r : Fct.record) = Ppt_engine.Units.to_ms (r.finish - r.start)
+
+  let avg = function
+    | [] -> nan
+    | rs ->
+      List.fold_left (fun acc r -> acc +. ms r) 0. rs
+      /. float_of_int (List.length rs)
+
+  let pct p = function [] -> nan | xs -> sorted_percentile p xs
+
+  let summarize ?(cutoff = 100_000) rs =
+    let sum f = List.fold_left (fun acc r -> acc + f r) 0 rs in
+    { Fct.flows = List.length rs;
+      overall_avg = avg (filter rs);
+      small_avg = avg (filter ~hi:cutoff rs);
+      small_p99 = pct 99. (List.map ms (filter ~hi:cutoff rs));
+      large_avg = avg (filter ~lo:cutoff rs);
+      total_retrans = sum (fun r -> r.Fct.retrans);
+      hcp_bytes = sum (fun r -> r.Fct.hcp_payload);
+      lcp_bytes = sum (fun r -> r.Fct.lcp_payload) }
+
+  let slowdown_stats ?lo ?hi ~rate ~base_rtt rs =
+    match List.map (Fct.slowdown ~rate ~base_rtt) (filter ?lo ?hi rs) with
+    | [] -> (nan, nan)
+    | xs ->
+      ( List.fold_left ( +. ) 0. xs /. float_of_int (List.length xs),
+        pct 99. xs )
+
+  let jain rs =
+    let rates =
+      List.filter_map
+        (fun (r : Fct.record) ->
+           let d = r.finish - r.start in
+           if d <= 0 then None
+           else Some (float_of_int r.size /. float_of_int d))
+        rs
+    in
+    match rates with
+    | [] -> nan
+    | _ ->
+      let n = float_of_int (List.length rates) in
+      let s = List.fold_left ( +. ) 0. rates in
+      let s2 = List.fold_left (fun acc x -> acc +. (x *. x)) 0. rates in
+      if s2 = 0. then nan else s *. s /. (n *. s2)
+end
+
+let same_float a b =
+  Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let gen_records =
+  let open QCheck.Gen in
+  let size =
+    oneof
+      [ oneofl [ 0; 1; 99_999; 100_000; 100_001 ];
+        int_range 1 200_000; int_range 1 10_000_000 ]
+  in
+  let duration =
+    oneof
+      [ oneofl [ 0; 1; 12_345 ];  (* runs of equal FCTs *)
+        int_range 0 100_000_000 ]
+  in
+  let record flow =
+    map
+      (fun ((size, d), (start, retrans, lcp)) ->
+         let lcp_payload = size * lcp / 100 in
+         { Fct.flow; size; start; finish = start + d; retrans;
+           hcp_payload = size - lcp_payload; lcp_payload;
+           hcp_delivered = size; lcp_delivered = lcp_payload / 2 })
+      (pair (pair size duration)
+         (triple (int_range 0 1_000_000_000) (int_range 0 9)
+            (int_range 0 100)))
+  in
+  let n = oneof [ oneofl [ 0; 1; 2 ]; int_range 0 300 ] in
+  n >>= fun n -> flatten_l (List.init n record)
+
+let prop_one_pass_matches_lists =
+  let lohi =
+    QCheck.Gen.(
+      pair
+        (opt (oneofl [ 0; 1_000; 100_000 ]))
+        (opt (oneofl [ 1_000; 100_000; 1_000_000 ])))
+  in
+  QCheck.Test.make ~name:"one-pass statistics match the list-based ones"
+    ~count:300
+    (QCheck.make
+       ~print:(fun (rs, _) -> Printf.sprintf "%d records" (List.length rs))
+       QCheck.Gen.(pair gen_records lohi))
+    (fun (rs, (lo, hi)) ->
+       let t = Fct.create () in
+       List.iter (Fct.add t) rs;
+       let recs = Fct.records t in
+       let a = Fct.summarize t and b = Ref.summarize recs in
+       let rate = Ppt_engine.Units.gbps 10 and base_rtt = 8_000 in
+       let pair_eq (m, p) (m', p') = same_float m m' && same_float p p' in
+       a.Fct.flows = b.Fct.flows
+       && same_float a.Fct.overall_avg b.Fct.overall_avg
+       && same_float a.Fct.small_avg b.Fct.small_avg
+       && same_float a.Fct.small_p99 b.Fct.small_p99
+       && same_float a.Fct.large_avg b.Fct.large_avg
+       && a.Fct.total_retrans = b.Fct.total_retrans
+       && a.Fct.hcp_bytes = b.Fct.hcp_bytes
+       && a.Fct.lcp_bytes = b.Fct.lcp_bytes
+       && pair_eq
+         (Fct.slowdown_stats ~rate ~base_rtt t)
+         (Ref.slowdown_stats ~rate ~base_rtt recs)
+       && pair_eq
+         (Fct.slowdown_stats ?lo ?hi ~rate ~base_rtt t)
+         (Ref.slowdown_stats ?lo ?hi ~rate ~base_rtt recs)
+       && same_float (Fct.jain_fairness t) (Ref.jain recs)
+       && Fct.hcp_delivered t
+          = List.fold_left (fun acc r -> acc + r.Fct.hcp_delivered) 0 recs
+       && Fct.lcp_delivered t
+          = List.fold_left (fun acc r -> acc + r.Fct.lcp_delivered) 0 recs)
+
+(* [summarize] allocates its p99 sample array and a constant beyond
+   it (the result), not a word per record: counted as minor words plus
+   words allocated straight into the major heap, where an array this
+   large goes. *)
+let test_summarize_no_alloc () =
+  let n = 10_000 in
+  let t = Fct.create () in
+  for i = 0 to n - 1 do
+    let size = 1 + (i * 37 mod 200_000) in
+    Fct.add t (rc ~flow:i ~size ~finish:(1 + (i * 7919 mod 5_000_000)) ())
+  done;
+  ignore (Sys.opaque_identity (Fct.summarize t));
+  let allocated () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. (major -. promoted)
+  in
+  let before = allocated () in
+  let s = Sys.opaque_identity (Fct.summarize t) in
+  let words = allocated () -. before in
+  check Alcotest.int "flows" n s.Fct.flows;
+  let sample = float_of_int (n + 1) in
+  check Alcotest.bool
+    (Printf.sprintf "%.0f words for %d records (sample array %.0f)" words n
+       sample)
+    true
+    (words -. sample <= 64.)
 
 let test_jain_fairness () =
   let t = Fct.create () in
@@ -217,7 +388,12 @@ let suite =
       test_slowdown_p99_interpolates;
     Alcotest.test_case "percentile: raw values" `Quick
       test_percentile_of_values;
+    Alcotest.test_case "percentile: p outside [0, 100]" `Quick
+      test_percentile_rejects_bad_p;
     QCheck_alcotest.to_alcotest prop_percentile_matches_sort;
+    QCheck_alcotest.to_alcotest prop_one_pass_matches_lists;
+    Alcotest.test_case "fct: summarize allocates no word per record"
+      `Quick test_summarize_no_alloc;
     Alcotest.test_case "fairness: jain index" `Quick test_jain_fairness;
     Alcotest.test_case "series: sampling" `Quick test_series_sampling;
     Alcotest.test_case "series: utilization probe" `Quick
