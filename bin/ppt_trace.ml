@@ -18,62 +18,13 @@
 open Cmdliner
 open Ppt_obs
 
-let corrupt path pos msg =
-  Printf.eprintf "%s:%d: %s\n" path pos msg;
-  exit 2
-
-(* Binary traces are decoded from a sliding window of the file. The
-   window is refilled before fewer than [max_event] bytes remain, so
-   an event never straddles its end and a decode failure is real
-   corruption, not a chunk boundary. *)
-let max_event = 256
-
-let fold_binary path ic f init =
-  let buf = ref "" and pos = ref 0 and eof = ref false and acc = ref init in
-  let chunk = Bytes.create 65536 in
-  let base = ref (String.length Event.bin_magic) in  (* file offset of buf *)
-  let rec go () =
-    if (not !eof) && String.length !buf - !pos < max_event then begin
-      let n = input ic chunk 0 (Bytes.length chunk) in
-      if n = 0 then eof := true;
-      base := !base + !pos;
-      buf :=
-        String.sub !buf !pos (String.length !buf - !pos)
-        ^ Bytes.sub_string chunk 0 n;
-      pos := 0;
-      go ()
-    end else begin
-      let start = !pos in
-      match Event.of_binary !buf pos with
-      | None -> !acc
-      | Some (ts, ev) -> acc := f !acc ts ev; go ()
-      | exception Failure msg -> corrupt path (!base + start) msg
-    end
-  in
-  go ()
-
-let fold_jsonl path ic f init =
-  let rec go lineno acc =
-    match input_line ic with
-    | exception End_of_file -> acc
-    | line ->
-      (match Event.of_json_line line with
-       | Some (ts, ev) -> go (lineno + 1) (f acc ts ev)
-       | None -> corrupt path lineno ("unparseable event: " ^ line))
-  in
-  go 1 init
-
-(* Stream every event of a trace, in order, through [f]. *)
-let fold_events path f init =
-  let ic = open_in_bin path in
-  Fun.protect ~finally:(fun () -> close_in ic) (fun () ->
-      let m = String.length Event.bin_magic in
-      let head = try really_input_string ic m with End_of_file -> "" in
-      if head = Event.bin_magic then fold_binary path ic f init
-      else begin
-        seek_in ic 0;
-        fold_jsonl path ic f init
-      end)
+(* Run a command, turning corrupt input into [file:position: message]
+   on stderr and exit status 2. *)
+let reading f =
+  try f ()
+  with Reader.Corrupt (path, pos, msg) ->
+    Printf.eprintf "%s:%d: %s\n" path pos msg;
+    exit 2
 
 let file_pos n ~docv ~doc =
   Arg.(required & pos n (some file) None & info [] ~docv ~doc)
@@ -82,8 +33,10 @@ let file_pos n ~docv ~doc =
 
 let summary_cmd =
   let run path =
+    reading @@ fun () ->
     Format.printf "%a@." Summary.pp
-      (fold_events path Summary.add (Summary.create ()));
+      (Reader.with_file path (fun r ->
+           Reader.fold r Summary.add (Summary.create ())));
     `Ok ()
   in
   Cmd.v
@@ -93,18 +46,8 @@ let summary_cmd =
 
 (* ---- diff ---- *)
 
-let read_events path =
-  Array.of_list
-    (List.rev (fold_events path (fun acc ts ev -> (ts, ev) :: acc) []))
-
-let count_deltas a b =
-  let tags tr =
-    Summary.by_tag
-      (Array.fold_left
-         (fun s (ts, ev) -> Summary.add s ts ev)
-         (Summary.create ()) tr)
-  in
-  let ta = tags a and tb = tags b in
+let count_deltas sa sb =
+  let ta = Summary.by_tag sa and tb = Summary.by_tag sb in
   let get t tag = Option.value ~default:0 (List.assoc_opt tag t) in
   List.filter_map
     (fun tag ->
@@ -112,30 +55,49 @@ let count_deltas a b =
        if na = nb then None else Some (tag, na, nb))
     (List.sort_uniq compare (List.map fst ta @ List.map fst tb))
 
+(* Both traces are read in lockstep, one event each at a time, keeping
+   only the first differing pair and a summary of each side. Both are
+   read to the end before anything is printed, so a corrupt trace
+   prints nothing on stdout; when both are corrupt, the first one's
+   error is the one reported. *)
 let diff_cmd =
   let run pa pb =
-    let ea = read_events pa and eb = read_events pb in
-    let na = Array.length ea and nb = Array.length eb in
-    let rec first_diff i =
-      if i = na && i = nb then None
-      else if i < na && i < nb && ea.(i) = eb.(i) then first_diff (i + 1)
-      else Some i
+    reading @@ fun () ->
+    Reader.with_file pa @@ fun ra ->
+    Reader.with_file pb @@ fun rb ->
+    let sa = Summary.create () and sb = Summary.create () in
+    let add s = function
+      | Some (ts, ev) -> ignore (Summary.add s ts ev)
+      | None -> ()
     in
-    match first_diff 0 with
+    let rest r s = ignore (Reader.fold r Summary.add s) in
+    let next_b () =
+      try Reader.next rb with Reader.Corrupt _ as e -> rest ra sa; raise e
+    in
+    let rec first_diff i =
+      let a = Reader.next ra in
+      let b = next_b () in
+      add sa a; add sb b;
+      if a = None && b = None then None
+      else if a = b then first_diff (i + 1)
+      else Some (i, a, b)
+    in
+    let found = first_diff 0 in
+    rest ra sa; rest rb sb;
+    let na = sa.Summary.events and nb = sb.Summary.events in
+    match found with
     | None ->
       Format.printf "traces identical (%d events)@." na;
       `Ok ()
-    | Some i ->
-      let show evs =
-        if i < Array.length evs then
-          let ts, ev = evs.(i) in
-          Event.to_json_line ~ts ev
-        else "<end of trace>"
+    | Some (i, a, b) ->
+      let show = function
+        | Some (ts, ev) -> Event.to_json_line ~ts ev
+        | None -> "<end of trace>"
       in
       Format.printf "traces differ at event %d:@." (i + 1);
-      Format.printf "  %s: %s@." pa (show ea);
-      Format.printf "  %s: %s@." pb (show eb);
-      let deltas = count_deltas ea eb in
+      Format.printf "  %s: %s@." pa (show a);
+      Format.printf "  %s: %s@." pb (show b);
+      let deltas = count_deltas sa sb in
       if deltas <> [] then begin
         Format.printf "event-count deltas:@.";
         List.iter
@@ -161,14 +123,16 @@ let decode_cmd =
          & info [ "o"; "output" ] ~docv:"FILE" ~doc)
   in
   let run path out =
+    reading @@ fun () ->
     let oc = match out with None -> stdout | Some p -> open_out p in
     (* written as decoded, so a corrupt tail still leaves the good
        prefix behind (the channel is flushed on exit) *)
-    fold_events path
-      (fun () ts ev ->
-         output_string oc (Event.to_json_line ~ts ev);
-         output_char oc '\n')
-      ();
+    Reader.with_file path (fun r ->
+        Reader.fold r
+          (fun () ts ev ->
+             output_string oc (Event.to_json_line ~ts ev);
+             output_char oc '\n')
+          ());
     if out <> None then close_out oc else flush oc;
     `Ok ()
   in

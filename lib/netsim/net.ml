@@ -385,12 +385,14 @@ let create sim ?(collect_int = false) nodes =
   t
 
 (* Inject a packet at its source host NIC (port 0 by convention). The
-   fabric carries the packet by id, so it must be the arena's record:
-   a copy would be read back as its original. *)
+   fabric carries the packet by id, so it must be the arena's record
+   and in use: a copy would be read back as its original, and a
+   released packet's id may be handed to another packet by the next
+   [Packet.make]. *)
 let send t (p : Packet.t) =
   if not (Packet.is_current p) then
-    invalid_arg "Net.send: not a current packet (a copy, or made before \
-                 the last Packet.reset)";
+    invalid_arg "Net.send: not a current packet (a copy, released, or \
+                 made before the last Packet.reset)";
   let host = t.nodes.(p.src) in
   if not host.is_host then invalid_arg "Net.send: src is not a host";
   send_on_port t host.ports.(0) p

@@ -115,8 +115,8 @@ val send : t -> Packet.t -> unit
 (** Inject a packet at its source host's NIC. The fabric owns it from
     here and carries it by id.
     @raise Invalid_argument unless the packet is current
-    ({!Packet.is_current}): a [{ p with ... }] copy, or a packet made
-    before the last [Packet.reset]. *)
+    ({!Packet.is_current}): a [{ p with ... }] copy, a packet made
+    before the last [Packet.reset], or a released packet. *)
 
 val start_probes : t -> interval:Units.time -> until:Units.time -> unit
 (** Schedule a recurring sampler that emits

@@ -33,13 +33,11 @@
    packets stranded in queues at the end of a run (or never released)
    are collected with it rather than piling up across runs.
 
-   [set_pooling false] makes every [make] a fresh record (ids are still
-   recycled, so a released record leaves the arena when its id is
-   reused) — golden tests compare traces with pooling on and off to
-   prove recycling is invisible. Debug mode ([PPT_POOL_DEBUG=1] or
-   [set_debug true]) raises on double release and on releasing a record
-   the arena does not hold, and poisons released packets so stale
-   readers fail loudly. *)
+   Ownership is checked in every run: [release] raises on a double
+   release and on a record the arena does not hold, and poisons the
+   released record so a stale reader fails loudly; [Net.send] refuses
+   a packet that is not [is_current] (a copy, a packet from before the
+   last [reset], or a released one). *)
 
 type kind =
   | Data  (* payload-carrying, sender to receiver *)
@@ -101,16 +99,6 @@ let live = -2
 
 (* --- arena --------------------------------------------------------- *)
 
-let pooling_on = ref (Sys.getenv_opt "PPT_NO_POOL" = None)
-let debug =
-  ref (match Sys.getenv_opt "PPT_POOL_DEBUG" with
-      | Some ("1" | "true" | "yes") -> true
-      | Some _ | None -> false)
-
-let set_pooling b = pooling_on := b
-let pooling () = !pooling_on
-let set_debug b = debug := b
-
 (* Placeholder for an empty queue's dequeue; never routed, never
    pooled. Built literally rather than via [make] so it does not
    consume a uid or an id. *)
@@ -148,51 +136,34 @@ let of_id id =
     invalid_arg (Printf.sprintf "Packet.of_id: no packet %d" id);
   Array.unsafe_get !arena id
 
+(* The arena's record for its id, and not on the free list. *)
 let is_current p =
   p.id >= 0 && p.id < !arena_len && Array.unsafe_get !arena p.id == p
+  && p.free_link = live
 
 let release p =
   if p != dummy then begin
-    if not (is_current p && p.free_link = live) then begin
-      (* a second release, or a record the arena does not hold (a copy,
-         a packet from an earlier run): freeing it would corrupt the
-         free list *)
-      if !debug then
-        invalid_arg
-          (Printf.sprintf
-             "Packet.release: double release, or not the arena's record \
-              (uid %d)" p.uid)
-    end else begin
-      if !debug then begin
-        (* poison: a reader holding on to this packet now sees nonsense
-           ids instead of silently-recycled fields *)
-        p.flow <- min_int; p.src <- min_int; p.dst <- min_int;
-        p.seq <- min_int;
-        p.hw0 <- min_int; p.hw1 <- min_int; p.hw2 <- min_int;
-        p.hw3 <- min_int; p.hflag <- true
-      end;
-      p.free_link <- !free_head;
-      free_head := p.id;
-      incr free_n
-    end
+    if not (is_current p) then
+      (* freeing it would corrupt the free list *)
+      invalid_arg
+        (Printf.sprintf
+           "Packet.release: double release, or not the arena's record \
+            (uid %d)" p.uid);
+    (* poison: a reader holding on to this packet now sees nonsense
+       ids instead of silently-recycled fields *)
+    p.flow <- min_int; p.src <- min_int; p.dst <- min_int;
+    p.seq <- min_int;
+    p.hw0 <- min_int; p.hw1 <- min_int; p.hw2 <- min_int;
+    p.hw3 <- min_int; p.hflag <- true;
+    p.free_link <- !free_head;
+    free_head := p.id;
+    incr free_n
   end
-
-let assert_live p =
-  if p.free_link <> live then
-    invalid_arg
-      (Printf.sprintf "Packet: use after release (uid %d)" p.uid)
 
 let wire_of kind payload =
   match kind with
   | Data -> header_bytes + payload
   | Ack | Grant | Pull | Nack | Ctrl -> ctrl_bytes
-
-let fresh id ~uid ~flow ~src ~dst ~seq ~payload ~prio ~loop ~ecn_capable
-    ~sel_drop kind =
-  { id; uid; flow; src; dst; seq; payload; wire = wire_of kind payload;
-    prio; kind; loop; ecn_capable; ecn_ce = false; trimmed = false;
-    sel_drop; hw0 = 0; hw1 = 0; hw2 = 0; hw3 = 0; hflag = false;
-    tel_n = 0; tel = [||]; free_link = live }
 
 let make ?(seq = -1) ?(payload = 0) ?(prio = 0) ?(loop = H)
     ?(ecn_capable = false) ?(sel_drop = false) ~flow ~src ~dst kind =
@@ -201,33 +172,23 @@ let make ?(seq = -1) ?(payload = 0) ?(prio = 0) ?(loop = H)
   let id = !free_head in
   if id >= 0 then begin
     let p = Array.unsafe_get !arena id in
-    if !debug && p.free_link = live then
-      invalid_arg "Packet.make: free list holds a live packet";
     free_head := p.free_link;
     decr free_n;
-    if !pooling_on then begin
-      p.free_link <- live;
-      p.uid <- uid; p.flow <- flow; p.src <- src; p.dst <- dst;
-      p.seq <- seq; p.payload <- payload; p.wire <- wire_of kind payload;
-      p.prio <- prio; p.kind <- kind; p.loop <- loop;
-      p.ecn_capable <- ecn_capable; p.ecn_ce <- false; p.trimmed <- false;
-      p.sel_drop <- sel_drop; p.hw0 <- 0; p.hw1 <- 0; p.hw2 <- 0;
-      p.hw3 <- 0; p.hflag <- false; p.tel_n <- 0;
-      p
-    end else begin
-      (* pooling off: the id is reused, the record is not *)
-      let p =
-        fresh id ~uid ~flow ~src ~dst ~seq ~payload ~prio ~loop
-          ~ecn_capable ~sel_drop kind
-      in
-      Array.unsafe_set !arena id p;
-      p
-    end
+    p.free_link <- live;
+    p.uid <- uid; p.flow <- flow; p.src <- src; p.dst <- dst;
+    p.seq <- seq; p.payload <- payload; p.wire <- wire_of kind payload;
+    p.prio <- prio; p.kind <- kind; p.loop <- loop;
+    p.ecn_capable <- ecn_capable; p.ecn_ce <- false; p.trimmed <- false;
+    p.sel_drop <- sel_drop; p.hw0 <- 0; p.hw1 <- 0; p.hw2 <- 0;
+    p.hw3 <- 0; p.hflag <- false; p.tel_n <- 0;
+    p
   end else begin
     let id = !arena_len in
     let p =
-      fresh id ~uid ~flow ~src ~dst ~seq ~payload ~prio ~loop
-        ~ecn_capable ~sel_drop kind
+      { id; uid; flow; src; dst; seq; payload; wire = wire_of kind payload;
+        prio; kind; loop; ecn_capable; ecn_ce = false; trimmed = false;
+        sel_drop; hw0 = 0; hw1 = 0; hw2 = 0; hw3 = 0; hflag = false;
+        tel_n = 0; tel = [||]; free_link = live }
     in
     if id = Array.length !arena then begin
       let bigger = Array.make (Int.max 256 (2 * id)) dummy in

@@ -12,7 +12,9 @@
     packet until [Net.send], the fabric owns it from then on and
     releases it at a sink (delivery, drop, fault kill); delivery
     handlers only borrow the packet for the duration of the call. See
-    HACKING.md, "Allocation discipline".
+    HACKING.md, "Allocation discipline". The ownership checks are on in
+    every run: {!release} raises on a double release, and [Net.send]
+    refuses a packet that is not {!is_current}.
 
     A record must never be copied: [{ p with ... }] makes a second
     record with the original's [id], which the queues would resolve
@@ -72,28 +74,28 @@ val make :
   ?seq:int -> ?payload:int -> ?prio:int -> ?loop:loop ->
   ?ecn_capable:bool -> ?sel_drop:bool ->
   flow:int -> src:int -> dst:int -> kind -> t
-(** Acquire a packet (a free record when there is one), with every
-    mutable field re-initialised by plain int stores: the header words
-    are cleared, and the telemetry buffer is kept but emptied. After
-    {!reset}, the first [make] gets id 0. *)
+(** Acquire a packet: the most recently released record when there is
+    one, else a new record with the next id. Every mutable field is
+    re-initialised by plain int stores: the header words are cleared,
+    and the telemetry buffer is kept but emptied. After {!reset}, the
+    first [make] gets id 0. *)
 
 val of_id : int -> t
 (** The record with this id.
     @raise Invalid_argument if the arena holds no such id. *)
 
 val is_current : t -> bool
-(** [of_id p.id == p]: false for a copy, for {!dummy} and for a packet
-    made before the last {!reset}. *)
+(** [of_id p.id == p] and [p] not released: false for a copy, for
+    {!dummy}, for a packet made before the last {!reset} and for a
+    released packet. *)
 
 val release : t -> unit
-(** Free a packet's id (and, when pooling is on, its record). No-op
-    on {!dummy}. The caller must not touch the packet afterwards. A
-    second release, or the release of a record that is not current,
-    is ignored, and raises [Invalid_argument] in debug mode. *)
-
-val assert_live : t -> unit
-(** @raise Invalid_argument if the packet was released
-    (use-after-release). Cheap; called from debug paths. *)
+(** Put a packet's record back on the free list; no-op on {!dummy}.
+    The released record is poisoned (ids [min_int], [hflag] set), so a
+    reader that kept it sees nonsense instead of another packet's
+    fields; the caller must not touch it afterwards.
+    @raise Invalid_argument unless the packet {!is_current}: a second
+    release, a copy, or a packet made before the last {!reset}. *)
 
 val reset : unit -> unit
 (** Drop the arena and restart the uid counter. Done per run (by
@@ -101,20 +103,8 @@ val reset : unit -> unit
     in-process runs hand out identical uid sequences and a run's
     stranded packets do not outlive it. *)
 
-val set_pooling : bool -> unit
-(** Turn record recycling on/off (default on; env [PPT_NO_POOL] turns
-    it off). With pooling off, [make] always allocates a fresh record;
-    ids are recycled either way. *)
-
-val pooling : unit -> bool
-(** Whether record recycling is on. *)
-
-val set_debug : bool -> unit
-(** Enable double-release / use-after-release checking with field
-    poisoning (default off; env [PPT_POOL_DEBUG=1] turns it on). *)
-
 val pool_size : unit -> int
-(** Ids currently on the free list. *)
+(** Records currently on the free list. *)
 
 val dummy : t
 (** Inert placeholder: what {!Prio_queue.dequeue_or_dummy} returns on

@@ -42,7 +42,8 @@ val create : config -> t
 val enqueue : t -> Packet.t -> verdict
 (** The queue stores the packet's id, so it must be current
     ({!Packet.is_current}) from enqueue to dequeue: a record from
-    [Packet.make], not a copy, with no [Packet.reset] in between. *)
+    [Packet.make], not a copy, not released, with no [Packet.reset] in
+    between. *)
 
 val dequeue : t -> Packet.t option
 

@@ -31,8 +31,9 @@ let test_segmentation () =
 
 (* Drive the process-global pool with a random make/release schedule.
    Invariants: [make] never hands out a packet that is still live (no
-   aliasing), and a recycled record comes back with every mutable field
-   reset even after the previous owner dirtied it. *)
+   aliasing), a recycled record comes back with every mutable field
+   reset even after the previous owner dirtied it, and releasing a
+   released packet raises. *)
 let prop_pool_invariants =
   QCheck.Test.make
     ~name:"packet pool: no aliasing, recycled packets are clean"
@@ -73,37 +74,46 @@ let prop_pool_invariants =
             end
             else
               match !live with
-              | p :: rest -> Packet.release p; live := rest
+              | p :: rest ->
+                Packet.release p;
+                (match Packet.release p with
+                 | () -> failwith "double release accepted"
+                 | exception Invalid_argument _ -> ());
+                live := rest
               | [] -> ())
          ops;
        List.iter Packet.release !live;
        true)
 
-(* Debug mode turns ownership bugs into loud failures. *)
-let test_pool_debug_checks () =
-  Packet.set_debug true;
-  Fun.protect ~finally:(fun () -> Packet.set_debug false)
-    (fun () ->
-       let p = Packet.make ~flow:1 ~src:0 ~dst:1 Packet.Data in
-       Packet.release p;
-       check Alcotest.bool "header words poisoned" true
-         (p.Packet.hw0 = min_int && p.Packet.hw1 = min_int
-          && p.Packet.hw2 = min_int && p.Packet.hw3 = min_int);
-       (try
-          Packet.release p;
-          Alcotest.fail "double release not detected"
-        with Invalid_argument _ -> ());
-       (try
-          Packet.assert_live p;
-          Alcotest.fail "use after release not detected"
-        with Invalid_argument _ -> ());
-       (* drain the poisoned packet back out so later tests see a
-          healthy pool *)
-       let q = Packet.make ~flow:2 ~src:0 ~dst:1 Packet.Data in
-       Packet.assert_live q;
-       check Alcotest.int "recycled with fresh identity" 2
-         q.Packet.flow;
-       Packet.release q)
+(* Ownership bugs fail loudly in every run, with no setting: releasing
+   a packet twice, a copy, or a record from before [Packet.reset]
+   raises, and a released record is poisoned. *)
+let test_pool_ownership_checks () =
+  let raises f =
+    match f () with () -> false | exception Invalid_argument _ -> true
+  in
+  let p = Packet.make ~flow:1 ~src:0 ~dst:1 Packet.Data in
+  check Alcotest.bool "a copy is not current" false
+    (Packet.is_current { p with Packet.seq = 5 });
+  check Alcotest.bool "releasing a copy raises" true
+    (raises (fun () -> Packet.release { p with Packet.seq = 5 }));
+  check Alcotest.bool "made packet is current" true (Packet.is_current p);
+  Packet.release p;
+  check Alcotest.bool "released packet is not current" false
+    (Packet.is_current p);
+  check Alcotest.bool "header words poisoned" true
+    (p.Packet.hw0 = min_int && p.Packet.hw1 = min_int
+     && p.Packet.hw2 = min_int && p.Packet.hw3 = min_int);
+  check Alcotest.bool "double release raises" true
+    (raises (fun () -> Packet.release p));
+  (* the poisoned record is recycled with a fresh identity *)
+  let q = Packet.make ~flow:2 ~src:0 ~dst:1 Packet.Data in
+  check Alcotest.bool "recycled record" true (p == q && Packet.is_current q);
+  check Alcotest.int "recycled with fresh identity" 2 q.Packet.flow;
+  Packet.reset ();
+  check Alcotest.bool "releasing a record from before the reset raises"
+    true (raises (fun () -> Packet.release q));
+  check Alcotest.int "nothing freed" 0 (Packet.pool_size ())
 
 let prop_segment_payloads_sum =
   QCheck.Test.make ~name:"segment payloads sum to the flow size"
@@ -507,7 +517,8 @@ let test_undeliverable_counted () =
 (* The fabric carries packets by arena id, so it refuses a record the
    arena does not hold: a [{ p with ... }] copy would be read back as
    its original, and a packet made before [Packet.reset] names an id
-   that now belongs to another packet or to none. *)
+   that now belongs to another packet or to none. A released packet is
+   refused too: the next [Packet.make] hands its id to another flow. *)
 let test_send_refuses_foreign_packets () =
   let sim = Sim.create () in
   let topo =
@@ -533,6 +544,9 @@ let test_send_refuses_foreign_packets () =
   check Alcotest.int "ids restart at 0" 0 q.Packet.id;
   check Alcotest.bool "the same id, another record: still refused" true
     (refused p);
+  let r = mk_pkt () in
+  Packet.release r;
+  check Alcotest.bool "a released packet is refused" true (refused r);
   check Alcotest.bool "a current packet is sent" false (refused q);
   Sim.run sim;
   check Alcotest.int "only the current packet arrived" 1 !got
@@ -692,8 +706,8 @@ let suite =
   [ Alcotest.test_case "packet: wire sizes" `Quick test_packet_sizes;
     Alcotest.test_case "packet: segmentation" `Quick test_segmentation;
     QCheck_alcotest.to_alcotest prop_pool_invariants;
-    Alcotest.test_case "packet pool: debug-mode ownership checks"
-      `Quick test_pool_debug_checks;
+    Alcotest.test_case "packet pool: ownership checks always on"
+      `Quick test_pool_ownership_checks;
     QCheck_alcotest.to_alcotest prop_segment_payloads_sum;
     Alcotest.test_case "queue: strict priority" `Quick
       test_strict_priority_order;

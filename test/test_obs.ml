@@ -419,24 +419,68 @@ let test_binary_decode_matches_jsonl () =
   check Alcotest.bool "decode(encode(trace)) = trace as JSONL" true
     (String.equal direct (jsonl_of decoded))
 
-(* --- packet pooling is invisible ----------------------------------- *)
+(* --- trace files: the pull reader ---------------------------------- *)
 
-(* Recycling packets must not change a single event: the same runs with
-   the free list disabled have to produce byte-identical traces. *)
-let test_pooling_invisible () =
-  let with_pooling b f =
-    let was = Packet.pooling () in
-    Packet.set_pooling b;
-    Fun.protect ~finally:(fun () -> Packet.set_pooling was) f
+(* [Reader] reads back what either sink wrote, event for event, across
+   many refills of its binary window, and names the first event that
+   does not decode: its line in JSONL, its byte offset in binary. *)
+let test_reader_both_formats () =
+  let one = dctcp_2host_events 1 in
+  let events = List.concat (List.init 40 (fun _ -> one)) in
+  let write ext f =
+    let path = Filename.temp_file "ppt_reader" ext in
+    let oc = open_out_bin path in
+    f oc;
+    close_out oc;
+    path
   in
-  let dctcp_on = with_pooling true (fun () -> dctcp_2host_events 1) in
-  let dctcp_off = with_pooling false (fun () -> dctcp_2host_events 1) in
-  check Alcotest.bool "dctcp: pooling on/off traces identical" true
-    (String.equal (jsonl_of dctcp_on) (jsonl_of dctcp_off));
-  let ppt_on = with_pooling true (fun () -> ppt_4host_events 1) in
-  let ppt_off = with_pooling false (fun () -> ppt_4host_events 1) in
-  check Alcotest.bool "ppt: pooling on/off traces identical" true
-    (String.equal (jsonl_of ppt_on) (jsonl_of ppt_off))
+  let jsonl =
+    write ".jsonl" (fun oc ->
+        List.iter (fun (ts, ev) -> Trace.jsonl_sink oc ts ev) events)
+  in
+  let bin =
+    write ".bin" (fun oc ->
+        let sink, flush = Trace.binary_sink oc in
+        List.iter (fun (ts, ev) -> sink ts ev) events;
+        flush ())
+  in
+  let read path =
+    Reader.with_file path (fun r ->
+        let evs = List.rev (Reader.fold r (fun l ts ev -> (ts, ev) :: l) []) in
+        check Alcotest.bool "None after the end" true (Reader.next r = None);
+        evs)
+  in
+  let corrupt_at path =
+    match read path with
+    | _ -> Alcotest.fail "corruption not detected"
+    | exception Reader.Corrupt (p, pos, _) ->
+      check Alcotest.string "names the file" path p;
+      pos
+  in
+  let bytes = In_channel.with_open_bin bin In_channel.input_all in
+  check Alcotest.bool "binary spans several windows" true
+    (String.length bytes > 3 * 65536);
+  check Alcotest.bool "JSONL read back" true (read jsonl = events);
+  check Alcotest.bool "binary read back" true (read bin = events);
+  (* cut the binary trace one byte into event k, past the first window *)
+  let k = 3 * List.length events / 4 in
+  let off =
+    String.length Event.bin_magic
+    + String.length (encode_stream (List.filteri (fun i _ -> i < k) events))
+  in
+  let cut =
+    write ".bin" (fun oc -> output_string oc (String.sub bytes 0 (off + 1)))
+  in
+  check Alcotest.int "truncated event at its byte offset" off (corrupt_at cut);
+  let lines = In_channel.with_open_bin jsonl In_channel.input_all in
+  let bad =
+    write ".jsonl" (fun oc ->
+        String.split_on_char '\n' lines
+        |> List.mapi (fun i l -> if i = 2 then "garbage" else l)
+        |> String.concat "\n" |> output_string oc)
+  in
+  check Alcotest.int "garbage at its line" 3 (corrupt_at bad);
+  List.iter Sys.remove [ jsonl; bin; cut; bad ]
 
 (* --- uid reset across in-process runs ------------------------------ *)
 
@@ -839,8 +883,8 @@ let suite =
       test_binary_negative_ints;
     Alcotest.test_case "event: binary decode reproduces JSONL" `Quick
       test_binary_decode_matches_jsonl;
-    Alcotest.test_case "packet pool: recycling is trace-invisible"
-      `Quick test_pooling_invisible;
+    Alcotest.test_case "reader: both formats, errors at their position"
+      `Quick test_reader_both_formats;
     Alcotest.test_case "packet uids: reset per run (spray rerun)" `Quick
       test_uid_reset_reruns;
     Alcotest.test_case "event: parser rejects garbage" `Quick

@@ -197,14 +197,11 @@ let test_receiver_lcp_batch_range () =
 
 (* The per-packet header path allocates nothing: making a data packet
    and an ack, writing their headers, reading every getter and
-   releasing both leaves [Gc.minor_words] where it was, with records
-   recycled (with pooling off, every [make] is a fresh record by
-   design). [make] gets no optional arguments here, so the guard also
-   holds in the dev profile, where [-opaque] boxes them at every call. *)
+   releasing both leaves [Gc.minor_words] where it was: [make] takes
+   the records [release] put back. [make] gets no optional arguments
+   here, so the guard also holds in the dev profile, where [-opaque]
+   boxes them at every call. *)
 let test_wire_no_alloc () =
-  let was = Packet.pooling () in
-  Packet.set_pooling true;
-  Fun.protect ~finally:(fun () -> Packet.set_pooling was) @@ fun () ->
   let cycles n =
     let sum = ref 0 in
     for i = 1 to n do
