@@ -9,21 +9,6 @@
 open Cmdliner
 open Ppt_harness
 
-let scheme_names =
-  [ ("ppt", Schemes.ppt); ("dctcp", Schemes.dctcp); ("rc3", Schemes.rc3);
-    ("pias", Schemes.pias); ("swift", Schemes.swift);
-    ("ppt-swift", Schemes.ppt_swift); ("homa", Schemes.homa);
-    ("aeolus", Schemes.aeolus); ("ndp", Schemes.ndp);
-    ("hpcc", Schemes.hpcc);
-    ("tcp", Schemes.tcp); ("tcp-10", Schemes.tcp10);
-    ("halfback", Schemes.halfback);
-    ("expresspass", Schemes.expresspass);
-    ("ppt-hpcc", Schemes.ppt_hpcc);
-    ("ppt-no-lcp-ecn", Schemes.ppt_no_lcp_ecn);
-    ("ppt-no-ewd", Schemes.ppt_no_ewd);
-    ("ppt-no-sched", Schemes.ppt_no_sched);
-    ("ppt-no-ident", Schemes.ppt_no_ident) ]
-
 (* The topologies --topo accepts; [scale] only shapes the leaf-spine
    fabrics. *)
 let topologies =
@@ -244,7 +229,7 @@ let run_cmd =
       trace_in trace_out trace_events trace_fmt probe_us faults verbose =
     setup_logs verbose;
     match
-      ( List.assoc_opt scheme scheme_names,
+      ( Schemes.find scheme,
         config_of ~topo ~workload ~load ~flows ~seed ~full ~incast )
     with
     | None, _ -> `Error (false, "unknown scheme: " ^ scheme)
@@ -319,15 +304,8 @@ let compare_cmd =
     | Error msg -> `Error (false, msg)
     | Ok cfg ->
     let ppf = Format.std_formatter in
-    Ppt_stats.Table.header ppf
-      [ "overall"; "small-avg"; "small-p99"; "large-avg" ];
-    List.iter
-      (fun s ->
-         let r = Runner.run cfg s in
-         let sm = r.Runner.summary in
-         Ppt_stats.Table.row ppf r.Runner.r_scheme
-           [ sm.Ppt_stats.Fct.overall_avg; sm.Ppt_stats.Fct.small_avg;
-             sm.Ppt_stats.Fct.small_p99; sm.Ppt_stats.Fct.large_avg ])
+    Ppt_stats.Table.header ppf Figures.fct_cols;
+    List.iter (fun s -> Figures.fct_row ppf (Runner.run cfg s))
       Schemes.headline;
     Format.pp_print_flush ppf ();
     `Ok ()
@@ -440,7 +418,7 @@ let sweep_cmd =
 let list_cmd =
   let run () =
     Format.printf "schemes:@.";
-    List.iter (fun (n, _) -> Format.printf "  %s@." n) scheme_names;
+    List.iter (fun s -> Format.printf "  %s@." s.Schemes.s_name) Schemes.all;
     Format.printf "topologies: %s@."
       (String.concat " " (List.map fst topologies));
     Format.printf "workloads: %s@."

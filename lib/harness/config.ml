@@ -86,31 +86,11 @@ let with_trace ?path ?(fmt = Json) ?probe_interval t =
 
 let with_faults spec t = { t with faults = Some spec }
 
-(* §6.1 testbed: Table 3. *)
-let testbed ?(n_flows = 300) ?(load = 0.5) ?(seed = 1) () =
-  { name = "testbed";
-    topo =
-      Star { n_hosts = 15; rate = Units.gbps 10; delay = Units.us 19 };
-    buffer_bytes = Units.mb 1;       (* ~50MB shared by 54 ports *)
-    hp_thresh = Some (Units.kb 100);
-    lp_thresh = Some (Units.kb 80);
-    sel_drop_frac = 0.5; dt = true; routing = Topology.Per_flow;
-    rto_min = Units.ms 10;
-    workload = Dists.web_search; workload_name = "web-search";
-    pattern = All_to_all; load; n_flows; seed; trace = None;
-    faults = None }
-
-(* §6.2 oversubscribed fabric: 40/100G, 120KB port buffer, ECN 96/86KB. *)
-let oversub ?(scale = 4) ?(n_flows = 300) ?(load = 0.5) ?(seed = 1) () =
-  let n_leaf, hosts_per_leaf, n_spine =
-    if scale >= 9 then (9, 16, 4) else (max 2 scale, 8, 2)
-  in
-  { name = "oversub-40/100G";
-    topo =
-      Leaf_spine
-        { hosts_per_leaf; n_leaf; n_spine;
-          edge_rate = Units.gbps 40; core_rate = Units.gbps 100;
-          edge_delay = Units.us 1; core_delay = Units.us 1 };
+(* What every setup shares: §6.2's switch parameters, web-search
+   traffic spread all-to-all, no tracing and no faults. Each named
+   setup below overrides only what differs. *)
+let make ~name ~topo ~n_flows ~load ~seed =
+  { name; topo;
     buffer_bytes = Units.kb 120;
     hp_thresh = Some (Units.kb 96);
     lp_thresh = Some (Units.kb 86);
@@ -120,42 +100,50 @@ let oversub ?(scale = 4) ?(n_flows = 300) ?(load = 0.5) ?(seed = 1) () =
     pattern = All_to_all; load; n_flows; seed; trace = None;
     faults = None }
 
-(* Fig. 22: the same shape at 100/400G. *)
-let fast ?(scale = 4) ?(n_flows = 300) ?(load = 0.5) ?(seed = 1) () =
-  let base = oversub ~scale ~n_flows ~load ~seed () in
-  let topo =
-    match base.topo with
-    | Leaf_spine ls ->
-      Leaf_spine
-        { ls with
-          edge_rate = Units.gbps 100; core_rate = Units.gbps 400 }
-    | Star _ -> assert false
+(* A two-tier fabric at [edge]/[core] Gbps, [scale] leaves of 8 hosts
+   over 2 spines, or the full 9 x 16 hosts over 4 spines at [scale] 9
+   and above. *)
+let leaf_spine ~scale ~edge ~core =
+  let n_leaf, hosts_per_leaf, n_spine =
+    if scale >= 9 then (9, 16, 4) else (max 2 scale, 8, 2)
   in
-  { base with name = "oversub-100/400G"; topo;
-              buffer_bytes = Units.kb 240;
-              hp_thresh = Some (Units.kb 192);
-              lp_thresh = Some (Units.kb 172) }
+  Leaf_spine
+    { hosts_per_leaf; n_leaf; n_spine;
+      edge_rate = Units.gbps edge; core_rate = Units.gbps core;
+      edge_delay = Units.us 1; core_delay = Units.us 1 }
+
+(* §6.1 testbed: Table 3. *)
+let testbed ?(n_flows = 300) ?(load = 0.5) ?(seed = 1) () =
+  { (make ~name:"testbed"
+       ~topo:(Star { n_hosts = 15; rate = Units.gbps 10;
+                     delay = Units.us 19 })
+       ~n_flows ~load ~seed)
+    with
+    buffer_bytes = Units.mb 1;       (* ~50MB shared by 54 ports *)
+    hp_thresh = Some (Units.kb 100);
+    lp_thresh = Some (Units.kb 80);
+    rto_min = Units.ms 10 }
+
+(* §6.2 oversubscribed fabric: 40/100G, 120KB port buffer, ECN 96/86KB. *)
+let oversub ?(scale = 4) ?(n_flows = 300) ?(load = 0.5) ?(seed = 1) () =
+  make ~name:"oversub-40/100G" ~topo:(leaf_spine ~scale ~edge:40 ~core:100)
+    ~n_flows ~load ~seed
+
+(* Fig. 22: the same shape at 100/400G, with buffer and thresholds
+   doubled. *)
+let fast ?(scale = 4) ?(n_flows = 300) ?(load = 0.5) ?(seed = 1) () =
+  { (make ~name:"oversub-100/400G"
+       ~topo:(leaf_spine ~scale ~edge:100 ~core:400) ~n_flows ~load ~seed)
+    with
+    buffer_bytes = Units.kb 240;
+    hp_thresh = Some (Units.kb 192);
+    lp_thresh = Some (Units.kb 172) }
 
 (* Appendix E: non-oversubscribed (16x10G down = 4x40G up per leaf). *)
 let non_oversub ?(scale = 4) ?(n_flows = 300) ?(load = 0.5) ?(seed = 1)
     () =
-  let n_leaf, hosts_per_leaf, n_spine =
-    if scale >= 9 then (9, 16, 4) else (max 2 scale, 8, 2)
-  in
-  { name = "non-oversub-10/40G";
-    topo =
-      Leaf_spine
-        { hosts_per_leaf; n_leaf; n_spine;
-          edge_rate = Units.gbps 10; core_rate = Units.gbps 40;
-          edge_delay = Units.us 1; core_delay = Units.us 1 };
-    buffer_bytes = Units.kb 120;
-    hp_thresh = Some (Units.kb 96);
-    lp_thresh = Some (Units.kb 86);
-    sel_drop_frac = 0.5; dt = true; routing = Topology.Per_flow;
-    rto_min = Units.ms 1;
-    workload = Dists.web_search; workload_name = "web-search";
-    pattern = All_to_all; load; n_flows; seed; trace = None;
-    faults = None }
+  make ~name:"non-oversub-10/40G" ~topo:(leaf_spine ~scale ~edge:10 ~core:40)
+    ~n_flows ~load ~seed
 
 (* Figs. 1/20/28/29: two senders, one receiver, 40G bottleneck.
 
@@ -169,13 +157,11 @@ let non_oversub ?(scale = 4) ?(n_flows = 300) ?(load = 0.5) ?(seed = 1)
 let dumbbell ?(n_flows = 400) ?(load = 0.5) ?(seed = 1)
     ?(delay = Units.us 20) ?(buffer_bytes = Units.mb 4)
     ?(hp_thresh = Units.kb 120) ?(lp_thresh = Units.kb 100) () =
-  { name = "dumbbell-2to1-40G";
-    topo = Star { n_hosts = 3; rate = Units.gbps 40; delay };
+  { (make ~name:"dumbbell-2to1-40G"
+       ~topo:(Star { n_hosts = 3; rate = Units.gbps 40; delay })
+       ~n_flows ~load ~seed)
+    with
     buffer_bytes;
     hp_thresh = Some hp_thresh;
     lp_thresh = Some lp_thresh;
-    sel_drop_frac = 0.5; dt = true; routing = Topology.Per_flow;
-    rto_min = Units.ms 1;
-    workload = Dists.web_search; workload_name = "web-search";
-    pattern = Incast { n_senders = 2 }; load; n_flows; seed;
-    trace = None; faults = None }
+    pattern = Incast { n_senders = 2 } }

@@ -77,3 +77,12 @@ let chaos_set = [ tcp; dctcp; ppt; ndp; homa ]
 let table1_set =
   [ dctcp; tcp10; halfback; rc3; pias; hpcc; homa; aeolus; expresspass;
     ndp; ppt ]
+
+(* Every scheme a name selects (`ppt_sim run --scheme`, `ppt_sim list`),
+   in listing order. Registering a transport means adding it here. *)
+let all =
+  [ ppt; dctcp; rc3; pias; swift; ppt_swift; homa; aeolus; ndp; hpcc; tcp;
+    tcp10; halfback; expresspass; ppt_hpcc; ppt_no_lcp_ecn; ppt_no_ewd;
+    ppt_no_sched; ppt_no_ident ]
+
+let find name = List.find_opt (fun s -> s.s_name = name) all
