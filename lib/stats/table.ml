@@ -5,10 +5,13 @@
      scheme        overall  small-avg  small-p99  large-avg
      ppt             0.412      0.051      0.180      1.871   *)
 
-let cell_width = 11
+(* Every cell is a space and then its text right-aligned in
+   [cell_width], so a cell wider than that still stays apart from its
+   neighbour. *)
+let cell_width = 10
 
 let pp_cell ppf s =
-  Format.fprintf ppf "%*s" cell_width s
+  Format.fprintf ppf " %*s" cell_width s
 
 let fmt_float v =
   if Float.is_nan v then "-"
