@@ -377,66 +377,87 @@ let check_pinned cases =
              (records_digest r.Runner.records)))
     cases
 
-let test_receiver_driven_pinned () =
+let receiver_driven_pins =
   let open Ppt_harness in
-  check_pinned
-    [ (Schemes.ndp, 32, "51b2a4764edda292bd8ac7dd823ddf32",
-       "65b6ba3dc7f47332ec24a215b0431b33");
-      (Schemes.homa, 32, "907c7813751250942055ad453cd610f1",
-       "e70911101964684807de1750d2eaa259");
-      (Schemes.aeolus, 32, "b14b732792252e7e98cce850bdaeb574",
-       "d6f2d0fe7505603a1bfc5ae5f8ae7a98");
-      (Schemes.expresspass, 30, "da72c4be75cc7f71178d4d6e74172b7a",
-       "959e424d98212b6160ca86ea2a6bb98a") ]
+  [ (Schemes.ndp, 32, "51b2a4764edda292bd8ac7dd823ddf32",
+     "65b6ba3dc7f47332ec24a215b0431b33");
+    (Schemes.homa, 32, "907c7813751250942055ad453cd610f1",
+     "e70911101964684807de1750d2eaa259");
+    (Schemes.aeolus, 32, "b14b732792252e7e98cce850bdaeb574",
+     "d6f2d0fe7505603a1bfc5ae5f8ae7a98");
+    (Schemes.expresspass, 30, "da72c4be75cc7f71178d4d6e74172b7a",
+     "959e424d98212b6160ca86ea2a6bb98a") ]
+
+let test_receiver_driven_pinned () = check_pinned receiver_driven_pins
 
 (* The window-based schemes on the same 32 flows and link flap: every
-   CLI window scheme, PPT with a 128 KB send buffer (its send-buffer
-   horizon moves, so the low-priority loop restarts its tail scan), and
-   the hypothetical DCTCP, whose maximum-window table comes from a
-   plain DCTCP pass over a generated 32-flow dumbbell trace. All
-   complete; the PPT variants open low-priority loops, so the traces
-   pin the LCP's tail picks, pacing and loop switches as well. *)
+   registered window scheme, PPT with a 128 KB send buffer (its
+   send-buffer horizon moves, so the low-priority loop restarts its
+   tail scan), and the hypothetical DCTCP, whose maximum-window table
+   comes from a plain DCTCP pass over a generated 32-flow dumbbell
+   trace. All complete; the PPT variants open low-priority loops, so
+   the traces pin the LCP's tail picks, pacing and loop switches as
+   well. *)
+let window_pins =
+  let open Ppt_harness in
+  [ (Schemes.dctcp, 32, "c1c0e7fb1f9dea5967e17dd2da6ff84f",
+     "673db263908dec21dc1f7e7fb54be741");
+    (Schemes.tcp, 32, "d9772490f1cc33b87454a66c8529cd1e",
+     "c294401f4125cf68318d5ccd7f2b5735");
+    (Schemes.tcp10, 32, "3a845e7b4295f8c11f2660ba63a85cd6",
+     "4270f964900be56a8a2ae78f73de17f7");
+    (Schemes.halfback, 32, "032832ee10704d0dd9c2a9433b347c3d",
+     "12fce1375471b1a711202aa7fc83d96d");
+    (Schemes.pias, 32, "cb998d5d6bd1a79adcdc07472478a642",
+     "ee0b9b36b9a5636a8ee945327cd76d10");
+    (Schemes.swift, 32, "61dfadb60d4d74509b48d24c5eab9c2b",
+     "56c90220db978d77efb80d2393139050");
+    (Schemes.hpcc, 32, "6787f447d7e9519c5758bb11a4b41826",
+     "3fe76aabcf18aa01f3af931e3b843c38");
+    (Schemes.rc3, 32, "cb6ba7a8d915f84191a08d1cda9ef4b1",
+     "a6093addcda7a98234f64b8c525fa341");
+    (Schemes.ppt, 32, "e9794c2a1dc0f95c36f5cefea352495b",
+     "f08adc5e8631bb4a24e57122295a16f6");
+    (Schemes.ppt_swift, 32, "04380bb179af6c13dd447180e09fa90c",
+     "b88f3582ca9fcf5fb50c734eb0558393");
+    (Schemes.ppt_hpcc, 32, "8e354170c1857f468358a73f358232c1",
+     "8b0381927c29bec960596ab963371570");
+    (Schemes.ppt_no_lcp_ecn, 32, "46da3aeb662433f79a9ca1e8a55226b5",
+     "4f98ffe5168ccd3259ca7a0871d2079e");
+    (Schemes.ppt_no_ewd, 32, "d7dda3d3422ba2e4513247338aba8cba",
+     "363e5784faee5c788f634e41eec25751");
+    (Schemes.ppt_no_sched, 32, "a72a598752c00cff11a307b4b4d9aa48",
+     "949c691fa09b610496cc19371b9cea39");
+    (Schemes.ppt_no_ident, 32, "243a24bceef2bb25d2bae8aeebb22deb",
+     "3d99faabe6347615845c8fbb8a9d9f74");
+    (Schemes.ppt_sendbuf (Units.kb 128), 32,
+     "35bc0a0f45a0419e339dfe41d2f59224",
+     "ba4604b3da78274b5659c382470e3955") ]
+
 let test_window_pinned () =
   let open Ppt_harness in
   let hypo =
     List.hd (Figures.hypo_schemes (Config.dumbbell ~n_flows:32 ()))
   in
   check_pinned
-    [ (Schemes.dctcp, 32, "c1c0e7fb1f9dea5967e17dd2da6ff84f",
-       "673db263908dec21dc1f7e7fb54be741");
-      (Schemes.tcp, 32, "d9772490f1cc33b87454a66c8529cd1e",
-       "c294401f4125cf68318d5ccd7f2b5735");
-      (Schemes.tcp10, 32, "3a845e7b4295f8c11f2660ba63a85cd6",
-       "4270f964900be56a8a2ae78f73de17f7");
-      (Schemes.halfback, 32, "032832ee10704d0dd9c2a9433b347c3d",
-       "12fce1375471b1a711202aa7fc83d96d");
-      (Schemes.pias, 32, "cb998d5d6bd1a79adcdc07472478a642",
-       "ee0b9b36b9a5636a8ee945327cd76d10");
-      (Schemes.swift, 32, "61dfadb60d4d74509b48d24c5eab9c2b",
-       "56c90220db978d77efb80d2393139050");
-      (Schemes.hpcc, 32, "6787f447d7e9519c5758bb11a4b41826",
-       "3fe76aabcf18aa01f3af931e3b843c38");
-      (Schemes.rc3, 32, "cb6ba7a8d915f84191a08d1cda9ef4b1",
-       "a6093addcda7a98234f64b8c525fa341");
-      (Schemes.ppt, 32, "e9794c2a1dc0f95c36f5cefea352495b",
-       "f08adc5e8631bb4a24e57122295a16f6");
-      (Schemes.ppt_swift, 32, "04380bb179af6c13dd447180e09fa90c",
-       "b88f3582ca9fcf5fb50c734eb0558393");
-      (Schemes.ppt_hpcc, 32, "8e354170c1857f468358a73f358232c1",
-       "8b0381927c29bec960596ab963371570");
-      (Schemes.ppt_no_lcp_ecn, 32, "46da3aeb662433f79a9ca1e8a55226b5",
-       "4f98ffe5168ccd3259ca7a0871d2079e");
-      (Schemes.ppt_no_ewd, 32, "d7dda3d3422ba2e4513247338aba8cba",
-       "363e5784faee5c788f634e41eec25751");
-      (Schemes.ppt_no_sched, 32, "a72a598752c00cff11a307b4b4d9aa48",
-       "949c691fa09b610496cc19371b9cea39");
-      (Schemes.ppt_no_ident, 32, "243a24bceef2bb25d2bae8aeebb22deb",
-       "3d99faabe6347615845c8fbb8a9d9f74");
-      (Schemes.ppt_sendbuf (Units.kb 128), 32,
-       "35bc0a0f45a0419e339dfe41d2f59224",
-       "ba4604b3da78274b5659c382470e3955");
-      (hypo, 32, "f16042fc104c38da6d88a0ee2983e12c",
-       "c455e7ab693c761a13e43c0d13884612") ]
+    (window_pins
+     @ [ (hypo, 32, "f16042fc104c38da6d88a0ee2983e12c",
+          "c455e7ab693c761a13e43c0d13884612") ])
+
+(* Every scheme a name selects has pinned digests above: registering a
+   transport in [Schemes.all] without pinning it fails here. *)
+let test_pins_cover_registry () =
+  let pinned =
+    List.map
+      (fun (s, _, _, _) -> s.Ppt_harness.Schemes.s_name)
+      (receiver_driven_pins @ window_pins)
+  in
+  List.iter
+    (fun s ->
+       let name = s.Ppt_harness.Schemes.s_name in
+       check Alcotest.bool (name ^ " has pinned digests") true
+         (List.mem name pinned))
+    Ppt_harness.Schemes.all
 
 let suite =
   [ Alcotest.test_case "rc3: completes" `Quick
@@ -491,4 +512,6 @@ let suite =
     Alcotest.test_case "receiver-driven: outputs pinned" `Quick
       test_receiver_driven_pinned;
     Alcotest.test_case "window-based: outputs pinned" `Quick
-      test_window_pinned ]
+      test_window_pinned;
+    Alcotest.test_case "pins cover every registered scheme" `Quick
+      test_pins_cover_registry ]

@@ -148,6 +148,22 @@ let test_figures_registry () =
   check Alcotest.bool "unknown id rejected" true
     (Figures.find "fig99" = None)
 
+(* Schemes.all is the one table from name to scheme: names are unique
+   and [find] returns the registered scheme itself. *)
+let test_schemes_registry () =
+  let names = List.map (fun s -> s.Schemes.s_name) Schemes.all in
+  check Alcotest.int "names unique" (List.length names)
+    (List.length (List.sort_uniq compare names));
+  List.iter
+    (fun s ->
+       check Alcotest.bool (s.Schemes.s_name ^ " found") true
+         (match Schemes.find s.Schemes.s_name with
+          | Some found -> found == s
+          | None -> false))
+    Schemes.all;
+  check Alcotest.bool "unknown name rejected" true
+    (Schemes.find "bogus" = None)
+
 (* The decomposition contract: unit keys are unique within each
    experiment, and the multi-unit experiments really decompose. *)
 let test_figures_units_unique () =
@@ -270,6 +286,7 @@ let suite =
     Alcotest.test_case "paper shape: ppt beats dctcp" `Slow
       test_paper_shape_ppt_vs_dctcp;
     Alcotest.test_case "figures: registry" `Quick test_figures_registry;
+    Alcotest.test_case "schemes: registry" `Quick test_schemes_registry;
     Alcotest.test_case "figures: unit decomposition" `Quick
       test_figures_units_unique;
     Alcotest.test_case "figures: static tables" `Quick
