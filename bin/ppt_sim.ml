@@ -386,9 +386,10 @@ let sweep_cmd =
       print_string r.Parallel.output;
       flush stdout;
       Printf.eprintf
-        "[sweep] %d shard(s), jobs=%d, wall=%.2fs, events=%d%s%s\n%!"
-        r.Parallel.shards
-        r.Parallel.jobs r.Parallel.wall r.Parallel.events
+        "[sweep] %d unit(s), jobs=%d, wall=%.2fs, sims=%d, cpu=%.2fs, \
+         events=%d%s%s\n%!"
+        r.Parallel.units (max 1 jobs) r.Parallel.wall r.Parallel.sims
+        r.Parallel.cpu r.Parallel.events
         (if r.Parallel.resumed > 0 then
            Printf.sprintf ", resumed=%d" r.Parallel.resumed
          else "")

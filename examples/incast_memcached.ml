@@ -23,9 +23,10 @@ let () =
     (fun scheme ->
        let r = Runner.run cfg scheme in
        let s = r.Runner.summary in
-       Ppt_stats.Table.row ppf r.Runner.r_scheme
-         [ s.Ppt_stats.Fct.small_avg; s.Ppt_stats.Fct.small_p99;
-           float_of_int r.Runner.drops ])
+       Ppt_stats.Table.text_row ppf r.Runner.r_scheme
+         [ Ppt_stats.Table.fmt_float s.Ppt_stats.Fct.small_avg;
+           Ppt_stats.Table.fmt_float s.Ppt_stats.Fct.small_p99;
+           string_of_int r.Runner.drops ])
     [ Schemes.ppt; Schemes.dctcp; Schemes.homa ];
   Format.printf
     "@.Under heavy incast there is little spare bandwidth, so PPT \

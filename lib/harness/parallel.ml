@@ -1,46 +1,22 @@
-(* Parallel figure sweeps: the glue between the figure registry
-   (Figures) and the fork-based sweep runner (lib/sweep).
+(* Parallel figure sweeps over the fork-based runner (lib/sweep). A
+   shard is one distinct simulation of the swept units, run once however
+   many units need it; its payload is its outcome and the user+sys CPU
+   seconds it took in the worker. The parent renders every unit in
+   canonical order from the outcomes, so the output is byte-identical
+   to a serial [Figures.render] of the same experiments at any [jobs]. *)
 
-   Each experiment decomposes into work units; a unit's payload is its
-   rendered text fragment plus the number of simulator events it
-   processed (measured inside the worker, so event counts survive the
-   process boundary). Fragments are merged in canonical unit order,
-   which makes the merged output byte-identical to a serial
-   [Figures.render] of the same experiments — whatever [jobs] is. *)
+open Ppt_sweep
 
 type result = {
-  output : string;       (* fragments merged in canonical order *)
-  jobs : int;
+  output : string;       (* every unit, rendered in canonical order *)
   wall : float;          (* whole-sweep wall-clock seconds *)
-  events : int;          (* simulator events across all shards *)
+  units : int;
+  sims : int;            (* distinct simulations: the shards *)
+  cpu : float;           (* user+sys seconds inside those simulations *)
+  events : int;          (* simulator events across them *)
   resumed : int;
-  shards : int;          (* work units, failed ones included *)
-  failures : (string * string) list;  (* key, reason *)
+  failures : (string * string) list;  (* simulation key, reason *)
 }
-
-(* Decompose [ids] into sweep unit specs, keys "<id>/<unit>".
-   Raises [Invalid_argument] on an unknown experiment id. *)
-let unit_specs ids (opts : Figures.opts) =
-  List.concat_map
-    (fun id ->
-       match Figures.find id with
-       | None -> invalid_arg ("Parallel.sweep: unknown experiment " ^ id)
-       | Some e ->
-         List.map
-           (fun u ->
-              { Ppt_sweep.Sweep.key = id ^ "/" ^ u.Figures.u_name;
-                run =
-                  (fun () ->
-                     Runner.with_events_counted (fun () ->
-                         Figures.render_unit u)) })
-           (e.Figures.e_units opts))
-    ids
-
-let sweep_dir = "_sweep"
-
-let ensure_dir d =
-  try Unix.mkdir d 0o755
-  with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
 
 (* Default journal location: one file per (experiment set, opts), so a
    resumed sweep can only ever meet a journal of the same sweep. The
@@ -52,39 +28,97 @@ let default_journal ids (o : Figures.opts) =
          (Printf.sprintf "%s|%g|%d|%b" (String.concat "," ids)
             o.Figures.flows_scale o.Figures.seed o.Figures.full))
   in
-  Filename.concat sweep_dir ("sweep-" ^ String.sub d 0 12 ^ ".journal")
+  Filename.concat "_sweep" ("sweep-" ^ String.sub d 0 12 ^ ".journal")
 
-let sweep ?(jobs = 1) ?timeout ?retries ?journal ?(resume = false)
-    ?progress ~ids opts =
-  let specs = unit_specs ids opts in
-  (match journal with
-   | Some path ->
-     let dir = Filename.dirname path in
-     if dir <> "." then ensure_dir dir
-   | None -> ());
-  let r =
-    Ppt_sweep.Sweep.run ~jobs ?timeout ?retries ?journal ~resume
-      ?progress specs
+let cpu_seconds () =
+  let t = Unix.times () in
+  t.Unix.tms_utime +. t.Unix.tms_stime
+
+(* Raises [Invalid_argument] on an unknown experiment id. *)
+let sweep ?(jobs = 1) ?timeout ?journal ?(resume = false) ?progress ~ids
+    opts =
+  let t0 = Unix.gettimeofday () in
+  let units =
+    List.concat_map
+      (fun id ->
+         match Figures.find id with
+         | None -> invalid_arg ("Parallel.sweep: unknown experiment " ^ id)
+         | Some e ->
+           List.map (fun u -> (id ^ "/" ^ u.Figures.u_name, u))
+             (e.Figures.e_units opts))
+      ids
   in
+  Option.iter
+    (fun path ->
+       try Unix.mkdir (Filename.dirname path) 0o755
+       with Unix.Unix_error (Unix.EEXIST, _, _) -> ())
+    journal;
+  let outcomes = Hashtbl.create 256 and resumed = ref 0 in
+  let outcome (s : Figures.sim) = Hashtbl.find outcomes s.Figures.key in
+  let failed s =
+    match outcome s with Sweep.Failed msg -> Some msg | Sweep.Done _ -> None
+  in
+  let get s =
+    match outcome s with
+    | Sweep.Done (out, _) -> out
+    | Sweep.Failed msg -> failwith msg
+  in
+  (* One [Sweep.run] over [sims]; a run whose input failed fails with
+     it. *)
+  let phase journal sims =
+    let run (s : Figures.sim) () =
+      let needed = Option.map get s.Figures.needs in
+      let c0 = cpu_seconds () in
+      let out = Figures.exec s ~needed in
+      (out, cpu_seconds () -. c0)
+    in
+    let r =
+      Sweep.run ~jobs ?timeout ?journal ~resume ?progress
+        (List.map (fun s -> { Sweep.key = s.Figures.key; run = run s }) sims)
+    in
+    resumed := !resumed + r.Sweep.r_resumed;
+    List.iter
+      (fun (sh : _ Sweep.shard) ->
+         Hashtbl.replace outcomes sh.Sweep.s_key sh.Sweep.s_outcome)
+      r.Sweep.shards
+  in
+  (* Hypothetical-DCTCP runs read their recorder's outcome, so they run
+     in a second phase, with a journal of their own. *)
+  let sims = Figures.distinct (List.map snd units) in
+  let first, second =
+    List.partition (fun (s : Figures.sim) -> Option.is_none s.Figures.needs)
+      sims
+  in
+  phase journal first;
+  if not (List.is_empty second) then
+    phase (Option.map (fun j -> j ^ ".2") journal) second;
   let buf = Buffer.create 4096 in
-  let events = ref 0 in
-  let failures = ref [] in
+  let ppf = Format.formatter_of_buffer buf in
   List.iter
-    (fun (s : _ Ppt_sweep.Sweep.shard) ->
-       match s.Ppt_sweep.Sweep.s_outcome with
-       | Ppt_sweep.Sweep.Done ((frag : string), ev) ->
-         Buffer.add_string buf frag;
-         events := !events + ev
-       | Ppt_sweep.Sweep.Failed msg ->
-         Buffer.add_string buf
-           (Printf.sprintf "(!) shard %s failed: %s\n"
-              s.Ppt_sweep.Sweep.s_key msg);
-         failures := (s.Ppt_sweep.Sweep.s_key, msg) :: !failures)
-    r.Ppt_sweep.Sweep.shards;
+    (fun (key, u) ->
+       match List.filter_map failed u.Figures.u_sims with
+       | msg :: _ -> Format.fprintf ppf "(!) shard %s failed: %s@\n" key msg
+       | [] -> u.Figures.u_render get ppf)
+    units;
+  Format.pp_print_flush ppf ();
+  let cpu, events =
+    List.fold_left
+      (fun (cpu, events) s ->
+         match outcome s with
+         | Sweep.Done (out, c) ->
+           (cpu +. c, events + out.Figures.result.Runner.events)
+         | Sweep.Failed _ -> (cpu, events))
+      (0., 0) sims
+  in
   { output = Buffer.contents buf;
-    jobs = r.Ppt_sweep.Sweep.r_jobs;
-    wall = r.Ppt_sweep.Sweep.r_wall;
-    events = !events;
-    resumed = r.Ppt_sweep.Sweep.r_resumed;
-    shards = List.length r.Ppt_sweep.Sweep.shards;
-    failures = List.rev !failures }
+    wall = Unix.gettimeofday () -. t0;
+    units = List.length units;
+    sims = List.length sims;
+    cpu;
+    events;
+    resumed = !resumed;
+    failures =
+      List.filter_map
+        (fun (s : Figures.sim) ->
+           Option.map (fun msg -> (s.Figures.key, msg)) (failed s))
+        sims }

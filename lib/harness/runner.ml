@@ -39,19 +39,6 @@ exception Invalid_trace of string
    does not have; raised before the clock starts. *)
 exception Invalid_faults of string
 
-(* Cumulative simulator events across every [run] in this process;
-   benchmark harnesses read the delta around a run to report
-   events/second. *)
-let total_events = ref 0
-
-(* Run [f] and also return how many simulator events it processed —
-   the per-process delta of [total_events]. Parallel sweeps measure
-   this inside each worker and ship the delta home with the result. *)
-let with_events_counted f =
-  let before = !total_events in
-  let v = f () in
-  (v, !total_events - before)
-
 let qcfg_of (cfg : Config.t) (scheme : Schemes.t) ~lp_buffer_cap =
   let buffer_bytes =
     match scheme.Schemes.s_buffer_override with
@@ -225,7 +212,6 @@ let run ?lp_buffer_cap ?trace ?(observe = fun _ _ -> ())
           close_out oc
         | None -> ())
     (fun () -> Sim.run ~until:horizon sim);
-  total_events := !total_events + Sim.events_processed sim;
   let fct = ctx.Context.fct in
   let summary = Fct.summarize fct in
   let lp_delivered = Fct.lcp_delivered fct in
@@ -258,15 +244,3 @@ let run ?lp_buffer_cap ?trace ?(observe = fun _ _ -> ())
     trace;
     base_rtt = topo.Topology.base_rtt;
     edge_rate = topo.Topology.edge_rate }
-
-(* Run with an observer that returns a value (samplers, probes). *)
-let run_observed ?lp_buffer_cap (cfg : Config.t) (scheme : Schemes.t)
-    ~probe =
-  let captured = ref None in
-  let result =
-    run ?lp_buffer_cap cfg scheme ~observe:(fun ctx topo ->
-        captured := Some (probe ctx topo))
-  in
-  match !captured with
-  | Some v -> (result, v)
-  | None -> assert false

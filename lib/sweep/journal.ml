@@ -5,8 +5,9 @@ let magic = "ppt-sweep-journal"
    journal from an older build is rejected instead of unmarshalled
    into the wrong type. v2: shard payloads carry a Gc snapshot. v3:
    every frame carries its payload's digest. v4: shard payloads drop
-   the Gc snapshot again. *)
-let version = 4
+   the Gc snapshot again. v5: a shard is one simulation, its payload
+   the run's outcome and CPU seconds. *)
+let version = 5
 
 type t = { oc : out_channel }
 

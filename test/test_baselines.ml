@@ -436,8 +436,16 @@ let window_pins =
 
 let test_window_pinned () =
   let open Ppt_harness in
+  let recorder =
+    Figures.exec
+      (Figures.sim (Config.dumbbell ~n_flows:32 ()) Figures.Recorder)
+      ~needed:None
+  in
   let hypo =
-    List.hd (Figures.hypo_schemes (Config.dumbbell ~n_flows:32 ()))
+    match recorder.Figures.windows with
+    | Some mw_table ->
+      Schemes.plain "hypo-dctcp" (Hypothetical.make ~mw_table ())
+    | None -> Alcotest.fail "the recorder noted no windows"
   in
   check_pinned
     (window_pins

@@ -189,6 +189,74 @@ let test_figures_units_unique () =
     (n_units "fig8");
   check Alcotest.bool "tab2 is a single unit" true (n_units "tab2" = 1)
 
+(* Simulations with equal keys are one run: the same scheme (the
+   registered value itself, or the same recorder/hypothetical pass),
+   byte-equal marshalled configurations, the same low-priority buffer
+   cap, probe and input run. Checked across every experiment at the
+   default scale and at the one test/figures.t pins; fig28 and fig29
+   declare the same six band-probed runs. *)
+let test_sim_keys () =
+  let same_scheme a b =
+    match a, b with
+    | Figures.Scheme x, Figures.Scheme y ->
+      x.Schemes.s_name = y.Schemes.s_name
+      && (match Schemes.find x.Schemes.s_name with
+          | Some s -> x == s && y == s
+          | None ->
+            (* an unregistered variant: fig27's send buffers *)
+            x.Schemes.s_trim = y.Schemes.s_trim
+            && x.Schemes.s_collect_int = y.Schemes.s_collect_int
+            && x.Schemes.s_sel_drop = y.Schemes.s_sel_drop
+            && x.Schemes.s_buffer_override = y.Schemes.s_buffer_override)
+    | Figures.Recorder, Figures.Recorder -> true
+    | Figures.Hypo f, Figures.Hypo g -> f = g
+    | _ -> false
+  in
+  let marshalled (s : Figures.sim) =
+    Marshal.to_string s.Figures.cfg [ Marshal.No_sharing ]
+  in
+  let rec same (a : Figures.sim) (b : Figures.sim) =
+    same_scheme a.Figures.scheme b.Figures.scheme
+    && marshalled a = marshalled b
+    && a.Figures.lp_buffer_cap = b.Figures.lp_buffer_cap
+    && a.Figures.probe = b.Figures.probe
+    && (match a.Figures.needs, b.Figures.needs with
+        | None, None -> true
+        | Some x, Some y -> same x y
+        | _ -> false)
+  in
+  let sims_of o id =
+    match Figures.find id with
+    | Some e ->
+      List.concat_map (fun u -> u.Figures.u_sims) (e.Figures.e_units o)
+    | None -> Alcotest.fail ("missing " ^ id)
+  in
+  List.iter
+    (fun o ->
+       let seen = Hashtbl.create 256 in
+       let declared = ref 0 in
+       let rec visit (s : Figures.sim) =
+         incr declared;
+         (match Hashtbl.find_opt seen s.Figures.key with
+          | Some first ->
+            check Alcotest.bool (s.Figures.key ^ ": one run") true
+              (same first s)
+          | None -> Hashtbl.add seen s.Figures.key s);
+         Option.iter visit s.Figures.needs
+       in
+       List.iter
+         (fun e -> List.iter visit (sims_of o e.Figures.e_id))
+         Figures.all;
+       check Alcotest.bool "experiments share runs" true
+         (Hashtbl.length seen < !declared);
+       let keys id = List.map (fun s -> s.Figures.key) (sims_of o id) in
+       check Alcotest.(list string) "fig28 and fig29 share their runs"
+         (keys "fig28") (keys "fig29");
+       check Alcotest.int "six band-probed runs" 6
+         (List.length (List.sort_uniq compare (keys "fig28"))))
+    [ Figures.default_opts;
+      { Figures.default_opts with Figures.flows_scale = 0.01 } ]
+
 let test_static_tables_print () =
   let buf = Buffer.create 4096 in
   let ppf = Format.formatter_of_buffer buf in
@@ -290,4 +358,6 @@ let suite =
     Alcotest.test_case "figures: unit decomposition" `Quick
       test_figures_units_unique;
     Alcotest.test_case "figures: static tables" `Quick
-      test_static_tables_print ]
+      test_static_tables_print;
+    Alcotest.test_case "figures: equal keys are one run" `Quick
+      test_sim_keys ]

@@ -414,6 +414,66 @@ let test_parallel_unknown_id () =
        ignore
          (Parallel.sweep ~ids:[ "fig99" ] Figures.default_opts))
 
+(* Experiments that share simulations run each of them once: a sweep of
+   fig12, fig15 and fig25 (all on the web-search fabric, all with a PPT
+   row) runs fewer shards than it has units that need a simulation,
+   and prints exactly what the three single-experiment sweeps print. *)
+let test_parallel_shares_sims () =
+  let opts = { Figures.default_opts with Figures.flows_scale = 0.01 } in
+  let ids = [ "fig12"; "fig15"; "fig25" ] in
+  let together = Parallel.sweep ~ids opts in
+  let alone = List.map (fun id -> Parallel.sweep ~ids:[ id ] opts) ids in
+  let sim_units =
+    List.length
+      (List.filter
+         (fun (u : Figures.unit_of_work) -> u.Figures.u_sims <> [])
+         (List.concat_map
+            (fun id ->
+               match Figures.find id with
+               | Some e -> e.Figures.e_units opts
+               | None -> Alcotest.fail ("missing " ^ id))
+            ids))
+  in
+  check Alcotest.bool
+    (Printf.sprintf "%d shards < %d simulation units" together.Parallel.sims
+       sim_units)
+    true
+    (together.Parallel.sims < sim_units);
+  check Alcotest.string "= the single-experiment sweeps, concatenated"
+    (String.concat "" (List.map (fun r -> r.Parallel.output) alone))
+    together.Parallel.output
+
+(* A harness sweep cut short resumes to the same bytes: its journal
+   cut after three shards, a resumed sweep replays those three (and
+   the intact journal of fig2's hypothetical run) and runs the rest. *)
+let test_parallel_resume () =
+  let opts = { Figures.default_opts with Figures.flows_scale = 0.01 } in
+  let ids = [ "fig2"; "fig10" ] in
+  let journal = tmp_path ".journal" in
+  let full = Parallel.sweep ~journal ~ids opts in
+  let cut =
+    In_channel.with_open_bin journal (fun ic ->
+        ignore (Frame.read_channel ic : journal_header option);
+        for _ = 1 to 3 do
+          ignore
+            (Frame.read_channel ic
+             : (string * (Figures.outcome * float) * float) option)
+        done;
+        pos_in ic)
+  in
+  let data = In_channel.with_open_bin journal In_channel.input_all in
+  Out_channel.with_open_bin journal (fun oc ->
+      Out_channel.output_string oc (String.sub data 0 cut));
+  let resumed = Parallel.sweep ~journal ~resume:true ~ids opts in
+  check Alcotest.int "cut shards and the second phase resumed" 4
+    resumed.Parallel.resumed;
+  check Alcotest.string "resumed output = uninterrupted output"
+    full.Parallel.output resumed.Parallel.output;
+  check Alcotest.int "same events" full.Parallel.events
+    resumed.Parallel.events;
+  Sys.remove journal;
+  Sys.remove (journal ^ ".2")
+
 let suite =
   [ Alcotest.test_case "frame: roundtrip in chunks" `Quick
       test_frame_roundtrip;
@@ -443,4 +503,8 @@ let suite =
     Alcotest.test_case "parallel: byte equality" `Slow
       test_parallel_byte_equality;
     Alcotest.test_case "parallel: unknown id" `Quick
-      test_parallel_unknown_id ]
+      test_parallel_unknown_id;
+    Alcotest.test_case "parallel: shared simulations run once" `Quick
+      test_parallel_shares_sims;
+    Alcotest.test_case "parallel: resume after a cut journal" `Quick
+      test_parallel_resume ]
