@@ -321,6 +321,23 @@ let compare_cmd =
 
 (* ---- sweep ---- *)
 
+(* The processors the host reports, for the [sweep] line: the
+   "processor" lines of /proc/cpuinfo, or "unknown" where it cannot be
+   read. *)
+let nproc () =
+  match open_in "/proc/cpuinfo" with
+  | exception Sys_error _ -> "unknown"
+  | ic ->
+    let n = ref 0 in
+    (try
+       while true do
+         if String.starts_with ~prefix:"processor" (input_line ic) then
+           incr n
+       done
+     with End_of_file -> ());
+    close_in ic;
+    if !n = 0 then "unknown" else string_of_int !n
+
 let sweep_cmd =
   let ids_arg =
     let doc =
@@ -386,9 +403,10 @@ let sweep_cmd =
       print_string r.Parallel.output;
       flush stdout;
       Printf.eprintf
-        "[sweep] %d unit(s), jobs=%d, wall=%.2fs, sims=%d, cpu=%.2fs, \
-         events=%d%s%s\n%!"
-        r.Parallel.units (max 1 jobs) r.Parallel.wall r.Parallel.sims
+        "[sweep] %d unit(s), jobs=%d, nproc=%s, wall=%.2fs, sims=%d, \
+         cpu=%.2fs, events=%d%s%s\n%!"
+        r.Parallel.units (max 1 jobs) (nproc ()) r.Parallel.wall
+        r.Parallel.sims
         r.Parallel.cpu r.Parallel.events
         (if r.Parallel.resumed > 0 then
            Printf.sprintf ", resumed=%d" r.Parallel.resumed

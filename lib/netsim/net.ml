@@ -18,7 +18,6 @@ type port = {
   q : Prio_queue.t;
   mutable busy : bool;
   mutable tx_bytes : int;           (* cumulative wire bytes sent *)
-  mutable tx_payload : int;         (* cumulative data payload sent *)
   mutable gix : int;
   (* index in the net's [ports], installed by [create]: the argument
      of the port's end-of-serialization event *)
@@ -96,7 +95,7 @@ type t = {
 
 let make_port ~owner ~pix ~rate ~delay qcfg =
   { owner; pix; rate; delay; peer = -1; q = Prio_queue.create qcfg;
-    busy = false; tx_bytes = 0; tx_payload = 0; gix = -1;
+    busy = false; tx_bytes = 0; gix = -1;
     recv_fire = ignore;
     memo_bytes = -1; memo_rate = -1; memo_tx = 0;
     up = true; cur_rate = rate; extra_delay = 0; fault_filter = None;
@@ -208,13 +207,6 @@ let trace_enqueue t (port : port) (p : Packet.t) verdict ~was_ce =
              threshold })
     | None -> ()
 
-let trace_dequeue t (port : port) (p : Packet.t) =
-  Trace.emit (Sim.now t.sim)
-    (Ev.Dequeue
-       { node = port.owner; port = port.pix; prio = clamp_prio p.prio;
-         flow = p.flow; seq = p.seq; kind = kind_tag p.kind;
-         size = p.wire; occ = Prio_queue.bytes port.q })
-
 (* Packet sinks. The fabric owns every packet handed to [send]; at each
    terminal point — delivery, queue drop, fault kill, undeliverable —
    it returns the record to the pool. Delivery handlers borrow the
@@ -270,43 +262,55 @@ let select sim (f : fwd) (p : Packet.t) =
        Hashtbl.add tbl p.flow { fl_cand = c; fl_last = now };
        c)
 
+(* The cold half of a transmit, run only while tracing or with a fault
+   filter installed: read the packet back, trace its dequeue, and tell
+   whether the filter lost it on the wire. *)
+let killed_on_wire t (port : port) id =
+  let p = Packet.of_id id in
+  if !Trace.enabled then
+    Trace.emit (Sim.now t.sim)
+      (Ev.Dequeue
+         { node = port.owner; port = port.pix; prio = clamp_prio p.prio;
+           flow = p.flow; seq = p.seq; kind = kind_tag p.kind;
+           size = p.wire; occ = Prio_queue.bytes port.q });
+  match (match port.fault_filter with None -> None | Some f -> f p) with
+  | Some reason -> fault_kill t port p reason; true
+  | None -> false
+
 (* Transmit loop of a port: while the queue is non-empty, pop the next
-   packet, hold the wire for its serialization time, then hand it to the
-   far node after the propagation delay. A downed port parks with its
-   queue intact; [kick] restarts it on link-up. *)
+   entry, hold the wire for its serialization time, then hand the
+   packet to the far node after the propagation delay. The entry
+   carries the wire size, so the loop reads the packet record only in
+   [killed_on_wire]. A downed port parks with its queue intact; [kick]
+   restarts it on link-up. *)
 let rec start_tx t (port : port) =
   if not port.up then port.busy <- false
   else begin
-    let p = Prio_queue.dequeue_or_dummy port.q in
-    if p == Packet.dummy then port.busy <- false
+    let e = Prio_queue.pop port.q in
+    if e < 0 then port.busy <- false
     else begin
-      if !Trace.enabled then trace_dequeue t port p;
+      let id = Prio_queue.entry_id e and wire = Prio_queue.entry_wire e in
       port.busy <- true;
       let tx =
         (* a port sees a handful of distinct wire sizes, so one memo
            slot removes the division from nearly every transmit *)
-        if p.wire = port.memo_bytes && port.cur_rate = port.memo_rate
+        if wire = port.memo_bytes && port.cur_rate = port.memo_rate
         then port.memo_tx
         else begin
-          let v = Units.tx_time ~rate:port.cur_rate ~bytes:p.wire in
-          port.memo_bytes <- p.wire;
+          let v = Units.tx_time ~rate:port.cur_rate ~bytes:wire in
+          port.memo_bytes <- wire;
           port.memo_rate <- port.cur_rate;
           port.memo_tx <- v;
           v
         end
       in
-      port.tx_bytes <- port.tx_bytes + p.wire;
-      if p.kind = Data && not p.trimmed then
-        port.tx_payload <- port.tx_payload + p.payload;
-      (match
-         (match port.fault_filter with None -> None | Some f -> f p)
-       with
-       | Some reason -> fault_kill t port p reason
-       | None ->
-         let arrive_after = tx + port.delay + port.extra_delay in
-         ignore
-           (Sim.post t.sim ~after:arrive_after t.arr_h
-              ((p.id lsl t.port_bits) lor port.gix) : int));
+      port.tx_bytes <- port.tx_bytes + wire;
+      if not ((!Trace.enabled || Option.is_some port.fault_filter)
+              && killed_on_wire t port id)
+      then
+        ignore
+          (Sim.post t.sim ~after:(tx + port.delay + port.extra_delay)
+             t.arr_h ((id lsl t.port_bits) lor port.gix) : int);
       ignore (Sim.post t.sim ~after:tx t.tx_h port.gix : int)
     end
   end
@@ -331,10 +335,9 @@ and send_on_port t (port : port) (p : Packet.t) =
     | Enqueued | Trimmed -> if not port.busy then start_tx t port
   end
 
-and receive t nid (p : Packet.t) =
-  let node = t.nodes.(nid) in
+and receive t (node : node) (p : Packet.t) =
   if node.is_host then begin
-    if p.dst = nid then deliver t p
+    if p.dst = node.nid then deliver t p
     else begin
       t.undeliverable <- t.undeliverable + 1;
       Packet.release p
@@ -379,8 +382,9 @@ let create sim ?(collect_int = false) nodes =
       (Array.unsafe_get ports (x land port_mask)).recv_fire
         (Packet.of_id (x lsr port_bits)));
   Array.iteri (fun g p ->
+      let peer = nodes.(p.peer) in
       p.gix <- g;
-      p.recv_fire <- (fun pkt -> receive t p.peer pkt))
+      p.recv_fire <- (fun pkt -> receive t peer pkt))
     ports;
   t
 
@@ -418,49 +422,35 @@ let total_fault_drops t = sum_ports t (fun p -> p.fault_drops)
    to quiescence still terminate. *)
 let start_probes t ~interval ~until =
   if interval <= 0 then invalid_arg "Net.start_probes: interval <= 0";
-  let last_tx =
-    Array.map (fun (n : node) -> Array.map (fun p -> p.tx_bytes) n.ports)
-      t.nodes
-  in
+  let last_tx = Array.map (fun p -> p.tx_bytes) t.ports in
   let last_ts = ref (Sim.now t.sim) in
   let rec tick () =
     let now = Sim.now t.sim in
     let dt = now - !last_ts in
-    if !Trace.enabled then
-      Array.iter
-        (fun (n : node) ->
-           Array.iter
-             (fun p ->
-                Trace.emit now
-                  (Ev.Probe_queue
-                     { node = n.nid; port = p.pix;
-                       occ = Prio_queue.bytes p.q;
-                       lp_occ = Prio_queue.lp_bytes p.q });
-                let sent = p.tx_bytes - last_tx.(n.nid).(p.pix) in
-                let cap =
-                  if dt <= 0 then 0
-                  else Units.bytes_in ~rate:p.rate ~time:dt
-                in
-                Trace.emit now
-                  (Ev.Probe_link
-                     { node = n.nid; port = p.pix;
-                       tx_bytes = p.tx_bytes;
-                       util_ppm =
-                         (if cap = 0 then 0
-                          else sent * 1_000_000 / cap) });
-                match Prio_queue.dt_thresholds p.q with
-                | Some (hp, lp) ->
-                  Trace.emit now
-                    (Ev.Probe_dt
-                       { node = n.nid; port = p.pix; hp; lp })
-                | None -> ())
-             n.ports)
-        t.nodes;
-    Array.iter
-      (fun (n : node) ->
-         Array.iter (fun p -> last_tx.(n.nid).(p.pix) <- p.tx_bytes)
-           n.ports)
-      t.nodes;
+    Array.iteri
+      (fun g p ->
+         if !Trace.enabled then begin
+           let node = p.owner and port = p.pix in
+           Trace.emit now
+             (Ev.Probe_queue
+                { node; port; occ = Prio_queue.bytes p.q;
+                  lp_occ = Prio_queue.lp_bytes p.q });
+           let cap =
+             if dt <= 0 then 0 else Units.bytes_in ~rate:p.rate ~time:dt
+           in
+           Trace.emit now
+             (Ev.Probe_link
+                { node; port; tx_bytes = p.tx_bytes;
+                  util_ppm =
+                    (if cap = 0 then 0
+                     else (p.tx_bytes - last_tx.(g)) * 1_000_000 / cap) });
+           match Prio_queue.dt_thresholds p.q with
+           | Some (hp, lp) ->
+             Trace.emit now (Ev.Probe_dt { node; port; hp; lp })
+           | None -> ()
+         end;
+         last_tx.(g) <- p.tx_bytes)
+      t.ports;
     last_ts := now;
     if now + interval <= until then
       ignore (Sim.schedule t.sim ~after:interval tick)

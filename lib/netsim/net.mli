@@ -16,7 +16,6 @@ type port = {
   q : Prio_queue.t;
   mutable busy : bool;
   mutable tx_bytes : int;
-  mutable tx_payload : int;
   mutable gix : int;
   (** The port's index among all ports of its net; installed by
       {!create}. Its end-of-serialization event carries it. *)

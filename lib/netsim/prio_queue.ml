@@ -30,10 +30,15 @@ let trim_wire_bytes = 64
 
 let no_marking = Array.make n_prios None
 
-(* Mark every ECN-capable packet once occupancy exceeds [hp] (applied to
-   priorities 0-3) or [lp] (4-7); both thresholds in bytes. *)
-let mark_bands ~hp ~lp =
+(* One value for the high band (P0-P3), another for the low (P4-P7):
+   ECN thresholds in bytes (mark every ECN-capable packet once
+   occupancy exceeds them), or dynamic-threshold alphas (the usual
+   switch setup: a permissive share for the high band, a tight one for
+   the low). *)
+let bands ~hp ~lp =
   Array.init n_prios (fun p -> if p < lp_band_start then hp else lp)
+let mark_bands = bands
+let dt_bands = bands
 
 let default_config ~buffer_bytes = {
   buffer_bytes;
@@ -44,19 +49,21 @@ let default_config ~buffer_bytes = {
   dt_alphas = None;
 }
 
-(* The usual switch setup: a permissive share for the high-priority
-   band and a tight one for the low band. *)
-let dt_bands ~hp ~lp =
-  Array.init n_prios (fun p -> if p < lp_band_start then hp else lp)
-
-(* Each priority level is a preallocated ring buffer of packet ids
+(* Each priority level is a preallocated ring buffer of entries
    (power-of-two capacity, grown by unwrapping into a doubled array),
-   and [live] is a bitmask of the nonempty priorities so [dequeue]
-   finds the head-of-line queue with one table lookup instead of a
-   linear scan. Rings hold ids, not records, so a push is a plain int
-   store with no write barrier. *)
+   and [live] is a bitmask of the nonempty priorities so [pop] finds
+   the head-of-line queue with one table lookup instead of a linear
+   scan. An entry packs the packet's id with its wire size, so a push
+   is a plain int store with no write barrier and a pop does its byte
+   accounting without reading the packet. The configured thresholds
+   are resolved into ints at [create], [max_int] standing for "none",
+   so admission reads neither the config nor an option. *)
 type t = {
-  cfg : config;
+  buffer : int;
+  lp_cap : int;
+  sel_drop_at : int;
+  marks_at : int array;             (* per priority *)
+  trim : bool;
   dt_alphas : float array;          (* [||] when DT sharing is off *)
   mutable rings : int array array;
   heads : int array;
@@ -87,9 +94,18 @@ let lowest_set =
       in
       find 0)
 
+let wire_bits = 12
+let[@inline] entry_id e = e lsr wire_bits
+let[@inline] entry_wire e = e land ((1 lsl wire_bits) - 1)
+
 let create cfg =
   assert (Array.length cfg.mark_thresholds = n_prios);
-  { cfg;
+  let int_of = Option.value ~default:max_int in
+  { buffer = cfg.buffer_bytes;
+    lp_cap = int_of cfg.lp_buffer_cap;
+    sel_drop_at = int_of cfg.sel_drop_threshold;
+    marks_at = Array.map int_of cfg.mark_thresholds;
+    trim = cfg.trim;
     dt_alphas =
       (match cfg.dt_alphas with
        | Some a -> assert (Array.length a = n_prios); a
@@ -105,7 +121,7 @@ let create cfg =
     enq_pkts = 0; drop_pkts = 0; drop_hp_pkts = 0; drop_lp_pkts = 0;
     drop_bytes = 0; trim_pkts = 0; mark_pkts = 0 }
 
-let ring_push t prio id =
+let ring_push t prio e =
   let cap = Array.length t.rings.(prio) in
   if t.lens.(prio) = cap then begin
     (* unwrap the full ring into a doubled array *)
@@ -119,19 +135,19 @@ let ring_push t prio id =
   end;
   let arr = t.rings.(prio) in
   arr.((t.heads.(prio) + t.lens.(prio)) land (Array.length arr - 1))
-    <- id;
+    <- e;
   t.lens.(prio) <- t.lens.(prio) + 1;
   t.live <- t.live lor (1 lsl prio)
 
 let ring_pop t prio =
   let arr = t.rings.(prio) in
   let head = t.heads.(prio) in
-  let id = arr.(head) in
+  let e = arr.(head) in
   t.heads.(prio) <- (head + 1) land (Array.length arr - 1);
   let len = t.lens.(prio) - 1 in
   t.lens.(prio) <- len;
   if len = 0 then t.live <- t.live land lnot (1 lsl prio);
-  Packet.of_id id
+  e
 
 let bytes t = t.bytes
 let lp_bytes t = t.lp_bytes
@@ -139,15 +155,16 @@ let hp_bytes t = t.bytes - t.lp_bytes
 let queue_bytes t prio = t.qbytes.(prio)
 let is_empty t = t.bytes = 0
 
-let buffer_bytes t = t.cfg.buffer_bytes
+let buffer_bytes t = t.buffer
 
 let mark_threshold t prio =
-  t.cfg.mark_thresholds.(Int.max 0 (Int.min (n_prios - 1) prio))
+  let k = t.marks_at.(Int.max 0 (Int.min (n_prios - 1) prio)) in
+  if k = max_int then None else Some k
 
 let dt_thresholds t =
   if Array.length t.dt_alphas = 0 then None
   else begin
-    let free = float_of_int (t.cfg.buffer_bytes - t.bytes) in
+    let free = float_of_int (t.buffer - t.bytes) in
     Some (int_of_float (t.dt_alphas.(0) *. free),
           int_of_float (t.dt_alphas.(lp_band_start) *. free))
   end
@@ -162,21 +179,16 @@ let enqueues t = t.enq_pkts
 
 let push t (p : Packet.t) =
   let prio = Int.max 0 (Int.min (n_prios - 1) p.prio) in
-  ring_push t prio p.id;
+  ring_push t prio ((p.id lsl wire_bits) lor p.wire);
   t.qbytes.(prio) <- t.qbytes.(prio) + p.wire;
   t.bytes <- t.bytes + p.wire;
   if prio >= lp_band_start then t.lp_bytes <- t.lp_bytes + p.wire;
   t.enq_pkts <- t.enq_pkts + 1;
   (* Instantaneous marking against the port occupancy that the packet
      sees. *)
-  if p.ecn_capable then begin
-    match t.cfg.mark_thresholds.(prio) with
-    | Some k ->
-      if t.bytes > k then begin
-        if not p.ecn_ce then t.mark_pkts <- t.mark_pkts + 1;
-        p.ecn_ce <- true
-      end
-    | None -> ()
+  if p.ecn_capable && t.bytes > t.marks_at.(prio) then begin
+    if not p.ecn_ce then t.mark_pkts <- t.mark_pkts + 1;
+    p.ecn_ce <- true
   end
 
 let drop t (p : Packet.t) =
@@ -190,11 +202,8 @@ let drop t (p : Packet.t) =
    work on the datapath) only when DT sharing is on and the packet is
    subject to it. *)
 let admits t (p : Packet.t) =
-  t.bytes + p.wire <= t.cfg.buffer_bytes
-  && (p.prio < lp_band_start
-      || (match t.cfg.lp_buffer_cap with
-          | None -> true
-          | Some cap -> t.lp_bytes + p.wire <= cap))
+  t.bytes + p.wire <= t.buffer
+  && (p.prio < lp_band_start || t.lp_bytes + p.wire <= t.lp_cap)
   && (Array.length t.dt_alphas = 0
       (* selectively-droppable (Aeolus) packets are admitted by their
          own threshold, not by the dynamic shares *)
@@ -202,23 +211,20 @@ let admits t (p : Packet.t) =
       || (let prio = Int.max 0 (Int.min (n_prios - 1) p.prio) in
           float_of_int (t.qbytes.(prio) + p.wire)
           <= t.dt_alphas.(prio)
-             *. float_of_int (t.cfg.buffer_bytes - t.bytes)))
+             *. float_of_int (t.buffer - t.bytes)))
 
 let enqueue t (p : Packet.t) =
-  let sel_dropped =
-    p.sel_drop
-    && (match t.cfg.sel_drop_threshold with
-        | Some k -> t.bytes + p.wire > k
-        | None -> false)
-  in
-  if sel_dropped then begin drop t p; Dropped end
-  else if admits t p then begin push t p; Enqueued end
-  else if t.cfg.trim && p.kind = Data && not p.trimmed then begin
+  if p.wire lsr wire_bits <> 0 then
+    invalid_arg "Prio_queue.enqueue: wire size outside [0, 4096)";
+  if p.sel_drop && t.bytes + p.wire > t.sel_drop_at then begin
+    drop t p; Dropped
+  end else if admits t p then begin push t p; Enqueued end
+  else if t.trim && p.kind = Data && not p.trimmed then begin
     (* NDP: cut the payload, keep the header, jump to the top queue. *)
     p.trimmed <- true;
     p.wire <- trim_wire_bytes;
     p.prio <- 0;
-    if t.bytes + p.wire <= t.cfg.buffer_bytes then begin
+    if t.bytes + p.wire <= t.buffer then begin
       t.trim_pkts <- t.trim_pkts + 1;
       push t p;
       Trimmed
@@ -226,20 +232,19 @@ let enqueue t (p : Packet.t) =
   end
   else begin drop t p; Dropped end
 
-(* Option-free variant for the transmit loop: returns [Packet.dummy]
-   when every queue is empty, so the (per-packet) hot path allocates
-   nothing. *)
-let dequeue_or_dummy t =
+(* The head-of-line entry, or -1 when every queue is empty. *)
+let pop t =
   let prio = lowest_set.(t.live) in
-  if prio >= n_prios then Packet.dummy
+  if prio >= n_prios then -1
   else begin
-    let p = ring_pop t prio in
-    t.qbytes.(prio) <- t.qbytes.(prio) - p.wire;
-    t.bytes <- t.bytes - p.wire;
-    if prio >= lp_band_start then t.lp_bytes <- t.lp_bytes - p.wire;
-    p
+    let e = ring_pop t prio in
+    let wire = entry_wire e in
+    t.qbytes.(prio) <- t.qbytes.(prio) - wire;
+    t.bytes <- t.bytes - wire;
+    if prio >= lp_band_start then t.lp_bytes <- t.lp_bytes - wire;
+    e
   end
 
-let dequeue t =
-  let p = dequeue_or_dummy t in
-  if p == Packet.dummy then None else Some p
+let dequeue_or_dummy t =
+  let e = pop t in
+  if e < 0 then Packet.dummy else Packet.of_id (entry_id e)

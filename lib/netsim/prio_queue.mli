@@ -43,14 +43,20 @@ val enqueue : t -> Packet.t -> verdict
 (** The queue stores the packet's id, so it must be current
     ({!Packet.is_current}) from enqueue to dequeue: a record from
     [Packet.make], not a copy, not released, with no [Packet.reset] in
-    between. *)
+    between. @raise Invalid_argument, leaving the queue unchanged, on a
+    wire size outside [[0, 4096)], which an entry cannot hold. *)
 
-val dequeue : t -> Packet.t option
+val pop : t -> int
+(** Remove and return the head-of-line entry, or [-1] when all queues
+    are empty. An entry packs the packet's id with the wire size it
+    was queued at; read them with {!entry_id} and {!entry_wire}. *)
+
+val entry_id : int -> int
+val entry_wire : int -> int
 
 val dequeue_or_dummy : t -> Packet.t
-(** [dequeue] without the option: returns {!Packet.dummy} when all
-    queues are empty. For the transmit loop, which runs once per
-    forwarded packet. *)
+(** [pop] read back as its packet: {!Packet.dummy} when all queues are
+    empty. *)
 
 val bytes : t -> int
 val lp_bytes : t -> int

@@ -145,21 +145,19 @@ let test_strict_priority_order () =
   let low = mk_pkt ~prio:5 () and high = mk_pkt ~prio:1 () in
   ignore (Prio_queue.enqueue q low);
   ignore (Prio_queue.enqueue q high);
-  (match Prio_queue.dequeue q with
-   | Some p -> check Alcotest.int "high first" 1 p.Packet.prio
-   | None -> Alcotest.fail "empty");
-  (match Prio_queue.dequeue q with
-   | Some p -> check Alcotest.int "then low" 5 p.Packet.prio
-   | None -> Alcotest.fail "empty")
+  check Alcotest.int "high first" 1
+    (Prio_queue.dequeue_or_dummy q).Packet.prio;
+  check Alcotest.int "then low" 5
+    (Prio_queue.dequeue_or_dummy q).Packet.prio;
+  check Alcotest.bool "then empty" true
+    (Prio_queue.dequeue_or_dummy q == Packet.dummy)
 
 let test_fifo_within_priority () =
   let q = Prio_queue.create (qcfg ()) in
   let a = mk_pkt ~seq:1 () and b = mk_pkt ~seq:2 () in
   ignore (Prio_queue.enqueue q a);
   ignore (Prio_queue.enqueue q b);
-  (match Prio_queue.dequeue q with
-   | Some p -> check Alcotest.int "fifo" 1 p.Packet.seq
-   | None -> Alcotest.fail "empty")
+  check Alcotest.int "fifo" 1 (Prio_queue.dequeue_or_dummy q).Packet.seq
 
 let test_drop_tail () =
   let q = Prio_queue.create (qcfg ~buffer:2_500 ()) in
@@ -249,6 +247,34 @@ let test_dynamic_threshold () =
   check Alcotest.bool "hp packet still admitted" true
     (Prio_queue.enqueue q (mk_pkt ~prio:0 ()) = Prio_queue.Enqueued)
 
+(* An entry keeps the wire size in 12 bits, so a larger packet is
+   refused before the queue changes. *)
+let test_enqueue_refuses_oversize () =
+  let q = Prio_queue.create (qcfg ~buffer:100_000 ()) in
+  ignore (Prio_queue.enqueue q (mk_pkt ()));
+  let big = mk_pkt () in
+  big.Packet.wire <- 4096;
+  check Alcotest.bool "wire 4096 refused" true
+    (match Prio_queue.enqueue q big with
+     | _ -> false
+     | exception Invalid_argument _ -> true);
+  check Alcotest.int "bytes unchanged" 1040 (Prio_queue.bytes q);
+  check Alcotest.int "queue bytes unchanged" 1040
+    (Prio_queue.queue_bytes q 0);
+  check Alcotest.int "enqueues unchanged" 1 (Prio_queue.enqueues q);
+  check Alcotest.int "no drop counted" 0 (Prio_queue.drops q);
+  check Alcotest.int "no drop bytes" 0 (Prio_queue.drop_bytes q);
+  big.Packet.wire <- 4095;
+  check Alcotest.bool "wire 4095 admitted" true
+    (Prio_queue.enqueue q big = Prio_queue.Enqueued);
+  let e = Prio_queue.pop q in
+  check Alcotest.int "first entry's wire" 1040 (Prio_queue.entry_wire e);
+  let e = Prio_queue.pop q in
+  check Alcotest.int "largest entry's id" big.Packet.id
+    (Prio_queue.entry_id e);
+  check Alcotest.int "largest entry's wire" 4095 (Prio_queue.entry_wire e);
+  check Alcotest.int "then empty" (-1) (Prio_queue.pop q)
+
 let prop_queue_byte_accounting =
   QCheck.Test.make ~name:"queue byte counters stay consistent" ~count:200
     QCheck.(list (pair (int_bound 7) (int_range 1 1460)))
@@ -261,9 +287,10 @@ let prop_queue_byte_accounting =
        let enqueued = Prio_queue.bytes q in
        let sum = ref 0 in
        let rec drain () =
-         match Prio_queue.dequeue q with
-         | Some p -> sum := !sum + p.Packet.wire; drain ()
-         | None -> ()
+         let p = Prio_queue.dequeue_or_dummy q in
+         if p != Packet.dummy then begin
+           sum := !sum + p.Packet.wire; drain ()
+         end
        in
        drain ();
        !sum = enqueued && Prio_queue.bytes q = 0
@@ -418,6 +445,20 @@ let replay ~enqueue ~dequeue ops =
     ops;
   List.rev !obs
 
+(* Drain through [pop]: the entry names its packet by id (each replayed
+   packet has its own [seq], so matching the reference's [seq] means
+   the id is the model packet's) and carries the wire size it was
+   queued at, which must be the packet's. *)
+let pop_entry q =
+  let e = Prio_queue.pop q in
+  if e < 0 then None
+  else begin
+    let p = Packet.of_id (Prio_queue.entry_id e) in
+    if Prio_queue.entry_wire e <> p.Packet.wire then
+      failwith "entry wire differs from the packet's";
+    Some p
+  end
+
 let equiv_configs =
   [ qcfg ~buffer:8_000 ();
     qcfg ~buffer:8_000
@@ -441,19 +482,28 @@ let prop_queue_matches_reference =
        List.for_all
          (fun cfg ->
             let q = Prio_queue.create cfg in
+            let q_pop = Prio_queue.create cfg in
             let r = Ref_pq.create cfg in
             let t_new =
               replay
                 ~enqueue:(Prio_queue.enqueue q)
-                ~dequeue:(fun () -> Prio_queue.dequeue q)
+                ~dequeue:(fun () ->
+                    let p = Prio_queue.dequeue_or_dummy q in
+                    if p == Packet.dummy then None else Some p)
                 ops
+            in
+            let t_pop =
+              replay ~enqueue:(Prio_queue.enqueue q_pop)
+                ~dequeue:(fun () -> pop_entry q_pop) ops
             in
             let t_ref =
               replay ~enqueue:(Ref_pq.enqueue r)
                 ~dequeue:(fun () -> Ref_pq.dequeue r)
                 ops
             in
-            t_new = t_ref
+            t_new = t_ref && t_pop = t_ref
+            && Prio_queue.bytes q_pop = r.Ref_pq.bytes
+            && Prio_queue.lp_bytes q_pop = r.Ref_pq.lp_bytes
             && Prio_queue.bytes q = r.Ref_pq.bytes
             && Prio_queue.lp_bytes q = r.Ref_pq.lp_bytes
             && Prio_queue.drops q = r.Ref_pq.drop_pkts
@@ -603,6 +653,49 @@ let leaf_spine () =
   in
   (sim, topo)
 
+(* The transmit loop counts the wire size its queue entry carries;
+   the trace's dequeue events read the packet record. On an all-to-all
+   burst through every tier, both must agree port by port. *)
+let test_tx_bytes_match_dequeues () =
+  let sim, topo = leaf_spine () in
+  let net = topo.Topology.net in
+  let n = Array.length topo.Topology.hosts in
+  let ring = Ppt_obs.Trace.Ring.create ~capacity:(1 lsl 16) () in
+  Ppt_obs.Trace.with_sink (Ppt_obs.Trace.Ring.sink ring) (fun () ->
+      for src = 0 to n - 1 do
+        for dst = 0 to n - 1 do
+          if src <> dst then
+            for seq = 0 to 3 do
+              Net.send net
+                (mk_pkt ~seq ~payload:(200 * (seq + 1)) ~flow:((src * n) + dst)
+                   ~src ~dst ())
+            done
+        done
+      done;
+      Sim.run sim);
+  check Alcotest.int "ring kept every event" 0
+    (Ppt_obs.Trace.Ring.dropped ring);
+  let dequeued = Hashtbl.create 64 in
+  Ppt_obs.Trace.Ring.iter ring (fun _ ev ->
+      match ev with
+      | Ppt_obs.Event.Dequeue { node; port; size; _ } ->
+        let k = (node, port) in
+        Hashtbl.replace dequeued k
+          (size + Option.value ~default:0 (Hashtbl.find_opt dequeued k))
+      | _ -> ());
+  check Alcotest.bool "packets were dequeued" true
+    (Hashtbl.length dequeued > 0);
+  for nid = 0 to Net.n_nodes net - 1 do
+    Array.iter
+      (fun (p : Net.port) ->
+         check Alcotest.int
+           (Printf.sprintf "tx_bytes of port (%d,%d)" nid p.Net.pix)
+           (Option.value ~default:0
+              (Hashtbl.find_opt dequeued (nid, p.Net.pix)))
+           p.Net.tx_bytes)
+      (Net.node net nid).Net.ports
+  done
+
 let test_leaf_spine_shape () =
   let _sim, topo = leaf_spine () in
   check Alcotest.int "12 hosts" 12 (Array.length topo.Topology.hosts);
@@ -723,6 +816,8 @@ let suite =
     Alcotest.test_case "queue: rc3 lp buffer cap" `Quick test_lp_buffer_cap;
     Alcotest.test_case "queue: dynamic threshold" `Quick
       test_dynamic_threshold;
+    Alcotest.test_case "queue: oversize wire refused" `Quick
+      test_enqueue_refuses_oversize;
     QCheck_alcotest.to_alcotest prop_queue_byte_accounting;
     QCheck_alcotest.to_alcotest prop_queue_matches_reference;
     Alcotest.test_case "net: star delivery" `Quick test_star_delivery;
@@ -742,4 +837,6 @@ let suite =
     Alcotest.test_case "topo: flowlet burst integrity" `Quick
       test_flowlet_no_mid_burst_rehash;
     Alcotest.test_case "topo: all-to-all delivery" `Quick
-      test_all_to_all_leaf_spine_traffic ]
+      test_all_to_all_leaf_spine_traffic;
+    Alcotest.test_case "net: tx bytes match traced dequeues" `Quick
+      test_tx_bytes_match_dequeues ]
