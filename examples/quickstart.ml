@@ -37,8 +37,9 @@ let () =
   let ppt = Ppt_core.Ppt.make () ctx in
 
   (* 4. One 2MB flow from host 0 to host 1, started at t = 0. *)
-  let flow = Flow.create ~id:0 ~src:0 ~dst:1 ~size:2_000_000 ~start:0 in
-  ignore (Sim.schedule_at sim 0 (fun () -> ppt.Endpoint.t_start flow));
+  Endpoint.launch ctx ppt
+    [ { Ppt_workload.Trace.id = 0; src = 0; dst = 1; size = 2_000_000;
+        start = 0 } ];
 
   (* 5. Run to quiescence and read the statistics. *)
   Sim.run sim;

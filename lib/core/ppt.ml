@@ -61,52 +61,29 @@ let make ?(hcp = Dctcp) ?(params = default_params) () =
   let ident = Flow_ident.make ~model:params.sendbuf () in
   (* DCTCP reacts to ECN; Swift and HPCC do not mark primary data *)
   let ecn_capable = (match hcp with Dctcp -> true | Swift | Hpcc -> false) in
-  fun ctx ->
-  { Endpoint.t_name =
-      (match hcp with
-       | Dctcp -> "ppt" | Swift -> "ppt-swift" | Hpcc -> "ppt-hpcc");
-    t_start = (fun flow ->
-        let identified =
-          params.identification
-          && Flow_ident.identify ident ctx.Context.rng
-               ~flow_size:flow.Flow.size
-        in
-        let tagger =
-          if params.scheduling then begin
-            let tag = Tagging.make ~identified_large:identified () in
-            fun ~bytes_sent ~loop -> Tagging.prio tag ~loop ~bytes_sent
-          end else
-            fun ~bytes_sent ~loop -> Tagging.unscheduled ~loop ~bytes_sent
-        in
-        let rel_params =
-          Reliable.default_params ~ecn_capable
-            ~lcp_ecn_capable:params.lcp_ecn
-            ~sendbuf_bytes:params.sendbuf.Sendbuf.capacity ~tagger ()
-        in
-        Endpoint.launch_window_flow ctx ~params:rel_params ~lcp_batch:2
-          ~setup:(fun snd ->
-              let view = attach_hcp hcp ctx snd in
-              let lcp =
-                Lcp.create ctx snd view ~ewd:params.ewd
-                  ~identified_large:identified ()
-              in
-              Lcp.start lcp;
-              fun () -> Lcp.shutdown lcp)
-          flow) }
-
-(* Ablation constructors used by the Fig. 15-18 experiments. *)
-
-let without_lcp_ecn () =
-  make ~params:{ default_params with lcp_ecn = false } ()
-
-let without_ewd () = make ~params:{ default_params with ewd = false } ()
-
-let without_scheduling () =
-  make ~params:{ default_params with scheduling = false } ()
-
-let without_identification () =
-  make ~params:{ default_params with identification = false } ()
-
-let with_sendbuf capacity =
-  make ~params:{ default_params with
-                 sendbuf = Sendbuf.make ~capacity () } ()
+  fun ctx flow ->
+    let identified =
+      params.identification
+      && Flow_ident.identify ident ctx.Context.rng ~flow_size:flow.Flow.size
+    in
+    let tagger =
+      if params.scheduling then begin
+        let tag = Tagging.make ~identified_large:identified () in
+        fun ~bytes_sent ~loop -> Tagging.prio tag ~loop ~bytes_sent
+      end else
+        fun ~bytes_sent ~loop -> Tagging.unscheduled ~loop ~bytes_sent
+    in
+    let rel_params =
+      Reliable.default_params ~ecn_capable ~lcp_ecn_capable:params.lcp_ecn
+        ~sendbuf_bytes:params.sendbuf.Sendbuf.capacity ~tagger ()
+    in
+    Endpoint.window ~params:rel_params ~lcp_batch:2
+      (fun snd ->
+         let view = attach_hcp hcp ctx snd in
+         let lcp =
+           Lcp.create ctx snd view ~ewd:params.ewd
+             ~identified_large:identified ()
+         in
+         Lcp.start lcp;
+         fun () -> Lcp.shutdown lcp)
+      ctx flow

@@ -22,21 +22,7 @@ type params = {
 val default_params : params
 (** Every component on, with {!Sendbuf.default}'s 2GB buffer. *)
 
-val make :
-  ?hcp:hcp -> ?params:params -> unit -> Context.t -> Endpoint.transport
-(** IW10 PPT over the given primary loop (default [Dctcp]). *)
-
-val without_lcp_ecn : unit -> Context.t -> Endpoint.transport
-(** Fig. 15 ablation. *)
-
-val without_ewd : unit -> Context.t -> Endpoint.transport
-(** Fig. 16 ablation. *)
-
-val without_scheduling : unit -> Context.t -> Endpoint.transport
-(** Fig. 17 ablation. *)
-
-val without_identification : unit -> Context.t -> Endpoint.transport
-(** Fig. 18 ablation. *)
-
-val with_sendbuf : int -> Context.t -> Endpoint.transport
-(** Fig. 27 sensitivity: PPT with the given send-buffer capacity. *)
+val make : ?hcp:hcp -> ?params:params -> unit -> Endpoint.factory
+(** IW10 PPT over the given primary loop (default [Dctcp]). The §6.3
+    ablations (Figs. 15-18) and the Fig. 27 send-buffer sensitivity
+    are [params] values with one component changed. *)

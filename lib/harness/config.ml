@@ -53,7 +53,6 @@ type t = {
   buffer_bytes : int;              (* per switch port *)
   hp_thresh : int option;          (* ECN threshold, P0-P3 *)
   lp_thresh : int option;          (* ECN threshold, P4-P7 *)
-  sel_drop_frac : float;           (* Aeolus threshold as buffer frac *)
   dt : bool;                       (* dynamic-threshold buffer sharing *)
   routing : Topology.routing;      (* leaf-spine load balancing *)
   rto_min : Units.time;
@@ -94,7 +93,7 @@ let make ~name ~topo ~n_flows ~load ~seed =
     buffer_bytes = Units.kb 120;
     hp_thresh = Some (Units.kb 96);
     lp_thresh = Some (Units.kb 86);
-    sel_drop_frac = 0.5; dt = true; routing = Topology.Per_flow;
+    dt = true; routing = Topology.Per_flow;
     rto_min = Units.ms 1;
     workload = Dists.web_search; workload_name = "web-search";
     pattern = All_to_all; load; n_flows; seed; trace = None;

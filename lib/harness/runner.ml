@@ -39,6 +39,9 @@ exception Invalid_trace of string
    does not have; raised before the clock starts. *)
 exception Invalid_faults of string
 
+(* Aeolus's selective-drop threshold, as a fraction of the buffer *)
+let sel_drop_frac = 0.5
+
 let qcfg_of (cfg : Config.t) (scheme : Schemes.t) ~lp_buffer_cap =
   let buffer_bytes =
     match scheme.Schemes.s_buffer_override with
@@ -54,7 +57,7 @@ let qcfg_of (cfg : Config.t) (scheme : Schemes.t) ~lp_buffer_cap =
       (if scheme.Schemes.s_sel_drop then
          Some
            (int_of_float
-              (cfg.Config.sel_drop_frac *. float_of_int buffer_bytes))
+              (sel_drop_frac *. float_of_int buffer_bytes))
        else None);
     lp_buffer_cap;
     (* commodity-switch dynamic buffer sharing: the low-priority band
@@ -124,6 +127,7 @@ let run ?lp_buffer_cap ?trace ?(observe = fun _ _ -> ())
   let is_host h =
     h >= 0 && h < Net.n_nodes net && (Net.node net h).Net.is_host
   in
+  let requested = ref 0 in
   ignore
     (List.fold_left
        (fun prev_start (s : Trace.spec) ->
@@ -140,41 +144,15 @@ let run ?lp_buffer_cap ?trace ?(observe = fun _ _ -> ())
                                   the flow listed ahead of it (%d ns); the \
                                   trace must be sorted by start"
                     s.id s.start prev_start));
+          incr requested;
           s.start)
        min_int trace);
-  let transport = scheme.Schemes.s_factory ctx in
-  let requested = List.length trace in
+  let requested = !requested in
   let last_finish = ref 0 in
   ctx.Context.on_complete <- (fun _ ->
       last_finish := Sim.now sim;
       if ctx.Context.completed = requested then Sim.stop sim);
-  (* Flow starts go through a cursor: the run reserves one tie per flow
-     now, where scheduling every start would have taken them, and keeps
-     only the next start queued. Each start first arms the following
-     one with its reserved tie, then starts its own flow. The trace is
-     sorted by start, so the next start is armed at or before its own
-     (time, tie) and every event pops where it would with all starts
-     queued up front. *)
-  let first_tie = Sim.reserve sim requested in
-  let rest = ref trace in
-  let start_h = ref Sim.no_handler in
-  let arm i =
-    match !rest with
-    | (spec : Trace.spec) :: _ ->
-      Sim.post_tie sim ~at:spec.start ~tie:(first_tie + i) !start_h i
-    | [] -> ()
-  in
-  start_h :=
-    Sim.register sim (fun i ->
-        match !rest with
-        | spec :: tl ->
-          rest := tl;
-          arm (i + 1);
-          let flow = Flow.of_spec spec in
-          Context.flow_started ctx flow;
-          transport.Endpoint.t_start flow
-        | [] -> assert false);
-  arm 0;
+  Endpoint.launch ctx (scheme.Schemes.s_factory ctx) trace;
   observe ctx topo;
   (* Structured event tracing (lib/obs): when the config asks for it,
      write the run's events as JSONL and/or schedule the port probes.

@@ -8,7 +8,7 @@ open Ppt_core
 
 type t = {
   s_name : string;
-  s_factory : Context.t -> Endpoint.transport;
+  s_factory : Endpoint.factory;
   s_trim : bool;
   s_collect_int : bool;
   s_sel_drop : bool;
@@ -48,19 +48,26 @@ let ppt_hpcc =
   { (plain "ppt-hpcc" (Ppt.make ~hcp:Ppt.Hpcc ())) with
     s_collect_int = true }
 
-let ppt_no_lcp_ecn = plain "ppt-no-lcp-ecn" (Ppt.without_lcp_ecn ())
-let ppt_no_ewd = plain "ppt-no-ewd" (Ppt.without_ewd ())
-let ppt_no_sched = plain "ppt-no-sched" (Ppt.without_scheduling ())
-let ppt_no_ident = plain "ppt-no-ident" (Ppt.without_identification ())
+(* the §6.3 ablations (Figs. 15-18): one design component off *)
+let ppt_with name params = plain name (Ppt.make ~params ())
+let ppt_no_lcp_ecn =
+  ppt_with "ppt-no-lcp-ecn" { Ppt.default_params with lcp_ecn = false }
+let ppt_no_ewd = ppt_with "ppt-no-ewd" { Ppt.default_params with ewd = false }
+let ppt_no_sched =
+  ppt_with "ppt-no-sched" { Ppt.default_params with scheduling = false }
+let ppt_no_ident =
+  ppt_with "ppt-no-ident" { Ppt.default_params with identification = false }
 
+(* the Fig. 27 send-buffer sensitivity *)
 let ppt_sendbuf bytes =
-  plain (Printf.sprintf "ppt-sb-%s"
-           (if bytes >= Units.mb 1000 then
-              Printf.sprintf "%dG" (bytes / Units.mb 1000)
-            else if bytes >= Units.mb 1 then
-              Printf.sprintf "%dM" (bytes / Units.mb 1)
-            else Printf.sprintf "%dK" (bytes / 1000)))
-    (Ppt.with_sendbuf bytes)
+  ppt_with
+    (Printf.sprintf "ppt-sb-%s"
+       (if bytes >= Units.mb 1000 then
+          Printf.sprintf "%dG" (bytes / Units.mb 1000)
+        else if bytes >= Units.mb 1 then
+          Printf.sprintf "%dM" (bytes / Units.mb 1)
+        else Printf.sprintf "%dK" (bytes / 1000)))
+    { Ppt.default_params with sendbuf = Sendbuf.make ~capacity:bytes () }
 
 (* the §6.2 six-scheme comparison set *)
 let headline = [ ndp; aeolus; homa; rc3; dctcp; ppt ]

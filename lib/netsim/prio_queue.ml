@@ -153,7 +153,6 @@ let bytes t = t.bytes
 let lp_bytes t = t.lp_bytes
 let hp_bytes t = t.bytes - t.lp_bytes
 let queue_bytes t prio = t.qbytes.(prio)
-let is_empty t = t.bytes = 0
 
 let buffer_bytes t = t.buffer
 

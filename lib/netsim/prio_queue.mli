@@ -62,7 +62,6 @@ val bytes : t -> int
 val lp_bytes : t -> int
 val hp_bytes : t -> int
 val queue_bytes : t -> int -> int
-val is_empty : t -> bool
 
 val buffer_bytes : t -> int
 (** Configured shared-buffer capacity. *)

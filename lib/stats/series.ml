@@ -1,8 +1,9 @@
-(* Periodic time-series sampling driven by the simulator clock.
+(* Time series sampled on the simulator clock.
 
    Used for the link-utilization plots (Fig. 1, Fig. 20) and the buffer
-   occupancy measurements (Fig. 28): a probe function is evaluated every
-   [interval] and its values recorded with their timestamps. *)
+   occupancy measurements (Fig. 28): the figure's sampler evaluates a
+   probe every interval, on its own ticks, and records the values with
+   their timestamps. *)
 
 open Ppt_engine
 
@@ -20,7 +21,6 @@ let record t ~at value =
   t.n <- t.n + 1
 
 let samples t = List.rev t.samples
-let count t = t.n
 
 let values t = List.map (fun s -> s.value) (samples t)
 
@@ -29,24 +29,9 @@ let mean t =
   else List.fold_left (fun acc s -> acc +. s.value) 0. t.samples
        /. float_of_int t.n
 
-(* Install a sampler on the simulator: evaluates [probe] every
-   [interval] from [start] until [until], recording into a fresh
-   series that is returned immediately. *)
-let sample_every sim ~start ~interval ~until probe =
-  assert (interval > 0);
-  let t = create () in
-  let rec tick at () =
-    if at <= until then begin
-      record t ~at (probe ());
-      ignore (Sim.schedule_at sim (at + interval) (tick (at + interval)))
-    end
-  in
-  ignore (Sim.schedule_at sim start (tick start));
-  t
-
 (* Utilization probe: converts a cumulative byte counter into per-
    interval utilization of a link of the given rate.  Returns a probe
-   function suitable for [sample_every]. *)
+   function for a sampler that calls it every [interval]. *)
 let utilization_probe ~rate ~interval read_tx_bytes =
   let last = ref (read_tx_bytes ()) in
   fun () ->

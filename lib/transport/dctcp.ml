@@ -65,14 +65,9 @@ let attach (s : Reliable.t) =
     rtt_hook = (fun f -> on_rtt := f) }
 
 (* Plain DCTCP as a complete transport. *)
-let make ?(on_flow_wmax = fun _ _ -> ()) () ctx =
-  let params = Reliable.default_params () in
-  { Endpoint.t_name = "dctcp";
-    t_start = (fun flow ->
-        Endpoint.launch_window_flow ctx ~params
-          ~setup:(fun snd ->
-              let view = attach snd in
-              fun () ->
-                on_flow_wmax flow.Flow.id (Float.max (view.wmax ())
-                                             (Reliable.cwnd snd)))
-          flow) }
+let make ?(on_flow_wmax = fun _ _ -> ()) () =
+  Endpoint.window ~params:(Reliable.default_params ()) (fun snd ->
+      let view = attach snd in
+      fun () ->
+        on_flow_wmax (Reliable.flow snd).Flow.id
+          (Float.max (view.wmax ()) (Reliable.cwnd snd)))

@@ -1,18 +1,14 @@
 (* Glue between flows and the fabric.
 
-   A [transport] knows how to launch one flow: create sender/receiver
-   endpoint state, register packet handlers at both hosts, and tear
-   everything down when the receiver has the whole message. Experiment
-   runners only ever see this record. *)
+   A transport is a [factory]: given the run's context, it starts one
+   flow — creates sender/receiver endpoint state, registers packet
+   handlers at both hosts, and tears everything down when the receiver
+   has the whole message. Every flow starts through [launch]. *)
 
+open Ppt_engine
 open Ppt_netsim
 
-type transport = {
-  t_name : string;
-  t_start : Flow.t -> unit;   (* invoked at the flow's start time *)
-}
-
-type factory = Context.t -> transport
+type factory = Context.t -> Flow.t -> unit
 
 let connect ctx (flow : Flow.t) ~at_src ~at_dst =
   let net = ctx.Context.net in
@@ -29,7 +25,7 @@ let disconnect ctx (flow : Flow.t) =
    [setup] attaches congestion control (and, for PPT, the LCP loop) to
    the freshly created sender; it returns an extra teardown thunk for
    any timers it created. *)
-let launch_window_flow ctx ~params ?lcp_batch ~setup flow =
+let window ~params ?lcp_batch setup ctx flow =
   let snd = Reliable.create ctx flow params in
   let rcv = Receiver.create ?lcp_batch ctx flow in
   let teardown_extra = setup snd in
@@ -49,3 +45,33 @@ let launch_window_flow ctx ~params ?lcp_batch ~setup flow =
       teardown_extra ();
       disconnect ctx flow);
   Reliable.start snd
+
+(* Flow starts go through a cursor: the launch reserves one tie per
+   flow now, where scheduling every start would have taken them, and
+   keeps only the next start queued. Each start first arms the
+   following one with its reserved tie, then starts its own flow. The
+   specs are sorted by start, so the next start is armed at or before
+   its own (time, tie) and every event pops where it would with all
+   starts queued up front. *)
+let launch ctx start (specs : Ppt_workload.Trace.spec list) =
+  let sim = ctx.Context.sim in
+  let first_tie = Sim.reserve sim (List.length specs) in
+  let rest = ref specs in
+  let start_h = ref Sim.no_handler in
+  let arm i =
+    match !rest with
+    | (spec : Ppt_workload.Trace.spec) :: _ ->
+      Sim.post_tie sim ~at:spec.start ~tie:(first_tie + i) !start_h i
+    | [] -> ()
+  in
+  start_h :=
+    Sim.register sim (fun i ->
+        match !rest with
+        | spec :: tl ->
+          rest := tl;
+          arm (i + 1);
+          let flow = Flow.of_spec spec in
+          Context.flow_started ctx flow;
+          start flow
+        | [] -> assert false);
+  arm 0

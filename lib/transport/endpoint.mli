@@ -1,13 +1,10 @@
 (** Glue between flows and the fabric: the interface every transport
-    implements, the wiring of a flow's handlers, and the standard
-    launch for window-based senders. *)
+    implements, the wiring of a flow's handlers, the standard window
+    sender, and the launcher that starts every flow. *)
 
-type transport = {
-  t_name : string;
-  t_start : Flow.t -> unit;  (** invoked at the flow's start time *)
-}
-
-type factory = Context.t -> transport
+type factory = Context.t -> Flow.t -> unit
+(** A transport: applied to a run's context, it starts one flow (at
+    the flow's start time). Its name lives in the scheme catalogue. *)
 
 val connect :
   Context.t -> Flow.t -> at_src:(Ppt_netsim.Packet.t -> unit) ->
@@ -18,14 +15,23 @@ val connect :
 val disconnect : Context.t -> Flow.t -> unit
 (** Unregister both of the flow's handlers. *)
 
-val launch_window_flow :
-  Context.t ->
-  params:Reliable.params ->
-  ?lcp_batch:int ->
-  setup:(Reliable.t -> unit -> unit) ->
-  Flow.t -> unit
-(** Create sender and receiver state ([lcp_batch] as in
-    {!Receiver.create}), register both packet handlers, run [setup]
-    (which attaches congestion control and returns an extra teardown
-    thunk), start transmitting, and tear everything down when the
-    receiver holds the whole message. *)
+val window :
+  params:Reliable.params -> ?lcp_batch:int ->
+  (Reliable.t -> unit -> unit) -> factory
+(** [window ~params setup] is a window-based transport. For each flow
+    it creates sender and receiver state ([lcp_batch] as in
+    {!Receiver.create}), registers both packet handlers, runs [setup]
+    on the sender (which attaches congestion control, reading the flow
+    through {!Reliable.flow}, and returns an extra teardown thunk),
+    starts transmitting, and tears everything down when the receiver
+    holds the whole message. *)
+
+val launch :
+  Context.t -> (Flow.t -> unit) -> Ppt_workload.Trace.spec list -> unit
+(** [launch ctx start specs] starts each flow of [specs] at its start
+    time: {!Context.flow_started}, then [start]. Every event pops where
+    it would if every start were scheduled now, in list order; only
+    the next start is queued at a time. [specs] must be sorted by
+    start: a start before the one listed ahead of it raises
+    [Invalid_argument] from the run, as {!Ppt_engine.Sim.post_tie}
+    refuses a time in the past. *)

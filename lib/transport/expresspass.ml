@@ -94,27 +94,26 @@ let make () ctx =
         let active = ref [] in
         { ctx; active; pacer = Rd.pacer ctx (fun () -> credit ctx active) })
   in
-  { Endpoint.t_name = "expresspass";
-    t_start = (fun flow ->
-        let s = Rd.sender ctx flow in
-        let hs = host_state flow.Flow.dst in
-        let m = Rd.message flow in
-        Rd.connect s m
-          ~at_src:(fun p ->
-              match p.Packet.kind with
-              | Packet.Pull ->
-                sender_on_credit s ~credit_cum:(Wire.pull_cum p)
-              | _ -> ())
-          ~at_dst:(fun p ->
-              match p.Packet.kind with
-              | Packet.Data -> receiver_on_data hs m p
-              | Packet.Ctrl -> receiver_on_request hs m
-              | _ -> ());
-        (* announce the flow; data waits for credits (1st RTT unused) *)
-        request s;
-        Rd.backstop s (fun () ->
-            if s.snd_nxt = 0 then
-              (* the credit request must have been lost *)
-              request s
-            else if s.cum < s.snd_nxt then
-              send_data s s.cum ~retransmission:true)) }
+  fun flow ->
+    let s = Rd.sender ctx flow in
+    let hs = host_state flow.Flow.dst in
+    let m = Rd.message flow in
+    Rd.connect s m
+      ~at_src:(fun p ->
+          match p.Packet.kind with
+          | Packet.Pull ->
+            sender_on_credit s ~credit_cum:(Wire.pull_cum p)
+          | _ -> ())
+      ~at_dst:(fun p ->
+          match p.Packet.kind with
+          | Packet.Data -> receiver_on_data hs m p
+          | Packet.Ctrl -> receiver_on_request hs m
+          | _ -> ());
+    (* announce the flow; data waits for credits (1st RTT unused) *)
+    request s;
+    Rd.backstop s (fun () ->
+        if s.snd_nxt = 0 then
+          (* the credit request must have been lost *)
+          request s
+        else if s.cum < s.snd_nxt then
+          send_data s s.cum ~retransmission:true)

@@ -12,43 +12,40 @@
    Larger flows fall back to plain TCP-10 behaviour. *)
 
 open Ppt_engine
-open Ppt_netsim
 
 let burst_threshold = 141_000   (* pace-out size limit (141KB) *)
 let replay_segs = 8             (* how much tail to replay *)
-let iw_segs = 10                (* initial window for large flows *)
 
-let make () ctx =
-  let mss = Packet.max_payload in
-  { Endpoint.t_name = "halfback";
-    t_start = (fun flow ->
-        let small = flow.Flow.size <= burst_threshold in
-        let initial_cwnd =
-          if small then Int.max flow.Flow.size (iw_segs * mss)
-          else iw_segs * mss
-        in
-        let rel_params =
-          Reliable.default_params ~initial_cwnd ~ecn_capable:false ()
-        in
-        Endpoint.launch_window_flow ctx ~params:rel_params
-          ~setup:(fun snd ->
-              Tcp.attach snd;
-              if small then begin
-                (* replay: duplicate the tail right after the burst;
-                   the receiver discards duplicates, and a dropped
-                   tail segment arrives without waiting for an RTO *)
-                let replay () =
-                  let nseg = flow.Flow.nseg in
-                  let lo = Int.max 0 (nseg - replay_segs) in
-                  for seq = nseg - 1 downto lo do
-                    if Reliable.seg_state snd seq
-                       <> Reliable.st_sacked then
-                      Reliable.send_lcp_segment ~prio:0 snd seq
-                  done
-                in
-                ignore
-                  (Sim.schedule ctx.Context.sim
-                     ~after:(ctx.Context.base_rtt / 2) replay)
-              end;
-              fun () -> ())
-          flow) }
+(* large flows keep the default initial window (IW10) *)
+let base = Reliable.default_params ~ecn_capable:false ()
+
+let make () ctx flow =
+  let small = flow.Flow.size <= burst_threshold in
+  let params =
+    if small then
+      { base with
+        Reliable.initial_cwnd =
+          Int.max flow.Flow.size base.Reliable.initial_cwnd }
+    else base
+  in
+  Endpoint.window ~params
+    (fun snd ->
+       Tcp.attach snd;
+       if small then begin
+         (* replay: duplicate the tail right after the burst; the
+            receiver discards duplicates, and a dropped tail segment
+            arrives without waiting for an RTO *)
+         let replay () =
+           let nseg = flow.Flow.nseg in
+           let lo = Int.max 0 (nseg - replay_segs) in
+           for seq = nseg - 1 downto lo do
+             if Reliable.seg_state snd seq <> Reliable.st_sacked then
+               Reliable.send_lcp_segment ~prio:0 snd seq
+           done
+         in
+         ignore
+           (Sim.schedule ctx.Context.sim
+              ~after:(ctx.Context.base_rtt / 2) replay)
+       end;
+       fun () -> ())
+    ctx flow

@@ -132,39 +132,38 @@ let receiver_on_data ctx inbound (m : Rd.msg) (p : Packet.t) =
 let make_variant ~aeolus ctx =
   let rtt_segs = rtt_segs ctx in
   let host_inbound = Rd.per_host ctx (fun () -> ref []) in
-  { Endpoint.t_name = (if aeolus then "aeolus" else "homa");
-    t_start = (fun flow ->
-        let unsched_segs = Int.min flow.Flow.nseg rtt_segs in
-        let unsched_prio =
-          if aeolus then Prio_queue.n_prios - 1
-          else if flow.Flow.size <= ctx.Context.bdp then 0
-          else 1
-        in
-        let h =
-          { s = Rd.sender ctx flow; unsched_segs; unsched_prio; aeolus;
-            granted = unsched_segs; sched_prio = 2;
-            last_cum_change = Sim.now ctx.Context.sim; fast_attempts = 0 }
-        in
-        let inbound = host_inbound flow.Flow.dst in
-        let m = Rd.message ~granted:unsched_segs flow in
-        inbound := m :: !inbound;
-        Rd.connect h.s m
-          ~at_src:(fun p ->
-              match p.Packet.kind with
-              | Packet.Grant ->
-                sender_on_grant h ~g_cum:(Wire.grant_cum p)
-                  ~g_upto:(Wire.grant_upto p) ~g_prio:(Wire.grant_prio p)
-              | _ -> ())
-          ~at_dst:(fun p ->
-              match p.Packet.kind with
-              | Packet.Data -> receiver_on_data ctx inbound m p
-              | _ -> ());
-        (* blind first-RTT transmission at line rate *)
-        sender_pump h;
-        (* timeout: everything between the receiver's progress point
-           and what we already sent is presumed lost *)
-        Rd.backstop h.s (fun () ->
-            go_back h (Int.min h.s.snd_nxt flow.Flow.nseg))) }
+  fun flow ->
+    let unsched_segs = Int.min flow.Flow.nseg rtt_segs in
+    let unsched_prio =
+      if aeolus then Prio_queue.n_prios - 1
+      else if flow.Flow.size <= ctx.Context.bdp then 0
+      else 1
+    in
+    let h =
+      { s = Rd.sender ctx flow; unsched_segs; unsched_prio; aeolus;
+        granted = unsched_segs; sched_prio = 2;
+        last_cum_change = Sim.now ctx.Context.sim; fast_attempts = 0 }
+    in
+    let inbound = host_inbound flow.Flow.dst in
+    let m = Rd.message ~granted:unsched_segs flow in
+    inbound := m :: !inbound;
+    Rd.connect h.s m
+      ~at_src:(fun p ->
+          match p.Packet.kind with
+          | Packet.Grant ->
+            sender_on_grant h ~g_cum:(Wire.grant_cum p)
+              ~g_upto:(Wire.grant_upto p) ~g_prio:(Wire.grant_prio p)
+          | _ -> ())
+      ~at_dst:(fun p ->
+          match p.Packet.kind with
+          | Packet.Data -> receiver_on_data ctx inbound m p
+          | _ -> ());
+    (* blind first-RTT transmission at line rate *)
+    sender_pump h;
+    (* timeout: everything between the receiver's progress point
+       and what we already sent is presumed lost *)
+    Rd.backstop h.s (fun () ->
+        go_back h (Int.min h.s.snd_nxt flow.Flow.nseg))
 
 let make () = make_variant ~aeolus:false
 let make_aeolus () = make_variant ~aeolus:true

@@ -18,7 +18,6 @@
 open Ppt_engine
 open Ppt_netsim
 
-let iw_segs = 10
 let eta = 0.95            (* target utilization *)
 let wai_segs = 0.5        (* additive increase in segments *)
 
@@ -104,16 +103,6 @@ let attach ctx (s : Reliable.t) =
       Reliable.set_cwnd s mssf;
       w_ref := Reliable.cwnd s)
 
-let make () ctx =
-  let mss = Packet.max_payload in
-  { Endpoint.t_name = "hpcc";
-    t_start = (fun flow ->
-        let rel_params =
-          Reliable.default_params ~initial_cwnd:(iw_segs * mss)
-            ~ecn_capable:false ()
-        in
-        Endpoint.launch_window_flow ctx ~params:rel_params
-          ~setup:(fun snd ->
-              attach ctx snd;
-              fun () -> ())
-          flow) }
+let make () =
+  Endpoint.window ~params:(Reliable.default_params ~ecn_capable:false ())
+    (fun snd -> attach snd.Reliable.ctx snd; fun () -> ())

@@ -2,7 +2,7 @@
 
 type mw_table = (int, float) Hashtbl.t
 
-val record_pass : unit -> mw_table * (Context.t -> Endpoint.transport)
+val record_pass : unit -> mw_table * Endpoint.factory
 (** A plain-DCTCP recording pass: run the returned transport over a
     trace first; the table fills with each flow's maximum window. *)
 

@@ -82,29 +82,28 @@ let make () ctx =
         let pulls = Queue.create () in
         { ctx; pulls; pacer = Rd.pacer ctx (fun () -> pull ctx pulls) })
   in
-  { Endpoint.t_name = "ndp";
-    t_start = (fun flow ->
-        let s = Rd.sender ctx flow in
-        let retx = Queue.create () in
-        let hs = host_state flow.Flow.dst in
-        let m = Rd.message flow in
-        Rd.connect s m
-          ~at_src:(fun p ->
-              match p.Packet.kind with
-              | Packet.Pull -> sender_on_pull s retx ~p_cum:(Wire.pull_cum p)
-              | Packet.Nack -> Queue.push (Wire.nack_seq p) retx
-              | _ -> ())
-          ~at_dst:(fun p ->
-              match p.Packet.kind with
-              | Packet.Data -> receiver_on_data hs m p
-              | _ -> ());
-        (* first window at line rate *)
-        let burst = Int.min iw_segs flow.Flow.nseg in
-        for seq = 0 to burst - 1 do
-          send_data s seq ~retransmission:false
-        done;
-        s.snd_nxt <- burst;
-        (* resend the first segment the receiver is missing *)
-        Rd.backstop s (fun () ->
-            if s.cum < flow.Flow.nseg && s.cum < s.snd_nxt then
-              send_data s s.cum ~retransmission:true)) }
+  fun flow ->
+    let s = Rd.sender ctx flow in
+    let retx = Queue.create () in
+    let hs = host_state flow.Flow.dst in
+    let m = Rd.message flow in
+    Rd.connect s m
+      ~at_src:(fun p ->
+          match p.Packet.kind with
+          | Packet.Pull -> sender_on_pull s retx ~p_cum:(Wire.pull_cum p)
+          | Packet.Nack -> Queue.push (Wire.nack_seq p) retx
+          | _ -> ())
+      ~at_dst:(fun p ->
+          match p.Packet.kind with
+          | Packet.Data -> receiver_on_data hs m p
+          | _ -> ());
+    (* first window at line rate *)
+    let burst = Int.min iw_segs flow.Flow.nseg in
+    for seq = 0 to burst - 1 do
+      send_data s seq ~retransmission:false
+    done;
+    s.snd_nxt <- burst;
+    (* resend the first segment the receiver is missing *)
+    Rd.backstop s (fun () ->
+        if s.cum < flow.Flow.nseg && s.cum < s.snd_nxt then
+          send_data s s.cum ~retransmission:true)

@@ -7,8 +7,6 @@
 
 open Ppt_netsim
 
-let iw_segs = 10
-
 (* Ascending bytes-sent boundaries between the 8 priorities, in the
    spirit of the PIAS paper's web-search tuning: geometric steps
    through the small-flow range. *)
@@ -23,17 +21,7 @@ let prio_of ~bytes_sent =
   in
   Int.min (Prio_queue.n_prios - 1) (count 0)
 
-let make () ctx =
-  let mss = Packet.max_payload in
-  { Endpoint.t_name = "pias";
-    t_start = (fun flow ->
-        let tagger ~bytes_sent ~loop:_ = prio_of ~bytes_sent in
-        let rel_params =
-          Reliable.default_params ~initial_cwnd:(iw_segs * mss)
-            ~ecn_capable:true ~tagger ()
-        in
-        Endpoint.launch_window_flow ctx ~params:rel_params
-          ~setup:(fun snd ->
-              ignore (Dctcp.attach snd);
-              fun () -> ())
-          flow) }
+let make () =
+  let tagger ~bytes_sent ~loop:_ = prio_of ~bytes_sent in
+  Endpoint.window ~params:(Reliable.default_params ~tagger ())
+    (fun snd -> ignore (Dctcp.attach snd); fun () -> ())

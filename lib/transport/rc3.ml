@@ -17,7 +17,6 @@
 open Ppt_engine
 open Ppt_netsim
 
-let iw_segs = 10
 let sendbuf_bytes = Units.mb 2000       (* the recommended 2GB *)
 
 (* packets per low priority level, from the tail *)
@@ -63,23 +62,18 @@ let lcp_pump st () =
     end
   end
 
-let make () ctx =
-  let mss = Packet.max_payload in
-  { Endpoint.t_name = "rc3";
-    t_start = (fun flow ->
-        let rel_params =
-          Reliable.default_params ~initial_cwnd:(iw_segs * mss)
-            ~ecn_capable:true ~lcp_ecn_capable:false ~sendbuf_bytes ()
-        in
-        Endpoint.launch_window_flow ctx ~params:rel_params
-          ~setup:(fun snd ->
-              ignore (Dctcp.attach snd);
-              let st =
-                { snd; ctx; sent_count = 0; timer = -1; pump_fire = ignore;
-                  stopped = false }
-              in
-              st.pump_fire <- (fun () -> lcp_pump st ());
-              (* the low loops start together with the primary loop *)
-              ignore (Sim.schedule ctx.Context.sim ~after:0 (lcp_pump st));
-              fun () -> stop_lcp st)
-          flow) }
+let make () =
+  let params =
+    Reliable.default_params ~lcp_ecn_capable:false ~sendbuf_bytes ()
+  in
+  Endpoint.window ~params (fun snd ->
+      ignore (Dctcp.attach snd);
+      let ctx = snd.Reliable.ctx in
+      let st =
+        { snd; ctx; sent_count = 0; timer = -1; pump_fire = ignore;
+          stopped = false }
+      in
+      st.pump_fire <- (fun () -> lcp_pump st ());
+      (* the low loops start together with the primary loop *)
+      ignore (Sim.schedule ctx.Context.sim ~after:0 (lcp_pump st));
+      fun () -> stop_lcp st)

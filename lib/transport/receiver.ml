@@ -44,8 +44,6 @@ let create ?(lcp_batch = 1) ctx flow =
     done_fired = false; on_done = ignore }
 
 let complete t = t.received = t.flow.Flow.nseg
-let received t = t.received
-let cum t = t.cum
 
 let mark t seq =
   if seq < 0 || seq >= t.flow.Flow.nseg then false

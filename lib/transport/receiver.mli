@@ -29,7 +29,4 @@ val create : ?lcp_batch:int -> Context.t -> Flow.t -> t
     An ack holds at most two SACKs, so it must be 1 or 2.
     @raise Invalid_argument otherwise. *)
 
-val complete : t -> bool
-val received : t -> int
-val cum : t -> int
 val on_data : t -> Packet.t -> unit

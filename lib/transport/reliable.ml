@@ -119,9 +119,7 @@ let default_on_timeout t = set_cwnd t (float_of_int t.mss)
 let mss t = t.mss
 let inflight t = t.inflight
 let l_inflight_segs t = t.l_inflight_segs
-let bytes_sent t = t.bytes_sent
 let flow t = t.flow
-let ctx t = t.ctx
 let all_sacked t = t.sacked_cnt = t.flow.Flow.nseg
 
 let seg_state t seq = Bytes.get t.seg seq

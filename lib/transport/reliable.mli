@@ -102,9 +102,7 @@ val inflight : t -> int
 val l_inflight_segs : t -> int
 (** Low-priority-loop segments transmitted and not yet acknowledged. *)
 
-val bytes_sent : t -> int
 val flow : t -> Flow.t
-val ctx : t -> Context.t
 val seg_state : t -> int -> char
 
 val on_ack : t -> Packet.t -> unit

@@ -8,9 +8,7 @@
    ns-3 variant, only fabric delay is modelled (no host queues). *)
 
 open Ppt_engine
-open Ppt_netsim
 
-let iw_segs = 10
 let target_factor = 1.5   (* target delay = factor * base RTT *)
 let ai_segs = 1.0         (* additive increase per RTT, in segments *)
 let beta = 0.8            (* multiplicative decrease gain *)
@@ -50,16 +48,8 @@ let attach ctx (s : Reliable.t) =
   s.Reliable.hook_on_timeout <- (fun s -> Reliable.set_cwnd s mssf);
   fun () -> !last_delay < target
 
-let make () ctx =
-  let mss = Packet.max_payload in
-  { Endpoint.t_name = "swift";
-    t_start = (fun flow ->
-        let rel_params =
-          Reliable.default_params ~initial_cwnd:(iw_segs * mss)
-            ~ecn_capable:false ()
-        in
-        Endpoint.launch_window_flow ctx ~params:rel_params
-          ~setup:(fun snd ->
-              ignore (attach ctx snd : unit -> bool);
-              fun () -> ())
-          flow) }
+let make () =
+  Endpoint.window ~params:(Reliable.default_params ~ecn_capable:false ())
+    (fun snd ->
+       ignore (attach snd.Reliable.ctx snd : unit -> bool);
+       fun () -> ())

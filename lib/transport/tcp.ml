@@ -26,17 +26,12 @@ let attach (s : Reliable.t) =
       ssthresh := Float.max (2. *. mssf) (Reliable.cwnd s /. 2.);
       Reliable.set_cwnd s mssf)
 
-let make ?(iw_segs = 3) ?(name = "tcp") () ctx =
-  let mss = Packet.max_payload in
+let make ?(iw_segs = 3) () =
   let params =
-    Reliable.default_params ~initial_cwnd:(iw_segs * mss)
+    Reliable.default_params ~initial_cwnd:(iw_segs * Packet.max_payload)
       ~ecn_capable:false ()
   in
-  { Endpoint.t_name = name;
-    t_start = (fun flow ->
-        Endpoint.launch_window_flow ctx ~params
-          ~setup:(fun snd -> attach snd; fun () -> ())
-          flow) }
+  Endpoint.window ~params (fun snd -> attach snd; fun () -> ())
 
 (* TCP with an initial window of 10 segments [12]. *)
-let make_tcp10 () = make ~iw_segs:10 ~name:"tcp-10" ()
+let make_tcp10 () = make ~iw_segs:10 ()

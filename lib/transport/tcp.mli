@@ -2,5 +2,5 @@
     TCP-10 [12] initial-window-of-10 variant from Table 1. *)
 
 val attach : Reliable.t -> unit
-val make : ?iw_segs:int -> ?name:string -> unit -> Endpoint.factory
+val make : ?iw_segs:int -> unit -> Endpoint.factory
 val make_tcp10 : unit -> Endpoint.factory

@@ -30,19 +30,25 @@ let assert_drained sim =
   Alcotest.(check int) "sim drained (pending timers)" 0
     (Sim.pending sim)
 
-(* Launch the given (src, dst, size) flows on a transport and run the
-   simulation to quiescence. Returns the context for inspection.
-   Every e2e test going through here also gets the drain check. *)
-let run_flows ctx (transport : Endpoint.transport) specs =
-  let sim = ctx.Context.sim in
-  List.iteri
-    (fun i (src, dst, size, start) ->
-       let flow = Flow.create ~id:i ~src ~dst ~size ~start in
-       ignore (Sim.schedule_at sim start (fun () ->
-           transport.Endpoint.t_start flow)))
-    specs;
-  Sim.run ~until:(Units.sec 30) sim;
-  assert_drained sim
+(* Start the given (src, dst, size, start) flows on a transport through
+   [Endpoint.launch], the launcher every run uses: flows are numbered by
+   list position and started in order of start time, ties in list
+   order. *)
+let launch ctx start specs =
+  Endpoint.launch ctx start
+    (List.stable_sort
+       (fun (a : Ppt_workload.Trace.spec) b -> compare a.start b.start)
+       (List.mapi
+          (fun id (src, dst, size, start) ->
+             { Ppt_workload.Trace.id; src; dst; size; start })
+          specs))
+
+(* Launch the flows and run the simulation to quiescence. Every e2e
+   test going through here also gets the drain check. *)
+let run_flows ctx start specs =
+  launch ctx start specs;
+  Sim.run ~until:(Units.sec 30) ctx.Context.sim;
+  assert_drained ctx.Context.sim
 
 let fct_of ctx id =
   let recs = Ppt_stats.Fct.records ctx.Context.fct in

@@ -6,24 +6,24 @@ open Ppt_engine
 open Ppt_netsim
 open Ppt_transport
 
+module Schemes = Ppt_harness.Schemes
+
 let check = Alcotest.check
 
-let completes ?(n_hosts = 5) ?(flows = 8) ?qcfg ?(collect_int = false)
-    factory =
-  let _sim, _topo, ctx = Helpers.star ~n:n_hosts ?qcfg ~collect_int () in
-  let t = factory ctx in
-  let sink = n_hosts - 1 in
-  let specs =
-    List.init flows (fun i ->
-        (i mod (n_hosts - 1), sink, 5_000 + ((i * 37_813) mod 600_000),
-         i * 30_000))
+(* Eight flows into one sink of a 5-host star, on a fabric with the
+   inband telemetry the scheme needs; all must complete. *)
+let test_completion (scheme : Schemes.t) () =
+  let n_hosts = 5 in
+  let _sim, _topo, ctx =
+    Helpers.star ~n:n_hosts ~collect_int:scheme.s_collect_int ()
   in
-  Helpers.run_flows ctx t specs;
-  (ctx, t.Endpoint.t_name)
-
-let test_completion name factory () =
-  let ctx, _ = completes factory in
-  check Alcotest.int (name ^ ": all flows complete") 8
+  let specs =
+    List.init 8 (fun i ->
+        (i mod (n_hosts - 1), n_hosts - 1,
+         5_000 + ((i * 37_813) mod 600_000), i * 30_000))
+  in
+  Helpers.run_flows ctx (scheme.s_factory ctx) specs;
+  check Alcotest.int (scheme.s_name ^ ": all flows complete") 8
     (Ppt_stats.Fct.count ctx.Context.fct)
 
 (* --- RC3 ------------------------------------------------------------ *)
@@ -49,14 +49,8 @@ let test_rc3_sends_low_priority_bytes () =
 let test_rc3_aggressive_vs_ppt () =
   let lp_bytes factory =
     let _sim, topo, ctx = Helpers.star ~n:5 () in
-    let t = factory ctx in
-    let specs = List.init 4 (fun i -> (i, 4, 2_000_000, 0)) in
-    List.iteri
-      (fun i (src, dst, size, start) ->
-         let flow = Ppt_transport.Flow.create ~id:i ~src ~dst ~size ~start in
-         ignore (Sim.schedule_at ctx.Context.sim start (fun () ->
-             t.Endpoint.t_start flow)))
-      specs;
+    Helpers.launch ctx (factory ctx)
+      (List.init 4 (fun i -> (i, 4, 2_000_000, 0)));
     (* sample the peak low-priority occupancy of the bottleneck port *)
     let node, pix = topo.Topology.to_host_port 4 in
     let port = Net.port ctx.Context.net node pix in
@@ -91,10 +85,7 @@ let test_swift_keeps_delay_low () =
      Swift should keep the bottleneck queue near its target instead *)
   let run factory =
     let _sim, topo, ctx = Helpers.star () in
-    let t = factory ctx in
-    let flow = Flow.create ~id:0 ~src:0 ~dst:1 ~size:4_000_000 ~start:0 in
-    ignore (Sim.schedule_at ctx.Context.sim 0 (fun () ->
-        t.Endpoint.t_start flow));
+    Helpers.launch ctx (factory ctx) [ (0, 1, 4_000_000, 0) ];
     let node, pix = topo.Topology.to_host_port 1 in
     let port = Net.port ctx.Context.net node pix in
     let peak = ref 0 in
@@ -114,20 +105,10 @@ let test_swift_keeps_delay_low () =
 
 (* --- HPCC ------------------------------------------------------------ *)
 
-let test_hpcc_needs_int () =
-  let ctx, _ = completes ~collect_int:true (Hpcc.make ()) in
-  check Alcotest.int "hpcc: all flows complete" 8
-    (Ppt_stats.Fct.count ctx.Context.fct)
-
 let test_hpcc_controls_queue () =
   let _sim, topo, ctx = Helpers.star ~collect_int:true () in
-  let t = Hpcc.make () ctx in
-  List.iter
-    (fun (id, src) ->
-       let flow = Flow.create ~id ~src ~dst:3 ~size:2_000_000 ~start:0 in
-       ignore (Sim.schedule_at ctx.Context.sim 0 (fun () ->
-           t.Endpoint.t_start flow)))
-    [ (0, 0); (1, 1); (2, 2) ];
+  Helpers.launch ctx (Hpcc.make () ctx)
+    (List.init 3 (fun src -> (src, 3, 2_000_000, 0)));
   let node, pix = topo.Topology.to_host_port 3 in
   let port = Net.port ctx.Context.net node pix in
   let peak = ref 0 in
@@ -301,13 +282,6 @@ let test_ppt_hpcc_completes_and_fills () =
 
 (* --- PPT over Swift ---------------------------------------------------- *)
 
-let test_ppt_swift_completes () =
-  let ctx, _ =
-    completes (Ppt_core.Ppt.make ~hcp:Ppt_core.Ppt.Swift ())
-  in
-  check Alcotest.int "ppt-swift: all flows complete" 8
-    (Ppt_stats.Fct.count ctx.Context.fct)
-
 let test_ppt_swift_uses_lcp () =
   let _sim, _topo, ctx = Helpers.star ~delay:(Units.us 20) () in
   Helpers.run_flows ctx
@@ -457,19 +431,19 @@ let test_window_pinned () =
 let test_pins_cover_registry () =
   let pinned =
     List.map
-      (fun (s, _, _, _) -> s.Ppt_harness.Schemes.s_name)
+      (fun (s, _, _, _) -> s.Schemes.s_name)
       (receiver_driven_pins @ window_pins)
   in
   List.iter
     (fun s ->
-       let name = s.Ppt_harness.Schemes.s_name in
+       let name = s.Schemes.s_name in
        check Alcotest.bool (name ^ " has pinned digests") true
          (List.mem name pinned))
-    Ppt_harness.Schemes.all
+    Schemes.all
 
 let suite =
   [ Alcotest.test_case "rc3: completes" `Quick
-      (test_completion "rc3" (Rc3.make ()));
+      (test_completion Schemes.rc3);
     Alcotest.test_case "rc3: low-loop priorities" `Quick
       test_rc3_low_loop_priorities;
     Alcotest.test_case "rc3: low loop carries bytes" `Quick
@@ -477,16 +451,17 @@ let suite =
     Alcotest.test_case "rc3: more aggressive than ppt" `Quick
       test_rc3_aggressive_vs_ppt;
     Alcotest.test_case "pias: completes" `Quick
-      (test_completion "pias" (Pias.make ()));
+      (test_completion Schemes.pias);
     Alcotest.test_case "pias: demotion ladder" `Quick test_pias_demotion;
     Alcotest.test_case "swift: completes" `Quick
-      (test_completion "swift" (Swift.make ()));
+      (test_completion Schemes.swift);
     Alcotest.test_case "swift: delay stays low" `Quick
       test_swift_keeps_delay_low;
-    Alcotest.test_case "hpcc: completes with INT" `Quick test_hpcc_needs_int;
+    Alcotest.test_case "hpcc: completes with INT" `Quick
+      (test_completion Schemes.hpcc);
     Alcotest.test_case "hpcc: queue control" `Quick test_hpcc_controls_queue;
     Alcotest.test_case "homa: completes" `Quick
-      (test_completion "homa" (Homa.make ()));
+      (test_completion Schemes.homa);
     Alcotest.test_case "homa: small flow in one RTT" `Quick
       test_homa_small_flow_one_rtt;
     Alcotest.test_case "homa: grants large flows" `Quick
@@ -494,7 +469,7 @@ let suite =
     Alcotest.test_case "homa: SRPT preference" `Quick
       test_homa_srpt_preference;
     Alcotest.test_case "aeolus: completes" `Quick
-      (test_completion "aeolus" (Homa.make_aeolus ()));
+      (test_completion Schemes.aeolus);
     Alcotest.test_case "aeolus: selective dropping" `Quick
       test_aeolus_unscheduled_dropped_early;
     Alcotest.test_case "ndp: single flow" `Quick test_ndp_single_flow;
@@ -514,7 +489,8 @@ let suite =
       test_expresspass_completes_many;
     Alcotest.test_case "ppt-hpcc: completes and fills" `Quick
       test_ppt_hpcc_completes_and_fills;
-    Alcotest.test_case "ppt-swift: completes" `Quick test_ppt_swift_completes;
+    Alcotest.test_case "ppt-swift: completes" `Quick
+      (test_completion Schemes.ppt_swift);
     Alcotest.test_case "ppt-swift: lcp carries bytes" `Quick
       test_ppt_swift_uses_lcp;
     Alcotest.test_case "receiver-driven: outputs pinned" `Quick

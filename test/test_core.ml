@@ -119,18 +119,16 @@ let test_ppt_many_flows_complete () =
   check Alcotest.int "all complete" 60 (Ppt_stats.Fct.count ctx.Context.fct)
 
 let test_ppt_variants_complete () =
+  let open Ppt_harness in
   List.iter
-    (fun factory ->
+    (fun (scheme : Schemes.t) ->
        let _sim, _topo, ctx = Helpers.star ~n:5 () in
-       let t = factory ctx in
        let specs = List.init 12 (fun i -> (i mod 4, 4, 150_000, i * 40_000)) in
-       Helpers.run_flows ctx t specs;
-       check Alcotest.int
-         (Printf.sprintf "%s: all complete" t.Endpoint.t_name) 12
+       Helpers.run_flows ctx (scheme.s_factory ctx) specs;
+       check Alcotest.int (scheme.s_name ^ ": all complete") 12
          (Ppt_stats.Fct.count ctx.Context.fct))
-    [ Ppt.without_lcp_ecn (); Ppt.without_ewd ();
-      Ppt.without_scheduling (); Ppt.without_identification ();
-      Ppt.with_sendbuf (Units.kb 128) ]
+    Schemes.[ ppt_no_lcp_ecn; ppt_no_ewd; ppt_no_sched; ppt_no_ident;
+              ppt_sendbuf (Units.kb 128) ]
 
 (* LCP must not harm HCP: with heavy congestion, PPT's small flows may
    not be slower than DCTCP's by any large factor. *)
@@ -168,23 +166,18 @@ let test_lcp_case1_window () =
 
 let test_lcp_opens_and_closes () =
   let _sim, _topo, ctx = Helpers.star ~delay:(Units.us 20) () in
-  let transport =
-    { Endpoint.t_name = "ppt-probe";
-      t_start = (fun flow ->
-          let params = Reliable.default_params () in
-          Endpoint.launch_window_flow ctx ~params ~lcp_batch:2
-            ~setup:(fun snd ->
-                let view = Dctcp.attach snd in
-                let lcp = Lcp.create ctx snd view
-                    ~identified_large:false () in
-                Lcp.start lcp;
-                fun () ->
-                  check Alcotest.bool "at least one loop opened" true
-                    (Lcp.loops_opened lcp >= 1);
-                  Lcp.shutdown lcp)
-            flow) }
+  let probe =
+    Endpoint.window ~params:(Reliable.default_params ()) ~lcp_batch:2
+      (fun snd ->
+         let view = Dctcp.attach snd in
+         let lcp = Lcp.create ctx snd view ~identified_large:false () in
+         Lcp.start lcp;
+         fun () ->
+           check Alcotest.bool "at least one loop opened" true
+             (Lcp.loops_opened lcp >= 1);
+           Lcp.shutdown lcp)
   in
-  Helpers.run_flows ctx transport [ (0, 1, 600_000, 0) ]
+  Helpers.run_flows ctx (probe ctx) [ (0, 1, 600_000, 0) ]
 
 (* Identified-large flows must not open their case-1 loop before the
    2nd RTT (§3.1): small flows own the first RTT. *)
@@ -233,8 +226,7 @@ let test_wire_priorities () =
         Reliable.on_ack snd p);
   rcv.Receiver.on_done <- (fun () ->
       Lcp.shutdown lcp; Reliable.shutdown snd);
-  ignore (Sim.schedule_at ctx.Context.sim 0 (fun () ->
-      Reliable.start snd));
+  Reliable.start snd;
   Sim.run ~until:(Units.sec 5) ctx.Context.sim;
   check Alcotest.bool "identified flow HCP data all P3" true
     (!seen_h <> [] && List.for_all (fun p -> p = 3) !seen_h);

@@ -37,16 +37,6 @@ let install topo ~seed spec =
   Injector.install ~net:topo.Topology.net ~hosts:topo.Topology.hosts
     ~to_host_port:topo.Topology.to_host_port ~seed spec
 
-let launch ctx (t : Endpoint.transport) specs =
-  let sim = ctx.Context.sim in
-  List.iteri
-    (fun i (src, dst, size, start) ->
-       let flow = Flow.create ~id:i ~src ~dst ~size ~start in
-       ignore (Sim.schedule_at sim start (fun () ->
-           Context.flow_started ctx flow;
-           t.Endpoint.t_start flow)))
-    specs
-
 let captured ?(capacity = 1 lsl 19) f =
   let ring = Trace.Ring.create ~capacity () in
   let r = Trace.with_sink (Trace.Ring.sink ring) f in
@@ -259,7 +249,7 @@ let test_flap_mid_transfer () =
      2ms-5ms window opens *)
   let (), events =
     captured (fun () ->
-        launch ctx t [ (0, 1, 5_000_000, 0) ];
+        Helpers.launch ctx t [ (0, 1, 5_000_000, 0) ];
         Sim.run ~until:(Units.sec 30) sim)
   in
   Helpers.assert_drained sim;
@@ -304,7 +294,7 @@ let test_window_after_flow_is_noop () =
     let t = Dctcp.make () ctx in
     let (), events =
       captured (fun () ->
-          launch ctx t [ (0, 1, 50_000, 0) ];
+          Helpers.launch ctx t [ (0, 1, 50_000, 0) ];
           Sim.run ~until:(Units.sec 30) sim)
     in
     Helpers.assert_drained sim;
@@ -327,7 +317,7 @@ let fct_under spec =
   (match spec with
    | Some s -> install topo ~seed:1 (ok (F.of_string s))
    | None -> ());
-  launch ctx (Dctcp.make () ctx) [ (0, 1, 500_000, 0) ];
+  Helpers.launch ctx (Dctcp.make () ctx) [ (0, 1, 500_000, 0) ];
   Sim.run ~until:(Units.sec 30) sim;
   Helpers.assert_drained sim;
   Option.get (Helpers.fct_of ctx 0)
@@ -356,7 +346,7 @@ let reasons_under spec =
   let t = Dctcp.make () ctx in
   let (), events =
     captured (fun () ->
-        launch ctx t [ (0, 1, 2_000_000, 0) ];
+        Helpers.launch ctx t [ (0, 1, 2_000_000, 0) ];
         Sim.run ~until:(Units.sec 30) sim)
   in
   Helpers.assert_drained sim;
@@ -386,7 +376,8 @@ let test_injector_deterministic () =
     let t = Ppt_core.Ppt.make () ctx in
     let (), events =
       captured (fun () ->
-          launch ctx t [ (0, 1, 800_000, 0); (2, 1, 200_000, 50_000) ];
+          Helpers.launch ctx t
+            [ (0, 1, 800_000, 0); (2, 1, 200_000, 50_000) ];
           Sim.run ~until:(Units.sec 30) sim)
     in
     Helpers.assert_drained sim;
@@ -455,7 +446,7 @@ let test_rto_backoff_blackout () =
       Reliable.shutdown snd);
   let (), events =
     captured (fun () ->
-        ignore (Sim.schedule_at sim 0 (fun () -> Reliable.start snd));
+        Reliable.start snd;
         Sim.run ~until:(Units.sec 2) sim)
   in
   Helpers.assert_drained sim;
@@ -493,7 +484,7 @@ let test_rto_timer_cancelled_clean () =
   Net.register ctx.Context.net ~host:0 ~flow:3 (fun p ->
       if p.Packet.kind = Packet.Ack then Reliable.on_ack snd p);
   rcv.Receiver.on_done <- (fun () -> Reliable.shutdown snd);
-  ignore (Sim.schedule_at sim 0 (fun () -> Reliable.start snd));
+  Reliable.start snd;
   Sim.run ~until:(Units.sec 2) sim;
   Helpers.assert_drained sim;
   check Alcotest.int "no RTO ever fired (backoff untouched)" 1
@@ -611,7 +602,7 @@ let chaos_prop (name, factory, trim) =
        let src_of flow = flow mod 4 in
        let (), events =
          captured (fun () ->
-             launch ctx t
+             Helpers.launch ctx t
                (List.mapi
                   (fun i size ->
                      (src_of i, (i + 1) mod 4, size, i * 100_000))

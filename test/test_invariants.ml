@@ -32,16 +32,8 @@ let prop_reliable_under_loss factory_name factory =
          Context.of_topology ~rto_min:(Units.ms 1)
            ~rng:(Rng.create seed) topo
        in
-       let t = factory ctx in
-       List.iteri
-         (fun i size ->
-            let flow =
-              Flow.create ~id:i ~src:(i mod 3) ~dst:3 ~size
-                ~start:(i * 1000)
-            in
-            ignore (Sim.schedule_at sim flow.Flow.start (fun () ->
-                t.Endpoint.t_start flow)))
-         sizes;
+       Helpers.launch ctx (factory ctx)
+         (List.mapi (fun i size -> (i mod 3, 3, size, i * 1000)) sizes);
        Sim.run ~until:(Units.sec 30) sim;
        ctx.Context.completed = List.length sizes)
 
@@ -62,9 +54,7 @@ let prop_delivered_equals_size =
          Context.of_topology ~rto_min:(Units.ms 1)
            ~rng:(Rng.create seed) topo
        in
-       let t = Ppt_core.Ppt.make () ctx in
-       let flow = Flow.create ~id:0 ~src:0 ~dst:2 ~size ~start:0 in
-       ignore (Sim.schedule_at sim 0 (fun () -> t.Endpoint.t_start flow));
+       Helpers.launch ctx (Ppt_core.Ppt.make () ctx) [ (0, 2, size, 0) ];
        Sim.run ~until:(Units.sec 30) sim;
        match Ppt_stats.Fct.records ctx.Context.fct with
        | [ r ] ->
@@ -154,9 +144,7 @@ let prop_l_inflight_never_negative =
          Context.of_topology ~rto_min:(Units.ms 1)
            ~rng:(Rng.create seed) topo
        in
-       let t = Ppt_core.Ppt.make () ctx in
-       let flow = Flow.create ~id:0 ~src:0 ~dst:2 ~size ~start:0 in
-       ignore (Sim.schedule_at sim 0 (fun () -> t.Endpoint.t_start flow));
+       Helpers.launch ctx (Ppt_core.Ppt.make () ctx) [ (0, 2, size, 0) ];
        Sim.run ~until:(Units.sec 30) sim;
        (* the run terminating cleanly is the observable: the internal
           max 0 clamps would otherwise wedge retransmission logic *)

@@ -31,16 +31,6 @@ let star ?(n = 4) ?(delay = Units.us 2) ?(seed = 42) ~qcfg () =
   in
   (sim, topo, ctx)
 
-let launch ctx (t : Endpoint.transport) specs =
-  let sim = ctx.Context.sim in
-  List.iteri
-    (fun i (src, dst, size, start) ->
-       let flow = Flow.create ~id:i ~src ~dst ~size ~start in
-       ignore (Sim.schedule_at sim start (fun () ->
-           Context.flow_started ctx flow;
-           t.Endpoint.t_start flow)))
-    specs
-
 (* Run [f] with a fresh ring sink installed; returns (f's result,
    captured events). Fails the test if the ring overflowed — every
    conservation argument needs the complete trace. *)
@@ -380,7 +370,7 @@ let dctcp_2host_events seed =
     captured (fun () ->
         let sim, _topo, ctx = star ~n:2 ~seed ~qcfg:(qcfg ()) () in
         let t = Dctcp.make () ctx in
-        launch ctx t
+        Helpers.launch ctx t
           [ (0, 1, 200_000, 0); (1, 0, 150_000, 5_000);
             (0, 1, 60_000, 10_000) ];
         Sim.run ~until:(Units.sec 5) sim;
@@ -396,7 +386,7 @@ let ppt_4host_events seed =
           star ~n:4 ~delay:(Units.us 20) ~seed ~qcfg:(qcfg ()) ()
         in
         let t = Ppt_core.Ppt.make () ctx in
-        launch ctx t
+        Helpers.launch ctx t
           [ (0, 3, 1_000_000, 0); (1, 3, 40_000, 20_000);
             (2, 0, 600_000, 50_000) ];
         Sim.run ~until:(Units.sec 5) sim;
@@ -505,7 +495,8 @@ let spray_events () =
             ~rng:(Rng.create 7) topo
         in
         let t = Dctcp.make () ctx in
-        launch ctx t [ (0, 5, 300_000, 0); (1, 6, 200_000, 3_000) ];
+        Helpers.launch ctx t
+          [ (0, 5, 300_000, 0); (1, 6, 200_000, 3_000) ];
         Sim.run ~until:(Units.sec 5) sim;
         check Alcotest.int "spray flows done" 2 ctx.Context.completed)
   in
@@ -677,16 +668,8 @@ let conservation_prop name factory =
                     ~lp:(Units.kb 12) ())
            ()
        in
-       let t = factory ctx in
-       List.iteri
-         (fun i size ->
-            let flow =
-              Flow.create ~id:i ~src:(i mod 3) ~dst:3 ~size
-                ~start:(i * 1_000)
-            in
-            ignore (Sim.schedule_at sim flow.Flow.start (fun () ->
-                t.Endpoint.t_start flow)))
-         sizes;
+       Helpers.launch ctx (factory ctx)
+         (List.mapi (fun i size -> (i mod 3, 3, size, i * 1_000)) sizes);
        let ring = Trace.Ring.create ~capacity:(1 lsl 19) () in
        Trace.with_sink (Trace.Ring.sink ring) (fun () ->
            Sim.run ~until:(Units.sec 30) sim);

@@ -346,17 +346,6 @@ let test_jain_fairness () =
 
 (* --- time series -------------------------------------------------------- *)
 
-let test_series_sampling () =
-  let sim = Ppt_engine.Sim.create () in
-  let counter = ref 0 in
-  let s =
-    Series.sample_every sim ~start:0 ~interval:100 ~until:1_000
-      (fun () -> incr counter; float_of_int !counter)
-  in
-  Ppt_engine.Sim.run sim;
-  check Alcotest.int "11 samples (0..1000 inclusive)" 11 (Series.count s);
-  check (Alcotest.float 1e-9) "mean of 1..11" 6.0 (Series.mean s)
-
 let test_utilization_probe () =
   let bytes = ref 0 in
   let probe =
@@ -395,6 +384,5 @@ let suite =
     Alcotest.test_case "fct: summarize allocates no word per record"
       `Quick test_summarize_no_alloc;
     Alcotest.test_case "fairness: jain index" `Quick test_jain_fairness;
-    Alcotest.test_case "series: sampling" `Quick test_series_sampling;
     Alcotest.test_case "series: utilization probe" `Quick
       test_utilization_probe ]

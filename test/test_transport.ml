@@ -91,17 +91,12 @@ let test_ecn_prevents_drops () =
 let test_dctcp_view () =
   let _sim, _topo, ctx = Helpers.star () in
   let seen_alpha = ref 2.0 in
-  let transport =
-    { Endpoint.t_name = "dctcp-probe";
-      t_start = (fun flow ->
-          let params = Reliable.default_params () in
-          Endpoint.launch_window_flow ctx ~params
-            ~setup:(fun snd ->
-                let view = Dctcp.attach snd in
-                fun () -> seen_alpha := view.Dctcp.alpha ())
-            flow) }
+  let probe =
+    Endpoint.window ~params:(Reliable.default_params ()) (fun snd ->
+        let view = Dctcp.attach snd in
+        fun () -> seen_alpha := view.Dctcp.alpha ())
   in
-  Helpers.run_flows ctx transport [ (0, 1, 3_000_000, 0) ];
+  Helpers.run_flows ctx (probe ctx) [ (0, 1, 3_000_000, 0) ];
   (* alpha starts at 1.0; a long-running flow must have updated it to a
      genuine congestion estimate strictly inside (0, 1). *)
   check Alcotest.bool
@@ -320,6 +315,58 @@ let test_halfback_large_flow_plain () =
   check Alcotest.int "no replay for large flows" 0
     r.Ppt_stats.Fct.lcp_payload
 
+(* --- the launcher ------------------------------------------------------ *)
+
+(* Six PPT flows on a star: one at 0, two sharing a start. *)
+let launch_specs =
+  List.mapi
+    (fun id (src, dst, size, start) ->
+       { Ppt_workload.Trace.id; src; dst; size; start })
+    [ (0, 3, 300_000, 0); (1, 3, 40_000, 10_000); (2, 3, 120_000, 10_000);
+      (3, 0, 200_000, 25_000); (1, 2, 8_000, 60_000);
+      (0, 2, 500_000, 90_000) ]
+
+(* The launch [Endpoint.launch] replaces: every start scheduled up
+   front, in list order. *)
+let launch_up_front ctx start specs =
+  List.iter
+    (fun (spec : Ppt_workload.Trace.spec) ->
+       let flow = Flow.of_spec spec in
+       ignore (Sim.schedule_at ctx.Context.sim spec.start (fun () ->
+           Context.flow_started ctx flow;
+           start flow)))
+    specs
+
+let launched_run launch specs =
+  let sim, _topo, ctx = Helpers.star () in
+  let ring = Ppt_obs.Trace.Ring.create ~capacity:(1 lsl 19) () in
+  Ppt_obs.Trace.with_sink (Ppt_obs.Trace.Ring.sink ring) (fun () ->
+      launch ctx (Ppt_core.Ppt.make () ctx) specs;
+      Sim.run ~until:(Units.sec 30) sim);
+  check Alcotest.int "ring kept every event" 0
+    (Ppt_obs.Trace.Ring.dropped ring);
+  (Ppt_stats.Fct.records ctx.Context.fct, Sim.events_processed sim,
+   Ppt_obs.Trace.Ring.to_list ring)
+
+let test_launch_matches_up_front () =
+  let records, events, trace = launched_run Endpoint.launch launch_specs in
+  let records', events', trace' =
+    launched_run launch_up_front launch_specs
+  in
+  check Alcotest.int "all six complete" 6 (List.length records);
+  check Alcotest.bool "same FCT records" true (records = records');
+  check Alcotest.int "same events processed" events' events;
+  check Alcotest.int "same trace length" (List.length trace')
+    (List.length trace);
+  check Alcotest.bool "same trace events" true (trace = trace')
+
+let test_launch_refuses_unsorted () =
+  let sim, _topo, ctx = Helpers.star () in
+  Endpoint.launch ctx (Dctcp.make () ctx) (List.rev launch_specs);
+  match Sim.run ~until:(Units.sec 30) sim with
+  | () -> Alcotest.fail "a start before the previous one was accepted"
+  | exception Invalid_argument _ -> ()
+
 let suite =
   [ Alcotest.test_case "dctcp: single flow" `Quick
       test_single_flow_completes;
@@ -344,4 +391,8 @@ let suite =
     Alcotest.test_case "halfback: small-flow replay" `Quick
       test_halfback_replay_small_flow;
     Alcotest.test_case "halfback: large flow stays plain" `Quick
-      test_halfback_large_flow_plain ]
+      test_halfback_large_flow_plain;
+    Alcotest.test_case "launch: same run as starts scheduled up front"
+      `Quick test_launch_matches_up_front;
+    Alcotest.test_case "launch: specs out of start order refused" `Quick
+      test_launch_refuses_unsorted ]
