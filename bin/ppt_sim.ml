@@ -276,7 +276,10 @@ let run_cmd =
       (match trace_out with
        | Some path ->
          let oc = open_out path in
-         output_string oc (Ppt_workload.Trace.to_csv r.Runner.trace);
+         let flows =
+           match trace with Some t -> t | None -> Runner.flows cfg
+         in
+         output_string oc (Ppt_workload.Trace.to_csv flows);
          close_out oc;
          Format.printf "trace written to %s@." path
        | None -> ());

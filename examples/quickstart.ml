@@ -37,9 +37,10 @@ let () =
   let ppt = Ppt_core.Ppt.make () ctx in
 
   (* 4. One 2MB flow from host 0 to host 1, started at t = 0. *)
-  Endpoint.launch ctx ppt
-    [ { Ppt_workload.Trace.id = 0; src = 0; dst = 1; size = 2_000_000;
-        start = 0 } ];
+  Endpoint.launch ctx ppt ~n:1
+    (Ppt_workload.Trace.cursor
+       [ { Ppt_workload.Trace.id = 0; src = 0; dst = 1; size = 2_000_000;
+           start = 0 } ]);
 
   (* 5. Run to quiescence and read the statistics. *)
   Sim.run sim;

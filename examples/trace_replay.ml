@@ -12,8 +12,7 @@ open Ppt_harness
 let () =
   let cfg = Config.oversub ~scale:2 ~n_flows:300 ~load:0.5 () in
   (* one trace, shared by every scheme *)
-  let probe = Runner.run cfg Schemes.dctcp in
-  let trace = probe.Runner.trace in
+  let trace = Runner.flows cfg in
   let csv = Trace.to_csv trace in
   Format.printf
     "replaying one %d-flow web-search trace (%d MB total; first rows):@."

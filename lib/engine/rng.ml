@@ -2,25 +2,36 @@
 
    Every simulation run takes an explicit seed so experiments are
    reproducible bit-for-bit; [split] derives independent streams for
-   sub-components (arrivals, sizes, ECMP hashing, ...). *)
+   sub-components (arrivals, sizes, ECMP hashing, ...).
 
-type t = { mutable state : int64 }
+   The 64-bit state lives unboxed in 8 bytes, read and written with the
+   unboxed 64-bit primitives, so a draw allocates nothing (a mutable
+   [int64] field would box a fresh state on every draw). *)
+
+type t = Bytes.t
+
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let golden = 0x9E3779B97F4A7C15L
 
-let create seed = { state = Int64.of_int seed }
+let of_state s =
+  let t = Bytes.create 8 in
+  set64 t 0 s;
+  t
 
-let next_int64 t =
-  t.state <- Int64.add t.state golden;
-  let z = t.state in
+let create seed = of_state (Int64.of_int seed)
+
+let[@inline] next_int64 t =
+  let z = Int64.add (get64 t 0) golden in
+  set64 t 0 z;
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30))
       0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27))
       0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let split t =
-  { state = next_int64 t }
+let split t = of_state (next_int64 t)
 
 (* Uniform float in [0, 1). Uses the top 53 bits. *)
 let float t =

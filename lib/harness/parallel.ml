@@ -70,11 +70,7 @@ let sweep ?(jobs = 1) ?timeout ?journal ?(resume = false) ?progress ~ids
       let needed = Option.map get s.Figures.needs in
       let c0 = cpu_seconds () in
       let out = Figures.exec s ~needed in
-      let cpu = cpu_seconds () -. c0 in
-      (* no renderer reads the launched flows: keep them out of the
-         payload the parent holds until rendering *)
-      ({ out with Figures.result = { out.Figures.result with trace = [] } },
-       cpu)
+      (out, cpu_seconds () -. c0)
     in
     let r =
       Sweep.run ~jobs ?timeout ?journal ~resume ?progress

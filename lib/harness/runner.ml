@@ -1,6 +1,6 @@
-(* Builds a fabric from a {!Config.t}, generates the flow trace, drives
-   one transport scheme over it and collects the statistics every
-   figure reports. *)
+(* Builds a fabric from a {!Config.t}, drives one transport scheme over
+   the config's flows, each generated as it starts, and collects the
+   statistics every figure reports. *)
 
 open Ppt_engine
 open Ppt_netsim
@@ -23,7 +23,6 @@ type result = {
   lp_efficiency : float;             (* same, low-priority loop only *)
   events : int;
   records : Fct.record list;         (* every completed flow *)
-  trace : Trace.spec list;           (* the flows that were launched *)
   base_rtt : Units.time;
   edge_rate : Units.rate;
 }
@@ -94,9 +93,52 @@ let pattern_of (cfg : Config.t) (topo : Topology.built) =
       { senders = Array.sub hosts 0 n_senders;
         receiver = hosts.(n - 1) }
 
-(* Launch every flow of the trace at its start time and stop the
-   simulation once they have all completed. [observe] may install
-   samplers before the clock starts. *)
+(* The flow generator of [cfg] on its fabric. *)
+let flow_source (cfg : Config.t) (topo : Topology.built) rng =
+  Trace.source ~rng ~cdf:cfg.Config.workload ~pattern:(pattern_of cfg topo)
+    ~edge_rate:topo.Topology.edge_rate ~load:cfg.Config.load ()
+
+(* The flows [run cfg] generates, without running them: a run's
+   generator draws from the first split of its seed. *)
+let flows (cfg : Config.t) =
+  (* the hosts and the edge rate do not depend on the scheme *)
+  let topo =
+    build_topology (Sim.create ()) cfg Schemes.dctcp ~lp_buffer_cap:None
+  in
+  let next = flow_source cfg topo (Rng.split (Rng.create cfg.Config.seed)) in
+  List.init cfg.Config.n_flows (fun _ -> next ())
+
+(* A given trace must run on the fabric: every endpoint a host, the
+   flows sorted by start. Returns its length. *)
+let check_trace (topo : Topology.built) (trace : Trace.spec list) =
+  let net = topo.Topology.net in
+  let is_host h =
+    h >= 0 && h < Net.n_nodes net && (Net.node net h).Net.is_host
+  in
+  ignore
+    (List.fold_left
+       (fun prev_start (s : Trace.spec) ->
+          if not (is_host s.src && is_host s.dst) then
+            raise
+              (Invalid_trace
+                 (Printf.sprintf "Runner: flow %d: %d -> %d is not host to \
+                                  host on %s"
+                    s.id s.src s.dst topo.Topology.name));
+          if s.start < prev_start then
+            raise
+              (Invalid_trace
+                 (Printf.sprintf "Runner: flow %d starts at %d ns, before \
+                                  the flow listed ahead of it (%d ns); the \
+                                  trace must be sorted by start"
+                    s.id s.start prev_start));
+          s.start)
+       min_int trace);
+  List.length trace
+
+(* Launch every flow at its start time, drawn from the config's
+   generator or from [trace], and stop the simulation once they have
+   all completed. [observe] may install samplers before the clock
+   starts. *)
 let run ?lp_buffer_cap ?trace ?(observe = fun _ _ -> ())
     (cfg : Config.t) (scheme : Schemes.t) =
   let sim = Sim.create () in
@@ -114,45 +156,17 @@ let run ?lp_buffer_cap ?trace ?(observe = fun _ _ -> ())
      with Invalid_argument msg -> raise (Invalid_faults msg));
   let rng = Rng.create cfg.Config.seed in
   let ctx = Context.of_topology ~rto_min:cfg.Config.rto_min ~rng topo in
-  let trace =
+  let requested, next =
     match trace with
-    | Some t -> t
     | None ->
-      Trace.generate ~rng:(Rng.split rng) ~cdf:cfg.Config.workload
-        ~pattern:(pattern_of cfg topo)
-        ~edge_rate:topo.Topology.edge_rate ~load:cfg.Config.load
-        ~n_flows:cfg.Config.n_flows ()
+      (cfg.Config.n_flows, flow_source cfg topo (Rng.split rng))
+    | Some trace -> (check_trace topo trace, Trace.cursor trace)
   in
-  let net = topo.Topology.net in
-  let is_host h =
-    h >= 0 && h < Net.n_nodes net && (Net.node net h).Net.is_host
-  in
-  let requested = ref 0 in
-  ignore
-    (List.fold_left
-       (fun prev_start (s : Trace.spec) ->
-          if not (is_host s.src && is_host s.dst) then
-            raise
-              (Invalid_trace
-                 (Printf.sprintf "Runner: flow %d: %d -> %d is not host to \
-                                  host on %s"
-                    s.id s.src s.dst topo.Topology.name));
-          if s.start < prev_start then
-            raise
-              (Invalid_trace
-                 (Printf.sprintf "Runner: flow %d starts at %d ns, before \
-                                  the flow listed ahead of it (%d ns); the \
-                                  trace must be sorted by start"
-                    s.id s.start prev_start));
-          incr requested;
-          s.start)
-       min_int trace);
-  let requested = !requested in
   let last_finish = ref 0 in
   ctx.Context.on_complete <- (fun _ ->
       last_finish := Sim.now sim;
       if ctx.Context.completed = requested then Sim.stop sim);
-  Endpoint.launch ctx (scheme.Schemes.s_factory ctx) trace;
+  Endpoint.launch ctx (scheme.Schemes.s_factory ctx) ~n:requested next;
   observe ctx topo;
   (* Structured event tracing (lib/obs): when the config asks for it,
      write the run's events as JSONL and/or schedule the port probes.
@@ -219,6 +233,5 @@ let run ?lp_buffer_cap ?trace ?(observe = fun _ _ -> ())
     lp_efficiency = ratio lp_delivered summary.Fct.lcp_bytes;
     events = Sim.events_processed sim;
     records = Fct.records fct;
-    trace;
     base_rtt = topo.Topology.base_rtt;
     edge_rate = topo.Topology.edge_rate }

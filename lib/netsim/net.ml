@@ -72,11 +72,15 @@ type node = {
   fwd : fwd;  (* empty on hosts, which never forward *)
 }
 
-(* The delivery table is indexed by flow: every transport registers
-   one handler at the flow's source and one at its destination, so
-   slots [2 * flow] and [2 * flow + 1] hold the host ([-1] when free)
-   and its handler. Flow ids are dense within a run, so the table
-   stays small and a delivery is two int compares and an array read. *)
+(* The delivery table is keyed by live flows: every transport
+   registers one handler at the flow's source and one at its
+   destination, so pair [k = flow land (cap - 1)] holds the flow
+   ([dflow.(k)], [-1] when free), and slots [2 * k] and [2 * k + 1]
+   hold a host ([-1] when free) and its handler. A flow that finds its
+   pair held by another live flow doubles [cap]. Ids are dense and a
+   flow's pair is freed when it finishes, so [cap] follows the ids that
+   are live at once, not the ids a run will ever use; a delivery is
+   three int compares and an array read. *)
 type t = {
   sim : Sim.t;
   nodes : node array;
@@ -86,7 +90,8 @@ type t = {
   mutable arr_h : Sim.handler;
   (* far-end arrival; its argument is the packet on the wire and the
      port that sent it, [(id lsl port_bits) lor gix] *)
-  mutable dhost : int array;
+  mutable dflow : int array;        (* [cap] entries *)
+  mutable dhost : int array;        (* [2 * cap] entries *)
   mutable dfn : (Packet.t -> unit) array;
   collect_int : bool;
   mutable delivered : int;
@@ -112,36 +117,59 @@ let node t nid = t.nodes.(nid)
 let port t nid pix = t.nodes.(nid).ports.(pix)
 let n_nodes t = Array.length t.nodes
 
-(* The delivery-table slot of [flow] at [host], or -1; [host = -1]
-   finds a free slot. *)
+(* The delivery-table slot of live [flow] at [host], or -1. *)
 let find t ~host ~flow =
-  let i = 2 * flow in
-  if i < 0 || i >= Array.length t.dhost then -1
-  else if Array.unsafe_get t.dhost i = host then i
-  else if Array.unsafe_get t.dhost (i + 1) = host then i + 1
-  else -1
+  let k = flow land (Array.length t.dflow - 1) in
+  if Array.unsafe_get t.dflow k <> flow then -1
+  else
+    let i = 2 * k in
+    if Array.unsafe_get t.dhost i = host then i
+    else if Array.unsafe_get t.dhost (i + 1) = host then i + 1
+    else -1
+
+(* Double [cap], re-placing every live flow's pair. Flows in distinct
+   pairs stay in distinct pairs: equal ids modulo [2 * cap] are equal
+   modulo [cap]. *)
+let grow t =
+  let cap = Array.length t.dflow in
+  let cap' = 2 * cap in
+  let dflow = Array.make cap' (-1) and dhost = Array.make (2 * cap') (-1)
+  and dfn = Array.make (2 * cap') ignore in
+  Array.iteri
+    (fun k flow ->
+       if flow >= 0 then begin
+         let k' = flow land (cap' - 1) in
+         dflow.(k') <- flow;
+         for j = 0 to 1 do
+           dhost.((2 * k') + j) <- t.dhost.((2 * k) + j);
+           dfn.((2 * k') + j) <- t.dfn.((2 * k) + j)
+         done
+       end)
+    t.dflow;
+  t.dflow <- dflow;
+  t.dhost <- dhost;
+  t.dfn <- dfn
 
 let register t ~host ~flow handler =
-  if flow < 0 || flow >= Sys.max_array_length / 2 then
-    invalid_arg "Net.register: flow id out of range";
+  if flow < 0 then invalid_arg "Net.register: flow id out of range";
   if host < 0 || host >= Array.length t.nodes || not t.nodes.(host).is_host
   then invalid_arg "Net.register: not a host of this network";
-  let n = Array.length t.dhost in
-  if 2 * flow >= n then begin
-    let m = ref (Int.max 64 n) in
-    while !m <= 2 * flow do m := 2 * !m done;
-    let dhost = Array.make !m (-1) and dfn = Array.make !m ignore in
-    Array.blit t.dhost 0 dhost 0 n;
-    Array.blit t.dfn 0 dfn 0 n;
-    t.dhost <- dhost;
-    t.dfn <- dfn
-  end;
+  let k = ref (flow land (Array.length t.dflow - 1)) in
+  while t.dflow.(!k) <> flow && t.dflow.(!k) <> -1 do
+    grow t;
+    k := flow land (Array.length t.dflow - 1)
+  done;
+  let k = !k in
+  let i = 2 * k in
   let i =
-    let i = find t ~host ~flow and free = find t ~host:(-1) ~flow in
-    if i >= 0 then i
-    else if free >= 0 then free
+    if t.dflow.(k) = -1 then i
+    else if t.dhost.(i) = host then i
+    else if t.dhost.(i + 1) = host then i + 1
+    else if t.dhost.(i) = -1 then i
+    else if t.dhost.(i + 1) = -1 then i + 1
     else invalid_arg "Net.register: flow already has handlers at two hosts"
   in
+  t.dflow.(k) <- flow;
   t.dhost.(i) <- host;
   t.dfn.(i) <- handler
 
@@ -149,7 +177,9 @@ let unregister t ~host ~flow =
   let i = find t ~host ~flow in
   if i >= 0 then begin
     t.dhost.(i) <- -1;
-    t.dfn.(i) <- ignore
+    t.dfn.(i) <- ignore;
+    let j = i lxor 1 in
+    if t.dhost.(j) = -1 then t.dflow.(i / 2) <- -1
   end
 
 let stamp_int t (port : port) (p : Packet.t) =
@@ -349,6 +379,9 @@ and receive t (node : node) (p : Packet.t) =
       node.ports.(if b >= 0 then b else f.cand.(select t.sim f p)) p
   end
 
+(* The delivery table's starting size, in pairs: a power of two. *)
+let table_cap = 32
+
 let create sim ?(collect_int = false) nodes =
   Array.iteri (fun i n ->
       if n.nid <> i then invalid_arg "Net.create: node ids must be dense";
@@ -374,7 +407,9 @@ let create sim ?(collect_int = false) nodes =
   let t =
     { sim; nodes; ports; port_bits;
       tx_h = Sim.no_handler; arr_h = Sim.no_handler;
-      dhost = [||]; dfn = [||]; collect_int;
+      dflow = Array.make table_cap (-1);
+      dhost = Array.make (2 * table_cap) (-1);
+      dfn = Array.make (2 * table_cap) ignore; collect_int;
       delivered = 0; undeliverable = 0 }
   in
   t.tx_h <- Sim.register sim (fun g -> start_tx t (Array.unsafe_get ports g));
@@ -404,6 +439,7 @@ let send t (p : Packet.t) =
 (* Restart a parked transmit loop (after link-up / unpause). *)
 let kick t (port : port) = if port.up && not port.busy then start_tx t port
 
+let delivery_pairs t = Array.length t.dflow
 let delivered t = t.delivered
 let undeliverable t = t.undeliverable
 

@@ -102,13 +102,21 @@ val n_nodes : t -> int
 val register : t -> host:int -> flow:int -> (Packet.t -> unit) -> unit
 (** Install the endpoint handler receiving flow [flow]'s packets that
     arrive at [host], replacing any earlier one at that host. A flow
-    has handlers at two hosts at most (its source and destination), and
-    the table is indexed by flow id, so ids should be dense.
+    has handlers at two hosts at most (its source and destination). The
+    table holds a pair of handlers for each live flow (one with a
+    handler), at the flow id modulo its size; it doubles when two live
+    ids clash there, so the ids live at one time should be close
+    together.
     @raise Invalid_argument on a negative flow id, a [host] that is not
     a host of this network, or a third host for one flow. *)
 
 val unregister : t -> host:int -> flow:int -> unit
-(** Remove the handler of [flow] at [host]; a no-op if there is none. *)
+(** Remove the handler of [flow] at [host]; a no-op if there is none.
+    A flow with no handler left frees its pair: a later packet for it
+    is undeliverable. *)
+
+val delivery_pairs : t -> int
+(** The delivery table's size, in pairs of handlers. *)
 
 val send : t -> Packet.t -> unit
 (** Inject a packet at its source host's NIC. The fabric owns it from

@@ -48,30 +48,31 @@ let window ~params ?lcp_batch setup ctx flow =
 
 (* Flow starts go through a cursor: the launch reserves one tie per
    flow now, where scheduling every start would have taken them, and
-   keeps only the next start queued. Each start first arms the
-   following one with its reserved tie, then starts its own flow. The
-   specs are sorted by start, so the next start is armed at or before
-   its own (time, tie) and every event pops where it would with all
-   starts queued up front. *)
-let launch ctx start (specs : Ppt_workload.Trace.spec list) =
+   keeps only the next start queued. Each start first draws the
+   following spec and arms it with its reserved tie, then starts its
+   own flow. The specs come in start order, so the next start is armed
+   at or before its own (time, tie) and every event pops where it
+   would with all starts queued up front. Only the armed spec is held:
+   a run keeps no state for flows that have not started. *)
+let launch ctx start ~n next =
   let sim = ctx.Context.sim in
-  let first_tie = Sim.reserve sim (List.length specs) in
-  let rest = ref specs in
-  let start_h = ref Sim.no_handler in
-  let arm i =
-    match !rest with
-    | (spec : Ppt_workload.Trace.spec) :: _ ->
-      Sim.post_tie sim ~at:spec.start ~tie:(first_tie + i) !start_h i
-    | [] -> ()
-  in
-  start_h :=
-    Sim.register sim (fun i ->
-        match !rest with
-        | spec :: tl ->
-          rest := tl;
-          arm (i + 1);
+  let first_tie = Sim.reserve sim n in
+  if n > 0 then begin
+    let armed = ref (next ()) in
+    let start_h = ref Sim.no_handler in
+    let arm i =
+      Sim.post_tie sim ~at:!armed.Ppt_workload.Trace.start
+        ~tie:(first_tie + i) !start_h i
+    in
+    start_h :=
+      Sim.register sim (fun i ->
+          let spec = !armed in
+          if i + 1 < n then begin
+            armed := next ();
+            arm (i + 1)
+          end;
           let flow = Flow.of_spec spec in
           Context.flow_started ctx flow;
-          start flow
-        | [] -> assert false);
-  arm 0
+          start flow);
+    arm 0
+  end

@@ -27,11 +27,15 @@ val window :
     holds the whole message. *)
 
 val launch :
-  Context.t -> (Flow.t -> unit) -> Ppt_workload.Trace.spec list -> unit
-(** [launch ctx start specs] starts each flow of [specs] at its start
-    time: {!Context.flow_started}, then [start]. Every event pops where
-    it would if every start were scheduled now, in list order; only
-    the next start is queued at a time. [specs] must be sorted by
-    start: a start before the one listed ahead of it raises
-    [Invalid_argument] from the run, as {!Ppt_engine.Sim.post_tie}
-    refuses a time in the past. *)
+  Context.t -> (Flow.t -> unit) -> n:int ->
+  (unit -> Ppt_workload.Trace.spec) -> unit
+(** [launch ctx start ~n next] starts [n] flows, drawing their specs
+    from [next] one at a time ({!Ppt_workload.Trace.source}, or
+    {!Ppt_workload.Trace.cursor} over a list). Each flow starts at its
+    start time: {!Context.flow_started}, then [start]. Every event
+    pops where it would if every start were scheduled now, in draw
+    order; only the next start is queued, and [next] is called for it
+    when the start before it fires (for the first, now). The specs
+    must come in start order: a start before the one drawn ahead of it
+    raises [Invalid_argument] from the run, as
+    {!Ppt_engine.Sim.post_tie} refuses a time in the past. *)

@@ -66,8 +66,11 @@ let fraction_below t x =
 let sample t rng =
   let u = Ppt_engine.Rng.float rng in
   let xs = t.xs and ps = t.ps in
-  let rec find i = if ps.(i) >= u then i else find (i + 1) in
-  let i = find 1 in
+  (* a loop, not a local recursive function: that would be a closure
+     capturing [u], allocated on every draw *)
+  let i = ref 1 in
+  while ps.(!i) < u do incr i done;
+  let i = !i in
   let x0 = xs.(i - 1) and p0 = ps.(i - 1) in
   let x = x0 +. ((xs.(i) -. x0) *. (u -. p0) /. (ps.(i) -. p0)) in
   Int.max 1 (int_of_float (Float.round x))

@@ -31,27 +31,20 @@ let mean_interarrival_ns ~mean_size ~load ~agg_rate =
   let bits = mean_size *. 8. in
   bits /. (load *. float_of_int agg_rate) *. 1e9
 
-let pick_src_dst rng = function
-  | All_to_all hosts ->
-    let n = Array.length hosts in
-    let s = Rng.int rng n in
-    let d =
-      let d = Rng.int rng (n - 1) in
-      if d >= s then d + 1 else d
-    in
-    (hosts.(s), hosts.(d))
-  | Incast { senders; receiver } ->
-    (senders.(Rng.int rng (Array.length senders)), receiver)
-  | Pairs pairs ->
-    pairs.(Rng.int rng (Array.length pairs))
-
 (* Aggregate sending capacity that the target load refers to. *)
 let agg_rate ~edge_rate = function
   | All_to_all hosts -> Array.length hosts * edge_rate
   | Incast _ -> edge_rate       (* the receiver link is the bottleneck *)
   | Pairs pairs -> Array.length pairs * edge_rate
 
-let generate ~rng ~cdf ~pattern ~edge_rate ~load ~n_flows () =
+(* The arrival clock, in ns. A record of floats alone is stored flat,
+   so advancing it allocates nothing. *)
+type clock = { mutable now : float }
+
+(* Each call draws the next flow: its inter-arrival, its endpoints and
+   its size, each from a stream of its own. The spec record is the
+   only allocation. *)
+let source ~rng ~cdf ~pattern ~edge_rate ~load () =
   let arr_rng = Rng.split rng in
   let size_rng = Rng.split rng in
   let pick_rng = Rng.split rng in
@@ -59,12 +52,38 @@ let generate ~rng ~cdf ~pattern ~edge_rate ~load ~n_flows () =
     mean_interarrival_ns ~mean_size:(Cdf.mean cdf) ~load
       ~agg_rate:(agg_rate ~edge_rate pattern)
   in
-  let now = ref 0. in
-  List.init n_flows (fun id ->
-      now := !now +. Rng.exponential arr_rng ~mean:mean_ia;
-      let src, dst = pick_src_dst pick_rng pattern in
-      let size = Cdf.sample cdf size_rng in
-      { id; src; dst; size; start = int_of_float !now })
+  let clock = { now = 0. } and next_id = ref 0 in
+  fun () ->
+    clock.now <- clock.now +. Rng.exponential arr_rng ~mean:mean_ia;
+    let id = !next_id in
+    next_id := id + 1;
+    let start = int_of_float clock.now in
+    let size = Cdf.sample cdf size_rng in
+    match pattern with
+    | All_to_all hosts ->
+      (* src and dst uniform over the hosts, dst <> src *)
+      let n = Array.length hosts in
+      let s = Rng.int pick_rng n in
+      let d = Rng.int pick_rng (n - 1) in
+      { id; src = hosts.(s); dst = hosts.(if d >= s then d + 1 else d);
+        size; start }
+    | Incast { senders; receiver } ->
+      let s = Rng.int pick_rng (Array.length senders) in
+      { id; src = senders.(s); dst = receiver; size; start }
+    | Pairs pairs ->
+      let src, dst = pairs.(Rng.int pick_rng (Array.length pairs)) in
+      { id; src; dst; size; start }
+
+let generate ~rng ~cdf ~pattern ~edge_rate ~load ~n_flows () =
+  let next = source ~rng ~cdf ~pattern ~edge_rate ~load () in
+  List.init n_flows (fun _ -> next ())
+
+let cursor specs =
+  let rest = ref specs in
+  fun () ->
+    match !rest with
+    | s :: tl -> rest := tl; s
+    | [] -> invalid_arg "Trace.cursor: past the last flow"
 
 let total_bytes specs =
   List.fold_left (fun acc s -> acc + s.size) 0 specs
@@ -122,8 +141,12 @@ let of_csv text =
     |> List.filter (fun (lineno, l) -> lineno > 1 && String.trim l <> "")
     |> List.map (fun (lineno, l) -> (lineno, parse_line lineno l))
   in
-  (* Ids are [0, n), each once, as [to_csv] writes them: the fabric's
-     delivery table is indexed by flow id. *)
+  (* Ids are [0, n), each once, as [to_csv] writes them. An id names
+     one flow in the FCT records, the event trace and the fabric's
+     delivery table. That table is keyed by the live flows' ids modulo
+     its size: flows that start close together have close ids, so they
+     land in distinct slots of a small table, where arbitrary ids could
+     clash and double it over and over. *)
   let n = List.length rows in
   let seen = Array.make n false in
   List.iter

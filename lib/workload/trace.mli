@@ -15,10 +15,22 @@ type pattern =
   | Incast of { senders : int array; receiver : int }
   | Pairs of (int * int) array
 
+val source :
+  rng:Rng.t -> cdf:Cdf.t -> pattern:pattern -> edge_rate:Units.rate ->
+  load:float -> unit -> unit -> spec
+(** [source ~rng ... ()] is the flow generator: its i-th call returns
+    flow [i], its start a Poisson arrival after the one before, so the
+    calls come in start order. Deterministic in [rng]. The spec is the
+    only allocation of a call. *)
+
 val generate :
   rng:Rng.t -> cdf:Cdf.t -> pattern:pattern -> edge_rate:Units.rate ->
   load:float -> n_flows:int -> unit -> spec list
-(** Flows sorted by start time; deterministic in [rng]. *)
+(** The first [n_flows] flows of {!source}, sorted by start time. *)
+
+val cursor : spec list -> unit -> spec
+(** [cursor specs] returns the specs one per call, in list order.
+    @raise Invalid_argument when called past the last one. *)
 
 val total_bytes : spec list -> int
 

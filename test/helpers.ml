@@ -30,12 +30,17 @@ let assert_drained sim =
   Alcotest.(check int) "sim drained (pending timers)" 0
     (Sim.pending sim)
 
+(* Start a list of specs through [Endpoint.launch], the launcher every
+   run uses, in list order. *)
+let launch_specs ctx start specs =
+  Endpoint.launch ctx start ~n:(List.length specs)
+    (Ppt_workload.Trace.cursor specs)
+
 (* Start the given (src, dst, size, start) flows on a transport through
-   [Endpoint.launch], the launcher every run uses: flows are numbered by
-   list position and started in order of start time, ties in list
-   order. *)
+   [Endpoint.launch]: flows are numbered by list position and started
+   in order of start time, ties in list order. *)
 let launch ctx start specs =
-  Endpoint.launch ctx start
+  launch_specs ctx start
     (List.stable_sort
        (fun (a : Ppt_workload.Trace.spec) b -> compare a.start b.start)
        (List.mapi

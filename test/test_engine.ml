@@ -948,6 +948,36 @@ let test_exponential_mean () =
     (Printf.sprintf "sample mean %.2f within 2%% of 100" m)
     true (abs_float (m -. 100.) < 2.)
 
+(* The streams are part of every pinned output: these are the first
+   draws of a seed and of a split stream as the boxed-[int64] generator
+   produced them. [Rng.int _ max_int] returns the draw's 62 bits. *)
+let test_rng_pinned_draws () =
+  let r = Rng.create 1 in
+  let ints rng = List.init 3 (fun _ -> Rng.int rng max_int) in
+  check Alcotest.(list int) "create 1"
+    [ 2612804094800205616; 3439311302766607129; 4477959822570722647 ]
+    (ints r);
+  check Alcotest.(float 0.) "then a float" 0x1.c7061a43b90b2p-2
+    (Rng.float r);
+  let s = Rng.split r in
+  check Alcotest.(list int) "split"
+    [ 1152954867435498666; 2140180890788834806; 4274177049013414301 ]
+    (ints s);
+  check Alcotest.int "parent after the split" 3518229400716132512
+    (Rng.int r max_int);
+  check Alcotest.(float 0.) "split exponential" 0x1.99c72df8d88bfp+9
+    (Rng.exponential s ~mean:1000.)
+
+(* A draw allocates nothing: the state is updated in place, unboxed. *)
+let test_rng_draws_allocate_nothing () =
+  let rng = Rng.create 3 in
+  let acc = ref 0 in
+  let before = Gc.minor_words () in
+  for _ = 1 to 10_000 do acc := !acc + Rng.int rng 1_000 done;
+  let words = Gc.minor_words () -. before in
+  ignore (Sys.opaque_identity !acc);
+  check Alcotest.(float 0.) "minor words over 10k Rng.int draws" 0. words
+
 let suite =
   [ Alcotest.test_case "heap: pop order" `Quick test_heap_order;
     Alcotest.test_case "heap: fifo tie-break" `Quick test_heap_fifo_ties;
@@ -1007,4 +1037,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_rng_int_range;
     QCheck_alcotest.to_alcotest prop_exponential_positive;
     Alcotest.test_case "rng: exponential mean" `Quick
-      test_exponential_mean ]
+      test_exponential_mean;
+    Alcotest.test_case "rng: pinned first draws" `Quick
+      test_rng_pinned_draws;
+    Alcotest.test_case "rng: draws allocate nothing" `Quick
+      test_rng_draws_allocate_nothing ]

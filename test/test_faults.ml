@@ -734,10 +734,25 @@ let test_faults_off_is_pristine () =
            ~faults:(ok (F.of_string "down@2ms-4ms:link:2"))
            ~seed:3 Ppt_harness.Schemes.ppt pb
        in
-       check Alcotest.bool
-         "fault spec leaves the generated flow trace unchanged" true
-         (r_plain.Ppt_harness.Runner.trace
-          = r_chaos.Ppt_harness.Runner.trace);
+       (* every completed flow, as (id, size, start), by id *)
+       let launched (r : Ppt_harness.Runner.result) =
+         List.sort compare
+           (List.map
+              (fun (c : Ppt_stats.Fct.record) ->
+                 (c.Ppt_stats.Fct.flow, c.size, c.start))
+              r.Ppt_harness.Runner.records)
+       in
+       let generated =
+         List.map
+           (fun (s : Ppt_workload.Trace.spec) -> (s.id, s.size, s.start))
+           (Ppt_harness.Runner.flows r_plain.Ppt_harness.Runner.r_config)
+       in
+       check Alcotest.(list (triple int int int))
+         "plain run launches the generated flows" generated
+         (launched r_plain);
+       check Alcotest.(list (triple int int int))
+         "fault spec leaves the generated flow trace unchanged" generated
+         (launched r_chaos);
        check Alcotest.int "chaos run still completes"
          r_chaos.Ppt_harness.Runner.requested
          r_chaos.Ppt_harness.Runner.completed;

@@ -330,6 +330,39 @@ let test_runner_rejects_unsorted () =
     (run [ 0; 5_000; 100 ]);
   check Alcotest.string "equal starts run" "ran: 3/3" (run [ 0; 100; 100 ])
 
+(* A run draws its flows from the generator as they start; launching
+   the same flows from the list [Runner.flows] returns is the same run.
+   Checked with PPT on a testbed memcached incast and with DCTCP on the
+   oversubscribed fabric. (A replay does not split the run's random
+   stream for a generator, and PPT identifies large flows from that
+   stream; memcached flows are all below its threshold.) *)
+let test_runner_streamed_equals_list () =
+  let incast =
+    { (Config.testbed ~n_flows:2_000 ~load:0.5 ()) with
+      Config.pattern = Config.Incast { n_senders = 14 } }
+    |> Config.with_workload ~name:"memcached" Ppt_workload.Dists.memcached
+  in
+  List.iter
+    (fun ((cfg : Config.t), scheme) ->
+       let flows = Runner.flows cfg in
+       check Alcotest.int (cfg.Config.name ^ ": flows generated")
+         cfg.Config.n_flows (List.length flows);
+       let streamed = Runner.run cfg scheme in
+       let listed = Runner.run ~trace:flows cfg scheme in
+       let tag what = Printf.sprintf "%s: %s" cfg.Config.name what in
+       check Alcotest.int (tag "all completed") cfg.Config.n_flows
+         streamed.Runner.completed;
+       check Alcotest.bool (tag "same records") true
+         (streamed.Runner.records = listed.Runner.records);
+       check Alcotest.int (tag "same events") streamed.Runner.events
+         listed.Runner.events;
+       check Alcotest.int (tag "same drops") streamed.Runner.drops
+         listed.Runner.drops;
+       check Alcotest.int (tag "same marks") streamed.Runner.marks
+         listed.Runner.marks)
+    [ (incast, Schemes.ppt);
+      (Config.oversub ~n_flows:200 (), Schemes.dctcp) ]
+
 let suite =
   [ Alcotest.test_case "config: topology shapes" `Quick test_config_shapes;
     Alcotest.test_case "runner: all schemes complete" `Slow
@@ -347,6 +380,8 @@ let suite =
       test_runner_rejects_non_hosts;
     Alcotest.test_case "runner: replayed trace must be sorted by start"
       `Quick test_runner_rejects_unsorted;
+    Alcotest.test_case "runner: streamed launch equals list launch" `Quick
+      test_runner_streamed_equals_list;
     Alcotest.test_case "runner: efficiency bounds" `Quick
       test_runner_efficiency_bounds;
     Alcotest.test_case "ablation: scheduling direction" `Slow

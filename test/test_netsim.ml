@@ -643,6 +643,159 @@ let test_delivery_table () =
   check Alcotest.int "unregistered end no longer delivers" 2
     (Net.undeliverable net)
 
+let star3 () =
+  let sim = Sim.create () in
+  let topo =
+    Topology.star ~sim ~n_hosts:3 ~rate:(Units.gbps 10)
+      ~delay:(Units.us 1)
+      ~qcfg:(Prio_queue.default_config ~buffer_bytes:(Units.kb 100)) ()
+  in
+  (sim, topo.Topology.net)
+
+(* The delivery table against a [Hashtbl] reference keyed by (flow,
+   host). Ops: register a fresh handler, unregister, send a packet
+   (held on the wire until the next run), run. Ids are [lo + 64 * hi],
+   so they clash modulo 64 and 128; registrations also try a negative
+   id, the switch (node 3) and a node outside the star. A packet meets
+   the table as it is when it arrives, so a packet for a flow that
+   finished meanwhile must count as undeliverable, even when a newer
+   flow holds its pair by then. The table's size stays within twice the
+   widest spread of ids live at one time. *)
+type table_op =
+  | Reg of int * int
+  | Unreg of int * int
+  | Send of int * int * int
+  | Run
+
+let table_op_gen =
+  let open QCheck.Gen in
+  let id = map2 (fun lo hi -> lo + (64 * hi)) (int_bound 3) (int_bound 5) in
+  let host = int_bound 2 in
+  frequency
+    [ (4, map2 (fun f h -> Reg (f, h)) id host);
+      (1, map (fun f -> Reg (f, 3)) id);
+      (1, map (fun h -> Reg (-1, h)) host);
+      (1, map (fun f -> Reg (f, 4)) id);
+      (3, map2 (fun f h -> Unreg (f, h)) id host);
+      (4, map3 (fun f s d -> Send (f, s, (s + 1 + d) mod 3)) id host
+           (int_bound 1));
+      (2, return Run) ]
+
+let show_table_op = function
+  | Reg (f, h) -> Printf.sprintf "reg %d@%d" f h
+  | Unreg (f, h) -> Printf.sprintf "unreg %d@%d" f h
+  | Send (f, s, d) -> Printf.sprintf "send %d %d->%d" f s d
+  | Run -> "run"
+
+let prop_delivery_table_matches_reference =
+  QCheck.Test.make ~name:"delivery table matches a Hashtbl reference"
+    ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_table_op ops))
+       QCheck.Gen.(list_size (int_range 1 120) table_op_gen))
+    (fun ops ->
+       let sim, net = star3 () in
+       let model = Hashtbl.create 16 in    (* (flow, host) -> tag *)
+       let got = Hashtbl.create 16 and want = Hashtbl.create 16 in
+       let bump tbl tag =
+         Hashtbl.replace tbl tag
+           (1 + Option.value ~default:0 (Hashtbl.find_opt tbl tag))
+       in
+       let undeliverable = ref 0 and in_flight = ref [] in
+       let next_tag = ref 0 and widest = ref 0 in
+       let hosts_of flow =
+         List.filter (fun h -> Hashtbl.mem model (flow, h)) [ 0; 1; 2 ]
+       in
+       let run () =
+         List.iter
+           (fun (flow, dst) ->
+              match Hashtbl.find_opt model (flow, dst) with
+              | Some tag -> bump want tag
+              | None -> incr undeliverable)
+           !in_flight;
+         in_flight := [];
+         Sim.run sim
+       in
+       let step = function
+         | Reg (flow, host) ->
+           let ok =
+             flow >= 0 && host <= 2
+             && (Hashtbl.mem model (flow, host)
+                 || List.length (hosts_of flow) < 2)
+           in
+           let tag = !next_tag in
+           incr next_tag;
+           (match Net.register net ~host ~flow (fun _ -> bump got tag) with
+            | () ->
+              if not ok then QCheck.Test.fail_reportf "accepted %d@%d" flow host;
+              Hashtbl.replace model (flow, host) tag
+            | exception Invalid_argument _ ->
+              if ok then QCheck.Test.fail_reportf "refused %d@%d" flow host)
+         | Unreg (flow, host) ->
+           Net.unregister net ~host ~flow;
+           Hashtbl.remove model (flow, host)
+         | Send (flow, src, dst) ->
+           Net.send net (mk_pkt ~flow ~src ~dst ());
+           in_flight := (flow, dst) :: !in_flight
+         | Run -> run ()
+       in
+       List.iter
+         (fun op ->
+            step op;
+            let live = Hashtbl.fold (fun (f, _) _ acc -> f :: acc) model [] in
+            (match live with
+             | [] -> ()
+             | f :: _ ->
+               let lo = List.fold_left min f live
+               and hi = List.fold_left max f live in
+               widest := max !widest (hi - lo));
+            if Net.delivery_pairs net > max 32 (2 * !widest) then
+              QCheck.Test.fail_reportf "%d pairs for a spread of %d"
+                (Net.delivery_pairs net) !widest)
+         (ops @ [ Run ]);
+       let counts tbl =
+         List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
+       in
+       counts got = counts want && Net.undeliverable net = !undeliverable
+       && Net.delivered net = List.fold_left (fun a (_, n) -> a + n) 0
+            (counts want))
+
+(* One long-lived flow while 3,000 later ids churn, at most two live at
+   a time besides it. Each churned flow's last packet is still on the
+   wire when it finishes and the next flow registers: it counts as
+   undeliverable and reaches no one. The table grows only to separate
+   the long-lived id from the churned ones; without the long-lived flow
+   it stays at its starting size. *)
+let test_delivery_table_churn () =
+  let churn ~long_lived =
+    let sim, net = star3 () in
+    let long_got = ref 0 and got = ref 0 and stray = ref 0 in
+    if long_lived then
+      Net.register net ~host:1 ~flow:0 (fun _ -> incr long_got);
+    for flow = 1 to 3_000 do
+      Net.register net ~host:2 ~flow (fun _ -> incr stray);
+      Net.register net ~host:0 ~flow (fun _ -> incr got);
+      Net.send net (mk_pkt ~flow ~src:2 ~dst:0 ());
+      if long_lived then Net.send net (mk_pkt ~flow:0 ~src:0 ~dst:1 ());
+      Sim.run sim;
+      Net.send net (mk_pkt ~flow ~src:2 ~dst:0 ());
+      Net.unregister net ~host:0 ~flow;
+      Net.unregister net ~host:2 ~flow
+    done;
+    Sim.run sim;
+    check Alcotest.int "every churned flow got its packet" 3_000 !got;
+    check Alcotest.int "no packet reached a source" 0 !stray;
+    check Alcotest.int "late packets are undeliverable" 3_000
+      (Net.undeliverable net);
+    (Net.delivery_pairs net, !long_got)
+  in
+  let pairs, long_got = churn ~long_lived:true in
+  check Alcotest.int "the long-lived flow got every packet" 3_000 long_got;
+  check Alcotest.int "pairs: first power of two above the spread" 4_096
+    pairs;
+  let pairs, _ = churn ~long_lived:false in
+  check Alcotest.int "pairs without a long-lived flow" 32 pairs
+
 let leaf_spine () =
   let sim = Sim.create () in
   let topo =
@@ -826,6 +979,9 @@ let suite =
     Alcotest.test_case "net: undeliverable counted" `Quick
       test_undeliverable_counted;
     Alcotest.test_case "net: delivery table" `Quick test_delivery_table;
+    QCheck_alcotest.to_alcotest prop_delivery_table_matches_reference;
+    Alcotest.test_case "net: delivery table follows live flows" `Quick
+      test_delivery_table_churn;
     Alcotest.test_case "net: send refuses copies and stale packets" `Quick
       test_send_refuses_foreign_packets;
     Alcotest.test_case "topo: leaf-spine shape" `Quick test_leaf_spine_shape;

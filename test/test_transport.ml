@@ -349,7 +349,9 @@ let launched_run launch specs =
    Ppt_obs.Trace.Ring.to_list ring)
 
 let test_launch_matches_up_front () =
-  let records, events, trace = launched_run Endpoint.launch launch_specs in
+  let records, events, trace =
+    launched_run Helpers.launch_specs launch_specs
+  in
   let records', events', trace' =
     launched_run launch_up_front launch_specs
   in
@@ -362,7 +364,7 @@ let test_launch_matches_up_front () =
 
 let test_launch_refuses_unsorted () =
   let sim, _topo, ctx = Helpers.star () in
-  Endpoint.launch ctx (Dctcp.make () ctx) (List.rev launch_specs);
+  Helpers.launch_specs ctx (Dctcp.make () ctx) (List.rev launch_specs);
   match Sim.run ~until:(Units.sec 30) sim with
   | () -> Alcotest.fail "a start before the previous one was accepted"
   | exception Invalid_argument _ -> ()

@@ -160,7 +160,40 @@ let test_trace_poisson_load () =
   in
   check Alcotest.bool
     (Printf.sprintf "offered load %.3f ~ 0.5" offered)
-    true (abs_float (offered -. load) < 0.1)
+    true (abs_float (offered -. load) < 0.1);
+  (* The arrival process, for every CDF and both load definitions: the
+     realized rate [n / last start] of a Poisson process with the §6.1
+     mean inter-arrival, [mean_size * 8 / (load * agg_rate)], is within
+     3/sqrt(n) of its rate (the last start is a sum of n exponentials).
+     The rate is checked rather than the offered load, because data
+     mining's heavy tail makes the realized bytes too noisy. *)
+  let n = 4000 in
+  let patterns =
+    [ ("all-to-all", Trace.All_to_all hosts, 16);
+      ("incast", Trace.Incast { senders = Array.init 14 Fun.id;
+                                receiver = 14 }, 1) ]
+  in
+  List.iteri
+    (fun i { Dists.dist_name; cdf } ->
+       List.iteri
+         (fun j (pname, pattern, links) ->
+            let specs =
+              Trace.generate ~rng:(Rng.create (10 + (2 * i) + j)) ~cdf
+                ~pattern ~edge_rate ~load ~n_flows:n ()
+            in
+            let last = (List.nth specs (n - 1)).Trace.start in
+            let mean_ia_ns =
+              Cdf.mean cdf *. 8. /. (load *. float_of_int (links * edge_rate))
+              *. 1e9
+            in
+            let ratio = float_of_int n /. float_of_int last *. mean_ia_ns in
+            check Alcotest.bool
+              (Printf.sprintf "%s %s: rate / target %.4f" dist_name pname
+                 ratio)
+              true
+              (abs_float (ratio -. 1.) < 3. /. sqrt (float_of_int n)))
+         patterns)
+    Dists.all
 
 let test_trace_sorted_and_valid () =
   let rng = Rng.create 6 in
