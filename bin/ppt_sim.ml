@@ -110,14 +110,6 @@ let full_arg =
   let doc = "Use the full-size 144-host fabric (slow)." in
   Arg.(value & flag & info [ "full" ] ~doc)
 
-let verbose_arg =
-  let doc = "Enable debug logging (loop lifecycle, RTOs, recovery)." in
-  Arg.(value & flag & info [ "v"; "verbose" ] ~doc)
-
-let setup_logs verbose =
-  Logs.set_reporter (Logs.format_reporter ());
-  Logs.set_level (Some (if verbose then Logs.Debug else Logs.Warning))
-
 let incast_arg =
   let doc =
     "Run an N-to-1 incast pattern instead of all-to-all; N must be \
@@ -226,8 +218,7 @@ let run_cmd =
     s
   in
   let run topo scheme workload load flows seed full incast dump
-      trace_in trace_out trace_events trace_fmt probe_us faults verbose =
-    setup_logs verbose;
+      trace_in trace_out trace_events trace_fmt probe_us faults =
     match
       ( Schemes.find scheme,
         config_of ~topo ~workload ~load ~flows ~seed ~full ~incast )
@@ -295,7 +286,7 @@ let run_cmd =
                $ load_arg $ flows_arg $ seed_arg $ full_arg $ incast_arg
                $ dump_arg $ trace_in_arg $ trace_out_arg
                $ trace_events_arg $ trace_fmt_arg $ probe_us_arg
-               $ faults_arg $ verbose_arg))
+               $ faults_arg))
   in
   Cmd.v (Cmd.info "run" ~doc:"Run one transport over one workload") term
 

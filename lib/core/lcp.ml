@@ -25,10 +25,6 @@
 open Ppt_engine
 open Ppt_transport
 
-let log_src = Logs.Src.create "ppt.lcp" ~doc:"PPT low-priority control loop"
-
-module Log = (val Logs.src_log log_src : Logs.LOG)
-
 let idle_rtts = 2   (* loop termination threshold *)
 
 type t = {
@@ -75,10 +71,6 @@ let shutdown t =
 
 let close_loop t =
   if t.opened then begin
-    Log.debug (fun m ->
-        m "flow %d: loop closed at %a (alpha=%.3f)"
-          (Reliable.flow t.snd).Flow.id Units.pp_time (now t)
-          (t.view.Dctcp.alpha ()));
     t.opened <- false;
     if !Ppt_obs.Trace.enabled then
       Ppt_obs.Trace.emit (now t)
@@ -161,10 +153,6 @@ let open_loop t ~initial_window =
   if (not t.opened) && not t.shut then begin
     let mss = Reliable.mss t.snd in
     if initial_window >= mss then begin
-      Log.debug (fun m ->
-          m "flow %d: loop %d opened at %a, I=%dB"
-            (Reliable.flow t.snd).Flow.id (t.loops_opened + 1)
-            Units.pp_time (now t) initial_window);
       t.opened <- true;
       if !Ppt_obs.Trace.enabled then
         Ppt_obs.Trace.emit (now t)

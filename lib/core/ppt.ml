@@ -3,7 +3,7 @@
    The HCP is a primary window loop on the shared reliable sender: stock
    DCTCP in the main design, a Swift-like delay-based loop in §6.2
    (Fig. 14), or HPCC as sketched in appendix B. The LCP is {!Lcp};
-   scheduling is buffer-aware identification ({!Flow_ident}) plus
+   scheduling is buffer-aware identification ({!Sendbuf}) plus
    mirror-symmetric tagging ({!Tagging}).
 
    [make] builds the full transport; the [params] knobs turn off one
@@ -58,19 +58,19 @@ let attach_hcp hcp ctx snd =
       ~spare:(fun () -> Reliable.inflight snd < ctx.Context.bdp)
 
 let make ?(hcp = Dctcp) ?(params = default_params) () =
-  let ident = Flow_ident.make ~model:params.sendbuf () in
   (* DCTCP reacts to ECN; Swift and HPCC do not mark primary data *)
   let ecn_capable = (match hcp with Dctcp -> true | Swift | Hpcc -> false) in
   fun ctx flow ->
     let identified =
       params.identification
-      && Flow_ident.identify ident ctx.Context.rng ~flow_size:flow.Flow.size
+      && Sendbuf.identify params.sendbuf ctx.Context.rng
+        ~flow_size:flow.Flow.size
     in
     let tagger =
-      if params.scheduling then begin
-        let tag = Tagging.make ~identified_large:identified () in
-        fun ~bytes_sent ~loop -> Tagging.prio tag ~loop ~bytes_sent
-      end else
+      if params.scheduling then
+        fun ~bytes_sent ~loop ->
+          Tagging.prio ~identified_large:identified ~loop ~bytes_sent
+      else
         fun ~bytes_sent ~loop -> Tagging.unscheduled ~loop ~bytes_sent
     in
     let rel_params =

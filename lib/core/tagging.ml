@@ -10,37 +10,15 @@
 
 open Ppt_netsim
 
-type t = {
-  identified_large : bool;
-  demotion : int array;   (* 3 ascending bytes-sent thresholds *)
-}
+(* The §4.2 bytes-sent thresholds between the 4 levels of a band. *)
+let demotion = [| 100_000; 1_000_000; 10_000_000 |]
 
-let default_demotion = [| 100_000; 1_000_000; 10_000_000 |]
-
-let make ?(demotion = default_demotion) ~identified_large () =
-  if Array.length demotion <> 3 then
-    invalid_arg "Tagging.make: need exactly 3 demotion thresholds";
-  Array.iteri (fun i th ->
-      if th <= 0 || (i > 0 && th <= demotion.(i - 1)) then
-        invalid_arg "Tagging.make: thresholds must ascend")
-    demotion;
-  { identified_large; demotion }
-
-(* Thresholds crossed from the [i]th on. Top level rather than local
-   to [level]: a local recursive function would be a closure allocated
-   for every packet tagged. *)
-let rec crossed demotion bytes_sent i =
-  if i >= Array.length demotion then i
-  else if bytes_sent >= demotion.(i) then crossed demotion bytes_sent (i + 1)
-  else i
-
-(* Priority level within a band (0..3). *)
-let level t ~bytes_sent =
-  if t.identified_large then 3
-  else Int.min 3 (crossed t.demotion bytes_sent 0)
-
-let prio t ~loop ~bytes_sent =
-  let l = level t ~bytes_sent in
+let prio ~identified_large ~loop ~bytes_sent =
+  (* the priority level within a band, 0..3 *)
+  let l =
+    if identified_large then 3
+    else Ppt_transport.Pias.crossed demotion ~bytes_sent
+  in
   match loop with
   | Packet.H -> l
   | Packet.L -> Prio_queue.lp_band_start + l

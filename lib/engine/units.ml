@@ -15,10 +15,10 @@ let to_ms t = float_of_int t /. 1e6
 let to_sec t = float_of_int t /. 1e9
 
 let pp_time ppf t =
-  if t >= 1_000_000_000 then Fmt.pf ppf "%.3fs" (to_sec t)
-  else if t >= 1_000_000 then Fmt.pf ppf "%.3fms" (to_ms t)
-  else if t >= 1_000 then Fmt.pf ppf "%.3fus" (to_us t)
-  else Fmt.pf ppf "%dns" t
+  if t >= 1_000_000_000 then Format.fprintf ppf "%.3fs" (to_sec t)
+  else if t >= 1_000_000 then Format.fprintf ppf "%.3fms" (to_ms t)
+  else if t >= 1_000 then Format.fprintf ppf "%.3fus" (to_us t)
+  else Format.fprintf ppf "%dns" t
 
 type rate = int
 (** Link or sending rate in bits per second. *)

@@ -264,6 +264,27 @@ let fault_kill t (port : port) (p : Packet.t) reason =
            reason });
   Packet.release p
 
+(* A flowlet entry idle for longer than [gap] routes its flow's next
+   packet exactly as a missing entry would (by the epoch hash), so
+   dropping it changes no route. The table is checked each time it
+   reaches a power of two entries (from 64), and its idle entries are
+   dropped when they are the majority. A check that keeps them lets
+   the table double before the next one, and a check that drops them
+   frees over half the entries it reads, so checks cost O(1) per
+   insertion amortized. The table stays within 64 entries or 4x the
+   flows that sent within [gap] at its last check. *)
+let prune_flowlets tbl ~now ~gap =
+  let n = Hashtbl.length tbl in
+  if n >= 64 && n land (n - 1) = 0 then begin
+    let active st = now - st.fl_last <= gap in
+    let live =
+      Hashtbl.fold (fun _ st k -> if active st then k + 1 else k) tbl 0
+    in
+    if 2 * live < n then
+      Hashtbl.filter_map_inplace
+        (fun _ st -> if active st then Some st else None) tbl
+  end
+
 (* ECMP candidate index for one packet under the node's policy.
    Allocation-free: the flowlet table stores mutable records and misses
    are signalled by the (constant) [Not_found]. *)
@@ -289,6 +310,7 @@ let select sim (f : fwd) (p : Packet.t) =
      | exception Not_found ->
        let epoch = now / Int.max 1 gap in
        let c = ecmp_hash (p.flow + (epoch * 65599)) n in
+       prune_flowlets tbl ~now ~gap;
        Hashtbl.add tbl p.flow { fl_cand = c; fl_last = now };
        c)
 

@@ -133,10 +133,10 @@ let mark_rate t =
   else float_of_int t.marks /. float_of_int t.data_enqueues
 
 let pp ppf t =
-  Fmt.pf ppf "@[<v>events        %d" t.events;
+  Format.fprintf ppf "@[<v>events        %d" t.events;
   if t.events > 0 then
-    Fmt.pf ppf "@,span          %d .. %d ns" t.t_first t.t_last;
-  Fmt.pf ppf
+    Format.fprintf ppf "@,span          %d .. %d ns" t.t_first t.t_last;
+  Format.fprintf ppf
     "@,flows         %d started, %d done@,\
      data enqueues %d@,marks         %d (rate %.4f)@,\
      drops/trims   %d/%d@,retransmits   %d"
@@ -144,16 +144,17 @@ let pp ppf t =
     (let r = mark_rate t in if Float.is_nan r then 0. else r)
     t.drops t.trims t.retransmits;
   if t.fault_drops > 0 || t.link_events > 0 then
-    Fmt.pf ppf "@,faults        %d drops, %d link events"
+    Format.fprintf ppf "@,faults        %d drops, %d link events"
       t.fault_drops t.link_events;
-  Fmt.pf ppf "@,by event:";
-  List.iter (fun (tag, n) -> Fmt.pf ppf "@,  %-12s %d" tag n) (by_tag t);
+  Format.fprintf ppf "@,by event:";
+  List.iter (fun (tag, n) -> Format.fprintf ppf "@,  %-12s %d" tag n)
+    (by_tag t);
   let occ = max_occ t in
   if occ <> [] then begin
-    Fmt.pf ppf "@,max occupancy per port:";
+    Format.fprintf ppf "@,max occupancy per port:";
     List.iter
       (fun ((node, port), v) ->
-         Fmt.pf ppf "@,  node %-3d port %-2d %8d B" node port v)
+         Format.fprintf ppf "@,  node %-3d port %-2d %8d B" node port v)
       occ
   end;
-  Fmt.pf ppf "@]"
+  Format.fprintf ppf "@]"

@@ -36,7 +36,9 @@ let jsonl_sink oc : sink =
    per-event cost is a handful of buffer writes — no string formatting,
    no per-event I/O. The caller must invoke the returned [flush] before
    closing the channel. *)
-let binary_sink ?(chunk = 1 lsl 16) oc =
+let chunk = 1 lsl 16
+
+let binary_sink oc =
   output_string oc Event.bin_magic;
   let b = Buffer.create (chunk + 256) in
   let sink ts ev =

@@ -30,10 +30,10 @@ val jsonl_sink : out_channel -> sink
 (** Write each event as one canonical JSON line (see
     {!Event.to_json_line}). *)
 
-val binary_sink : ?chunk:int -> out_channel -> sink * (unit -> unit)
+val binary_sink : out_channel -> sink * (unit -> unit)
 (** Varint-encoded binary trace (see {!Event.add_binary}): writes the
     {!Event.bin_magic} header immediately, then buffers events and
-    dumps the buffer every [chunk] bytes (default 64KiB). Returns the
+    dumps the buffer every 64KiB. Returns the
     sink and a [flush] that must run before the channel is closed.
     [ppt_trace decode] turns the file back into canonical JSONL. *)
 

@@ -171,7 +171,10 @@ type summary = {
   lcp_bytes : int;
 }
 
-let summarize ?(cutoff = 100_000) t =
+(* The paper's small/large boundary. *)
+let cutoff = 100_000
+
+let summarize t =
   let all = ref 0. and n_all = ref 0 in
   let small = ref 0. and n_small = ref 0 in
   let large = ref 0. and n_large = ref 0 in

@@ -54,10 +54,10 @@ type summary = {
   lcp_bytes : int;
 }
 
-val summarize : ?cutoff:int -> t -> summary
-(** [cutoff] defaults to 100KB, the paper's small/large boundary. One
-    pass over the records; it allocates a float array of {!count}
-    elements for the p99 sample and nothing per record. *)
+val summarize : t -> summary
+(** Small flows are those up to 100KB, the paper's small/large
+    boundary. One pass over the records; it allocates a float array of
+    {!count} elements for the p99 sample and nothing per record. *)
 
 val slowdown : rate:Units.rate -> base_rtt:Units.time -> record -> float
 (** Normalized FCT: completion time over the ideal unloaded time. *)

@@ -6,8 +6,9 @@ let magic = "ppt-sweep-journal"
    into the wrong type. v2: shard payloads carry a Gc snapshot. v3:
    every frame carries its payload's digest. v4: shard payloads drop
    the Gc snapshot again. v5: a shard is one simulation, its payload
-   the run's outcome and CPU seconds. *)
-let version = 5
+   the run's outcome and CPU seconds. v6: an entry is [(key, payload)],
+   without the unit's wall seconds. *)
+let version = 6
 
 type t = { oc : out_channel }
 
@@ -55,8 +56,8 @@ let open_ ~path ~keys ~resume =
     flush oc;
     ({ oc }, [])
 
-let append t ~key v ~wall =
-  Frame.write_channel t.oc (key, v, wall);
+let append t ~key v =
+  Frame.write_channel t.oc (key, v);
   flush t.oc
 
 let close t = close_out_noerr t.oc

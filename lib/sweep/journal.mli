@@ -3,7 +3,7 @@
 
     The file starts with a header naming every unit key of the sweep
     (in canonical order); each subsequent entry records one completed
-    unit as [(key, payload, wall_seconds)]. Entries are length-prefixed
+    unit as [(key, payload)]. Entries are length-prefixed
     marshalled frames, each with its payload's digest, so a journal
     cut mid-write by a killed sweep loses at most its unflushed tail,
     and a damaged frame ends the journal there — every complete entry
@@ -13,7 +13,7 @@ type t
 
 val open_ :
   path:string -> keys:string list -> resume:bool ->
-  t * (string * 'a * float) list
+  t * (string * 'a) list
 (** Open the journal at [path] for a sweep over [keys].
 
     With [resume = true] and an existing journal whose header matches
@@ -26,7 +26,7 @@ val open_ :
     is only ever read back by the sweep that wrote it (same binary,
     same unit list). *)
 
-val append : t -> key:string -> 'a -> wall:float -> unit
+val append : t -> key:string -> 'a -> unit
 (** Record one completed unit and flush, so the entry survives a kill
     of the sweep process. *)
 

@@ -2,15 +2,14 @@
 
    - parent forks up to [jobs] workers; each worker inherits the unit
      array and loops: read a unit index from its request pipe, run the
-     unit, send [(index, result, wall)] back as a frame, repeat;
+     unit, send [(index, result)] back as a frame, repeat;
    - the parent multiplexes the response pipes with [select], keeps a
      queue of pending unit indexes, and re-dispatches as workers free
      up, so shard imbalance never idles a worker while work remains;
    - deaths are detected by EOF on a worker's response pipe (every
      child closes the pipe ends of its siblings, so an EOF really
      means that worker is gone), timeouts by a deadline kept per
-     in-flight unit; both re-queue the unit with a bounded retry
-     budget;
+     in-flight unit; both re-queue the unit for one retry;
    - workers exit through [Unix._exit] so the parent's buffered
      channels, inherited at fork time, are never double-flushed. *)
 
@@ -26,21 +25,20 @@ type 'a outcome =
 type 'a shard = {
   s_key : string;
   s_outcome : 'a outcome;
-  s_wall : float;
   s_attempts : int;
   s_cached : bool;
 }
 
 type 'a report = {
   shards : 'a shard list;
-  r_jobs : int;
-  r_wall : float;
   r_resumed : int;
 }
 
-(* What a worker sends back per unit: index, result-or-exception,
-   seconds spent running it. *)
-type 'a response = int * ('a, string) result * float
+(* Extra attempts a unit gets after its worker dies or times out. *)
+let retries = 1
+
+(* What a worker sends back per unit: index, result-or-exception. *)
+type 'a response = int * ('a, string) result
 
 type worker = {
   w_pid : int;
@@ -59,14 +57,11 @@ let worker_loop (units : 'a unit_spec array) req resp =
     if idx = quit_index then Unix._exit 0
     else begin
       let u = units.(idx) in
-      let t0 = Unix.gettimeofday () in
       let res =
         try Ok (u.run ())
         with e -> Error (Printexc.to_string e)
       in
-      let wall = Unix.gettimeofday () -. t0 in
-      (Frame.write_fd resp ((idx, res, wall) : _ response)
-       : unit);
+      (Frame.write_fd resp ((idx, res) : _ response) : unit);
       loop ()
     end
   in
@@ -75,8 +70,7 @@ let worker_loop (units : 'a unit_spec array) req resp =
 (* Mutable sweep state shared by the serial and parallel paths. *)
 type 'a state = {
   units : 'a unit_spec array;
-  slots : ('a outcome * float * int * bool) option array;
-  (* outcome, wall, attempts, cached *)
+  slots : ('a outcome * bool) option array;  (* outcome, cached *)
   mutable n_done : int;
   attempts : int array;
   pending : int Queue.t;
@@ -84,20 +78,20 @@ type 'a state = {
   progress : string -> unit;
 }
 
-let complete st i outcome wall ~cached =
+let complete st i outcome ~cached =
   if st.slots.(i) = None then begin
-    st.slots.(i) <- Some (outcome, wall, st.attempts.(i), cached);
+    st.slots.(i) <- Some (outcome, cached);
     st.n_done <- st.n_done + 1;
     (match (outcome, st.journal, cached) with
      | Done v, Some j, false ->
-       Journal.append j ~key:st.units.(i).key v ~wall
+       Journal.append j ~key:st.units.(i).key v
      | _ -> ());
     st.progress st.units.(i).key
   end
 
-let requeue st ~retries i reason =
+let requeue st i reason =
   if st.attempts.(i) > retries then
-    complete st i (Failed reason) 0. ~cached:false
+    complete st i (Failed reason) ~cached:false
   else Queue.add i st.pending
 
 (* --- parallel pool -------------------------------------------------- *)
@@ -144,7 +138,7 @@ let retire w =
   close_noerr w.w_resp;
   waitpid_retry w.w_pid
 
-let run_parallel st ~jobs ~timeout ~retries =
+let run_parallel st ~jobs ~timeout =
   let workers = ref [] in
   let drop w = workers := List.filter (fun x -> x != w) !workers in
   let now () = Unix.gettimeofday () in
@@ -169,15 +163,15 @@ let run_parallel st ~jobs ~timeout ~retries =
     close_noerr w.w_resp;
     waitpid_retry w.w_pid;
     match w.w_job with
-    | Some i -> requeue st ~retries i reason
+    | Some i -> requeue st i reason
     | None -> ()
   in
-  let on_response w ((i, res, wall) : _ response) =
+  let on_response w ((i, res) : _ response) =
     w.w_job <- None;
     w.w_deadline <- infinity;
     (match res with
-     | Ok v -> complete st i (Done v) wall ~cached:false
-     | Error msg -> complete st i (Failed msg) wall ~cached:false)
+     | Ok v -> complete st i (Done v) ~cached:false
+     | Error msg -> complete st i (Failed msg) ~cached:false)
   in
   let on_readable w =
     let chunk = Bytes.create 65536 in
@@ -237,7 +231,7 @@ let run_parallel st ~jobs ~timeout ~retries =
              Array.iteri
                (fun i slot ->
                   if slot = None then
-                    complete st i (Failed "unit never completed") 0.
+                    complete st i (Failed "unit never completed")
                       ~cached:false)
                st.slots
          end else begin
@@ -263,7 +257,7 @@ let run_parallel st ~jobs ~timeout ~retries =
                   drop w;
                   let i = match w.w_job with Some i -> i | None -> 0 in
                   kill_worker w;
-                  requeue st ~retries i
+                  requeue st i
                     (Printf.sprintf "unit %s timed out" st.units.(i).key)
                 end)
              !workers
@@ -276,19 +270,17 @@ let run_serial st =
   Queue.iter
     (fun i ->
        st.attempts.(i) <- st.attempts.(i) + 1;
-       let t0 = Unix.gettimeofday () in
        let res =
          try Done (st.units.(i).run ())
          with e -> Failed (Printexc.to_string e)
        in
-       let wall = Unix.gettimeofday () -. t0 in
-       complete st i res wall ~cached:false)
+       complete st i res ~cached:false)
     st.pending;
   Queue.clear st.pending
 
 (* --- entry point ---------------------------------------------------- *)
 
-let run ?(jobs = 1) ?timeout ?(retries = 1) ?journal ?(resume = false)
+let run ?(jobs = 1) ?timeout ?journal ?(resume = false)
     ?(progress = ignore) specs =
   let units = Array.of_list specs in
   let n = Array.length units in
@@ -300,7 +292,6 @@ let run ?(jobs = 1) ?timeout ?(retries = 1) ?journal ?(resume = false)
          invalid_arg ("Sweep.run: duplicate unit key " ^ k);
        Hashtbl.add tbl k ())
     keys;
-  let t0 = Unix.gettimeofday () in
   let jnl, cached =
     match journal with
     | None -> (None, [])
@@ -320,10 +311,10 @@ let run ?(jobs = 1) ?timeout ?(retries = 1) ?journal ?(resume = false)
   let index_of = Hashtbl.create (2 * n) in
   Array.iteri (fun i u -> Hashtbl.replace index_of u.key i) units;
   List.iter
-    (fun (key, v, wall) ->
+    (fun (key, v) ->
        match Hashtbl.find_opt index_of key with
        | Some i when st.slots.(i) = None ->
-         st.slots.(i) <- Some (Done v, wall, 0, true);
+         st.slots.(i) <- Some (Done v, true);
          st.n_done <- st.n_done + 1
        | _ -> ())
     cached;
@@ -336,22 +327,19 @@ let run ?(jobs = 1) ?timeout ?(retries = 1) ?journal ?(resume = false)
         match jnl with Some j -> Journal.close j | None -> ())
     (fun () ->
        if jobs <= 1 then run_serial st
-       else run_parallel st ~jobs ~timeout ~retries);
+       else run_parallel st ~jobs ~timeout);
   let shards =
     Array.to_list
       (Array.mapi
          (fun i slot ->
             match slot with
-            | Some (outcome, wall, attempts, cached) ->
+            | Some (outcome, cached) ->
               { s_key = units.(i).key; s_outcome = outcome;
-                s_wall = wall; s_attempts = attempts;
-                s_cached = cached }
+                s_attempts = st.attempts.(i); s_cached = cached }
             | None ->
               { s_key = units.(i).key;
                 s_outcome = Failed "unit never ran";
-                s_wall = 0.; s_attempts = 0; s_cached = false })
+                s_attempts = st.attempts.(i); s_cached = false })
          st.slots)
   in
-  { shards; r_jobs = max 1 jobs;
-    r_wall = Unix.gettimeofday () -. t0;
-    r_resumed = resumed }
+  { shards; r_resumed = resumed }

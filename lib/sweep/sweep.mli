@@ -10,13 +10,13 @@
     identical to a serial run of the same units.
 
     Robustness: a worker that dies (crash, OOM kill) or exceeds the
-    per-unit [timeout] is reaped, its unit is re-queued up to
-    [retries] extra attempts on a fresh worker, and the sweep carries
-    on; a unit that *returns* an exception is recorded as [Failed]
-    without retry (it ran to completion — the failure is
-    deterministic). With a [journal], completed units are recorded as
-    they finish, and [resume = true] skips everything a previous
-    (possibly killed) sweep already completed.
+    per-unit [timeout] is reaped, its unit is re-queued for one more
+    attempt on a fresh worker, and the sweep carries on; a unit that
+    *returns* an exception is recorded as [Failed] without retry (it
+    ran to completion — the failure is deterministic). With a
+    [journal], completed units are recorded as they finish, and
+    [resume = true] skips everything a previous (possibly killed)
+    sweep already completed.
 
     [jobs <= 1] runs the units in-process, in order, with no forking —
     the serial reference an equality test can compare a parallel run
@@ -34,22 +34,18 @@ type 'a outcome =
 type 'a shard = {
   s_key : string;
   s_outcome : 'a outcome;
-  s_wall : float;      (** seconds spent inside the (last) attempt *)
   s_attempts : int;    (** 0 when restored from the journal *)
   s_cached : bool;     (** true = restored by [resume], not re-run *)
 }
 
 type 'a report = {
   shards : 'a shard list;  (** canonical input order *)
-  r_jobs : int;
-  r_wall : float;          (** whole-sweep wall-clock seconds *)
   r_resumed : int;         (** shards restored from the journal *)
 }
 
 val run :
   ?jobs:int ->
   ?timeout:float ->
-  ?retries:int ->
   ?journal:string ->
   ?resume:bool ->
   ?progress:(string -> unit) ->
@@ -59,7 +55,6 @@ val run :
     [jobs] — worker processes (default 1 = in-process serial).
     [timeout] — per-unit seconds before the worker is killed and the
     unit re-queued (default: none).
-    [retries] — extra attempts after a kill or timeout (default 1).
     [journal] — journal path; enables [resume].
     [resume] — reuse a matching journal's completed entries
     (default false).

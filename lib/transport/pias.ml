@@ -13,13 +13,19 @@ open Ppt_netsim
 let demotion =
   [| 10_000; 30_000; 100_000; 300_000; 1_000_000; 3_000_000; 10_000_000 |]
 
+(* Thresholds crossed from the [i]th on. Top level rather than local
+   to its callers: a local recursive function would be a closure
+   allocated for every packet tagged. *)
+let rec crossed_from thresholds bytes_sent i =
+  if i >= Array.length thresholds then i
+  else if bytes_sent >= thresholds.(i) then
+    crossed_from thresholds bytes_sent (i + 1)
+  else i
+
+let crossed thresholds ~bytes_sent = crossed_from thresholds bytes_sent 0
+
 let prio_of ~bytes_sent =
-  let rec count i =
-    if i >= Array.length demotion then i
-    else if bytes_sent >= demotion.(i) then count (i + 1)
-    else i
-  in
-  Int.min (Prio_queue.n_prios - 1) (count 0)
+  Int.min (Prio_queue.n_prios - 1) (crossed demotion ~bytes_sent)
 
 let make () =
   let tagger ~bytes_sent ~loop:_ = prio_of ~bytes_sent in

@@ -21,11 +21,6 @@
 open Ppt_engine
 open Ppt_netsim
 
-let log_src =
-  Logs.Src.create "ppt.reliable" ~doc:"window-based reliable sender"
-
-module Log = (val Logs.src_log log_src : Logs.LOG)
-
 (* One scratch record per sender, refilled for every ack (hooks run
    synchronously and none retains it) — so ack processing allocates
    nothing. All fields are therefore mutable; treat the record as
@@ -190,10 +185,6 @@ and reset_rto t =
 and on_rto t =
   t.rto_ticket <- -1;
   if not (t.shut || all_sacked t) then begin
-    Log.debug (fun m ->
-        m "flow %d: RTO at %a (backoff x%d, cum=%d/%d)" t.flow.Flow.id
-          Units.pp_time (Sim.now t.ctx.Context.sim) t.rto_backoff
-          t.cum_ack t.flow.Flow.nseg);
     Context.count_op t.ctx t.flow.Flow.src;
     if !Ppt_obs.Trace.enabled then
       Ppt_obs.Trace.emit (Sim.now t.ctx.Context.sim)
@@ -382,9 +373,6 @@ let advance_cum t cum =
   advanced
 
 let enter_recovery t =
-  Log.debug (fun m ->
-      m "flow %d: fast-retransmit recovery at seg %d" t.flow.Flow.id
-        t.cum_ack);
   t.in_recovery <- true;
   t.recovery_end <- t.snd_nxt;
   t.hook_on_loss t;

@@ -76,7 +76,16 @@ let test_pias_demotion () =
   check Alcotest.int "starts at P0" 0 (Pias.prio_of ~bytes_sent:0);
   check Alcotest.int "demotes" 3 (Pias.prio_of ~bytes_sent:150_000);
   check Alcotest.int "bottoms out at P7" 7
-    (Pias.prio_of ~bytes_sent:999_999_999)
+    (Pias.prio_of ~bytes_sent:999_999_999);
+  (* the tagger runs for every data packet PIAS sends *)
+  let before = Gc.minor_words () in
+  for b = 0 to 9_999 do
+    ignore (Sys.opaque_identity (Pias.prio_of ~bytes_sent:(b * 1_500)))
+  done;
+  let words = Gc.minor_words () -. before in
+  check Alcotest.bool
+    (Printf.sprintf "%.0f minor words over 10k taggings" words)
+    true (words < 100.)
 
 (* --- Swift ----------------------------------------------------------- *)
 

@@ -11,75 +11,76 @@ let check = Alcotest.check
 (* --- mirror-symmetric tagging (§4.2) ------------------------------- *)
 
 let test_tagging_identified () =
-  let t = Tagging.make ~identified_large:true () in
+  let prio = Tagging.prio ~identified_large:true in
   check Alcotest.int "HCP lowest of band" 3
-    (Tagging.prio t ~loop:Packet.H ~bytes_sent:0);
+    (prio ~loop:Packet.H ~bytes_sent:0);
   check Alcotest.int "LCP lowest of band" 7
-    (Tagging.prio t ~loop:Packet.L ~bytes_sent:0);
+    (prio ~loop:Packet.L ~bytes_sent:0);
   check Alcotest.int "stays at P3 regardless of bytes" 3
-    (Tagging.prio t ~loop:Packet.H ~bytes_sent:50_000_000)
+    (prio ~loop:Packet.H ~bytes_sent:50_000_000)
 
 let test_tagging_demotion () =
-  let t =
-    Tagging.make ~demotion:[| 100; 1_000; 10_000 |]
-      ~identified_large:false ()
+  (* §4.2's ladder: one level down at 100KB, 1MB and 10MB sent *)
+  let prio = Tagging.prio ~identified_large:false in
+  let h b = prio ~loop:Packet.H ~bytes_sent:b in
+  let l b = prio ~loop:Packet.L ~bytes_sent:b in
+  let sent =
+    [ 0; 99_999; 100_000; 999_999; 1_000_000; 9_999_999; 10_000_000;
+      99_999_999 ]
   in
-  let h b = Tagging.prio t ~loop:Packet.H ~bytes_sent:b in
-  let l b = Tagging.prio t ~loop:Packet.L ~bytes_sent:b in
   check (Alcotest.list Alcotest.int) "hcp demotes 0->3"
-    [ 0; 1; 2; 3; 3 ] [ h 0; h 100; h 1_000; h 10_000; h 99_999_999 ];
+    [ 0; 0; 1; 1; 2; 2; 3; 3 ] (List.map h sent);
   check (Alcotest.list Alcotest.int) "lcp mirrors at +4"
-    [ 4; 5; 6; 7; 7 ] [ l 0; l 100; l 1_000; l 10_000; l 99_999_999 ]
+    [ 4; 4; 5; 5; 6; 6; 7; 7 ] (List.map l sent)
 
 let test_tagging_mirror_property =
   QCheck.Test.make ~name:"tagging: LCP = HCP + 4 at every byte count"
     ~count:300
     QCheck.(pair bool (int_bound 50_000_000))
     (fun (identified_large, bytes_sent) ->
-       let t = Tagging.make ~identified_large () in
-       Tagging.prio t ~loop:Packet.L ~bytes_sent
-       = Tagging.prio t ~loop:Packet.H ~bytes_sent + 4)
-
-let test_tagging_validation () =
-  Alcotest.check_raises "descending thresholds rejected"
-    (Invalid_argument "Tagging.make: thresholds must ascend")
-    (fun () ->
-       ignore (Tagging.make ~demotion:[| 5; 3; 10 |]
-                 ~identified_large:false ()))
+       Tagging.prio ~identified_large ~loop:Packet.L ~bytes_sent
+       = Tagging.prio ~identified_large ~loop:Packet.H ~bytes_sent + 4)
 
 (* --- buffer-aware identification (§4.1) ----------------------------- *)
 
 let test_ident_accuracy () =
   (* the syscall model must reproduce the paper's ~86.7% accuracy on
-     large flows and never misidentify genuinely small flows *)
-  let ident = Flow_ident.make ~threshold:1_000 () in
+     flows above the 100KB threshold and never misidentify flows at or
+     below it *)
   let rng = Rng.create 3 in
   let n = 20_000 in
   let hits = ref 0 in
   for _ = 1 to n do
-    if Flow_ident.identify ident rng ~flow_size:50_000 then incr hits
+    if Sendbuf.identify Sendbuf.default rng ~flow_size:500_000 then
+      incr hits
   done;
   let acc = float_of_int !hits /. float_of_int n in
   check Alcotest.bool (Printf.sprintf "accuracy %.3f ~ 0.867" acc) true
     (abs_float (acc -. 0.867) < 0.02);
-  for _ = 1 to 1_000 do
-    if Flow_ident.identify ident rng ~flow_size:500 then
-      Alcotest.fail "small flow identified as large"
-  done
+  List.iter
+    (fun flow_size ->
+       for _ = 1 to 1_000 do
+         if Sendbuf.identify Sendbuf.default rng ~flow_size then
+           Alcotest.fail
+             (Printf.sprintf "%dB flow identified as large" flow_size)
+       done)
+    [ 500; 100_000 ]
 
 let test_ident_buffer_cap () =
-  (* a tiny send buffer caps the first syscall below the threshold *)
-  let model = Sendbuf.make ~capacity:800 ~single_write_prob:1.0 () in
-  let ident = Flow_ident.make ~threshold:1_000 ~model () in
+  (* a send buffer below the 100KB threshold caps every first syscall
+     under it, whether the application writes whole messages or
+     streams *)
+  let model = Sendbuf.make ~capacity:80_000 () in
   let rng = Rng.create 4 in
-  check Alcotest.bool "capacity-capped write escapes identification"
-    false
-    (Flow_ident.identify ident rng ~flow_size:1_000_000)
+  for _ = 1 to 1_000 do
+    if Sendbuf.identify model rng ~flow_size:1_000_000 then
+      Alcotest.fail "capacity-capped write identified as large"
+  done
 
 let test_sendbuf_validation () =
-  Alcotest.check_raises "bad probability"
-    (Invalid_argument "Sendbuf.make: probability out of range")
-    (fun () -> ignore (Sendbuf.make ~single_write_prob:1.5 ()))
+  Alcotest.check_raises "zero capacity"
+    (Invalid_argument "Sendbuf.make: capacity must be positive")
+    (fun () -> ignore (Sendbuf.make ~capacity:0 ()))
 
 (* --- the assembled PPT transport ------------------------------------ *)
 
@@ -203,8 +204,9 @@ let test_lcp_delayed_for_large () =
 let test_wire_priorities () =
   let _sim, _topo, ctx = Helpers.star ~delay:(Units.us 20) () in
   let flow = Flow.create ~id:9 ~src:0 ~dst:1 ~size:900_000 ~start:0 in
-  let tag = Tagging.make ~identified_large:true () in
-  let tagger ~bytes_sent ~loop = Tagging.prio tag ~loop ~bytes_sent in
+  let tagger ~bytes_sent ~loop =
+    Tagging.prio ~identified_large:true ~loop ~bytes_sent
+  in
   let snd =
     Reliable.create ctx flow (Reliable.default_params ~tagger ())
   in
@@ -254,7 +256,6 @@ let suite =
     Alcotest.test_case "tagging: demotion ladder" `Quick
       test_tagging_demotion;
     QCheck_alcotest.to_alcotest test_tagging_mirror_property;
-    Alcotest.test_case "tagging: validation" `Quick test_tagging_validation;
     Alcotest.test_case "ident: accuracy ~86.7%" `Quick test_ident_accuracy;
     Alcotest.test_case "ident: buffer cap" `Quick test_ident_buffer_cap;
     Alcotest.test_case "sendbuf: validation" `Quick test_sendbuf_validation;

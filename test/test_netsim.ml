@@ -931,6 +931,42 @@ let test_flowlet_no_mid_burst_rehash () =
   check (Alcotest.list Alcotest.int) "in-order (single flowlet)"
     (List.init 32 Fun.id) (List.rev !seqs)
 
+(* Flowlet memory follows live flowlets: after a 2,000-flow web-search
+   run on the oversubscribed fabric, each leaf keeps about the flows
+   that sent recently. Kept forever, the tables end at 785-791 entries
+   per leaf; the run's counts below were recorded with those tables,
+   so dropping idle entries moved no packet. *)
+let test_flowlet_table_follows_live_flows () =
+  let open Ppt_harness in
+  let cfg =
+    { (Config.oversub ~n_flows:2_000 ()) with
+      Config.routing = Topology.Flowlet { gap = Units.us 50 } }
+  in
+  let net = ref None in
+  let r =
+    Runner.run ~observe:(fun _ topo -> net := Some topo.Topology.net)
+      cfg Schemes.dctcp
+  in
+  check Alcotest.int "every flow completes" 2_000 r.Runner.completed;
+  check Alcotest.int "events" 31_468_967 r.Runner.events;
+  check Alcotest.int "drops" 39_362 r.Runner.drops;
+  check Alcotest.int "marks" 227_273 r.Runner.marks;
+  let net = Option.get !net in
+  let sizes =
+    List.filter_map
+      (fun i ->
+         match (Net.node net i).Net.fwd.Net.sel with
+         | Net.Sel_flowlet { tbl; _ } -> Some (Hashtbl.length tbl)
+         | Net.Sel_flow | Net.Sel_packet -> None)
+      (List.init (Net.n_nodes net) Fun.id)
+  in
+  check Alcotest.int "one table per leaf" 4 (List.length sizes);
+  List.iter
+    (fun n ->
+       check Alcotest.bool (Printf.sprintf "%d entries < 200" n) true
+         (n < 200))
+    sizes
+
 let test_all_to_all_leaf_spine_traffic () =
   let sim, topo = leaf_spine () in
   let n = Array.length topo.Topology.hosts in
@@ -992,6 +1028,8 @@ let suite =
       test_per_packet_spray_spreads;
     Alcotest.test_case "topo: flowlet burst integrity" `Quick
       test_flowlet_no_mid_burst_rehash;
+    Alcotest.test_case "topo: flowlet table follows live flows" `Quick
+      test_flowlet_table_follows_live_flows;
     Alcotest.test_case "topo: all-to-all delivery" `Quick
       test_all_to_all_leaf_spine_traffic;
     Alcotest.test_case "net: tx bytes match traced dequeues" `Quick

@@ -202,7 +202,8 @@ module Ref = struct
 
   let pct p = function [] -> nan | xs -> sorted_percentile p xs
 
-  let summarize ?(cutoff = 100_000) rs =
+  let summarize rs =
+    let cutoff = 100_000 in
     let sum f = List.fold_left (fun acc r -> acc + f r) 0 rs in
     { Fct.flows = List.length rs;
       overall_avg = avg (filter rs);

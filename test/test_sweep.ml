@@ -93,7 +93,7 @@ let test_retry_after_worker_death () =
     end
   in
   let r =
-    Sweep.run ~jobs:2 ~retries:1
+    Sweep.run ~jobs:2
       (specs_of [ ("steady", (fun () -> 7)); ("crasher", unit_run) ])
   in
   (try Sys.remove marker with Sys_error _ -> ());
@@ -110,7 +110,7 @@ let test_retry_after_worker_death () =
 let test_retries_exhausted () =
   (* a unit that dies every time ends Failed, not fatal to the sweep *)
   let r =
-    Sweep.run ~jobs:2 ~retries:1
+    Sweep.run ~jobs:2
       (specs_of
          [ ("ok", (fun () -> 1));
            ("dead", fun () -> Unix.kill (Unix.getpid ()) Sys.sigkill; 0) ])
@@ -126,7 +126,7 @@ let test_retries_exhausted () =
 
 let test_timeout_kills_shard () =
   let r =
-    Sweep.run ~jobs:2 ~timeout:0.3 ~retries:0
+    Sweep.run ~jobs:2 ~timeout:0.3
       (specs_of
          [ ("fast", (fun () -> 1));
            ("stuck", fun () -> Unix.sleepf 30.; 2) ])
@@ -141,13 +141,15 @@ let test_timeout_kills_shard () =
      check Alcotest.bool "reason mentions the timeout" true
        (String.length msg >= 9
         && String.sub msg (String.length msg - 9) 9 = "timed out")
-   | Sweep.Done _ -> Alcotest.fail "stuck unit cannot succeed")
+   | Sweep.Done _ -> Alcotest.fail "stuck unit cannot succeed");
+  check Alcotest.int "stuck unit retried once" 2
+    (shard "stuck").Sweep.s_attempts
 
 let test_exception_is_failed_without_retry () =
   List.iter
     (fun jobs ->
        let r =
-         Sweep.run ~jobs ~retries:3
+         Sweep.run ~jobs
            (specs_of
               [ ("boom", fun () -> if true then failwith "kaput") ])
        in
@@ -239,8 +241,8 @@ let prop_resume_keeps_intact_prefix =
          List.filteri (fun i _ -> i < n_entries) keys
          |> List.mapi (fun i key ->
              let v = (i, String.make (i * 37) 'x') in
-             Journal.append j ~key v ~wall:(float_of_int i);
-             ((key, v, float_of_int i), size ()))
+             Journal.append j ~key v;
+             ((key, v), size ()))
        in
        Journal.close j;
        let data = In_channel.with_open_bin path In_channel.input_all in
@@ -260,7 +262,7 @@ let prop_resume_keeps_intact_prefix =
        in
        Out_channel.with_open_bin path (fun oc ->
            Out_channel.output_string oc damaged);
-       let j, (got : (string * (int * string) * float) list) =
+       let j, (got : (string * (int * string)) list) =
          Journal.open_ ~path ~keys ~resume:true
        in
        Journal.close j;
@@ -297,7 +299,7 @@ let test_resume_rejects_other_version () =
     (current.h_keys = keys);
   (* a journal of [version] holding one entry; the payload is a v3
      shard, (fragment, events, Gc snapshot) *)
-  let v3_entry = ("a", ("frag", 7, (1., 2., 3)), 0.5) in
+  let v3_entry = ("a", ("frag", 7, (1., 2., 3))) in
   let forge version =
     Out_channel.with_open_bin path (fun oc ->
         Frame.write_channel oc { current with h_version = version };
@@ -308,7 +310,7 @@ let test_resume_rejects_other_version () =
   let j, entries = Journal.open_ ~path ~keys ~resume:true in
   Journal.close j;
   check Alcotest.bool "same version resumes" true (entries = [ v3_entry ]);
-  let resume () : Journal.t * (string * int * float) list =
+  let resume () : Journal.t * (string * int) list =
     Journal.open_ ~path ~keys ~resume:true
   in
   List.iter
@@ -318,14 +320,14 @@ let test_resume_rejects_other_version () =
        check Alcotest.int
          (Printf.sprintf "version %d: started fresh" version)
          0 (List.length entries);
-       Journal.append j ~key:"b" 2 ~wall:0.25;
+       Journal.append j ~key:"b" 2;
        Journal.close j;
        let j, entries = resume () in
        Journal.close j;
        check Alcotest.bool
          (Printf.sprintf "version %d: later appends resume" version)
          true
-         (entries = [ ("b", 2, 0.25) ]))
+         (entries = [ ("b", 2) ]))
     [ current.h_version - 1; current.h_version + 1 ];
   Sys.remove path
 
