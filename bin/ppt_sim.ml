@@ -346,24 +346,27 @@ let sweep_cmd =
   in
   let jobs_arg =
     let doc =
-      "Worker processes. 1 runs the units serially in-process; either \
-       way the merged output is byte-identical."
+      "Child processes at once, one per simulation. 1 runs them \
+       serially in-process; either way the merged output is \
+       byte-identical."
     in
     Arg.(value & opt positive_int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
   in
   let timeout_arg =
     let doc =
-      "Per-shard timeout in seconds; a shard exceeding it is killed \
-       and retried on a fresh worker."
+      "Per-shard timeout in seconds: a shard's child that runs longer \
+       is killed and the shard re-run once in a fresh child. Needs \
+       $(b,--jobs) above 1."
     in
     Arg.(value & opt (some positive_float) None
          & info [ "timeout" ] ~docv:"SECONDS" ~doc)
   in
   let resume_arg =
     let doc =
-      "Resume from the shard journal under $(b,_sweep/): shards a \
+      "Resume from the result files under $(b,_sweep/): shards a \
        previous (possibly killed) sweep of the same ids and options \
-       already completed are not re-run."
+       already completed are not re-run. Without it a sweep starts \
+       from an empty directory."
     in
     Arg.(value & flag & info [ "resume" ] ~doc)
   in
@@ -381,16 +384,17 @@ let sweep_cmd =
       List.find_opt (fun id -> Figures.find id = None) ids
     with
     | Some id -> `Error (false, "unknown experiment id: " ^ id)
+    | None when jobs <= 1 && Option.is_some timeout ->
+      `Error (false, "--timeout needs --jobs above 1")
     | None ->
       let opts = { Figures.flows_scale; seed; full } in
       let progress =
         if quiet then ignore
         else fun key -> Printf.eprintf "[sweep] done %s\n%!" key
       in
-      let journal = Parallel.default_journal ids opts in
+      let dir = Parallel.default_dir ids opts in
       let r =
-        Parallel.sweep ~jobs ?timeout ~journal ~resume ~progress ~ids
-          opts
+        Parallel.sweep ~jobs ?timeout ~dir ~resume ~progress ~ids opts
       in
       (* results on stdout — byte-identical across --jobs values;
          everything else on stderr *)
@@ -423,7 +427,7 @@ let sweep_cmd =
   Cmd.v
     (Cmd.info "sweep"
        ~doc:
-         "Run experiments as a sharded sweep across worker processes")
+         "Run experiments as a sharded sweep across child processes")
     term
 
 (* ---- list ---- *)

@@ -10,7 +10,7 @@
    per table row. A unit declares the simulations it needs, as data,
    and renders its rows from their outcomes; it never runs one itself.
    [render] runs each distinct simulation once in-process, and
-   [Parallel.sweep] once across worker processes, however many units
+   [Parallel.sweep] once in a child process, however many units
    or experiments share it; both print the units in canonical order
    from the same outcomes, so their output is byte-identical. *)
 

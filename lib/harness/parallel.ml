@@ -1,9 +1,10 @@
 (* Parallel figure sweeps over the fork-based runner (lib/sweep). A
    shard is one distinct simulation of the swept units, run once however
    many units need it; its payload is its outcome and the user+sys CPU
-   seconds it took in the worker. The parent renders every unit in
-   canonical order from the outcomes, so the output is byte-identical
-   to a serial [Figures.render] of the same experiments at any [jobs]. *)
+   seconds it took in its child. The parent renders every unit in
+   canonical order from the outcomes, read back from the shards' result
+   files as it renders, so the output is byte-identical to a serial
+   [Figures.render] of the same experiments at any [jobs]. *)
 
 open Ppt_sweep
 
@@ -18,25 +19,24 @@ type result = {
   failures : (string * string) list;  (* simulation key, reason *)
 }
 
-(* Default journal location: one file per (experiment set, opts), so a
-   resumed sweep can only ever meet a journal of the same sweep. The
-   sweep header re-checks the full key list anyway. *)
-let default_journal ids (o : Figures.opts) =
+(* Default result directory: one per (experiment set, opts), so a
+   resumed sweep only ever meets the files of the same sweep. Each file
+   re-checks its simulation's key anyway. *)
+let default_dir ids (o : Figures.opts) =
   let d =
     Digest.to_hex
       (Digest.string
          (Printf.sprintf "%s|%g|%d|%b" (String.concat "," ids)
             o.Figures.flows_scale o.Figures.seed o.Figures.full))
   in
-  Filename.concat "_sweep" ("sweep-" ^ String.sub d 0 12 ^ ".journal")
+  Filename.concat "_sweep" ("sweep-" ^ String.sub d 0 12)
 
 let cpu_seconds () =
   let t = Unix.times () in
   t.Unix.tms_utime +. t.Unix.tms_stime
 
 (* Raises [Invalid_argument] on an unknown experiment id. *)
-let sweep ?(jobs = 1) ?timeout ?journal ?(resume = false) ?progress ~ids
-    opts =
+let sweep ?(jobs = 1) ?timeout ~dir ?(resume = false) ?progress ~ids opts =
   let t0 = Unix.gettimeofday () in
   let units =
     List.concat_map
@@ -48,24 +48,20 @@ let sweep ?(jobs = 1) ?timeout ?journal ?(resume = false) ?progress ~ids
              (e.Figures.e_units opts))
       ids
   in
-  Option.iter
-    (fun path ->
-       try Unix.mkdir (Filename.dirname path) 0o755
-       with Unix.Unix_error (Unix.EEXIST, _, _) -> ())
-    journal;
   let outcomes = Hashtbl.create 256 and resumed = ref 0 in
   let outcome (s : Figures.sim) = Hashtbl.find outcomes s.Figures.key in
   let failed s =
     match outcome s with Sweep.Failed msg -> Some msg | Sweep.Done _ -> None
   in
+  (* Reads the outcome from its result file: the parent holds none. *)
   let get s =
     match outcome s with
-    | Sweep.Done (out, _) -> out
+    | Sweep.Done read -> fst (read ())
     | Sweep.Failed msg -> failwith msg
   in
   (* One [Sweep.run] over [sims]; a run whose input failed fails with
      it. *)
-  let phase journal sims =
+  let phase ~resume sims =
     let run (s : Figures.sim) () =
       let needed = Option.map get s.Figures.needs in
       let c0 = cpu_seconds () in
@@ -73,7 +69,7 @@ let sweep ?(jobs = 1) ?timeout ?journal ?(resume = false) ?progress ~ids
       (out, cpu_seconds () -. c0)
     in
     let r =
-      Sweep.run ~jobs ?timeout ?journal ~resume ?progress
+      Sweep.run ~jobs ?timeout ~dir ~resume ?progress
         (List.map (fun s -> { Sweep.key = s.Figures.key; run = run s }) sims)
     in
     resumed := !resumed + r.Sweep.r_resumed;
@@ -82,16 +78,16 @@ let sweep ?(jobs = 1) ?timeout ?journal ?(resume = false) ?progress ~ids
          Hashtbl.replace outcomes sh.Sweep.s_key sh.Sweep.s_outcome)
       r.Sweep.shards
   in
-  (* Hypothetical-DCTCP runs read their recorder's outcome, so they run
-     in a second phase, with a journal of their own. *)
+  (* Hypothetical-DCTCP runs read their recorder's file, so they run in
+     a second phase, in the same directory: it reuses what it finds,
+     which is nothing unless [resume], as the first phase emptied it. *)
   let sims = Figures.distinct (List.map snd units) in
   let first, second =
     List.partition (fun (s : Figures.sim) -> Option.is_none s.Figures.needs)
       sims
   in
-  phase journal first;
-  if not (List.is_empty second) then
-    phase (Option.map (fun j -> j ^ ".2") journal) second;
+  phase ~resume first;
+  if second <> [] then phase ~resume:true second;
   let buf = Buffer.create 4096 in
   let ppf = Format.formatter_of_buffer buf in
   List.iter
@@ -105,7 +101,8 @@ let sweep ?(jobs = 1) ?timeout ?journal ?(resume = false) ?progress ~ids
     List.fold_left
       (fun (cpu, events) s ->
          match outcome s with
-         | Sweep.Done (out, c) ->
+         | Sweep.Done read ->
+           let out, c = read () in
            (cpu +. c, events + out.Figures.result.Runner.events)
          | Sweep.Failed _ -> (cpu, events))
       (0., 0) sims

@@ -156,10 +156,12 @@ let run ?lp_buffer_cap ?trace ?(observe = fun _ _ -> ())
      with Invalid_argument msg -> raise (Invalid_faults msg));
   let rng = Rng.create cfg.Config.seed in
   let ctx = Context.of_topology ~rto_min:cfg.Config.rto_min ~rng topo in
+  (* The generator's stream is split off whether or not it runs, so a
+     replay leaves the run's stream where the generated run does. *)
+  let gen_rng = Rng.split rng in
   let requested, next =
     match trace with
-    | None ->
-      (cfg.Config.n_flows, flow_source cfg topo (Rng.split rng))
+    | None -> (cfg.Config.n_flows, flow_source cfg topo gen_rng)
     | Some trace -> (check_trace topo trace, Trace.cursor trace)
   in
   let last_finish = ref 0 in

@@ -1,17 +1,13 @@
 (* See sweep.mli for the contract. Shape of the implementation:
 
-   - parent forks up to [jobs] workers; each worker inherits the unit
-     array and loops: read a unit index from its request pipe, run the
-     unit, send [(index, result)] back as a frame, repeat;
-   - the parent multiplexes the response pipes with [select], keeps a
-     queue of pending unit indexes, and re-dispatches as workers free
-     up, so shard imbalance never idles a worker while work remains;
-   - deaths are detected by EOF on a worker's response pipe (every
-     child closes the pipe ends of its siblings, so an EOF really
-     means that worker is gone), timeouts by a deadline kept per
-     in-flight unit; both re-queue the unit for one retry;
-   - workers exit through [Unix._exit] so the parent's buffered
-     channels, inherited at fork time, are never double-flushed. *)
+   - the parent forks one child per unit, at most [jobs] at once, and
+     blocks in [Unix.wait]; a child inherits the unit closures, runs
+     its unit, writes the result file and leaves through [Unix._exit],
+     so the parent's buffered channels, inherited at fork time, are
+     never flushed twice;
+   - the exit status says what happened: 0 = an [Ok] file written,
+     1 = an [Error] file written; a signal (the timeout's SIGALRM
+     among them) or an exit without a file re-runs the unit once. *)
 
 type 'a unit_spec = {
   key : string;
@@ -19,7 +15,7 @@ type 'a unit_spec = {
 }
 
 type 'a outcome =
-  | Done of 'a
+  | Done of (unit -> 'a)
   | Failed of string
 
 type 'a shard = {
@@ -34,312 +30,199 @@ type 'a report = {
   r_resumed : int;
 }
 
-(* Extra attempts a unit gets after its worker dies or times out. *)
+(* Extra attempts a unit gets after its child dies or times out. *)
 let retries = 1
 
-(* What a worker sends back per unit: index, result-or-exception. *)
-type 'a response = int * ('a, string) result
+(* --- result files --------------------------------------------------- *)
 
-type worker = {
-  w_pid : int;
-  w_req : Unix.file_descr;    (* parent writes unit indexes *)
-  w_resp : Unix.file_descr;   (* parent reads response frames *)
-  w_dec : Frame.decoder;
-  mutable w_job : int option;
-  mutable w_deadline : float; (* infinity = no timeout armed *)
-}
+let magic = "ppt-sweep-result"
+(* Bump whenever the marshalled payload type changes, so a file an
+   older build wrote is re-run instead of unmarshalled at the wrong
+   type. *)
+let version = 1
 
-let quit_index = -1
+let file dir key = Filename.concat dir (Digest.to_hex (Digest.string key))
 
-let worker_loop (units : 'a unit_spec array) req resp =
-  let rec loop () =
-    let idx = try Frame.read_fd req with End_of_file -> quit_index in
-    if idx = quit_index then Unix._exit 0
-    else begin
-      let u = units.(idx) in
-      let res =
-        try Ok (u.run ())
-        with e -> Error (Printexc.to_string e)
-      in
-      (Frame.write_fd resp ((idx, res) : _ response) : unit);
-      loop ()
-    end
-  in
-  (try loop () with _ -> Unix._exit 125)
+let header key = Printf.sprintf "%s %d\n%s\n" magic version key
 
-(* Mutable sweep state shared by the serial and parallel paths. *)
+let write dir key (res : (_, string) result) =
+  let path = file dir key in
+  let tmp = Printf.sprintf "%s.%d.tmp" path (Unix.getpid ()) in
+  let payload = Marshal.to_string res [] in
+  Out_channel.with_open_bin tmp (fun oc ->
+      output_string oc (header key);
+      output_string oc (Digest.to_hex (Digest.string payload));
+      output_char oc '\n';
+      output_string oc payload);
+  Sys.rename tmp path
+
+(* The result [dir] holds for [key], or [None] if its file is missing,
+   cut short, damaged, or of another version or key. *)
+let read dir key : (_, string) result option =
+  match In_channel.with_open_bin (file dir key) In_channel.input_all with
+  | exception Sys_error _ -> None
+  | data ->
+    let h = String.length (header key) in
+    let ofs = h + 33 (* hex digest and newline *) in
+    let len = String.length data in
+    if len < ofs
+    || not (String.starts_with ~prefix:(header key) data)
+    || data.[ofs - 1] <> '\n'
+    || String.sub data h 32
+       <> Digest.to_hex (Digest.substring data ofs (len - ofs))
+    then None
+    else Some (Marshal.from_string data ofs)
+
+let load dir key () =
+  match read dir key with
+  | Some (Ok v) -> v
+  | _ -> failwith ("Sweep: the result file of " ^ key ^ " is gone or damaged")
+
+let rec mkdir_p d =
+  if not (Sys.file_exists d) then begin
+    mkdir_p (Filename.dirname d);
+    try Sys.mkdir d 0o755 with Sys_error _ when Sys.is_directory d -> ()
+  end
+
+(* --- running units -------------------------------------------------- *)
+
 type 'a state = {
   units : 'a unit_spec array;
-  slots : ('a outcome * bool) option array;  (* outcome, cached *)
-  mutable n_done : int;
+  dir : string;
+  outcomes : ('a outcome * bool) option array;  (* outcome, cached *)
   attempts : int array;
   pending : int Queue.t;
-  journal : Journal.t option;
   progress : string -> unit;
 }
 
-let complete st i outcome ~cached =
-  if st.slots.(i) = None then begin
-    st.slots.(i) <- Some (outcome, cached);
-    st.n_done <- st.n_done + 1;
-    (match (outcome, st.journal, cached) with
-     | Done v, Some j, false ->
-       Journal.append j ~key:st.units.(i).key v
-     | _ -> ());
-    st.progress st.units.(i).key
-  end
+let complete st i outcome =
+  st.outcomes.(i) <- Some (outcome, false);
+  st.progress st.units.(i).key
 
 let requeue st i reason =
-  if st.attempts.(i) > retries then
-    complete st i (Failed reason) ~cached:false
+  if st.attempts.(i) > retries then complete st i (Failed reason)
   else Queue.add i st.pending
 
-(* --- parallel pool -------------------------------------------------- *)
-
-let rec waitpid_retry pid =
-  try ignore (Unix.waitpid [] pid)
-  with
-  | Unix.Unix_error (Unix.EINTR, _, _) -> waitpid_retry pid
-  | Unix.Unix_error (Unix.ECHILD, _, _) -> ()
-
-let close_noerr fd = try Unix.close fd with Unix.Unix_error _ -> ()
-
-let spawn st ~siblings =
-  let req_r, req_w = Unix.pipe () in
-  let resp_r, resp_w = Unix.pipe () in
-  (* the worker must not inherit write ends of sibling pipes, or EOF
-     would stop meaning "that worker died" *)
-  flush stdout;
-  flush stderr;
-  match Unix.fork () with
-  | 0 ->
-    close_noerr req_w;
-    close_noerr resp_r;
-    List.iter
-      (fun w -> close_noerr w.w_req; close_noerr w.w_resp)
-      siblings;
-    worker_loop st.units req_r resp_w
-  | pid ->
-    close_noerr req_r;
-    close_noerr resp_w;
-    { w_pid = pid; w_req = req_w; w_resp = resp_r;
-      w_dec = Frame.decoder (); w_job = None; w_deadline = infinity }
-
-let kill_worker w =
-  (try Unix.kill w.w_pid Sys.sigkill with Unix.Unix_error _ -> ());
-  close_noerr w.w_req;
-  close_noerr w.w_resp;
-  waitpid_retry w.w_pid
-
-(* Ask an idle worker to exit and reap it. *)
-let retire w =
-  (try Frame.write_fd w.w_req quit_index with _ -> ());
-  close_noerr w.w_req;
-  close_noerr w.w_resp;
-  waitpid_retry w.w_pid
-
-let run_parallel st ~jobs ~timeout =
-  let workers = ref [] in
-  let drop w = workers := List.filter (fun x -> x != w) !workers in
-  let now () = Unix.gettimeofday () in
-  let dispatch w =
-    match Queue.take_opt st.pending with
-    | None -> ()
-    | Some i ->
-      st.attempts.(i) <- st.attempts.(i) + 1;
-      w.w_job <- Some i;
-      w.w_deadline <-
-        (match timeout with
-         | Some t -> now () +. t
-         | None -> infinity);
-      (try Frame.write_fd w.w_req i
-       with _ ->
-         (* worker already dead; the EOF path will requeue *)
-         ())
-  in
-  let on_death w reason =
-    drop w;
-    close_noerr w.w_req;
-    close_noerr w.w_resp;
-    waitpid_retry w.w_pid;
-    match w.w_job with
-    | Some i -> requeue st i reason
-    | None -> ()
-  in
-  let on_response w ((i, res) : _ response) =
-    w.w_job <- None;
-    w.w_deadline <- infinity;
-    (match res with
-     | Ok v -> complete st i (Done v) ~cached:false
-     | Error msg -> complete st i (Failed msg) ~cached:false)
-  in
-  let on_readable w =
-    let chunk = Bytes.create 65536 in
-    match Unix.read w.w_resp chunk 0 (Bytes.length chunk) with
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EINTR), _, _) -> ()
-    | 0 -> on_death w "worker process died"
-    | n ->
-      Frame.feed w.w_dec chunk n;
-      let rec drain () =
-        match Frame.next w.w_dec with
-        | Some resp -> on_response w resp; drain ()
-        | None -> ()
-      in
-      drain ()
-  in
-  let rec select_retry fds tmo =
-    try Unix.select fds [] [] tmo
-    with Unix.Unix_error (Unix.EINTR, _, _) -> select_retry fds tmo
-  in
-  let n = Array.length st.units in
-  let old_sigpipe =
-    try Some (Sys.signal Sys.sigpipe Sys.Signal_ignore)
-    with Invalid_argument _ -> None
-  in
-  Fun.protect
-    ~finally:(fun () ->
-        List.iter kill_worker !workers;
-        workers := [];
-        match old_sigpipe with
-        | Some h -> (try Sys.set_signal Sys.sigpipe h with _ -> ())
-        | None -> ())
-    (fun () ->
-       while st.n_done < n do
-         (* keep the pool topped up; retire the idle when the queue is
-            dry (in-flight units may still re-queue, which spawns
-            fresh workers next round) *)
-         List.iter
-           (fun w ->
-              if w.w_job = None then begin
-                if Queue.is_empty st.pending then begin
-                  drop w;
-                  retire w
-                end else dispatch w
-              end)
-           !workers;
-         while
-           List.length !workers < jobs
-           && not (Queue.is_empty st.pending)
-         do
-           let w = spawn st ~siblings:!workers in
-           workers := w :: !workers;
-           dispatch w
-         done;
-         if !workers = [] then begin
-           if st.n_done < n then
-             (* every remaining unit exhausted its retries *)
-             Array.iteri
-               (fun i slot ->
-                  if slot = None then
-                    complete st i (Failed "unit never completed")
-                      ~cached:false)
-               st.slots
-         end else begin
-           let deadline =
-             List.fold_left
-               (fun acc w -> min acc w.w_deadline)
-               infinity !workers
-           in
-           let tmo =
-             if deadline = infinity then (-1.0)
-             else max 0.01 (deadline -. now ())
-           in
-           let fds = List.map (fun w -> w.w_resp) !workers in
-           let readable, _, _ = select_retry fds tmo in
-           List.iter
-             (fun w ->
-                if List.memq w.w_resp readable then on_readable w)
-             !workers;
-           let t = now () in
-           List.iter
-             (fun w ->
-                if w.w_job <> None && t > w.w_deadline then begin
-                  drop w;
-                  let i = match w.w_job with Some i -> i | None -> 0 in
-                  kill_worker w;
-                  requeue st i
-                    (Printf.sprintf "unit %s timed out" st.units.(i).key)
-                end)
-             !workers
-         end
-       done)
-
-(* --- serial path ---------------------------------------------------- *)
+(* Run unit [i] in this process and write its result file; the value
+   itself is not kept. *)
+let exec st i =
+  let u = st.units.(i) in
+  let res = try Ok (u.run ()) with e -> Error (Printexc.to_string e) in
+  write st.dir u.key res;
+  Result.map ignore res
 
 let run_serial st =
   Queue.iter
     (fun i ->
-       st.attempts.(i) <- st.attempts.(i) + 1;
-       let res =
-         try Done (st.units.(i).run ())
-         with e -> Failed (Printexc.to_string e)
-       in
-       complete st i res ~cached:false)
+       st.attempts.(i) <- 1;
+       complete st i
+         (match exec st i with
+          | Ok () -> Done (load st.dir st.units.(i).key)
+          | Error msg -> Failed msg))
     st.pending;
   Queue.clear st.pending
 
-(* --- entry point ---------------------------------------------------- *)
+let fork_child st i ~timeout =
+  flush stdout;
+  flush stderr;
+  match Unix.fork () with
+  | 0 ->
+    (try
+       Option.iter
+         (fun t ->
+            Sys.set_signal Sys.sigalrm Sys.Signal_default;
+            ignore
+              (Unix.setitimer Unix.ITIMER_REAL
+                 { Unix.it_interval = 0.; it_value = t }))
+         timeout;
+       Unix._exit (match exec st i with Ok () -> 0 | Error _ -> 1)
+     with _ -> Unix._exit 125)
+  | pid -> pid
 
-let run ?(jobs = 1) ?timeout ?journal ?(resume = false)
-    ?(progress = ignore) specs =
-  let units = Array.of_list specs in
-  let n = Array.length units in
-  let keys = List.map (fun u -> u.key) specs in
-  let tbl = Hashtbl.create (2 * n) in
-  List.iter
-    (fun k ->
-       if Hashtbl.mem tbl k then
-         invalid_arg ("Sweep.run: duplicate unit key " ^ k);
-       Hashtbl.add tbl k ())
-    keys;
-  let jnl, cached =
-    match journal with
-    | None -> (None, [])
-    | Some path ->
-      let j, entries = Journal.open_ ~path ~keys ~resume in
-      (Some j, entries)
+let rec wait_retry f =
+  try f () with Unix.Unix_error (Unix.EINTR, _, _) -> wait_retry f
+
+let run_parallel st ~jobs ~timeout =
+  let running = Hashtbl.create jobs in  (* pid -> unit index *)
+  let reap i status =
+    let key = st.units.(i).key in
+    match status with
+    | Unix.WEXITED 0 when Sys.file_exists (file st.dir key) ->
+      complete st i (Done (load st.dir key))
+    | Unix.WEXITED 1 when Sys.file_exists (file st.dir key) ->
+      (match read st.dir key with
+       | Some (Error msg) -> complete st i (Failed msg)
+       | _ -> requeue st i "child wrote a damaged result file")
+    | Unix.WSIGNALED s when s = Sys.sigalrm ->
+      requeue st i (Printf.sprintf "unit %s timed out" key)
+    | _ -> requeue st i "child process died"
   in
-  let st =
-    { units;
-      slots = Array.make n None;
-      n_done = 0;
-      attempts = Array.make n 0;
-      pending = Queue.create ();
-      journal = jnl;
-      progress }
-  in
-  let index_of = Hashtbl.create (2 * n) in
-  Array.iteri (fun i u -> Hashtbl.replace index_of u.key i) units;
-  List.iter
-    (fun (key, v) ->
-       match Hashtbl.find_opt index_of key with
-       | Some i when st.slots.(i) = None ->
-         st.slots.(i) <- Some (Done v, true);
-         st.n_done <- st.n_done + 1
-       | _ -> ())
-    cached;
-  let resumed = st.n_done in
-  Array.iteri
-    (fun i slot -> if slot = None then Queue.add i st.pending)
-    st.slots;
   Fun.protect
     ~finally:(fun () ->
-        match jnl with Some j -> Journal.close j | None -> ())
+        Hashtbl.iter
+          (fun pid _ ->
+             (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+             try ignore (wait_retry (fun () -> Unix.waitpid [] pid))
+             with Unix.Unix_error _ -> ())
+          running)
     (fun () ->
-       if jobs <= 1 then run_serial st
-       else run_parallel st ~jobs ~timeout);
+       while not (Queue.is_empty st.pending && Hashtbl.length running = 0) do
+         while
+           Hashtbl.length running < jobs && not (Queue.is_empty st.pending)
+         do
+           let i = Queue.pop st.pending in
+           st.attempts.(i) <- st.attempts.(i) + 1;
+           Hashtbl.replace running (fork_child st i ~timeout) i
+         done;
+         let pid, status = wait_retry Unix.wait in
+         match Hashtbl.find_opt running pid with
+         | Some i -> Hashtbl.remove running pid; reap i status
+         | None -> ()  (* a child the sweep did not fork *)
+       done)
+
+(* --- entry point ---------------------------------------------------- *)
+
+let run ?(jobs = 1) ?timeout ~dir ?(resume = false) ?(progress = ignore)
+    specs =
+  let units = Array.of_list specs in
+  let n = Array.length units in
+  let seen = Hashtbl.create (2 * n) in
+  Array.iter
+    (fun u ->
+       if Hashtbl.mem seen u.key then
+         invalid_arg ("Sweep.run: duplicate unit key " ^ u.key);
+       Hashtbl.add seen u.key ())
+    units;
+  if jobs <= 1 && Option.is_some timeout then
+    invalid_arg "Sweep.run: a timeout needs jobs > 1";
+  mkdir_p dir;
+  if not resume then
+    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  let st =
+    { units; dir;
+      outcomes = Array.make n None;
+      attempts = Array.make n 0;
+      pending = Queue.create ();
+      progress }
+  in
+  Array.iteri
+    (fun i u ->
+       match if resume then read dir u.key else None with
+       | Some (Ok _) -> st.outcomes.(i) <- Some (Done (load dir u.key), true)
+       | _ ->
+         (* a unit to run has no file, so no stale one can pass for its
+            result *)
+         (try Sys.remove (file dir u.key) with Sys_error _ -> ());
+         Queue.add i st.pending)
+    units;
+  let resumed = n - Queue.length st.pending in
+  if jobs <= 1 then run_serial st else run_parallel st ~jobs ~timeout;
   let shards =
-    Array.to_list
-      (Array.mapi
-         (fun i slot ->
-            match slot with
-            | Some (outcome, cached) ->
-              { s_key = units.(i).key; s_outcome = outcome;
-                s_attempts = st.attempts.(i); s_cached = cached }
-            | None ->
-              { s_key = units.(i).key;
-                s_outcome = Failed "unit never ran";
-                s_attempts = st.attempts.(i); s_cached = false })
-         st.slots)
+    List.mapi
+      (fun i u ->
+         let outcome, cached = Option.get st.outcomes.(i) in
+         { s_key = u.key; s_outcome = outcome;
+           s_attempts = st.attempts.(i); s_cached = cached })
+      specs
   in
   { shards; r_resumed = resumed }

@@ -2,25 +2,31 @@
 
     A sweep is an ordered list of independent work units, each a
     closure producing a marshalable value (no closures or custom
-    blocks inside the result). [run ~jobs:n] executes them on [n]
-    forked worker processes — each worker inherits the unit closures
-    at fork time and receives unit indexes over a request pipe,
-    streaming results back as length-prefixed marshalled frames — and
-    reassembles the results in canonical input order, so the report is
-    identical to a serial run of the same units.
+    blocks inside the result). [run ~jobs:n ~dir] runs each unit in a
+    child process of its own, forked when a slot frees up, at most [n]
+    at once. A child writes its unit's outcome to one result file in
+    [dir] and exits; the parent only waits for children. The report
+    lists the shards in canonical input order, so whatever renders
+    them renders the same bytes as a serial run of the same units.
 
-    Robustness: a worker that dies (crash, OOM kill) or exceeds the
-    per-unit [timeout] is reaped, its unit is re-queued for one more
-    attempt on a fresh worker, and the sweep carries on; a unit that
-    *returns* an exception is recorded as [Failed] without retry (it
-    ran to completion — the failure is deterministic). With a
-    [journal], completed units are recorded as they finish, and
-    [resume = true] skips everything a previous (possibly killed)
-    sweep already completed.
+    A result file is [dir/<hex digest of the key>]: a header line
+    (magic and format version), the key, the payload's hex digest,
+    then the marshalled [Ok v] or [Error exception_text]. The child
+    writes it under a temporary name and renames it, so the file
+    appears whole or not at all. The parent keeps no outcome in
+    memory: [Done read] reads the value back from its file.
 
-    [jobs <= 1] runs the units in-process, in order, with no forking —
-    the serial reference an equality test can compare a parallel run
-    against byte for byte. *)
+    Robustness: a child that dies (crash, OOM kill), exceeds the
+    per-unit [timeout] (an interval timer the child arms on itself)
+    or exits without its file is re-run once in a fresh child, and the
+    sweep carries on; a unit that *raises* is [Failed] without retry
+    (it ran to completion, so the failure is deterministic).
+    [resume = true] reuses every intact [Ok] file [dir] already holds,
+    so a sweep killed mid-run picks up where it stopped.
+
+    [jobs <= 1] runs the units in-process, in order, with no forking
+    (the serial reference a parallel run must match byte for byte);
+    it writes the same files. *)
 
 type 'a unit_spec = {
   key : string;        (** canonical id, unique within the sweep *)
@@ -28,36 +34,42 @@ type 'a unit_spec = {
 }
 
 type 'a outcome =
-  | Done of 'a
+  | Done of (unit -> 'a)
+      (** reads the value from the shard's result file, afresh on
+          every call *)
   | Failed of string   (** exception text, or the kill/timeout reason *)
 
 type 'a shard = {
   s_key : string;
   s_outcome : 'a outcome;
-  s_attempts : int;    (** 0 when restored from the journal *)
-  s_cached : bool;     (** true = restored by [resume], not re-run *)
+  s_attempts : int;    (** 0 when reused by [resume] *)
+  s_cached : bool;     (** true = reused by [resume], not re-run *)
 }
 
 type 'a report = {
   shards : 'a shard list;  (** canonical input order *)
-  r_resumed : int;         (** shards restored from the journal *)
+  r_resumed : int;         (** shards reused by [resume] *)
 }
 
 val run :
   ?jobs:int ->
   ?timeout:float ->
-  ?journal:string ->
+  dir:string ->
   ?resume:bool ->
   ?progress:(string -> unit) ->
   'a unit_spec list -> 'a report
-(** [run specs] executes the sweep and returns its report.
+(** [run ~dir specs] executes the sweep and returns its report.
 
-    [jobs] — worker processes (default 1 = in-process serial).
-    [timeout] — per-unit seconds before the worker is killed and the
-    unit re-queued (default: none).
-    [journal] — journal path; enables [resume].
-    [resume] — reuse a matching journal's completed entries
-    (default false).
+    [jobs] — child processes at once (default 1 = in-process serial).
+    [timeout] — per-unit seconds before the child is killed and the
+    unit re-run (default: none); only a forked child can be timed, so
+    it needs [jobs > 1].
+    [dir] — the sweep's result files; created if missing, and emptied
+    first unless [resume].
+    [resume] — reuse the intact [Ok] files [dir] holds for these keys
+    (default false); a file with a bad digest, another format version
+    or another key is re-run.
     [progress] — called with each unit key as it completes.
 
-    Raises [Invalid_argument] on duplicate unit keys. *)
+    Raises [Invalid_argument] on duplicate unit keys, or on a
+    [timeout] with [jobs <= 1]. *)

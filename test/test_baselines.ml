@@ -399,23 +399,23 @@ let window_pins =
      "3fe76aabcf18aa01f3af931e3b843c38");
     (Schemes.rc3, 32, "cb6ba7a8d915f84191a08d1cda9ef4b1",
      "a6093addcda7a98234f64b8c525fa341");
-    (Schemes.ppt, 32, "e9794c2a1dc0f95c36f5cefea352495b",
-     "f08adc5e8631bb4a24e57122295a16f6");
-    (Schemes.ppt_swift, 32, "04380bb179af6c13dd447180e09fa90c",
-     "b88f3582ca9fcf5fb50c734eb0558393");
-    (Schemes.ppt_hpcc, 32, "8e354170c1857f468358a73f358232c1",
-     "8b0381927c29bec960596ab963371570");
-    (Schemes.ppt_no_lcp_ecn, 32, "46da3aeb662433f79a9ca1e8a55226b5",
-     "4f98ffe5168ccd3259ca7a0871d2079e");
-    (Schemes.ppt_no_ewd, 32, "d7dda3d3422ba2e4513247338aba8cba",
-     "363e5784faee5c788f634e41eec25751");
-    (Schemes.ppt_no_sched, 32, "a72a598752c00cff11a307b4b4d9aa48",
-     "949c691fa09b610496cc19371b9cea39");
+    (Schemes.ppt, 32, "b11adf33190f962f5a5b9fa589b59a01",
+     "969e218d79e362195060446d6e3dc8fa");
+    (Schemes.ppt_swift, 32, "0d1fcb76de194294489fe318104ddc1b",
+     "20df635555e63057a9fa7919e1cdde6e");
+    (Schemes.ppt_hpcc, 32, "f2282dd8b7715ac1ddf4884a7748d469",
+     "f4a3569677cbc1f5fa1c0eebf3127b0d");
+    (Schemes.ppt_no_lcp_ecn, 32, "a686d88a7c5ee83bc7800fa831a06852",
+     "2b9c55030783a49efedd35f8af356aca");
+    (Schemes.ppt_no_ewd, 32, "1b9786d4bf01748672052fe3e41659ed",
+     "7b81d71c640d56ffe627c717ac448560");
+    (Schemes.ppt_no_sched, 32, "76c786acd187a38cb172f34edea08af4",
+     "c839dc1ad5f70638fb8b60f6e2d249e2");
     (Schemes.ppt_no_ident, 32, "243a24bceef2bb25d2bae8aeebb22deb",
      "3d99faabe6347615845c8fbb8a9d9f74");
     (Schemes.ppt_sendbuf (Units.kb 128), 32,
-     "35bc0a0f45a0419e339dfe41d2f59224",
-     "ba4604b3da78274b5659c382470e3955") ]
+     "695c5a775e30f8a718c492db1d9409c1",
+     "1da3aa36742662c5bb9f71998da53b40") ]
 
 let test_window_pinned () =
   let open Ppt_harness in

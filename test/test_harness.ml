@@ -332,10 +332,10 @@ let test_runner_rejects_unsorted () =
 
 (* A run draws its flows from the generator as they start; launching
    the same flows from the list [Runner.flows] returns is the same run.
-   Checked with PPT on a testbed memcached incast and with DCTCP on the
-   oversubscribed fabric. (A replay does not split the run's random
-   stream for a generator, and PPT identifies large flows from that
-   stream; memcached flows are all below its threshold.) *)
+   Checked with PPT on a testbed memcached incast, and with DCTCP and
+   PPT on the oversubscribed fabric, whose web-search flows PPT
+   identifies from the run's random stream: a replay splits that
+   stream as the generated run does. *)
 let test_runner_streamed_equals_list () =
   let incast =
     { (Config.testbed ~n_flows:2_000 ~load:0.5 ()) with
@@ -361,7 +361,8 @@ let test_runner_streamed_equals_list () =
        check Alcotest.int (tag "same marks") streamed.Runner.marks
          listed.Runner.marks)
     [ (incast, Schemes.ppt);
-      (Config.oversub ~n_flows:200 (), Schemes.dctcp) ]
+      (Config.oversub ~n_flows:200 (), Schemes.dctcp);
+      (Config.oversub ~n_flows:200 (), Schemes.ppt) ]
 
 let suite =
   [ Alcotest.test_case "config: topology shapes" `Quick test_config_shapes;

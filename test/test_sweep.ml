@@ -1,391 +1,358 @@
 (* Tests for the fork-based sweep runner (lib/sweep) and its harness
-   glue (Parallel): frame codec, shard ordering, crash/timeout retry,
-   journal resume, and the serial-vs-parallel byte-equality contract. *)
+   glue (Parallel): shard ordering, crash/timeout retry, resuming from
+   the result files, and the serial-vs-parallel byte-equality contract.
+   The "journal:" cases test what a resumed sweep reuses of the result
+   directory a previous sweep left. *)
 
 open Ppt_sweep
 open Ppt_harness
 
 let check = Alcotest.check
 
-let tmp_path suffix =
-  let p = Filename.temp_file "ppt_sweep_test" suffix in
-  Sys.remove p;
-  p
-
 let value_of = function
-  | Sweep.Done v -> v
+  | Sweep.Done read -> read ()
   | Sweep.Failed msg -> Alcotest.fail ("unexpected failure: " ^ msg)
 
-(* --- frame codec ------------------------------------------------------- *)
-
-let test_frame_roundtrip () =
-  (* several frames fed to the decoder in awkward chunk sizes *)
-  let values = [ "alpha"; ""; String.make 100_000 'x'; "omega" ] in
-  let bytes =
-    String.concat "" (List.map (fun v -> Bytes.to_string (Frame.encode v))
-                        values)
+(* Run [f] on a fresh sweep directory, removed with its files after. *)
+let with_dir f =
+  let dir = Filename.temp_file "ppt_sweep_test" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o700;
+  let clear () =
+    if Sys.file_exists dir then begin
+      Array.iter (fun n -> Sys.remove (Filename.concat dir n))
+        (Sys.readdir dir);
+      Sys.rmdir dir
+    end
   in
-  List.iter
-    (fun chunk_size ->
-       let d = Frame.decoder () in
-       let got = ref [] in
-       let i = ref 0 in
-       let len = String.length bytes in
-       while !i < len do
-         let n = min chunk_size (len - !i) in
-         Frame.feed d (Bytes.of_string (String.sub bytes !i n)) n;
-         let rec drain () =
-           match Frame.next d with
-           | Some (v : string) -> got := v :: !got; drain ()
-           | None -> ()
-         in
-         drain ();
-         i := !i + n
-       done;
-       check Alcotest.bool
-         (Printf.sprintf "roundtrip at chunk=%d" chunk_size)
-         true
-         (List.rev !got = values))
-    [ 1; 3; 4096; 1_000_000 ]
+  Fun.protect ~finally:clear (fun () -> f dir)
 
-(* --- ordering and the serial path -------------------------------------- *)
+(* The result file of [key], named as sweep.mli documents. *)
+let file_of dir key =
+  Filename.concat dir (Digest.to_hex (Digest.string key))
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let write_file path data =
+  Out_channel.with_open_bin path (fun oc ->
+      Out_channel.output_string oc data)
 
 let specs_of l =
   List.map (fun (k, f) -> { Sweep.key = k; run = f }) l
 
+let shard r k = List.find (fun s -> s.Sweep.s_key = k) r.Sweep.shards
+
+(* --- ordering and the serial path -------------------------------------- *)
+
 let test_canonical_order () =
   (* whatever order units finish in, shards come back in input order *)
   let mk jobs =
-    let r =
-      Sweep.run ~jobs
-        (specs_of
-           [ ("c", fun () -> Unix.sleepf 0.05; 3);
-             ("a", fun () -> 1);
-             ("b", fun () -> Unix.sleepf 0.02; 2) ])
-    in
-    List.map (fun s -> (s.Sweep.s_key, value_of s.Sweep.s_outcome))
-      r.Sweep.shards
+    with_dir (fun dir ->
+        let r =
+          Sweep.run ~jobs ~dir
+            (specs_of
+               [ ("c", fun () -> Unix.sleepf 0.05; 3);
+                 ("a", fun () -> 1);
+                 ("b", fun () -> Unix.sleepf 0.02; 2) ])
+        in
+        List.map (fun s -> (s.Sweep.s_key, value_of s.Sweep.s_outcome))
+          r.Sweep.shards)
   in
   let expect = [ ("c", 3); ("a", 1); ("b", 2) ] in
   check Alcotest.bool "serial order" true (mk 1 = expect);
   check Alcotest.bool "parallel order" true (mk 3 = expect)
 
 let test_duplicate_keys_rejected () =
-  Alcotest.check_raises "duplicate key"
-    (Invalid_argument "Sweep.run: duplicate unit key a")
-    (fun () ->
-       ignore (Sweep.run (specs_of [ ("a", fun () -> 0);
-                                     ("a", fun () -> 1) ])))
+  with_dir (fun dir ->
+      Alcotest.check_raises "duplicate key"
+        (Invalid_argument "Sweep.run: duplicate unit key a")
+        (fun () ->
+           ignore (Sweep.run ~dir (specs_of [ ("a", fun () -> 0);
+                                              ("a", fun () -> 1) ])));
+      (* only a forked child can be timed *)
+      Alcotest.check_raises "timeout in-process"
+        (Invalid_argument "Sweep.run: a timeout needs jobs > 1")
+        (fun () ->
+           ignore (Sweep.run ~jobs:1 ~timeout:1. ~dir
+                     (specs_of [ ("a", fun () -> 0) ]))))
 
 (* --- crash isolation and retry ----------------------------------------- *)
 
-let test_retry_after_worker_death () =
-  (* first attempt SIGKILLs its own worker; the retry (fresh worker,
-     marker file now present) succeeds *)
-  let marker = tmp_path ".marker" in
-  let unit_run () =
-    if Sys.file_exists marker then 42
-    else begin
-      let oc = open_out marker in
-      close_out oc;
-      Unix.kill (Unix.getpid ()) Sys.sigkill;
-      0 (* unreachable *)
-    end
-  in
-  let r =
-    Sweep.run ~jobs:2
-      (specs_of [ ("steady", (fun () -> 7)); ("crasher", unit_run) ])
-  in
-  (try Sys.remove marker with Sys_error _ -> ());
-  let shard k =
-    List.find (fun s -> s.Sweep.s_key = k) r.Sweep.shards
-  in
-  check Alcotest.int "steady unit unaffected" 7
-    (value_of (shard "steady").Sweep.s_outcome);
-  check Alcotest.int "crasher succeeds on retry" 42
-    (value_of (shard "crasher").Sweep.s_outcome);
-  check Alcotest.int "crasher took two attempts" 2
-    (shard "crasher").Sweep.s_attempts
+let test_retry_after_child_death () =
+  (* the first attempt SIGKILLs its own child; the retry (a fresh child,
+     the marker file now present) succeeds *)
+  with_dir (fun dir ->
+      let marker = Filename.concat dir "marker" in
+      let unit_run () =
+        if Sys.file_exists marker then 42
+        else begin
+          close_out (open_out marker);
+          Unix.kill (Unix.getpid ()) Sys.sigkill;
+          0 (* unreachable *)
+        end
+      in
+      let r =
+        Sweep.run ~jobs:2 ~dir
+          (specs_of [ ("steady", (fun () -> 7)); ("crasher", unit_run) ])
+      in
+      check Alcotest.int "steady unit unaffected" 7
+        (value_of (shard r "steady").Sweep.s_outcome);
+      check Alcotest.int "crasher succeeds on retry" 42
+        (value_of (shard r "crasher").Sweep.s_outcome);
+      check Alcotest.int "crasher took two attempts" 2
+        (shard r "crasher").Sweep.s_attempts)
 
 let test_retries_exhausted () =
   (* a unit that dies every time ends Failed, not fatal to the sweep *)
-  let r =
-    Sweep.run ~jobs:2
-      (specs_of
-         [ ("ok", (fun () -> 1));
-           ("dead", fun () -> Unix.kill (Unix.getpid ()) Sys.sigkill; 0) ])
-  in
-  let shard k =
-    List.find (fun s -> s.Sweep.s_key = k) r.Sweep.shards
-  in
-  check Alcotest.int "healthy unit still completes" 1
-    (value_of (shard "ok").Sweep.s_outcome);
-  (match (shard "dead").Sweep.s_outcome with
-   | Sweep.Failed _ -> ()
-   | Sweep.Done _ -> Alcotest.fail "dead unit cannot succeed")
+  with_dir (fun dir ->
+      let r =
+        Sweep.run ~jobs:2 ~dir
+          (specs_of
+             [ ("ok", (fun () -> 1));
+               ("dead",
+                fun () -> Unix.kill (Unix.getpid ()) Sys.sigkill; 0) ])
+      in
+      check Alcotest.int "healthy unit still completes" 1
+        (value_of (shard r "ok").Sweep.s_outcome);
+      (match (shard r "dead").Sweep.s_outcome with
+       | Sweep.Failed _ -> ()
+       | Sweep.Done _ -> Alcotest.fail "dead unit cannot succeed");
+      check Alcotest.int "dead unit tried twice" 2
+        (shard r "dead").Sweep.s_attempts)
 
 let test_timeout_kills_shard () =
-  let r =
-    Sweep.run ~jobs:2 ~timeout:0.3
-      (specs_of
-         [ ("fast", (fun () -> 1));
-           ("stuck", fun () -> Unix.sleepf 30.; 2) ])
-  in
-  let shard k =
-    List.find (fun s -> s.Sweep.s_key = k) r.Sweep.shards
-  in
-  check Alcotest.int "fast unit completes" 1
-    (value_of (shard "fast").Sweep.s_outcome);
-  (match (shard "stuck").Sweep.s_outcome with
-   | Sweep.Failed msg ->
-     check Alcotest.bool "reason mentions the timeout" true
-       (String.length msg >= 9
-        && String.sub msg (String.length msg - 9) 9 = "timed out")
-   | Sweep.Done _ -> Alcotest.fail "stuck unit cannot succeed");
-  check Alcotest.int "stuck unit retried once" 2
-    (shard "stuck").Sweep.s_attempts
+  with_dir (fun dir ->
+      let r =
+        Sweep.run ~jobs:2 ~timeout:0.3 ~dir
+          (specs_of
+             [ ("fast", (fun () -> 1));
+               ("stuck", fun () -> Unix.sleepf 30.; 2) ])
+      in
+      check Alcotest.int "fast unit completes" 1
+        (value_of (shard r "fast").Sweep.s_outcome);
+      (match (shard r "stuck").Sweep.s_outcome with
+       | Sweep.Failed msg ->
+         check Alcotest.string "reason names the timeout"
+           "unit stuck timed out" msg
+       | Sweep.Done _ -> Alcotest.fail "stuck unit cannot succeed");
+      check Alcotest.int "stuck unit retried once" 2
+        (shard r "stuck").Sweep.s_attempts)
 
 let test_exception_is_failed_without_retry () =
   List.iter
     (fun jobs ->
-       let r =
-         Sweep.run ~jobs
-           (specs_of
-              [ ("boom", fun () -> if true then failwith "kaput") ])
-       in
-       let s = List.hd r.Sweep.shards in
-       (match s.Sweep.s_outcome with
-        | Sweep.Failed msg ->
-          check Alcotest.bool
-            (Printf.sprintf "jobs=%d: exception text kept" jobs)
-            true
-            (String.length msg > 0)
-        | Sweep.Done () -> Alcotest.fail "exception cannot succeed");
-       check Alcotest.int
-         (Printf.sprintf "jobs=%d: deterministic failure, one attempt"
-            jobs)
-         1 s.Sweep.s_attempts)
+       with_dir (fun dir ->
+           let r =
+             Sweep.run ~jobs ~dir
+               (specs_of
+                  [ ("boom", fun () -> if true then failwith "kaput") ])
+           in
+           let s = List.hd r.Sweep.shards in
+           (match s.Sweep.s_outcome with
+            | Sweep.Failed msg ->
+              check Alcotest.string
+                (Printf.sprintf "jobs=%d: exception text kept" jobs)
+                "Failure(\"kaput\")" msg
+            | Sweep.Done _ -> Alcotest.fail "exception cannot succeed");
+           check Alcotest.int
+             (Printf.sprintf "jobs=%d: deterministic failure, one attempt"
+                jobs)
+             1 s.Sweep.s_attempts))
     [ 1; 2 ]
 
-(* --- journal and resume ------------------------------------------------ *)
+(* --- resume ------------------------------------------------------------ *)
+
+(* What can happen to a result file between two sweeps. *)
+type damage =
+  | Truncate of int    (* cut 1 + this many bytes (modulo its length)
+                          off its end *)
+  | Flip of int        (* flip this bit, counted from its end, modulo
+                          its length in bits *)
+  | Delete
+  | Other_version      (* the header's format version, plus one *)
+  | Other_key          (* another unit's file in its place *)
+
+let damage dir key ~other_file = function
+  | Truncate n ->
+    let data = read_file (file_of dir key) in
+    let len = String.length data in
+    write_file (file_of dir key) (String.sub data 0 (len - 1 - n mod len))
+  | Flip n ->
+    let data = Bytes.of_string (read_file (file_of dir key)) in
+    let bit = 8 * Bytes.length data - 1 - n mod (8 * Bytes.length data) in
+    Bytes.set data (bit / 8)
+      (Char.chr
+         (Char.code (Bytes.get data (bit / 8)) lxor (1 lsl (bit mod 8))));
+    write_file (file_of dir key) (Bytes.to_string data)
+  | Delete -> Sys.remove (file_of dir key)
+  | Other_version ->
+    let data = read_file (file_of dir key) in
+    let nl = String.index data '\n' in
+    let v = String.rindex_from data nl ' ' in
+    let version = int_of_string (String.sub data (v + 1) (nl - v - 1)) in
+    write_file (file_of dir key)
+      (String.sub data 0 (v + 1) ^ string_of_int (version + 1)
+       ^ String.sub data nl (String.length data - nl))
+  | Other_key -> write_file (file_of dir key) other_file
+
+let keys = [ "u0"; "u1"; "u2"; "u3"; "u4" ]
+let value_at i = (i, String.make (i * 37) 'x')
+
+(* Sweep [keys] into [dir], apply [damaged] (key, damage) to its files,
+   resume: the keys that re-ran, in order, and the resumed report. *)
+let resume_after_damage dir damaged =
+  let units rerun =
+    List.mapi
+      (fun i k -> (k, fun () -> rerun := k :: !rerun; value_at i))
+      keys
+  in
+  ignore (Sweep.run ~dir (specs_of (units (ref []))));
+  let files = List.map (fun k -> read_file (file_of dir k)) keys in
+  List.iteri
+    (fun i k ->
+       Option.iter
+         (damage dir k ~other_file:(List.nth files ((i + 1) mod 5)))
+         (List.assoc_opt k damaged))
+    keys;
+  let rerun = ref [] in
+  let r = Sweep.run ~dir ~resume:true (specs_of (units rerun)) in
+  (List.rev !rerun, r)
+
+let check_resumed what (rerun, r) ~expect =
+  check Alcotest.(list string) (what ^ ": re-ran") expect rerun;
+  check Alcotest.int (what ^ ": resumed") (5 - List.length expect)
+    r.Sweep.r_resumed;
+  check Alcotest.bool (what ^ ": every value") true
+    (List.map (fun s -> value_of s.Sweep.s_outcome) r.Sweep.shards
+     = List.mapi (fun i _ -> value_at i) keys)
+
+(* Any subset of a sweep's result files damaged after the fact, each in
+   any of the ways above: resuming re-runs exactly that subset, reuses
+   the rest, and never raises. *)
+let prop_resume_reruns_damaged =
+  QCheck.Test.make ~name:"journal: resume re-runs damaged files"
+    ~count:200
+    QCheck.(
+      pair (int_bound 31)
+        (list_of_size (Gen.return 5)
+           (pair (int_bound 4) (int_bound 1_000_000))))
+    (fun (subset, kinds) ->
+       let damaged =
+         List.combine keys kinds
+         |> List.filteri (fun i _ -> subset land (1 lsl i) <> 0)
+         |> List.map (fun (k, (kind, n)) ->
+             ( k,
+               match kind with
+               | 0 -> Truncate n
+               | 1 -> Flip n
+               | 2 -> Delete
+               | 3 -> Other_version
+               | _ -> Other_key ))
+       in
+       with_dir (fun dir ->
+           let rerun, r = resume_after_damage dir damaged in
+           rerun = List.map fst damaged
+           && r.Sweep.r_resumed = 5 - List.length damaged
+           && List.map (fun s -> value_of s.Sweep.s_outcome) r.Sweep.shards
+              = List.mapi (fun i _ -> value_at i) keys))
 
 let test_resume_skips_completed () =
-  let path = tmp_path ".journal" in
-  (* first sweep: two units succeed (journaled), one fails (not) *)
-  let r1 =
-    Sweep.run ~journal:path
-      (specs_of
-         [ ("a", (fun () -> 1)); ("b", (fun () -> 2));
-           ("c", fun () -> failwith "broken") ])
-  in
-  check Alcotest.int "nothing resumed on a fresh journal" 0
-    r1.Sweep.r_resumed;
-  (* second sweep, resumed: a and b come from the journal (sentinels
-     prove they never re-ran), c runs for real this time *)
-  let r2 =
-    Sweep.run ~journal:path ~resume:true
-      (specs_of
-         [ ("a", (fun () -> 99)); ("b", (fun () -> 99));
-           ("c", fun () -> 3) ])
-  in
-  check Alcotest.int "two shards resumed" 2 r2.Sweep.r_resumed;
-  let got =
-    List.map
-      (fun s ->
-         (s.Sweep.s_key, value_of s.Sweep.s_outcome, s.Sweep.s_cached))
-      r2.Sweep.shards
-  in
-  check Alcotest.bool "cached values, fresh c" true
-    (got = [ ("a", 1, true); ("b", 2, true); ("c", 3, false) ]);
-  Sys.remove path
+  with_dir (fun dir ->
+      (* first sweep: two units succeed, one raises *)
+      let r1 =
+        Sweep.run ~dir
+          (specs_of
+             [ ("a", (fun () -> 1)); ("b", (fun () -> 2));
+               ("c", fun () -> failwith "broken") ])
+      in
+      check Alcotest.int "nothing resumed in a fresh directory" 0
+        r1.Sweep.r_resumed;
+      (* resumed: a and b come from their files (sentinels prove they
+         never re-ran); c's file holds an exception, so c runs again *)
+      let r2 =
+        Sweep.run ~dir ~resume:true
+          (specs_of
+             [ ("a", (fun () -> 99)); ("b", (fun () -> 99));
+               ("c", fun () -> 3) ])
+      in
+      check Alcotest.int "two shards resumed" 2 r2.Sweep.r_resumed;
+      let got =
+        List.map
+          (fun s ->
+             (s.Sweep.s_key, value_of s.Sweep.s_outcome, s.Sweep.s_cached))
+          r2.Sweep.shards
+      in
+      check Alcotest.bool "cached values, fresh c" true
+        (got = [ ("a", 1, true); ("b", 2, true); ("c", 3, false) ]);
+      (* without --resume the directory starts empty: all run again *)
+      let r3 =
+        Sweep.run ~dir
+          (specs_of [ ("a", (fun () -> 5)); ("b", fun () -> 6) ])
+      in
+      check Alcotest.int "a fresh sweep resumes nothing" 0
+        r3.Sweep.r_resumed;
+      check Alcotest.int "only its own files are left" 2
+        (Array.length (Sys.readdir dir)))
 
 let test_resume_tolerates_corrupt_tail () =
-  let path = tmp_path ".journal" in
-  let r1 =
-    Sweep.run ~journal:path
-      (specs_of [ ("a", (fun () -> 1)); ("b", fun () -> 2) ])
-  in
-  check Alcotest.int "both journaled" 2
-    (List.length
-       (List.filter
-          (fun s -> s.Sweep.s_outcome = Sweep.Done 1
-                    || s.Sweep.s_outcome = Sweep.Done 2)
-          r1.Sweep.shards));
-  (* simulate a sweep killed mid-append: garbage after the last
-     complete entry *)
-  let oc = open_out_gen [ Open_append; Open_binary ] 0o644 path in
-  output_string oc "\x00\x00\x01garbage-tail";
-  close_out oc;
-  let r2 =
-    Sweep.run ~journal:path ~resume:true
-      (specs_of [ ("a", (fun () -> 99)); ("b", fun () -> 99) ])
-  in
-  check Alcotest.int "complete entries recovered" 2 r2.Sweep.r_resumed;
-  Sys.remove path
-
-(* A journal damaged after the fact, cut at any byte or with any one
-   bit flipped: resuming keeps exactly the entries written before the
-   first damaged frame (none when the header is hit), and never
-   raises. *)
-let prop_resume_keeps_intact_prefix =
-  QCheck.Test.make ~name:"journal: resume keeps exactly the intact prefix"
-    ~count:300
-    QCheck.(triple (int_range 0 4) bool (int_range 0 max_int))
-    (fun (n_entries, cut, pos) ->
-       let path = tmp_path ".journal" in
-       let keys = [ "u0"; "u1"; "u2"; "u3" ] in
-       let size () = (Unix.stat path).Unix.st_size in
-       let j, _ = Journal.open_ ~path ~keys ~resume:false in
-       let header_end = size () in
-       let written =
-         List.filteri (fun i _ -> i < n_entries) keys
-         |> List.mapi (fun i key ->
-             let v = (i, String.make (i * 37) 'x') in
-             Journal.append j ~key v;
-             ((key, v), size ()))
-       in
-       Journal.close j;
-       let data = In_channel.with_open_bin path In_channel.input_all in
-       let len = String.length data in
-       (* the first byte that is no longer as written *)
-       let damaged, first_bad =
-         if cut then
-           let l = pos mod (len + 1) in
-           (String.sub data 0 l, l)
-         else begin
-           let bit = pos mod (8 * len) in
-           let b = Bytes.of_string data in
-           Bytes.set b (bit / 8)
-             (Char.chr (Char.code data.[bit / 8] lxor (1 lsl (bit mod 8))));
-           (Bytes.to_string b, bit / 8)
-         end
-       in
-       Out_channel.with_open_bin path (fun oc ->
-           Out_channel.output_string oc damaged);
-       let j, (got : (string * (int * string)) list) =
-         Journal.open_ ~path ~keys ~resume:true
-       in
-       Journal.close j;
-       Sys.remove path;
-       let expected =
-         if first_bad < header_end then []
-         else
-           List.filter_map
-             (fun (e, ends) -> if ends <= first_bad then Some e else None)
-             written
-       in
-       got = expected)
-
-(* The journal header's layout, mirrored to forge journals that
-   another build wrote: same magic and keys, another version. *)
-type journal_header = {
-  h_magic : string;
-  h_version : int;
-  h_keys : string list;
-}
-
-let test_resume_rejects_other_version () =
-  let keys = [ "a"; "b" ] in
-  let path = tmp_path ".journal" in
-  let j, _ = Journal.open_ ~path ~keys ~resume:false in
-  Journal.close j;
-  let current =
-    In_channel.with_open_bin path (fun ic ->
-        match (Frame.read_channel ic : journal_header option) with
-        | Some h -> h
-        | None -> Alcotest.fail "fresh journal has no header")
-  in
-  check Alcotest.bool "mirrored header reads back" true
-    (current.h_keys = keys);
-  (* a journal of [version] holding one entry; the payload is a v3
-     shard, (fragment, events, Gc snapshot) *)
-  let v3_entry = ("a", ("frag", 7, (1., 2., 3))) in
-  let forge version =
-    Out_channel.with_open_bin path (fun oc ->
-        Frame.write_channel oc { current with h_version = version };
-        Frame.write_channel oc v3_entry)
-  in
-  (* control: the forged layout resumes at the current version *)
-  forge current.h_version;
-  let j, entries = Journal.open_ ~path ~keys ~resume:true in
-  Journal.close j;
-  check Alcotest.bool "same version resumes" true (entries = [ v3_entry ]);
-  let resume () : Journal.t * (string * int) list =
-    Journal.open_ ~path ~keys ~resume:true
-  in
-  List.iter
-    (fun version ->
-       forge version;
-       let j, entries = resume () in
-       check Alcotest.int
-         (Printf.sprintf "version %d: started fresh" version)
-         0 (List.length entries);
-       Journal.append j ~key:"b" 2;
-       Journal.close j;
-       let j, entries = resume () in
-       Journal.close j;
-       check Alcotest.bool
-         (Printf.sprintf "version %d: later appends resume" version)
-         true
-         (entries = [ ("b", 2) ]))
-    [ current.h_version - 1; current.h_version + 1 ];
-  Sys.remove path
+  with_dir (fun dir ->
+      check_resumed "cut and flipped tails"
+        (resume_after_damage dir
+           [ ("u1", Truncate 0); ("u3", Flip 0) ])
+        ~expect:[ "u1"; "u3" ])
 
 let test_resume_rejects_mismatched_keys () =
-  let path = tmp_path ".journal" in
-  ignore (Sweep.run ~journal:path (specs_of [ ("a", fun () -> 1) ]));
-  (* different unit list: the journal must not be trusted *)
-  let r =
-    Sweep.run ~journal:path ~resume:true
-      (specs_of [ ("a", (fun () -> 5)); ("b", fun () -> 6) ])
-  in
-  check Alcotest.int "nothing resumed across unit lists" 0
-    r.Sweep.r_resumed;
-  check Alcotest.bool "units re-ran" true
-    (List.map (fun s -> value_of s.Sweep.s_outcome) r.Sweep.shards
-     = [ 5; 6 ]);
-  Sys.remove path
+  with_dir (fun dir ->
+      check_resumed "another unit's file"
+        (resume_after_damage dir [ ("u2", Other_key) ])
+        ~expect:[ "u2" ])
+
+let test_resume_rejects_other_version () =
+  with_dir (fun dir ->
+      check_resumed "another version"
+        (resume_after_damage dir [ ("u0", Other_version) ])
+        ~expect:[ "u0" ])
 
 let test_resume_after_midrun_kill () =
-  (* a sweep driver killed mid-run leaves a journal a later --resume
-     can pick up. The driver runs in a fork; its third unit SIGKILLs
-     the driver from inside a worker once the first unit is safely
-     journaled. *)
-  let path = tmp_path ".journal" in
-  flush stdout; flush stderr;
-  (match Unix.fork () with
-   | 0 ->
-     (* sweep driver: a completes instantly; "slow" keeps one worker
-        busy; "killer" shoots the driver *)
-     ignore
-       (Sweep.run ~jobs:2 ~journal:path
-          (specs_of
-             [ ("a", (fun () -> 1));
-               ("slow", (fun () -> Unix.sleepf 30.; 2));
-               ("killer",
-                fun () ->
-                  Unix.sleepf 0.3;
-                  Unix.kill (Unix.getppid ()) Sys.sigkill;
-                  Unix.sleepf 30.;
-                  3) ]));
-     Unix._exit 0
-   | pid ->
-     let _, status = Unix.waitpid [] pid in
-     check Alcotest.bool "driver was killed" true
-       (status = Unix.WSIGNALED Sys.sigkill));
-  let r =
-    Sweep.run ~resume:true ~journal:path
-      (specs_of
-         [ ("a", (fun () -> 99));
-           ("slow", (fun () -> 2));
-           ("killer", fun () -> 3) ])
-  in
-  check Alcotest.int "finished shard survived the kill" 1
-    r.Sweep.r_resumed;
-  check Alcotest.bool "resumed run completes the rest" true
-    (List.map (fun s -> value_of s.Sweep.s_outcome) r.Sweep.shards
-     = [ 1; 2; 3 ]);
-  Sys.remove path
+  (* a sweep killed mid-run leaves result files a later --resume picks
+     up. The sweep runs in a fork; "killer" SIGKILLs it from inside its
+     child once "a" has written its file, then dies itself. *)
+  with_dir (fun dir ->
+      flush stdout;
+      flush stderr;
+      (match Unix.fork () with
+       | 0 ->
+         let killer () =
+           let t0 = Unix.gettimeofday () in
+           while
+             not (Sys.file_exists (file_of dir "a"))
+             && Unix.gettimeofday () -. t0 < 10.
+           do
+             Unix.sleepf 0.01
+           done;
+           Unix.kill (Unix.getppid ()) Sys.sigkill;
+           Unix.kill (Unix.getpid ()) Sys.sigkill;
+           0
+         in
+         (try
+            ignore
+              (Sweep.run ~jobs:2 ~dir
+                 (specs_of [ ("a", (fun () -> 1)); ("killer", killer) ]))
+          with _ -> ());
+         Unix._exit 0
+       | pid ->
+         let _, status = Unix.waitpid [] pid in
+         check Alcotest.bool "sweep was killed" true
+           (status = Unix.WSIGNALED Sys.sigkill));
+      let r =
+        Sweep.run ~resume:true ~dir
+          (specs_of [ ("a", (fun () -> 99)); ("killer", fun () -> 3) ])
+      in
+      check Alcotest.int "finished shard survived the kill" 1
+        r.Sweep.r_resumed;
+      check Alcotest.bool "resumed run completes the rest" true
+        (List.map (fun s -> value_of s.Sweep.s_outcome) r.Sweep.shards
+         = [ 1; 3 ]))
 
 (* --- harness glue: byte equality --------------------------------------- *)
 
@@ -393,8 +360,10 @@ let test_parallel_byte_equality () =
   (* the sweep contract: the serial [Figures.render], `sweep --jobs 1`
      and `sweep --jobs 4` emit byte-identical output *)
   let opts = { Figures.default_opts with Figures.flows_scale = 0.1 } in
-  let serial = Parallel.sweep ~jobs:1 ~ids:[ "fig10" ] opts in
-  let par = Parallel.sweep ~jobs:4 ~ids:[ "fig10" ] opts in
+  let sweep jobs =
+    with_dir (fun dir -> Parallel.sweep ~jobs ~dir ~ids:[ "fig10" ] opts)
+  in
+  let serial = sweep 1 and par = sweep 4 in
   check Alcotest.string "serial = parallel, byte for byte"
     serial.Parallel.output par.Parallel.output;
   let buf = Buffer.create 1024 in
@@ -410,11 +379,11 @@ let test_parallel_byte_equality () =
      && par.Parallel.events = serial.Parallel.events)
 
 let test_parallel_unknown_id () =
-  Alcotest.check_raises "unknown id"
-    (Invalid_argument "Parallel.sweep: unknown experiment fig99")
-    (fun () ->
-       ignore
-         (Parallel.sweep ~ids:[ "fig99" ] Figures.default_opts))
+  with_dir (fun dir ->
+      Alcotest.check_raises "unknown id"
+        (Invalid_argument "Parallel.sweep: unknown experiment fig99")
+        (fun () ->
+           ignore (Parallel.sweep ~dir ~ids:[ "fig99" ] Figures.default_opts)))
 
 (* Experiments that share simulations run each of them once: a sweep of
    fig12, fig15 and fig25 (all on the web-search fabric, all with a PPT
@@ -423,8 +392,9 @@ let test_parallel_unknown_id () =
 let test_parallel_shares_sims () =
   let opts = { Figures.default_opts with Figures.flows_scale = 0.01 } in
   let ids = [ "fig12"; "fig15"; "fig25" ] in
-  let together = Parallel.sweep ~ids opts in
-  let alone = List.map (fun id -> Parallel.sweep ~ids:[ id ] opts) ids in
+  let sweep ids = with_dir (fun dir -> Parallel.sweep ~dir ~ids opts) in
+  let together = sweep ids in
+  let alone = List.map (fun id -> sweep [ id ]) ids in
   let sim_units =
     List.length
       (List.filter
@@ -445,46 +415,53 @@ let test_parallel_shares_sims () =
     (String.concat "" (List.map (fun r -> r.Parallel.output) alone))
     together.Parallel.output
 
-(* A harness sweep cut short resumes to the same bytes: its journal
-   cut after three shards, a resumed sweep replays those three (and
-   the intact journal of fig2's hypothetical run) and runs the rest. *)
+(* A harness sweep that lost some result files resumes to the same
+   bytes: every other simulation's file deleted, and fig2's recorder
+   with its hypothetical runs, which then read the re-run recorder's
+   file in the second phase. *)
 let test_parallel_resume () =
   let opts = { Figures.default_opts with Figures.flows_scale = 0.01 } in
   let ids = [ "fig2"; "fig10" ] in
-  let journal = tmp_path ".journal" in
-  let full = Parallel.sweep ~journal ~ids opts in
-  let cut =
-    In_channel.with_open_bin journal (fun ic ->
-        ignore (Frame.read_channel ic : journal_header option);
-        for _ = 1 to 3 do
-          ignore
-            (Frame.read_channel ic
-             : (string * (Figures.outcome * float) * float) option)
-        done;
-        pos_in ic)
+  let sims =
+    Figures.distinct
+      (List.concat_map
+         (fun id -> (Option.get (Figures.find id)).Figures.e_units opts)
+         ids)
   in
-  let data = In_channel.with_open_bin journal In_channel.input_all in
-  Out_channel.with_open_bin journal (fun oc ->
-      Out_channel.output_string oc (String.sub data 0 cut));
-  let resumed = Parallel.sweep ~journal ~resume:true ~ids opts in
-  check Alcotest.int "cut shards and the second phase resumed" 4
-    resumed.Parallel.resumed;
-  check Alcotest.string "resumed output = uninterrupted output"
-    full.Parallel.output resumed.Parallel.output;
-  check Alcotest.int "same events" full.Parallel.events
-    resumed.Parallel.events;
-  Sys.remove journal;
-  Sys.remove (journal ^ ".2")
+  let recorders =
+    List.filter_map
+      (fun (s : Figures.sim) ->
+         Option.map (fun (r : Figures.sim) -> r.Figures.key) s.Figures.needs)
+      sims
+  in
+  let lost =
+    List.filteri
+      (fun i (s : Figures.sim) ->
+         i mod 2 = 0 || Option.is_some s.Figures.needs
+         || List.mem s.Figures.key recorders)
+      sims
+  in
+  with_dir (fun dir ->
+      let full = Parallel.sweep ~jobs:2 ~dir ~ids opts in
+      check Alcotest.int "one file per simulation" full.Parallel.sims
+        (Array.length (Sys.readdir dir));
+      List.iter (fun (s : Figures.sim) -> Sys.remove (file_of dir s.Figures.key))
+        lost;
+      let resumed = Parallel.sweep ~jobs:2 ~dir ~resume:true ~ids opts in
+      check Alcotest.int "every file left resumed"
+        (full.Parallel.sims - List.length lost) resumed.Parallel.resumed;
+      check Alcotest.string "resumed output = uninterrupted output"
+        full.Parallel.output resumed.Parallel.output;
+      check Alcotest.int "same events" full.Parallel.events
+        resumed.Parallel.events)
 
 let suite =
-  [ Alcotest.test_case "frame: roundtrip in chunks" `Quick
-      test_frame_roundtrip;
-    Alcotest.test_case "sweep: canonical shard order" `Quick
+  [ Alcotest.test_case "sweep: canonical shard order" `Quick
       test_canonical_order;
     Alcotest.test_case "sweep: duplicate keys rejected" `Quick
       test_duplicate_keys_rejected;
     Alcotest.test_case "sweep: retry after worker death" `Quick
-      test_retry_after_worker_death;
+      test_retry_after_child_death;
     Alcotest.test_case "sweep: retries exhausted" `Quick
       test_retries_exhausted;
     Alcotest.test_case "sweep: timeout kills shard" `Quick
@@ -495,7 +472,7 @@ let suite =
       test_resume_skips_completed;
     Alcotest.test_case "journal: corrupt tail tolerated" `Quick
       test_resume_tolerates_corrupt_tail;
-    QCheck_alcotest.to_alcotest prop_resume_keeps_intact_prefix;
+    QCheck_alcotest.to_alcotest prop_resume_reruns_damaged;
     Alcotest.test_case "journal: mismatched keys rejected" `Quick
       test_resume_rejects_mismatched_keys;
     Alcotest.test_case "journal: other version started fresh" `Quick
