@@ -25,18 +25,16 @@
    - an overflow binary heap holds everything at or past [wheel_end]
      (RTOs, experiment-horizon probes); events migrate into the wheel
      as the window reaches them.
-   - a fallback binary heap holds keys below [cur_base]. They only
-     arise when [run ~until] parks the clock before the current
-     bucket's start and a timer is then scheduled in between; they
-     pop before everything else.
+   The window never passes the horizon of [run ~until], so the clock
+   never sits below [cur_base] and every time lies in one of the tiers.
 
    Storage is a slab: a pending event is a slot number, and its fire
    time, tie, packed argument and (for a closure) callback live in
    parallel arrays indexed by slot. Free slots are chained through
    [next] into a free list; a wheel bucket and a current-bucket list
    are chains of slots through the same [next] array, so the wheel and
-   the current bucket are plain [int array]s of chain ends; both heaps
-   store slot numbers ([Heap] is int-only).
+   the current bucket are plain [int array]s of chain ends; the overflow
+   heap stores slot numbers ([Heap] is int-only).
 
    Every event is a handler id and an int argument, packed into one
    int per slot: a handler [int -> unit] is registered once, and
@@ -123,9 +121,7 @@ type t = {
   mutable ltail : int array;      (* meaningful only for a nonempty list *)
   mutable cur_count : int;        (* timers in the lists *)
   mutable scan : int;             (* every offset below is empty *)
-  mutable cur_base : int;
-  low : Heap.t;                   (* keys below [cur_base] *)
-  mutable low_count : int;
+  mutable cur_base : int;         (* <= [now] outside [run]'s refill *)
   overflow : Heap.t;
   mutable wheel_count : int;
   mutable wheel_end : int;  (* wheel covers [cur_base + width, wheel_end) *)
@@ -139,7 +135,7 @@ type t = {
 }
 
 (* Slab, wheel and current-bucket arrays grow on demand, so [create]
-   allocates only the record and three empty heaps. The window starts
+   allocates only the record and an empty heap. The window starts
    empty ([wheel_end = cur_base + width = 0]): every timer scheduled
    before the clock first runs goes to the overflow heap, and the
    first [refill] hops the window to the earliest one and allocates
@@ -156,8 +152,6 @@ let create () =
       cur_count = 0;
       scan = bucket_width;
       cur_base = - bucket_width;
-      low = Heap.create ();
-      low_count = 0;
       overflow = Heap.create ();
       wheel_count = 0;
       wheel_end = 0;
@@ -177,8 +171,7 @@ let create () =
 let now t = t.now
 let events_processed t = t.processed
 
-let scheduled t =
-  t.low_count + t.cur_count + t.wheel_count + Heap.length t.overflow
+let scheduled t = t.cur_count + t.wheel_count + Heap.length t.overflow
 
 let pending t = scheduled t - t.cancels
 let cancelled_pending t = t.cancels
@@ -273,15 +266,12 @@ let cur_insert t off s =
   t.cur_count <- t.cur_count + 1;
   if off < t.scan then t.scan <- off
 
-(* [off lsr log_bucket = 0] is [0 <= off < bucket_width] in one test:
+(* [key] is at or past [now], so at or past [cur_base].
+   [off lsr log_bucket = 0] is [0 <= off < bucket_width] in one test:
    a negative offset shifts to a huge one. *)
 let insert t s ~key ~tie =
   let off = key - t.cur_base in
   if off lsr log_bucket = 0 then cur_insert t off s
-  else if key < t.cur_base then begin
-    Heap.push t.low ~key ~tie s;
-    t.low_count <- t.low_count + 1
-  end
   else if key < t.wheel_end then bucket_push t s
   else Heap.push t.overflow ~key ~tie s
 
@@ -314,8 +304,6 @@ let filter_chain t head ~last ~dropped =
    unaffected. *)
 let compact t =
   let keep s = (not (is_cancelled t s)) || (free_slot t s; false) in
-  Heap.filter_in_place t.low ~f:keep;
-  t.low_count <- Heap.length t.low;
   Heap.filter_in_place t.overflow ~f:keep;
   let last = ref (-1) and dropped = ref 0 in
   for off = 0 to Array.length t.lhead - 1 do
@@ -462,27 +450,35 @@ let drain_bucket t b =
     Array.unsafe_set t.occ g (Array.unsafe_get t.occ g - n)
   end
 
-(* Make the current bucket hold the globally minimal event (if any
-   exist; the fallback heap is empty): slide the wheel window bucket
-   by bucket, draining the first nonempty bucket into the current
-   lists; if the wheel is empty, hop straight to the earliest overflow
-   event's window. Empty buckets, and empty groups from a group
-   boundary, are stepped over in a tight loop for as long as no
-   overflow event enters the window. *)
-let refill t =
+(* Make the current bucket hold the earliest event if one is due by
+   [horizon], and never make current a bucket that starts past it:
+   slide the wheel window bucket by bucket, draining the first
+   nonempty bucket into the current lists; if the wheel is empty, hop
+   straight to the earliest overflow event's window. Empty buckets,
+   and empty groups from a group boundary, are stepped over in a tight
+   loop for as long as no overflow event enters the window and the
+   next bucket starts by the horizon. *)
+let refill t horizon =
+  (* bucket [cur_base + width] starts by the horizon while
+     [wheel_end <= horizon_end] *)
+  let horizon_end =
+    if horizon > max_int - wheel_span then max_int else horizon + wheel_span
+  in
   let continue = ref true in
   while !continue do
     let due = Heap.top_key t.overflow in
-    if t.wheel_count > 0 then begin
+    if t.wheel_count > 0 && t.wheel_end <= horizon_end then begin
       let heads = t.heads and occ = t.occ in
+      let bound = Int.min due horizon_end in
+      let bucket_bound = bound - bucket_width
+      and group_bound = bound - group_span in
       let b =
         ref (((t.cur_base + bucket_width) lsr log_bucket) land bucket_mask)
       in
-      while Array.unsafe_get heads !b < 0
-            && t.wheel_end <= due - bucket_width do
+      while Array.unsafe_get heads !b < 0 && t.wheel_end <= bucket_bound do
         if !b land group_mask = 0
         && Array.unsafe_get occ (!b lsr log_group) = 0
-        && t.wheel_end <= due - group_span then begin
+        && t.wheel_end <= group_bound then begin
           t.cur_base <- t.cur_base + group_span;
           t.wheel_end <- t.wheel_end + group_span;
           b := (!b + group_mask + 1) land bucket_mask
@@ -501,7 +497,8 @@ let refill t =
       if due < t.wheel_end then migrate_overflow t;
       continue := t.cur_count = 0
     end
-    else if Heap.length t.overflow > 0 then begin
+    else if t.wheel_count = 0 && Heap.length t.overflow > 0
+            && due <= horizon then begin
       (* the wheel is empty until the first hop, which allocates it *)
       if Array.length t.heads = 0 then begin
         t.heads <- Array.make n_buckets (-1);
@@ -513,19 +510,21 @@ let refill t =
       t.wheel_end <- t.cur_base + bucket_width + wheel_span;
       migrate_overflow t
     end
-    else continue := false
+    else begin
+      (* Nothing is due by the horizon. Popping cancelled timers can
+         leave an empty window above the clock: move it back. *)
+      if scheduled t = 0 && t.cur_base > t.now then begin
+        t.cur_base <- (t.now lsr log_bucket) lsl log_bucket;
+        t.wheel_end <- t.cur_base + bucket_width + wheel_span
+      end;
+      continue := false
+    end
   done
 
 (* Remove and return the earliest timer if it is due by [horizon],
-   else -1: the fallback heap first, then the head of the current
-   bucket's first nonempty list. *)
+   else -1: the head of the current bucket's first nonempty list. *)
 let pop_upto t horizon =
-  if t.low_count > 0 then begin
-    let s = Heap.pop_upto t.low horizon in
-    if s >= 0 then t.low_count <- t.low_count - 1;
-    s
-  end
-  else if t.cur_count > 0 then begin
+  if t.cur_count > 0 then begin
     let lhead = t.lhead in
     let off = ref t.scan in
     while Array.unsafe_get lhead !off < 0 do incr off done;
@@ -565,13 +564,14 @@ let run ?until t =
         end;
         loop ()
       end
-      else if t.cur_count = 0 && t.low_count = 0 then begin
-        refill t;
+      else if t.cur_count = 0 then begin
+        refill t horizon;
         if t.cur_count > 0 then loop ()
+        else if scheduled t > 0 then t.now <- horizon
       end
       else
-        (* Leave the clock at the horizon; the event stays queued for
-           a later [run] call. *)
+        (* Leave the clock at the horizon; the events past it stay
+           queued for a later [run] call. *)
         t.now <- horizon
     end
   in

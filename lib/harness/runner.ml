@@ -171,7 +171,8 @@ let run ?lp_buffer_cap ?trace ?(observe = fun _ _ -> ())
   Endpoint.launch ctx (scheme.Schemes.s_factory ctx) ~n:requested next;
   observe ctx topo;
   (* Structured event tracing (lib/obs): when the config asks for it,
-     write the run's events as JSONL and/or schedule the port probes.
+     write the run's events to [trace_path] in its [trace_fmt] (JSONL
+     or binary) and/or schedule the port probes.
      Without a [trace_path] any sink the caller already installed
      (e.g. a test's in-memory ring) is left in place. *)
   let trace_out =

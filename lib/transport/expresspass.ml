@@ -55,7 +55,8 @@ type host_state = {
 let credit_window = 64
 
 let wants_credit (m : Rd.msg) =
-  (not m.m_done) && m.granted < m.received + credit_window
+  (not (Flow.is_finished m.m_flow))
+  && m.granted < m.m_flow.Flow.held + credit_window
 
 (* Credit the first eligible message and rotate it to the back. *)
 let credit ctx active =
@@ -64,16 +65,16 @@ let credit ctx active =
   | m :: _ ->
     m.granted <- m.granted + 1;
     let p = Rd.control m.m_flow Packet.Pull in
-    Wire.set_pull p ~cum:m.m_cum;
+    Wire.set_pull p ~cum:m.m_flow.Flow.cum;
     Net.send ctx.Context.net p;
     active := List.filter (fun x -> x != m) !active @ [ m ];
     true
 
 let receiver_on_data hs (m : Rd.msg) (p : Packet.t) =
   Context.count_op hs.ctx m.m_flow.Flow.dst;
-  if (not m.m_done) && not p.trimmed then begin
-    Rd.accept m p;
-    if Rd.complete m then begin
+  if (not (Flow.is_finished m.m_flow)) && not p.trimmed then begin
+    Flow.accept m.m_flow p;
+    if Flow.complete m.m_flow then begin
       hs.active := List.filter (fun x -> x != m) !(hs.active);
       Rd.finish hs.ctx m
     end else
@@ -83,7 +84,7 @@ let receiver_on_data hs (m : Rd.msg) (p : Packet.t) =
 
 (* A credit request makes the flow credit-eligible. *)
 let receiver_on_request hs (m : Rd.msg) =
-  if not (List.memq m !(hs.active)) && not m.m_done then begin
+  if not (List.memq m !(hs.active) || Flow.is_finished m.m_flow) then begin
     hs.active := !(hs.active) @ [ m ];
     Rd.kick hs.pacer
   end

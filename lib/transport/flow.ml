@@ -1,6 +1,7 @@
 (* A flow: one application message from a source host to a destination
    host, segmented into MTU-sized packets. Counters are shared between
-   the sender and receiver endpoints of whatever transport carries it. *)
+   the sender and receiver endpoints of whatever transport carries it;
+   so is the receiver's scoreboard, the one every transport keeps. *)
 
 open Ppt_engine
 open Ppt_netsim
@@ -17,15 +18,20 @@ type t = {
   mutable lcp_payload : int;        (* ... by a low-priority loop *)
   mutable hcp_delivered : int;      (* fresh payload accepted at the rx *)
   mutable lcp_delivered : int;
+  bitmap : Bytes.t;                 (* one byte per segment, 1 = held *)
+  mutable held : int;               (* distinct segments held *)
+  mutable cum : int;                (* first segment not yet held *)
   mutable finished : Units.time option;
 }
 
 let create ~id ~src ~dst ~size ~start =
   if size <= 0 then invalid_arg "Flow.create: size must be positive";
   if src = dst then invalid_arg "Flow.create: src = dst";
-  { id; src; dst; size; nseg = Packet.segments_of_bytes size; start;
+  let nseg = Packet.segments_of_bytes size in
+  { id; src; dst; size; nseg; start;
     retrans = 0; hcp_payload = 0; lcp_payload = 0;
-    hcp_delivered = 0; lcp_delivered = 0; finished = None }
+    hcp_delivered = 0; lcp_delivered = 0;
+    bitmap = Bytes.make nseg '\000'; held = 0; cum = 0; finished = None }
 
 let of_spec (s : Ppt_workload.Trace.spec) =
   create ~id:s.id ~src:s.src ~dst:s.dst ~size:s.size ~start:s.start
@@ -37,5 +43,20 @@ let seg_payload t seq =
   assert (seq >= 0 && seq < t.nseg);
   if seq = t.nseg - 1 then t.size - ((t.nseg - 1) * Packet.max_payload)
   else Packet.max_payload
+
+let accept t (p : Packet.t) =
+  let seq = p.seq in
+  if seq >= 0 && seq < t.nseg && Bytes.get t.bitmap seq = '\000' then begin
+    Bytes.set t.bitmap seq '\001';
+    t.held <- t.held + 1;
+    while t.cum < t.nseg && Bytes.get t.bitmap t.cum = '\001' do
+      t.cum <- t.cum + 1
+    done;
+    match p.loop with
+    | Packet.H -> t.hcp_delivered <- t.hcp_delivered + p.payload
+    | Packet.L -> t.lcp_delivered <- t.lcp_delivered + p.payload
+  end
+
+let complete t = t.held = t.nseg
 
 let is_finished t = t.finished <> None

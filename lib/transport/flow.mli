@@ -1,7 +1,11 @@
 (** A flow: one application message between two hosts, segmented into
-    MTU-sized packets, with counters shared by its two endpoints. *)
+    MTU-sized packets, with counters shared by its two endpoints and
+    the receiver's scoreboard, kept here for every transport. Only the
+    receiver reads the scoreboard: a sender learns the receiver's
+    progress from the wire alone (acks, grants, pulls, credits). *)
 
 open Ppt_engine
+open Ppt_netsim
 
 type t = {
   id : int;
@@ -13,9 +17,12 @@ type t = {
   mutable retrans : int;
   mutable hcp_payload : int;
   mutable lcp_payload : int;
-  mutable hcp_delivered : int;
-  mutable lcp_delivered : int;
-  mutable finished : Units.time option;
+  mutable hcp_delivered : int;  (** fresh payload accepted, primary loop *)
+  mutable lcp_delivered : int;  (** ... by a low-priority loop *)
+  bitmap : Bytes.t;             (** one byte per segment, ['\001'] = held *)
+  mutable held : int;           (** distinct segments held *)
+  mutable cum : int;            (** first segment not yet held *)
+  mutable finished : Units.time option;  (** the one "done" flag *)
 }
 
 val create :
@@ -24,4 +31,14 @@ val create :
 
 val of_spec : Ppt_workload.Trace.spec -> t
 val seg_payload : t -> int -> int
+
+val accept : t -> Packet.t -> unit
+(** Record a data segment at the receiver: ignores duplicates and
+    out-of-range sequence numbers, advances [cum] past every held
+    segment and credits the fresh payload to [hcp_delivered] or
+    [lcp_delivered] by the packet's loop. *)
+
+val complete : t -> bool
+(** Every segment is held. *)
+
 val is_finished : t -> bool

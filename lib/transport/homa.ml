@@ -94,22 +94,23 @@ let sender_on_grant h ~g_cum ~g_upto ~g_prio =
    the host's messages, newest first. *)
 let reschedule ctx inbound =
   let rtt_segs = rtt_segs ctx in
-  let remaining (m : Rd.msg) = m.m_flow.Flow.nseg - m.received in
+  let remaining (m : Rd.msg) = m.m_flow.Flow.nseg - m.m_flow.Flow.held in
   let active =
     List.filter (fun m -> remaining m > 0) inbound
     |> List.sort (fun a b -> compare (remaining a) (remaining b))
   in
   List.iteri
     (fun rank (m : Rd.msg) ->
+       let flow = m.m_flow in
        if rank < overcommit then begin
-         let ceiling = Int.min m.m_flow.Flow.nseg (m.received + rtt_segs) in
+         let ceiling = Int.min flow.Flow.nseg (flow.Flow.held + rtt_segs) in
          let grew = ceiling > m.granted in
          m.granted <- Int.max m.granted ceiling;
          (* send a grant when the window grows, and refresh it when
-            progress is stuck so the sender learns m_cum *)
-         if grew || m.m_cum < m.granted then begin
-           let g = Rd.control m.m_flow Packet.Grant in
-           Wire.set_grant g ~cum:m.m_cum ~upto:m.granted
+            progress is stuck so the sender learns [cum] *)
+         if grew || flow.Flow.cum < m.granted then begin
+           let g = Rd.control flow Packet.Grant in
+           Wire.set_grant g ~cum:flow.Flow.cum ~upto:m.granted
              ~prio:(Int.min (Prio_queue.n_prios - 1) (2 + rank));
            Net.send ctx.Context.net g
          end
@@ -119,8 +120,8 @@ let reschedule ctx inbound =
 let receiver_on_data ctx inbound (m : Rd.msg) (p : Packet.t) =
   Context.count_op ctx m.m_flow.Flow.dst;
   if not p.trimmed then begin
-    Rd.accept m p;
-    if Rd.complete m then begin
+    Flow.accept m.m_flow p;
+    if Flow.complete m.m_flow then begin
       inbound := List.filter (fun x -> x != m) !inbound;
       Rd.finish ctx m
     end;

@@ -46,22 +46,22 @@ type host_state = {
 let rec pull ctx pulls =
   match Queue.take_opt pulls with
   | None -> false
-  | Some (m : Rd.msg) when m.m_done -> pull ctx pulls
+  | Some (m : Rd.msg) when Flow.is_finished m.m_flow -> pull ctx pulls
   | Some m ->
     let p = Rd.control m.m_flow Packet.Pull in
-    Wire.set_pull p ~cum:m.m_cum;
+    Wire.set_pull p ~cum:m.m_flow.Flow.cum;
     Net.send ctx.Context.net p;
     true
 
 let enqueue_pull hs (m : Rd.msg) =
-  if not m.m_done then begin
+  if not (Flow.is_finished m.m_flow) then begin
     Queue.push m hs.pulls;
     Rd.kick hs.pacer
   end
 
 let receiver_on_data hs (m : Rd.msg) (p : Packet.t) =
   Context.count_op hs.ctx m.m_flow.Flow.dst;
-  if m.m_done then ()
+  if Flow.is_finished m.m_flow then ()
   else if p.trimmed then begin
     (* header survived: fast loss notification + keep the clock going *)
     let nack = Rd.control m.m_flow Packet.Nack in
@@ -69,8 +69,8 @@ let receiver_on_data hs (m : Rd.msg) (p : Packet.t) =
     Net.send hs.ctx.Context.net nack;
     enqueue_pull hs m
   end else begin
-    Rd.accept m p;
-    if Rd.complete m then Rd.finish hs.ctx m else enqueue_pull hs m
+    Flow.accept m.m_flow p;
+    if Flow.complete m.m_flow then Rd.finish hs.ctx m else enqueue_pull hs m
   end
 
 (* ---- wiring -------------------------------------------------------- *)

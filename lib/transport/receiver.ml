@@ -1,10 +1,10 @@
 (* Generic receiver endpoint for window-based transports (DCTCP, PIAS,
    Swift, HPCC, RC3 and PPT's HCP/LCP loops).
 
-   It tracks which segments have arrived, acknowledges every data
-   packet (cumulative ACK + the specific segment as a SACK, echoing the
-   CE bit, the sender timestamp and any inband telemetry), and fires a
-   completion callback when the whole flow has been received.
+   It records each segment on the flow's scoreboard, acknowledges
+   every data packet (cumulative ACK + the specific segment as a SACK,
+   echoing the CE bit, the sender timestamp and any inband telemetry),
+   and fires a completion callback when the whole flow has arrived.
 
    Primary-loop acks travel at P0. Low-priority-loop (LCP) data is
    acknowledged separately, at the priority of the last LCP packet:
@@ -18,15 +18,11 @@ type t = {
   ctx : Context.t;
   flow : Flow.t;
   lcp_batch : int;                      (* LCP data packets per LCP ack *)
-  bitmap : Bytes.t;
-  mutable received : int;
-  mutable cum : int;                    (* in-order segments from 0 *)
   mutable lcp_pending : int;            (* LCP data since last LCP ack *)
   mutable lcp_sack0 : int;              (* latest LCP segment, or none *)
   mutable lcp_sack1 : int;              (* the one before it, or none *)
   mutable lcp_ece : bool;
   mutable lcp_last_prio : int;
-  mutable done_fired : bool;
   mutable on_done : unit -> unit;
 }
 
@@ -37,25 +33,8 @@ let create ?(lcp_batch = 1) ctx flow =
     invalid_arg
       (Printf.sprintf "Receiver.create: lcp_batch %d outside 1..2" lcp_batch);
   { ctx; flow; lcp_batch;
-    bitmap = Bytes.make flow.Flow.nseg '\000';
-    received = 0; cum = 0;
     lcp_pending = 0; lcp_sack0 = Wire.no_sack; lcp_sack1 = Wire.no_sack;
-    lcp_ece = false; lcp_last_prio = 7;
-    done_fired = false; on_done = ignore }
-
-let complete t = t.received = t.flow.Flow.nseg
-
-let mark t seq =
-  if seq < 0 || seq >= t.flow.Flow.nseg then false
-  else if Bytes.get t.bitmap seq = '\001' then false
-  else begin
-    Bytes.set t.bitmap seq '\001';
-    t.received <- t.received + 1;
-    while t.cum < t.flow.Flow.nseg && Bytes.get t.bitmap t.cum = '\001' do
-      t.cum <- t.cum + 1
-    done;
-    true
-  end
+    lcp_ece = false; lcp_last_prio = 7; on_done = ignore }
 
 (* [tel_from] echoes the data packet's inband telemetry: it is copied
    into the ack packet's own snapshot buffer (the data packet is
@@ -67,13 +46,12 @@ let send_ack t ~tel_from ~sack0 ~sack1 ~ece ~data_tx ~loop ~prio =
     Packet.make ~prio ~loop ~flow:t.flow.Flow.id
       ~src:t.flow.Flow.dst ~dst:t.flow.Flow.src Packet.Ack
   in
-  Wire.set_ack pkt ~cum:t.cum ~sack0 ~sack1 ~ece ~data_tx;
+  Wire.set_ack pkt ~cum:t.flow.Flow.cum ~sack0 ~sack1 ~ece ~data_tx;
   if tel_from.Packet.tel_n > 0 then Packet.tel_copy ~src:tel_from ~dst:pkt;
   Net.send t.ctx.Context.net pkt
 
 let fire_done t =
-  if (not t.done_fired) && complete t then begin
-    t.done_fired <- true;
+  if Flow.complete t.flow && not (Flow.is_finished t.flow) then begin
     Context.flow_finished t.ctx t.flow;
     t.on_done ()
   end
@@ -95,14 +73,7 @@ let flush_lcp t =
 let on_data t (p : Packet.t) =
   Context.count_op t.ctx t.flow.Flow.dst;
   if not p.trimmed then begin
-    let newly = mark t p.seq in
-    if newly then begin
-      match p.loop with
-      | Packet.H ->
-        t.flow.Flow.hcp_delivered <- t.flow.Flow.hcp_delivered + p.payload
-      | Packet.L ->
-        t.flow.Flow.lcp_delivered <- t.flow.Flow.lcp_delivered + p.payload
-    end;
+    Flow.accept t.flow p;
     match p.loop with
     | Packet.H ->
       send_ack t ~tel_from:p ~sack0:p.seq ~sack1:Wire.no_sack
@@ -118,5 +89,5 @@ let on_data t (p : Packet.t) =
       (* Completion must not wait for a batch partner that will never
          arrive: if this LCP packet finished the flow, ack and finish
          immediately. *)
-      if complete t then begin flush_lcp t; fire_done t end
+      if Flow.complete t.flow then begin flush_lcp t; fire_done t end
   end

@@ -1,10 +1,11 @@
 (** Generic receiver endpoint for window-based transports.
 
-    Tracks received segments, acknowledges every primary-loop data
-    packet at P0 (cumulative + SACK + CE echo + timestamp + telemetry
-    echo), batches low-priority-loop ACKs at the echoed priority (PPT's
-    2:1 EWD clocking), and fires a completion callback once the whole
-    flow has arrived. *)
+    Records each data segment on the flow's scoreboard
+    ({!Flow.accept}), acknowledges every primary-loop data packet at P0
+    (cumulative + SACK + CE echo + timestamp + telemetry echo), batches
+    low-priority-loop ACKs at the echoed priority (PPT's 2:1 EWD
+    clocking), and, once the whole flow has arrived, records its
+    completion ([Context.flow_finished]) and fires [on_done]. *)
 
 open Ppt_netsim
 
@@ -12,15 +13,11 @@ type t = {
   ctx : Context.t;
   flow : Flow.t;
   lcp_batch : int;          (** LCP data packets per low-priority ACK *)
-  bitmap : Bytes.t;
-  mutable received : int;
-  mutable cum : int;
   mutable lcp_pending : int;
   mutable lcp_sack0 : int;  (** latest unacked LCP segment, or {!Wire.no_sack} *)
   mutable lcp_sack1 : int;  (** the one before it, or {!Wire.no_sack} *)
   mutable lcp_ece : bool;
   mutable lcp_last_prio : int;
-  mutable done_fired : bool;
   mutable on_done : unit -> unit;
 }
 

@@ -3,10 +3,11 @@
 
    The sender transmits data segments when the receiver lets it (a
    pull, a credit, a grant) and keeps a fixed-period RTO backstop for
-   lost control packets. The receiver keeps a segment bitmap per
-   message and per-host scheduling state (a pull pacer, a credit
-   pacer, an SRPT grant scheduler). Each protocol supplies only its
-   policy: what the receiver's packet means to the sender, what the
+   lost control packets. The receiver records segments on the flow's
+   own scoreboard ([Flow.accept]), keeps per message only what it has
+   granted, and keeps per-host scheduling state (a pull pacer, a
+   credit pacer, an SRPT grant scheduler). Each protocol supplies only
+   its policy: what the receiver's packet means to the sender, what the
    receiver sends back and when, and what the backstop resends. *)
 
 open Ppt_engine
@@ -65,32 +66,13 @@ let shutdown s =
 
 type msg = {
   m_flow : Flow.t;
-  bitmap : Bytes.t;
-  mutable received : int;
-  mutable m_cum : int;
   mutable granted : int;
-  mutable m_done : bool;
   mutable on_done : unit -> unit;
 }
 
-let message ?(granted = 0) flow =
-  { m_flow = flow; bitmap = Bytes.make flow.Flow.nseg '\000';
-    received = 0; m_cum = 0; granted; m_done = false; on_done = ignore }
-
-let accept m (p : Packet.t) =
-  let seq = p.Packet.seq and nseg = m.m_flow.Flow.nseg in
-  if seq >= 0 && seq < nseg && Bytes.get m.bitmap seq = '\000' then begin
-    Bytes.set m.bitmap seq '\001';
-    m.received <- m.received + 1;
-    while m.m_cum < nseg && Bytes.get m.bitmap m.m_cum = '\001' do
-      m.m_cum <- m.m_cum + 1
-    done
-  end
-
-let complete m = m.received = m.m_flow.Flow.nseg
+let message ?(granted = 0) flow = { m_flow = flow; granted; on_done = ignore }
 
 let finish ctx m =
-  m.m_done <- true;
   Context.flow_finished ctx m.m_flow;
   m.on_done ()
 

@@ -1,8 +1,8 @@
 (** The skeleton shared by the receiver-driven transports (NDP,
     ExpressPass, Homa/Aeolus): the sender record with its data send
-    and RTO backstop, the receiver's per-message segment bitmap, a
-    line-rate pacer, per-host receiver state and the flow's handler
-    wiring. Each protocol adds only its policy on top. *)
+    and RTO backstop, the receiver's per-message grant, a line-rate
+    pacer, per-host receiver state and the flow's handler wiring. Each
+    protocol adds only its policy on top. *)
 
 open Ppt_netsim
 
@@ -33,29 +33,20 @@ val backstop : sender -> (unit -> unit) -> unit
 
 (** {1 Receiver} *)
 
+(** A message at its receiver: its segments and completion are the
+    flow's ({!Flow.accept}); the message adds what was granted. *)
 type msg = {
   m_flow : Flow.t;
-  bitmap : Bytes.t;                 (** one byte per segment, ['\001'] = held *)
-  mutable received : int;           (** distinct segments held *)
-  mutable m_cum : int;              (** first segment not yet held *)
   mutable granted : int;            (** segments the receiver has let the sender send *)
-  mutable m_done : bool;
   mutable on_done : unit -> unit;   (** set by {!connect} *)
 }
 
 val message : ?granted:int -> Flow.t -> msg
 (** A fresh message; [granted] defaults to 0. *)
 
-val accept : msg -> Packet.t -> unit
-(** Record a data segment: ignores duplicates and out-of-range
-    sequence numbers, advances [m_cum] past every held segment. *)
-
-val complete : msg -> bool
-(** Every segment is held. *)
-
 val finish : Context.t -> msg -> unit
-(** Mark the message done, record the flow's completion and tear the
-    flow down ([on_done]). *)
+(** Record the flow's completion and tear the flow down
+    ([on_done]). *)
 
 val control : Flow.t -> Packet.kind -> Packet.t
 (** A fresh P0 control packet from the flow's receiver to its sender,

@@ -333,7 +333,10 @@ let records_digest (records : Ppt_stats.Fct.record list) =
   Digest.to_hex (Digest.string (Buffer.contents b))
 
 (* Run each scheme over [pin_specs] under the link flap and compare the
-   completed count, the binary trace digest and the FCT digest. *)
+   completed count, the binary trace digest and the FCT digest. Every
+   scheme's receiver credits the fresh payload it accepts, so each
+   run's transfer efficiency (delivered / sent payload) lies in
+   (0, 1]. *)
 let check_pinned cases =
   let open Ppt_harness in
   let flap =
@@ -357,19 +360,21 @@ let check_pinned cases =
            check Alcotest.string (name ^ ": trace digest") trace_md5
              (Digest.to_hex (Digest.file path));
            check Alcotest.string (name ^ ": fct digest") fct_md5
-             (records_digest r.Runner.records)))
+             (records_digest r.Runner.records);
+           check Alcotest.bool (name ^ ": efficiency in (0, 1]") true
+             (r.Runner.efficiency > 0. && r.Runner.efficiency <= 1.)))
     cases
 
 let receiver_driven_pins =
   let open Ppt_harness in
   [ (Schemes.ndp, 32, "51b2a4764edda292bd8ac7dd823ddf32",
-     "65b6ba3dc7f47332ec24a215b0431b33");
+     "07a1d65c3630f073069c113c331b12cc");
     (Schemes.homa, 32, "907c7813751250942055ad453cd610f1",
-     "e70911101964684807de1750d2eaa259");
+     "8da20f49f56a74d49687fd8e2d9f566f");
     (Schemes.aeolus, 32, "b14b732792252e7e98cce850bdaeb574",
-     "d6f2d0fe7505603a1bfc5ae5f8ae7a98");
+     "f40153d37ab0380d6403da9f6aa3799a");
     (Schemes.expresspass, 30, "da72c4be75cc7f71178d4d6e74172b7a",
-     "959e424d98212b6160ca86ea2a6bb98a") ]
+     "d0d47ec091710255f18d1bf629e33a3f") ]
 
 let test_receiver_driven_pinned () = check_pinned receiver_driven_pins
 

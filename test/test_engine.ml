@@ -277,10 +277,11 @@ let test_sim_same_ns_migrated_and_direct () =
     (List.rev !log);
   check Alcotest.int "drained" 0 (Sim.pending sim)
 
-(* [run ~until] can stop after the window reached an event's bucket
-   but before its first event. A timer then scheduled between the
-   horizon and that bucket's start lies below every queued time and
-   must pop first; ties among such timers stay FIFO. *)
+(* [run ~until] stops with the clock at the horizon, short of the
+   next queued event, and the window never moves past the horizon. A
+   timer then scheduled between the horizon and that event lies below
+   every queued time and must pop first, whether it lands before the
+   event's bucket or inside it; ties among such timers stay FIFO. *)
 let test_sim_until_before_current_bucket () =
   let sim = Sim.create () in
   let log = ref [] in
@@ -382,8 +383,8 @@ let test_sim_post_interleaves () =
 (* A reserved tie is older than every timer scheduled after the
    reservation, so an event posted with it at time [k] pops before
    them in whichever tier [k] falls: the current bucket, a wheel
-   bucket, the overflow heap, or the fallback heap that holds keys
-   below the current bucket after [run ~until] parked short of it. *)
+   bucket or the overflow heap, also for a time between a [run ~until]
+   horizon and the next queued event. *)
 let test_sim_reserved_ties_every_tier () =
   let sim = Sim.create () in
   let log = ref [] in
@@ -393,7 +394,7 @@ let test_sim_reserved_ties_every_tier () =
   at 200 200;
   at 250 250;
   Sim.run ~until:100 sim;
-  (* fallback heap: 150 lies below the current bucket (192..255) *)
+  (* 150 lies between the horizon and the first queued time (200) *)
   at 150 151;
   Sim.post_tie sim ~at:150 ~tie:(first + 1) h 150;
   (* current bucket, behind a timer scheduled before the pause *)
@@ -412,6 +413,26 @@ let test_sim_reserved_ties_every_tier () =
     [ 150; 151; 199; 200; 250; 300; 301; 302; 1_300; 1_301; 2_000_300;
       2_000_301 ]
     (List.rev !log);
+  check Alcotest.int "drained" 0 (Sim.pending sim)
+
+(* Popping cancelled timers past the clock can leave nothing queued
+   and the window above the clock. Timers then scheduled between the
+   clock and the cancelled ones' times, and past them, must still fire
+   in time order. *)
+let test_sim_schedule_after_cancelled_drain () =
+  let sim = Sim.create () in
+  let log = ref [] in
+  let at k = ignore (Sim.schedule_at sim k (fun () -> log := k :: !log)) in
+  at 10;
+  Sim.cancel sim (Sim.schedule_at sim 5_000 ignore);
+  Sim.cancel sim (Sim.schedule_at sim 1_000_000 ignore);
+  Sim.run sim;
+  check Alcotest.int "clock at the last event fired" 10 (Sim.now sim);
+  List.iter at [ 4_000; 20; 3_000_000; 20; 1_000_010 ];
+  Sim.run sim;
+  check (Alcotest.list Alcotest.int) "fired in time order"
+    [ 10; 20; 20; 4_000; 1_000_010; 3_000_000 ] (List.rev !log);
+  check Alcotest.int "clock at the last event" 3_000_000 (Sim.now sim);
   check Alcotest.int "drained" 0 (Sim.pending sim)
 
 let test_sim_post_tie_rejects () =
@@ -786,8 +807,8 @@ let drive { schedule; post; reserve; now } seed =
         late := reserve 400;
         n_late := 0)
   in
-  (* Right after a pause, the clock may sit below the current bucket:
-     events landing in between go to the fallback heap. *)
+  (* Right after a pause, the clock sits at the horizon, short of the
+     next queued event: events land in between. *)
   let after_pause () =
     for _ = 1 to 10 do
       let at = now () + Rng.int rng 200 in
@@ -1015,6 +1036,8 @@ let suite =
       test_sim_post_interleaves;
     Alcotest.test_case "sim: reserved ties pop first in every tier" `Quick
       test_sim_reserved_ties_every_tier;
+    Alcotest.test_case "sim: schedule after a drain of cancelled timers"
+      `Quick test_sim_schedule_after_cancelled_drain;
     Alcotest.test_case "sim: post_tie refuses bad ties and past times"
       `Quick test_sim_post_tie_rejects;
     Alcotest.test_case "sim: lane events allocate nothing" `Quick

@@ -369,6 +369,100 @@ let test_launch_refuses_unsorted () =
   | () -> Alcotest.fail "a start before the previous one was accepted"
   | exception Invalid_argument _ -> ()
 
+(* --- flow.ml: the receive scoreboard every transport shares --- *)
+
+(* A three-segment flow (1460 + 1460 + 100 bytes) and what its receiver
+   is fed: segment 2 by the low-priority loop, a duplicate of it by the
+   primary loop, a segment past the end, segment 0 and a duplicate of
+   it, then segment 1, which completes the flow, and a duplicate after
+   completion. Each row also gives the cumulative point and the payload
+   credited to each loop once the packet is in. *)
+let scoreboard_size = (2 * Packet.max_payload) + 100
+
+let scoreboard_arrivals =
+  Packet.
+    [ (2, L, 0, 0, 100);
+      (2, H, 0, 0, 100);
+      (3, H, 0, 0, 100);
+      (0, H, 1, 1460, 100);
+      (0, L, 1, 1460, 100);
+      (1, H, 3, 2920, 100);
+      (1, H, 3, 2920, 100) ]
+
+let scoreboard_data (flow : Flow.t) ~now seq loop =
+  let payload =
+    if seq < flow.nseg then Flow.seg_payload flow seq
+    else Packet.max_payload
+  in
+  let p =
+    Packet.make ~seq ~payload ~loop ~flow:flow.id ~src:flow.src
+      ~dst:flow.dst Packet.Data
+  in
+  Wire.set_data p ~tx:now ~first_rtt:false;
+  p
+
+(* Held segments, payload per loop and the completion record after one
+   arrival: the flow is recorded exactly once, from its completing
+   segment on, with the payload its scoreboard credited. *)
+let check_scoreboard name ctx (flow : Flow.t) (seq, _, cum, hcp, lcp) =
+  let what s = Printf.sprintf "%s, after segment %d: %s" name seq s in
+  check Alcotest.int (what "cumulative point") cum flow.cum;
+  check Alcotest.int (what "primary-loop payload") hcp flow.hcp_delivered;
+  check Alcotest.int (what "low-priority payload") lcp flow.lcp_delivered;
+  let records = Ppt_stats.Fct.records ctx.Context.fct in
+  if cum < flow.nseg then
+    check Alcotest.int (what "not recorded yet") 0 (List.length records)
+  else
+    match records with
+    | [ r ] ->
+      check Alcotest.int (what "recorded primary payload") hcp
+        r.Ppt_stats.Fct.hcp_delivered;
+      check Alcotest.int (what "recorded low-priority payload") lcp
+        r.Ppt_stats.Fct.lcp_delivered
+    | _ -> Alcotest.fail (what "not recorded exactly once")
+
+(* A window-family receiver, fed each arrival directly. *)
+let test_scoreboard_window () =
+  let sim, _topo, ctx = Helpers.star () in
+  let flow =
+    Flow.create ~id:0 ~src:0 ~dst:1 ~size:scoreboard_size ~start:0
+  in
+  let rcv = Receiver.create ctx flow in
+  let done_calls = ref 0 in
+  rcv.Receiver.on_done <- (fun () -> incr done_calls);
+  List.iter
+    (fun ((seq, loop, _, _, _) as row) ->
+       let p = scoreboard_data flow ~now:(Sim.now sim) seq loop in
+       Receiver.on_data rcv p;
+       Packet.release p;
+       check_scoreboard "window" ctx flow row)
+    scoreboard_arrivals;
+  check Alcotest.int "torn down once" 1 !done_calls;
+  Sim.run sim
+
+(* An ExpressPass flow, whose sender is muted (its credits go to a
+   sink), fed each arrival through the fabric. Completion tears the
+   flow down, so the last duplicate finds no handler. *)
+let test_scoreboard_receiver_driven () =
+  let sim, _topo, ctx = Helpers.star () in
+  let started = ref None in
+  let start = Expresspass.make () ctx in
+  Helpers.launch ctx (fun flow -> started := Some flow; start flow)
+    [ (0, 1, scoreboard_size, 0) ];
+  Sim.run ~until:0 sim;
+  let flow = Option.get !started in
+  Ppt_netsim.Net.register ctx.Context.net ~host:flow.src ~flow:flow.id
+    ignore;
+  List.iter
+    (fun ((seq, loop, _, _, _) as row) ->
+       Ppt_netsim.Net.send ctx.Context.net
+         (scoreboard_data flow ~now:(Sim.now sim) seq loop);
+       Sim.run ~until:(Sim.now sim + Units.us 50) sim;
+       check_scoreboard "expresspass" ctx flow row)
+    scoreboard_arrivals;
+  Sim.run sim;
+  Helpers.assert_drained sim
+
 let suite =
   [ Alcotest.test_case "dctcp: single flow" `Quick
       test_single_flow_completes;
@@ -397,4 +491,8 @@ let suite =
     Alcotest.test_case "launch: same run as starts scheduled up front"
       `Quick test_launch_matches_up_front;
     Alcotest.test_case "launch: specs out of start order refused" `Quick
-      test_launch_refuses_unsorted ]
+      test_launch_refuses_unsorted;
+    Alcotest.test_case "scoreboard: window receiver" `Quick
+      test_scoreboard_window;
+    Alcotest.test_case "scoreboard: receiver-driven receiver" `Quick
+      test_scoreboard_receiver_driven ]
