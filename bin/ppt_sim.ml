@@ -28,8 +28,15 @@ let workloads =
     (fun (d : Ppt_workload.Dists.named) -> (d.dist_name, d.cdf))
     Ppt_workload.Dists.all
 
+(* The low-priority loop's line is printed only for a run that sent
+   low-priority payload: without any, its efficiency is 0/0. *)
 let pp_result r =
   let s = r.Runner.summary in
+  let pp_lcp ppf () =
+    if s.Ppt_stats.Fct.lcp_bytes > 0 then
+      Format.fprintf ppf "lcp payload   %d KB (efficiency %.3f)@,"
+        (s.Ppt_stats.Fct.lcp_bytes / 1000) r.Runner.lp_efficiency
+  in
   Format.printf
     "@[<v>scheme        %s@,\
      topology      %s@,\
@@ -41,16 +48,15 @@ let pp_result r =
      large avg     %.4f ms@,\
      retransmits   %d@,\
      drops/marks   %d/%d@,\
-     lcp payload   %d KB (efficiency %.3f)@,\
-     sim events    %d@]@."
+     efficiency    %.3f@,\
+     %asim events    %d@]@."
     r.Runner.r_scheme r.Runner.r_config.Config.name
     r.Runner.r_config.Config.workload_name r.Runner.r_config.Config.load
     r.Runner.completed r.Runner.requested
     s.Ppt_stats.Fct.overall_avg s.Ppt_stats.Fct.small_avg
     s.Ppt_stats.Fct.small_p99 s.Ppt_stats.Fct.large_avg
     s.Ppt_stats.Fct.total_retrans r.Runner.drops r.Runner.marks
-    (s.Ppt_stats.Fct.lcp_bytes / 1000)
-    r.Runner.lp_efficiency r.Runner.events
+    r.Runner.efficiency pp_lcp () r.Runner.events
 
 (* ---- common options ---- *)
 

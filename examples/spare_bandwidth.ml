@@ -42,8 +42,8 @@ let () =
       if p.Packet.kind = Packet.Ack then Reliable.on_ack snd p);
   Net.register net ~host:2 ~flow:0 (fun p ->
       if p.Packet.kind = Packet.Data then Receiver.on_data rcv p);
-  rcv.Receiver.on_done <- (fun () -> Lcp.shutdown lcp;
-                            Reliable.shutdown snd);
+  flow.Flow.teardown <- (fun () ->
+      Lcp.shutdown lcp; Reliable.shutdown snd);
   Format.printf "   t(us)   cwnd(KB)  alpha  lcp   hcp-KB   lcp-KB@.";
   let rec trace () =
     if not (Flow.is_finished flow) then begin

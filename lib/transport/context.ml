@@ -1,6 +1,8 @@
 (* Per-run environment shared by all transports: the simulator, the
    fabric, derived path constants, the FCT sink and per-host datapath
-   operation counters (the Fig. 19 CPU-overhead proxy). *)
+   operation counters (the Fig. 19 CPU-overhead proxy). It also holds
+   the two steps of a flow's life every transport shares: sending a
+   data segment and finishing the flow. *)
 
 open Ppt_engine
 open Ppt_netsim
@@ -48,6 +50,31 @@ let flow_started t (flow : Flow.t) =
       (Ppt_obs.Event.Flow_start
          { flow = flow.Flow.id; size = flow.Flow.size })
 
+(* The one place a data segment is made: every transport sends its data
+   here, so each send is stamped, counted (one operation at the source,
+   its payload by loop, a retransmission) and traced alike. *)
+let send_data t (flow : Flow.t) ~loop ~prio ~ecn_capable ~first_rtt
+    ~sel_drop ~retransmission seq =
+  let pay = Flow.seg_payload flow seq in
+  let pkt =
+    Packet.make ~seq ~payload:pay ~prio ~loop ~ecn_capable ~sel_drop
+      ~flow:flow.Flow.id ~src:flow.Flow.src ~dst:flow.Flow.dst Packet.Data
+  in
+  Wire.set_data pkt ~tx:(now t) ~first_rtt;
+  count_op t flow.Flow.src;
+  (match loop with
+   | Packet.H -> flow.Flow.hcp_payload <- flow.Flow.hcp_payload + pay
+   | Packet.L -> flow.Flow.lcp_payload <- flow.Flow.lcp_payload + pay);
+  Net.send t.net pkt;
+  if retransmission then begin
+    flow.Flow.retrans <- flow.Flow.retrans + 1;
+    if !Ppt_obs.Trace.enabled then
+      Ppt_obs.Trace.emit (now t)
+        (Ppt_obs.Event.Retransmit
+           { flow = flow.Flow.id; seq;
+             loop = (match loop with Packet.H -> 'H' | Packet.L -> 'L') })
+  end
+
 let flow_finished t (flow : Flow.t) =
   match flow.finished with
   | Some _ -> ()    (* already recorded *)
@@ -66,4 +93,7 @@ let flow_finished t (flow : Flow.t) =
         hcp_delivered = flow.hcp_delivered;
         lcp_delivered = flow.lcp_delivered };
     t.completed <- t.completed + 1;
-    t.on_complete flow.id
+    t.on_complete flow.id;
+    flow.teardown ();
+    Net.unregister t.net ~host:flow.src ~flow:flow.id;
+    Net.unregister t.net ~host:flow.dst ~flow:flow.id

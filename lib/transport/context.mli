@@ -1,4 +1,6 @@
-(** Per-run environment shared by all transports. *)
+(** Per-run environment shared by all transports, and the flow
+    lifecycle they share: every data segment is sent through
+    {!send_data}, and every flow finishes through {!flow_finished}. *)
 
 open Ppt_engine
 open Ppt_netsim
@@ -37,5 +39,18 @@ val count_op : t -> int -> unit
 val flow_started : t -> Flow.t -> unit
 (** Count a launched flow and emit a [Flow_start] trace event. *)
 
+val send_data :
+  t -> Flow.t -> loop:Packet.loop -> prio:int -> ecn_capable:bool ->
+  first_rtt:bool -> sel_drop:bool -> retransmission:bool -> int -> unit
+(** [send_data ctx flow ... seq] makes segment [seq] of [flow], stamps
+    it with the send time ({!Wire.set_data}) and sends it. It counts
+    one datapath operation at the source and the segment's payload
+    on [loop] ([hcp_payload] or [lcp_payload]); when [retransmission],
+    it also counts a retransmission and, after the send, emits a
+    [Retransmit] trace event. *)
+
 val flow_finished : t -> Flow.t -> unit
-(** Record a completed flow exactly once and fire [on_complete]. *)
+(** Finish a flow, once: record it (a [Flow_done] trace event and an
+    FCT record), fire [on_complete], run the flow's [teardown] and
+    unregister both of its handlers, so a later packet for it is
+    undeliverable. A second call does nothing. *)

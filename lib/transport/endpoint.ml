@@ -2,8 +2,9 @@
 
    A transport is a [factory]: given the run's context, it starts one
    flow — creates sender/receiver endpoint state, registers packet
-   handlers at both hosts, and tears everything down when the receiver
-   has the whole message. Every flow starts through [launch]. *)
+   handlers at both hosts and sets the flow's teardown, which
+   [Context.flow_finished] runs when the receiver has the whole
+   message. Every flow starts through [launch]. *)
 
 open Ppt_engine
 open Ppt_netsim
@@ -14,11 +15,6 @@ let connect ctx (flow : Flow.t) ~at_src ~at_dst =
   let net = ctx.Context.net in
   Net.register net ~host:flow.Flow.src ~flow:flow.Flow.id at_src;
   Net.register net ~host:flow.Flow.dst ~flow:flow.Flow.id at_dst
-
-let disconnect ctx (flow : Flow.t) =
-  let net = ctx.Context.net in
-  Net.unregister net ~host:flow.Flow.src ~flow:flow.Flow.id;
-  Net.unregister net ~host:flow.Flow.dst ~flow:flow.Flow.id
 
 (* Standard wiring for window-based (sender-driven) transports.
 
@@ -40,10 +36,9 @@ let window ~params ?lcp_batch setup ctx flow =
         | Packet.Data -> Receiver.on_data rcv p
         | Packet.Ack | Packet.Grant | Packet.Pull | Packet.Nack
         | Packet.Ctrl -> ());
-  rcv.Receiver.on_done <- (fun () ->
+  flow.Flow.teardown <- (fun () ->
       Reliable.shutdown snd;
-      teardown_extra ();
-      disconnect ctx flow);
+      teardown_extra ());
   Reliable.start snd
 
 (* Flow starts go through a cursor: the launch reserves one tie per

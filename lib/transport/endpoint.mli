@@ -10,10 +10,7 @@ val connect :
   Context.t -> Flow.t -> at_src:(Ppt_netsim.Packet.t -> unit) ->
   at_dst:(Ppt_netsim.Packet.t -> unit) -> unit
 (** Register the flow's packet handlers at its source and destination
-    hosts. *)
-
-val disconnect : Context.t -> Flow.t -> unit
-(** Unregister both of the flow's handlers. *)
+    hosts. {!Context.flow_finished} unregisters them. *)
 
 val window :
   params:Reliable.params -> ?lcp_batch:int ->
@@ -23,8 +20,8 @@ val window :
     {!Receiver.create}), registers both packet handlers, runs [setup]
     on the sender (which attaches congestion control, reading the flow
     through {!Reliable.flow}, and returns an extra teardown thunk),
-    starts transmitting, and tears everything down when the receiver
-    holds the whole message. *)
+    makes the flow's teardown stop the sender and run that thunk, and
+    starts transmitting. *)
 
 val launch :
   Context.t -> (Flow.t -> unit) -> n:int ->

@@ -16,8 +16,9 @@ module Rd = Receiver_driven
 
 (* ---- sender -------------------------------------------------------- *)
 
-let send_data s seq ~retransmission =
-  Rd.send_data s ~prio:1 ~retransmission seq
+let send_data (s : Rd.sender) seq ~retransmission =
+  Context.send_data s.ctx s.flow ~loop:Packet.H ~prio:1 ~ecn_capable:false
+    ~first_rtt:false ~sel_drop:false ~retransmission seq
 
 (* The credit request announcing the flow to its receiver. *)
 let request (s : Rd.sender) =
@@ -28,24 +29,22 @@ let request (s : Rd.sender) =
 (* One credit = permission for one packet: new data first, then the
    receiver's first hole once fresh data is exhausted. *)
 let sender_on_credit (s : Rd.sender) ~credit_cum =
-  if not s.shut then begin
-    s.cum <- Int.max s.cum credit_cum;
-    if s.snd_nxt < s.flow.Flow.nseg then begin
-      send_data s s.snd_nxt ~retransmission:false;
-      s.snd_nxt <- s.snd_nxt + 1
-    end else if s.cum < s.flow.Flow.nseg then
-      send_data s s.cum ~retransmission:true
-  end
+  s.cum <- Int.max s.cum credit_cum;
+  if s.snd_nxt < s.flow.Flow.nseg then begin
+    send_data s s.snd_nxt ~retransmission:false;
+    s.snd_nxt <- s.snd_nxt + 1
+  end else if s.cum < s.flow.Flow.nseg then
+    send_data s s.cum ~retransmission:true
 
 (* ---- receiver-side credit pacer (per host) ---- *)
 
 type host_state = {
   ctx : Context.t;
-  active : Rd.msg list ref;   (* round-robin credit targets *)
+  active : Flow.t list ref;   (* round-robin credit targets *)
   pacer : Rd.pacer;
 }
 
-(* Bounded outstanding credits: a message may have at most a window of
+(* Bounded outstanding credits: a flow may have at most a window of
    unanswered credits ([granted] counts the credits sent). Data
    arrivals (including RTO retransmissions, which are not
    credit-gated) unlock further credits. They do not when the RTO
@@ -54,38 +53,38 @@ type host_state = {
    on ROADMAP). *)
 let credit_window = 64
 
-let wants_credit (m : Rd.msg) =
-  (not (Flow.is_finished m.m_flow))
-  && m.granted < m.m_flow.Flow.held + credit_window
+let wants_credit (flow : Flow.t) = flow.granted < flow.held + credit_window
 
-(* Credit the first eligible message and rotate it to the back. *)
+(* Credit the first eligible flow and rotate it to the back. *)
 let credit ctx active =
   match List.filter wants_credit !active with
   | [] -> false
-  | m :: _ ->
-    m.granted <- m.granted + 1;
-    let p = Rd.control m.m_flow Packet.Pull in
-    Wire.set_pull p ~cum:m.m_flow.Flow.cum;
+  | flow :: _ ->
+    flow.Flow.granted <- flow.Flow.granted + 1;
+    let p = Rd.control flow Packet.Pull in
+    Wire.set_pull p ~cum:flow.Flow.cum;
     Net.send ctx.Context.net p;
-    active := List.filter (fun x -> x != m) !active @ [ m ];
+    active := List.filter (fun x -> x != flow) !active @ [ flow ];
     true
 
-let receiver_on_data hs (m : Rd.msg) (p : Packet.t) =
-  Context.count_op hs.ctx m.m_flow.Flow.dst;
-  if (not (Flow.is_finished m.m_flow)) && not p.trimmed then begin
-    Flow.accept m.m_flow p;
-    if Flow.complete m.m_flow then begin
-      hs.active := List.filter (fun x -> x != m) !(hs.active);
-      Rd.finish hs.ctx m
+(* A handler runs only for a live flow (finishing it unregisters both
+   handlers), so [active] holds live flows only. *)
+let receiver_on_data hs (flow : Flow.t) (p : Packet.t) =
+  Context.count_op hs.ctx flow.dst;
+  if not p.trimmed then begin
+    Flow.accept flow p;
+    if Flow.complete flow then begin
+      hs.active := List.filter (fun x -> x != flow) !(hs.active);
+      Context.flow_finished hs.ctx flow
     end else
       (* the arrival may have re-opened the credit window *)
       Rd.kick hs.pacer
   end
 
 (* A credit request makes the flow credit-eligible. *)
-let receiver_on_request hs (m : Rd.msg) =
-  if not (List.memq m !(hs.active) || Flow.is_finished m.m_flow) then begin
-    hs.active := !(hs.active) @ [ m ];
+let receiver_on_request hs flow =
+  if not (List.memq flow !(hs.active)) then begin
+    hs.active := !(hs.active) @ [ flow ];
     Rd.kick hs.pacer
   end
 
@@ -98,8 +97,7 @@ let make () ctx =
   fun flow ->
     let s = Rd.sender ctx flow in
     let hs = host_state flow.Flow.dst in
-    let m = Rd.message flow in
-    Rd.connect s m
+    Endpoint.connect ctx flow
       ~at_src:(fun p ->
           match p.Packet.kind with
           | Packet.Pull ->
@@ -107,8 +105,8 @@ let make () ctx =
           | _ -> ())
       ~at_dst:(fun p ->
           match p.Packet.kind with
-          | Packet.Data -> receiver_on_data hs m p
-          | Packet.Ctrl -> receiver_on_request hs m
+          | Packet.Data -> receiver_on_data hs flow p
+          | Packet.Ctrl -> receiver_on_request hs flow
           | _ -> ());
     (* announce the flow; data waits for credits (1st RTT unused) *)
     request s;

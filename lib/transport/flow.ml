@@ -1,7 +1,8 @@
 (* A flow: one application message from a source host to a destination
    host, segmented into MTU-sized packets. Counters are shared between
    the sender and receiver endpoints of whatever transport carries it;
-   so is the receiver's scoreboard, the one every transport keeps. *)
+   so are the receiver's scoreboard and grant, which every transport
+   keeps, and the teardown its transport runs when the flow finishes. *)
 
 open Ppt_engine
 open Ppt_netsim
@@ -22,6 +23,8 @@ type t = {
   mutable held : int;               (* distinct segments held *)
   mutable cum : int;                (* first segment not yet held *)
   mutable finished : Units.time option;
+  mutable granted : int;            (* segments the receiver let go *)
+  mutable teardown : unit -> unit;  (* set by the transport *)
 }
 
 let create ~id ~src ~dst ~size ~start =
@@ -31,7 +34,8 @@ let create ~id ~src ~dst ~size ~start =
   { id; src; dst; size; nseg; start;
     retrans = 0; hcp_payload = 0; lcp_payload = 0;
     hcp_delivered = 0; lcp_delivered = 0;
-    bitmap = Bytes.make nseg '\000'; held = 0; cum = 0; finished = None }
+    bitmap = Bytes.make nseg '\000'; held = 0; cum = 0; finished = None;
+    granted = 0; teardown = ignore }
 
 let of_spec (s : Ppt_workload.Trace.spec) =
   create ~id:s.id ~src:s.src ~dst:s.dst ~size:s.size ~start:s.start

@@ -1,8 +1,11 @@
 (** A flow: one application message between two hosts, segmented into
-    MTU-sized packets, with counters shared by its two endpoints and
-    the receiver's scoreboard, kept here for every transport. Only the
-    receiver reads the scoreboard: a sender learns the receiver's
-    progress from the wire alone (acks, grants, pulls, credits). *)
+    MTU-sized packets, with counters shared by its two endpoints, the
+    receiver's scoreboard and grant, kept here for every transport, and
+    the teardown its transport sets. Only the receiver reads the
+    scoreboard and the grant: a sender learns the receiver's progress
+    from the wire alone (acks, grants, pulls, credits). A flow's
+    segments go out through {!Context.send_data}, and it finishes
+    through {!Context.flow_finished}, which runs [teardown] once. *)
 
 open Ppt_engine
 open Ppt_netsim
@@ -23,6 +26,14 @@ type t = {
   mutable held : int;           (** distinct segments held *)
   mutable cum : int;            (** first segment not yet held *)
   mutable finished : Units.time option;  (** the one "done" flag *)
+  mutable granted : int;
+  (** Segments the receiver has let the sender send (Homa's grants,
+      ExpressPass's credits); 0 until a receiver-driven transport sets
+      it. *)
+  mutable teardown : unit -> unit;
+  (** Set by the transport: stops the flow's endpoints and cancels
+      their timers. {!Context.flow_finished} runs it once, before
+      unregistering the flow's handlers. *)
 }
 
 val create :

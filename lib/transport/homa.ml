@@ -43,8 +43,11 @@ type sender = {
 (* Presume lost, and resend as scheduled packets, everything from the
    receiver's progress point up to [upto]. *)
 let go_back h upto =
-  for seq = h.s.cum to upto - 1 do
-    Rd.send_data h.s ~prio:h.sched_prio ~retransmission:true seq
+  let s = h.s in
+  for seq = s.cum to upto - 1 do
+    Context.send_data s.ctx s.flow ~loop:Packet.H ~prio:h.sched_prio
+      ~ecn_capable:false ~first_rtt:false ~sel_drop:false
+      ~retransmission:true seq
   done
 
 let sender_pump h =
@@ -52,10 +55,10 @@ let sender_pump h =
   let limit = Int.min h.granted s.flow.Flow.nseg in
   while s.snd_nxt < limit do
     let first_rtt = s.snd_nxt < h.unsched_segs in
-    Rd.send_data s
+    Context.send_data s.ctx s.flow ~loop:Packet.H
       ~prio:(if first_rtt then h.unsched_prio else h.sched_prio)
-      ~first_rtt ~sel_drop:(first_rtt && h.aeolus) ~retransmission:false
-      s.snd_nxt;
+      ~ecn_capable:false ~first_rtt ~sel_drop:(first_rtt && h.aeolus)
+      ~retransmission:false s.snd_nxt;
     s.snd_nxt <- s.snd_nxt + 1
   done
 
@@ -91,39 +94,38 @@ let sender_on_grant h ~g_cum ~g_upto ~g_prio =
 
 (* SRPT with overcommitment: grant the K messages with the fewest
    remaining segments a ceiling of received + RTTsegs. [inbound] holds
-   the host's messages, newest first. *)
+   the host's inbound flows, newest first. *)
 let reschedule ctx inbound =
   let rtt_segs = rtt_segs ctx in
-  let remaining (m : Rd.msg) = m.m_flow.Flow.nseg - m.m_flow.Flow.held in
+  let remaining (f : Flow.t) = f.nseg - f.held in
   let active =
-    List.filter (fun m -> remaining m > 0) inbound
+    List.filter (fun f -> remaining f > 0) inbound
     |> List.sort (fun a b -> compare (remaining a) (remaining b))
   in
   List.iteri
-    (fun rank (m : Rd.msg) ->
-       let flow = m.m_flow in
+    (fun rank (flow : Flow.t) ->
        if rank < overcommit then begin
-         let ceiling = Int.min flow.Flow.nseg (flow.Flow.held + rtt_segs) in
-         let grew = ceiling > m.granted in
-         m.granted <- Int.max m.granted ceiling;
+         let ceiling = Int.min flow.nseg (flow.held + rtt_segs) in
+         let grew = ceiling > flow.granted in
+         flow.granted <- Int.max flow.granted ceiling;
          (* send a grant when the window grows, and refresh it when
             progress is stuck so the sender learns [cum] *)
-         if grew || flow.Flow.cum < m.granted then begin
+         if grew || flow.cum < flow.granted then begin
            let g = Rd.control flow Packet.Grant in
-           Wire.set_grant g ~cum:flow.Flow.cum ~upto:m.granted
+           Wire.set_grant g ~cum:flow.cum ~upto:flow.granted
              ~prio:(Int.min (Prio_queue.n_prios - 1) (2 + rank));
            Net.send ctx.Context.net g
          end
        end)
     active
 
-let receiver_on_data ctx inbound (m : Rd.msg) (p : Packet.t) =
-  Context.count_op ctx m.m_flow.Flow.dst;
+let receiver_on_data ctx inbound (flow : Flow.t) (p : Packet.t) =
+  Context.count_op ctx flow.dst;
   if not p.trimmed then begin
-    Flow.accept m.m_flow p;
-    if Flow.complete m.m_flow then begin
-      inbound := List.filter (fun x -> x != m) !inbound;
-      Rd.finish ctx m
+    Flow.accept flow p;
+    if Flow.complete flow then begin
+      inbound := List.filter (fun x -> x != flow) !inbound;
+      Context.flow_finished ctx flow
     end;
     reschedule ctx !inbound
   end
@@ -146,9 +148,9 @@ let make_variant ~aeolus ctx =
         last_cum_change = Sim.now ctx.Context.sim; fast_attempts = 0 }
     in
     let inbound = host_inbound flow.Flow.dst in
-    let m = Rd.message ~granted:unsched_segs flow in
-    inbound := m :: !inbound;
-    Rd.connect h.s m
+    flow.Flow.granted <- unsched_segs;
+    inbound := flow :: !inbound;
+    Endpoint.connect ctx flow
       ~at_src:(fun p ->
           match p.Packet.kind with
           | Packet.Grant ->
@@ -157,7 +159,7 @@ let make_variant ~aeolus ctx =
           | _ -> ())
       ~at_dst:(fun p ->
           match p.Packet.kind with
-          | Packet.Data -> receiver_on_data ctx inbound m p
+          | Packet.Data -> receiver_on_data ctx inbound flow p
           | _ -> ());
     (* blind first-RTT transmission at line rate *)
     sender_pump h;

@@ -18,59 +18,59 @@ module Rd = Receiver_driven
 (* ---- sender -------------------------------------------------------- *)
 
 (* Data rides at P1, below the P0 control packets. *)
-let send_data s seq ~retransmission =
-  Rd.send_data s ~prio:1 ~retransmission seq
+let send_data (s : Rd.sender) seq ~retransmission =
+  Context.send_data s.ctx s.flow ~loop:Packet.H ~prio:1 ~ecn_capable:false
+    ~first_rtt:false ~sel_drop:false ~retransmission seq
 
 (* One pull = one packet's worth of credit: a NACKed segment first,
    then new data. *)
 let sender_on_pull (s : Rd.sender) retx ~p_cum =
   s.cum <- Int.max s.cum p_cum;
-  if not s.shut then
-    match Queue.take_opt retx with
-    | Some seq -> send_data s seq ~retransmission:true
-    | None ->
-      if s.snd_nxt < s.flow.Flow.nseg then begin
-        send_data s s.snd_nxt ~retransmission:false;
-        s.snd_nxt <- s.snd_nxt + 1
-      end
+  match Queue.take_opt retx with
+  | Some seq -> send_data s seq ~retransmission:true
+  | None ->
+    if s.snd_nxt < s.flow.Flow.nseg then begin
+      send_data s s.snd_nxt ~retransmission:false;
+      s.snd_nxt <- s.snd_nxt + 1
+    end
 
 (* ---- receiver: per-host pull pacer --------------------------------- *)
 
 type host_state = {
   ctx : Context.t;
-  pulls : Rd.msg Queue.t;   (* round-robin pull tokens *)
+  pulls : Flow.t Queue.t;   (* round-robin pull tokens *)
   pacer : Rd.pacer;
 }
 
-(* Send the next pull token's pull, skipping finished messages. *)
+(* Send the next pull token's pull, skipping finished flows. *)
 let rec pull ctx pulls =
   match Queue.take_opt pulls with
   | None -> false
-  | Some (m : Rd.msg) when Flow.is_finished m.m_flow -> pull ctx pulls
-  | Some m ->
-    let p = Rd.control m.m_flow Packet.Pull in
-    Wire.set_pull p ~cum:m.m_flow.Flow.cum;
+  | Some flow when Flow.is_finished flow -> pull ctx pulls
+  | Some flow ->
+    let p = Rd.control flow Packet.Pull in
+    Wire.set_pull p ~cum:flow.Flow.cum;
     Net.send ctx.Context.net p;
     true
 
-let enqueue_pull hs (m : Rd.msg) =
-  if not (Flow.is_finished m.m_flow) then begin
-    Queue.push m hs.pulls;
-    Rd.kick hs.pacer
-  end
+let enqueue_pull hs flow =
+  Queue.push flow hs.pulls;
+  Rd.kick hs.pacer
 
-let receiver_on_data hs (m : Rd.msg) (p : Packet.t) =
-  Context.count_op hs.ctx m.m_flow.Flow.dst;
-  if Flow.is_finished m.m_flow then ()
-  else if p.trimmed then begin
+(* A handler runs only for a live flow: finishing it unregisters both
+   handlers. *)
+let receiver_on_data hs (flow : Flow.t) (p : Packet.t) =
+  Context.count_op hs.ctx flow.dst;
+  if p.trimmed then begin
     (* header survived: fast loss notification + keep the clock going *)
-    let nack = Rd.control m.m_flow Packet.Nack in
+    let nack = Rd.control flow Packet.Nack in
     Wire.set_nack nack ~seq:p.seq;
     Net.send hs.ctx.Context.net nack;
-    enqueue_pull hs m
+    enqueue_pull hs flow
   end else begin
-    Flow.accept m.m_flow p;
-    if Flow.complete m.m_flow then Rd.finish hs.ctx m else enqueue_pull hs m
+    Flow.accept flow p;
+    if Flow.complete flow then Context.flow_finished hs.ctx flow
+    else enqueue_pull hs flow
   end
 
 (* ---- wiring -------------------------------------------------------- *)
@@ -86,8 +86,7 @@ let make () ctx =
     let s = Rd.sender ctx flow in
     let retx = Queue.create () in
     let hs = host_state flow.Flow.dst in
-    let m = Rd.message flow in
-    Rd.connect s m
+    Endpoint.connect ctx flow
       ~at_src:(fun p ->
           match p.Packet.kind with
           | Packet.Pull -> sender_on_pull s retx ~p_cum:(Wire.pull_cum p)
@@ -95,7 +94,7 @@ let make () ctx =
           | _ -> ())
       ~at_dst:(fun p ->
           match p.Packet.kind with
-          | Packet.Data -> receiver_on_data hs m p
+          | Packet.Data -> receiver_on_data hs flow p
           | _ -> ());
     (* first window at line rate *)
     let burst = Int.min iw_segs flow.Flow.nseg in

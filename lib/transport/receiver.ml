@@ -4,7 +4,8 @@
    It records each segment on the flow's scoreboard, acknowledges
    every data packet (cumulative ACK + the specific segment as a SACK,
    echoing the CE bit, the sender timestamp and any inband telemetry),
-   and fires a completion callback when the whole flow has arrived.
+   and finishes the flow ([Context.flow_finished]) when the whole of it
+   has arrived.
 
    Primary-loop acks travel at P0. Low-priority-loop (LCP) data is
    acknowledged separately, at the priority of the last LCP packet:
@@ -23,7 +24,6 @@ type t = {
   mutable lcp_sack1 : int;              (* the one before it, or none *)
   mutable lcp_ece : bool;
   mutable lcp_last_prio : int;
-  mutable on_done : unit -> unit;
 }
 
 (* An ack holds at most two SACKs, so at most two LCP packets share
@@ -34,7 +34,7 @@ let create ?(lcp_batch = 1) ctx flow =
       (Printf.sprintf "Receiver.create: lcp_batch %d outside 1..2" lcp_batch);
   { ctx; flow; lcp_batch;
     lcp_pending = 0; lcp_sack0 = Wire.no_sack; lcp_sack1 = Wire.no_sack;
-    lcp_ece = false; lcp_last_prio = 7; on_done = ignore }
+    lcp_ece = false; lcp_last_prio = 7 }
 
 (* [tel_from] echoes the data packet's inband telemetry: it is copied
    into the ack packet's own snapshot buffer (the data packet is
@@ -51,10 +51,7 @@ let send_ack t ~tel_from ~sack0 ~sack1 ~ece ~data_tx ~loop ~prio =
   Net.send t.ctx.Context.net pkt
 
 let fire_done t =
-  if Flow.complete t.flow && not (Flow.is_finished t.flow) then begin
-    Context.flow_finished t.ctx t.flow;
-    t.on_done ()
-  end
+  if Flow.complete t.flow then Context.flow_finished t.ctx t.flow
 
 let flush_lcp t =
   if t.lcp_pending > 0 then begin

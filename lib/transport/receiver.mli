@@ -4,8 +4,8 @@
     ({!Flow.accept}), acknowledges every primary-loop data packet at P0
     (cumulative + SACK + CE echo + timestamp + telemetry echo), batches
     low-priority-loop ACKs at the echoed priority (PPT's 2:1 EWD
-    clocking), and, once the whole flow has arrived, records its
-    completion ([Context.flow_finished]) and fires [on_done]. *)
+    clocking), and, once the whole flow has arrived, finishes it
+    ({!Context.flow_finished}). *)
 
 open Ppt_netsim
 
@@ -18,7 +18,6 @@ type t = {
   mutable lcp_sack1 : int;  (** the one before it, or {!Wire.no_sack} *)
   mutable lcp_ece : bool;
   mutable lcp_last_prio : int;
-  mutable on_done : unit -> unit;
 }
 
 val create : ?lcp_batch:int -> Context.t -> Flow.t -> t

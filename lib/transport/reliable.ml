@@ -82,7 +82,6 @@ type t = {
   mutable win_end : int;
   mutable win_acked : int;
   mutable win_marked : int;
-  mutable bytes_sent : int;            (* payload bytes, both loops *)
   (* low-priority tail cursor: the next pick is strictly below [tail];
      [tail_hi] is the send-buffer horizon it was last restarted from *)
   mutable tail : int;
@@ -149,29 +148,6 @@ let retx_code seq = -2 - seq
 
 (* --- transmission ------------------------------------------------- *)
 
-let emit t ~loop ~prio_override ~seq =
-  let pay = Flow.seg_payload t.flow seq in
-  let prio =
-    match prio_override with
-    | Some p -> p
-    | None -> t.p.tagger ~bytes_sent:t.bytes_sent ~loop
-  in
-  let ecn_capable =
-    match loop with
-    | Packet.H -> t.p.ecn_capable
-    | Packet.L -> t.p.lcp_ecn_capable
-  in
-  let pkt =
-    Packet.make ~seq ~payload:pay ~prio ~loop ~ecn_capable
-      ~flow:t.flow.Flow.id ~src:t.flow.Flow.src ~dst:t.flow.Flow.dst
-      Packet.Data
-  in
-  Wire.set_data pkt ~tx:(Sim.now t.ctx.Context.sim) ~first_rtt:false;
-  Context.count_op t.ctx t.flow.Flow.src;
-  t.bytes_sent <- t.bytes_sent + pay;
-  Net.send t.ctx.Context.net pkt;
-  pay
-
 let rec arm_rto t =
   if t.rto_ticket < 0 && t.inflight > 0 && not t.shut then
     t.rto_ticket <-
@@ -209,7 +185,6 @@ and on_rto t =
 and send_segment t ~loop ?prio_override seq =
   let st = Bytes.get t.seg seq in
   assert (st <> st_sacked);
-  let retransmission = st = st_lost in
   begin match loop with
     | Packet.H ->
       if st <> st_h_inflight then begin
@@ -225,21 +200,21 @@ and send_segment t ~loop ?prio_override seq =
         t.l_inflight_segs <- t.l_inflight_segs + 1
       end
   end;
-  let pay = emit t ~loop ~prio_override ~seq in
-  begin match loop with
-    | Packet.H ->
-      t.flow.Flow.hcp_payload <- t.flow.Flow.hcp_payload + pay
-    | Packet.L ->
-      t.flow.Flow.lcp_payload <- t.flow.Flow.lcp_payload + pay
-  end;
-  if retransmission then begin
-    t.flow.Flow.retrans <- t.flow.Flow.retrans + 1;
-    if !Ppt_obs.Trace.enabled then
-      Ppt_obs.Trace.emit (Sim.now t.ctx.Context.sim)
-        (Ppt_obs.Event.Retransmit
-           { flow = t.flow.Flow.id; seq;
-             loop = (match loop with Packet.H -> 'H' | Packet.L -> 'L') })
-  end;
+  let flow = t.flow in
+  let prio =
+    match prio_override with
+    | Some p -> p
+    | None ->
+      t.p.tagger ~bytes_sent:(flow.Flow.hcp_payload + flow.Flow.lcp_payload)
+        ~loop
+  in
+  let ecn_capable =
+    match loop with
+    | Packet.H -> t.p.ecn_capable
+    | Packet.L -> t.p.lcp_ecn_capable
+  in
+  Context.send_data t.ctx flow ~loop ~prio ~ecn_capable ~first_rtt:false
+    ~sel_drop:false ~retransmission:(st = st_lost) seq;
   arm_rto t
 
 (* Next primary-loop segment: queued retransmissions first, then new
@@ -285,7 +260,7 @@ let create ctx flow p =
       dup_acks = 0; in_recovery = false; recovery_end = 0;
       retx = Queue.create (); rto_backoff = 1; rto_fire = ignore;
       rto_ticket = -1;
-      win_end = 0; win_acked = 0; win_marked = 0; bytes_sent = 0;
+      win_end = 0; win_acked = 0; win_marked = 0;
       tail = flow.Flow.nseg; tail_hi = -1; shut = false;
       scratch_ai =
         { ai_cum = 0; ai_ece = false; ai_data_tx = 0;
@@ -372,11 +347,9 @@ let advance_cum t cum =
   end;
   advanced
 
-let enter_recovery t =
-  t.in_recovery <- true;
-  t.recovery_end <- t.snd_nxt;
-  t.hook_on_loss t;
-  (* retransmit the hole at the cumulative point *)
+(* Presume the primary-loop segment at the cumulative point lost and
+   queue it for retransmission. *)
+let presume_hole_lost t =
   if t.cum_ack < t.flow.Flow.nseg
   && Bytes.get t.seg t.cum_ack = st_h_inflight then begin
     let pay = Flow.seg_payload t.flow t.cum_ack in
@@ -384,6 +357,12 @@ let enter_recovery t =
     t.inflight <- Int.max 0 (t.inflight - pay);
     Queue.push t.cum_ack t.retx
   end
+
+let enter_recovery t =
+  t.in_recovery <- true;
+  t.recovery_end <- t.snd_nxt;
+  t.hook_on_loss t;
+  presume_hole_lost t
 
 let on_ack t (p : Packet.t) =
   if not t.shut then begin
@@ -410,14 +389,7 @@ let on_ack t (p : Packet.t) =
          reset_rto t;
          if t.in_recovery then begin
            if t.cum_ack >= t.recovery_end then t.in_recovery <- false
-           else if t.cum_ack < t.flow.Flow.nseg
-                && Bytes.get t.seg t.cum_ack = st_h_inflight then begin
-             (* partial ack: the next hole is also lost *)
-             let pay = Flow.seg_payload t.flow t.cum_ack in
-             Bytes.set t.seg t.cum_ack st_lost;
-             t.inflight <- Int.max 0 (t.inflight - pay);
-             Queue.push t.cum_ack t.retx
-           end
+           else presume_hole_lost t  (* partial ack: the next hole too *)
          end
        end else if newly > 0 && cum = t.cum_ack
                 && t.cum_ack < t.flow.Flow.nseg then begin

@@ -39,6 +39,8 @@ type params = {
   lcp_ecn_capable : bool;
   sendbuf_bytes : int;
   tagger : bytes_sent:int -> loop:Packet.loop -> int;
+  (** A data packet's priority, from its loop and the payload the flow
+      has sent before it on both loops. *)
 }
 
 val default_params :
@@ -71,7 +73,6 @@ type t = {
   mutable win_end : int;
   mutable win_acked : int;
   mutable win_marked : int;
-  mutable bytes_sent : int;
   mutable tail : int;
   (** Low-priority tail cursor: {!send_tail} picks strictly below it. *)
   mutable tail_hi : int;
@@ -119,8 +120,7 @@ val send_tail : ?prio:int -> t -> int
     it. [prio] overrides the tagger's priority. *)
 
 val shutdown : t -> unit
-(** Stop all transmission, cancel timers and free the RTO's timer
-    table entry. *)
+(** Stop all transmission and cancel the RTO. *)
 
 val rto_armed : t -> bool
 (** Whether a retransmission timeout is pending. *)

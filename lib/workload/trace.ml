@@ -23,8 +23,6 @@ type pattern =
   (* every host both sends and receives; src and dst drawn uniformly *)
   | Incast of { senders : int array; receiver : int }
   (* N-to-1: load is defined against the receiver's single edge link *)
-  | Pairs of (int * int) array
-  (* fixed (src, dst) pairs drawn uniformly; used for permutations *)
 
 let mean_interarrival_ns ~mean_size ~load ~agg_rate =
   if load <= 0. || load > 10. then invalid_arg "Trace: bad load";
@@ -35,7 +33,6 @@ let mean_interarrival_ns ~mean_size ~load ~agg_rate =
 let agg_rate ~edge_rate = function
   | All_to_all hosts -> Array.length hosts * edge_rate
   | Incast _ -> edge_rate       (* the receiver link is the bottleneck *)
-  | Pairs pairs -> Array.length pairs * edge_rate
 
 (* The arrival clock, in ns. A record of floats alone is stored flat,
    so advancing it allocates nothing. *)
@@ -70,9 +67,6 @@ let source ~rng ~cdf ~pattern ~edge_rate ~load () =
     | Incast { senders; receiver } ->
       let s = Rng.int pick_rng (Array.length senders) in
       { id; src = senders.(s); dst = receiver; size; start }
-    | Pairs pairs ->
-      let src, dst = pairs.(Rng.int pick_rng (Array.length pairs)) in
-      { id; src; dst; size; start }
 
 let generate ~rng ~cdf ~pattern ~edge_rate ~load ~n_flows () =
   let next = source ~rng ~cdf ~pattern ~edge_rate ~load () in

@@ -13,7 +13,6 @@ type spec = {
 type pattern =
   | All_to_all of int array
   | Incast of { senders : int array; receiver : int }
-  | Pairs of (int * int) array
 
 val source :
   rng:Rng.t -> cdf:Cdf.t -> pattern:pattern -> edge_rate:Units.rate ->

@@ -332,11 +332,27 @@ let records_digest (records : Ppt_stats.Fct.record list) =
     records;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
+(* Retransmit events per flow in a trace. *)
+let retransmits_by_flow path =
+  let counts = Hashtbl.create 64 in
+  Ppt_obs.Reader.with_file path (fun r ->
+      Ppt_obs.Reader.fold r
+        (fun () _ ev ->
+           match ev with
+           | Ppt_obs.Event.Retransmit { flow; _ } ->
+             Hashtbl.replace counts flow
+               (1 + Option.value ~default:0 (Hashtbl.find_opt counts flow))
+           | _ -> ())
+        ());
+  counts
+
 (* Run each scheme over [pin_specs] under the link flap and compare the
    completed count, the binary trace digest and the FCT digest. Every
    scheme's receiver credits the fresh payload it accepts, so each
    run's transfer efficiency (delivered / sent payload) lies in
-   (0, 1]. *)
+   (0, 1]. Every scheme sends its data through one path, which traces
+   each retransmission: a completed flow's trace holds as many
+   [Retransmit] events as its record counts. *)
 let check_pinned cases =
   let open Ppt_harness in
   let flap =
@@ -362,18 +378,28 @@ let check_pinned cases =
            check Alcotest.string (name ^ ": fct digest") fct_md5
              (records_digest r.Runner.records);
            check Alcotest.bool (name ^ ": efficiency in (0, 1]") true
-             (r.Runner.efficiency > 0. && r.Runner.efficiency <= 1.)))
+             (r.Runner.efficiency > 0. && r.Runner.efficiency <= 1.);
+           let traced = retransmits_by_flow path in
+           List.iter
+             (fun (rec_ : Ppt_stats.Fct.record) ->
+                check Alcotest.int
+                  (Printf.sprintf "%s: flow %d retransmits traced" name
+                     rec_.flow)
+                  rec_.retrans
+                  (Option.value ~default:0
+                     (Hashtbl.find_opt traced rec_.flow)))
+             r.Runner.records))
     cases
 
 let receiver_driven_pins =
   let open Ppt_harness in
-  [ (Schemes.ndp, 32, "51b2a4764edda292bd8ac7dd823ddf32",
+  [ (Schemes.ndp, 32, "d5f1d4a6694fdf3de1fe177a8013b42a",
      "07a1d65c3630f073069c113c331b12cc");
-    (Schemes.homa, 32, "907c7813751250942055ad453cd610f1",
+    (Schemes.homa, 32, "8665a3b073cef21eedcdf1e340a02de3",
      "8da20f49f56a74d49687fd8e2d9f566f");
-    (Schemes.aeolus, 32, "b14b732792252e7e98cce850bdaeb574",
+    (Schemes.aeolus, 32, "129507e2c3cb1d00f43a9ede5891efca",
      "f40153d37ab0380d6403da9f6aa3799a");
-    (Schemes.expresspass, 30, "da72c4be75cc7f71178d4d6e74172b7a",
+    (Schemes.expresspass, 30, "51e4e9a86caec023be4873f0bb0cc9cb",
      "d0d47ec091710255f18d1bf629e33a3f") ]
 
 let test_receiver_driven_pinned () = check_pinned receiver_driven_pins

@@ -226,7 +226,7 @@ let test_wire_priorities () =
   Ppt_netsim.Net.register ctx.Context.net ~host:0 ~flow:9 (fun p ->
       if p.Ppt_netsim.Packet.kind = Ppt_netsim.Packet.Ack then
         Reliable.on_ack snd p);
-  rcv.Receiver.on_done <- (fun () ->
+  flow.Flow.teardown <- (fun () ->
       Lcp.shutdown lcp; Reliable.shutdown snd);
   Reliable.start snd;
   Sim.run ~until:(Units.sec 5) ctx.Context.sim;

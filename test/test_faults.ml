@@ -441,7 +441,7 @@ let test_rto_backoff_blackout () =
       Receiver.on_data rcv p);
   Net.register ctx.Context.net ~host:0 ~flow:7 (fun p ->
       if p.Packet.kind = Packet.Ack then Reliable.on_ack snd p);
-  rcv.Receiver.on_done <- (fun () ->
+  flow.Flow.teardown <- (fun () ->
       done_ := true;
       Reliable.shutdown snd);
   let (), events =
@@ -483,7 +483,7 @@ let test_rto_timer_cancelled_clean () =
       Receiver.on_data rcv p);
   Net.register ctx.Context.net ~host:0 ~flow:3 (fun p ->
       if p.Packet.kind = Packet.Ack then Reliable.on_ack snd p);
-  rcv.Receiver.on_done <- (fun () -> Reliable.shutdown snd);
+  flow.Flow.teardown <- (fun () -> Reliable.shutdown snd);
   Reliable.start snd;
   Sim.run ~until:(Units.sec 2) sim;
   Helpers.assert_drained sim;

@@ -429,7 +429,7 @@ let test_scoreboard_window () =
   in
   let rcv = Receiver.create ctx flow in
   let done_calls = ref 0 in
-  rcv.Receiver.on_done <- (fun () -> incr done_calls);
+  flow.Flow.teardown <- (fun () -> incr done_calls);
   List.iter
     (fun ((seq, loop, _, _, _) as row) ->
        let p = scoreboard_data flow ~now:(Sim.now sim) seq loop in
@@ -463,6 +463,47 @@ let test_scoreboard_receiver_driven () =
   Sim.run sim;
   Helpers.assert_drained sim
 
+(* Completion is one path for every transport: [Context.flow_finished]
+   records the flow and runs its teardown once, also when called again,
+   and leaves it no handler, so a late packet for the finished flow, at
+   either end, is undeliverable. *)
+let check_finished_once name make =
+  let sim, _topo, ctx = Helpers.star () in
+  let start = make ctx in
+  let started = ref None and teardowns = ref 0 in
+  Helpers.run_flows ctx
+    (fun flow ->
+       start flow;
+       let teardown = flow.Flow.teardown in
+       flow.Flow.teardown <- (fun () -> incr teardowns; teardown ());
+       started := Some flow)
+    [ (0, 1, 50_000, 0) ];
+  let flow = Option.get !started in
+  check Alcotest.bool (name ^ ": finished") true (Flow.is_finished flow);
+  Context.flow_finished ctx flow;
+  check Alcotest.int (name ^ ": teardown ran once") 1 !teardowns;
+  check Alcotest.int (name ^ ": recorded once") 1
+    (Ppt_stats.Fct.count ctx.Context.fct);
+  let net = ctx.Context.net in
+  let before = Ppt_netsim.Net.undeliverable net in
+  let late_data = scoreboard_data flow ~now:(Sim.now sim) 0 Packet.H in
+  let late_ctrl = Receiver_driven.control flow Packet.Pull in
+  Wire.set_pull late_ctrl ~cum:0;
+  Ppt_netsim.Net.send net late_data;
+  Ppt_netsim.Net.send net late_ctrl;
+  Sim.run sim;
+  check Alcotest.int (name ^ ": late packets undeliverable") (before + 2)
+    (Ppt_netsim.Net.undeliverable net);
+  check Alcotest.int (name ^ ": still recorded once") 1
+    (Ppt_stats.Fct.count ctx.Context.fct);
+  Helpers.assert_drained sim
+
+let test_finished_once_window () =
+  check_finished_once "dctcp" (Dctcp.make ())
+
+let test_finished_once_receiver_driven () =
+  check_finished_once "ndp" (Ndp.make ())
+
 let suite =
   [ Alcotest.test_case "dctcp: single flow" `Quick
       test_single_flow_completes;
@@ -495,4 +536,8 @@ let suite =
     Alcotest.test_case "scoreboard: window receiver" `Quick
       test_scoreboard_window;
     Alcotest.test_case "scoreboard: receiver-driven receiver" `Quick
-      test_scoreboard_receiver_driven ]
+      test_scoreboard_receiver_driven;
+    Alcotest.test_case "completion: window flow finishes once" `Quick
+      test_finished_once_window;
+    Alcotest.test_case "completion: receiver-driven flow finishes once"
+      `Quick test_finished_once_receiver_driven ]
