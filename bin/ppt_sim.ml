@@ -29,13 +29,29 @@ let workloads =
     Ppt_workload.Dists.all
 
 (* The low-priority loop's line is printed only for a run that sent
-   low-priority payload: without any, its efficiency is 0/0. *)
+   low-priority payload: without any, its efficiency is 0/0. A size
+   class with no completed flow prints its count, not its 0/0 mean. *)
 let pp_result r =
+  let open Ppt_stats in
   let s = r.Runner.summary in
+  let any in_class =
+    List.exists (fun (f : Fct.record) -> in_class f.Fct.size) r.Runner.records
+  in
+  let pp_small ppf () =
+    if any (fun size -> size > 0 && size <= Fct.cutoff) then
+      Format.fprintf ppf "small avg     %.4f ms@,small p99     %.4f ms@,"
+        s.Fct.small_avg s.Fct.small_p99
+    else Format.fprintf ppf "small flows   0@,"
+  in
+  let pp_large ppf () =
+    if any (fun size -> size > Fct.cutoff) then
+      Format.fprintf ppf "large avg     %.4f ms@," s.Fct.large_avg
+    else Format.fprintf ppf "large flows   0@,"
+  in
   let pp_lcp ppf () =
-    if s.Ppt_stats.Fct.lcp_bytes > 0 then
+    if s.Fct.lcp_bytes > 0 then
       Format.fprintf ppf "lcp payload   %d KB (efficiency %.3f)@,"
-        (s.Ppt_stats.Fct.lcp_bytes / 1000) r.Runner.lp_efficiency
+        (s.Fct.lcp_bytes / 1000) r.Runner.lp_efficiency
   in
   Format.printf
     "@[<v>scheme        %s@,\
@@ -43,9 +59,7 @@ let pp_result r =
      workload      %s @@ load %.2f@,\
      flows         %d/%d completed@,\
      overall avg   %.4f ms@,\
-     small avg     %.4f ms@,\
-     small p99     %.4f ms@,\
-     large avg     %.4f ms@,\
+     %a%a\
      retransmits   %d@,\
      drops/marks   %d/%d@,\
      efficiency    %.3f@,\
@@ -53,9 +67,8 @@ let pp_result r =
     r.Runner.r_scheme r.Runner.r_config.Config.name
     r.Runner.r_config.Config.workload_name r.Runner.r_config.Config.load
     r.Runner.completed r.Runner.requested
-    s.Ppt_stats.Fct.overall_avg s.Ppt_stats.Fct.small_avg
-    s.Ppt_stats.Fct.small_p99 s.Ppt_stats.Fct.large_avg
-    s.Ppt_stats.Fct.total_retrans r.Runner.drops r.Runner.marks
+    s.Fct.overall_avg pp_small () pp_large ()
+    s.Fct.total_retrans r.Runner.drops r.Runner.marks
     r.Runner.efficiency pp_lcp () r.Runner.events
 
 (* ---- common options ---- *)

@@ -55,80 +55,117 @@ let records t = t.records
 let hcp_delivered t = t.hcp_delivered
 let lcp_delivered t = t.lcp_delivered
 
-(* Reorder [a.(0 .. n-1)] so that [a.(k)] holds its k-th order
-   statistic (in [Float.compare] order, the order [Array.sort compare]
-   gives), with no larger element before it and no smaller one after
-   it: quickselect with a median-of-three pivot and a three-way
-   partition, so runs of equal values do not degrade it. *)
-let select (a : float array) n k =
-  let swap i j =
-    let x = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- x
-  in
-  let lo = ref 0 and hi = ref (n - 1) in
-  while !lo < !hi do
-    let x = a.(!lo) and y = a.((!lo + !hi) / 2) and z = a.(!hi) in
-    let pivot =
-      if Float.compare x y < 0 then
-        (if Float.compare y z < 0 then y
-         else if Float.compare x z < 0 then z else x)
-      else if Float.compare x z < 0 then x
-      else if Float.compare y z < 0 then z else y
-    in
-    (* [lo, lt) < pivot, [lt, i) = pivot, (gt, hi] > pivot *)
-    let lt = ref !lo and i = ref !lo and gt = ref !hi in
-    while !i <= !gt do
-      let c = Float.compare a.(!i) pivot in
-      if c < 0 then begin swap !lt !i; incr lt; incr i end
-      else if c > 0 then begin swap !i !gt; decr gt end
-      else incr i
-    done;
-    if k < !lt then hi := !lt - 1
-    else if k > !gt then lo := !gt + 1
-    else begin lo := k; hi := k end
-  done
-
 let check_p p =
   if not (p >= 0. && p <= 100.) then
     invalid_arg "Fct.percentile: p must be in [0, 100]"
 
-(* Interpolating percentile over [a.(0 .. n-1)], which it reorders:
-   rank p/100*(n-1), linear between the surrounding order statistics.
-   Every percentile this module reports goes through here. The i-th
-   order statistic comes from [select], the (i+1)-th is the least of
-   the part above it, so no sort is needed and the result is that of a
-   sort. *)
-let percentile_in p a n =
+(* Percentiles interpolate between two order statistics: rank
+   p/100*(n-1), linear between the i-th and (i+1)-th smallest of the n
+   values, i = floor rank. Every percentile this module reports goes
+   through here, and none keeps a sample of every value: a fold offers
+   each value to a min-heap (in [Float.compare] order, the order
+   [Array.sort compare] gives) of the largest ones seen, and the
+   percentile pops that heap down to order statistic i.
+
+   The heap needs the n - i largest values. With q = p/100,
+   n - floor (q*(n-1)) = ceil ((1-q)*n + q) <= ceil ((1-q)*n) + 1, and
+   one slot more covers the float rounding of the rank and of this
+   bound. The bound does not shrink as n grows, so one sized from the
+   count known before a pass (every record, or every value) holds for
+   any bin of them. *)
+let heap p count =
   check_p p;
+  let tail = (1. -. (p /. 100.)) *. float_of_int count in
+  Array.make (Int.min count (int_of_float (Float.ceil tail) + 2)) 0.
+
+(* [Float.compare x y < 0], NaN below every other value, in plain
+   comparisons: the folds ran faster with these than with
+   [Float.compare]. *)
+let[@inline] lt (x : float) y = x < y || (x <> x && y = y)
+
+(* Min-heap primitives on [a.(0 .. len-1)]; they take no float
+   argument, so calling them boxes nothing. *)
+let sift_up (a : float array) j =
+  let x = a.(j) and j = ref j in
+  while !j > 0 && lt x a.((!j - 1) / 2) do
+    a.(!j) <- a.((!j - 1) / 2);
+    j := (!j - 1) / 2
+  done;
+  a.(!j) <- x
+
+let sift_down (a : float array) len j =
+  let x = a.(j) and j = ref j and moving = ref true in
+  while !moving do
+    let c = (2 * !j) + 1 in
+    let c =
+      if c + 1 < len && lt a.(c + 1) a.(c) then c + 1 else c
+    in
+    if c < len && lt a.(c) x then begin
+      a.(!j) <- a.(c);
+      j := c
+    end
+    else moving := false
+  done;
+  a.(!j) <- x
+
+(* Offer [x], the value after [seen] others, to the heap [a]: kept
+   while the heap has room, else in place of the least value when it
+   is larger. Inlined into each fold, so [x] is never boxed. *)
+let[@inline] offer a seen x =
+  if seen < Array.length a then begin
+    a.(seen) <- x;
+    sift_up a seen
+  end
+  else if lt a.(0) x then begin
+    a.(0) <- x;
+    sift_down a (Array.length a) 0
+  end
+
+(* Remove the least of [a.(0 .. len-1)]. *)
+let pop a len =
+  a.(0) <- a.(len - 1);
+  sift_down a (len - 1) 0
+
+(* The percentile p of the [n] values offered to [a], which it empties. *)
+let heap_percentile p a n =
   if n = 0 then nan
   else begin
     let rank = p /. 100. *. float_of_int (n - 1) in
     let i = int_of_float rank in
-    if i >= n - 1 then begin
-      select a n (n - 1);
-      a.(n - 1)
-    end else begin
-      select a n i;
-      let next = ref a.(i + 1) in
-      for j = i + 2 to n - 1 do
-        if Float.compare a.(j) !next < 0 then next := a.(j)
-      done;
-      let frac = rank -. float_of_int i in
-      a.(i) +. ((!next -. a.(i)) *. frac)
+    let len = ref (Int.min n (Array.length a)) in
+    (* a.(0) is order statistic n - !len *)
+    assert (i >= n - !len);
+    for _ = n - !len + 1 to i do
+      pop a !len;
+      decr len
+    done;
+    let x = a.(0) in
+    if i >= n - 1 then x
+    else begin
+      pop a !len;
+      x +. ((a.(0) -. x) *. (rank -. float_of_int i))
     end
   end
 
 let percentile_of_values p xs =
-  let a = Array.of_list xs in
-  percentile_in p a (Array.length a)
+  let n = List.length xs in
+  let top = heap p n and k = ref 0 and xs = ref xs in
+  while !xs != [] do
+    match !xs with
+    | [] -> ()
+    | x :: rest ->
+      offer top !k x;
+      incr k;
+      xs := rest
+  done;
+  heap_percentile p top n
 
 (* The statistics below are folds of one shape: a while loop down the
    record list, newest first, so every float sum adds the same terms in
    the same order as a [List.fold_left] over the filtered list would,
    and no closure captures an accumulator, so the float refs stay
-   unboxed. Percentile samples go into one float array with room for
-   every record. *)
+   unboxed. A percentile offers its values to one heap sized from
+   [count t]. *)
 
 let[@inline] in_bin ~lo ~hi r = r.size > lo && r.size <= hi
 
@@ -147,18 +184,18 @@ let avg ?(lo = 0) ?(hi = max_int) t =
   if !k = 0 then nan else !sum /. float_of_int !k
 
 let percentile ?(lo = 0) ?(hi = max_int) t p =
-  let a = Array.make t.n 0. and k = ref 0 and rs = ref t.records in
+  let top = heap p t.n and k = ref 0 and rs = ref t.records in
   while !rs != [] do
     match !rs with
     | [] -> ()
     | r :: rest ->
       if in_bin ~lo ~hi r then begin
-        a.(!k) <- fct_ms r;
+        offer top !k (fct_ms r);
         incr k
       end;
       rs := rest
   done;
-  percentile_in p a !k
+  heap_percentile p top !k
 
 type summary = {
   flows : int;
@@ -178,7 +215,7 @@ let summarize t =
   let all = ref 0. and n_all = ref 0 in
   let small = ref 0. and n_small = ref 0 in
   let large = ref 0. and n_large = ref 0 in
-  let sample = Array.make t.n 0. and rs = ref t.records in
+  let top = heap 99. t.n and rs = ref t.records in
   while !rs != [] do
     match !rs with
     | [] -> ()
@@ -190,7 +227,7 @@ let summarize t =
       end;
       if in_bin ~lo:0 ~hi:cutoff r then begin
         small := !small +. ms;
-        sample.(!n_small) <- ms;
+        offer top !n_small ms;
         incr n_small
       end;
       if r.size > cutoff then begin
@@ -203,16 +240,20 @@ let summarize t =
   { flows = t.n;
     overall_avg = mean !all !n_all;
     small_avg = mean !small !n_small;
-    small_p99 = percentile_in 99. sample !n_small;
+    small_p99 = heap_percentile 99. top !n_small;
     large_avg = mean !large !n_large;
     total_retrans = t.retrans;
     hcp_bytes = t.hcp_payload;
     lcp_bytes = t.lcp_payload }
 
-(* Normalized FCT (slowdown): a flow's completion time divided by the
-   time an ideal, unloaded network of the given rate would need
-   (serialization at line rate plus one base RTT). Homa-style papers
-   report this instead of raw FCT. *)
+(* Normalized FCT (slowdown), as Homa-style papers report it: a flow's
+   completion time over [tx_time rate size + base_rtt], its payload's
+   serialization at [rate] plus [base_rtt]; the callers pass the edge
+   rate and the fabric-wide base RTT. That is neither the flow's FCT on
+   an idle network nor a lower bound on it: FCT ends one way, when the
+   receiver holds the last byte, and an intra-rack flow crosses no core
+   link the base RTT counts, so a flow can read below 1. ROADMAP item
+   11 has the exact idle FCT that should replace it. *)
 let[@inline] slowdown ~rate ~base_rtt r =
   let ideal =
     Units.tx_time ~rate ~bytes:r.size + base_rtt
@@ -221,7 +262,7 @@ let[@inline] slowdown ~rate ~base_rtt r =
 
 let slowdown_stats ?(lo = 0) ?(hi = max_int) ~rate ~base_rtt t =
   let sum = ref 0. and k = ref 0 in
-  let sample = Array.make t.n 0. and rs = ref t.records in
+  let top = heap 99. t.n and rs = ref t.records in
   while !rs != [] do
     match !rs with
     | [] -> ()
@@ -229,7 +270,7 @@ let slowdown_stats ?(lo = 0) ?(hi = max_int) ~rate ~base_rtt t =
       if in_bin ~lo ~hi r then begin
         let x = slowdown ~rate ~base_rtt r in
         sum := !sum +. x;
-        sample.(!k) <- x;
+        offer top !k x;
         incr k
       end;
       rs := rest
@@ -239,7 +280,7 @@ let slowdown_stats ?(lo = 0) ?(hi = max_int) ~rate ~base_rtt t =
     (* interpolated, like every other percentile here — the former
        index formula [0.99 * n] degenerated to the sample maximum for
        n <= 100 *)
-    (!sum /. float_of_int !k, percentile_in 99. sample !k)
+    (!sum /. float_of_int !k, heap_percentile 99. top !k)
 
 (* Jain's fairness index over per-flow average throughput (bytes per
    unit of flow lifetime): 1.0 = perfectly fair. *)
