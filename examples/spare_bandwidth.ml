@@ -32,25 +32,24 @@ let () =
        (Float.log2 (float_of_int ctx.Context.bdp /. 14_600.)) + 1);
   let flow = Flow.create ~id:0 ~src:0 ~dst:2 ~size:4_000_000 ~start:0 in
   let params = Reliable.default_params ~ecn_capable:true () in
-  let snd = Reliable.create ctx flow params in
+  (* DCTCP with PPT's LCP on top; the LCP's state is the sender's
+     [ext], and creating the sender arms its case-1 loop *)
+  let lcp = Lcp.create ~ewd:true in
+  let snd = Reliable.create ctx flow params (Lcp.policy Dctcp.policy) lcp in
   let rcv = Receiver.create ~lcp_batch:2 ctx flow in
-  let view = Dctcp.attach snd in
-  let lcp = Lcp.create ctx snd view ~identified_large:false () in
-  Lcp.start lcp;
   let net = ctx.Context.net in
   Net.register net ~host:0 ~flow:0 (fun p ->
       if p.Packet.kind = Packet.Ack then Reliable.on_ack snd p);
   Net.register net ~host:2 ~flow:0 (fun p ->
       if p.Packet.kind = Packet.Data then Receiver.on_data rcv p);
-  flow.Flow.teardown <- (fun () ->
-      Lcp.shutdown lcp; Reliable.shutdown snd);
+  flow.Flow.teardown <- (fun () -> Reliable.shutdown snd);
   Format.printf "   t(us)   cwnd(KB)  alpha  lcp   hcp-KB   lcp-KB@.";
   let rec trace () =
     if not (Flow.is_finished flow) then begin
       Format.printf "%8.0f %10.1f %6.3f %5s %8d %8d@."
         (Units.to_us (Sim.now sim))
         (Reliable.cwnd snd /. 1e3)
-        (view.Dctcp.alpha ())
+        (snd.Reliable.policy.Reliable.alpha snd)
         (if Lcp.is_open lcp then "OPEN" else "-")
         (flow.Flow.hcp_payload / 1000)
         (flow.Flow.lcp_payload / 1000);

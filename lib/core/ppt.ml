@@ -30,60 +30,52 @@ let default_params =
     lcp_ecn = true; ewd = true; scheduling = true; identification = true }
 
 (* Swift and HPCC have no alpha. Their spare-capacity predicate plays
-   the role of a vanishing alpha (0 while it holds, 1 otherwise), and
-   W_max tracks the window at every observation-window boundary. *)
-let window_view snd ~spare =
-  let wmax = ref 0. in
-  let windows = ref 0 in
-  let on_rtt = ref (fun () -> ()) in
-  snd.Reliable.hook_on_window <- (fun s ~f:_ ->
-      incr windows;
-      wmax := Float.max !wmax (Reliable.cwnd s);
-      !on_rtt ());
-  { Dctcp.alpha = (fun () -> if spare () then 0.0 else 1.0);
-    wmax = (fun () -> !wmax);
-    in_ca = (fun () -> !windows > 1);
-    rtt_hook = (fun f -> on_rtt := f) }
+   the role of a vanishing alpha (0 while it holds, 1 otherwise), read
+   when the LCP asks; W_max tracks the window at every
+   observation-window boundary, and the startup phase ends at the
+   second. *)
+let window_view ~spare base =
+  { base with
+    Reliable.on_window = (fun s ~marked:_ ~acked:_ ->
+        let cc = s.Reliable.cc in
+        s.Reliable.windows <- s.Reliable.windows + 1;
+        cc.Reliable.wmax <- Float.max cc.Reliable.wmax cc.Reliable.cwnd);
+    alpha = (fun s -> if spare s then 0.0 else 1.0);
+    in_ca = (fun s -> s.Reliable.windows > 1) }
 
-(* Install the primary loop and present it to the LCP. A loop opens
-   under Swift while the fabric delay is below target, and under HPCC
-   while the flow's in-flight bytes sit below the BDP. *)
-let attach_hcp hcp ctx snd =
-  match hcp with
-  | Dctcp -> Dctcp.attach snd
-  | Swift -> window_view snd ~spare:(Swift.attach ctx snd)
-  | Hpcc ->
-    Hpcc.attach ctx snd;
-    window_view snd
-      ~spare:(fun () -> Reliable.inflight snd < ctx.Context.bdp)
+(* The primary loop as the LCP sees it. A loop opens under Swift while
+   the fabric delay is below target, and under HPCC while the flow's
+   in-flight bytes sit below the BDP. *)
+let below_bdp s = Reliable.inflight s < s.Reliable.ctx.Context.bdp
 
+let controller = function
+  | Dctcp -> Dctcp.policy
+  | Swift -> window_view ~spare:Swift.spare Swift.policy
+  | Hpcc -> window_view ~spare:below_bdp Hpcc.policy
+
+let scheduled ~large ~bytes_sent ~loop =
+  Tagging.prio ~identified_large:large ~loop ~bytes_sent
+
+let unscheduled ~large:_ ~bytes_sent ~loop =
+  Tagging.unscheduled ~loop ~bytes_sent
+
+(* Everything but the flow's identification and its LCP state is
+   built once per transport. *)
 let make ?(hcp = Dctcp) ?(params = default_params) () =
   (* DCTCP reacts to ECN; Swift and HPCC do not mark primary data *)
   let ecn_capable = (match hcp with Dctcp -> true | Swift | Hpcc -> false) in
+  let tagger = if params.scheduling then scheduled else unscheduled in
+  let rel_params =
+    Reliable.default_params ~ecn_capable ~lcp_ecn_capable:params.lcp_ecn
+      ~sendbuf_bytes:params.sendbuf.Sendbuf.capacity ~tagger ()
+  in
+  let window =
+    Endpoint.window ~params:rel_params ~lcp_batch:2
+      (Lcp.policy (controller hcp))
+  in
   fun ctx flow ->
-    let identified =
+    flow.Flow.identified_large <-
       params.identification
       && Sendbuf.identify params.sendbuf ctx.Context.rng
-        ~flow_size:flow.Flow.size
-    in
-    let tagger =
-      if params.scheduling then
-        fun ~bytes_sent ~loop ->
-          Tagging.prio ~identified_large:identified ~loop ~bytes_sent
-      else
-        fun ~bytes_sent ~loop -> Tagging.unscheduled ~loop ~bytes_sent
-    in
-    let rel_params =
-      Reliable.default_params ~ecn_capable ~lcp_ecn_capable:params.lcp_ecn
-        ~sendbuf_bytes:params.sendbuf.Sendbuf.capacity ~tagger ()
-    in
-    Endpoint.window ~params:rel_params ~lcp_batch:2
-      (fun snd ->
-         let view = attach_hcp hcp ctx snd in
-         let lcp =
-           Lcp.create ctx snd view ~ewd:params.ewd
-             ~identified_large:identified ()
-         in
-         Lcp.start lcp;
-         fun () -> Lcp.shutdown lcp)
-      ctx flow
+        ~flow_size:flow.Flow.size;
+    window (Lcp.create ~ewd:params.ewd) ctx flow

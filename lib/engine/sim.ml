@@ -395,7 +395,9 @@ let reserve t n =
   end;
   first
 
-let rec is_reserved tie = function
+(* [tie] is typed: left polymorphic, the comparisons would be calls to
+   the generic compare on every flow start. *)
+let rec is_reserved (tie : int) = function
   | [] -> false
   | (lo, hi) :: rest -> (lo <= tie && tie <= hi) || is_reserved tie rest
 

@@ -620,7 +620,7 @@ let tab2 = exp_ "tab2" "workload flow-size statistics" @@ whole @@ fun ppf ->
   Table.header ppf [ "small-%"; "large-%"; "avg-size-MB" ];
   List.iter
     (fun { Dists.dist_name; cdf } ->
-       let small = Cdf.fraction_below cdf Dists.small_flow_cutoff in
+       let small = Cdf.fraction_below cdf Fct.cutoff in
        Table.row ppf dist_name
          [ 100. *. small; 100. *. (1. -. small); Cdf.mean cdf /. 1e6 ])
     Dists.all
@@ -735,7 +735,7 @@ let ext5 = exp_ "ext5" "slowdown and fairness view" @@ fun o ->
     let rate = r.Runner.edge_rate and base_rtt = r.Runner.base_rtt in
     let mean, p99 = Fct.slowdown_stats ~rate ~base_rtt fct in
     let _, small_p99 =
-      Fct.slowdown_stats ~hi:Dists.small_flow_cutoff ~rate ~base_rtt fct
+      Fct.slowdown_stats ~hi:Fct.cutoff ~rate ~base_rtt fct
     in
     Table.row ppf r.Runner.r_scheme
       [ mean; p99; small_p99; Fct.jain_fairness fct ]

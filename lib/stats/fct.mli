@@ -59,8 +59,9 @@ type summary = {
 }
 
 val cutoff : int
-(** 100KB, the paper's small/large boundary: small flows are those up
-    to it, large ones above it. *)
+(** 100KB, the paper's small/large boundary (Table 2): small flows are
+    those up to it, large ones above it. The one copy: [summarize],
+    the tables and figures and [ppt_sim run] all read it. *)
 
 val summarize : t -> summary
 (** One pass over the records. It allocates the p99 heap, a float array

@@ -16,15 +16,13 @@ let connect ctx (flow : Flow.t) ~at_src ~at_dst =
   Net.register net ~host:flow.Flow.src ~flow:flow.Flow.id at_src;
   Net.register net ~host:flow.Flow.dst ~flow:flow.Flow.id at_dst
 
-(* Standard wiring for window-based (sender-driven) transports.
-
-   [setup] attaches congestion control (and, for PPT, the LCP loop) to
-   the freshly created sender; it returns an extra teardown thunk for
-   any timers it created. *)
-let window ~params ?lcp_batch setup ctx flow =
-  let snd = Reliable.create ctx flow params in
+(* Standard wiring for window-based (sender-driven) transports: the
+   sender runs [policy] over [ext], the transport's own per-flow state;
+   [Reliable.create] runs the policy's [init] and the flow's teardown
+   ([Reliable.shutdown]) its [release]. *)
+let window ~params ?lcp_batch policy ext ctx flow =
+  let snd = Reliable.create ctx flow params policy ext in
   let rcv = Receiver.create ?lcp_batch ctx flow in
-  let teardown_extra = setup snd in
   connect ctx flow
     ~at_src:(fun p ->
         match p.Packet.kind with
@@ -36,9 +34,7 @@ let window ~params ?lcp_batch setup ctx flow =
         | Packet.Data -> Receiver.on_data rcv p
         | Packet.Ack | Packet.Grant | Packet.Pull | Packet.Nack
         | Packet.Ctrl -> ());
-  flow.Flow.teardown <- (fun () ->
-      Reliable.shutdown snd;
-      teardown_extra ());
+  flow.Flow.teardown <- (fun () -> Reliable.shutdown snd);
   Reliable.start snd
 
 (* Flow starts go through a cursor: the launch reserves one tie per

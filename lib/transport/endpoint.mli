@@ -13,15 +13,17 @@ val connect :
     hosts. {!Context.flow_finished} unregisters them. *)
 
 val window :
-  params:Reliable.params -> ?lcp_batch:int ->
-  (Reliable.t -> unit -> unit) -> factory
-(** [window ~params setup] is a window-based transport. For each flow
-    it creates sender and receiver state ([lcp_batch] as in
-    {!Receiver.create}), registers both packet handlers, runs [setup]
-    on the sender (which attaches congestion control, reading the flow
-    through {!Reliable.flow}, and returns an extra teardown thunk),
-    makes the flow's teardown stop the sender and run that thunk, and
-    starts transmitting. *)
+  params:Reliable.params -> ?lcp_batch:int -> 'x Reliable.policy -> 'x ->
+  factory
+(** [window ~params policy ext] is a window-based transport. For each
+    flow it creates the sender ({!Reliable.create}, which runs the
+    policy's [init] over [ext], the transport's own per-flow state,
+    [()] for a plain controller) and the receiver ([lcp_batch] as in
+    {!Receiver.create}), registers both packet handlers, makes the
+    flow's teardown {!Reliable.shutdown} (which runs the policy's
+    [release]) and starts transmitting. Apply it to [params], [policy]
+    and, for a stateless [ext], [ext] once per transport, so a flow
+    start allocates no closure for them. *)
 
 val launch :
   Context.t -> (Flow.t -> unit) -> n:int ->

@@ -24,6 +24,7 @@ type t = {
   mutable cum : int;                (* first segment not yet held *)
   mutable finished : Units.time option;
   mutable granted : int;            (* segments the receiver let go *)
+  mutable identified_large : bool;  (* PPT: first write marked it large *)
   mutable teardown : unit -> unit;  (* set by the transport *)
 }
 
@@ -35,7 +36,7 @@ let create ~id ~src ~dst ~size ~start =
     retrans = 0; hcp_payload = 0; lcp_payload = 0;
     hcp_delivered = 0; lcp_delivered = 0;
     bitmap = Bytes.make nseg '\000'; held = 0; cum = 0; finished = None;
-    granted = 0; teardown = ignore }
+    granted = 0; identified_large = false; teardown = ignore }
 
 let of_spec (s : Ppt_workload.Trace.spec) =
   create ~id:s.id ~src:s.src ~dst:s.dst ~size:s.size ~start:s.start
@@ -63,4 +64,5 @@ let accept t (p : Packet.t) =
 
 let complete t = t.held = t.nseg
 
-let is_finished t = t.finished <> None
+let is_finished t =
+  match t.finished with Some _ -> true | None -> false

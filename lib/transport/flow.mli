@@ -30,6 +30,10 @@ type t = {
   (** Segments the receiver has let the sender send (Homa's grants,
       ExpressPass's credits); 0 until a receiver-driven transport sets
       it. *)
+  mutable identified_large : bool;
+  (** PPT's buffer-aware identification (§4.1) found the flow large at
+      its first write; [false] until a transport sets it. The sender's
+      tagger reads it. *)
   mutable teardown : unit -> unit;
   (** Set by the transport: stops the flow's endpoints and cancels
       their timers. {!Context.flow_finished} runs it once, before

@@ -19,33 +19,35 @@ let replay_segs = 8             (* how much tail to replay *)
 (* large flows keep the default initial window (IW10) *)
 let base = Reliable.default_params ~ecn_capable:false ()
 
+let small (flow : Flow.t) = flow.Flow.size <= burst_threshold
+
+(* replay: duplicate the tail right after the burst; the receiver
+   discards duplicates, and a dropped tail segment arrives without
+   waiting for an RTO *)
+let replay (s : unit Reliable.t) =
+  let nseg = s.Reliable.flow.Flow.nseg in
+  let lo = Int.max 0 (nseg - replay_segs) in
+  for seq = nseg - 1 downto lo do
+    if Reliable.seg_state s seq <> Reliable.st_sacked then
+      Reliable.send_lcp_segment ~prio:0 s seq
+  done
+
+let policy =
+  { Tcp.policy with
+    Reliable.init = (fun s ->
+        if small s.Reliable.flow then begin
+          let ctx = s.Reliable.ctx in
+          ignore
+            (Sim.schedule ctx.Context.sim ~after:(ctx.Context.base_rtt / 2)
+               (fun () -> replay s))
+        end) }
+
 let make () ctx flow =
-  let small = flow.Flow.size <= burst_threshold in
   let params =
-    if small then
+    if small flow then
       { base with
         Reliable.initial_cwnd =
           Int.max flow.Flow.size base.Reliable.initial_cwnd }
     else base
   in
-  Endpoint.window ~params
-    (fun snd ->
-       Tcp.attach snd;
-       if small then begin
-         (* replay: duplicate the tail right after the burst; the
-            receiver discards duplicates, and a dropped tail segment
-            arrives without waiting for an RTO *)
-         let replay () =
-           let nseg = flow.Flow.nseg in
-           let lo = Int.max 0 (nseg - replay_segs) in
-           for seq = nseg - 1 downto lo do
-             if Reliable.seg_state snd seq <> Reliable.st_sacked then
-               Reliable.send_lcp_segment ~prio:0 snd seq
-           done
-         in
-         ignore
-           (Sim.schedule ctx.Context.sim
-              ~after:(ctx.Context.base_rtt / 2) replay)
-       end;
-       fun () -> ())
-    ctx flow
+  Endpoint.window ~params policy () ctx flow

@@ -21,88 +21,89 @@ open Ppt_netsim
 let eta = 0.95            (* target utilization *)
 let wai_segs = 0.5        (* additive increase in segments *)
 
-type hop_memory = {
-  mutable prev_tx_bytes : int;
-  mutable prev_ts : Units.time;
-  mutable valid : bool;
-}
+(* Each hop's previous telemetry sample sits in the sender's [hops]
+   array, three ints a hop: cumulative tx bytes, timestamp, and 1 once
+   the hop has a sample. *)
+let ensure_hops (s : _ Reliable.t) n_hops =
+  let have = Array.length s.Reliable.hops in
+  if have < 3 * n_hops then begin
+    let hops = Array.make (3 * n_hops) 0 in
+    Array.blit s.Reliable.hops 0 hops 0 have;
+    s.Reliable.hops <- hops
+  end
 
-let attach ctx (s : Reliable.t) =
-  let mssf = float_of_int (Reliable.mss s) in
-  let wai = wai_segs *. mssf in
-  let t_ns = float_of_int ctx.Context.base_rtt in
-  let hops : (int, hop_memory) Hashtbl.t = Hashtbl.create 8 in
-  let w_ref = ref (Reliable.cwnd s) in
-  let last_ref_update = ref 0 in
-  let hop_mem i =
-    match Hashtbl.find_opt hops i with
-    | Some m -> m
-    | None ->
-      let m = { prev_tx_bytes = 0; prev_ts = 0; valid = false } in
-      Hashtbl.add hops i m;
-      m
-  in
-  (* Returns [None] until the hop has two telemetry samples: without a
-     previous (tx_bytes, ts) pair the rate term is unknown and a naive
-     U ~ 0 would explode the window on the very first ACK. *)
-  let hop_utilization i (tel : Packet.t) =
-    let m = hop_mem i in
-    let tx_bytes = Packet.tel_tx_bytes tel i in
-    let ts = Packet.tel_ts tel i in
-    let rate_bits = float_of_int (Packet.tel_rate tel i) in
-    let qterm =
-      (* qlen / (B * T): queueing bytes against one BDP of the hop *)
-      float_of_int (Packet.tel_qlen tel i * 8)
-      /. (rate_bits *. (t_ns /. 1e9))
-    in
-    let txterm =
-      if m.valid && ts > m.prev_ts then begin
-        let dbytes = tx_bytes - m.prev_tx_bytes in
-        let dt_s = float_of_int (ts - m.prev_ts) /. 1e9 in
-        Some (float_of_int (dbytes * 8) /. dt_s /. rate_bits)
-      end else None
-    in
-    let had_sample = m.valid in
-    m.prev_tx_bytes <- tx_bytes;
-    m.prev_ts <- ts;
-    m.valid <- true;
-    match txterm with
-    | Some tx -> Some (qterm +. tx)
-    | None -> if had_sample then Some qterm else None
-  in
-  s.Reliable.hook_on_ack <- (fun s ai ->
-      let tel = Packet.of_id ai.Reliable.ai_tel in
-      let n_hops = Packet.tel_count tel in
-      if n_hops > 0 then begin
-        (* every hop's memory is updated even while U is still unknown
-           (warm-up), exactly as the per-hop estimator requires *)
-        let u = ref (Some 0.) in
-        for i = 0 to n_hops - 1 do
-          (match !u, hop_utilization i tel with
-           | Some acc, Some hu -> u := Some (Float.max acc hu)
-           | _, _ -> u := None)
-        done;
-        match !u with
-        | None -> ()   (* warm-up: telemetry not yet rate-capable *)
-        | Some u ->
-          let u = Float.max u 0.05 in
-          let w = (!w_ref /. (u /. eta)) +. wai in
-          (* bound the per-update ramp, as HPCC's maxStage does *)
-          let w = Float.min w (2. *. !w_ref) in
-          Reliable.set_cwnd s w;
-          let now = Sim.now ctx.Context.sim in
-          if now - !last_ref_update > ctx.Context.base_rtt then begin
-            w_ref := Reliable.cwnd s;
-            last_ref_update := now
-          end
-      end);
-  s.Reliable.hook_on_loss <- (fun s ->
-      Reliable.set_cwnd s (Reliable.cwnd s /. 2.);
-      w_ref := Reliable.cwnd s);
-  s.Reliable.hook_on_timeout <- (fun s ->
-      Reliable.set_cwnd s mssf;
-      w_ref := Reliable.cwnd s)
+(* U = max_j u_j, folded over the ACK's hops; the reference window
+   W_ref is the sender's [cc.w_ref], refreshed at most once per RTT
+   (the last refresh's time in its [epoch]). *)
+let on_ack (s : _ Reliable.t) tel ~newly:_ =
+  let n_hops = Packet.tel_count tel in
+  if n_hops > 0 then begin
+    let ctx = s.Reliable.ctx in
+    let cc = s.Reliable.cc in
+    let t_ns = float_of_int ctx.Context.base_rtt in
+    ensure_hops s n_hops;
+    let hops = s.Reliable.hops in
+    (* every hop's memory is updated even while U is still unknown
+       (warm-up), exactly as the per-hop estimator requires. A hop
+       without a previous (tx_bytes, ts) pair leaves U unknown: its
+       rate term is, and a naive U ~ 0 would explode the window on the
+       very first ACK. *)
+    let u = ref 0. and known = ref true in
+    for i = 0 to n_hops - 1 do
+      let j = 3 * i in
+      let tx_bytes = Packet.tel_tx_bytes tel i in
+      let ts = Packet.tel_ts tel i in
+      let rate_bits = float_of_int (Packet.tel_rate tel i) in
+      let qterm =
+        (* qlen / (B * T): queueing bytes against one BDP of the hop *)
+        float_of_int (Packet.tel_qlen tel i * 8)
+        /. (rate_bits *. (t_ns /. 1e9))
+      in
+      if hops.(j + 2) = 0 then known := false
+      else begin
+        let hu =
+          if ts > hops.(j + 1) then begin
+            let dbytes = tx_bytes - hops.(j) in
+            let dt_s = float_of_int (ts - hops.(j + 1)) /. 1e9 in
+            qterm +. (float_of_int (dbytes * 8) /. dt_s /. rate_bits)
+          end else qterm
+        in
+        u := Float.max !u hu
+      end;
+      hops.(j) <- tx_bytes;
+      hops.(j + 1) <- ts;
+      hops.(j + 2) <- 1
+    done;
+    (* warm-up: telemetry not yet rate-capable *)
+    if !known then begin
+      let mssf = float_of_int (Reliable.mss s) in
+      let wai = wai_segs *. mssf in
+      let u = Float.max !u 0.05 in
+      let w = (cc.Reliable.w_ref /. (u /. eta)) +. wai in
+      (* bound the per-update ramp, as HPCC's maxStage does *)
+      let w = Float.min w (2. *. cc.Reliable.w_ref) in
+      Reliable.set_cwnd s w;
+      let now = Sim.now ctx.Context.sim in
+      if now - s.Reliable.epoch > ctx.Context.base_rtt then begin
+        cc.Reliable.w_ref <- cc.Reliable.cwnd;
+        s.Reliable.epoch <- now
+      end
+    end
+  end
+
+let on_loss (s : _ Reliable.t) =
+  let cc = s.Reliable.cc in
+  Reliable.set_cwnd s (cc.Reliable.cwnd /. 2.);
+  cc.Reliable.w_ref <- cc.Reliable.cwnd
+
+let on_timeout (s : _ Reliable.t) =
+  let cc = s.Reliable.cc in
+  Reliable.set_cwnd s (float_of_int (Reliable.mss s));
+  cc.Reliable.w_ref <- cc.Reliable.cwnd
+
+let policy =
+  { Reliable.default_policy with Reliable.on_ack; on_loss; on_timeout }
 
 let make () =
   Endpoint.window ~params:(Reliable.default_params ~ecn_capable:false ())
-    (fun snd -> attach snd.Reliable.ctx snd; fun () -> ())
+    policy ()

@@ -1,7 +1,7 @@
 (** HPCC [25]: high-precision congestion control from inband
     telemetry. Requires the fabric to run with INT collection. *)
 
-val attach : Context.t -> Reliable.t -> unit
+val policy : 'x Reliable.policy
 (** Drive the sender's window from telemetry: target utilization 0.95,
     additive increase of half a segment per update. *)
 

@@ -15,8 +15,10 @@ let demotion =
 
 (* Thresholds crossed from the [i]th on. Top level rather than local
    to its callers: a local recursive function would be a closure
-   allocated for every packet tagged. *)
-let rec crossed_from thresholds bytes_sent i =
+   allocated for every packet tagged. The types are written out: left
+   polymorphic, [>=] would be a call to the generic compare for every
+   packet tagged. *)
+let rec crossed_from (thresholds : int array) (bytes_sent : int) i =
   if i >= Array.length thresholds then i
   else if bytes_sent >= thresholds.(i) then
     crossed_from thresholds bytes_sent (i + 1)
@@ -28,6 +30,6 @@ let prio_of ~bytes_sent =
   Int.min (Prio_queue.n_prios - 1) (crossed demotion ~bytes_sent)
 
 let make () =
-  let tagger ~bytes_sent ~loop:_ = prio_of ~bytes_sent in
-  Endpoint.window ~params:(Reliable.default_params ~tagger ())
-    (fun snd -> ignore (Dctcp.attach snd); fun () -> ())
+  let tagger ~large:_ ~bytes_sent ~loop:_ = prio_of ~bytes_sent in
+  Endpoint.window ~params:(Reliable.default_params ~tagger ()) Dctcp.policy
+    ()

@@ -5,8 +5,11 @@
    fast retransmit with NewReno-style recovery, retransmission
    timeouts with exponential backoff, a send-buffer availability
    window, and the congestion-window gate. The congestion-control
-   *policy* is injected through hook closures so DCTCP, Swift, HPCC,
-   PIAS and PPT's HCP all reuse this machinery.
+   *policy* is a record of plain functions chosen once per transport
+   (the analogue of Linux's [tcp_congestion_ops]); it acts on the
+   sender, whose controller state sits in one flat float record, so
+   DCTCP, TCP, Swift, HPCC, PIAS and PPT's HCP all reuse this
+   machinery without a closure or a float box per flow or per ack.
 
    PPT specifics supported here (§5):
    - a second, low-priority loop transmits tail segments through
@@ -15,26 +18,11 @@
      so the primary loop never double-counts them in flight;
    - a low-priority ACK updates the SACK scoreboard and advances
      [snd_nxt] past data the LCP already delivered in order (the
-     "crossed paths" tweak of §5.2), then is handed to [hook_on_lcp_ack]
-     for the EWD logic. *)
+     "crossed paths" tweak of §5.2), then is handed to the policy's
+     [on_lcp_ack] for the EWD logic. *)
 
 open Ppt_engine
 open Ppt_netsim
-
-(* One scratch record per sender, refilled for every ack (hooks run
-   synchronously and none retains it) — so ack processing allocates
-   nothing. All fields are therefore mutable; treat the record as
-   borrowed for the duration of the hook call. *)
-type ack_info = {
-  mutable ai_cum : int;
-  mutable ai_ece : bool;
-  mutable ai_data_tx : Units.time;
-  mutable ai_tel : int;
-  (* id of the ack packet carrying echoed telemetry — valid only during
-     the synchronous hook call; an int, so filling it is no barrier *)
-  mutable ai_newly_acked : int;  (* payload bytes newly confirmed *)
-  mutable ai_cum_advanced : bool;
-}
 
 (* Per-segment states. *)
 let st_unsent = '\000'
@@ -48,22 +36,33 @@ type params = {
   ecn_capable : bool;
   lcp_ecn_capable : bool;               (* ECN on low-priority-loop data *)
   sendbuf_bytes : int;                  (* send-buffer capacity *)
-  tagger : bytes_sent:int -> loop:Packet.loop -> int;
+  tagger : large:bool -> bytes_sent:int -> loop:Packet.loop -> int;
 }
 
 let default_params ?(initial_cwnd = 10 * Packet.max_payload)
     ?(ecn_capable = true) ?(lcp_ecn_capable = true)
-    ?(sendbuf_bytes = max_int) ?(tagger = fun ~bytes_sent:_ ~loop:_ -> 0)
-    () =
+    ?(sendbuf_bytes = max_int)
+    ?(tagger = fun ~large:_ ~bytes_sent:_ ~loop:_ -> 0) () =
   { initial_cwnd; ecn_capable; lcp_ecn_capable; sendbuf_bytes; tagger }
 
-type t = {
+(* Every field a float, so OCaml stores the record flat and an update
+   is a plain store: a float field of the mixed sender record below
+   would box every new value. *)
+type cc = {
+  mutable cwnd : float;
+  mutable ssthresh : float;
+  mutable alpha : float;
+  mutable wmax : float;
+  mutable w_ref : float;
+}
+
+type 'x t = {
   ctx : Context.t;
   flow : Flow.t;
   p : params;
   mss : int;
   seg : Bytes.t;
-  mutable cwnd : float;
+  cc : cc;
   mutable snd_nxt : int;
   mutable cum_ack : int;
   mutable sacked_cnt : int;
@@ -87,29 +86,53 @@ type t = {
   mutable tail : int;
   mutable tail_hi : int;
   mutable shut : bool;
-  scratch_ai : ack_info;               (* reused by [on_ack] *)
-  (* congestion-control and PPT hooks *)
-  mutable hook_on_ack : t -> ack_info -> unit;
-  mutable hook_on_window : t -> f:float -> unit;
-  mutable hook_on_loss : t -> unit;
-  mutable hook_on_timeout : t -> unit;
-  mutable hook_on_lcp_ack : t -> ack_info -> unit;
+  (* the controller's int state, beside the floats of [cc] *)
+  mutable cwr : bool;
+  mutable windows : int;
+  mutable epoch : Units.time;
+  mutable delay : Units.time;
+  mutable hops : int array;
+  policy : 'x policy;
+  ext : 'x;
 }
 
-let cwnd t = t.cwnd
+and 'x policy = {
+  init : 'x t -> unit;
+  on_ack : 'x t -> Packet.t -> newly:int -> unit;
+  on_window : 'x t -> marked:int -> acked:int -> unit;
+  on_loss : 'x t -> unit;
+  on_timeout : 'x t -> unit;
+  on_lcp_ack : 'x t -> Packet.t -> unit;
+  alpha : 'x t -> float;
+  in_ca : 'x t -> bool;
+  release : 'x t -> unit;
+}
+
+let cwnd t = t.cc.cwnd
+
+let[@inline never] trace_cwnd t =
+  Ppt_obs.Trace.emit (Sim.now t.ctx.Context.sim)
+    (Ppt_obs.Event.Cwnd_update
+       { flow = t.flow.Flow.id; cwnd = int_of_float t.cc.cwnd })
 
 (* Every congestion-control policy funnels window changes through
-   here, so this one site gives traces the full cwnd trajectory. *)
+   here, so this one site gives traces the full cwnd trajectory. Kept
+   small so it inlines into the policies: a call would box [w]. *)
 let set_cwnd t w =
-  t.cwnd <- Float.max (float_of_int t.mss) w;
-  if !Ppt_obs.Trace.enabled then
-    Ppt_obs.Trace.emit (Sim.now t.ctx.Context.sim)
-      (Ppt_obs.Event.Cwnd_update
-         { flow = t.flow.Flow.id; cwnd = int_of_float t.cwnd })
+  t.cc.cwnd <- Float.max (float_of_int t.mss) w;
+  if !Ppt_obs.Trace.enabled then trace_cwnd t
 
-let default_on_loss t = set_cwnd t (t.cwnd /. 2.)
+let default_policy =
+  { init = (fun _ -> ());
+    on_ack = (fun _ _ ~newly:_ -> ());
+    on_window = (fun _ ~marked:_ ~acked:_ -> ());
+    on_loss = (fun t -> set_cwnd t (t.cc.cwnd /. 2.));
+    on_timeout = (fun t -> set_cwnd t (float_of_int t.mss));
+    on_lcp_ack = (fun _ _ -> ());
+    alpha = (fun t -> t.cc.alpha);
+    in_ca = (fun t -> t.cc.ssthresh < infinity);
+    release = (fun _ -> ()) }
 
-let default_on_timeout t = set_cwnd t (float_of_int t.mss)
 let mss t = t.mss
 let inflight t = t.inflight
 let l_inflight_segs t = t.l_inflight_segs
@@ -136,7 +159,8 @@ let rto_armed t = t.rto_ticket >= 0
 
 let shutdown t =
   t.shut <- true;
-  cancel_rto t
+  cancel_rto t;
+  t.policy.release t
 
 let rto_interval t =
   t.ctx.Context.rto_min * t.rto_backoff
@@ -176,7 +200,7 @@ and on_rto t =
     t.inflight <- 0;
     t.dup_acks <- 0;
     t.in_recovery <- false;
-    t.hook_on_timeout t;
+    t.policy.on_timeout t;
     t.rto_backoff <- Int.min 64 (t.rto_backoff * 2);
     try_send t;
     arm_rto t
@@ -205,8 +229,8 @@ and send_segment t ~loop ?prio_override seq =
     match prio_override with
     | Some p -> p
     | None ->
-      t.p.tagger ~bytes_sent:(flow.Flow.hcp_payload + flow.Flow.lcp_payload)
-        ~loop
+      t.p.tagger ~large:flow.Flow.identified_large
+        ~bytes_sent:(flow.Flow.hcp_payload + flow.Flow.lcp_payload) ~loop
   in
   let ecn_capable =
     match loop with
@@ -239,7 +263,7 @@ and next_seg t =
 and try_send t =
   if not (t.shut || all_sacked t) then begin
     let code = next_seg t in
-    if code <> no_seg && float_of_int t.inflight < t.cwnd then begin
+    if code <> no_seg && float_of_int t.inflight < t.cc.cwnd then begin
       let retx = code < no_seg in
       let seq = if retx then retx_code code else code in
       if retx then ignore (Queue.pop t.retx)
@@ -250,11 +274,13 @@ and try_send t =
     end
   end
 
-let create ctx flow p =
+let create ctx flow p policy ext =
+  let cwnd = float_of_int p.initial_cwnd in
   let t =
     { ctx; flow; p; mss = Packet.max_payload;
       seg = Bytes.make flow.Flow.nseg st_unsent;
-      cwnd = float_of_int p.initial_cwnd;
+      cc = { cwnd; ssthresh = infinity; alpha = 1.0; wmax = 0.;
+             w_ref = cwnd };
       snd_nxt = 0; cum_ack = 0; sacked_cnt = 0; inflight = 0;
       l_inflight_segs = 0;
       dup_acks = 0; in_recovery = false; recovery_end = 0;
@@ -262,18 +288,12 @@ let create ctx flow p =
       rto_ticket = -1;
       win_end = 0; win_acked = 0; win_marked = 0;
       tail = flow.Flow.nseg; tail_hi = -1; shut = false;
-      scratch_ai =
-        { ai_cum = 0; ai_ece = false; ai_data_tx = 0;
-          ai_tel = -1; ai_newly_acked = 0;
-          ai_cum_advanced = false };
-      hook_on_ack = (fun _ _ -> ());
-      hook_on_window = (fun _ ~f:_ -> ());
-      hook_on_loss = default_on_loss;
-      hook_on_timeout = default_on_timeout;
-      hook_on_lcp_ack = (fun _ _ -> ()) }
+      cwr = false; windows = 0; epoch = 0; delay = 0; hops = [||];
+      policy; ext }
   in
   t.tail_hi <- avail_hi t;
   t.rto_fire <- (fun () -> on_rto t);
+  policy.init t;
   t
 
 let start t =
@@ -361,7 +381,7 @@ let presume_hole_lost t =
 let enter_recovery t =
   t.in_recovery <- true;
   t.recovery_end <- t.snd_nxt;
-  t.hook_on_loss t;
+  t.policy.on_loss t;
   presume_hole_lost t
 
 let on_ack t (p : Packet.t) =
@@ -371,17 +391,10 @@ let on_ack t (p : Packet.t) =
     let newly = mark_sacked t (Wire.ack_sack0 p) in
     let newly = newly + mark_sacked t (Wire.ack_sack1 p) in
     let advanced = advance_cum t cum in
-    let ai = t.scratch_ai in
-    ai.ai_cum <- cum;
-    ai.ai_ece <- ece;
-    ai.ai_data_tx <- Wire.ack_data_tx p;
-    ai.ai_tel <- p.id;
-    ai.ai_newly_acked <- newly;
-    ai.ai_cum_advanced <- advanced;
     (match p.loop with
      | Packet.L ->
        (* EWD and loop bookkeeping live in the PPT core. *)
-       t.hook_on_lcp_ack t ai;
+       t.policy.on_lcp_ack t p;
        try_send t
      | Packet.H ->
        if advanced then begin
@@ -400,12 +413,9 @@ let on_ack t (p : Packet.t) =
        (* DCTCP-style per-window observation *)
        t.win_acked <- t.win_acked + newly;
        if ece then t.win_marked <- t.win_marked + newly;
-       t.hook_on_ack t ai;
+       t.policy.on_ack t p ~newly;
        if t.cum_ack >= t.win_end && t.win_acked > 0 then begin
-         let f =
-           float_of_int t.win_marked /. float_of_int t.win_acked
-         in
-         t.hook_on_window t ~f;
+         t.policy.on_window t ~marked:t.win_marked ~acked:t.win_acked;
          t.win_end <- Int.max t.snd_nxt (t.cum_ack + 1);
          t.win_acked <- 0;
          t.win_marked <- 0

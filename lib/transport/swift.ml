@@ -14,42 +14,38 @@ let ai_segs = 1.0         (* additive increase per RTT, in segments *)
 let beta = 0.8            (* multiplicative decrease gain *)
 let max_mdf = 0.5         (* largest decrease in one RTT *)
 
-let attach ctx (s : Reliable.t) =
-  let target =
-    int_of_float (target_factor *. float_of_int ctx.Context.base_rtt)
-  in
-  let mssf = float_of_int (Reliable.mss s) in
-  let last_decrease = ref 0 in
-  let last_delay = ref 0 in
-  s.Reliable.hook_on_ack <- (fun s ai ->
-      if ai.Reliable.ai_newly_acked > 0 && ai.Reliable.ai_data_tx > 0 then begin
-        let now = Sim.now ctx.Context.sim in
-        let delay = now - ai.Reliable.ai_data_tx in
-        last_delay := delay;
-        let cwnd = Reliable.cwnd s in
-        if delay < target then begin
-          (* additive increase, spread over the acks of one window *)
-          let newly = float_of_int ai.Reliable.ai_newly_acked in
-          Reliable.set_cwnd s
-            (cwnd +. (ai_segs *. mssf *. newly /. cwnd))
-        end else if now - !last_decrease > ctx.Context.base_rtt then begin
-          last_decrease := now;
-          let excess =
-            float_of_int (delay - target) /. float_of_int delay
-          in
-          let factor =
-            Float.max (1. -. (beta *. excess)) (1. -. max_mdf)
-          in
-          Reliable.set_cwnd s (cwnd *. factor)
-        end
-      end);
-  s.Reliable.hook_on_loss <- (fun s ->
-      Reliable.set_cwnd s (Reliable.cwnd s /. 2.));
-  s.Reliable.hook_on_timeout <- (fun s -> Reliable.set_cwnd s mssf);
-  fun () -> !last_delay < target
+let target (ctx : Context.t) =
+  int_of_float (target_factor *. float_of_int ctx.Context.base_rtt)
+
+(* The last measured delay sits in the sender's [delay], the last
+   decrease's time in its [epoch]. *)
+let on_ack (s : _ Reliable.t) p ~newly =
+  let data_tx = Wire.ack_data_tx p in
+  if newly > 0 && data_tx > 0 then begin
+    let ctx = s.Reliable.ctx in
+    let now = Sim.now ctx.Context.sim in
+    let delay = now - data_tx in
+    let target = target ctx in
+    s.Reliable.delay <- delay;
+    let cwnd = Reliable.cwnd s in
+    if delay < target then begin
+      (* additive increase, spread over the acks of one window *)
+      let mssf = float_of_int (Reliable.mss s) in
+      let newly = float_of_int newly in
+      Reliable.set_cwnd s (cwnd +. (ai_segs *. mssf *. newly /. cwnd))
+    end else if now - s.Reliable.epoch > ctx.Context.base_rtt then begin
+      s.Reliable.epoch <- now;
+      let excess = float_of_int (delay - target) /. float_of_int delay in
+      let factor = Float.max (1. -. (beta *. excess)) (1. -. max_mdf) in
+      Reliable.set_cwnd s (cwnd *. factor)
+    end
+  end
+
+let spare (s : _ Reliable.t) = s.Reliable.delay < target s.Reliable.ctx
+
+(* Halving on loss and one segment on timeout are the defaults'. *)
+let policy = { Reliable.default_policy with Reliable.on_ack }
 
 let make () =
   Endpoint.window ~params:(Reliable.default_params ~ecn_capable:false ())
-    (fun snd ->
-       ignore (attach snd.Reliable.ctx snd : unit -> bool);
-       fun () -> ())
+    policy ()

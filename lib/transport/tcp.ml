@@ -9,29 +9,39 @@
 
 open Ppt_netsim
 
-let attach (s : Reliable.t) =
-  let ssthresh = ref infinity in
+let on_ack (s : _ Reliable.t) _ ~newly =
+  let newly = float_of_int newly in
+  if newly > 0. then begin
+    let cc = s.Reliable.cc in
+    let mssf = float_of_int (Reliable.mss s) in
+    let cwnd = cc.Reliable.cwnd in
+    if cwnd < cc.Reliable.ssthresh then Reliable.set_cwnd s (cwnd +. newly)
+    else Reliable.set_cwnd s (cwnd +. (mssf *. newly /. cwnd))
+  end
+
+(* Half the window, floored at two segments. *)
+let halve_ssthresh (s : _ Reliable.t) =
+  let cc = s.Reliable.cc in
   let mssf = float_of_int (Reliable.mss s) in
-  s.Reliable.hook_on_ack <- (fun s ai ->
-      let newly = float_of_int ai.Reliable.ai_newly_acked in
-      if newly > 0. then begin
-        let cwnd = Reliable.cwnd s in
-        if cwnd < !ssthresh then Reliable.set_cwnd s (cwnd +. newly)
-        else Reliable.set_cwnd s (cwnd +. (mssf *. newly /. cwnd))
-      end);
-  s.Reliable.hook_on_loss <- (fun s ->
-      ssthresh := Float.max (2. *. mssf) (Reliable.cwnd s /. 2.);
-      Reliable.set_cwnd s !ssthresh);
-  s.Reliable.hook_on_timeout <- (fun s ->
-      ssthresh := Float.max (2. *. mssf) (Reliable.cwnd s /. 2.);
-      Reliable.set_cwnd s mssf)
+  cc.Reliable.ssthresh <- Float.max (2. *. mssf) (cc.Reliable.cwnd /. 2.)
+
+let on_loss (s : _ Reliable.t) =
+  halve_ssthresh s;
+  Reliable.set_cwnd s s.Reliable.cc.Reliable.ssthresh
+
+let on_timeout (s : _ Reliable.t) =
+  halve_ssthresh s;
+  Reliable.set_cwnd s (float_of_int (Reliable.mss s))
+
+let policy =
+  { Reliable.default_policy with Reliable.on_ack; on_loss; on_timeout }
 
 let make ?(iw_segs = 3) () =
   let params =
     Reliable.default_params ~initial_cwnd:(iw_segs * Packet.max_payload)
       ~ecn_capable:false ()
   in
-  Endpoint.window ~params (fun snd -> attach snd; fun () -> ())
+  Endpoint.window ~params policy ()
 
 (* TCP with an initial window of 10 segments [12]. *)
 let make_tcp10 () = make ~iw_segs:10 ()

@@ -10,9 +10,6 @@
    Point sets are calibrated so the computed Table 2 statistics match
    the paper's; `bench tab2` prints the computed values. *)
 
-let small_flow_cutoff = 100_000
-(** The paper bins flows as small (0-100KB] vs large (>100KB). *)
-
 let web_search =
   Cdf.create
     [ (0., 0.0);

@@ -1,8 +1,5 @@
 (** The paper's three evaluation workloads as empirical CDFs. *)
 
-val small_flow_cutoff : int
-(** 100KB: the boundary between "small" and "large" flows (Table 2). *)
-
 val web_search : Cdf.t
 (** Web search [34]: heavy-tailed, ~62% small flows, ~1.6MB mean. *)
 

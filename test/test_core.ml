@@ -158,25 +158,25 @@ let test_ppt_no_hcp_harm () =
 let test_lcp_case1_window () =
   let _sim, _topo, ctx = Helpers.star ~delay:(Units.us 20) () in
   let flow = Flow.create ~id:0 ~src:0 ~dst:1 ~size:400_000 ~start:0 in
-  let snd = Reliable.create ctx flow (Reliable.default_params ()) in
-  let view = Dctcp.attach snd in
-  let lcp = Lcp.create ctx snd view ~identified_large:false () in
+  let snd =
+    Reliable.create ctx flow (Reliable.default_params ())
+      (Lcp.policy Dctcp.policy) (Lcp.create ~ewd:true)
+  in
   check Alcotest.bool "case-1 window is BDP - IW" true
-    (Lcp.case1_window lcp = ctx.Context.bdp
+    (Lcp.case1_window snd = ctx.Context.bdp
                             - int_of_float (Reliable.cwnd snd))
 
 let test_lcp_opens_and_closes () =
   let _sim, _topo, ctx = Helpers.star ~delay:(Units.us 20) () in
-  let probe =
+  let lcp_policy = Lcp.policy Dctcp.policy in
+  let probe ctx flow =
     Endpoint.window ~params:(Reliable.default_params ()) ~lcp_batch:2
-      (fun snd ->
-         let view = Dctcp.attach snd in
-         let lcp = Lcp.create ctx snd view ~identified_large:false () in
-         Lcp.start lcp;
-         fun () ->
-           check Alcotest.bool "at least one loop opened" true
-             (Lcp.loops_opened lcp >= 1);
-           Lcp.shutdown lcp)
+      { lcp_policy with
+        Reliable.release = (fun snd ->
+            check Alcotest.bool "at least one loop opened" true
+              (Lcp.loops_opened snd.Reliable.ext >= 1);
+            lcp_policy.Reliable.release snd) }
+      (Lcp.create ~ewd:true) ctx flow
   in
   Helpers.run_flows ctx (probe ctx) [ (0, 1, 600_000, 0) ]
 
@@ -186,17 +186,18 @@ let test_lcp_delayed_for_large () =
   let _sim, _topo, ctx = Helpers.star ~delay:(Units.us 20) () in
   let sim = ctx.Context.sim in
   let flow = Flow.create ~id:0 ~src:0 ~dst:1 ~size:2_000_000 ~start:0 in
-  let snd = Reliable.create ctx flow (Reliable.default_params ()) in
-  let view = Dctcp.attach snd in
-  let lcp = Lcp.create ctx snd view ~identified_large:true () in
-  Lcp.start lcp;
+  flow.Flow.identified_large <- true;
+  let lcp = Lcp.create ~ewd:true in
+  let snd =
+    Reliable.create ctx flow (Reliable.default_params ())
+      (Lcp.policy Dctcp.policy) lcp
+  in
   let opened_at_half_rtt = ref None in
   ignore (Sim.schedule sim ~after:(ctx.Context.base_rtt / 2) (fun () ->
       opened_at_half_rtt := Some (Lcp.is_open lcp)));
   Sim.run ~until:(2 * ctx.Context.base_rtt) sim;
   check Alcotest.bool "closed during the 1st RTT" false
     (Option.get !opened_at_half_rtt);
-  Lcp.shutdown lcp;
   Reliable.shutdown snd
 
 (* Wire-level check of the mirror-symmetric tagging: a flow identified
@@ -204,16 +205,15 @@ let test_lcp_delayed_for_large () =
 let test_wire_priorities () =
   let _sim, _topo, ctx = Helpers.star ~delay:(Units.us 20) () in
   let flow = Flow.create ~id:9 ~src:0 ~dst:1 ~size:900_000 ~start:0 in
-  let tagger ~bytes_sent ~loop =
+  flow.Flow.identified_large <- true;
+  let tagger ~large:_ ~bytes_sent ~loop =
     Tagging.prio ~identified_large:true ~loop ~bytes_sent
   in
   let snd =
     Reliable.create ctx flow (Reliable.default_params ~tagger ())
+      (Lcp.policy Dctcp.policy) (Lcp.create ~ewd:true)
   in
   let rcv = Receiver.create ~lcp_batch:2 ctx flow in
-  let view = Dctcp.attach snd in
-  let lcp = Lcp.create ctx snd view ~identified_large:true () in
-  Lcp.start lcp;
   let seen_h = ref [] and seen_l = ref [] in
   Ppt_netsim.Net.register ctx.Context.net ~host:1 ~flow:9 (fun p ->
       (match p.Ppt_netsim.Packet.kind, p.Ppt_netsim.Packet.loop with
@@ -226,8 +226,7 @@ let test_wire_priorities () =
   Ppt_netsim.Net.register ctx.Context.net ~host:0 ~flow:9 (fun p ->
       if p.Ppt_netsim.Packet.kind = Ppt_netsim.Packet.Ack then
         Reliable.on_ack snd p);
-  flow.Flow.teardown <- (fun () ->
-      Lcp.shutdown lcp; Reliable.shutdown snd);
+  flow.Flow.teardown <- (fun () -> Reliable.shutdown snd);
   Reliable.start snd;
   Sim.run ~until:(Units.sec 5) ctx.Context.sim;
   check Alcotest.bool "identified flow HCP data all P3" true

@@ -434,7 +434,10 @@ let test_rto_backoff_blackout () =
   let sim, topo, ctx = star () in
   install topo ~seed:1 (ok (F.of_string "down@30us-300ms:host:0"));
   let flow = Flow.create ~id:7 ~src:0 ~dst:1 ~size:200_000 ~start:0 in
-  let snd = Reliable.create ctx flow (Reliable.default_params ()) in
+  let snd =
+    Reliable.create ctx flow (Reliable.default_params ())
+      Reliable.default_policy ()
+  in
   let rcv = Receiver.create ~lcp_batch:2 ctx flow in
   let done_ = ref false in
   Net.register ctx.Context.net ~host:1 ~flow:7 (fun p ->
@@ -477,7 +480,10 @@ let test_rto_backoff_blackout () =
 let test_rto_timer_cancelled_clean () =
   let sim, _topo, ctx = star () in
   let flow = Flow.create ~id:3 ~src:0 ~dst:1 ~size:60_000 ~start:0 in
-  let snd = Reliable.create ctx flow (Reliable.default_params ()) in
+  let snd =
+    Reliable.create ctx flow (Reliable.default_params ())
+      Reliable.default_policy ()
+  in
   let rcv = Receiver.create ~lcp_batch:2 ctx flow in
   Net.register ctx.Context.net ~host:1 ~flow:3 (fun p ->
       Receiver.on_data rcv p);

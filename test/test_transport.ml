@@ -92,9 +92,11 @@ let test_dctcp_view () =
   let _sim, _topo, ctx = Helpers.star () in
   let seen_alpha = ref 2.0 in
   let probe =
-    Endpoint.window ~params:(Reliable.default_params ()) (fun snd ->
-        let view = Dctcp.attach snd in
-        fun () -> seen_alpha := view.Dctcp.alpha ())
+    Endpoint.window ~params:(Reliable.default_params ())
+      { Dctcp.policy with
+        Reliable.release = (fun snd ->
+            seen_alpha := Dctcp.policy.Reliable.alpha snd) }
+      ()
   in
   Helpers.run_flows ctx (probe ctx) [ (0, 1, 3_000_000, 0) ];
   (* alpha starts at 1.0; a long-running flow must have updated it to a
@@ -222,12 +224,89 @@ let test_wire_no_alloc () =
   check (Alcotest.float 0.) "minor words over 10k header cycles" 0. words;
   check Alcotest.bool "getters read the headers" true (sum > 0)
 
-(* --- tcp.ml: slow start / loss recovery state machine --- *)
+(* A flow's set-up allocates its sender and receiver records, the
+   LCP's state and the closures the flow must own (packet handlers,
+   teardown, timers); PPT's policy, params and tagger are built once
+   per transport. One-segment PPT flows on the testbed star (15 hosts,
+   10G, 19us links), each run to completion before the next starts,
+   so the packet arena recycles; the count covers the factory call and
+   the teardown [Context.flow_finished] runs. *)
+let test_ppt_flow_setup_alloc () =
+  let sim, _topo, ctx = Helpers.star ~n:15 ~delay:(Units.us 19) () in
+  let ppt = Ppt_core.Ppt.make () ctx in
+  let words = ref 0 in
+  let count f =
+    let before = Gc.minor_words () in
+    f ();
+    words := !words + int_of_float (Gc.minor_words () -. before)
+  in
+  let flow_once i =
+    let flow =
+      Flow.create ~id:i ~src:(i mod 14) ~dst:14 ~size:1_000
+        ~start:(Sim.now sim)
+    in
+    Context.flow_started ctx flow;
+    count (fun () -> ppt flow);
+    let teardown = flow.Flow.teardown in
+    flow.Flow.teardown <- (fun () -> count teardown);
+    Sim.run sim
+  in
+  for i = 0 to 9 do flow_once i done;
+  words := 0;
+  let n = 1_000 in
+  for i = 10 to 9 + n do flow_once i done;
+  let per_flow = float_of_int !words /. float_of_int n in
+  check Alcotest.int "every flow completed" (n + 10)
+    (Ppt_stats.Fct.count ctx.Context.fct);
+  check Alcotest.bool
+    (Printf.sprintf "%.1f minor words per flow set-up and teardown"
+       per_flow)
+    true (per_flow <= 120.)
 
-let ack_info ?(newly = 0) () =
-  { Reliable.ai_cum = 0; ai_ece = false; ai_data_tx = 0;
-    ai_tel = -1; ai_newly_acked = newly;
-    ai_cum_advanced = true }
+(* DCTCP's per-ack work stores into the sender's flat [cc] record, so
+   10k acks that grow the window and cut it on congestion echoes
+   allocate nothing. Each ack confirms the next segment and every 8th
+   echoes ECE; the data an ack lets out is delivered (to no handler)
+   before the next ack, so the packet arena recycles. It holds in the
+   default (release) profile: the dev profile's -opaque boxes
+   [Packet.make]'s optional arguments on every send. *)
+let test_dctcp_ack_no_alloc () =
+  let sim, _topo, ctx = Helpers.star () in
+  let nseg = 20_000 in
+  let flow =
+    Flow.create ~id:0 ~src:0 ~dst:1 ~size:(nseg * Packet.max_payload)
+      ~start:0
+  in
+  let snd =
+    Reliable.create ctx flow (Reliable.default_params ()) Dctcp.policy ()
+  in
+  Reliable.start snd;
+  let words = ref 0 and grew = ref 0 and cut = ref 0 in
+  let ack k =
+    let p = Packet.make ~flow:0 ~src:1 ~dst:0 Packet.Ack in
+    Wire.set_ack p ~cum:k ~sack0:(k - 1) ~sack1:Wire.no_sack
+      ~ece:(k mod 8 = 0) ~data_tx:0;
+    let cwnd = Reliable.cwnd snd in
+    let before = Gc.minor_words () in
+    Reliable.on_ack snd p;
+    words := !words + int_of_float (Gc.minor_words () -. before);
+    if Reliable.cwnd snd > cwnd then incr grew
+    else if Reliable.cwnd snd < cwnd then incr cut;
+    Packet.release p;
+    Sim.run ~until:(Sim.now sim + Units.us 20) sim
+  in
+  for k = 1 to 1_000 do ack k done;
+  words := 0;
+  grew := 0;
+  cut := 0;
+  for k = 1_001 to 11_000 do ack k done;
+  check Alcotest.int "minor words over 10k DCTCP acks" 0 !words;
+  check Alcotest.bool
+    (Printf.sprintf "window grew (%d acks) and was cut (%d)" !grew !cut)
+    true (!grew > 0 && !cut > 0);
+  Reliable.shutdown snd
+
+(* --- tcp.ml: slow start / loss recovery state machine --- *)
 
 let test_tcp_congestion_control () =
   let _sim, _topo, ctx = Helpers.star () in
@@ -237,20 +316,22 @@ let test_tcp_congestion_control () =
   let params =
     Reliable.default_params ~initial_cwnd:(3 * mss) ~ecn_capable:false ()
   in
-  let s = Reliable.create ctx flow params in
-  Tcp.attach s;
+  let s = Reliable.create ctx flow params Tcp.policy () in
+  let ack () =
+    Tcp.policy.Reliable.on_ack s Ppt_netsim.Packet.dummy ~newly:mss
+  in
   let eps = Alcotest.float 0.01 in
   (* slow start: every newly acked byte grows cwnd by one byte *)
-  s.Reliable.hook_on_ack s (ack_info ~newly:mss ());
+  ack ();
   check eps "slow start grows one seg per acked seg" (4. *. fmss)
     (Reliable.cwnd s);
   (* fast-retransmit loss: window halves *)
   Reliable.set_cwnd s (20. *. fmss);
-  s.Reliable.hook_on_loss s;
+  Tcp.policy.Reliable.on_loss s;
   check eps "loss halves the window" (10. *. fmss) (Reliable.cwnd s);
   (* now above ssthresh: congestion avoidance, additive growth *)
   let before = Reliable.cwnd s in
-  s.Reliable.hook_on_ack s (ack_info ~newly:mss ());
+  ack ();
   let growth = Reliable.cwnd s -. before in
   check Alcotest.bool
     (Printf.sprintf "additive growth (%.1fB) well below a segment"
@@ -259,13 +340,13 @@ let test_tcp_congestion_control () =
     (growth > 0. && growth < fmss /. 2.);
   (* halving is floored at two segments *)
   Reliable.set_cwnd s (2. *. fmss);
-  s.Reliable.hook_on_loss s;
+  Tcp.policy.Reliable.on_loss s;
   check eps "ssthresh floored at 2 mss" (2. *. fmss) (Reliable.cwnd s);
   (* timeout: back to one segment, then slow start resumes *)
   Reliable.set_cwnd s (20. *. fmss);
-  s.Reliable.hook_on_timeout s;
+  Tcp.policy.Reliable.on_timeout s;
   check eps "timeout resets to 1 mss" fmss (Reliable.cwnd s);
-  s.Reliable.hook_on_ack s (ack_info ~newly:mss ());
+  ack ();
   check eps "slow start resumes below ssthresh" (2. *. fmss)
     (Reliable.cwnd s)
 
@@ -519,6 +600,10 @@ let suite =
     Alcotest.test_case "wire: header round trips" `Quick test_wire_round_trip;
     Alcotest.test_case "wire: header path allocates nothing" `Quick
       test_wire_no_alloc;
+    Alcotest.test_case "ppt: flow set-up and teardown allocate little"
+      `Quick test_ppt_flow_setup_alloc;
+    Alcotest.test_case "dctcp: acks allocate nothing" `Quick
+      test_dctcp_ack_no_alloc;
     Alcotest.test_case "receiver: lcp_batch outside 1..2 rejected" `Quick
       test_receiver_lcp_batch_range;
     Alcotest.test_case "tcp: slow start and loss recovery" `Quick

@@ -47,7 +47,7 @@ let sample_stats cdf n =
   let small = ref 0 and sum = ref 0. in
   for _ = 1 to n do
     let x = Cdf.sample cdf rng in
-    if x <= Dists.small_flow_cutoff then incr small;
+    if x <= Ppt_stats.Fct.cutoff then incr small;
     sum := !sum +. float_of_int x
   done;
   (float_of_int !small /. float_of_int n, !sum /. float_of_int n)
