@@ -96,6 +96,10 @@ type t = {
   collect_int : bool;
   mutable delivered : int;
   mutable undeliverable : int;
+  mutable park_chunks : int array array;  (* descriptor store, below *)
+  mutable park_free : int;          (* first free descriptor, or -1 *)
+  mutable park_len : int;           (* descriptors ever taken *)
+  mutable parked : int;             (* descriptors holding a packet *)
 }
 
 let make_port ~owner ~pix ~rate ~delay qcfg =
@@ -240,15 +244,133 @@ let trace_enqueue t (port : port) (p : Packet.t) verdict ~was_ce =
 (* Packet sinks. The fabric owns every packet handed to [send]; at each
    terminal point — delivery, queue drop, fault kill, undeliverable —
    it returns the record to the pool. Delivery handlers borrow the
-   packet for the duration of the call and must not retain it. *)
+   packet for the duration of the call and must not retain it. A
+   delivery counts once its handler returns: while the handler runs,
+   the packet is still a record in use (see [parked] for the balance). *)
 
 let deliver t (p : Packet.t) =
   let i = find t ~host:p.dst ~flow:p.flow in
   if i >= 0 then begin
-    t.delivered <- t.delivered + 1;
-    (Array.unsafe_get t.dfn i) p
+    (Array.unsafe_get t.dfn i) p;
+    t.delivered <- t.delivered + 1
   end else t.undeliverable <- t.undeliverable + 1;
   Packet.release p
+
+(* --- parked packets -------------------------------------------------
+
+   A host NIC can hold a deep backlog: PPT's low-priority loop keeps
+   segments queued there until spare bandwidth lets them out, tens of
+   thousands at once in fig12's fabric. A packet that joins a host port
+   already holding [park_depth] bytes is queued as usual (same
+   admission, marks, trace event and counters) and then parked: its
+   fields go into a descriptor of five ints in the net's store, the
+   queue entry holds the tagged descriptor index instead of its id, and
+   its record is released. When the entry reaches the head of the
+   queue, [unpark] acquires a record again under the packet's uid, so
+   nothing downstream can tell it was parked.
+
+   Descriptor [d] is the five words from [dwords * (d land chunk_mask)]
+   of chunk [d lsr chunk_bits]: uid, flow, seq, hw0, and the other
+   fields packed into one int (below). A free descriptor's first word
+   chains the free list. *)
+
+(* 256 KB is ~52 us of a 40G NIC's line time. Switch-bound backlogs
+   (incast's 14-to-1 port, a host's share of a congested uplink) stay
+   below it, so only packets that would wait long are parked. *)
+let park_depth = Units.kb 256
+
+let park_tag = 1 lsl 49             (* above any packet id *)
+let chunk_bits = 10
+let chunk_mask = (1 lsl chunk_bits) - 1
+let dwords = 5
+
+(* The packed word: src and dst in [node_bits] bits each, payload and
+   wire in 12, prio and kind in 3, then one bit per flag. *)
+let node_bits = 13
+let node_mask = (1 lsl node_bits) - 1
+let b_dst = node_bits
+let b_payload = 2 * node_bits
+let b_wire = b_payload + 12
+let b_prio = b_wire + 12
+let b_kind = b_prio + 3
+let b_loop = b_kind + 3
+let b_ecn_capable = b_loop + 1
+let b_ecn_ce = b_loop + 2
+let b_trimmed = b_loop + 3
+let b_sel_drop = b_loop + 4
+let b_hflag = b_loop + 5
+
+let kind_code : Packet.kind -> int = function
+  | Packet.Data -> 0 | Ack -> 1 | Grant -> 2 | Pull -> 3 | Nack -> 4
+  | Ctrl -> 5
+let kinds = [| Packet.Data; Ack; Grant; Pull; Nack; Ctrl |]
+
+(* A descriptor holds the packet exactly: no telemetry, no header word
+   past [hw0], node ids, payload and prio within their bits. The wire
+   size is within its bits once queued. *)
+let parkable (p : Packet.t) =
+  p.tel_n = 0 && p.hw1 = 0 && p.hw2 = 0 && p.hw3 = 0
+  && (p.src lor p.dst) lsr node_bits = 0
+  && p.payload lsr 12 = 0 && p.prio land lnot 7 = 0
+
+(* The descriptor the next [park] fills. *)
+let next_descr t = if t.park_free >= 0 then t.park_free else t.park_len
+
+let bit b v = if v then 1 lsl b else 0
+
+(* Park queued packet [p] in descriptor [d = next_descr t]. [park] and
+   [unpark] stay out of line: inlined, they would double the size of the
+   transmit loop that every hop runs. *)
+let[@inline never] park t d (p : Packet.t) =
+  if d = t.park_free then
+    t.park_free <-
+      t.park_chunks.(d lsr chunk_bits).(dwords * (d land chunk_mask))
+  else begin
+    if d lsr chunk_bits = Array.length t.park_chunks then
+      t.park_chunks <-
+        Array.append t.park_chunks
+          [| Array.make (dwords lsl chunk_bits) 0 |];
+    t.park_len <- d + 1
+  end;
+  let c = t.park_chunks.(d lsr chunk_bits)
+  and o = dwords * (d land chunk_mask) in
+  c.(o) <- p.uid;
+  c.(o + 1) <- p.flow;
+  c.(o + 2) <- p.seq;
+  c.(o + 3) <- p.hw0;
+  c.(o + 4) <-
+    p.src lor (p.dst lsl b_dst) lor (p.payload lsl b_payload)
+    lor (p.wire lsl b_wire) lor (p.prio lsl b_prio)
+    lor (kind_code p.kind lsl b_kind)
+    lor bit b_loop (p.loop = Packet.L) lor bit b_ecn_capable p.ecn_capable
+    lor bit b_ecn_ce p.ecn_ce lor bit b_trimmed p.trimmed
+    lor bit b_sel_drop p.sel_drop lor bit b_hflag p.hflag;
+  t.parked <- t.parked + 1;
+  Packet.release p
+
+let field b at bits = (b lsr at) land ((1 lsl bits) - 1)
+let flag b at = b land (1 lsl at) <> 0
+
+(* The parked packet of descriptor [d], in a record again: its id. *)
+let[@inline never] unpark t d =
+  let c = t.park_chunks.(d lsr chunk_bits)
+  and o = dwords * (d land chunk_mask) in
+  let b = c.(o + 4) in
+  let p =
+    Packet.acquire ~uid:c.(o) ~flow:c.(o + 1) ~src:(b land node_mask)
+      ~dst:(field b b_dst node_bits) ~seq:c.(o + 2)
+      ~payload:(field b b_payload 12) ~wire:(field b b_wire 12)
+      ~prio:(field b b_prio 3) ~kind:kinds.(field b b_kind 3)
+      ~loop:(if flag b b_loop then Packet.L else Packet.H)
+      ~ecn_capable:(flag b b_ecn_capable) ~ecn_ce:(flag b b_ecn_ce)
+      ~trimmed:(flag b b_trimmed) ~sel_drop:(flag b b_sel_drop)
+  in
+  p.hw0 <- c.(o + 3);
+  p.hflag <- flag b b_hflag;
+  c.(o) <- t.park_free;
+  t.park_free <- d;
+  t.parked <- t.parked - 1;
+  p.id
 
 (* A faulted packet still holds the wire for its serialization time
    (the bits were sent, just not received intact), so only the receive
@@ -342,6 +464,9 @@ let rec start_tx t (port : port) =
     if e < 0 then port.busy <- false
     else begin
       let id = Prio_queue.entry_id e and wire = Prio_queue.entry_wire e in
+      let id =
+        if id land park_tag = 0 then id else unpark t (id lxor park_tag)
+      in
       port.busy <- true;
       let tx =
         (* a port sees a handful of distinct wire sizes, so one memo
@@ -367,24 +492,33 @@ let rec start_tx t (port : port) =
     end
   end
 
-and send_on_port t (port : port) (p : Packet.t) =
+(* [park_at] is the backlog in bytes from which [p] is parked:
+   [park_depth] for a host NIC ([send]), [max_int] for a switch port. *)
+and send_on_port t (port : port) (p : Packet.t) ~park_at =
   (* A downed egress discards new arrivals (no carrier, no route), as
      a real switch does; packets already queued park until link-up. *)
   if not port.up then fault_kill t port p 'D'
   else begin
   stamp_int t port p;
-  if !Trace.enabled then begin
-    let was_ce = p.ecn_ce in
-    let verdict = Prio_queue.enqueue port.q p in
-    trace_enqueue t port p verdict ~was_ce;
-    match verdict with
-    | Prio_queue.Dropped -> Packet.release p
-    | Enqueued | Trimmed -> if not port.busy then start_tx t port
-  end
-  else
-    match Prio_queue.enqueue port.q p with
-    | Prio_queue.Dropped -> Packet.release p
-    | Enqueued | Trimmed -> if not port.busy then start_tx t port
+  let d =
+    if Prio_queue.bytes port.q >= park_at && parkable p
+    then next_descr t else -1
+  in
+  let id = if d < 0 then p.id else park_tag lor d in
+  let verdict =
+    if !Trace.enabled then begin
+      let was_ce = p.ecn_ce in
+      let verdict = Prio_queue.enqueue_as port.q p ~id in
+      trace_enqueue t port p verdict ~was_ce;
+      verdict
+    end
+    else Prio_queue.enqueue_as port.q p ~id
+  in
+  match verdict with
+  | Prio_queue.Dropped -> Packet.release p
+  | Enqueued | Trimmed ->
+    if d >= 0 then park t d p;
+    if not port.busy then start_tx t port
   end
 
 and receive t (node : node) (p : Packet.t) =
@@ -399,6 +533,7 @@ and receive t (node : node) (p : Packet.t) =
     let b = f.base.(p.dst) in
     send_on_port t
       node.ports.(if b >= 0 then b else f.cand.(select t.sim f p)) p
+      ~park_at:max_int
   end
 
 (* The delivery table's starting size, in pairs: a power of two. *)
@@ -432,7 +567,8 @@ let create sim ?(collect_int = false) nodes =
       dflow = Array.make table_cap (-1);
       dhost = Array.make (2 * table_cap) (-1);
       dfn = Array.make (2 * table_cap) ignore; collect_int;
-      delivered = 0; undeliverable = 0 }
+      delivered = 0; undeliverable = 0;
+      park_chunks = [||]; park_free = -1; park_len = 0; parked = 0 }
   in
   t.tx_h <- Sim.register sim (fun g -> start_tx t (Array.unsafe_get ports g));
   t.arr_h <- Sim.register sim (fun x ->
@@ -456,12 +592,13 @@ let send t (p : Packet.t) =
                  made before the last Packet.reset)";
   let host = t.nodes.(p.src) in
   if not host.is_host then invalid_arg "Net.send: src is not a host";
-  send_on_port t host.ports.(0) p
+  send_on_port t host.ports.(0) p ~park_at:park_depth
 
 (* Restart a parked transmit loop (after link-up / unpause). *)
 let kick t (port : port) = if port.up && not port.busy then start_tx t port
 
 let delivery_pairs t = Array.length t.dflow
+let parked t = t.parked
 let delivered t = t.delivered
 let undeliverable t = t.undeliverable
 

@@ -121,6 +121,17 @@ val delivery_pairs : t -> int
 val send : t -> Packet.t -> unit
 (** Inject a packet at its source host's NIC. The fabric owns it from
     here and carries it by id.
+
+    A packet that joins a host NIC already holding a deep backlog (256
+    KB queued, ~52 us of 40G line time) is queued exactly as any other
+    and then parked: the net keeps its fields in a compact descriptor
+    of its own, the queue entry names the descriptor, and the record is
+    released. When the packet reaches the head of the queue it gets a
+    record again ({!Packet.acquire}) with its uid and every field as
+    they were: only its id differs. Packets a descriptor cannot hold
+    exactly (HPCC telemetry, header words past the first, a node id,
+    payload or priority too wide for its field) keep their record;
+    switch ports never park.
     @raise Invalid_argument unless the packet is current
     ({!Packet.is_current}): a [{ p with ... }] copy, a packet made
     before the last [Packet.reset], or a released packet. *)
@@ -138,6 +149,13 @@ val kick : t -> port -> unit
 (** Restart a port's transmit loop if it is up and idle. Fault
     injectors call this after raising [up] so queued packets start
     draining again; a no-op on busy or downed ports. *)
+
+val parked : t -> int
+(** Packets parked in host NICs now (see {!send}). At any point of a
+    run that made every packet with [Packet.make] or
+    [Packet.next_uid], [Packet.made ()] equals {!delivered} +
+    {!undeliverable} + {!total_drops} + {!total_fault_drops} + records
+    in use + [parked]. *)
 
 val delivered : t -> int
 val undeliverable : t -> int

@@ -20,7 +20,10 @@
 
    - the transport that [make]s a packet owns it until [Net.send];
    - from then on the fabric owns it: it lives in port queues and
-     in-flight arrival events, by id;
+     in-flight arrival events, by id — or, deep in a host NIC's
+     backlog, parked in the net's descriptor store with no record at
+     all, to be [acquire]d again under the same uid (and a new id)
+     when it reaches the head of the queue;
    - at a sink (delivery, drop, fault kill, undeliverable) the fabric
      calls [release] — delivery handlers only borrow the packet for
      the duration of the call and must not retain it;
@@ -165,40 +168,53 @@ let wire_of kind payload =
   | Data -> header_bytes + payload
   | Ack | Grant | Pull | Nack | Ctrl -> ctrl_bytes
 
+(* A fresh record with the next id, for an empty free list: kept out
+   of line so [acquire]'s recycling path stays small where it is
+   inlined. *)
+let[@inline never] grow_arena () =
+  let id = !arena_len in
+  let p = { dummy with id } in   (* its own id; [acquire] sets the rest *)
+  if id = Array.length !arena then begin
+    let bigger = Array.make (Int.max 256 (2 * id)) dummy in
+    Array.blit !arena 0 bigger 0 id;
+    arena := bigger
+  end;
+  Array.unsafe_set !arena id p;
+  arena_len := id + 1;
+  p
+
+let next_uid () =
+  incr uid_counter;
+  !uid_counter
+
+let acquire ~uid ~flow ~src ~dst ~seq ~payload ~wire ~prio ~kind ~loop
+    ~ecn_capable ~ecn_ce ~trimmed ~sel_drop =
+  let id = !free_head in
+  let p =
+    if id >= 0 then begin
+      let p = Array.unsafe_get !arena id in
+      free_head := p.free_link;
+      decr free_n;
+      p
+    end else grow_arena ()
+  in
+  p.free_link <- live;
+  p.uid <- uid; p.flow <- flow; p.src <- src; p.dst <- dst;
+  p.seq <- seq; p.payload <- payload; p.wire <- wire;
+  p.prio <- prio; p.kind <- kind; p.loop <- loop;
+  p.ecn_capable <- ecn_capable; p.ecn_ce <- ecn_ce; p.trimmed <- trimmed;
+  p.sel_drop <- sel_drop; p.hw0 <- 0; p.hw1 <- 0; p.hw2 <- 0;
+  p.hw3 <- 0; p.hflag <- false; p.tel_n <- 0;
+  p
+
 let make ?(seq = -1) ?(payload = 0) ?(prio = 0) ?(loop = H)
     ?(ecn_capable = false) ?(sel_drop = false) ~flow ~src ~dst kind =
-  incr uid_counter;
-  let uid = !uid_counter in
-  let id = !free_head in
-  if id >= 0 then begin
-    let p = Array.unsafe_get !arena id in
-    free_head := p.free_link;
-    decr free_n;
-    p.free_link <- live;
-    p.uid <- uid; p.flow <- flow; p.src <- src; p.dst <- dst;
-    p.seq <- seq; p.payload <- payload; p.wire <- wire_of kind payload;
-    p.prio <- prio; p.kind <- kind; p.loop <- loop;
-    p.ecn_capable <- ecn_capable; p.ecn_ce <- false; p.trimmed <- false;
-    p.sel_drop <- sel_drop; p.hw0 <- 0; p.hw1 <- 0; p.hw2 <- 0;
-    p.hw3 <- 0; p.hflag <- false; p.tel_n <- 0;
-    p
-  end else begin
-    let id = !arena_len in
-    let p =
-      { id; uid; flow; src; dst; seq; payload; wire = wire_of kind payload;
-        prio; kind; loop; ecn_capable; ecn_ce = false; trimmed = false;
-        sel_drop; hw0 = 0; hw1 = 0; hw2 = 0; hw3 = 0; hflag = false;
-        tel_n = 0; tel = [||]; free_link = live }
-    in
-    if id = Array.length !arena then begin
-      let bigger = Array.make (Int.max 256 (2 * id)) dummy in
-      Array.blit !arena 0 bigger 0 id;
-      arena := bigger
-    end;
-    Array.unsafe_set !arena id p;
-    arena_len := id + 1;
-    p
-  end
+  acquire ~uid:(next_uid ()) ~flow ~src ~dst ~seq ~payload
+    ~wire:(wire_of kind payload) ~prio ~kind ~loop ~ecn_capable
+    ~ecn_ce:false ~trimmed:false ~sel_drop
+
+let made () = !uid_counter
+let records () = !arena_len
 
 (* --- inband telemetry ---------------------------------------------- *)
 

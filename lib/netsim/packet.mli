@@ -11,7 +11,12 @@
     nothing per packet. Ownership is linear — the creator owns a
     packet until [Net.send], the fabric owns it from then on and
     releases it at a sink (delivery, drop, fault kill); delivery
-    handlers only borrow the packet for the duration of the call. See
+    handlers only borrow the packet for the duration of the call. While
+    a packet waits deep in a host NIC's backlog the fabric may park it:
+    it keeps the packet's fields in its own compact store, releases the
+    record, and {!acquire}s one again, under the same uid, when the
+    packet reaches the head of the queue. A parked packet has no record
+    and its id changes; its uid does not. See
     HACKING.md, "Allocation discipline". The ownership checks are on in
     every run: {!release} raises on a double release, and [Net.send]
     refuses a packet that is not {!is_current}.
@@ -79,6 +84,29 @@ val make :
     re-initialised by plain int stores: the header words are cleared,
     and the telemetry buffer is kept but emptied. After {!reset}, the
     first [make] gets id 0. *)
+
+val next_uid : unit -> int
+(** Take the run's next uid, as {!make} does. *)
+
+val acquire :
+  uid:int -> flow:int -> src:int -> dst:int -> seq:int -> payload:int ->
+  wire:int -> prio:int -> kind:kind -> loop:loop -> ecn_capable:bool ->
+  ecn_ce:bool -> trimmed:bool -> sel_drop:bool -> t
+(** Acquire a record as {!make} does, with every field given and no
+    uid taken: the header words are cleared and the telemetry emptied.
+    [make] is [acquire ~uid:(next_uid ())] with its defaults, and
+    [Net] re-acquires a parked packet under the uid it was made with.
+    Its arguments are not optional, so a caller that is not inlined
+    (any caller in the dev profile's [-opaque] build) allocates
+    nothing to call it. *)
+
+val made : unit -> int
+(** Uids taken since the last {!reset}: the packets the run made. *)
+
+val records : unit -> int
+(** Records in the arena: the most packets that have held a record at
+    once since the last {!reset} (records in use are [records () -
+    pool_size ()]). *)
 
 val of_id : int -> t
 (** The record with this id.

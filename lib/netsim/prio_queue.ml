@@ -176,9 +176,9 @@ let trims t = t.trim_pkts
 let marks t = t.mark_pkts
 let enqueues t = t.enq_pkts
 
-let push t (p : Packet.t) =
+let push t (p : Packet.t) id =
   let prio = Int.max 0 (Int.min (n_prios - 1) p.prio) in
-  ring_push t prio ((p.id lsl wire_bits) lor p.wire);
+  ring_push t prio ((id lsl wire_bits) lor p.wire);
   t.qbytes.(prio) <- t.qbytes.(prio) + p.wire;
   t.bytes <- t.bytes + p.wire;
   if prio >= lp_band_start then t.lp_bytes <- t.lp_bytes + p.wire;
@@ -212,12 +212,12 @@ let admits t (p : Packet.t) =
           <= t.dt_alphas.(prio)
              *. float_of_int (t.buffer - t.bytes)))
 
-let enqueue t (p : Packet.t) =
+let enqueue_as t (p : Packet.t) ~id =
   if p.wire lsr wire_bits <> 0 then
     invalid_arg "Prio_queue.enqueue: wire size outside [0, 4096)";
   if p.sel_drop && t.bytes + p.wire > t.sel_drop_at then begin
     drop t p; Dropped
-  end else if admits t p then begin push t p; Enqueued end
+  end else if admits t p then begin push t p id; Enqueued end
   else if t.trim && p.kind = Data && not p.trimmed then begin
     (* NDP: cut the payload, keep the header, jump to the top queue. *)
     p.trimmed <- true;
@@ -225,11 +225,13 @@ let enqueue t (p : Packet.t) =
     p.prio <- 0;
     if t.bytes + p.wire <= t.buffer then begin
       t.trim_pkts <- t.trim_pkts + 1;
-      push t p;
+      push t p id;
       Trimmed
     end else begin drop t p; Dropped end
   end
   else begin drop t p; Dropped end
+
+let enqueue t (p : Packet.t) = enqueue_as t p ~id:p.id
 
 (* The head-of-line entry, or -1 when every queue is empty. *)
 let pop t =

@@ -46,17 +46,25 @@ val enqueue : t -> Packet.t -> verdict
     between. @raise Invalid_argument, leaving the queue unchanged, on a
     wire size outside [[0, 4096)], which an entry cannot hold. *)
 
+val enqueue_as : t -> Packet.t -> id:int -> verdict
+(** {!enqueue}, with [id] stored in the entry in place of the packet's
+    own: admission, marking, trimming and the counters read and update
+    the packet exactly as {!enqueue} does. The queue never reads [id]
+    back; [Net] stores a parked packet's descriptor there. [id] must
+    lie in [[0, 2{^50})]. *)
+
 val pop : t -> int
 (** Remove and return the head-of-line entry, or [-1] when all queues
-    are empty. An entry packs the packet's id with the wire size it
-    was queued at; read them with {!entry_id} and {!entry_wire}. *)
+    are empty. An entry packs the id stored at enqueue (the packet's
+    own, or {!enqueue_as}'s [id]) with the wire size it was queued at;
+    read them with {!entry_id} and {!entry_wire}. *)
 
 val entry_id : int -> int
 val entry_wire : int -> int
 
 val dequeue_or_dummy : t -> Packet.t
 (** [pop] read back as its packet: {!Packet.dummy} when all queues are
-    empty. *)
+    empty. Only for a queue filled by {!enqueue}. *)
 
 val bytes : t -> int
 val lp_bytes : t -> int

@@ -52,13 +52,17 @@ let flow_started t (flow : Flow.t) =
 
 (* The one place a data segment is made: every transport sends its data
    here, so each send is stamped, counted (one operation at the source,
-   its payload by loop, a retransmission) and traced alike. *)
+   its payload by loop, a retransmission) and traced alike. The segment
+   is built with [Packet.acquire], whose arguments are not optional, so
+   a send allocates nothing even where the call is not inlined. *)
 let send_data t (flow : Flow.t) ~loop ~prio ~ecn_capable ~first_rtt
     ~sel_drop ~retransmission seq =
   let pay = Flow.seg_payload flow seq in
   let pkt =
-    Packet.make ~seq ~payload:pay ~prio ~loop ~ecn_capable ~sel_drop
-      ~flow:flow.Flow.id ~src:flow.Flow.src ~dst:flow.Flow.dst Packet.Data
+    Packet.acquire ~uid:(Packet.next_uid ()) ~flow:flow.Flow.id
+      ~src:flow.Flow.src ~dst:flow.Flow.dst ~seq ~payload:pay
+      ~wire:(Packet.header_bytes + pay) ~prio ~kind:Packet.Data ~loop
+      ~ecn_capable ~ecn_ce:false ~trimmed:false ~sel_drop
   in
   Wire.set_data pkt ~tx:(now t) ~first_rtt;
   count_op t flow.Flow.src;

@@ -19,15 +19,17 @@ let on_ack (s : _ Reliable.t) p ~newly =
     let mssf = float_of_int (Reliable.mss s) in
     let newly = float_of_int newly in
     let cwnd = cc.Reliable.cwnd in
-    if cwnd < cc.Reliable.ssthresh then Reliable.set_cwnd s (cwnd +. newly)
-    else Reliable.set_cwnd s (cwnd +. (mssf *. newly /. cwnd))
+    cc.Reliable.cwnd <-
+      (if cwnd < cc.Reliable.ssthresh then cwnd +. newly
+       else cwnd +. (mssf *. newly /. cwnd));
+    Reliable.commit_cwnd s
   end;
   (* React to the first congestion echo of each window immediately
      (Linux CWR behaviour): one alpha-proportional cut per window. *)
   if Wire.ack_ece p && not s.Reliable.cwr then begin
     s.Reliable.cwr <- true;
-    let cut = cc.Reliable.cwnd *. (1. -. (cc.Reliable.alpha /. 2.)) in
-    Reliable.set_cwnd s cut;
+    cc.Reliable.cwnd <- cc.Reliable.cwnd *. (1. -. (cc.Reliable.alpha /. 2.));
+    Reliable.commit_cwnd s;
     cc.Reliable.ssthresh <- cc.Reliable.cwnd
   end
 
@@ -43,15 +45,16 @@ let on_window (s : _ Reliable.t) ~marked ~acked =
 
 let on_loss (s : _ Reliable.t) =
   let cc = s.Reliable.cc in
-  let cut = cc.Reliable.cwnd /. 2. in
-  Reliable.set_cwnd s cut;
+  cc.Reliable.cwnd <- cc.Reliable.cwnd /. 2.;
+  Reliable.commit_cwnd s;
   cc.Reliable.ssthresh <- cc.Reliable.cwnd
 
 let on_timeout (s : _ Reliable.t) =
   let cc = s.Reliable.cc in
   let mssf = float_of_int (Reliable.mss s) in
   cc.Reliable.ssthresh <- Float.max (2. *. mssf) (cc.Reliable.cwnd /. 2.);
-  Reliable.set_cwnd s mssf
+  cc.Reliable.cwnd <- mssf;
+  Reliable.commit_cwnd s
 
 (* [alpha] and [in_ca] are the defaults': alpha itself, and past slow
    start once ssthresh is finite. *)

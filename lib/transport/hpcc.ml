@@ -82,7 +82,8 @@ let on_ack (s : _ Reliable.t) tel ~newly:_ =
       let w = (cc.Reliable.w_ref /. (u /. eta)) +. wai in
       (* bound the per-update ramp, as HPCC's maxStage does *)
       let w = Float.min w (2. *. cc.Reliable.w_ref) in
-      Reliable.set_cwnd s w;
+      cc.Reliable.cwnd <- w;
+      Reliable.commit_cwnd s;
       let now = Sim.now ctx.Context.sim in
       if now - s.Reliable.epoch > ctx.Context.base_rtt then begin
         cc.Reliable.w_ref <- cc.Reliable.cwnd;
@@ -93,12 +94,14 @@ let on_ack (s : _ Reliable.t) tel ~newly:_ =
 
 let on_loss (s : _ Reliable.t) =
   let cc = s.Reliable.cc in
-  Reliable.set_cwnd s (cc.Reliable.cwnd /. 2.);
+  cc.Reliable.cwnd <- cc.Reliable.cwnd /. 2.;
+  Reliable.commit_cwnd s;
   cc.Reliable.w_ref <- cc.Reliable.cwnd
 
 let on_timeout (s : _ Reliable.t) =
   let cc = s.Reliable.cc in
-  Reliable.set_cwnd s (float_of_int (Reliable.mss s));
+  cc.Reliable.cwnd <- float_of_int (Reliable.mss s);
+  Reliable.commit_cwnd s;
   cc.Reliable.w_ref <- cc.Reliable.cwnd
 
 let policy =

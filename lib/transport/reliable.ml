@@ -116,18 +116,23 @@ let[@inline never] trace_cwnd t =
        { flow = t.flow.Flow.id; cwnd = int_of_float t.cc.cwnd })
 
 (* Every congestion-control policy funnels window changes through
-   here, so this one site gives traces the full cwnd trajectory. Kept
-   small so it inlines into the policies: a call would box [w]. *)
-let set_cwnd t w =
-  t.cc.cwnd <- Float.max (float_of_int t.mss) w;
+   here, so this one site gives traces the full cwnd trajectory. The
+   policy stores the new window in [cc.cwnd] first: a float argument
+   would be boxed wherever the call is not inlined, which in the dev
+   profile's -opaque build is every call from another module. Kept
+   small so it inlines into the policies. *)
+let commit_cwnd t =
+  let floor = float_of_int t.mss in
+  if t.cc.cwnd < floor then t.cc.cwnd <- floor;
   if !Ppt_obs.Trace.enabled then trace_cwnd t
 
 let default_policy =
   { init = (fun _ -> ());
     on_ack = (fun _ _ ~newly:_ -> ());
     on_window = (fun _ ~marked:_ ~acked:_ -> ());
-    on_loss = (fun t -> set_cwnd t (t.cc.cwnd /. 2.));
-    on_timeout = (fun t -> set_cwnd t (float_of_int t.mss));
+    on_loss = (fun t -> t.cc.cwnd <- t.cc.cwnd /. 2.; commit_cwnd t);
+    on_timeout =
+      (fun t -> t.cc.cwnd <- float_of_int t.mss; commit_cwnd t);
     on_lcp_ack = (fun _ _ -> ());
     alpha = (fun t -> t.cc.alpha);
     in_ca = (fun t -> t.cc.ssthresh < infinity);

@@ -38,7 +38,7 @@ val default_params :
     so a window update is a plain store that allocates nothing. Each
     controller reads and writes the fields it uses. *)
 type cc = {
-  mutable cwnd : float;      (** bytes; change it through {!set_cwnd} *)
+  mutable cwnd : float;      (** bytes; store it, then {!commit_cwnd} *)
   mutable ssthresh : float;  (** slow-start threshold; [infinity] at first *)
   mutable alpha : float;     (** DCTCP's ECN-fraction estimate, 1.0 at first *)
   mutable wmax : float;      (** largest window seen (W_max of Eq. 2) *)
@@ -132,8 +132,10 @@ val create : Context.t -> Flow.t -> params -> 'x policy -> 'x -> 'x t
 val start : 'x t -> unit
 
 val cwnd : 'x t -> float
-val set_cwnd : 'x t -> float -> unit
-(** Clamped to at least one [mss]. *)
+val commit_cwnd : 'x t -> unit
+(** Apply the window a policy just stored in [cc.cwnd]: floor it at one
+    [mss] and trace it. The window is not an argument, so a call the
+    compiler does not inline boxes nothing. *)
 
 val mss : 'x t -> int
 val inflight : 'x t -> int

@@ -27,17 +27,20 @@ let on_ack (s : _ Reliable.t) p ~newly =
     let delay = now - data_tx in
     let target = target ctx in
     s.Reliable.delay <- delay;
-    let cwnd = Reliable.cwnd s in
+    let cc = s.Reliable.cc in
+    let cwnd = cc.Reliable.cwnd in
     if delay < target then begin
       (* additive increase, spread over the acks of one window *)
       let mssf = float_of_int (Reliable.mss s) in
       let newly = float_of_int newly in
-      Reliable.set_cwnd s (cwnd +. (ai_segs *. mssf *. newly /. cwnd))
+      cc.Reliable.cwnd <- cwnd +. (ai_segs *. mssf *. newly /. cwnd);
+      Reliable.commit_cwnd s
     end else if now - s.Reliable.epoch > ctx.Context.base_rtt then begin
       s.Reliable.epoch <- now;
       let excess = float_of_int (delay - target) /. float_of_int delay in
       let factor = Float.max (1. -. (beta *. excess)) (1. -. max_mdf) in
-      Reliable.set_cwnd s (cwnd *. factor)
+      cc.Reliable.cwnd <- cwnd *. factor;
+      Reliable.commit_cwnd s
     end
   end
 

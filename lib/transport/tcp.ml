@@ -15,8 +15,10 @@ let on_ack (s : _ Reliable.t) _ ~newly =
     let cc = s.Reliable.cc in
     let mssf = float_of_int (Reliable.mss s) in
     let cwnd = cc.Reliable.cwnd in
-    if cwnd < cc.Reliable.ssthresh then Reliable.set_cwnd s (cwnd +. newly)
-    else Reliable.set_cwnd s (cwnd +. (mssf *. newly /. cwnd))
+    cc.Reliable.cwnd <-
+      (if cwnd < cc.Reliable.ssthresh then cwnd +. newly
+       else cwnd +. (mssf *. newly /. cwnd));
+    Reliable.commit_cwnd s
   end
 
 (* Half the window, floored at two segments. *)
@@ -27,11 +29,14 @@ let halve_ssthresh (s : _ Reliable.t) =
 
 let on_loss (s : _ Reliable.t) =
   halve_ssthresh s;
-  Reliable.set_cwnd s s.Reliable.cc.Reliable.ssthresh
+  let cc = s.Reliable.cc in
+  cc.Reliable.cwnd <- cc.Reliable.ssthresh;
+  Reliable.commit_cwnd s
 
 let on_timeout (s : _ Reliable.t) =
   halve_ssthresh s;
-  Reliable.set_cwnd s (float_of_int (Reliable.mss s))
+  s.Reliable.cc.Reliable.cwnd <- float_of_int (Reliable.mss s);
+  Reliable.commit_cwnd s
 
 let policy =
   { Reliable.default_policy with Reliable.on_ack; on_loss; on_timeout }

@@ -54,6 +54,49 @@ let test_runner_drops_packet_arena () =
   let p = Packet.make ~flow:0 ~src:0 ~dst:1 Packet.Data in
   check Alcotest.int "ids restart at 0" 0 p.Packet.id
 
+(* Counts, not timings, on the benchmark's seed-1 fabric run (fig12's
+   PPT shard: 800 web-search flows on the scaled leaf-spine). PPT's
+   low-priority segments wait in the host NICs by the tens of
+   thousands; parked, they hold no packet record, so the arena's
+   high-water stays in the low thousands (37,852 while every waiting
+   segment held one). And at the stop, inside the last completion
+   handler, every packet the run made is accounted for once. *)
+let test_fabric_backlog_conserved () =
+  let module Packet = Ppt_netsim.Packet in
+  let module Net = Ppt_netsim.Net in
+  let module Context = Ppt_transport.Context in
+  let cfg = Config.oversub ~scale:4 ~n_flows:800 ~load:0.5 ~seed:1 () in
+  let at_stop = ref None in
+  let r =
+    Runner.run cfg Schemes.ppt ~observe:(fun ctx _ ->
+        let finish = ctx.Context.on_complete in
+        ctx.Context.on_complete <- (fun flow ->
+            finish flow;
+            if ctx.Context.completed = cfg.Config.n_flows then begin
+              let net = ctx.Context.net in
+              at_stop :=
+                Some
+                  ( Packet.made (),
+                    [ Net.delivered net; Net.undeliverable net;
+                      Net.total_drops net; Net.total_fault_drops net;
+                      Packet.records () - Packet.pool_size ();
+                      Net.parked net ],
+                    Packet.records () )
+            end))
+  in
+  check Alcotest.int "every flow completed" cfg.Config.n_flows
+    r.Runner.completed;
+  match !at_stop with
+  | None -> Alcotest.fail "the run never reached its stop"
+  | Some (made, parts, high_water) ->
+    check Alcotest.int
+      "made = delivered + undeliverable + drops + fault kills + records \
+       in use + parked"
+      made (List.fold_left ( + ) 0 parts);
+    check Alcotest.bool
+      (Printf.sprintf "packet-record high-water %d <= 2,500" high_water)
+      true (high_water <= 2_500)
+
 let test_runner_seed_changes_result () =
   let run seed =
     let cfg = { (tiny_cfg ()) with Config.seed } in
@@ -371,6 +414,8 @@ let suite =
     Alcotest.test_case "runner: determinism" `Quick test_runner_determinism;
     Alcotest.test_case "runner: packet arena dropped after a run" `Quick
       test_runner_drops_packet_arena;
+    Alcotest.test_case "runner: fabric backlog parked, packets conserved"
+      `Slow test_fabric_backlog_conserved;
     Alcotest.test_case "runner: fig8 determinism guard" `Slow
       test_fig8_determinism;
     Alcotest.test_case "runner: seed sensitivity" `Quick

@@ -601,6 +601,176 @@ let test_send_refuses_foreign_packets () =
   Sim.run sim;
   check Alcotest.int "only the current packet arrived" 1 !got
 
+(* --- parked packets ---------------------------------------------------
+
+   A host NIC holding a deep backlog parks the packets that join it:
+   their fields wait in a descriptor, not a record, and a record is
+   acquired again when they reach the head of the queue. Nothing a
+   receiver sees may change but the record's id. *)
+
+(* Every field a packet carries but its arena id. *)
+let fields (p : Packet.t) =
+  ( (p.uid, p.flow, p.src, p.dst, p.seq, p.payload, p.wire, p.prio),
+    (p.kind, p.loop, p.ecn_capable, p.ecn_ce, p.trimmed, p.sel_drop),
+    (p.hw0, p.hw1, p.hw2, p.hw3, p.hflag),
+    List.init (Packet.tel_count p) (fun i ->
+        (Packet.tel_qlen p i, Packet.tel_tx_bytes p i, Packet.tel_ts p i,
+         Packet.tel_rate p i)) )
+
+let backlog_flows = 7
+
+(* Host 0 of a 10G star, whose switch never queues more than a few
+   packets, sends to host 1; every flow's packets are collected at
+   host 1 in arrival order. *)
+let backlog_star () =
+  Packet.reset ();
+  let sim = Sim.create () in
+  let topo =
+    Topology.star ~sim ~n_hosts:2 ~rate:(Units.gbps 10) ~delay:(Units.us 1)
+      ~qcfg:(Prio_queue.default_config ~buffer_bytes:(Units.mb 1)) ()
+  in
+  let got = ref [] in
+  for flow = 0 to backlog_flows - 1 do
+    Net.register topo.Topology.net ~host:1 ~flow (fun p ->
+        got := fields p :: !got)
+  done;
+  (sim, topo, got)
+
+(* Packet [i] of a backlog: data in both bands, acks and control, with
+   every flag and the first header word varied. *)
+let backlog_packet i =
+  let kind =
+    match i mod 10 with 3 -> Packet.Ack | 7 -> Packet.Ctrl | _ -> Packet.Data
+  in
+  let payload = if kind = Packet.Data then 1000 + (i * 37 mod 461) else 0 in
+  let p =
+    Packet.make ~seq:i ~payload ~prio:(if i mod 3 = 0 then 1 else 5)
+      ~loop:(if i mod 2 = 0 then Packet.L else Packet.H)
+      ~ecn_capable:(i mod 4 = 0) ~sel_drop:(i mod 5 = 0)
+      ~flow:(i mod backlog_flows) ~src:0 ~dst:1 kind
+  in
+  p.Packet.ecn_ce <- i mod 8 = 0;
+  p.Packet.trimmed <- i mod 11 = 0;
+  p.Packet.hw0 <- i * 1_000_003;
+  p.Packet.hflag <- i mod 6 = 0;
+  p
+
+(* Send packets [lo, hi) of the backlog, each made just before it is
+   sent; their fields, in send order. *)
+let send_backlog net ~lo ~hi =
+  List.init (hi - lo) (fun k ->
+      let p = backlog_packet (lo + k) in
+      let f = fields p in
+      Net.send net p;
+      f)
+
+(* The order a strict-priority NIC sends a backlog queued at once: the
+   first packet (on the wire before the rest arrive), then the rest by
+   queue, each queue in send order. *)
+let strict_priority_order = function
+  | [] -> []
+  | first :: rest ->
+    let queue ((_, _, _, _, _, _, _, prio), _, _, _) =
+      Int.min prio (Prio_queue.n_prios - 1)
+    in
+    first :: List.stable_sort (fun a b -> compare (queue a) (queue b)) rest
+
+(* Packets made = delivered + undeliverable + queue drops + fault kills
+   + records in use + parked descriptors. *)
+let check_conserved net =
+  check Alcotest.int "every packet made is accounted for" (Packet.made ())
+    (Net.delivered net + Net.undeliverable net + Net.total_drops net
+     + Net.total_fault_drops net
+     + (Packet.records () - Packet.pool_size ()) + Net.parked net)
+
+let test_backlog_parked_intact () =
+  let sim, topo, got = backlog_star () in
+  let net = topo.Topology.net in
+  let n = 5_000 in
+  let sent = send_backlog net ~lo:0 ~hi:n in
+  check Alcotest.bool
+    (Printf.sprintf "most of the backlog is parked (%d)" (Net.parked net))
+    true (Net.parked net > n - 400);
+  check_conserved net;
+  Sim.run sim;
+  check Alcotest.int "all delivered" n (Net.delivered net);
+  check Alcotest.bool "same order, every field equal" true
+    (List.rev !got = strict_priority_order sent);
+  check Alcotest.int "no descriptor left" 0 (Net.parked net);
+  check Alcotest.bool
+    (Printf.sprintf "%d records for %d packets" (Packet.records ()) n)
+    true (Packet.records () <= 400);
+  check_conserved net
+
+(* Telemetry, header words past the first and an out-of-range priority
+   do not fit a descriptor: those packets keep their record in the
+   backlog and cross it as they were. *)
+let test_backlog_keeps_unparkable () =
+  let sim, topo, got = backlog_star () in
+  let net = topo.Topology.net in
+  let sent = send_backlog net ~lo:0 ~hi:1_000 in
+  let parked = Net.parked net in
+  let odd i =
+    let p = backlog_packet i in
+    p.Packet.prio <- 1;
+    p
+  in
+  let tel = odd 1_000 in
+  Packet.tel_push tel ~qlen:1 ~tx_bytes:2 ~ts:3 ~rate:4;
+  Packet.tel_push tel ~qlen:5 ~tx_bytes:6 ~ts:7 ~rate:8;
+  let words = odd 1_001 in
+  words.Packet.hw1 <- 11;
+  words.Packet.hw2 <- -12;
+  words.Packet.hw3 <- 13;
+  let prio = odd 1_002 in
+  prio.Packet.prio <- 9;
+  let specials = List.map fields [ tel; words; prio ] in
+  List.iter (Net.send net) [ tel; words; prio ];
+  check Alcotest.int "none of the three parked" parked (Net.parked net);
+  let after = send_backlog net ~lo:1_003 ~hi:1_013 in
+  check Alcotest.int "the packets after them park" (parked + 10)
+    (Net.parked net);
+  Sim.run sim;
+  let arrived = List.rev !got in
+  check Alcotest.bool "each arrives with every field" true
+    (List.for_all (fun f -> List.mem f arrived) specials);
+  check Alcotest.bool "same order, every field equal" true
+    (arrived = strict_priority_order (sent @ specials @ after));
+  check_conserved net
+
+(* A downed host link, and a paused host, stop the NIC with its
+   backlog parked; packets sent while it is down are discarded, and
+   every parked packet still arrives unchanged once it is up again. *)
+let test_backlog_survives_down_and_pause () =
+  let sim, topo, got = backlog_star () in
+  let net = topo.Topology.net in
+  let spec =
+    match Ppt_faults.Fault_spec.of_string
+            "down@1ms-2ms:link:0; pause@3ms-4ms:host:0" with
+    | Ok spec -> spec
+    | Error e -> failwith e
+  in
+  Ppt_faults.Injector.install ~net ~hosts:topo.Topology.hosts
+    ~to_host_port:topo.Topology.to_host_port ~seed:1 spec;
+  let n = 5_000 in
+  let sent = send_backlog net ~lo:0 ~hi:n in
+  let parked_when_stopped = ref [] in
+  let sample () = parked_when_stopped := Net.parked net :: !parked_when_stopped in
+  ignore (Sim.schedule_at sim (Units.us 1_500) (fun () ->
+      sample ();
+      ignore (send_backlog net ~lo:n ~hi:(n + 3))));
+  ignore (Sim.schedule_at sim (Units.us 3_500) sample);
+  Sim.run sim;
+  check Alcotest.bool "backlog parked while the NIC is stopped" true
+    (List.for_all (fun k -> k > 1_000) !parked_when_stopped);
+  check Alcotest.int "sent while down: discarded" 3
+    (Net.total_fault_drops net);
+  check Alcotest.bool "same order, every field equal" true
+    (List.rev !got = strict_priority_order sent);
+  check Alcotest.bool "the NIC stopped past the last window" true
+    (Sim.now sim > Units.ms 4);
+  check_conserved net
+
 (* The delivery table: two (host, handler) slots per flow, reached by
    flow id at any size, with bad registrations refused up front. *)
 let test_delivery_table () =
@@ -1018,6 +1188,12 @@ let suite =
     QCheck_alcotest.to_alcotest prop_delivery_table_matches_reference;
     Alcotest.test_case "net: delivery table follows live flows" `Quick
       test_delivery_table_churn;
+    Alcotest.test_case "net: a deep host backlog parks intact" `Quick
+      test_backlog_parked_intact;
+    Alcotest.test_case "net: packets a descriptor cannot hold keep records"
+      `Quick test_backlog_keeps_unparkable;
+    Alcotest.test_case "net: parked packets survive down and pause" `Quick
+      test_backlog_survives_down_and_pause;
     Alcotest.test_case "net: send refuses copies and stale packets" `Quick
       test_send_refuses_foreign_packets;
     Alcotest.test_case "topo: leaf-spine shape" `Quick test_leaf_spine_shape;

@@ -268,8 +268,10 @@ let test_ppt_flow_setup_alloc () =
    allocate nothing. Each ack confirms the next segment and every 8th
    echoes ECE; the data an ack lets out is delivered (to no handler)
    before the next ack, so the packet arena recycles. It holds in the
-   default (release) profile: the dev profile's -opaque boxes
-   [Packet.make]'s optional arguments on every send. *)
+   dev profile too, where no call between modules is inlined: data is
+   built with [Packet.acquire], which has no optional arguments, and a
+   policy stores its window before [Reliable.commit_cwnd] instead of
+   passing it as a float. *)
 let test_dctcp_ack_no_alloc () =
   let sim, _topo, ctx = Helpers.star () in
   let nseg = 20_000 in
@@ -308,6 +310,11 @@ let test_dctcp_ack_no_alloc () =
 
 (* --- tcp.ml: slow start / loss recovery state machine --- *)
 
+(* What a policy does to change the window. *)
+let set_cwnd (s : _ Reliable.t) w =
+  s.Reliable.cc.Reliable.cwnd <- w;
+  Reliable.commit_cwnd s
+
 let test_tcp_congestion_control () =
   let _sim, _topo, ctx = Helpers.star () in
   let flow = Flow.create ~id:0 ~src:0 ~dst:1 ~size:1_000_000 ~start:0 in
@@ -326,7 +333,7 @@ let test_tcp_congestion_control () =
   check eps "slow start grows one seg per acked seg" (4. *. fmss)
     (Reliable.cwnd s);
   (* fast-retransmit loss: window halves *)
-  Reliable.set_cwnd s (20. *. fmss);
+  set_cwnd s (20. *. fmss);
   Tcp.policy.Reliable.on_loss s;
   check eps "loss halves the window" (10. *. fmss) (Reliable.cwnd s);
   (* now above ssthresh: congestion avoidance, additive growth *)
@@ -339,11 +346,11 @@ let test_tcp_congestion_control () =
     true
     (growth > 0. && growth < fmss /. 2.);
   (* halving is floored at two segments *)
-  Reliable.set_cwnd s (2. *. fmss);
+  set_cwnd s (2. *. fmss);
   Tcp.policy.Reliable.on_loss s;
   check eps "ssthresh floored at 2 mss" (2. *. fmss) (Reliable.cwnd s);
   (* timeout: back to one segment, then slow start resumes *)
-  Reliable.set_cwnd s (20. *. fmss);
+  set_cwnd s (20. *. fmss);
   Tcp.policy.Reliable.on_timeout s;
   check eps "timeout resets to 1 mss" fmss (Reliable.cwnd s);
   ack ();
