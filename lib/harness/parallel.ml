@@ -63,9 +63,8 @@ let sweep ?(jobs = 1) ?timeout ~dir ?(resume = false) ?progress ~ids opts =
      it. *)
   let phase ~resume sims =
     let run (s : Figures.sim) () =
-      let needed = Option.map get s.Figures.needs in
       let c0 = cpu_seconds () in
-      let out = Figures.exec s ~needed in
+      let out = Figures.exec s ~get in
       (out, cpu_seconds () -. c0)
     in
     let r =
@@ -78,8 +77,8 @@ let sweep ?(jobs = 1) ?timeout ~dir ?(resume = false) ?progress ~ids opts =
          Hashtbl.replace outcomes sh.Sweep.s_key sh.Sweep.s_outcome)
       r.Sweep.shards
   in
-  (* Hypothetical-DCTCP runs read their recorder's file, so they run in
-     a second phase, in the same directory: it reuses what it finds,
+  (* Hypothetical-DCTCP runs read their DCTCP run's file, so they run
+     in a second phase, in the same directory: it reuses what it finds,
      which is nothing unless [resume], as the first phase emptied it. *)
   let sims = Figures.distinct (List.map snd units) in
   let first, second =

@@ -58,14 +58,11 @@ let ppt_no_sched =
 let ppt_no_ident =
   ppt_with "ppt-no-ident" { Ppt.default_params with identification = false }
 
-(* the Fig. 27 send-buffer sensitivity *)
+(* the Fig. 27 send-buffer sensitivity, below the default 2 GB *)
 let ppt_sendbuf bytes =
   ppt_with
     (Printf.sprintf "ppt-sb-%s"
-       (if bytes >= Units.mb 1000 then
-          Printf.sprintf "%dG" (bytes / Units.mb 1000)
-        else if bytes >= Units.mb 1 then
-          Printf.sprintf "%dM" (bytes / Units.mb 1)
+       (if bytes >= Units.mb 1 then Printf.sprintf "%dM" (bytes / Units.mb 1)
         else Printf.sprintf "%dK" (bytes / 1000)))
     { Ppt.default_params with sendbuf = Sendbuf.make ~capacity:bytes () }
 

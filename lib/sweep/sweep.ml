@@ -39,7 +39,7 @@ let magic = "ppt-sweep-result"
 (* Bump whenever the marshalled payload type changes, so a file an
    older build wrote is re-run instead of unmarshalled at the wrong
    type. *)
-let version = 1
+let version = 2
 
 let file dir key = Filename.concat dir (Digest.to_hex (Digest.string key))
 

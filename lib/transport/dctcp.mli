@@ -8,7 +8,7 @@ val policy : 'x Reliable.policy
     dctcp_get_info analogue of §5.1. PPT over Swift or HPCC presents
     its primary loop through the same two functions. *)
 
-val make :
-  ?on_flow_wmax:(int -> float -> unit) -> unit -> Endpoint.factory
-(** Plain IW10 DCTCP as a complete transport. [on_flow_wmax] receives
-    each flow's W_max at teardown (used by the hypothetical DCTCP). *)
+val make : unit -> Endpoint.factory
+(** Plain IW10 DCTCP as a complete transport. Each flow it finishes
+    adds its W_max ([Float.max wmax cwnd] at teardown) to the run's
+    {!Context.t.flow_wmax}. *)

@@ -416,9 +416,9 @@ let test_parallel_shares_sims () =
     together.Parallel.output
 
 (* A harness sweep that lost some result files resumes to the same
-   bytes: every other simulation's file deleted, and fig2's recorder
-   with its hypothetical runs, which then read the re-run recorder's
-   file in the second phase. *)
+   bytes: every other simulation's file deleted, and fig2's DCTCP run
+   with the hypothetical run that reads it, which then reads the re-run
+   DCTCP file in the second phase. *)
 let test_parallel_resume () =
   let opts = { Figures.default_opts with Figures.flows_scale = 0.01 } in
   let ids = [ "fig2"; "fig10" ] in
@@ -428,17 +428,19 @@ let test_parallel_resume () =
          (fun id -> (Option.get (Figures.find id)).Figures.e_units opts)
          ids)
   in
-  let recorders =
+  let needed =
     List.filter_map
       (fun (s : Figures.sim) ->
          Option.map (fun (r : Figures.sim) -> r.Figures.key) s.Figures.needs)
       sims
   in
+  check Alcotest.bool "the hypothetical run reads fig2's dctcp row" true
+    (List.exists (String.starts_with ~prefix:"dctcp/") needed);
   let lost =
     List.filteri
       (fun i (s : Figures.sim) ->
          i mod 2 = 0 || Option.is_some s.Figures.needs
-         || List.mem s.Figures.key recorders)
+         || List.mem s.Figures.key needed)
       sims
   in
   with_dir (fun dir ->
