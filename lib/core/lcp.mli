@@ -34,7 +34,3 @@ val loops_opened : t -> int
 val case1_window : t Reliable.t -> int
 (** Case-1 initial window: BDP - current congestion window. *)
 
-val pace_interval : rtt:int -> sent:int -> window:int -> int
-(** EWD pacer gap: [rtt * sent / window] rounded to nearest (never
-    below 1 tick), so a window paces out over one whole RTT instead of
-    systematically early under truncation. *)

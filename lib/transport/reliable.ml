@@ -313,6 +313,16 @@ let send_lcp_segment ?prio t seq =
   if not (t.shut || Bytes.get t.seg seq = st_sacked) then
     send_segment t ~loop:Packet.L ?prio_override:prio seq
 
+(* Inter-segment gap that spreads [window] bytes evenly over one RTT:
+   rtt * sent / window, rounded to nearest. Truncating instead paced
+   every segment a fraction of a tick early, and the error compounded
+   across a window — enough to shift timelines. *)
+let pace_interval ~rtt ~sent ~window =
+  let exact =
+    float_of_int rtt *. float_of_int sent /. float_of_int window
+  in
+  Int.max 1 (int_of_float (Float.round exact))
+
 (* Send the highest untransmitted segment below the cursor, within
    the send buffer and at or above [snd_nxt]; the cursor moves to it.
    Returns its payload, or 0 once the two loops have met. *)

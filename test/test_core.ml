@@ -239,15 +239,15 @@ let test_pace_interval_rounds () =
      window -> 80_000 * 1460 / 438_000 = 266.67 ticks. Truncation gave
      266, pacing the whole window systematically early. *)
   check Alcotest.int "rounds up past the half" 267
-    (Lcp.pace_interval ~rtt:80_000 ~sent:1460 ~window:438_000);
+    (Reliable.pace_interval ~rtt:80_000 ~sent:1460 ~window:438_000);
   (* 116_800_000 / 439_000 = 266.06: below the half, stays 266 *)
   check Alcotest.int "rounds down below the half" 266
-    (Lcp.pace_interval ~rtt:80_000 ~sent:1460 ~window:439_000);
+    (Reliable.pace_interval ~rtt:80_000 ~sent:1460 ~window:439_000);
   check Alcotest.int "never below one tick" 1
-    (Lcp.pace_interval ~rtt:10 ~sent:1 ~window:1_000);
+    (Reliable.pace_interval ~rtt:10 ~sent:1 ~window:1_000);
   (* exact division is untouched by rounding *)
   check Alcotest.int "exact division unchanged" 400
-    (Lcp.pace_interval ~rtt:80_000 ~sent:1460 ~window:292_000)
+    (Reliable.pace_interval ~rtt:80_000 ~sent:1460 ~window:292_000)
 
 let suite =
   [ Alcotest.test_case "tagging: identified large" `Quick
