@@ -138,8 +138,18 @@ let check_trace (topo : Topology.built) (trace : Trace.spec list) =
 
 (* Every packet a run made is accounted for once: delivered (or
    undeliverable), dropped by a queue or a fault, or still held, in a
-   record or parked. Checked before the arena goes. *)
+   record or parked. Every byte a port queued was sent or is still
+   queued, and each port's queue holds, chunk by chunk, the entries and
+   bytes its counters say. Checked before the arena goes. *)
 let audit_conservation (cfg : Config.t) (scheme : Schemes.t) net =
+  let fail fmt =
+    Printf.ksprintf
+      (fun msg ->
+         failwith
+           (Printf.sprintf "Runner: %s on %s, seed %d: %s"
+              scheme.Schemes.s_name cfg.Config.name cfg.Config.seed msg))
+      fmt
+  in
   let made = Packet.made ()
   and accounted =
     Net.delivered net + Net.undeliverable net + Net.total_drops net
@@ -147,11 +157,25 @@ let audit_conservation (cfg : Config.t) (scheme : Schemes.t) net =
     + Net.parked net
   in
   if made <> accounted then
-    failwith
-      (Printf.sprintf
-         "Runner: %s on %s, seed %d: packets not conserved: %d made, %d \
-          accounted for"
-         scheme.Schemes.s_name cfg.Config.name cfg.Config.seed made accounted)
+    fail "packets not conserved: %d made, %d accounted for" made accounted;
+  for nid = 0 to Net.n_nodes net - 1 do
+    Array.iter
+      (fun (port : Net.port) ->
+         let q = port.Net.q in
+         let enqueued = Prio_queue.enqueued_bytes q
+         and queued = Prio_queue.bytes q in
+         if enqueued <> port.Net.tx_bytes + queued then
+           fail
+             "port %d.%d: bytes not conserved: %d enqueued, %d sent, %d \
+              queued"
+             port.Net.owner port.Net.pix enqueued port.Net.tx_bytes queued;
+         match Prio_queue.check q with
+         | Ok () -> ()
+         | Error what ->
+           fail "port %d.%d: queue storage broken: %s" port.Net.owner
+             port.Net.pix what)
+      (Net.node net nid).Net.ports
+  done
 
 (* Launch every flow at its start time, drawn from the config's
    generator or from [trace], and stop the simulation once they have

@@ -100,6 +100,7 @@ type t = {
   mutable park_free : int;          (* first free descriptor, or -1 *)
   mutable park_len : int;           (* descriptors ever taken *)
   mutable parked : int;             (* descriptors holding a packet *)
+  pool : Prio_queue.pool;           (* every port's queue chunks *)
 }
 
 let make_port ~owner ~pix ~rate ~delay qcfg =
@@ -568,7 +569,8 @@ let create sim ?(collect_int = false) nodes =
       dhost = Array.make (2 * table_cap) (-1);
       dfn = Array.make (2 * table_cap) ignore; collect_int;
       delivered = 0; undeliverable = 0;
-      park_chunks = [||]; park_free = -1; park_len = 0; parked = 0 }
+      park_chunks = [||]; park_free = -1; park_len = 0; parked = 0;
+      pool = Prio_queue.pool () }
   in
   t.tx_h <- Sim.register sim (fun g -> start_tx t (Array.unsafe_get ports g));
   t.arr_h <- Sim.register sim (fun x ->
@@ -576,6 +578,7 @@ let create sim ?(collect_int = false) nodes =
         (Packet.of_id (x lsr port_bits)));
   Array.iteri (fun g p ->
       let peer = nodes.(p.peer) in
+      Prio_queue.share_pool p.q t.pool;
       p.gix <- g;
       p.recv_fire <- (fun pkt -> receive t peer pkt))
     ports;

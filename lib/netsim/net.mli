@@ -92,7 +92,9 @@ val make_switch : nid:int -> fwd -> port array -> node
 val create : Sim.t -> ?collect_int:bool -> node array -> t
 (** Node ids must equal their array index and every port must be wired.
     [collect_int] makes switches stamp HPCC inband telemetry on data
-    packets. *)
+    packets. Every port's queue takes its chunks from one pool the net
+    holds ({!Prio_queue.share_pool}), so a port's queue must not have
+    held an entry yet. *)
 
 val sim : t -> Sim.t
 val node : t -> int -> node

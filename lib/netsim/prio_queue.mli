@@ -39,6 +39,33 @@ type t
 type verdict = Enqueued | Dropped | Trimmed
 
 val create : config -> t
+(** An empty queue with a chunk pool of its own. Each band keeps its
+    entries in fixed-size chunks taken from the pool as its backlog
+    grows and returned as it drains; a drained band keeps one chunk. *)
+
+type pool
+(** Chunks for the bands of any number of queues, each chunk taken by
+    one band at a time. Chunks a band returns go on the pool's free
+    list for the next band that needs one: a pool makes as many chunks
+    as its queues held at once, never more, and frees none. *)
+
+val pool : unit -> pool
+(** An empty pool. *)
+
+val share_pool : t -> pool -> unit
+(** Take [t]'s chunks from [pool] from now on. [Net.create] gives every
+    port of a net one pool.
+    @raise Invalid_argument if [t] already holds a chunk. *)
+
+val pool_chunks : pool -> int
+(** Chunks the pool has made: the most its queues held at once. *)
+
+val chunk_entries : int
+(** Entries a chunk holds. *)
+
+val chunk_words : int
+(** Words a chunk takes in its pool's store. *)
+
 val enqueue : t -> Packet.t -> verdict
 (** The queue stores the packet's id, so it must be current
     ({!Packet.is_current}) from enqueue to dequeue: a record from
@@ -89,3 +116,24 @@ val drop_bytes : t -> int
 val trims : t -> int
 val marks : t -> int
 val enqueues : t -> int
+
+val enqueued_bytes : t -> int
+(** Wire bytes of every entry ever queued, as queued (trimmed entries
+    at their trimmed size): what the port has sent plus {!bytes}. *)
+
+val length : t -> int -> int
+(** Entries queued at priority [prio]. *)
+
+val bands_held : t -> int
+(** Priorities holding a chunk: every one ever enqueued into. *)
+
+val storage_words : t -> int
+(** Words of the chunks [t]'s bands hold: at most
+    [ceil (length t prio / chunk_entries) + 1] chunks of {!chunk_words}
+    per priority that holds one. *)
+
+val check : t -> (unit, string) result
+(** Walk every band's chunks from head to tail: [Ok ()] when each
+    holds {!length} entries whose wire sizes sum to {!queue_bytes},
+    and the bands sum to {!bytes} and {!lp_bytes}; otherwise what
+    differs. Linear in the entries queued. *)

@@ -515,6 +515,106 @@ let prop_queue_matches_reference =
             && Prio_queue.enqueues q = r.Ref_pq.enq_pkts)
          equiv_configs)
 
+(* Chunk boundaries: three queues share one pool, and every band's
+   backlog crosses several chunks, drains to empty and fills again.
+   Entries go in through [enqueue_as] with ids of the test's own, so
+   each pop is checked against a model of eight FIFO lists per queue.
+   A round is the random ops, then round-robin pushes that take every
+   band past three chunks (so the queues' and bands' chunks interleave
+   in the pool), then a full drain. Replaying the round must stop growing
+   the pool: in the first round each band takes its first chunk when
+   it first gets an entry, and from the second each starts with the
+   chunk it kept, so rounds 2 to 4 hold the same chunks at each step. *)
+let prop_queue_chunks_shared_pool =
+  QCheck.Test.make
+    ~name:"chunked queues sharing a pool match a FIFO model" ~count:50
+    QCheck.(
+      list_of_size (Gen.int_range 0 40)
+        (quad (int_bound 2) (int_bound 7) (int_range (-90) 120)
+           (int_range 1 4095)))
+    (fun ops ->
+       let pool = Prio_queue.pool () in
+       let qs =
+         Array.init 3 (fun _ ->
+             let q = Prio_queue.create (qcfg ~buffer:(1 lsl 40) ()) in
+             Prio_queue.share_pool q pool;
+             q)
+       in
+       let model =
+         Array.init 3 (fun _ -> Array.init 8 (fun _ -> Queue.create ()))
+       in
+       let pkt = mk_pkt () in
+       let next_id = ref 0 in
+       let fail fmt = Printf.ksprintf failwith fmt in
+       let audit q =
+         match Prio_queue.check qs.(q) with
+         | Ok () -> ()
+         | Error what -> fail "queue %d: %s" q what
+       in
+       let push q prio wire =
+         pkt.Packet.prio <- prio;
+         pkt.Packet.wire <- wire;
+         incr next_id;
+         ignore
+           (Prio_queue.enqueue_as qs.(q) pkt ~id:!next_id
+            : Prio_queue.verdict);
+         Queue.push (!next_id, wire) model.(q).(prio)
+       in
+       let pop q =
+         let e = Prio_queue.pop qs.(q) in
+         match
+           Array.find_opt (fun b -> not (Queue.is_empty b)) model.(q)
+         with
+         | None -> if e <> -1 then fail "queue %d: popped from empty" q
+         | Some band ->
+           let id, wire = Queue.pop band in
+           if e < 0 || Prio_queue.entry_id e <> id
+              || Prio_queue.entry_wire e <> wire
+           then
+             fail "queue %d: popped %d, expected id %d wire %d" q e id wire
+       in
+       let round () =
+         List.iter
+           (fun (q, prio, n, wire) ->
+              if n >= 0 then for _ = 1 to n do push q prio wire done
+              else for _ = 1 to -n do pop q done;
+              audit q)
+           ops;
+         for k = 0 to (3 * Prio_queue.chunk_entries) + 7 do
+           for prio = 0 to 7 do
+             for q = 0 to 2 do push q prio (64 + k) done
+           done
+         done;
+         Array.iteri
+           (fun q bands ->
+              audit q;
+              Array.iteri
+                (fun prio b ->
+                   if Queue.length b <> Prio_queue.length qs.(q) prio then
+                     fail "queue %d P%d: %d entries, model %d" q prio
+                       (Prio_queue.length qs.(q) prio) (Queue.length b))
+                bands)
+           model;
+         for q = 0 to 2 do
+           while Array.exists (fun b -> not (Queue.is_empty b)) model.(q) do
+             pop q
+           done;
+           pop q;
+           audit q;
+           if Prio_queue.bytes qs.(q) <> 0 then fail "queue %d: bytes left" q;
+           (* drained, each band keeps one chunk *)
+           if Prio_queue.storage_words qs.(q)
+              <> Prio_queue.bands_held qs.(q) * Prio_queue.chunk_words
+           then fail "queue %d: a drained band holds more than a chunk" q
+         done;
+         Prio_queue.pool_chunks pool
+       in
+       let first = round () in
+       let second = round () in
+       let later = [ round (); round () ] in
+       first <= second && List.for_all (( = ) second) later
+       && second <= first + (3 * Prio_queue.n_prios))
+
 (* --- fabric ----------------------------------------------------------- *)
 
 let test_star_delivery () =
@@ -1179,6 +1279,7 @@ let suite =
       test_enqueue_refuses_oversize;
     QCheck_alcotest.to_alcotest prop_queue_byte_accounting;
     QCheck_alcotest.to_alcotest prop_queue_matches_reference;
+    QCheck_alcotest.to_alcotest prop_queue_chunks_shared_pool;
     Alcotest.test_case "net: star delivery" `Quick test_star_delivery;
     Alcotest.test_case "net: serialization timing" `Quick
       test_serialization_timing;
