@@ -28,17 +28,13 @@ let create () = { keys = [||]; ties = [||]; vals = [||]; size = 0 }
 let length t = t.size
 let is_empty t = t.size = 0
 
-(* Grow 4x (2x past a million entries) like the scheduler's slab: each
-   step allocates in the major heap, whose GC work is paced by the
-   words allocated there. The copy is a loop of plain int stores;
-   [Array.blit] into a major-heap array would go through the write
-   barrier per element. *)
+(* Double the arrays, from 64 entries, as the scheduler's slab does. *)
 let grow t =
   let n = Array.length t.keys in
-  let size = if n = 0 then 64 else if n < 1 lsl 20 then 4 * n else 2 * n in
+  let size = Int.max 64 (2 * n) in
   let extend a =
     let b = Array.make size 0 in
-    for i = 0 to n - 1 do Array.unsafe_set b i (Array.unsafe_get a i) done;
+    Array.blit a 0 b 0 n;
     b
   in
   t.keys <- extend t.keys;

@@ -24,9 +24,6 @@ type port = {
   mutable recv_fire : Packet.t -> unit;
   (* far-end arrival continuation, installed by [create]; the net's
      arrival handler calls it *)
-  mutable memo_bytes : int;         (* serialization-time memo: *)
-  mutable memo_rate : Units.rate;   (* tx_time at (memo_bytes, memo_rate) *)
-  mutable memo_tx : Units.time;     (* is memo_tx — ports see few sizes *)
   (* Fault-injection state (Ppt_faults). Neutral defaults keep the
      datapath bit-identical when no fault spec is active. *)
   mutable up : bool;                (* false: port stops dequeuing *)
@@ -107,7 +104,6 @@ let make_port ~owner ~pix ~rate ~delay qcfg =
   { owner; pix; rate; delay; peer = -1; q = Prio_queue.create qcfg;
     busy = false; tx_bytes = 0; gix = -1;
     recv_fire = ignore;
-    memo_bytes = -1; memo_rate = -1; memo_tx = 0;
     up = true; cur_rate = rate; extra_delay = 0; fault_filter = None;
     fault_drops = 0 }
 
@@ -469,19 +465,7 @@ let rec start_tx t (port : port) =
         if id land park_tag = 0 then id else unpark t (id lxor park_tag)
       in
       port.busy <- true;
-      let tx =
-        (* a port sees a handful of distinct wire sizes, so one memo
-           slot removes the division from nearly every transmit *)
-        if wire = port.memo_bytes && port.cur_rate = port.memo_rate
-        then port.memo_tx
-        else begin
-          let v = Units.tx_time ~rate:port.cur_rate ~bytes:wire in
-          port.memo_bytes <- wire;
-          port.memo_rate <- port.cur_rate;
-          port.memo_tx <- v;
-          v
-        end
-      in
+      let tx = Units.tx_time ~rate:port.cur_rate ~bytes:wire in
       port.tx_bytes <- port.tx_bytes + wire;
       if not ((!Trace.enabled || Option.is_some port.fault_filter)
               && killed_on_wire t port id)

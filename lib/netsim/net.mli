@@ -24,14 +24,6 @@ type port = {
       arrival event ({!Ppt_engine.Sim.post}, no allocation), whose
       argument packs the packet's id with the sending port's [gix],
       calls it with the packet. Not meant to be called by users. *)
-  mutable memo_bytes : int;
-  mutable memo_rate : Units.rate;
-  mutable memo_tx : Units.time;
-  (** Serialization-time memo: [memo_tx] caches
-      [Units.tx_time ~rate:memo_rate ~bytes:memo_bytes]. A port sees
-      only a handful of distinct wire sizes, so this removes the
-      division from nearly every transmit. Maintained by the transmit
-      loop; not meant to be touched by users. *)
   mutable up : bool;
   (** [false] parks the transmit loop and discards new arrivals as
       fault drops (reason 'D'); already-queued packets park until
