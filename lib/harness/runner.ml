@@ -140,8 +140,10 @@ let check_trace (topo : Topology.built) (trace : Trace.spec list) =
    undeliverable), dropped by a queue or a fault, or still held, in a
    record or parked. Every byte a port queued was sent or is still
    queued, and each port's queue holds, chunk by chunk, the entries and
-   bytes its counters say. Checked before the arena goes. *)
-let audit_conservation (cfg : Config.t) (scheme : Schemes.t) net =
+   bytes its counters say. Every completed flow's receiver took its
+   whole payload, once, from the two loops together. Checked before the
+   arena goes. *)
+let audit_conservation (cfg : Config.t) (scheme : Schemes.t) net fct =
   let fail fmt =
     Printf.ksprintf
       (fun msg ->
@@ -175,7 +177,13 @@ let audit_conservation (cfg : Config.t) (scheme : Schemes.t) net =
            fail "port %d.%d: queue storage broken: %s" port.Net.owner
              port.Net.pix what)
       (Net.node net nid).Net.ports
-  done
+  done;
+  List.iter
+    (fun (r : Fct.record) ->
+       if r.hcp_delivered + r.lcp_delivered <> r.size then
+         fail "flow %d: delivered %d+%d of %d" r.flow r.hcp_delivered
+           r.lcp_delivered r.size)
+    (Fct.records fct)
 
 (* Launch every flow at its start time, drawn from the config's
    generator or from [trace], and stop the simulation once they have
@@ -250,7 +258,7 @@ let run ?lp_buffer_cap ?trace ?(observe = fun _ _ -> ())
         | None -> ())
     (fun () ->
        Sim.run ~until:horizon sim;
-       audit_conservation cfg scheme ctx.Context.net);
+       audit_conservation cfg scheme ctx.Context.net ctx.Context.fct);
   let fct = ctx.Context.fct in
   let summary = Fct.summarize fct in
   let lp_delivered = Fct.lcp_delivered fct in
