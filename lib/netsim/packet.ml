@@ -122,7 +122,7 @@ let free_n = ref 0
 
 let pool_size () = !free_n
 
-(* Reset per run (threaded through [Context.create], and again when
+(* Reset per run (threaded through [Context.of_topology], and again when
    [Runner.run] returns). Restarting the uid sequence makes rerunning
    an experiment in the same process byte-identical to the first run —
    uids feed the per-packet spraying hash. Dropping the arena lets the
@@ -249,9 +249,3 @@ let tel_copy ~src ~dst =
    carry [bytes], with a final short segment. *)
 let segments_of_bytes bytes =
   if bytes <= 0 then 0 else (bytes + max_payload - 1) / max_payload
-
-let segment_payload ~flow_bytes ~seq =
-  let nseg = segments_of_bytes flow_bytes in
-  assert (seq >= 0 && seq < nseg);
-  if seq = nseg - 1 then flow_bytes - (nseg - 1) * max_payload
-  else max_payload

@@ -127,7 +127,7 @@ val release : t -> unit
 
 val reset : unit -> unit
 (** Drop the arena and restart the uid counter. Done per run (by
-    [Context.create] and when [Runner.run] returns), so back-to-back
+    [Context.of_topology] and when [Runner.run] returns), so back-to-back
     in-process runs hand out identical uid sequences and a run's
     stranded packets do not outlive it. *)
 
@@ -158,6 +158,5 @@ val tel_copy : src:t -> dst:t -> unit
     allocated on a packet's first {!tel_push} or non-empty copy. *)
 
 val segments_of_bytes : int -> int
-val segment_payload : flow_bytes:int -> seq:int -> int
-(** Payload of segment [seq] of a [flow_bytes]-sized flow; all segments
-    carry [max_payload] except a shorter final one. *)
+(** Segments of [max_payload] bytes, the last one possibly shorter,
+    that carry [bytes]; 0 when [bytes <= 0]. *)

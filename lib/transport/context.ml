@@ -24,21 +24,19 @@ type t = {
   mutable flow_wmax : (int * float) list;  (* finished DCTCP flows *)
 }
 
-let create ~sim ~net ~base_rtt ~edge_rate ~rto_min ~rng () =
+let of_topology ~rto_min ~rng (topo : Topology.built) =
   (* A fresh context means a fresh run: drop the packet arena and
      restart the uid sequence, so rerunning an experiment in one
      process is byte-identical to the first run (uids feed the
      per-packet spraying hash). *)
   Packet.reset ();
-  { sim; net; base_rtt; edge_rate;
-    bdp = Units.bdp ~rate:edge_rate ~rtt:base_rtt;
+  let net = topo.net in
+  { sim = Net.sim net; net; base_rtt = topo.base_rtt;
+    edge_rate = topo.edge_rate;
+    bdp = Units.bdp ~rate:topo.edge_rate ~rtt:topo.base_rtt;
     rto_min; fct = Fct.create (); rng;
     ops = Array.make (Net.n_nodes net) 0;
     started = 0; completed = 0; on_complete = ignore; flow_wmax = [] }
-
-let of_topology ?(rto_min = Units.ms 10) ~rng (topo : Topology.built) =
-  create ~sim:(Net.sim topo.net) ~net:topo.net ~base_rtt:topo.base_rtt
-    ~edge_rate:topo.edge_rate ~rto_min ~rng ()
 
 let now t = Sim.now t.sim
 

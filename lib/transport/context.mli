@@ -23,15 +23,11 @@ type t = {
   (** [(flow id, W_max)] of each flow plain DCTCP finished in the run. *)
 }
 
-val create :
-  sim:Sim.t -> net:Net.t -> base_rtt:Units.time ->
-  edge_rate:Units.rate -> rto_min:Units.time -> rng:Rng.t -> unit -> t
-(** A context starts a run: it calls [Packet.reset], so packets made
-    before it cannot be sent in the run. *)
-
-val of_topology :
-  ?rto_min:Units.time -> rng:Rng.t -> Topology.built -> t
-(** Derive a context from a built topology; [rto_min] defaults to 10ms. *)
+val of_topology : rto_min:Units.time -> rng:Rng.t -> Topology.built -> t
+(** The context of a run on a built topology, with the minimum
+    retransmission timeout [rto_min]. A context starts a run: it calls
+    [Packet.reset], so packets made before it cannot be sent in the
+    run. *)
 
 val now : t -> Units.time
 

@@ -41,9 +41,9 @@ let create ~id ~src ~dst ~size ~start =
 let of_spec (s : Ppt_workload.Trace.spec) =
   create ~id:s.id ~src:s.src ~dst:s.dst ~size:s.size ~start:s.start
 
-(* Same result as [Packet.segment_payload], but against the stored
-   [nseg] — this runs several times per segment on the ack path, and
-   recomputing the segment count would put an integer division there. *)
+(* Against the stored [nseg]: this runs several times per segment on
+   the ack path, and recomputing the segment count would put an integer
+   division there. *)
 let seg_payload t seq =
   assert (seq >= 0 && seq < t.nseg);
   if seq = t.nseg - 1 then t.size - ((t.nseg - 1) * Packet.max_payload)

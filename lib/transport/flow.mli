@@ -46,6 +46,8 @@ val create :
 
 val of_spec : Ppt_workload.Trace.spec -> t
 val seg_payload : t -> int -> int
+(** [seg_payload t seq]: the payload of segment [seq], [max_payload]
+    for all but a shorter final one. *)
 
 val accept : t -> Packet.t -> unit
 (** Record a data segment at the receiver: ignores duplicates and

@@ -115,15 +115,17 @@ let test_pool_ownership_checks () =
     true (raises (fun () -> Packet.release q));
   check Alcotest.int "nothing freed" 0 (Packet.pool_size ())
 
+(* The segments the transports send, [Flow.seg_payload] of each. *)
 let prop_segment_payloads_sum =
   QCheck.Test.make ~name:"segment payloads sum to the flow size"
     ~count:300
     QCheck.(int_range 1 5_000_000)
     (fun flow_bytes ->
-       let n = Packet.segments_of_bytes flow_bytes in
+       let module Flow = Ppt_transport.Flow in
+       let f = Flow.create ~id:0 ~src:0 ~dst:1 ~size:flow_bytes ~start:0 in
        let total = ref 0 in
-       for seq = 0 to n - 1 do
-         let p = Packet.segment_payload ~flow_bytes ~seq in
+       for seq = 0 to f.Flow.nseg - 1 do
+         let p = Flow.seg_payload f seq in
          if p <= 0 || p > Packet.max_payload then raise Exit;
          total := !total + p
        done;

@@ -476,7 +476,7 @@ let test_reader_both_formats () =
 
 (* Packet spraying hashes the packet uid, so rerunning an experiment in
    the same process only reproduces the first trace if the uid
-   sequence restarts with each run ([Context.create] resets it). The
+   sequence restarts with each run ([Context.of_topology] resets it). The
    interleaved unrelated run perturbs the counter between the two
    measured runs. *)
 let spray_events () =
